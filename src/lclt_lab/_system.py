@@ -55,9 +55,6 @@ class System:
             abs(b) for b in self.fields
         ) * sigma
 
-    def state_count(self) -> int:
-        return len(self.values) ** self.site_count
-
 
 def _region_pairs(model: m.GibbsModel, region: tuple[m.Site, ...]):
     index = {s: i for i, s in enumerate(region)}

@@ -13,8 +13,7 @@ Output files:
 
 reports.jsonl and summary.csv carry no timestamps or runtimes, so a rerun
 with the same inputs produces byte-identical files; everything volatile is
-segregated into run_meta.json. The LCLT_LAB_THREADS environment variable
-sets the worker count for the t-point loops of the decay scans.
+segregated into run_meta.json.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import csv
 import datetime
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -61,7 +59,6 @@ class RunConfig:
     t_points: int
     c_variant: str
     budget: int
-    threads: int
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -194,7 +191,7 @@ def _cmd_min_r0(run: RunConfig, args) -> tuple[list[dict], bool]:
 def _cmd_identity_check(run: RunConfig, args) -> tuple[list[dict], bool]:
     model = _load_model(run.config_path)
     rng = np.random.default_rng(run.seed)
-    t_values = [0.0] + sorted(rng.uniform(0.0, math.pi, size=max(run.t_points - 1, 1)).tolist())
+    ts = [0.0] + sorted(rng.uniform(0.0, math.pi, size=max(run.t_points - 1, 1)).tolist())
     variants = [0.0]
     if args.dressed:
         variants.append(vf.constants(model, run.c_variant).c_selected)
@@ -206,7 +203,7 @@ def _cmd_identity_check(run: RunConfig, args) -> tuple[list[dict], bool]:
         # 1e-6 * Xi(0) pins those points to cancellation-level absolute
         # agreement instead.
         xi0 = abs(pg.polymer_partition(model, pg.ActivityParams(t=0.0, c=c), "decimated", mode="direct"))
-        for t in t_values:
+        for t in ts:
             params = pg.ActivityParams(t=t, c=c)
             started = time.perf_counter()
             direct = pg.polymer_partition(model, params, "decimated", mode="direct")
@@ -295,9 +292,7 @@ def _cmd_decay_small_t(run: RunConfig, args) -> tuple[list[dict], bool]:
     model = _load_model(run.config_path)
     consts = vf.constants(model, run.c_variant)
     grid = _grid(0.0, consts.delta, run.t_points)
-    reports = vf.check_small_t_decay(
-        model, grid, seed=run.seed, c_variant=run.c_variant, budget=run.budget, threads=run.threads
-    )
+    reports = vf.check_small_t_decay(model, grid, seed=run.seed, c_variant=run.c_variant, budget=run.budget)
     return _check_lines(reports), not vf.all_passed(reports)
 
 
@@ -305,9 +300,7 @@ def _cmd_decay_large_t(run: RunConfig, args) -> tuple[list[dict], bool]:
     model = _load_model(run.config_path)
     consts = vf.constants(model, run.c_variant)
     grid = _grid(consts.delta, math.pi, run.t_points)
-    reports = vf.check_large_t_decay(
-        model, grid, seed=run.seed, c_variant=run.c_variant, budget=run.budget, threads=run.threads
-    )
+    reports = vf.check_large_t_decay(model, grid, seed=run.seed, c_variant=run.c_variant, budget=run.budget)
     return _check_lines(reports), not vf.all_passed(reports)
 
 
@@ -423,7 +416,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    threads = int(os.environ.get("LCLT_LAB_THREADS", "1") or "1")
     run = RunConfig(
         command=args.command,
         config_path=getattr(args, "config", None),
@@ -432,7 +424,6 @@ def main(argv=None) -> int:
         t_points=args.t_points,
         c_variant=args.c_variant,
         budget=args.budget,
-        threads=threads,
     )
     started_wall = datetime.datetime.now(datetime.timezone.utc).isoformat()
     started = time.perf_counter()
@@ -453,7 +444,6 @@ def main(argv=None) -> int:
         "started": started_wall,
         "runtime_ms": (time.perf_counter() - started) * 1000.0,
         "version": __version__,
-        "threads": threads,
     }
     _emit(run.out_dir, lines, meta)
     checks = [ln for ln in lines if "check" in ln]

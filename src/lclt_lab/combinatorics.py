@@ -21,7 +21,6 @@ edge_list(k).index((i,j)) in every mask used here.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -37,23 +36,6 @@ MAX_TREE_VERTICES = 8
 # Classical counts of connected labeled graphs on k = 1..7 vertices, the
 # reference values our enumeration is checked against.
 CONNECTED_COUNTS_KNOWN = (1, 1, 4, 38, 728, 26704, 1866256)
-
-
-@dataclass(frozen=True)
-class Graph:
-    """Simple labeled graph: vertices 0..k-1, edges as sorted (i, j) pairs."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for i, j in self.edges:
-            if not (0 <= i < j < self.vertex_count):
-                raise ValueError(f"edge ({i},{j}) invalid on {self.vertex_count} vertices")
-            seen.add((i, j))
-        if len(seen) != len(self.edges):
-            raise ValueError("duplicate edge")
 
 
 @lru_cache(maxsize=None)
@@ -95,16 +77,6 @@ def connected_graph_count(k: int) -> int:
     return len(connected_graph_masks(k))
 
 
-def _graph_from_mask(k: int, mask: int) -> Graph:
-    edges = edge_list(k)
-    return Graph(k, tuple(e for pos, e in enumerate(edges) if mask >> pos & 1))
-
-
-def connected_graphs(k: int) -> tuple[Graph, ...]:
-    """All connected simple graphs on k labeled vertices, each exactly once."""
-    return tuple(_graph_from_mask(k, m) for m in connected_graph_masks(k))
-
-
 def _tree_edges_from_pruefer(seq: tuple[int, ...], k: int) -> tuple[tuple[int, int], ...]:
     degree = [1] * k
     for v in seq:
@@ -138,11 +110,6 @@ def spanning_tree_edge_sets(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     if k == 2:
         return (((0, 1),),)
     return tuple(_tree_edges_from_pruefer(seq, k) for seq in product(range(k), repeat=k - 2))
-
-
-def spanning_trees(k: int) -> tuple[Graph, ...]:
-    """All labeled trees on k vertices; the count is k^(k-2) for k >= 2."""
-    return tuple(Graph(k, edges) for edges in spanning_tree_edge_sets(k))
 
 
 def connected_sum(edge_factor) -> float | complex | np.ndarray:

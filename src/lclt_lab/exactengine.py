@@ -1,8 +1,10 @@
 """Exhaustive-enumeration observables for enumerable regions.
 
-Every quantity here is a finite sum over all |I|^N configurations of a
-region: partition function, moments of the total spin S, its exact pmf, the
-characteristic function E(e^{itS}), and the local-CLT gap
+Every quantity here comes from one finite sum over all |I|^N
+configurations of a region: the partition function, the first two moments
+of the total spin S and its exact pmf. S is integer-valued, so the
+characteristic function is the pmf's Fourier sum
+E(e^{itS}) = sum_p P(S = p) e^{itp}, exact at every t; the local-CLT gap
 
     sup_p | sqrt(D) P(S = p) - exp(-z_p^2/2) / sqrt(2 pi) |,
     z_p = (p - E S) / sqrt(D),  D = Var S.
@@ -37,6 +39,10 @@ DEFAULT_BUDGET = 1 << 24
 
 _CHUNK_TARGET = 1 << 18
 
+# decimated_char_fn_sup enumerates the realized conditionings of the
+# interior window sites up to this count and samples them beyond it.
+CONDITIONING_CAP = 4096
+
 
 @dataclass(frozen=True)
 class Statistics:
@@ -48,6 +54,10 @@ class Statistics:
 
     @property
     def variance_density(self) -> float:
+        if self.site_count == 0:
+            raise DegenerateDistributionError(
+                "the variance density of the empty region () is undefined: it has no sites"
+            )
         return self.variance_S / self.site_count
 
 
@@ -82,25 +92,27 @@ class PmfTable:
 class DecimatedCharFnSup:
     """Max of |char fn of the decimated total spin| over scanned conditionings.
 
-    entries holds every scanned (label, value) pair; full_box_abs is
-    |E(e^{itS})| for the whole box under the model's own boundary, reported
-    alongside for the conditioning inequality it must satisfy.
+    Every field but entries is a tuple with one value per t of the grid.
+    entries holds one (label, |cf| per t) pair per scanned conditioning;
+    full_box_abs is |E(e^{itS})| for the whole box under the model's own
+    boundary, reported alongside for the conditioning inequality it must
+    satisfy.
     """
 
-    t: float
-    sup: float
-    full_box_abs: float
-    entries: tuple[tuple[str, float], ...]
+    t: tuple[float, ...]
+    sup: tuple[float, ...]
+    full_box_abs: tuple[float, ...]
+    entries: tuple[tuple[str, tuple[float, ...]], ...]
 
 
 class _Kahan:
-    """Compensated accumulator; works for real and complex values."""
+    """Compensated accumulator of floats."""
 
     __slots__ = ("total", "comp")
 
-    def __init__(self, zero=0.0):
-        self.total = zero
-        self.comp = zero
+    def __init__(self):
+        self.total = 0.0
+        self.comp = 0.0
 
     def add(self, x):
         y = x - self.comp
@@ -120,12 +132,12 @@ def _check_budget(system: System, budget: int) -> int:
     return total
 
 
-def _scan(system: System, budget: int, t_values=(), want_pmf=False, want_moments=False):
+def _scan(system: System, budget: int):
     """One pass over all configurations.
 
-    Returns (shift, Z_shifted, sum_wS, sum_wS2, char_sums, bins, s_min) where
-    char_sums maps each t to sum_config w * e^{itS} (unnormalized) and bins
-    holds sum of w per value of S when requested.
+    Returns (shift, Z_shifted, sum_wS, sum_wS2, bins, s_min), where w is the
+    shifted weight exp(-H - shift) and bins[p - s_min] is the sum of w over
+    configurations with S = p.
     """
     total = _check_budget(system, budget)
     n = system.site_count
@@ -135,8 +147,7 @@ def _scan(system: System, budget: int, t_values=(), want_pmf=False, want_moments
     shift = system.energy_shift()
 
     if n == 0:
-        char = {t: complex(1.0) for t in t_values}
-        return shift, math.exp(-shift), 0.0, 0.0, char, np.array([1.0]), 0
+        return shift, math.exp(-shift), 0.0, 0.0, np.array([1.0]), 0
 
     m_low = 1
     while m_low < n and q ** (m_low + 1) <= _CHUNK_TARGET:
@@ -170,8 +181,7 @@ def _scan(system: System, budget: int, t_values=(), want_pmf=False, want_moments
     z_acc = _Kahan()
     s1_acc = _Kahan()
     s2_acc = _Kahan()
-    char_acc = {t: _Kahan(0j) for t in t_values}
-    bins = np.zeros(s_max - s_min + 1) if want_pmf else None
+    bins = np.zeros(s_max - s_min + 1)
 
     for h in range(high_count):
         rem = h
@@ -193,24 +203,17 @@ def _scan(system: System, budget: int, t_values=(), want_pmf=False, want_moments
         w = np.exp(energy - shift)
         s_tot = s_low + float(v_high.sum())
         z_acc.add(float(w.sum()))
-        if want_moments:
-            s1_acc.add(float(np.dot(w, s_tot)))
-            s2_acc.add(float(np.dot(w, s_tot * s_tot)))
-        for t in t_values:
-            char_acc[t].add(complex(np.dot(w, np.exp(1j * t * s_tot))))
-        if want_pmf:
-            idx = np.rint(s_tot).astype(np.int64) - s_min
-            bins += np.bincount(idx, weights=w, minlength=len(bins))
+        s1_acc.add(float(np.dot(w, s_tot)))
+        s2_acc.add(float(np.dot(w, s_tot * s_tot)))
+        idx = np.rint(s_tot).astype(np.int64) - s_min
+        bins += np.bincount(idx, weights=w, minlength=len(bins))
 
-    char = {t: acc.total for t, acc in char_acc.items()}
-    return shift, z_acc.total, s1_acc.total, s2_acc.total, char, bins, s_min
+    return shift, z_acc.total, s1_acc.total, s2_acc.total, bins, s_min
 
 
 @lru_cache(maxsize=64)
 def _moments(system: System, budget: int):
-    shift, z, s1, s2, _, bins, s_min = _scan(
-        system, budget, want_pmf=True, want_moments=True
-    )
+    shift, z, s1, s2, bins, s_min = _scan(system, budget)
     mean = s1 / z
     var = s2 / z - mean * mean
     probs = bins / z
@@ -246,27 +249,16 @@ def pmf(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) -> PmfT
     return _moments(system, budget)[4]
 
 
-def char_fn(model: m.GibbsModel, region="box", t: float = 0.0, budget: int = DEFAULT_BUDGET) -> complex:
-    """E(e^{itS}) on the region, by direct enumeration."""
-    system = build_system(model, region)
-    _, z, _, _, char, _, _ = _scan(system, budget, t_values=(float(t),))
-    return char[float(t)] / z
-
-
-def char_fn_grid(model: m.GibbsModel, region="box", t_values=(), budget: int = DEFAULT_BUDGET):
-    """E(e^{itS}) over a grid of t values in one enumeration pass."""
-    ts = tuple(float(t) for t in t_values)
-    system = build_system(model, region)
-    _, z, _, _, char, _, _ = _scan(system, budget, t_values=ts)
-    return np.array([char[t] / z for t in ts])
+def char_fn(model: m.GibbsModel, region="box", t=0.0, budget: int = DEFAULT_BUDGET) -> complex | np.ndarray:
+    """E(e^{itS}) on the region, from its exact pmf; t is a scalar or an array."""
+    return char_from_pmf(pmf(model, region, budget), t)
 
 
 def char_from_pmf(table: PmfTable, t) -> complex | np.ndarray:
     """E(e^{itS}) evaluated from an exact pmf (Fourier identity).
 
     Accepts a scalar or an array of t values; integer-valued S makes this
-    exact, and the engine's Fourier-consistency invariant pins both routes
-    together.
+    exact.
     """
     ps = np.arange(table.p_min, table.p_min + len(table.probabilities))
     probs = np.asarray(table.probabilities)
@@ -290,18 +282,11 @@ def lclt_gap(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) ->
     return float(np.abs(root_d * np.asarray(table.probabilities) - gauss).max())
 
 
-def _char_abs_for_override(model, region, t, omega, budget):
-    system = build_system(model, region, omega=omega)
-    _, z, _, _, char, _, _ = _scan(system, budget, t_values=(t,))
-    return abs(char[t] / z)
-
-
 def decimated_char_fn_sup(
     model: m.GibbsModel,
-    t: float,
+    t_grid,
     omega_samples: int = 8,
     seed: int = 0,
-    realized_cap: int = 4096,
     budget: int = DEFAULT_BUDGET,
 ) -> DecimatedCharFnSup:
     """Scan |E^omega(e^{it S~})| of the decimated box over conditionings.
@@ -309,13 +294,16 @@ def decimated_char_fn_sup(
     The scanned set holds the two extremal constant assignments, uniform
     random assignments on the windowed exterior, and the realized
     conditionings: interior non-decimated sites run over all their spin
-    values (enumerated when that count fits realized_cap, sampled otherwise)
-    while true exterior sites keep the model's own boundary. Realized
-    conditionings are exactly the terms whose average is the full-box
-    characteristic function, so the returned sup dominates |E(e^{itS})| up
-    to the certified window tail.
+    values (enumerated when that count fits CONDITIONING_CAP, sampled
+    otherwise) while true exterior sites keep the model's own boundary.
+    Realized conditionings are exactly the terms whose average is the
+    full-box characteristic function, so the returned sup dominates
+    |E(e^{itS})| up to the certified window tail.
+
+    The set does not depend on t: each conditioning's exact pmf is computed
+    once and Fourier-summed over the whole t_grid.
     """
-    t = float(t)
+    ts = tuple(float(t) for t in t_grid)
     region = m.resolve_region(model, "decimated")
     window = windowed_exterior(model, "decimated")
     interior = tuple(y for y in window if y in model.box)
@@ -324,20 +312,17 @@ def decimated_char_fn_sup(
     q = len(values)
     rng = np.random.default_rng(seed)
 
-    entries: list[tuple[str, float]] = []
-
-    for label, v in (("all_lo", model.spin.lo), ("all_hi", model.spin.hi)):
-        omega = {y: v for y in window}
-        entries.append((label, _char_abs_for_override(model, region, t, omega, budget)))
-
+    omegas: list[tuple[str, dict]] = [
+        ("all_lo", {y: model.spin.lo for y in window}),
+        ("all_hi", {y: model.spin.hi for y in window}),
+    ]
     for k in range(omega_samples):
         draw = rng.integers(0, q, size=len(window))
-        omega = {y: values[d] for y, d in zip(window, draw)}
-        entries.append((f"random_{k}", _char_abs_for_override(model, region, t, omega, budget)))
+        omegas.append((f"random_{k}", {y: values[d] for y, d in zip(window, draw)}))
 
     base = {y: model.boundary.omega(y) for y in exterior}
     realized_total = q ** len(interior)
-    if realized_total <= realized_cap:
+    if realized_total <= CONDITIONING_CAP:
         for idx in range(realized_total):
             rem, combo = idx, []
             for _ in interior:
@@ -345,24 +330,25 @@ def decimated_char_fn_sup(
                 rem //= q
             omega = dict(base)
             omega.update(zip(interior, combo))
-            entries.append(
-                (f"conditional_{idx}", _char_abs_for_override(model, region, t, omega, budget))
-            )
+            omegas.append((f"conditional_{idx}", omega))
     else:
         for k in range(omega_samples):
             draw = rng.integers(0, q, size=len(interior))
             omega = dict(base)
             omega.update({y: values[d] for y, d in zip(interior, draw)})
-            entries.append(
-                (f"conditional_sample_{k}", _char_abs_for_override(model, region, t, omega, budget))
-            )
+            omegas.append((f"conditional_sample_{k}", omega))
 
-    full_abs = abs(char_fn(model, "box", t, budget=budget))
+    abs_cf = np.array(
+        [
+            np.abs(char_from_pmf(_moments(build_system(model, region, omega=omega), budget)[4], ts))
+            for _, omega in omegas
+        ]
+    )
     return DecimatedCharFnSup(
-        t=t,
-        sup=max(v for _, v in entries),
-        full_box_abs=full_abs,
-        entries=tuple(entries),
+        t=ts,
+        sup=tuple(float(v) for v in abs_cf.max(axis=0)),
+        full_box_abs=tuple(float(v) for v in np.abs(char_fn(model, "box", ts, budget=budget))),
+        entries=tuple((label, tuple(float(v) for v in row)) for (label, _), row in zip(omegas, abs_cf)),
     )
 
 

@@ -49,7 +49,7 @@ def test_constants_exit_zero_and_schema(config, tmp_path, capsys):
     assert "PASS decimation_step_condition" in text
     assert "checks passed" in text
     meta = json.loads((out / "run_meta.json").read_text())
-    assert set(meta) == {"argv", "command", "started", "runtime_ms", "threads", "version"}
+    assert set(meta) == {"argv", "command", "started", "runtime_ms", "version"}
     assert meta["command"] == "constants"
     csv_lines = (out / "summary.csv").read_text().splitlines()
     assert csv_lines[0] == "check,lhs,rhs,margin,pass"

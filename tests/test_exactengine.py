@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,36 @@ import pytest
 import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
 from conftest import free_chain, nn_chain, random_model
+from lclt_lab._system import windowed_exterior
 from lclt_lab.errors import CapacityError, DegenerateDistributionError
+
+
+def brute_char_fn(model, region, ts, omega=None):
+    """sum over configurations of e^{-H} e^{itS} / Z, one term per config.
+
+    Without omega the weight is the model's own Hamiltonian on the region;
+    with omega every assigned site outside the region acts through J alone.
+    """
+    sites = lm.resolve_region(model, region)
+    weights, spins = [], []
+    for values in itertools.product(model.spin.values, repeat=len(sites)):
+        if omega is None:
+            log_w = lm.hamiltonian(model, lm.SpinConfig(sites=sites, values=values))
+        else:
+            log_w = sum(
+                model.coupling.value(sites[i], sites[k]) * values[i] * values[k]
+                for i, k in itertools.combinations(range(len(sites)), 2)
+            )
+            log_w += sum(
+                model.coupling.value(x, y) * s * v
+                for x, s in zip(sites, values)
+                for y, v in omega.items()
+                if y not in sites
+            )
+        weights.append(math.exp(log_w))
+        spins.append(sum(values))
+    weights = np.array(weights)
+    return np.exp(1j * np.outer(ts, spins)) @ weights / weights.sum()
 
 
 def two_site_pair_model():
@@ -65,18 +95,15 @@ def test_pmf_normalization_and_moments():
 
 
 def test_char_fn_against_pmf_transform():
-    """Direct enumeration and the pmf Fourier transform agree pointwise."""
+    """The pmf Fourier transform agrees with a brute-force sum over configs."""
     rng = np.random.default_rng(4)
     for _ in range(8):
         model = random_model(rng)
-        table = ee.pmf(model, region="decimated")
-        for t in (0.0, 0.3, 1.1, math.pi):
-            direct = ee.char_fn(model, region="decimated", t=t)
-            from_pmf = ee.char_from_pmf(table, t)
-            assert direct == pytest.approx(from_pmf, abs=1e-12)
         ts = np.linspace(0.0, math.pi, 9)
-        grid = ee.char_fn_grid(model, region="decimated", t_values=ts)
-        assert np.allclose(grid, ee.char_from_pmf(table, ts), atol=1e-12)
+        brute = brute_char_fn(model, "decimated", ts)
+        assert np.allclose(ee.char_fn(model, "decimated", ts), brute, rtol=0, atol=1e-12)
+        for t, want in zip(ts, brute):
+            assert ee.char_fn(model, region="decimated", t=t) == pytest.approx(want, abs=1e-12)
 
 
 def test_char_fn_basic_symmetries():
@@ -105,18 +132,58 @@ def test_degenerate_distribution_raises():
     )
     with pytest.raises(DegenerateDistributionError):
         ee.lclt_gap(model, region="box")
+    empty = ee.statistics(model, region=())
+    assert empty.site_count == 0
+    with pytest.raises(DegenerateDistributionError, match="empty region"):
+        empty.variance_density
 
 
 def test_decimated_sup_dominates_full_box():
     model = nn_chain(radius=2, strength=0.1, spin=(0, 1), boundary=1, r0=2)
-    for t in (0.05, 0.4, 2.0):
-        sup = ee.decimated_char_fn_sup(model, t, omega_samples=4, seed=1)
-        assert sup.t == t
-        assert sup.sup >= sup.full_box_abs - 1e-15
-        assert sup.entries, "scan must record the boundary fields it tried"
-        assert sup.sup == pytest.approx(max(v for _, v in sup.entries), abs=0)
-        again = ee.decimated_char_fn_sup(model, t, omega_samples=4, seed=1)
-        assert again.sup == sup.sup
+    ts = (0.05, 0.4, 2.0)
+    scan = ee.decimated_char_fn_sup(model, ts, omega_samples=4, seed=1)
+    assert scan.t == ts
+    assert scan.entries, "scan must record the boundary fields it tried"
+    assert all(len(values) == len(ts) for _, values in scan.entries)
+    for k in range(len(ts)):
+        assert scan.sup[k] >= scan.full_box_abs[k] - 1e-15
+        assert scan.sup[k] == max(values[k] for _, values in scan.entries)
+    assert ee.decimated_char_fn_sup(model, ts, omega_samples=4, seed=1) == scan
+
+
+def test_decimated_entries_match_brute_force():
+    """Each conditioning's grid of |cf| against a brute-force sum under its omega."""
+    model = lm.GibbsModel(
+        box=lm.Box(dimension=1, radius=2, r0=2),
+        spin=lm.SpinInterval(-1, 1),
+        coupling=lm.Coupling.explicit(
+            [((-2,), (0,), 0.2), ((0,), (1,), -0.15), ((1,), (2,), 0.1), ((-2,), (-1,), 0.25)]
+        ),
+        boundary=lm.BoundaryCondition.constant(1),
+    )
+    ts = np.array([0.1, 0.7, 2.0, math.pi])
+    omega_samples, seed = 3, 5
+    scan = ee.decimated_char_fn_sup(model, ts, omega_samples=omega_samples, seed=seed)
+
+    # The conditioning set, rebuilt from its definition.
+    window = windowed_exterior(model, "decimated")
+    interior = [y for y in window if y in model.box]
+    exterior = {y: model.boundary.omega(y) for y in window if y not in model.box}
+    values = model.spin.values
+    rng = np.random.default_rng(seed)
+    omegas = {"all_lo": dict.fromkeys(window, -1), "all_hi": dict.fromkeys(window, 1)}
+    for k in range(omega_samples):
+        draw = rng.integers(0, len(values), size=len(window))
+        omegas[f"random_{k}"] = {y: values[d] for y, d in zip(window, draw)}
+    # conditional_idx spells idx in base q with the first interior site as
+    # its lowest digit; product() varies its last position fastest.
+    for idx, combo in enumerate(itertools.product(values, repeat=len(interior))):
+        omegas[f"conditional_{idx}"] = {**exterior, **dict(zip(interior, reversed(combo)))}
+
+    assert [label for label, _ in scan.entries] == list(omegas)
+    for label, got in scan.entries:
+        want = np.abs(brute_char_fn(model, "decimated", ts, omegas[label]))
+        assert np.allclose(got, want, rtol=0, atol=1e-13), label
 
 
 def test_result_record_shape():

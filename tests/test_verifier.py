@@ -99,15 +99,6 @@ def test_small_t_decay_regimes():
             assert 0 < r.lhs <= r.rhs + 1e-15
 
 
-def test_small_t_decay_threaded_matches():
-    model = regime_finite_range()
-    c = vf.constants(model)
-    ts = [c.delta * f for f in (0.3, 0.9)]
-    serial = vf.check_small_t_decay(model, ts, omega_samples=4, seed=2)
-    threaded = vf.check_small_t_decay(model, ts, omega_samples=4, seed=2, threads=2)
-    assert [r.as_dict() for r in serial] == [r.as_dict() for r in threaded]
-
-
 def test_large_t_decay_regimes():
     for model in (regime_finite_range(), regime_weak_coupling()):
         c = vf.constants(model)
