@@ -16,37 +16,38 @@ exponent c > 0 multiplies each activity by e^{c|R|} and removes the
 single-site polymers; that variant is exactly the factor left over after
 pulling e^{-c} out of every free site's characteristic function.
 
-Everything here is evaluated two independent ways wherever the structure
-allows it: partition functions by direct spin enumeration and by the
-polymer recursion, connected sums by subset convolution and by graph
-enumeration. Weights w0 (and its e^{ck}-dressed variants) majorize the
-activities and their first two t-derivatives and feed the convergence
-conditions and tail certificates.
+Only the phases depend on t, so each polymer's Mayer table, A_R(s) =
+sum of p * (Mayer sum) over configurations of total spin s, is computed
+once per region: the activity is e^{c|R|} sum_s A_R(s) e^{its}, and its
+t-derivatives and the weights w0 that majorize it read the same table.
+
+Xi(t) has two independent routes: direct enumeration of the region's
+configurations, and the gas sum over Mayer tables, a subset recursion.
+Run with one power of a formal lambda per polymer, the recursion gives
+Xi(lambda) through lambda^K, whose truncated log is the cluster series.
+Mayer sums are checked against connected-graph enumeration, and a value
+past float64's range is a CapacityError, never NaN.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from functools import cached_property, lru_cache
+from itertools import accumulate, combinations
 
 import numpy as np
 
 from . import model as m
 from ._system import System, build_system
-from .combinatorics import (
-    connected_sum,
-    connected_sum_by_enumeration,
-    ursell_hardcore,
-)
+from .combinatorics import connected_sum, connected_sum_by_enumeration, spanning_tree_edge_sets
 from .errors import CapacityError, DomainError, PreconditionError
 
 SPIN_GRID_BUDGET = 1 << 20
 GRAPH_SUM_BUDGET = 1 << 25
 POLYMER_REGION_CAP = 14
-CLUSTER_TERM_BUDGET = 1 << 22
 
 MAX_POLYMER_SIZE = 8
 # The gas recursion must carry every connected subset of a coupling
@@ -140,7 +141,9 @@ class TreeGraphBounds:
 
 
 class _Gas:
-    """Per-region tables: single-site measures, couplings, spin grids."""
+    """Per-region tables: single-site measures, couplings, spin grids, and
+    t-free caches filled on first use: Mayer tables by polymer index
+    tuple, and the direct route's configuration weights and total spins."""
 
     def __init__(self, system: System):
         self.system = system
@@ -161,6 +164,18 @@ class _Gas:
             if v != 0.0:
                 self.adjacency[i] |= 1 << j
                 self.adjacency[j] |= 1 << i
+        self.mayer: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, float]] = {}
+        self.direct: tuple[np.ndarray, np.ndarray] | None = None
+
+    @cached_property
+    def connected(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(mask, indices) of every connected site set, masks ascending."""
+        n = len(self.sites)
+        return tuple(
+            (mask, tuple(i for i in range(n) if mask >> i & 1))
+            for mask in range(1, 1 << n)
+            if mask.bit_count() == 1 or _mask_connected(mask, self.adjacency)
+        )
 
 
 @lru_cache(maxsize=256)
@@ -221,18 +236,61 @@ def _edge_factors(gas: _Gas, idx: tuple[int, ...], values: np.ndarray) -> np.nda
     return ef
 
 
+def _pair_energy(gas: _Gas, idx: tuple[int, ...], values: np.ndarray) -> np.ndarray:
+    """Internal coupling energy sum_{a<b} J s_a s_b of every configuration."""
+    energy = np.zeros(values.shape[1])
+    for a in range(len(idx)):
+        for b in range(a + 1, len(idx)):
+            j = gas.coupling[idx[a], idx[b]]
+            if j != 0.0:
+                energy += j * values[a] * values[b]
+    return energy
+
+
+def _overflow(route: str, gas: _Gas, idx: tuple[int, ...]) -> CapacityError:
+    """The error for a non-finite value: the route, its site count and the
+    largest log weight p e^{energy} of its configurations."""
+    values, probs = _config_tables(gas, idx)
+    with np.errstate(divide="ignore"):
+        log_weight = float((np.log(probs) + _pair_energy(gas, idx, values)).max())
+    return CapacityError(
+        f"{route} on {len(idx)} sites is not finite: the largest log weight is"
+        f" {log_weight:.1f}, float64 ends at {math.log(sys.float_info.max):.1f}"
+    )
+
+
+def _mayer(gas: _Gas, idx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, float]:
+    """(spins, amps, abs_mass): amps[j] sums p * (Mayer sum) over the
+    configurations of total spin spins[j]; abs_mass averages |Mayer sum|."""
+    got = gas.mayer.get(idx)
+    if got is None:
+        values, probs = _config_tables(gas, idx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            csum = connected_sum(_edge_factors(gas, idx, values))
+            weighted = probs * csum
+            abs_mass = float(np.dot(probs, np.abs(csum)))
+        if not (np.isfinite(weighted).all() and math.isfinite(abs_mass)):
+            raise _overflow("Mayer table", gas, idx)
+        totals = values.sum(axis=0)
+        amps = np.bincount(np.rint(totals - totals.min()).astype(np.intp), weights=weighted)
+        got = gas.mayer[idx] = (totals.min() + np.arange(len(amps)), amps, abs_mass)
+    return got
+
+
+def _reach(seed: int, adjacency, within: int) -> int:
+    """Sites of the mask `within` joined to the sites of seed by couplings inside it."""
+    reach = frontier = seed
+    while frontier:
+        v = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        new = adjacency[v] & within & ~reach
+        reach |= new
+        frontier |= new
+    return reach
+
+
 def _mask_connected(mask: int, adjacency) -> bool:
-    reach = mask & -mask
-    while True:
-        grown = reach
-        probe = reach
-        while probe:
-            v = (probe & -probe).bit_length() - 1
-            grown |= adjacency[v] & mask
-            probe &= probe - 1
-        if grown == reach:
-            return reach == mask
-        reach = grown
+    return _reach(mask & -mask, adjacency, mask) == mask
 
 
 def _activity_from_indices(
@@ -246,10 +304,8 @@ def _activity_from_indices(
         return complex(np.dot(gas.probs[i], np.exp(1j * t * gas.values) - 1.0))
     if k > cap:
         raise CapacityError(f"polymer of {k} sites exceeds the cap of {cap}")
-    values, probs = _config_tables(gas, idx)
-    csum = connected_sum(_edge_factors(gas, idx, values))
-    phases = np.exp(1j * t * values.sum(axis=0))
-    return math.exp(c * k) * complex(np.dot(probs * csum, phases))
+    spins, amps, _ = _mayer(gas, idx)
+    return math.exp(c * k) * complex(np.dot(amps, np.exp(1j * t * spins)))
 
 
 def activity(model: m.GibbsModel, params: ActivityParams, polymer, region="decimated", omega=None) -> complex:
@@ -257,7 +313,8 @@ def activity(model: m.GibbsModel, params: ActivityParams, polymer, region="decim
 
     One site: E_x(e^{its}) - 1 (undressed only). Two or more sites:
     e^{c|R|} times the spin average of the phase product against the
-    connected Mayer sum of the internal couplings.
+    connected Mayer sum of the internal couplings, read off the polymer's
+    Mayer table.
     """
     gas = _gas(model, region, omega)
     return _activity_from_indices(gas, _indices(gas, polymer), params.t, params.c)
@@ -268,7 +325,8 @@ def activity_by_graph_enumeration(
 ) -> complex:
     """Activity with the Mayer sum expanded over explicit connected graphs.
 
-    Independent oracle for activity(); cost grows with the connected-graph
+    Independent oracle for activity(): it recomputes the sum per call and
+    never reads the Mayer tables. Cost grows with the connected-graph
     count of |R|, so keep polymers small.
     """
     gas = _gas(model, region, omega)
@@ -303,11 +361,9 @@ def activity_derivative(
         if order == 1:
             return complex(1j * np.dot(gas.probs[i], vals * phases))
         return complex(-np.dot(gas.probs[i], vals * vals * phases))
-    values, probs = _config_tables(gas, idx)
-    csum = connected_sum(_edge_factors(gas, idx, values))
-    total = values.sum(axis=0)
-    base = probs * csum * np.exp(1j * t * total)
-    factor = (1j * total) if order == 1 else -(total * total)
+    spins, amps, _ = _mayer(gas, idx)
+    base = amps * np.exp(1j * t * spins)
+    factor = (1j * spins) if order == 1 else -(spins * spins)
     return math.exp(c * len(idx)) * complex(np.dot(base, factor))
 
 
@@ -319,19 +375,25 @@ def site_char_fn(model: m.GibbsModel, x: m.Site, t: float, region="decimated", o
     return complex(np.dot(gas.probs[gas.index[x]], np.exp(1j * t * gas.values)))
 
 
+def _direct_tables(gas: _Gas) -> tuple[np.ndarray, np.ndarray]:
+    """Weight p e^{energy} and total spin of every configuration of the region."""
+    if gas.direct is None:
+        idx = tuple(range(len(gas.sites)))
+        values, probs = _config_tables(gas, idx)
+        with np.errstate(over="ignore"):
+            weights = probs * np.exp(_pair_energy(gas, idx, values))
+        if not np.isfinite(weights).all():
+            raise _overflow("direct route", gas, idx)
+        gas.direct = (weights, values.sum(axis=0))
+    return gas.direct
+
+
 def _partition_direct(gas: _Gas, t: float, c: float) -> complex:
     n = len(gas.sites)
     if c == 0.0:
         # Every site carries its phase factor; this is plain enumeration.
-        values, probs = _config_tables(gas, tuple(range(n)))
-        energy = np.zeros(values.shape[1])
-        for i in range(n):
-            for j in range(i + 1, n):
-                jij = gas.coupling[i, j]
-                if jij != 0.0:
-                    energy += jij * values[i] * values[j]
-        phases = np.exp(1j * t * values.sum(axis=0))
-        return complex(np.dot(probs * np.exp(energy), phases))
+        weights, totals = _direct_tables(gas)
+        return complex(np.dot(weights, np.exp(1j * t * totals)))
 
     # Dressed variant: sum over all graphs, each weighted by e^{c|support|}
     # and phase factors on the support only.
@@ -374,67 +436,71 @@ def _partition_direct(gas: _Gas, t: float, c: float) -> complex:
     return complex(np.dot(probs, total))
 
 
-def _component_sizes(adjacency) -> list[int]:
-    n = len(adjacency)
-    seen = 0
-    sizes = []
-    for i in range(n):
-        if seen >> i & 1:
-            continue
-        frontier = 1 << i
-        comp = 0
-        while frontier:
-            comp |= frontier
-            grown = 0
-            probe = frontier
-            while probe:
-                v = (probe & -probe).bit_length() - 1
-                grown |= adjacency[v]
-                probe &= probe - 1
-            frontier = grown & ~comp
-        seen |= comp
-        sizes.append(comp.bit_count())
-    return sizes
-
-
-def _partition_polymer_sum(gas: _Gas, t: float, c: float) -> complex:
+def _check_region(gas: _Gas, what: str) -> None:
+    # The recursion walks 2^n site sets and needs every connected subset of
+    # a coupling component; dropping the large ones would silently break
+    # the identity the gas sum certifies.
     n = len(gas.sites)
     if n > POLYMER_REGION_CAP:
         raise CapacityError(
-            f"polymer recursion over {n} sites walks 3^{n} subset pairs, cap is {POLYMER_REGION_CAP} sites"
+            f"{what} over {n} sites walks 2^{n} site sets, cap is {POLYMER_REGION_CAP} sites"
         )
-    # Every connected subset of a coupling component contributes; dropping
-    # the large ones would silently break the identity this mode certifies.
-    largest = max(_component_sizes(gas.adjacency))
+    everything = (1 << n) - 1
+    largest = max((_reach(1 << i, gas.adjacency, everything).bit_count() for i in range(n)), default=0)
     if largest > RECURSION_POLYMER_CAP:
         raise CapacityError(
-            f"the region has a coupling component of {largest} sites, so the gas sum"
+            f"the region has a coupling component of {largest} sites, so the {what}"
             f" needs polymers up to that size; cap is {RECURSION_POLYMER_CAP}"
         )
-    min_size = 1 if c == 0.0 else 2
-    xi: dict[int, complex] = {}
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        if size < min_size:
+
+
+def _activity_groups(gas: _Gas, t: float, c: float, absolute: bool = False) -> list[list]:
+    """(mask, activity) of every polymer, grouped by its lowest site, masks
+    descending within a group; absolute=True carries -|activity|."""
+    groups: list[list] = [[] for _ in gas.sites]
+    for mask, idx in reversed(gas.connected):
+        if c != 0.0 and len(idx) == 1:
             continue
-        if size >= 2 and not _mask_connected(mask, gas.adjacency):
-            continue
-        idx = tuple(i for i in range(n) if mask >> i & 1)
-        xi[mask] = _activity_from_indices(gas, idx, t, c, cap=RECURSION_POLYMER_CAP)
-    dp = np.zeros(1 << n, dtype=complex)
-    dp[0] = 1.0
+        z = _activity_from_indices(gas, idx, t, c, cap=RECURSION_POLYMER_CAP)
+        groups[idx[0]].append((mask, -abs(z) if absolute else z))
+    return groups
+
+
+def _gas_sum(n: int, groups: list[list], K: int | None = None):
+    """Xi over n sites by X[M] = X[M - l] + sum_P z_P X[M - P], l the lowest
+    site of M and P over the polymers in groups[l] inside M. With K, every
+    z_P carries one power of lambda and X holds coefficients through lambda^K."""
+    dp = [None] * (1 << n)
+    dp[0] = 1 + 0j if K is None else np.eye(1, K + 1, dtype=complex)[0]
     for mask in range(1, 1 << n):
         low = mask & -mask
-        acc = dp[mask ^ low]
-        sub = mask
-        while sub:
-            if sub & low:
-                val = xi.get(sub)
-                if val is not None:
-                    acc += val * dp[mask ^ sub]
-            sub = (sub - 1) & mask
+        acc = dp[mask ^ low] if K is None else dp[mask ^ low].copy()
+        for poly, z in groups[low.bit_length() - 1]:
+            if poly & mask == poly:
+                if K is None:
+                    acc += z * dp[mask ^ poly]
+                else:
+                    acc[1:] += z * dp[mask ^ poly][:-1]
         dp[mask] = acc
-    return complex(dp[-1])
+    return dp[-1]
+
+
+def _partition_polymer_sum(gas: _Gas, t: float, c: float) -> complex:
+    _check_region(gas, "gas sum")
+    return complex(_gas_sum(len(gas.sites), _activity_groups(gas, t, c)))
+
+
+_ROUTES = {"direct": _partition_direct, "polymer_sum": _partition_polymer_sum}
+
+
+def _partition(gas: _Gas, t: float, c: float, mode: str) -> complex:
+    route = _ROUTES.get(mode)
+    if route is None:
+        raise DomainError(f"unknown mode {mode!r}; use 'direct' or 'polymer_sum'")
+    xi = route(gas, t, c)
+    if not cmath.isfinite(xi):
+        raise _overflow(f"{mode} route", gas, tuple(range(len(gas.sites))))
+    return xi
 
 
 def polymer_partition(
@@ -445,12 +511,7 @@ def polymer_partition(
     The two modes must agree to enumeration precision; that identity is the
     master check of this module.
     """
-    gas = _gas(model, region, omega)
-    if mode == "direct":
-        return _partition_direct(gas, params.t, params.c)
-    if mode == "polymer_sum":
-        return _partition_polymer_sum(gas, params.t, params.c)
-    raise DomainError(f"unknown mode {mode!r}; use 'direct' or 'polymer_sum'")
+    return _partition(_gas(model, region, omega), params.t, params.c, mode)
 
 
 def char_fn_ratio(
@@ -475,14 +536,15 @@ def continuous_log_partition(
     """
     if steps < 1:
         raise DomainError(f"need at least one step, got {steps}")
-    start = polymer_partition(model, ActivityParams(t=0.0, c=params.c), region, omega, mode)
+    gas = _gas(model, region, omega)
+    start = _partition(gas, 0.0, params.c, mode)
     if abs(start.imag) > 1e-9 * abs(start) or start.real <= 0:
         raise PreconditionError(f"partition function at t=0 is {start!r}, not positive")
     log_val = complex(math.log(start.real))
     prev = start
     for step in range(1, steps + 1):
         tau = params.t * step / steps
-        cur = polymer_partition(model, ActivityParams(t=tau, c=params.c), region, omega, mode)
+        cur = _partition(gas, tau, params.c, mode)
         log_val += cmath.log(cur / prev)
         prev = cur
     return log_val
@@ -503,9 +565,7 @@ def weight_w0(model: m.GibbsModel, polymer, delta: float, region="decimated", om
         return delta * gas.sigma
     if k > MAX_POLYMER_SIZE:
         raise CapacityError(f"polymer of {k} sites exceeds the cap of {MAX_POLYMER_SIZE}")
-    values, probs = _config_tables(gas, idx)
-    csum = connected_sum(_edge_factors(gas, idx, values))
-    return (1.0 + delta * gas.sigma) ** k * float(np.dot(probs, np.abs(csum)))
+    return (1.0 + delta * gas.sigma) ** k * _mayer(gas, idx)[2]
 
 
 def weight_w1(model: m.GibbsModel, polymer, delta: float, region="decimated", omega=None) -> float:
@@ -568,9 +628,7 @@ def weight_norm(
             if not _mask_connected(mask, gas.adjacency):
                 continue
             idx = tuple(sorted((anchor, *rest)))
-            values, probs = _config_tables(gas, idx)
-            csum = connected_sum(_edge_factors(gas, idx, values))
-            total += (1.0 + delta * gas.sigma) ** k * float(np.dot(probs, np.abs(csum)))
+            total += (1.0 + delta * gas.sigma) ** k * _mayer(gas, idx)[2]
         best = max(best, total * factor)
     return best
 
@@ -617,19 +675,6 @@ def convergence_check(weight_norms, a: float, dominating_tail: float = 0.0) -> C
     lhs = sum(w * math.exp(a * k) for k, w in weight_norms.items()) + dominating_tail
     rhs = math.exp(a) - 1.0
     return ConvergenceCheck(satisfied=lhs <= rhs, lhs=lhs, rhs=rhs)
-
-
-def _connected_polymers(gas: _Gas, min_size: int, max_size: int) -> list[tuple[int, tuple[int, ...]]]:
-    n = len(gas.sites)
-    out = []
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        if size < min_size or size > max_size:
-            continue
-        if size >= 2 and not _mask_connected(mask, gas.adjacency):
-            continue
-        out.append((mask, tuple(i for i in range(n) if mask >> i & 1)))
-    return out
 
 
 def _series_damping(model, gas, params, a, region, omega):
@@ -691,80 +736,35 @@ def truncated_log_partition(
 ) -> ClusterSeriesResult:
     """Cluster series for log Xi through clusters of K polymers.
 
-    Each unordered cluster contributes its hard-core Ursell coefficient
-    times the activity product over the multiplicity factorials; with
-    absolute=True every factor enters in absolute value, giving the
-    positive dominating series. Disconnected overlap patterns are pruned
-    before any Ursell work. The tail certificate (absolute series, per the
-    damping helper) uses exponent a, defaulting to ln 2 undressed and c/4
-    dressed.
+    The order-m term, the sum over clusters of m polymers of Ursell
+    coefficient times activities over multiplicity factorials, is the
+    lambda^m coefficient L_m of log Xi(lambda), every activity carrying
+    one lambda. The gas recursion gives Xi(lambda) = sum_m p_m lambda^m
+    through lambda^K, and L_m = p_m - (1/m) sum_{j<m} j L_j p_{m-j}.
+    absolute=True gives the positive dominating series, every factor in
+    absolute value: Ursell coefficients of m polymers have sign (-1)^{m-1},
+    so it is -L_m for activities -|zeta|. The tail certificate (absolute
+    series, per the damping helper) uses exponent a, defaulting to ln 2
+    undressed and c/4 dressed.
     """
     if K < 1:
         raise DomainError(f"truncation order must be positive, got {K}")
-    if K > 6:
-        raise CapacityError(f"truncation order {K} exceeds the cap of 6")
     gas = _gas(model, region, omega)
-    min_size = 1 if params.c == 0.0 else 2
-    largest = max(_component_sizes(gas.adjacency))
-    if largest > RECURSION_POLYMER_CAP:
-        raise CapacityError(
-            f"the region has a coupling component of {largest} sites, so order-1 clusters"
-            f" already need polymers of that size; cap is {RECURSION_POLYMER_CAP}"
-        )
-    polymers = _connected_polymers(gas, min_size, min(RECURSION_POLYMER_CAP, len(gas.sites)))
-    est_terms = math.comb(len(polymers) + K - 1, K) if polymers else 0
-    if est_terms > CLUSTER_TERM_BUDGET:
-        raise CapacityError(
-            f"cluster enumeration needs about {est_terms} multisets from "
-            f"{len(polymers)} polymers at order {K}, budget is {CLUSTER_TERM_BUDGET}"
-        )
-    acts = [
-        _activity_from_indices(gas, idx, params.t, params.c, cap=RECURSION_POLYMER_CAP)
-        for _, idx in polymers
-    ]
-    site_sets = [frozenset(idx) for _, idx in polymers]
-    masks = [mask for mask, _ in polymers]
-
-    by_order = []
+    _check_region(gas, "cluster series")
+    n = len(gas.sites)
+    # Xi(lambda) has degree at most n: a family of disjoint polymers has at
+    # most one per site.
+    xi = _gas_sum(n, _activity_groups(gas, params.t, params.c, absolute), min(K, n))
+    logs = []
     for order in range(1, K + 1):
-        total = 0.0 if absolute else 0j
-        for combo in combinations_with_replacement(range(len(polymers)), order):
-            if order > 1:
-                merged = masks[combo[0]]
-                pending = list(combo[1:])
-                # Grow the union; a cluster with disconnected overlap
-                # pattern has zero Ursell weight.
-                changed = True
-                while pending and changed:
-                    changed = False
-                    for i, p in enumerate(pending):
-                        if masks[p] & merged:
-                            merged |= masks[p]
-                            pending.pop(i)
-                            changed = True
-                            break
-                if pending:
-                    continue
-            phi = ursell_hardcore(tuple(site_sets[i] for i in combo))
-            if phi == 0.0:
-                continue
-            prod = 1.0 if absolute else complex(1.0)
-            for i in combo:
-                prod *= abs(acts[i]) if absolute else acts[i]
-            mult = 1
-            run = 1
-            for prev, cur in zip(combo, combo[1:]):
-                run = run + 1 if cur == prev else 1
-                mult *= run if cur == prev else 1
-            total += (abs(phi) if absolute else phi) * prod / mult
-        by_order.append(total)
+        p = xi[order] if order <= n else 0.0
+        acc = sum(j * logs[j - 1] * xi[order - j] for j in range(max(1, order - n), order))
+        logs.append(p - acc / order)
+    by_order = [0.0 - float(v.real) if absolute else complex(v) for v in logs]
+    if not all(map(cmath.isfinite, by_order)):
+        raise _overflow("cluster series", gas, tuple(range(n)))
 
-    partial = []
-    acc = 0.0 if absolute else 0j
-    for term in by_order:
-        acc = acc + term
-        partial.append(acc)
-
+    partial = tuple(accumulate(by_order, initial=0.0 if absolute else 0j))[1:]
     a_eff = a if a is not None else (math.log(2.0) if params.c == 0.0 else params.c / 4.0)
     theta = _series_damping(model, gas, params, a_eff, region, omega)
     tail = None
@@ -772,7 +772,7 @@ def truncated_log_partition(
         tail = a_eff * len(gas.sites) / theta ** (K + 1)
     return ClusterSeriesResult(
         truncation_order=K,
-        partial_sums=tuple(partial),
+        partial_sums=partial,
         by_order=tuple(by_order),
         dominating_tail=tail,
         damping=theta,
@@ -791,12 +791,7 @@ def stability_check(model: m.GibbsModel, polymer, step_norm: float | None = None
     if step_norm is None:
         step_norm = m.interaction_norm(model, step=model.box.r0)
     values, _ = _config_tables(gas, idx)
-    energy = np.zeros(values.shape[1])
-    for a in range(k):
-        for b in range(a + 1, k):
-            j = gas.coupling[idx[a], idx[b]]
-            if j != 0.0:
-                energy += j * values[a] * values[b]
+    energy = _pair_energy(gas, idx, values)
     floor = -k * step_norm * gas.sigma**2 / 2.0
     lowest = float(energy.min())
     return lowest, floor, lowest >= floor - 1e-12
@@ -811,8 +806,6 @@ def tree_graph_bound_check(
     labeled tree on the polymer; the coarser form replaces each edge factor
     by sigma^2 |J|. Both carry the stability prefactor e^{|R| J sigma^2 / 2}.
     """
-    from .combinatorics import spanning_tree_edge_sets
-
     gas = _gas(model, region, omega)
     idx = _indices(gas, polymer)
     k = len(idx)

@@ -1,13 +1,17 @@
 import cmath
 import math
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 
+import lclt_lab.combinatorics as cb
 import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
 import lclt_lab.polymer as pg
-from conftest import nn_chain, random_model, random_omega, regime_weak_coupling
+from conftest import SPIN_CHOICES, nn_chain, random_model, random_omega
+from lclt_lab._system import build_system
 from lclt_lab.errors import CapacityError, DomainError, PreconditionError
 
 
@@ -61,7 +65,8 @@ def test_singleton_activity_is_char_fn_minus_one():
 
 
 def test_activity_matches_graph_enumeration():
-    """Subset recursion against direct connected-graph sums."""
+    """Mayer tables against direct connected-graph sums, on a cold table
+    and again at three more t once the table is warm."""
     rng = np.random.default_rng(12)
     checked = 0
     while checked < 20:
@@ -72,12 +77,151 @@ def test_activity_matches_graph_enumeration():
             continue
         picks = rng.choice(len(sites), size=k, replace=False)
         poly = pg.Polymer(tuple(sites[int(i)] for i in picks))
-        t = float(rng.uniform(0.0, math.pi))
         c = float(rng.choice([0.0, 0.3]))
-        fast = pg.activity(model, pg.ActivityParams(t=t, c=c), poly, region="box")
-        slow = pg.activity_by_graph_enumeration(model, pg.ActivityParams(t=t, c=c), poly, region="box")
-        assert fast == pytest.approx(slow, rel=1e-11, abs=1e-14)
+        for t in rng.uniform(0.0, math.pi, size=4):
+            params = pg.ActivityParams(t=float(t), c=c)
+            fast = pg.activity(model, params, poly, region="box")
+            slow = pg.activity_by_graph_enumeration(model, params, poly, region="box")
+            assert fast == pytest.approx(slow, rel=1e-11, abs=1e-14)
         checked += 1
+
+
+def test_mayer_sum_computed_once_per_polymer(monkeypatch):
+    """Every t-dependent polymer quantity reads one Mayer table per polymer."""
+    calls = Counter()
+    real = pg.connected_sum
+
+    def counting(edge_factor):
+        calls[np.asarray(edge_factor).shape[0]] += 1
+        return real(edge_factor)
+
+    monkeypatch.setattr(pg, "connected_sum", counting)
+    model = nn_chain(radius=2, strength=3e-4, spin=(-1, 1), boundary=1)
+    region = lm.resolve_region(model, "box")
+    pg._gas_for_system.cache_clear()
+    delta = 0.01
+    for t in (0.0, 0.004, 0.3, 1.7):
+        for c in (0.0, 0.2):
+            params = pg.ActivityParams(t=t, c=c, delta_cap=delta)
+            for k in range(2, len(region) + 1):
+                for start in range(len(region) - k + 1):
+                    poly = region[start : start + k]
+                    pg.activity(model, params, poly, region="box")
+                    pg.activity_derivative(model, params, poly, order=1, region="box")
+                    pg.activity_derivative(model, params, poly, order=2, region="box")
+                    pg.weight_w0(model, poly, delta, region="box")
+            for k in (2, 3, 4):
+                pg.weight_norm(model, k, "w1", delta, region="box")
+            pg.polymer_partition(model, params, region="box", mode="polymer_sum")
+            pg.truncated_log_partition(model, params, region="box", K=3)
+            pg.truncated_log_partition(model, params, region="box", K=3, absolute=True)
+    n = len(region)
+    # the connected polymers of a chain are its intervals of two or more sites
+    assert calls == Counter({k: n - k + 1 for k in range(2, n + 1)})
+
+
+def random_gas(rng: np.random.Generator, q: int):
+    """A region of 3 to 6 sites with random couplings inside it and to the
+    rest of a 7-site box, for brute-force cluster sums."""
+    spin = SPIN_CHOICES[2] if q == 3 else SPIN_CHOICES[int(rng.integers(0, 2))]
+    box = lm.Box(dimension=1, radius=3, r0=1)
+    sites = tuple((x,) for x in range(-3, 4))
+    pairs = [
+        (x, y, float(rng.uniform(-0.3, 0.3)))
+        for x, y in combinations(sites, 2)
+        if rng.random() < 0.35
+    ]
+    if rng.random() < 0.5:
+        boundary = lm.BoundaryCondition.zero()
+    else:
+        boundary = lm.BoundaryCondition.constant(int(rng.integers(spin[0], spin[1] + 1)))
+    model = lm.GibbsModel(
+        box=box, spin=lm.SpinInterval(*spin), coupling=lm.Coupling.explicit(pairs), boundary=boundary
+    )
+    return model, sites[: int(rng.integers(3, 7))]
+
+
+def brute_cluster_series(model, params, region, K):
+    """(signed, absolute) cluster series by order, from every multiset of
+    connected polymers: Ursell coefficient times the activity product over
+    the multiplicity factorials."""
+    system = build_system(model, region)
+    n = len(system.sites)
+    adjacency = [set() for _ in range(n)]
+    for i, j, v in system.pairs:
+        if v != 0.0:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+
+    def connected(subset):
+        seen, stack = {subset[0]}, [subset[0]]
+        while stack:
+            for j in adjacency[stack.pop()] & set(subset) - seen:
+                seen.add(j)
+                stack.append(j)
+        return len(seen) == len(subset)
+
+    min_size = 1 if params.c == 0.0 else 2
+    polymers = [
+        subset
+        for k in range(min_size, n + 1)
+        for subset in combinations(range(n), k)
+        if connected(subset)
+    ]
+    acts = [pg.activity(model, params, [system.sites[i] for i in p], region) for p in polymers]
+    signed, absolute = [], []
+    for order in range(1, K + 1):
+        total, total_abs = 0j, 0.0
+        for combo in combinations_with_replacement(range(len(polymers)), order):
+            phi = cb.ursell_hardcore(tuple(frozenset(polymers[i]) for i in combo))
+            if phi == 0.0:
+                continue
+            mult = math.prod(math.factorial(r) for r in Counter(combo).values())
+            prod = math.prod(acts[i] for i in combo)
+            total += phi * prod / mult
+            total_abs += abs(phi) * abs(prod) / mult
+        signed.append(total)
+        absolute.append(total_abs)
+    return signed, absolute
+
+
+def test_cluster_series_matches_ursell_enumeration():
+    """The truncated log of the graded gas sum against explicit Ursell
+    cluster sums, signed and absolute, by order."""
+    rng = np.random.default_rng(19)
+    for gas in range(12):
+        model, region = random_gas(rng, q=2 + gas % 2)
+        for c in (0.0, 0.3):
+            params = pg.ActivityParams(t=float(rng.uniform(0.0, math.pi)), c=c)
+            signed, absolute = brute_cluster_series(model, params, region, 4)
+            for K in range(1, 5):
+                got = pg.truncated_log_partition(model, params, region, K=K)
+                got_abs = pg.truncated_log_partition(model, params, region, K=K, absolute=True)
+                assert got.by_order == pytest.approx(signed[:K], rel=1e-12, abs=0.0)
+                assert got_abs.by_order == pytest.approx(absolute[:K], rel=1e-12, abs=0.0)
+                assert all(isinstance(v, float) for v in got_abs.partial_sums)
+
+
+def test_overflowing_weights_raise_not_nan():
+    """A log weight past float64's range is a CapacityError on every route;
+    the same model with the opposite sign stays finite and the routes agree."""
+    params = pg.ActivityParams(t=0.3)
+    hot = nn_chain(radius=3, strength=130, spin=(0, 1), boundary=1)
+    calls = (
+        lambda model: pg.polymer_partition(model, params, region="box", mode="direct"),
+        lambda model: pg.polymer_partition(model, params, region="box", mode="polymer_sum"),
+        lambda model: pg.continuous_log_partition(model, params, region="box"),
+        lambda model: pg.truncated_log_partition(model, params, region="box", K=3),
+        lambda model: pg.truncated_log_partition(model, params, region="box", K=3, absolute=True),
+    )
+    for call in calls:
+        with pytest.raises(CapacityError, match=r"on 7 sites is not finite: the largest log weight is 776\.5"):
+            call(hot)
+    cold = nn_chain(radius=3, strength=-130, spin=(0, 1), boundary=1)
+    direct, gas, log_xi, series, absolute = (call(cold) for call in calls)
+    assert gas == pytest.approx(direct, rel=1e-12)
+    assert cmath.isfinite(log_xi) and cmath.exp(log_xi) == pytest.approx(direct, rel=1e-9)
+    assert all(cmath.isfinite(v) for v in series.by_order + absolute.by_order)
 
 
 def test_activity_derivatives_match_finite_differences():
