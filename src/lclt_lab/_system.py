@@ -120,7 +120,7 @@ def build_system(model: m.GibbsModel, region="box", omega=None) -> System:
     return _build(model, sites, items)
 
 
-def windowed_exterior(model: m.GibbsModel, region="box", cap: int = 1 << 20):
+def windowed_exterior(model: m.GibbsModel, region="box"):
     """Sites within the truncation window of the region but not in it.
 
     These are the only exterior sites whose omega values can move the fields
@@ -130,10 +130,10 @@ def windowed_exterior(model: m.GibbsModel, region="box", cap: int = 1 << 20):
     radius = model.truncation_radius
     d = model.box.dimension
     span = 2 * radius + 1
-    if span**d * len(sites) > 8 * cap:
+    if span**d * len(sites) > 8 * m.SITE_CAP:
         raise CapacityError(
             f"window of radius {radius} around {len(sites)} sites spans up to "
-            f"{span**d * len(sites)} candidates, over the cap {8 * cap}"
+            f"{span**d * len(sites)} candidates, over the cap {8 * m.SITE_CAP}"
         )
     in_region = set(sites)
     out = set()
@@ -146,6 +146,6 @@ def windowed_exterior(model: m.GibbsModel, region="box", cap: int = 1 << 20):
             y = tuple(int(c) for c in np.asarray(x) + off)
             if y not in in_region:
                 out.add(y)
-    if len(out) > cap:
-        raise CapacityError(f"windowed exterior holds {len(out)} sites, over the cap {cap}")
+    if len(out) > m.SITE_CAP:
+        raise CapacityError(f"windowed exterior holds {len(out)} sites, over the cap {m.SITE_CAP}")
     return tuple(sorted(out))

@@ -9,7 +9,7 @@ Output files:
   reports.jsonl  one JSON object per line: check lines (check, parameters,
                  lhs, rhs, margin, pass) and record lines (record, values).
   summary.csv    one row per check line.
-  run_meta.json  timestamps, per-check runtimes, versions, argv.
+  run_meta.json  start time, total runtime, version, argv.
 
 reports.jsonl and summary.csv carry no timestamps or runtimes, so a rerun
 with the same inputs produces byte-identical files; everything volatile is
@@ -25,7 +25,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,17 +47,6 @@ from .errors import CapacityError, DomainError, PreconditionError
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
-
-
-@dataclass
-class RunConfig:
-    command: str
-    config_path: str | None
-    out_dir: str
-    seed: int
-    t_points: int
-    c_variant: str
-    budget: int
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,8 +102,9 @@ def _record(kind: str, values: dict) -> dict:
     return {"record": kind, "values": values}
 
 
-def _check_lines(reports) -> list[dict]:
-    return [r.as_dict() for r in reports]
+def _checked(reports, lines=()) -> tuple[list[dict], bool]:
+    """The lines followed by the reports' check lines, and whether any failed."""
+    return [*lines, *(r.as_dict() for r in reports)], not vf.all_passed(reports)
 
 
 def _sanitize(obj):
@@ -159,28 +148,15 @@ def _grid(lo: float, hi: float, count: int, include_lo: bool = False) -> list[fl
     return [lo + (hi - lo) * (i + 1) / count for i in range(count)]
 
 
-def _cmd_constants(run: RunConfig, args) -> tuple[list[dict], bool]:
-    model = _load_model(run.config_path)
-    consts = vf.constants(model, run.c_variant)
-    started = time.perf_counter()
-    rhs = min(consts.r0_threshold_gauss, consts.r0_threshold_dressed)
-    report = vf.VerificationReport(
-        check_name="decimation_step_condition",
-        parameters={"r0": consts.r0, "c_variant": run.c_variant},
-        lhs=consts.r0_condition_lhs,
-        rhs=rhs,
-        margin=rhs - consts.r0_condition_lhs,
-        passed=consts.r0_condition_ok,
-        runtime_ms=(time.perf_counter() - started) * 1000.0,
-    )
-    lines = [_record("constants", consts.as_dict()), report.as_dict()]
-    return lines, not report.passed
+def _cmd_constants(args) -> tuple[list[dict], bool]:
+    consts = vf.constants(_load_model(args.config), args.c_variant)
+    return _checked([consts.condition_report()], [_record("constants", consts.as_dict())])
 
 
-def _cmd_min_r0(run: RunConfig, args) -> tuple[list[dict], bool]:
-    model = _load_model(run.config_path)
+def _cmd_min_r0(args) -> tuple[list[dict], bool]:
+    model = _load_model(args.config)
     try:
-        r0 = vf.min_r0(model, args.r0_max, run.c_variant)
+        r0 = vf.min_r0(model, args.r0_max, args.c_variant)
     except PreconditionError as err:
         print(f"no decimation step up to {args.r0_max} satisfies the condition")
         return [_record("min_r0", {"found": False, "r0_max": args.r0_max, "reason": str(err)})], True
@@ -188,15 +164,14 @@ def _cmd_min_r0(run: RunConfig, args) -> tuple[list[dict], bool]:
     return [_record("min_r0", {"found": True, "r0": r0, "r0_max": args.r0_max})], False
 
 
-def _cmd_identity_check(run: RunConfig, args) -> tuple[list[dict], bool]:
-    model = _load_model(run.config_path)
-    rng = np.random.default_rng(run.seed)
-    ts = [0.0] + sorted(rng.uniform(0.0, math.pi, size=max(run.t_points - 1, 1)).tolist())
+def _cmd_identity_check(args) -> tuple[list[dict], bool]:
+    model = _load_model(args.config)
+    rng = np.random.default_rng(args.seed)
+    ts = [0.0] + sorted(rng.uniform(0.0, math.pi, size=max(args.t_points - 1, 1)).tolist())
     variants = [0.0]
     if args.dressed:
-        variants.append(vf.constants(model, run.c_variant).c_selected)
-    lines: list[dict] = []
-    failed = False
+        variants.append(vf.constants(model, args.c_variant).c_selected)
+    reports = []
     for c in variants:
         # Xi(t) has analytic zeros (two-state spins at t near pi), where
         # agreement relative to Xi(t) itself is unattainable; the floor
@@ -205,129 +180,62 @@ def _cmd_identity_check(run: RunConfig, args) -> tuple[list[dict], bool]:
         xi0 = abs(pg.polymer_partition(model, pg.ActivityParams(t=0.0, c=c), "decimated", mode="direct"))
         for t in ts:
             params = pg.ActivityParams(t=t, c=c)
-            started = time.perf_counter()
             direct = pg.polymer_partition(model, params, "decimated", mode="direct")
             gas = pg.polymer_partition(model, params, "decimated", mode="polymer_sum")
             rel = abs(direct - gas) / max(abs(direct), 1e-6 * xi0)
-            report = vf.VerificationReport(
-                check_name="partition_identity",
-                parameters={"t": t, "c": c},
-                lhs=rel,
-                rhs=1e-10,
-                margin=1e-10 - rel,
-                passed=rel <= 1e-10,
-                runtime_ms=(time.perf_counter() - started) * 1000.0,
-            )
-            failed = failed or not report.passed
-            lines.append(report.as_dict())
-    return lines, failed
+            reports.append(vf.report("partition_identity", {"t": t, "c": c}, rel, 1e-10))
+    return _checked(reports)
 
 
-def _cmd_graph_tables(run: RunConfig, args) -> tuple[list[dict], bool]:
+def _cmd_graph_tables(args) -> tuple[list[dict], bool]:
     if args.max_k < 1:
         raise DomainError(f"--max-k must be at least 1, got {args.max_k}")
-    lines: list[dict] = []
-    failed = False
     census = graph_census(min(args.max_k, 7))
-    for row in census:
-        lines.append(_record("graph_census", row))
-    for row in census:
-        k = row["k"]
-        if k - 1 < len(CONNECTED_COUNTS_KNOWN):
-            expected = CONNECTED_COUNTS_KNOWN[k - 1]
-            ok = row["connected"] == expected
-            failed = failed or not ok
-            lines.append(
-                {
-                    "check": "connected_graph_count",
-                    "parameters": {"k": k},
-                    "lhs": float(row["connected"]),
-                    "rhs": float(expected),
-                    "margin": float(expected - row["connected"]),
-                    "pass": ok,
-                }
-            )
+    # Exact counts: each check passes only on equality.
+    reports = [
+        vf.report("connected_graph_count", {"k": row["k"]}, row["connected"], expected, row["connected"] == expected)
+        for row, expected in zip(census, CONNECTED_COUNTS_KNOWN)
+    ]
     for k in range(2, min(args.max_k, 8) + 1):
-        expected = k ** (k - 2)
-        got = len(spanning_tree_edge_sets(k))
-        ok = got == expected
-        failed = failed or not ok
-        lines.append(
-            {
-                "check": "labeled_tree_count",
-                "parameters": {"k": k},
-                "lhs": float(got),
-                "rhs": float(expected),
-                "margin": float(expected - got),
-                "pass": ok,
-            }
-        )
+        got, expected = len(spanning_tree_edge_sets(k)), k ** (k - 2)
+        reports.append(vf.report("labeled_tree_count", {"k": k}, got, expected, got == expected))
     for k in range(1, min(args.max_k, 7) + 1):
-        expected = (-1.0) ** (k - 1) * math.factorial(k - 1)
-        got = ursell_hardcore((frozenset([0]),) * k)
-        ok = got == expected
-        failed = failed or not ok
-        lines.append(
-            {
-                "check": "identical_polymer_cumulant",
-                "parameters": {"k": k},
-                "lhs": got,
-                "rhs": expected,
-                "margin": expected - got,
-                "pass": ok,
-            }
-        )
-    return lines, failed
+        got, expected = ursell_hardcore((frozenset([0]),) * k), (-1.0) ** (k - 1) * math.factorial(k - 1)
+        reports.append(vf.report("identical_polymer_cumulant", {"k": k}, got, expected, got == expected))
+    return _checked(reports, [_record("graph_census", row) for row in census])
 
 
-def _cmd_site_cf(run: RunConfig, args) -> tuple[list[dict], bool]:
-    model = _load_model(run.config_path)
-    consts = vf.constants(model, run.c_variant)
-    grid = _grid(consts.delta, 2.0 * math.pi - consts.delta, run.t_points, include_lo=True)
-    reports = vf.check_single_spin_cf(model, grid, run.c_variant)
-    return _check_lines(reports), not vf.all_passed(reports)
+def _cmd_site_cf(args) -> tuple[list[dict], bool]:
+    model = _load_model(args.config)
+    consts = vf.constants(model, args.c_variant)
+    grid = _grid(consts.delta, 2.0 * math.pi - consts.delta, args.t_points, include_lo=True)
+    return _checked(vf.check_single_spin_cf(model, grid, args.c_variant))
 
 
-def _cmd_decay_small_t(run: RunConfig, args) -> tuple[list[dict], bool]:
-    model = _load_model(run.config_path)
-    consts = vf.constants(model, run.c_variant)
-    grid = _grid(0.0, consts.delta, run.t_points)
-    reports = vf.check_small_t_decay(model, grid, seed=run.seed, c_variant=run.c_variant, budget=run.budget)
-    return _check_lines(reports), not vf.all_passed(reports)
-
-
-def _cmd_decay_large_t(run: RunConfig, args) -> tuple[list[dict], bool]:
-    model = _load_model(run.config_path)
-    consts = vf.constants(model, run.c_variant)
-    grid = _grid(consts.delta, math.pi, run.t_points)
-    reports = vf.check_large_t_decay(model, grid, seed=run.seed, c_variant=run.c_variant, budget=run.budget)
-    return _check_lines(reports), not vf.all_passed(reports)
-
-
-def _cmd_integrals(run: RunConfig, args) -> tuple[list[dict], bool]:
-    model = _load_model(run.config_path)
-    dec = vf.integral_decomposition(
-        model, args.a_cut, delta=args.delta, c_variant=run.c_variant, budget=run.budget
+def _cmd_decay_small_t(args) -> tuple[list[dict], bool]:
+    model = _load_model(args.config)
+    consts = vf.constants(model, args.c_variant)
+    grid = _grid(0.0, consts.delta, args.t_points)
+    return _checked(
+        vf.check_small_t_decay(model, grid, seed=args.seed, c_variant=args.c_variant, budget=args.budget)
     )
-    lines = [_record("integral_decomposition", dec.as_dict())]
-    checks = [("gap_within_integrals", dec.g_n, dec.total + 1e-8, dec.bound_holds)]
-    if dec.lemma_ok:
-        checks.append(("mid_integral_within_gaussian_bound", dec.i2, dec.b_j2 + 1e-12, dec.i2_within))
-        checks.append(("tail_integral_within_volume_bound", dec.i3, dec.b_j3 + 1e-12, dec.i3_within))
-    failed = False
-    for name, lhs, rhs, ok in checks:
-        failed = failed or not ok
-        lines.append(
-            {
-                "check": name,
-                "parameters": {"a_cut": args.a_cut},
-                "lhs": lhs,
-                "rhs": rhs,
-                "margin": rhs - lhs,
-                "pass": ok,
-            }
-        )
-    return lines, failed
+
+
+def _cmd_decay_large_t(args) -> tuple[list[dict], bool]:
+    model = _load_model(args.config)
+    consts = vf.constants(model, args.c_variant)
+    grid = _grid(consts.delta, math.pi, args.t_points)
+    return _checked(
+        vf.check_large_t_decay(model, grid, seed=args.seed, c_variant=args.c_variant, budget=args.budget)
+    )
+
+
+def _cmd_integrals(args) -> tuple[list[dict], bool]:
+    model = _load_model(args.config)
+    dec = vf.integral_decomposition(
+        model, args.a_cut, delta=args.delta, c_variant=args.c_variant, budget=args.budget
+    )
+    return _checked(dec.reports(), [_record("integral_decomposition", dec.as_dict())])
 
 
 def _chain_region(model: m.GibbsModel, length: int) -> tuple:
@@ -338,8 +246,8 @@ def _chain_region(model: m.GibbsModel, length: int) -> tuple:
     return tuple((-r + i,) + (0,) * (d - 1) for i in range(length))
 
 
-def _cmd_lclt_scan(run: RunConfig, args) -> tuple[list[dict], bool]:
-    model = _load_model(run.config_path)
+def _cmd_lclt_scan(args) -> tuple[list[dict], bool]:
+    model = _load_model(args.config)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as err:
@@ -347,56 +255,30 @@ def _cmd_lclt_scan(run: RunConfig, args) -> tuple[list[dict], bool]:
     if len(sizes) < 2 or sorted(sizes) != sizes:
         raise DomainError("--sizes needs at least two increasing lengths")
     family = [(model, _chain_region(model, n)) for n in sizes]
-    rows = vf.lclt_trend(family, budget=run.budget)
-    lines = [_record("lclt_trend", {"rows": [row.as_dict() for row in rows]})]
+    rows = vf.lclt_trend(family, budget=args.budget)
     worst = max(b.gap - a.gap for a, b in zip(rows, rows[1:]))
-    ok = worst < 0.0
-    lines.append(
-        {
-            "check": "gap_decreasing",
-            "parameters": {"sizes": sizes},
-            "lhs": worst,
-            "rhs": 0.0,
-            "margin": -worst,
-            "pass": ok,
-        }
-    )
-    return lines, not ok
+    # Strict: the gap must shrink at every step.
+    check = vf.report("gap_decreasing", {"sizes": sizes}, worst, 0.0, worst < 0.0)
+    return _checked([check], [_record("lclt_trend", {"rows": [row.as_dict() for row in rows]})])
 
 
-def _cmd_mc(run: RunConfig, args) -> tuple[list[dict], bool]:
-    model = _load_model(run.config_path)
-    spec = mc.ChainSpec(seed=run.seed, burn_in=args.burn_in, samples=args.samples, chains=args.chains)
+def _cmd_mc(args) -> tuple[list[dict], bool]:
+    model = _load_model(args.config)
+    spec = mc.ChainSpec(seed=args.seed, burn_in=args.burn_in, samples=args.samples, chains=args.chains)
     est = mc.sample_statistics(model, spec)
-    exact = ee.statistics(model, "box", budget=run.budget)
-    lines = [
-        _record(
-            "mc_estimates",
-            {
-                "mean": vars(est["mean"]),
-                "variance": vars(est["variance"]),
-                "exact_mean": exact.mean_S,
-                "exact_variance": exact.variance_S,
-            },
-        )
+    exact = ee.statistics(model, "box", budget=args.budget)
+    record = {
+        "mean": vars(est["mean"]),
+        "variance": vars(est["variance"]),
+        "exact_mean": exact.mean_S,
+        "exact_variance": exact.variance_S,
+    }
+    params = {"samples": args.samples, "chains": args.chains, "seed": args.seed}
+    reports = [
+        vf.report(f"mc_{name}_consistency", dict(params), abs(e.value - truth), 3.0 * e.std_error + 1e-12)
+        for name, e, truth in (("mean", est["mean"], exact.mean_S), ("variance", est["variance"], exact.variance_S))
     ]
-    failed = False
-    for name, e, truth in (("mean", est["mean"], exact.mean_S), ("variance", est["variance"], exact.variance_S)):
-        rhs = 3.0 * e.std_error + 1e-12
-        lhs = abs(e.value - truth)
-        ok = lhs <= rhs
-        failed = failed or not ok
-        lines.append(
-            {
-                "check": f"mc_{name}_consistency",
-                "parameters": {"samples": args.samples, "chains": args.chains, "seed": run.seed},
-                "lhs": lhs,
-                "rhs": rhs,
-                "margin": rhs - lhs,
-                "pass": ok,
-            }
-        )
-    return lines, failed
+    return _checked(reports, [_record("mc_estimates", record)])
 
 
 _COMMANDS = {
@@ -416,19 +298,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    run = RunConfig(
-        command=args.command,
-        config_path=getattr(args, "config", None),
-        out_dir=args.out,
-        seed=args.seed,
-        t_points=args.t_points,
-        c_variant=args.c_variant,
-        budget=args.budget,
-    )
     started_wall = datetime.datetime.now(datetime.timezone.utc).isoformat()
     started = time.perf_counter()
     try:
-        lines, failed = _COMMANDS[args.command](run, args)
+        lines, failed = _COMMANDS[args.command](args)
     except PreconditionError as err:
         print(f"precondition failed: {err}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -445,16 +318,16 @@ def main(argv=None) -> int:
         "runtime_ms": (time.perf_counter() - started) * 1000.0,
         "version": __version__,
     }
-    _emit(run.out_dir, lines, meta)
+    _emit(args.out, lines, meta)
     checks = [ln for ln in lines if "check" in ln]
     n_fail = sum(1 for ln in checks if not ln["pass"])
     for ln in checks:
         tag = "PASS" if ln["pass"] else "FAIL"
         print(f"{tag} {ln['check']} lhs={ln['lhs']:.6g} rhs={ln['rhs']:.6g}")
     if checks:
-        print(f"{len(checks) - n_fail}/{len(checks)} checks passed; reports in {run.out_dir}/")
+        print(f"{len(checks) - n_fail}/{len(checks)} checks passed; reports in {args.out}/")
     else:
-        print(f"reports in {run.out_dir}/")
+        print(f"reports in {args.out}/")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

@@ -351,12 +351,3 @@ def decimated_char_fn_sup(
         entries=tuple((label, tuple(float(v) for v in row)) for (label, _), row in zip(omegas, abs_cf)),
     )
 
-
-def result_record(quantity: str, region: str, value, t: float | None = None, **metadata) -> dict:
-    """JSON-ready record for one computed quantity."""
-    rec = {"quantity": quantity, "region": region, "value": value}
-    if t is not None:
-        rec["t"] = t
-    if metadata:
-        rec["metadata"] = metadata
-    return rec

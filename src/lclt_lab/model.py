@@ -55,6 +55,9 @@ TAIL_TOLERANCE = 1e-12
 # Largest offset-window cardinality interaction_norm will enumerate.
 WINDOW_BUDGET = 1 << 24
 
+# Largest site list a box or an exterior window will materialize.
+SITE_CAP = 1 << 20
+
 
 def _as_site(raw, dimension: int) -> Site:
     site = tuple(int(c) for c in raw)
@@ -111,6 +114,11 @@ class Box:
 
     @cached_property
     def sites(self) -> tuple[Site, ...]:
+        if self.site_count > SITE_CAP:
+            raise CapacityError(
+                f"box of radius {self.radius} in dimension {self.dimension} holds (2r+1)^d ="
+                f" {self.site_count} sites, over the cap {SITE_CAP}"
+            )
         rng = range(-self.radius, self.radius + 1)
         return tuple(itertools.product(rng, repeat=self.dimension))
 

@@ -54,6 +54,8 @@ MAX_POLYMER_SIZE = 8
 # component or the identity it certifies silently breaks; its private cap
 # is therefore a little above the public per-polymer one.
 RECURSION_POLYMER_CAP = 10
+# Largest finite exponent: e^x overflows float64 past it.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,8 @@ class TreeGraphBounds:
 class _Gas:
     """Per-region tables: single-site measures, couplings, spin grids, and
     t-free caches filled on first use: Mayer tables by polymer index
-    tuple, and the direct route's configuration weights and total spins."""
+    tuple, weight norms by (size, dressing, delta), and the direct route's
+    configuration weights and total spins."""
 
     def __init__(self, system: System):
         self.system = system
@@ -165,6 +168,7 @@ class _Gas:
                 self.adjacency[i] |= 1 << j
                 self.adjacency[j] |= 1 << i
         self.mayer: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, float]] = {}
+        self.norms: dict[tuple[int, float, float], float] = {}
         self.direct: tuple[np.ndarray, np.ndarray] | None = None
 
     @cached_property
@@ -255,7 +259,7 @@ def _overflow(route: str, gas: _Gas, idx: tuple[int, ...]) -> CapacityError:
         log_weight = float((np.log(probs) + _pair_energy(gas, idx, values)).max())
     return CapacityError(
         f"{route} on {len(idx)} sites is not finite: the largest log weight is"
-        f" {log_weight:.1f}, float64 ends at {math.log(sys.float_info.max):.1f}"
+        f" {log_weight:.1f}, float64 ends at {_LOG_FLOAT_MAX:.1f}"
     )
 
 
@@ -613,6 +617,9 @@ def weight_norm(
         return 0.0
     if k == 1:
         return delta * gas.sigma * math.exp(dress)
+    cached = gas.norms.get((k, dress, delta))
+    if cached is not None:
+        return cached
     per_anchor = math.comb(n - 1, k - 1)
     if per_anchor * n > 1 << 18:
         raise CapacityError(
@@ -630,6 +637,7 @@ def weight_norm(
             idx = tuple(sorted((anchor, *rest)))
             total += (1.0 + delta * gas.sigma) ** k * _mayer(gas, idx)[2]
         best = max(best, total * factor)
+    gas.norms[(k, dress, delta)] = best
     return best
 
 
@@ -819,7 +827,13 @@ def tree_graph_bound_check(
     csum = connected_sum(_edge_factors(gas, idx, values))
     lhs = np.abs(csum)
 
-    prefactor = math.exp(k * step_norm * gas.sigma**2 / 2.0)
+    exponent = k * step_norm * gas.sigma**2 / 2.0
+    if exponent > _LOG_FLOAT_MAX:
+        raise CapacityError(
+            f"tree-graph bound on {k} sites is not finite: the stability exponent is"
+            f" {exponent:.1f}, float64 ends at {_LOG_FLOAT_MAX:.1f}"
+        )
+    prefactor = math.exp(exponent)
     cols = values.shape[1]
     tree_sum = np.zeros(cols)
     j_sum = 0.0

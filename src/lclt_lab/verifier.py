@@ -21,7 +21,6 @@ defaults to the proved variant.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -33,6 +32,10 @@ from . import polymer as pg
 from .errors import DomainError, PreconditionError
 
 DEFAULT_R0_MAX = 8
+# Slacks of the integral bounds: the gap against the sum of the four
+# integrals, and each decay integral against its closed form.
+GAP_SLACK = 1e-8
+DECAY_INTEGRAL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,9 +64,15 @@ class ConstantsBundle:
 
     @property
     def r0_condition_ok(self) -> bool:
-        return (
-            self.r0_condition_lhs <= self.r0_threshold_gauss
-            and self.r0_condition_lhs <= self.r0_threshold_dressed
+        return self.condition_report().passed
+
+    def condition_report(self) -> VerificationReport:
+        """The decimation-step condition: its lhs against both thresholds."""
+        return report(
+            "decimation_step_condition",
+            {"r0": self.r0, "c_variant": self.c_variant},
+            self.r0_condition_lhs,
+            min(self.r0_threshold_gauss, self.r0_threshold_dressed),
         )
 
     def failing_branches(self) -> tuple[str, ...]:
@@ -90,10 +99,8 @@ class VerificationReport:
     rhs: float
     margin: float
     passed: bool
-    runtime_ms: float = 0.0
 
     def as_dict(self) -> dict:
-        # runtime_ms stays out: report files must be identical across reruns.
         return {
             "check": self.check_name,
             "parameters": self.parameters,
@@ -104,17 +111,18 @@ class VerificationReport:
         }
 
 
-def _report(name: str, params: dict, lhs: float, rhs: float, started: float) -> VerificationReport:
+def report(name: str, parameters: dict, lhs: float, rhs: float, passed: bool | None = None) -> VerificationReport:
+    """The one constructor of a check line. The verdict is lhs <= rhs unless
+    the check passes its own (an exact count, a strict inequality)."""
     lhs = float(lhs)
     rhs = float(rhs)
     return VerificationReport(
         check_name=name,
-        parameters=params,
+        parameters=parameters,
         lhs=lhs,
         rhs=rhs,
         margin=rhs - lhs,
-        passed=lhs <= rhs,
-        runtime_ms=(time.perf_counter() - started) * 1000.0,
+        passed=lhs <= rhs if passed is None else bool(passed),
     )
 
 
@@ -216,7 +224,6 @@ def check_single_spin_cf(
         t = float(t)
         if not (lo - 1e-12 <= t <= hi + 1e-12):
             raise DomainError(f"t={t} is outside [{lo:.6g}, {hi:.6g}], no contraction is claimed there")
-        started = time.perf_counter()
         worst = 0.0
         worst_site = None
         for x in sites:
@@ -224,23 +231,45 @@ def check_single_spin_cf(
             if val > worst:
                 worst, worst_site = val, x
         reports.append(
-            _report(
+            report(
                 "single_site_contraction",
                 {"t": t, "c_variant": c_variant, "worst_site": list(worst_site)},
                 worst,
                 math.exp(-consts.c_selected),
-                started,
             )
         )
     return reports
 
 
-def _decay_scan(model: m.GibbsModel, ts: list[float], omega_samples: int, seed: int, budget: int):
-    """(t, sup over conditionings, label of the first conditioning attaining
-    it) per t, all from one scan of the whole grid."""
+def _decay_check(
+    large: bool, model: m.GibbsModel, t_points, omega_samples: int, seed: int, c_variant: str, budget: int
+) -> list[VerificationReport]:
+    """The small-t (large off) or large-t decay check over one scan of the
+    whole grid. worst_conditioning names the first conditioning attaining
+    the sup at each t."""
+    consts = constants(model, c_variant)
+    _require_condition(consts)
+    n = len(m.resolve_region(model, "decimated"))
+    ts = [float(t) for t in t_points]
+    if large:
+        name, lo, hi, span = "large_t_volume_decay", consts.delta - 1e-12, math.pi, f"({consts.delta:.6g}, pi]"
+    else:
+        name, lo, hi, span = "small_t_gaussian_decay", 0.0, consts.delta, f"(0, {consts.delta:.6g}]"
+    for t in ts:
+        if not (lo < t <= hi + 1e-12):
+            raise DomainError(f"t={t} is outside {span}")
+    extra = {"c_variant": c_variant} if large else {}
     scan = ee.decimated_char_fn_sup(model, ts, omega_samples=omega_samples, seed=seed, budget=budget)
-    worst = [max(scan.entries, key=lambda e: e[1][k])[0] for k in range(len(ts))]
-    return zip(scan.t, scan.sup, worst)
+    reports = []
+    for k, (t, sup) in enumerate(zip(scan.t, scan.sup)):
+        label = max(scan.entries, key=lambda e: e[1][k])[0]
+        if large:
+            rhs = math.exp(-(consts.c_selected / 2.0) * n)
+        else:
+            rhs = math.exp(-(consts.gauss_decay / 2.0) * n * t * t)
+        params = {"t": t, "sites": n, "omega_samples": omega_samples, **extra, "worst_conditioning": label}
+        reports.append(report(name, params, sup, rhs))
+    return reports
 
 
 def check_small_t_decay(
@@ -257,26 +286,9 @@ def check_small_t_decay(
     |E^omega(e^{itS})| on the decimated region; the right side is
     exp(-(gauss_decay/2) |region| t^2). Raises unless the decimation-step
     condition holds, naming the failing branch. One scan serves the whole
-    grid, so every report carries the runtime of that scan.
+    grid.
     """
-    consts = constants(model, c_variant)
-    _require_condition(consts)
-    n = len(m.resolve_region(model, "decimated"))
-    ts = [float(t) for t in t_points]
-    for t in ts:
-        if not (0.0 < t <= consts.delta + 1e-12):
-            raise DomainError(f"t={t} is outside (0, {consts.delta:.6g}]")
-    started = time.perf_counter()
-    return [
-        _report(
-            "small_t_gaussian_decay",
-            {"t": t, "sites": n, "omega_samples": omega_samples, "worst_conditioning": label},
-            sup,
-            math.exp(-(consts.gauss_decay / 2.0) * n * t * t),
-            started,
-        )
-        for t, sup, label in _decay_scan(model, ts, omega_samples, seed, budget)
-    ]
+    return _decay_check(False, model, t_points, omega_samples, seed, c_variant, budget)
 
 
 def check_large_t_decay(
@@ -287,35 +299,11 @@ def check_large_t_decay(
     c_variant: str = "proved",
     budget: int = ee.DEFAULT_BUDGET,
 ) -> list[VerificationReport]:
-    """Volume decay of the decimated characteristic function on (delta, pi].
-
-    As for the small-t check, one scan serves the whole grid.
+    """Volume decay of the decimated characteristic function on (delta, pi],
+    against exp(-(c/2) |region|); as for the small-t check, one scan serves
+    the whole grid.
     """
-    consts = constants(model, c_variant)
-    _require_condition(consts)
-    n = len(m.resolve_region(model, "decimated"))
-    ts = [float(t) for t in t_points]
-    for t in ts:
-        if not (consts.delta - 1e-12 < t <= math.pi + 1e-12):
-            raise DomainError(f"t={t} is outside ({consts.delta:.6g}, pi]")
-    rhs = math.exp(-(consts.c_selected / 2.0) * n)
-    started = time.perf_counter()
-    return [
-        _report(
-            "large_t_volume_decay",
-            {
-                "t": t,
-                "sites": n,
-                "omega_samples": omega_samples,
-                "c_variant": c_variant,
-                "worst_conditioning": label,
-            },
-            sup,
-            rhs,
-            started,
-        )
-        for t, sup, label in _decay_scan(model, ts, omega_samples, seed, budget)
-    ]
+    return _decay_check(True, model, t_points, omega_samples, seed, c_variant, budget)
 
 
 def check_curvature_decomposition(
@@ -394,78 +382,18 @@ def check_curvature_decomposition(
         if term < 1e-300:
             break
 
-    reports = []
-    started = time.perf_counter()
-    reports.append(
-        _report(
-            "curvature_leading_term",
-            {"theta": theta, "sites": n},
-            g1.real,
-            -(7.0 / 8.0) * sigma**2 * kap * n,
-            started,
-        )
-    )
-    started = time.perf_counter()
-    reports.append(
-        _report(
-            "curvature_derivative_sign",
-            {"theta": theta, "sites": n},
-            worst_sq,
-            0.0,
-            started,
-        )
-    )
-    started = time.perf_counter()
-    reports.append(
-        _report(
-            "curvature_quadratic_chain",
-            {"theta": theta, "sites": n},
-            (-2.0 * g2).real,
-            2.0 * delta * sigma**3 * n,
-            started,
-        )
-    )
-    started = time.perf_counter()
-    reports.append(
-        _report(
-            "curvature_quadratic_term",
-            {"theta": theta, "sites": n},
-            g2.real,
-            2.0 * delta * sigma**3 * n,
-            started,
-        )
-    )
-    started = time.perf_counter()
-    reports.append(
-        _report(
-            "curvature_series_tail",
-            {"theta": theta, "sites": n, "series_order": series_order},
-            abs(g3),
-            2.5 * delta * sigma**3 * n,
-            started,
-        )
-    )
-    started = time.perf_counter()
-    reports.append(
-        _report(
-            "curvature_total",
-            {"theta": theta, "sites": n},
-            g1.real + g2.real + abs(g3),
-            -(sigma**2 * kap / 2.0) * n + remainder * n,
-            started,
-        )
-    )
-    started = time.perf_counter()
-    reports.append(
-        _report(
-            "curvature_series_identity",
-            {"theta": theta, "sites": n, "series_order": series_order},
-            abs(g1 + g2 + g3 - exact),
-            remainder * n + 1e-10,
-            started,
-        )
-    )
-    return reports
+    per_site = {"theta": theta, "sites": n}
+    with_order = {**per_site, "series_order": series_order}
+    rows = [
+        ("curvature_leading_term", per_site, g1.real, -(7.0 / 8.0) * sigma**2 * kap * n),
+        ("curvature_derivative_sign", per_site, worst_sq, 0.0),
+        ("curvature_quadratic_chain", per_site, (-2.0 * g2).real, 2.0 * delta * sigma**3 * n),
+        ("curvature_quadratic_term", per_site, g2.real, 2.0 * delta * sigma**3 * n),
+        ("curvature_series_tail", with_order, abs(g3), 2.5 * delta * sigma**3 * n),
+        ("curvature_total", per_site, g1.real + g2.real + abs(g3), -(sigma**2 * kap / 2.0) * n + remainder * n),
+        ("curvature_series_identity", with_order, abs(g1 + g2 + g3 - exact), remainder * n + 1e-10),
+    ]
+    return [report(name, dict(params), lhs, rhs) for name, params, lhs, rhs in rows]
 
 
 def check_dressed_route(
@@ -490,9 +418,10 @@ def check_dressed_route(
     _require_condition(consts)
     if not (consts.delta < t <= math.pi + 1e-12):
         raise DomainError(f"t={t} must lie in ({consts.delta:.6g}, pi] for the dressed route")
+    t = float(t)
     c = consts.c_selected
     n = len(m.resolve_region(model, region))
-    params_t = pg.ActivityParams(t=float(t), c=c, delta_cap=consts.delta)
+    params_t = pg.ActivityParams(t=t, c=c, delta_cap=consts.delta)
     params_0 = pg.ActivityParams(t=0.0, c=c, delta_cap=consts.delta)
 
     series_t = pg.truncated_log_partition(model, params_t, region, omega, K=K, absolute=True)
@@ -503,41 +432,14 @@ def check_dressed_route(
     total_0 = float(series_0.partial_sums[-1].real) + series_0.dominating_tail
     budget_rhs = consts.a_dressed * n
 
-    measured = abs(ee.char_fn(model, region, float(t), budget=budget))
+    measured = abs(ee.char_fn(model, region, t, budget=budget))
     envelope = math.exp(-c * n) * math.exp(total_t + total_0)
 
-    reports = []
-    started = time.perf_counter()
-    reports.append(
-        _report(
-            "dressed_series_budget",
-            {"t": float(t), "sites": n, "order": K},
-            max(total_t, total_0),
-            budget_rhs,
-            started,
-        )
-    )
-    started = time.perf_counter()
-    reports.append(
-        _report(
-            "dressed_envelope",
-            {"t": float(t), "sites": n, "order": K},
-            measured,
-            envelope,
-            started,
-        )
-    )
-    started = time.perf_counter()
-    reports.append(
-        _report(
-            "dressed_decay",
-            {"t": float(t), "sites": n, "c_variant": c_variant},
-            measured,
-            math.exp(-(c / 2.0) * n),
-            started,
-        )
-    )
-    return reports
+    return [
+        report("dressed_series_budget", {"t": t, "sites": n, "order": K}, max(total_t, total_0), budget_rhs),
+        report("dressed_envelope", {"t": t, "sites": n, "order": K}, measured, envelope),
+        report("dressed_decay", {"t": t, "sites": n, "c_variant": c_variant}, measured, math.exp(-(c / 2.0) * n)),
+    ]
 
 
 @dataclass(frozen=True)
@@ -566,6 +468,18 @@ class IntegralDecomposition:
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
+
+    def reports(self) -> list[VerificationReport]:
+        """The gap against the four integrals and, where the decay lemmas
+        apply, each decay integral against its closed form."""
+        out = [report("gap_within_integrals", {"a_cut": self.a_cut}, self.g_n, self.total + GAP_SLACK)]
+        if self.lemma_ok:
+            for name, lhs, rhs in (
+                ("mid_integral_within_gaussian_bound", self.i2, self.b_j2),
+                ("tail_integral_within_volume_bound", self.i3, self.b_j3),
+            ):
+                out.append(report(name, {"a_cut": self.a_cut}, lhs, rhs + DECAY_INTEGRAL_SLACK))
+        return out
 
 
 def integral_decomposition(
@@ -644,12 +558,12 @@ def integral_decomposition(
         total=total,
         g_n=g_n,
         bound_margin=total - g_n,
-        bound_holds=g_n <= total + 1e-8,
+        bound_holds=g_n <= total + GAP_SLACK,
         b_j2=b_j2,
         b_j3=b_j3,
         lemma_ok=lemma_ok,
-        i2_within=i2 <= b_j2 + 1e-12,
-        i3_within=i3 <= b_j3 + 1e-12,
+        i2_within=i2 <= b_j2 + DECAY_INTEGRAL_SLACK,
+        i3_within=i3 <= b_j3 + DECAY_INTEGRAL_SLACK,
     )
 
 

@@ -73,6 +73,13 @@ def test_invalid_config_exit_two(tmp_path, capsys):
     assert cli.main(["constants", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_box_past_site_cap_exit_two(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**MODEL_OK, "dimension": 2, "radius": 512}))
+    assert cli.main(["decay-small-t", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "1050625 sites, over the cap" in capsys.readouterr().err
+
+
 def test_precondition_exit_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(MODEL_BAD_STEP))
@@ -116,11 +123,21 @@ def test_min_r0_message(config, tmp_path, capsys):
     assert "smallest admissible decimation step: r0 = 2" in capsys.readouterr().out
 
 
-def test_constants_golden_file(tmp_path):
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["constants", "--config", "{config}"], "constants_reports.jsonl"),
+        (["graph-tables", "--max-k", "5"], "graph_tables_reports.jsonl"),
+        (["lclt-scan", "--config", "{config}", "--sizes", "3,5,7"], "lclt_scan_reports.jsonl"),
+    ],
+    ids=["constants", "graph-tables", "lclt-scan"],
+)
+def test_constants_golden_file(tmp_path, argv, golden):
     """Frozen byte-level output so report drift is a conscious decision."""
     out = tmp_path / "out"
     config = tmp_path / "model.json"
     config.write_text(json.dumps(MODEL_OK))
-    assert cli.main(["constants", "--config", str(config), "--out", str(out)]) == 0
-    golden = (REPO / "tests" / "data" / "constants_reports.jsonl").read_bytes()
+    argv = [arg.format(config=config) for arg in argv]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    golden = (REPO / "tests" / "data" / golden).read_bytes()
     assert (out / "reports.jsonl").read_bytes() == golden

@@ -185,10 +185,3 @@ def test_decimated_entries_match_brute_force():
         want = np.abs(brute_char_fn(model, "decimated", ts, omegas[label]))
         assert np.allclose(got, want, rtol=0, atol=1e-13), label
 
-
-def test_result_record_shape():
-    rec = ee.result_record("partition_function", "box", 2.5, budget=64)
-    assert rec["quantity"] == "partition_function"
-    assert rec["region"] == "box"
-    assert rec["value"] == 2.5
-    assert rec["metadata"] == {"budget": 64}

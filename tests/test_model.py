@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import lclt_lab.model as lm
+import lclt_lab.verifier as vf
 from conftest import nn_chain, free_chain, random_model
-from lclt_lab.errors import DomainError
+from lclt_lab.errors import CapacityError, DomainError
 
 
 def test_spin_interval_validation():
@@ -147,6 +148,24 @@ def test_model_json_loading(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(lm.model_to_dict(model)))
     assert lm.model_from_json(path.read_text()) == model
+
+
+def test_box_past_site_cap_raises_capacity_error():
+    """A box past SITE_CAP sites never lists them; a translation-invariant
+    coupling still gets its constants, which need no site list."""
+    box = lm.Box(dimension=2, radius=512, r0=2)
+    assert box.site_count == 1025**2 > lm.SITE_CAP
+    with pytest.raises(CapacityError, match=r"\(2r\+1\)\^d = 1050625 sites, over the cap 1048576"):
+        box.sites
+    with pytest.raises(CapacityError):
+        box.decimated_sites
+    model = lm.GibbsModel(
+        box=box,
+        spin=lm.SpinInterval(0, 1),
+        coupling=lm.Coupling.nearest_neighbor(0.1),
+        boundary=lm.BoundaryCondition.constant(1),
+    )
+    assert vf.constants(model).r0_condition_ok
 
 
 def test_boundary_field_is_linear_in_spin():

@@ -120,6 +120,27 @@ def test_mayer_sum_computed_once_per_polymer(monkeypatch):
     assert calls == Counter({k: n - k + 1 for k in range(2, n + 1)})
 
 
+def test_weight_norms_computed_once_per_gas(monkeypatch):
+    """The series damping reads its weight norms from the gas, so a second
+    series at another t scans no polymer subsets."""
+    calls = Counter()
+    real = pg._mask_connected
+
+    def counting(mask, adjacency):
+        calls["masks"] += 1
+        return real(mask, adjacency)
+
+    monkeypatch.setattr(pg, "_mask_connected", counting)
+    model = nn_chain(radius=3, strength=3e-4, spin=(-1, 1), boundary=1)
+    pg._gas_for_system.cache_clear()
+    first = pg.truncated_log_partition(model, pg.ActivityParams(t=0.004, delta_cap=0.01), region="box", K=3)
+    assert calls["masks"] > 0 and first.damping is not None
+    calls.clear()
+    second = pg.truncated_log_partition(model, pg.ActivityParams(t=0.007, delta_cap=0.01), region="box", K=3)
+    assert calls["masks"] == 0
+    assert second.damping == first.damping
+
+
 def random_gas(rng: np.random.Generator, q: int):
     """A region of 3 to 6 sites with random couplings inside it and to the
     rest of a 7-site box, for brute-force cluster sums."""
@@ -217,6 +238,9 @@ def test_overflowing_weights_raise_not_nan():
     for call in calls:
         with pytest.raises(CapacityError, match=r"on 7 sites is not finite: the largest log weight is 776\.5"):
             call(hot)
+    polymer = pg.Polymer(lm.resolve_region(hot, "box")[:6])
+    with pytest.raises(CapacityError, match=r"on 6 sites is not finite: the stability exponent is 780\.0"):
+        pg.tree_graph_bound_check(hot, polymer, region="box")
     cold = nn_chain(radius=3, strength=-130, spin=(0, 1), boundary=1)
     direct, gas, log_xi, series, absolute = (call(cold) for call in calls)
     assert gas == pytest.approx(direct, rel=1e-12)
