@@ -5,20 +5,26 @@ sites, the spin values, the nonzero pair couplings among region sites (by
 site index), and the per-site boundary field slopes. Systems are immutable
 and hashable so downstream caches can key on them directly.
 
-An omega override replaces the model's boundary condition by a finite
-assignment on exterior sites (used when scanning conditionings of the
-decimated box); sites it leaves unassigned contribute no field.
+An omega override is the model under the explicit boundary condition of
+that finite assignment on exterior sites (used when scanning conditionings
+of the decimated box); sites it leaves unassigned contribute no field.
+
+Configurations of k sites are listed in one order everywhere, the one of
+_spin_grid: column c of the grid is configuration c, site 0 varying fastest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import model as m
 from .errors import CapacityError, DomainError
+
+# Largest configuration grid _spin_grid will materialize, in columns.
+SPIN_GRID_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -57,51 +63,39 @@ class System:
 
 
 def _region_pairs(model: m.GibbsModel, region: tuple[m.Site, ...]):
-    index = {s: i for i, s in enumerate(region)}
     pairs = []
-    if model.coupling.kind == "explicit":
-        for a, b, j in model.coupling.pairs:
-            if j != 0.0 and a in index and b in index:
-                i, k = sorted((index[a], index[b]))
+    for i, x in enumerate(region):
+        for k in range(i + 1, len(region)):
+            j = model.coupling.value(x, region[k])
+            if j != 0.0:
                 pairs.append((i, k, j))
-    else:
-        for i, x in enumerate(region):
-            for k in range(i + 1, len(region)):
-                j = model.coupling.value(x, region[k])
-                if j != 0.0:
-                    pairs.append((i, k, j))
-    return tuple(sorted(pairs))
-
-
-def _override_fields(model, region, omega_items):
-    """Field slopes from a finite exterior assignment inside the window."""
-    radius = model.truncation_radius
-    in_region = set(region)
-    out = []
-    for x in region:
-        total = 0.0
-        for y, v in omega_items:
-            if v == 0 or y in in_region:
-                continue
-            if max(abs(a - b) for a, b in zip(x, y)) > radius:
-                continue
-            total += model.coupling.value(x, y) * v
-        out.append(total)
-    return tuple(out)
+    return tuple(pairs)
 
 
 @lru_cache(maxsize=512)
 def _build(model: m.GibbsModel, region: tuple[m.Site, ...], omega_items) -> System:
-    if omega_items is None:
-        fields = tuple(m.boundary_field_coefficient(model, x, region) for x in region)
-    else:
-        fields = _override_fields(model, region, omega_items)
+    if omega_items is not None:
+        model = replace(model, boundary=m.BoundaryCondition.explicit(omega_items))
     return System(
         sites=region,
         values=model.spin.values,
         pairs=_region_pairs(model, region),
-        fields=fields,
+        fields=m.boundary_field_coefficients(model, region),
     )
+
+
+def _spin_grid(values, k: int) -> np.ndarray:
+    """(k, q^k) array over the q spin values whose column c is configuration
+    c of k sites, site 0 varying fastest."""
+    values = np.asarray(values)
+    q = len(values)
+    cols = q**k
+    if cols > SPIN_GRID_BUDGET:
+        raise CapacityError(f"spin grid needs {q}^{k} = {cols} columns, budget is {SPIN_GRID_BUDGET}")
+    grid = np.empty((k, cols), dtype=values.dtype)
+    for i in range(k):
+        grid[i] = np.tile(np.repeat(values, q**i), q ** (k - 1 - i))
+    return grid
 
 
 def build_system(model: m.GibbsModel, region="box", omega=None) -> System:

@@ -9,10 +9,10 @@ E(e^{itS}) = sum_p P(S = p) e^{itp}, exact at every t; the local-CLT gap
     sup_p | sqrt(D) P(S = p) - exp(-z_p^2/2) / sqrt(2 pi) |,
     z_p = (p - E S) / sqrt(D),  D = Var S.
 
-Enumeration walks configurations in mixed-radix order, split into a low
-block evaluated as one vectorized slab per chunk (the low-site energies are
-a fixed vector reused across chunks, cross terms enter through one
-matrix-vector product) and a high block that changes per chunk. Chunk
+Enumeration walks configurations in the order of _system._spin_grid, split
+into a low block evaluated as one vectorized slab per chunk (the low-site
+energies are a fixed vector reused across chunks, cross terms enter through
+one matrix-vector product) and a high block that changes per chunk. Chunk
 contributions are combined with compensated (Kahan) summation in a fixed
 order, so results do not depend on how the scan is partitioned. Weights are
 computed relative to an a-priori upper bound on the log weight, which keeps
@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import model as m
-from ._system import System, build_system, windowed_exterior
+from ._system import System, _spin_grid, build_system, windowed_exterior
 from .errors import CapacityError, DegenerateDistributionError
 
 DEFAULT_BUDGET = 1 << 24
@@ -152,10 +152,8 @@ def _scan(system: System, budget: int):
     m_low = 1
     while m_low < n and q ** (m_low + 1) <= _CHUNK_TARGET:
         m_low += 1
-    low_count = q**m_low
-    lows = np.empty((m_low, low_count))
-    for i in range(m_low):
-        lows[i] = np.tile(np.repeat(vals, q**i), q ** (m_low - 1 - i))
+    lows = _spin_grid(vals, m_low)
+    highs = _spin_grid(vals, n - m_low)
 
     pairs_ll, pairs_hh, pairs_lh = [], [], []
     for i, j, v in system.pairs:
@@ -166,15 +164,13 @@ def _scan(system: System, budget: int):
         else:
             pairs_lh.append((i, j, v))
 
-    e_low = np.zeros(low_count)
+    e_low = np.zeros(lows.shape[1])
     for i, j, v in pairs_ll:
         e_low += v * lows[i] * lows[j]
     for i in range(m_low):
         e_low += fields[i] * lows[i]
     s_low = lows.sum(axis=0)
 
-    n_high = n - m_low
-    high_count = q**n_high
     s_min = n * int(min(system.values))
     s_max = n * int(max(system.values))
 
@@ -183,17 +179,12 @@ def _scan(system: System, budget: int):
     s2_acc = _Kahan()
     bins = np.zeros(s_max - s_min + 1)
 
-    for h in range(high_count):
-        rem = h
-        v_high = np.empty(n_high)
-        for k in range(n_high):
-            v_high[k] = vals[rem % q]
-            rem //= q
+    for v_high in highs.T:
         e_high = 0.0
         for i, j, v in pairs_hh:
             e_high += v * v_high[i - m_low] * v_high[j - m_low]
-        for k in range(n_high):
-            e_high += fields[m_low + k] * v_high[k]
+        for k, s in enumerate(v_high):
+            e_high += fields[m_low + k] * s
         energy = e_low + e_high
         if pairs_lh:
             coef = np.zeros(m_low)
@@ -323,11 +314,7 @@ def decimated_char_fn_sup(
     base = {y: model.boundary.omega(y) for y in exterior}
     realized_total = q ** len(interior)
     if realized_total <= CONDITIONING_CAP:
-        for idx in range(realized_total):
-            rem, combo = idx, []
-            for _ in interior:
-                combo.append(values[rem % q])
-                rem //= q
+        for idx, combo in enumerate(_spin_grid(values, len(interior)).T):
             omega = dict(base)
             omega.update(zip(interior, combo))
             omegas.append((f"conditional_{idx}", omega))

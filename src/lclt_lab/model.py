@@ -445,19 +445,13 @@ def interaction_norm(model: GibbsModel, step: int = 1) -> float:
         raise DomainError("step must be at least 1")
     if model.coupling.kind != "explicit":
         return _window_coupling_total(model, step)
-    best = 0.0
-    on_step = lambda s: all(c % step == 0 for c in s)  # noqa: E731
-    for x in model.box.sites:
-        if not on_step(x):
-            continue
-        total = 0.0
-        for a, b, j in model.coupling.pairs:
-            if a == x and on_step(b):
-                total += abs(j)
-            elif b == x and on_step(a):
-                total += abs(j)
-        best = max(best, total)
-    return best
+    totals: dict[Site, float] = {}
+    for a, b, j in model.coupling.pairs:
+        if all(c % step == 0 for c in a + b):
+            for x in (a, b):
+                if x in model.box:
+                    totals[x] = totals.get(x, 0.0) + abs(j)
+    return max(totals.values(), default=0.0)
 
 
 def boundary_field_coefficient(model: GibbsModel, x: Site, region="box") -> float:
@@ -466,36 +460,51 @@ def boundary_field_coefficient(model: GibbsModel, x: Site, region="box") -> floa
     x = _as_site(x, model.box.dimension)
     if x not in region_sites:
         raise DomainError(f"site {x} is not in the region")
+    return _field_slopes(model, region_sites, (x,))[0]
+
+
+def boundary_field_coefficients(model: GibbsModel, region="box") -> tuple[float, ...]:
+    """Field slope b_x of every region site, in region order."""
+    region_sites = resolve_region(model, region)
+    return _field_slopes(model, region_sites, region_sites)
+
+
+def _field_slopes(model: GibbsModel, region_sites: tuple[Site, ...], xs) -> tuple[float, ...]:
+    """b_x for each site x of xs, all of them in the resolved region_sites."""
     bc = model.boundary
     if bc.kind == "zero":
-        return 0.0
+        return (0.0,) * len(xs)
+    in_region = set(region_sites)
     if model.coupling.kind == "explicit":
-        total = 0.0
-        in_region = set(region_sites)
+        totals = dict.fromkeys(xs, 0.0)
         for a, b, j in model.coupling.pairs:
-            if a == x and b not in in_region:
-                total += j * bc.omega(b)
-            elif b == x and a not in in_region:
-                total += j * bc.omega(a)
-        return total
+            if a in totals and b not in in_region:
+                totals[a] += j * bc.omega(b)
+            elif b in totals and a not in in_region:
+                totals[b] += j * bc.omega(a)
+        return tuple(totals.values())
     if bc.kind == "explicit":
-        total = 0.0
-        in_region = set(region_sites)
         radius = model.truncation_radius
-        for y, v in bc.assignments:
-            if y in in_region or v == 0:
-                continue
-            if max(abs(a - b) for a, b in zip(x, y)) > radius:
-                continue
-            total += model.coupling.value(x, y) * v
-        return total
+        exterior = [(y, v) for y, v in bc.assignments if v != 0 and y not in in_region]
+        out = []
+        for x in xs:
+            total = 0.0
+            for y, v in exterior:
+                if max(abs(a - b) for a, b in zip(x, y)) <= radius:
+                    total += model.coupling.value(x, y) * v
+            out.append(total)
+        return tuple(out)
     # Constant boundary over a translation-invariant coupling: subtract the
     # in-region, in-window part from the full-window total instead of walking
     # the window site by site.
     ys = np.asarray(region_sites, dtype=np.int64)
-    in_window = np.abs(ys - np.asarray(x, dtype=np.int64)).max(axis=1) <= model.truncation_radius
-    in_region_sum = float(model.coupling.values_from(x, ys[in_window]).sum())
-    return bc.value * (_window_coupling_total(model, 1, absolute=False) - in_region_sum)
+    window_total = _window_coupling_total(model, 1, absolute=False)
+    out = []
+    for x in xs:
+        in_window = np.abs(ys - np.asarray(x, dtype=np.int64)).max(axis=1) <= model.truncation_radius
+        in_region_sum = float(model.coupling.values_from(x, ys[in_window]).sum())
+        out.append(bc.value * (window_total - in_region_sum))
+    return tuple(out)
 
 
 def boundary_field(model: GibbsModel, x: Site, s: int, region="box") -> float:
@@ -517,13 +526,14 @@ def hamiltonian(model: GibbsModel, config: SpinConfig) -> float:
     region = resolve_region(model, config.sites)
     lookup = dict(zip(config.sites, config.values))
     values = [lookup[s] for s in region]
+    slopes = _field_slopes(model, region, region)
     total = 0.0
     for i, x in enumerate(region):
         for k in range(i + 1, len(region)):
             j = model.coupling.value(x, region[k])
             if j != 0.0:
                 total += j * values[i] * values[k]
-        total += boundary_field_coefficient(model, x, region) * values[i]
+        total += slopes[i] * values[i]
     return total
 
 

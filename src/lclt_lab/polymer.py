@@ -41,11 +41,10 @@ from itertools import accumulate, combinations
 import numpy as np
 
 from . import model as m
-from ._system import System, build_system
+from ._system import System, _spin_grid, build_system
 from .combinatorics import connected_sum, connected_sum_by_enumeration, spanning_tree_edge_sets
 from .errors import CapacityError, DomainError, PreconditionError
 
-SPIN_GRID_BUDGET = 1 << 20
 GRAPH_SUM_BUDGET = 1 << 25
 POLYMER_REGION_CAP = 14
 
@@ -205,23 +204,10 @@ def _indices(gas: _Gas, polymer) -> tuple[int, ...]:
         raise DomainError(f"site {err.args[0]} is not in the region") from None
 
 
-@lru_cache(maxsize=64)
-def _digit_grid(q: int, k: int) -> np.ndarray:
-    """(k, q^k) matrix whose column c holds the base-q digits of c."""
-    cols = q**k
-    if cols > SPIN_GRID_BUDGET:
-        raise CapacityError(f"spin grid needs {q}^{k} = {cols} columns, budget is {SPIN_GRID_BUDGET}")
-    d = np.empty((k, cols), dtype=np.intp)
-    for i in range(k):
-        d[i] = np.tile(np.repeat(np.arange(q), q**i), q ** (k - 1 - i))
-    d.setflags(write=False)
-    return d
-
-
 def _config_tables(gas: _Gas, idx: tuple[int, ...]):
     """Spin values (k, M), joint product measure (M,), per-pair couplings."""
     k = len(idx)
-    digits = _digit_grid(gas.q, k)
+    digits = _spin_grid(np.arange(gas.q), k)
     values = gas.values[digits]
     probs = np.ones(digits.shape[1])
     for row, i in enumerate(idx):

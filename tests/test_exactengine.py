@@ -116,6 +116,48 @@ def test_char_fn_basic_symmetries():
         assert abs(plus) <= 1.0 + 1e-13
 
 
+def transfer_matrix_pmf(values, strength, fields):
+    """pmf of S for a nearest-neighbor chain with per-site field slopes,
+    summed site by site over (last spin, running total)."""
+    values = np.asarray(values)
+    assert values.min() <= 0 <= values.max(), "running totals must stay on the final support"
+    n = len(fields)
+    lo = n * int(values.min())
+    # weight[v, p - lo]: the chain so far ends in values[v] with total p
+    weight = np.zeros((len(values), n * int(np.ptp(values)) + 1))
+    for v, s in enumerate(values):
+        weight[v, s - lo] = math.exp(fields[0] * s)
+    for b in fields[1:]:
+        step = np.exp(strength * np.outer(values, values) + b * values)
+        new = np.zeros_like(weight)
+        for v, s in enumerate(values):
+            new[v] = np.roll(step[:, v] @ weight, s)
+        weight = new
+    probs = weight.sum(axis=0)
+    return lo, probs / probs.sum()
+
+
+@pytest.mark.parametrize("n, spin", [(20, (0, 1)), (12, (-1, 1))])
+def test_multi_chunk_scan_matches_transfer_matrix(n, spin):
+    """Past the 2^18-state chunk the scan splits into several chunks; its pmf
+    and moments still match a transfer-matrix sum on the chain."""
+    assert (spin[1] - spin[0] + 1) ** n > 1 << 18
+    strength, omega = 0.3, spin[1]
+    model = nn_chain(radius=n // 2, strength=strength, spin=spin, boundary=omega)
+    region = lm.resolve_region(model, "box")[:n]
+    # the two end sites each see one exterior neighbor at spin omega
+    fields = [strength * omega] + [0.0] * (n - 2) + [strength * omega]
+    lo, want = transfer_matrix_pmf(model.spin.values, strength, fields)
+    table = ee.pmf(model, region)
+    assert table.p_min == lo
+    assert np.allclose(table.probabilities, want, rtol=1e-11, atol=1e-15)
+    ps = np.arange(lo, lo + len(want))
+    mean = float(ps @ want)
+    stats = ee.statistics(model, region)
+    assert stats.mean_S == pytest.approx(mean, rel=1e-11)
+    assert stats.variance_S == pytest.approx(float((ps - mean) ** 2 @ want), rel=1e-10)
+
+
 def test_budget_guard():
     model = nn_chain(radius=3, spin=(-1, 1))
     with pytest.raises(CapacityError):

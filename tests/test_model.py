@@ -68,6 +68,35 @@ def test_interaction_norm_nearest_neighbor():
     assert lm.interaction_norm(model2) == pytest.approx(0.4, abs=0)
 
 
+def test_interaction_norm_explicit_matches_per_site_sum():
+    """sup over on-step box sites of the |J| of their pairs whose other end
+    is on the step lattice too; that end may lie outside the box."""
+    pairs = [
+        ((0, 0), (0, 2), 0.3),
+        ((0, 0), (2, 0), -0.25),
+        ((0, 2), (2, 2), 0.5),
+        ((0, 0), (1, 0), 0.7),  # off the step-2 lattice
+        ((2, 2), (4, 2), -0.45),  # (4, 2) lies outside the box
+        ((-1, 1), (1, 1), 0.2),
+    ]
+    model = lm.GibbsModel(
+        box=lm.Box(dimension=2, radius=2, r0=2),
+        spin=lm.SpinInterval(-1, 1),
+        coupling=lm.Coupling.explicit(pairs),
+        boundary=lm.BoundaryCondition.zero(),
+    )
+    norm = lm.Coupling.explicit(pairs).pairs
+    for step in (1, 2):
+        on_step = [x for x in model.box.sites if all(c % step == 0 for c in x)]
+        expected = max(
+            sum(abs(j) for a, b, j in norm if x in (a, b) and all(c % step == 0 for c in a + b))
+            for x in on_step
+        )
+        assert lm.interaction_norm(model, step) == expected
+    assert lm.interaction_norm(model, 1) == pytest.approx(0.7 + 0.3 + 0.25)
+    assert lm.interaction_norm(model, 2) == pytest.approx(0.5 + 0.45)
+
+
 def test_interaction_norm_power_law():
     # sum over nonzero displacements of 0.1 |x|^-3 in one dimension:
     # 2 * 0.1 * zeta(3), with the window truncation below 2e-12
