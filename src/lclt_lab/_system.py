@@ -55,11 +55,12 @@ class System:
         return J
 
     def energy_shift(self) -> float:
-        """Upper bound on the log weight, used to keep exponentials bounded."""
-        sigma = max(abs(v) for v in self.values)
-        return sum(abs(v) for _, _, v in self.pairs) * sigma * sigma + sum(
-            abs(b) for b in self.fields
-        ) * sigma
+        """Upper bound on the log weight, used to keep exponentials bounded:
+        every pair and field term at its largest corner of the spin interval."""
+        lo, hi = min(self.values), max(self.values)
+        return sum(max(v * lo * lo, v * lo * hi, v * hi * hi) for _, _, v in self.pairs) + sum(
+            max(b * lo, b * hi) for b in self.fields
+        )
 
 
 def _region_pairs(model: m.GibbsModel, region: tuple[m.Site, ...]):

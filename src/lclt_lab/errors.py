@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+import math
+import sys
+
+# Largest finite exponent: e^x overflows float64 past it, and a value that
+# would is a CapacityError, never inf or NaN.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 class DomainError(ValueError):
     """An argument lies outside the documented domain of an operation."""

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import model as m
 from ._system import System, _spin_grid, build_system, windowed_exterior
-from .errors import CapacityError, DegenerateDistributionError
+from .errors import LOG_FLOAT_MAX, CapacityError, DegenerateDistributionError
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -79,11 +79,6 @@ class PmfTable:
     def support(self) -> range:
         return range(self.p_min, self.p_min + len(self.probabilities))
 
-    def prob(self, p: int) -> float:
-        if p in self.support:
-            return self.probabilities[p - self.p_min]
-        return 0.0
-
     def as_dict(self) -> dict[int, float]:
         return {p: self.probabilities[p - self.p_min] for p in self.support}
 
@@ -121,25 +116,28 @@ class _Kahan:
         self.total = t
 
 
-def _check_budget(system: System, budget: int) -> int:
-    q = len(system.values)
-    n = system.site_count
-    total = q**n
-    if total > budget:
-        raise CapacityError(
-            f"enumeration needs {q}^{n} = {total} states, budget is {budget}"
-        )
-    return total
+def _check_budget(q: int, n: int, budget: int):
+    """Raise, before anything is built, when q^n configurations pass the budget.
+
+    The count stays in the form q^n: written out, it can pass Python's
+    4300-digit limit on int-to-str conversion."""
+    if q**n > budget:
+        raise CapacityError(f"enumeration needs {q}^{n} states, budget is {budget}")
 
 
-def _scan(system: System, budget: int):
-    """One pass over all configurations.
+def _checked_system(model: m.GibbsModel, region, budget: int) -> System:
+    sites = m.resolve_region(model, region)
+    _check_budget(model.spin.card, len(sites), budget)
+    return build_system(model, sites)
+
+
+def _scan(system: System):
+    """One pass over all configurations; the caller has checked the budget.
 
     Returns (shift, Z_shifted, sum_wS, sum_wS2, bins, s_min), where w is the
     shifted weight exp(-H - shift) and bins[p - s_min] is the sum of w over
     configurations with S = p.
     """
-    total = _check_budget(system, budget)
     n = system.site_count
     q = len(system.values)
     vals = system.value_array
@@ -203,8 +201,13 @@ def _scan(system: System, budget: int):
 
 
 @lru_cache(maxsize=64)
-def _moments(system: System, budget: int):
-    shift, z, s1, s2, bins, s_min = _scan(system, budget)
+def _moments(system: System):
+    shift, z, s1, s2, bins, s_min = _scan(system)
+    if z == 0.0:
+        raise CapacityError(
+            f"every weight of the {system.site_count}-site enumeration underflows to 0"
+            f" when shifted by its log-weight bound {shift:.1f}"
+        )
     mean = s1 / z
     var = s2 / z - mean * mean
     probs = bins / z
@@ -216,28 +219,30 @@ def _moments(system: System, budget: int):
 
 def partition_function(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) -> float:
     """Z = sum over configurations of exp(-H) on the region."""
-    system = build_system(model, region)
-    shift, z, _, _, _ = _moments(system, budget)
-    return math.exp(shift + math.log(z))
+    log_z = log_partition_function(model, region, budget)
+    if log_z > LOG_FLOAT_MAX:
+        raise CapacityError(
+            f"partition function is not finite in float64: log Z is {log_z:.1f},"
+            f" float64 ends at {LOG_FLOAT_MAX:.1f}"
+        )
+    return math.exp(log_z)
 
 
 def log_partition_function(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) -> float:
-    system = build_system(model, region)
-    shift, z, _, _, _ = _moments(system, budget)
+    shift, z, _, _, _ = _moments(_checked_system(model, region, budget))
     return shift + math.log(z)
 
 
 def statistics(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) -> Statistics:
     """Exact mean and variance of the total spin on the region."""
-    system = build_system(model, region)
-    _, _, mean, var, _ = _moments(system, budget)
+    system = _checked_system(model, region, budget)
+    _, _, mean, var, _ = _moments(system)
     return Statistics(site_count=system.site_count, mean_S=mean, variance_S=var)
 
 
 def pmf(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) -> PmfTable:
     """Exact pmf of the total spin on the region."""
-    system = build_system(model, region)
-    return _moments(system, budget)[4]
+    return _moments(_checked_system(model, region, budget))[4]
 
 
 def char_fn(model: m.GibbsModel, region="box", t=0.0, budget: int = DEFAULT_BUDGET) -> complex | np.ndarray:
@@ -260,8 +265,7 @@ def char_from_pmf(table: PmfTable, t) -> complex | np.ndarray:
 
 def lclt_gap(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) -> float:
     """sup_p |sqrt(D) P(S=p) - gaussian density at z_p| over the support."""
-    system = build_system(model, region)
-    _, _, mean, var, table = _moments(system, budget)
+    _, _, mean, var, table = _moments(_checked_system(model, region, budget))
     if var <= 1e-12:
         raise DegenerateDistributionError(
             f"total-spin variance {var!r} is too small for a local-CLT gap"
@@ -295,12 +299,15 @@ def decimated_char_fn_sup(
     once and Fourier-summed over the whole t_grid.
     """
     ts = tuple(float(t) for t in t_grid)
+    q = model.spin.card
+    # full_box_abs enumerates the whole box, so it must fit as well
+    _check_budget(q, model.box.site_count, budget)
     region = m.resolve_region(model, "decimated")
+    _check_budget(q, len(region), budget)
     window = windowed_exterior(model, "decimated")
     interior = tuple(y for y in window if y in model.box)
     exterior = tuple(y for y in window if y not in model.box)
     values = model.spin.values
-    q = len(values)
     rng = np.random.default_rng(seed)
 
     omegas: list[tuple[str, dict]] = [
@@ -327,7 +334,7 @@ def decimated_char_fn_sup(
 
     abs_cf = np.array(
         [
-            np.abs(char_from_pmf(_moments(build_system(model, region, omega=omega), budget)[4], ts))
+            np.abs(char_from_pmf(_moments(build_system(model, region, omega=omega))[4], ts))
             for _, omega in omegas
         ]
     )

@@ -375,14 +375,6 @@ class SpinConfig:
         if len(set(self.sites)) != len(self.sites):
             raise DomainError("config sites must be distinct")
 
-    @staticmethod
-    def from_mapping(assignment: Mapping[Site, int]) -> "SpinConfig":
-        sites = tuple(sorted(tuple(s) for s in assignment))
-        return SpinConfig(sites=sites, values=tuple(int(assignment[s]) for s in sites))
-
-    def value_at(self, site: Site) -> int:
-        return self.values[self.sites.index(site)]
-
 
 def resolve_region(model: GibbsModel, region) -> tuple[Site, ...]:
     """Canonical sorted site tuple for a region argument.
@@ -623,9 +615,15 @@ MODEL_SCHEMA = {
 }
 
 
+# Built once: jsonschema.validate would re-check MODEL_SCHEMA on every call.
+_MODEL_VALIDATOR = jsonschema.Draft202012Validator(MODEL_SCHEMA)
+
+
 def model_from_dict(raw: Mapping) -> GibbsModel:
     """Build a model from the JSON object layout, validating against the schema."""
-    jsonschema.validate(raw, MODEL_SCHEMA)
+    error = jsonschema.exceptions.best_match(_MODEL_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise error
     d = raw["dimension"]
     spin = SpinInterval(lo=raw["spin"]["lo"], hi=raw["spin"]["hi"])
     box = Box(dimension=d, radius=raw["radius"], r0=raw["r0"])

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
@@ -43,7 +42,7 @@ import numpy as np
 from . import model as m
 from ._system import System, _spin_grid, build_system
 from .combinatorics import connected_sum, connected_sum_by_enumeration, spanning_tree_edge_sets
-from .errors import CapacityError, DomainError, PreconditionError
+from .errors import LOG_FLOAT_MAX, CapacityError, DomainError, PreconditionError
 
 GRAPH_SUM_BUDGET = 1 << 25
 POLYMER_REGION_CAP = 14
@@ -53,8 +52,6 @@ MAX_POLYMER_SIZE = 8
 # component or the identity it certifies silently breaks; its private cap
 # is therefore a little above the public per-polymer one.
 RECURSION_POLYMER_CAP = 10
-# Largest finite exponent: e^x overflows float64 past it.
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -130,15 +127,6 @@ class TreeGraphBounds:
     margin_j: float
     stability_lhs: float
     stability_floor: float
-
-    @property
-    def holds(self) -> bool:
-        return (
-            self.margin_trees >= -1e-12
-            and self.margin_chain >= -1e-12
-            and self.margin_j >= -1e-12
-            and self.stability_lhs >= self.stability_floor - 1e-12
-        )
 
 
 class _Gas:
@@ -245,7 +233,7 @@ def _overflow(route: str, gas: _Gas, idx: tuple[int, ...]) -> CapacityError:
         log_weight = float((np.log(probs) + _pair_energy(gas, idx, values)).max())
     return CapacityError(
         f"{route} on {len(idx)} sites is not finite: the largest log weight is"
-        f" {log_weight:.1f}, float64 ends at {_LOG_FLOAT_MAX:.1f}"
+        f" {log_weight:.1f}, float64 ends at {LOG_FLOAT_MAX:.1f}"
     )
 
 
@@ -814,10 +802,10 @@ def tree_graph_bound_check(
     lhs = np.abs(csum)
 
     exponent = k * step_norm * gas.sigma**2 / 2.0
-    if exponent > _LOG_FLOAT_MAX:
+    if exponent > LOG_FLOAT_MAX:
         raise CapacityError(
             f"tree-graph bound on {k} sites is not finite: the stability exponent is"
-            f" {exponent:.1f}, float64 ends at {_LOG_FLOAT_MAX:.1f}"
+            f" {exponent:.1f}, float64 ends at {LOG_FLOAT_MAX:.1f}"
         )
     prefactor = math.exp(exponent)
     cols = values.shape[1]

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -78,6 +79,18 @@ def test_box_past_site_cap_exit_two(tmp_path, capsys):
     path.write_text(json.dumps({**MODEL_OK, "dimension": 2, "radius": 512}))
     assert cli.main(["decay-small-t", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "1050625 sites, over the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["decay-small-t"], ["integrals", "--a-cut", "0.5"]])
+def test_over_budget_region_exits_two_before_building(argv, tmp_path, capsys):
+    """The state budget is checked on the site count, before a System over
+    90601 decimated sites (or the 361201-site box) is built."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({**MODEL_OK, "dimension": 2, "radius": 300}))
+    start = time.perf_counter()
+    assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 30.0
+    assert "enumeration needs 2^361201 states, budget is 16777216" in capsys.readouterr().err
 
 
 def test_precondition_exit_one(tmp_path, capsys):

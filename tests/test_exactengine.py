@@ -162,6 +162,41 @@ def test_budget_guard():
     model = nn_chain(radius=3, spin=(-1, 1))
     with pytest.raises(CapacityError):
         ee.partition_function(model, region="box", budget=100)
+    # written out, 3^20000 would pass the int-to-str digit limit
+    region = lm.resolve_region(nn_chain(radius=10000), "box")[:20000]
+    with pytest.raises(CapacityError, match=r"needs 3\^20000 states, budget is 16777216"):
+        ee.statistics(nn_chain(radius=10000), region)
+
+
+def test_energy_shift_bound_keeps_weights_finite():
+    """The shift bounds each term at its largest corner of the spin interval,
+    so a strong negative coupling on {0, 1} no longer underflows every weight:
+    Z counts the 34 configurations of 7 sites with no two adjacent ones."""
+    model = nn_chain(radius=3, strength=-130, spin=(0, 1), boundary=None)
+    assert ee.log_partition_function(model) == pytest.approx(math.log(34), rel=1e-12)
+
+
+def test_frustrated_underflow_raises_capacity_error():
+    # an antiferromagnetic triangle: the bound is 1200, the true max 400
+    sites = ((-1,), (0,), (1,))
+    model = lm.GibbsModel(
+        box=lm.Box(dimension=1, radius=1, r0=1),
+        spin=lm.SpinInterval(-1, 1),
+        coupling=lm.Coupling.explicit([(a, b, -400.0) for a, b in itertools.combinations(sites, 2)]),
+        boundary=lm.BoundaryCondition.zero(),
+    )
+    message = r"3-site enumeration underflows to 0 when shifted by its log-weight bound 1200\.0"
+    for fn in (ee.log_partition_function, ee.statistics, ee.pmf):
+        with pytest.raises(CapacityError, match=message):
+            fn(model)
+
+
+def test_partition_function_overflow_raises_capacity_error():
+    model = nn_chain(radius=3, strength=130, spin=(0, 1), boundary=1)
+    log_z = ee.log_partition_function(model)
+    assert 709.8 < log_z < math.inf
+    with pytest.raises(CapacityError, match=r"log Z is 1040\.0, float64 ends at 709\.8"):
+        ee.partition_function(model)
 
 
 def test_degenerate_distribution_raises():

@@ -1,6 +1,7 @@
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -170,6 +171,8 @@ def test_schema_rejects_malformed():
         breakage(data)
         with pytest.raises(Exception):
             lm.model_from_dict(data)
+    # model_from_dict trusts one validator built at import; check the schema here
+    jsonschema.Draft202012Validator.check_schema(lm.MODEL_SCHEMA)
 
 
 def test_model_json_loading(tmp_path):
