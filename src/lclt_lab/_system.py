@@ -95,7 +95,8 @@ def _spin_grid(values, k: int) -> np.ndarray:
         raise CapacityError(f"spin grid needs {q}^{k} = {cols} columns, budget is {SPIN_GRID_BUDGET}")
     grid = np.empty((k, cols), dtype=values.dtype)
     for i in range(k):
-        grid[i] = np.tile(np.repeat(values, q**i), q ** (k - 1 - i))
+        # row i in blocks of q^i columns that each hold one value of site i
+        grid[i].reshape(-1, q, q**i)[...] = values[:, None]
     return grid
 
 
