@@ -1,9 +1,14 @@
-"""Exhaustive-enumeration observables for enumerable regions.
+"""Exact observables for enumerable regions.
 
 Every quantity here comes from one finite sum over all |I|^N
 configurations of a region: the partition function, the first two moments
-of the total spin S and its exact pmf. S is integer-valued, so the
-characteristic function is the pmf's Fourier sum
+of the total spin S and its exact pmf. The sum is taken by enumeration or,
+for banded systems, by a transfer sum (Kramers & Wannier, Phys. Rev. 60
+(1941) 252). With R the largest index distance of a coupled pair in System
+order, the transfer sum carries a table over the last R spins and the
+running total site by site, in N |I|^(R+1) (N(|I|-1)+1) steps; _moments
+takes it whenever that undercuts the |I|^N states of enumeration. S is
+integer-valued, so the characteristic function is the pmf's Fourier sum
 E(e^{itS}) = sum_p P(S = p) e^{itp}, exact at every t; the local-CLT gap
 
     sup_p | sqrt(D) P(S = p) - exp(-z_p^2/2) / sqrt(2 pi) |,
@@ -18,8 +23,9 @@ order, so results do not depend on how the scan is partitioned. Weights are
 computed relative to an a-priori upper bound on the log weight, which keeps
 every exponential bounded by 1.
 
-The state budget (default 2^24) is enforced before any allocation; breaching
-it raises CapacityError naming the offending count. All functions are pure
+The state budget (default 2^24) on |I|^N is enforced before any allocation,
+whichever route runs; breaching it raises CapacityError naming the
+offending count. All functions are pure
 and safe to call concurrently.
 """
 
@@ -200,9 +206,71 @@ def _scan(system: System):
     return shift, z_acc.total, s1_acc.total, s2_acc.total, bins, s_min
 
 
+def _bandwidth(system: System) -> int:
+    """Largest index distance j - i of a coupled pair, 0 without pairs."""
+    return max((j - i for i, j, _ in system.pairs), default=0)
+
+
+def _transfer_is_cheaper(system: System) -> bool:
+    """Whether the transfer sum's n q^(R+1) (n(q-1)+1) steps undercut the
+    q^n states of enumeration."""
+    n, q = system.site_count, len(system.values)
+    return n * q ** (_bandwidth(system) + 1) * (n * (q - 1) + 1) < q**n
+
+
+def _transfer(system: System):
+    """The same sums as _scan, carried site by site in System order.
+
+    The table has one axis per spin of the last R sites (R the bandwidth) and
+    one column per running total; adding a site multiplies in its field and
+    its couplings to those R spins, shifts each column by its spin and sums
+    out the spin that leaves the band. Every entry is a sum of products of
+    positive weights, so each step divides by its largest entry and adds the
+    log of that scale (and of the step's largest factor) to the shift.
+    Returns the tuple of _scan.
+    """
+    n = system.site_count
+    q = len(system.values)
+    vals = system.value_array
+    band = _bandwidth(system)
+    by_site = [[] for _ in range(n)]
+    for i, j, v in system.pairs:
+        by_site[j].append((i, v))
+
+    shift = 0.0
+    # axes: the spins of the last r sites, oldest first, then the running
+    # total of spin offsets above the lowest value
+    table = np.ones(1)
+    for k in range(n):
+        r = table.ndim - 1
+        # log weight of site k's spin (last axis) against the r spins before it
+        log_w = system.fields[k] * vals.reshape((1,) * r + (q,))
+        for i, v in by_site[k]:
+            axis = i - (k - r)
+            log_w = log_w + v * vals.reshape((1,) * axis + (q,) + (1,) * (r - axis)) * vals
+        log_w = np.broadcast_to(log_w, (q,) * (r + 1))
+        top = float(log_w.max())
+        w = np.exp(log_w - top)
+        width = table.shape[-1]
+        grown = np.zeros((q,) * (r + 1) + (width + q - 1,))
+        for d in range(q):
+            grown[..., d, d : d + width] = table * w[..., d, None]
+        if r == band:
+            grown = grown.sum(axis=0)
+        scale = float(grown.max())
+        table = grown / scale
+        shift += top + math.log(scale)
+
+    bins = table.reshape(-1, table.shape[-1]).sum(axis=0)
+    s_min = n * int(min(system.values))
+    spins = s_min + np.arange(len(bins), dtype=float)
+    return shift, float(bins.sum()), float(bins @ spins), float(bins @ (spins * spins)), bins, s_min
+
+
 @lru_cache(maxsize=64)
 def _moments(system: System):
-    shift, z, s1, s2, bins, s_min = _scan(system)
+    route = _transfer if _transfer_is_cheaper(system) else _scan
+    shift, z, s1, s2, bins, s_min = route(system)
     if z == 0.0:
         raise CapacityError(
             f"every weight of the {system.site_count}-site enumeration underflows to 0"

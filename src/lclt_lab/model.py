@@ -124,8 +124,17 @@ class Box:
 
     @cached_property
     def decimated_sites(self) -> tuple[Site, ...]:
-        """Box sites whose coordinates are all multiples of r0."""
-        return tuple(s for s in self.sites if all(c % self.r0 == 0 for c in s))
+        """Box sites whose coordinates are all multiples of r0, in the order
+        of sites, built from the multiples of r0 on each axis."""
+        reach = self.radius // self.r0 * self.r0
+        axis = range(-reach, reach + 1, self.r0)
+        count = len(axis) ** self.dimension
+        if count > SITE_CAP:
+            raise CapacityError(
+                f"decimated box of radius {self.radius} and step {self.r0} in dimension"
+                f" {self.dimension} holds {count} sites, over the cap {SITE_CAP}"
+            )
+        return tuple(itertools.product(axis, repeat=self.dimension))
 
     @property
     def site_count(self) -> int:

@@ -21,6 +21,7 @@ defaults to the proved variant.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -29,7 +30,7 @@ import numpy as np
 from . import exactengine as ee
 from . import model as m
 from . import polymer as pg
-from .errors import DomainError, PreconditionError
+from .errors import CapacityError, DomainError, PreconditionError
 
 DEFAULT_R0_MAX = 8
 # Slacks of the integral bounds: the gap against the sum of the four
@@ -138,6 +139,14 @@ def _constants_cached(model: m.GibbsModel, c_variant: str) -> ConstantsBundle:
     j_step = m.interaction_norm(model, step=model.box.r0)
     kap = m.kappa(j_full, sigma, card)
     delta = kap / (12.0 * sigma)
+    if not delta >= sys.float_info.min:
+        # every constant below scales with a power of kappa, so a delta
+        # that underflows would turn each check into 0 <= 0
+        log_delta = -2.0 * j_full * sigma * sigma - math.log(card) - math.log(12.0 * sigma)
+        raise CapacityError(
+            f"delta = kappa/(12 sigma) is not a positive normal float64: log delta is"
+            f" {log_delta:.1f}, float64 normals end at {math.log(sys.float_info.min):.1f}"
+        )
     gauss = sigma**2 * kap / 4.0
     half = math.sin(delta / 2.0) ** 2
     c_stated = kap * half

@@ -75,10 +75,24 @@ def test_invalid_config_exit_two(tmp_path, capsys):
 
 
 def test_box_past_site_cap_exit_two(tmp_path, capsys):
+    """mc lists the whole box and stops at the site cap; the decay scan lists
+    only the 513^2 decimated sites and stops at the state budget."""
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({**MODEL_OK, "dimension": 2, "radius": 512}))
-    assert cli.main(["decay-small-t", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert cli.main(["mc", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "1050625 sites, over the cap" in capsys.readouterr().err
+    assert cli.main(["decay-small-t", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "enumeration needs 2^1050625 states, budget is 16777216" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["constants"], ["decay-small-t"], ["integrals", "--a-cut", "0.02"]])
+def test_underflowing_delta_exits_two(argv, tmp_path, capsys):
+    """At strength 400 kappa = e^-1600 / 2 underflows; every command that
+    derives the constants stops with one message naming log delta."""
+    path = tmp_path / "strong.json"
+    path.write_text(json.dumps({**MODEL_OK, "coupling": {"kind": "nearest_neighbor", "strength": 400.0}}))
+    assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "delta = kappa/(12 sigma) is not a positive normal float64: log delta is -1603.2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["decay-small-t"], ["integrals", "--a-cut", "0.5"]])

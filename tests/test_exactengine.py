@@ -6,8 +6,8 @@ import pytest
 
 import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
-from conftest import free_chain, nn_chain, random_model
-from lclt_lab._system import windowed_exterior
+from conftest import free_chain, nn_chain, random_model, random_omega
+from lclt_lab._system import build_system, windowed_exterior
 from lclt_lab.errors import CapacityError, DegenerateDistributionError
 
 
@@ -140,7 +140,9 @@ def transfer_matrix_pmf(values, strength, fields):
 @pytest.mark.parametrize("n, spin", [(20, (0, 1)), (12, (-1, 1))])
 def test_multi_chunk_scan_matches_transfer_matrix(n, spin):
     """Past the 2^18-state chunk the scan splits into several chunks; its pmf
-    and moments still match a transfer-matrix sum on the chain."""
+    and moments still match a transfer-matrix sum on the chain. The public
+    entry points take the engine's transfer route on these chains, so _scan
+    is called directly as well."""
     assert (spin[1] - spin[0] + 1) ** n > 1 << 18
     strength, omega = 0.3, spin[1]
     model = nn_chain(radius=n // 2, strength=strength, spin=spin, boundary=omega)
@@ -148,14 +150,119 @@ def test_multi_chunk_scan_matches_transfer_matrix(n, spin):
     # the two end sites each see one exterior neighbor at spin omega
     fields = [strength * omega] + [0.0] * (n - 2) + [strength * omega]
     lo, want = transfer_matrix_pmf(model.spin.values, strength, fields)
+    ps = np.arange(lo, lo + len(want))
+    mean = float(ps @ want)
+    var = float((ps - mean) ** 2 @ want)
+
+    _, z, s1, s2, bins, s_min = ee._scan(build_system(model, region))
+    assert s_min == lo
+    assert np.allclose(bins / z, want, rtol=1e-11, atol=1e-15)
+    assert s1 / z == pytest.approx(mean, rel=1e-11)
+    assert s2 / z - (s1 / z) ** 2 == pytest.approx(var, rel=1e-10)
+
     table = ee.pmf(model, region)
     assert table.p_min == lo
     assert np.allclose(table.probabilities, want, rtol=1e-11, atol=1e-15)
-    ps = np.arange(lo, lo + len(want))
-    mean = float(ps @ want)
     stats = ee.statistics(model, region)
     assert stats.mean_S == pytest.approx(mean, rel=1e-11)
-    assert stats.variance_S == pytest.approx(float((ps - mean) ** 2 @ want), rel=1e-10)
+    assert stats.variance_S == pytest.approx(var, rel=1e-10)
+
+
+def _law(sums):
+    """(log Z, pmf, mean, variance) from a (shift, Z, sum wS, sum wS^2, bins,
+    s_min) tuple of either route."""
+    shift, z, s1, s2, bins, _ = sums
+    mean = s1 / z
+    return shift + math.log(z), bins / z, mean, s2 / z - mean * mean
+
+
+def _banded_systems():
+    """Banded systems of at most 24 sites, with their bandwidths."""
+    rng = np.random.default_rng(11)
+    out = []
+    for spin, sizes in (((0, 1), (1, 9, 16, 24)), ((-1, 1), (6, 10, 14)), ((-1, 2), (6, 9))):
+        for n in sizes:
+            model = nn_chain(radius=12, strength=float(rng.uniform(-0.4, 0.4)), spin=spin, boundary=spin[1])
+            start = int(rng.integers(-12, 14 - n))
+            out.append((build_system(model, [(start + x,) for x in range(n)]), min(n - 1, 1)))
+    # explicit couplings of range 2 and 3 along a path; pairs that leave the
+    # box act as boundary fields
+    for reach, n, spin in ((2, 16, (0, 1)), (3, 11, (-1, 1)), (3, 18, (0, 1))):
+        pairs = [
+            ((x,), (x + d,), float(rng.uniform(-0.5, 0.5)))
+            for x in range(-n // 2, n // 2)
+            for d in range(1, reach + 1)
+            if rng.random() < 0.7
+        ]
+        model = lm.GibbsModel(
+            box=lm.Box(dimension=1, radius=n // 2, r0=1),
+            spin=lm.SpinInterval(*spin),
+            coupling=lm.Coupling.explicit(pairs),
+            boundary=lm.BoundaryCondition.constant(spin[1]),
+        )
+        out.append((build_system(model, "box"), reach))
+    # 2D boxes: side 3 is a radius-1 box, side 4 a corner of a radius-2 box
+    for spin in ((0, 1), (-1, 1)):
+        model = nn_chain(radius=1, strength=0.25, spin=spin, boundary=1, dimension=2)
+        out.append((build_system(model, "box"), 3))
+    model = nn_chain(radius=2, strength=-0.2, spin=(0, 1), boundary=1, dimension=2)
+    corner = [(a, b) for a in range(-2, 2) for b in range(-1, 3)]
+    out.append((build_system(model, corner), 4))
+    # decimated regions under the model's boundary and under omega overrides
+    pairs = [((x,), (x + 2,), 0.2) for x in range(-10, 9, 2)] + [((x,), (x + 4,), -0.1) for x in range(-10, 7, 4)]
+    pairs += [((x,), (x + 1,), 0.15) for x in range(-11, 11)]
+    model = lm.GibbsModel(
+        box=lm.Box(dimension=1, radius=10, r0=2),
+        spin=lm.SpinInterval(-1, 1),
+        coupling=lm.Coupling.explicit(pairs),
+        boundary=lm.BoundaryCondition.constant(1),
+    )
+    out.append((build_system(model, "decimated"), 2))
+    for _ in range(3):
+        out.append((build_system(model, "decimated", omega=random_omega(rng, model)), 2))
+    # R = 0: nearest-neighbour couplings never join two decimated sites
+    model = nn_chain(radius=11, strength=0.3, spin=(-1, 2), boundary=2, r0=2)
+    out.append((build_system(model, "decimated"), 0))
+    out.append((build_system(model, "decimated", omega=random_omega(rng, model)), 0))
+    return out
+
+
+def test_transfer_route_matches_enumeration():
+    """On banded systems of up to 24 sites the transfer sum and enumeration
+    give the same law of S."""
+    systems = _banded_systems()
+    assert {band for _, band in systems} == {0, 1, 2, 3, 4}
+    for system, band in systems:
+        assert ee._bandwidth(system) == band
+        scan, transfer = ee._scan(system), ee._transfer(system)
+        assert transfer[5] == scan[5]
+        log_z, probs, mean, var = _law(transfer)
+        want_log_z, want_probs, want_mean, want_var = _law(scan)
+        assert probs.shape == want_probs.shape
+        assert np.abs(probs - want_probs).max() <= 1e-12, system.sites
+        assert log_z == pytest.approx(want_log_z, rel=1e-12, abs=0), system.sites
+        assert mean == pytest.approx(want_mean, rel=1e-12, abs=0), system.sites
+        assert var == pytest.approx(want_var, rel=1e-12, abs=0), system.sites
+
+
+def test_route_dispatch(monkeypatch):
+    """_moments takes the transfer route only when its work undercuts q^n:
+    the README model's box and decimated systems stay on enumeration, a
+    24-site chain does not."""
+    calls = []
+    for name in ("_scan", "_transfer"):
+        route = getattr(ee, name)
+        monkeypatch.setattr(ee, name, lambda system, route=route, name=name: calls.append(name) or route(system))
+    readme = nn_chain(radius=3, strength=0.1, spin=(0, 1), boundary=1, r0=2)
+    chain = nn_chain(radius=12, strength=0.1, spin=(0, 1), boundary=1)
+    for model, region, route in (
+        (readme, "box", "_scan"),
+        (readme, "decimated", "_scan"),
+        (chain, lm.resolve_region(chain, "box")[:24], "_transfer"),
+    ):
+        calls.clear()
+        ee._moments.__wrapped__(build_system(model, region))
+        assert calls == [route]
 
 
 def test_budget_guard():

@@ -7,6 +7,7 @@ import pytest
 
 import lclt_lab.model as lm
 import lclt_lab.verifier as vf
+from lclt_lab._system import _region_pairs
 from conftest import nn_chain, free_chain, random_model
 from lclt_lab.errors import CapacityError, DomainError
 
@@ -189,8 +190,12 @@ def test_box_past_site_cap_raises_capacity_error():
     assert box.site_count == 1025**2 > lm.SITE_CAP
     with pytest.raises(CapacityError, match=r"\(2r\+1\)\^d = 1050625 sites, over the cap 1048576"):
         box.sites
-    with pytest.raises(CapacityError):
-        box.decimated_sites
+    # the decimated sites come from the multiples of r0 on each axis and fit
+    decimated = box.decimated_sites
+    assert len(decimated) == 513**2
+    assert decimated[:2] == ((-512, -512), (-512, -510)) and decimated[-1] == (512, 512)
+    with pytest.raises(CapacityError, match=r"holds 1050625 sites, over the cap 1048576"):
+        lm.Box(dimension=2, radius=512, r0=1).decimated_sites
     model = lm.GibbsModel(
         box=box,
         spin=lm.SpinInterval(0, 1),
@@ -198,6 +203,48 @@ def test_box_past_site_cap_raises_capacity_error():
         boundary=lm.BoundaryCondition.constant(1),
     )
     assert vf.constants(model).r0_condition_ok
+
+
+def test_decimated_sites_filter_the_box():
+    """The same tuple, in the same order, as keeping the box sites whose
+    coordinates are all multiples of r0."""
+    for dimension in (1, 2, 3):
+        for radius in range(6):
+            for r0 in range(1, 8):
+                box = lm.Box(dimension=dimension, radius=radius, r0=r0)
+                want = tuple(s for s in box.sites if all(c % r0 == 0 for c in s))
+                assert box.decimated_sites == want
+
+
+def _pairs_by_every_pair(model, region):
+    return tuple(
+        (i, k, model.coupling.value(region[i], region[k]))
+        for i in range(len(region))
+        for k in range(i + 1, len(region))
+        if model.coupling.value(region[i], region[k]) != 0.0
+    )
+
+
+def test_region_pairs_match_every_pair_loop():
+    """Pairs found by neighbourhood equal those of testing every pair, in the
+    same order, including explicit pairs with an endpoint outside the box."""
+    rng = np.random.default_rng(8)
+    models = [random_model(rng) for _ in range(200)]
+    models.append(
+        lm.GibbsModel(
+            box=lm.Box(dimension=2, radius=2, r0=2),
+            spin=lm.SpinInterval(-1, 1),
+            coupling=lm.Coupling.explicit(
+                [((-2, 0), (2, 2), 0.3), ((0, 0), (0, 3), 0.2), ((-3, 1), (1, -1), 0.1), ((1, 1), (0, 2), -0.4)]
+            ),
+            boundary=lm.BoundaryCondition.constant(1),
+        )
+    )
+    models.append(nn_chain(radius=3, strength=0.0))
+    for model in models:
+        for region in ("box", "decimated"):
+            sites = lm.resolve_region(model, region)
+            assert _region_pairs(model, sites) == _pairs_by_every_pair(model, sites)
 
 
 def test_boundary_field_is_linear_in_spin():

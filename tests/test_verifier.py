@@ -6,7 +6,7 @@ import pytest
 import lclt_lab.model as lm
 import lclt_lab.verifier as vf
 from conftest import free_chain, nn_chain, regime_finite_range, regime_weak_coupling
-from lclt_lab.errors import DomainError, PreconditionError
+from lclt_lab.errors import CapacityError, DomainError, PreconditionError
 
 
 def test_constants_free_model_oracle():
@@ -33,6 +33,20 @@ def test_constants_binary_oracle():
     assert c.kappa == 0.5
     assert c.delta == pytest.approx(1.0 / 24.0, rel=1e-15)
     assert c.gauss_decay == 0.125
+
+
+def test_constants_raise_when_delta_underflows():
+    """kappa = e^-1600 / 2 is 0.0 in float64; the constants refuse instead of
+    deriving a condition that passes as 0 <= 0."""
+    model = nn_chain(radius=3, strength=400.0, spin=(0, 1), boundary=1, r0=2)
+    for variant in ("proved", "stated"):
+        with pytest.raises(CapacityError, match=r"log delta is -1603\.2, float64 normals end at -708\.4"):
+            vf.constants(model, variant)
+    # log delta = -2 J_full - log 24 with J_full = 2 J: a subnormal delta
+    # raises too, while one just inside the normal range derives
+    with pytest.raises(CapacityError, match=r"log delta is -709\.2"):
+        vf.constants(nn_chain(radius=3, strength=176.5, spin=(0, 1), boundary=1, r0=2))
+    assert vf.constants(nn_chain(radius=3, strength=176.0, spin=(0, 1), boundary=1, r0=2)).delta > 0.0
 
 
 def test_constants_variant_switch():
