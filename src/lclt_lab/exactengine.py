@@ -25,8 +25,7 @@ every exponential bounded by 1.
 
 The state budget (default 2^24) on |I|^N is enforced before any allocation,
 whichever route runs; breaching it raises CapacityError naming the
-offending count. All functions are pure
-and safe to call concurrently.
+offending count. All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -211,13 +210,6 @@ def _bandwidth(system: System) -> int:
     return max((j - i for i, j, _ in system.pairs), default=0)
 
 
-def _transfer_is_cheaper(system: System) -> bool:
-    """Whether the transfer sum's n q^(R+1) (n(q-1)+1) steps undercut the
-    q^n states of enumeration."""
-    n, q = system.site_count, len(system.values)
-    return n * q ** (_bandwidth(system) + 1) * (n * (q - 1) + 1) < q**n
-
-
 def _transfer(system: System):
     """The same sums as _scan, carried site by site in System order.
 
@@ -239,7 +231,8 @@ def _transfer(system: System):
 
     shift = 0.0
     # axes: the spins of the last r sites, oldest first, then the running
-    # total of spin offsets above the lowest value
+    # total of spin offsets above the lowest value (the spin values are
+    # consecutive integers, so adding offset d shifts a column by d)
     table = np.ones(1)
     for k in range(n):
         r = table.ndim - 1
@@ -269,7 +262,9 @@ def _transfer(system: System):
 
 @lru_cache(maxsize=64)
 def _moments(system: System):
-    route = _transfer if _transfer_is_cheaper(system) else _scan
+    n, q = system.site_count, len(system.values)
+    # the transfer sum takes n q^(R+1) (n(q-1)+1) steps, enumeration q^n
+    route = _transfer if n * q ** (_bandwidth(system) + 1) * (n * (q - 1) + 1) < q**n else _scan
     shift, z, s1, s2, bins, s_min = route(system)
     if z == 0.0:
         raise CapacityError(

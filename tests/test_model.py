@@ -36,6 +36,15 @@ def test_box_regions():
     assert len(lm.resolve_region(model2, "box")) == 9
     assert lm.resolve_region(model2, "decimated") == ((0, 0),)
 
+    # decimated sites: the box sites whose coordinates are all multiples of
+    # r0, in the same order
+    for dimension in (1, 2, 3):
+        for radius in range(6):
+            for r0 in range(1, 8):
+                box = lm.Box(dimension=dimension, radius=radius, r0=r0)
+                want = tuple(s for s in box.sites if all(c % r0 == 0 for c in s))
+                assert box.decimated_sites == want
+
 
 # kappa(J, sigma, card) = exp(-2 J sigma^2) / card, frozen from the formula
 KAPPA_CASES = [
@@ -203,17 +212,6 @@ def test_box_past_site_cap_raises_capacity_error():
         boundary=lm.BoundaryCondition.constant(1),
     )
     assert vf.constants(model).r0_condition_ok
-
-
-def test_decimated_sites_filter_the_box():
-    """The same tuple, in the same order, as keeping the box sites whose
-    coordinates are all multiples of r0."""
-    for dimension in (1, 2, 3):
-        for radius in range(6):
-            for r0 in range(1, 8):
-                box = lm.Box(dimension=dimension, radius=radius, r0=r0)
-                want = tuple(s for s in box.sites if all(c % r0 == 0 for c in s))
-                assert box.decimated_sites == want
 
 
 def _pairs_by_every_pair(model, region):
