@@ -64,37 +64,13 @@ class System:
 
 
 def _region_pairs(model: m.GibbsModel, region: tuple[m.Site, ...]):
-    """Nonzero couplings (i, k, J) among region sites, i < k, sorted.
-
-    Nearest-neighbour couplings look up the +e_k neighbour of each site on
-    each axis, which meets every pair once; explicit ones walk their own
-    table; only power laws test every pair."""
-    coupling = model.coupling
-    if coupling.kind == "power_law":
-        pairs = []
-        for i, x in enumerate(region):
-            for k in range(i + 1, len(region)):
-                j = coupling.value(x, region[k])
-                if j != 0.0:
-                    pairs.append((i, k, j))
-        return tuple(pairs)
-    index = {x: i for i, x in enumerate(region)}
-    if coupling.kind == "nearest_neighbor":
-        if coupling.strength == 0.0:
-            return ()
-        ends = [
-            (i, index.get(x[:a] + (x[a] + 1,) + x[a + 1 :]))
-            for i, x in enumerate(region)
-            for a in range(len(x))
-        ]
-        found = [(i, k, coupling.strength) for i, k in ends if k is not None]
-    else:
-        found = [
-            (index[x], index[y], j)
-            for x, y, j in coupling.pairs
-            if j != 0.0 and x in index and y in index
-        ]
-    return tuple(sorted((min(i, k), max(i, k), j) for i, k, j in found))
+    pairs = []
+    for i, x in enumerate(region):
+        for k in range(i + 1, len(region)):
+            j = model.coupling.value(x, region[k])
+            if j != 0.0:
+                pairs.append((i, k, j))
+    return tuple(pairs)
 
 
 @lru_cache(maxsize=512)

@@ -549,13 +549,22 @@ def single_spin_distribution(model: GibbsModel, x: Site, region="box") -> dict[i
     return {int(s): float(p) for s, p in zip(model.spin.values, w)}
 
 
-def kappa(interaction: float, sigma: int, card: int) -> float:
-    """Single-spin mass floor e^{-2 J sigma^2} / card(I)."""
+def _kappa_exponent(interaction: float, sigma: int, card: int) -> float:
     if interaction < 0:
         raise DomainError("interaction norm must be nonnegative")
     if sigma < 1 or card < 2:
         raise DomainError("need sigma >= 1 and at least two spin values")
-    return math.exp(-2.0 * interaction * sigma * sigma) / card
+    return -2.0 * interaction * sigma * sigma
+
+
+def kappa(interaction: float, sigma: int, card: int) -> float:
+    """Single-spin mass floor e^{-2 J sigma^2} / card(I)."""
+    return math.exp(_kappa_exponent(interaction, sigma, card)) / card
+
+
+def log_kappa(interaction: float, sigma: int, card: int) -> float:
+    """log kappa = -2 J sigma^2 - log card(I), finite where kappa underflows."""
+    return _kappa_exponent(interaction, sigma, card) - math.log(card)
 
 
 # ---------------------------------------------------------------------------

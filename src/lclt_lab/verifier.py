@@ -142,7 +142,7 @@ def _constants_cached(model: m.GibbsModel, c_variant: str) -> ConstantsBundle:
     if not delta >= sys.float_info.min:
         # every constant below scales with a power of kappa, so a delta
         # that underflows would turn each check into 0 <= 0
-        log_delta = -2.0 * j_full * sigma * sigma - math.log(card) - math.log(12.0 * sigma)
+        log_delta = m.log_kappa(j_full, sigma, card) - math.log(12.0 * sigma)
         raise CapacityError(
             f"delta = kappa/(12 sigma) is not a positive normal float64: log delta is"
             f" {log_delta:.1f}, float64 normals end at {math.log(sys.float_info.min):.1f}"

@@ -57,6 +57,7 @@ KAPPA_CASES = [
 @pytest.mark.parametrize("norm,sigma,card,expected", KAPPA_CASES)
 def test_kappa_oracles(norm, sigma, card, expected):
     assert lm.kappa(norm, sigma, card) == pytest.approx(expected, rel=1e-15)
+    assert lm.log_kappa(norm, sigma, card) == pytest.approx(math.log(expected), rel=1e-15)
 
 
 def test_kappa_floors_single_spin_probabilities():
@@ -214,35 +215,20 @@ def test_box_past_site_cap_raises_capacity_error():
     assert vf.constants(model).r0_condition_ok
 
 
-def _pairs_by_every_pair(model, region):
-    return tuple(
-        (i, k, model.coupling.value(region[i], region[k]))
-        for i in range(len(region))
-        for k in range(i + 1, len(region))
-        if model.coupling.value(region[i], region[k]) != 0.0
+def test_region_pairs_keep_explicit_pairs_inside_region():
+    """Explicit pairs come out as (i, k, J) with i < k in region order; a
+    pair with an end outside the region is dropped."""
+    model = lm.GibbsModel(
+        box=lm.Box(dimension=2, radius=2, r0=2),
+        spin=lm.SpinInterval(-1, 1),
+        coupling=lm.Coupling.explicit(
+            [((-2, 0), (2, 2), 0.3), ((0, 0), (0, 3), 0.2), ((-3, 1), (1, -1), 0.1), ((1, 1), (0, 2), -0.4)]
+        ),
+        boundary=lm.BoundaryCondition.constant(1),
     )
-
-
-def test_region_pairs_match_every_pair_loop():
-    """Pairs found by neighbourhood equal those of testing every pair, in the
-    same order, including explicit pairs with an endpoint outside the box."""
-    rng = np.random.default_rng(8)
-    models = [random_model(rng) for _ in range(200)]
-    models.append(
-        lm.GibbsModel(
-            box=lm.Box(dimension=2, radius=2, r0=2),
-            spin=lm.SpinInterval(-1, 1),
-            coupling=lm.Coupling.explicit(
-                [((-2, 0), (2, 2), 0.3), ((0, 0), (0, 3), 0.2), ((-3, 1), (1, -1), 0.1), ((1, 1), (0, 2), -0.4)]
-            ),
-            boundary=lm.BoundaryCondition.constant(1),
-        )
-    )
-    models.append(nn_chain(radius=3, strength=0.0))
-    for model in models:
-        for region in ("box", "decimated"):
-            sites = lm.resolve_region(model, region)
-            assert _region_pairs(model, sites) == _pairs_by_every_pair(model, sites)
+    assert _region_pairs(model, lm.resolve_region(model, "box")) == ((2, 24, 0.3), (14, 18, -0.4))
+    assert _region_pairs(model, lm.resolve_region(model, "decimated")) == ((1, 8, 0.3),)
+    assert _region_pairs(nn_chain(radius=3, strength=0.0), lm.resolve_region(nn_chain(radius=3), "box")) == ()
 
 
 def test_boundary_field_is_linear_in_spin():
