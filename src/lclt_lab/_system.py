@@ -6,8 +6,8 @@ site index), and the per-site boundary field slopes. Systems are immutable
 and hashable so downstream caches can key on them directly.
 
 An omega override is the model under the explicit boundary condition of
-that finite assignment on exterior sites (used when scanning conditionings
-of the decimated box); sites it leaves unassigned contribute no field.
+that finite assignment on exterior sites (the polymer layer's conditioning
+argument); sites it leaves unassigned contribute no field.
 
 Configurations of k sites are listed in one order everywhere, the one of
 _spin_grid: column c of the grid is configuration c, site 0 varying fastest.
@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import model as m
-from .errors import CapacityError, DomainError
+from .errors import CapacityError
 
 # Largest configuration grid _spin_grid will materialize, in columns.
 SPIN_GRID_BUDGET = 1 << 20
@@ -85,15 +85,21 @@ def _build(model: m.GibbsModel, region: tuple[m.Site, ...], omega_items) -> Syst
     )
 
 
+def _check_states(q: int, k: int, budget: int = SPIN_GRID_BUDGET, what: str = "spin grid") -> None:
+    """Raise, before anything is built, when the q^k configurations of k sites
+    pass the budget. The count stays in the form q^k: written out, it can
+    pass Python's 4300-digit limit on int-to-str conversion."""
+    if q**k > budget:
+        raise CapacityError(f"{what} needs {q}^{k} states, budget is {budget}")
+
+
 def _spin_grid(values, k: int) -> np.ndarray:
     """(k, q^k) array over the q spin values whose column c is configuration
     c of k sites, site 0 varying fastest."""
     values = np.asarray(values)
     q = len(values)
-    cols = q**k
-    if cols > SPIN_GRID_BUDGET:
-        raise CapacityError(f"spin grid needs {q}^{k} = {cols} columns, budget is {SPIN_GRID_BUDGET}")
-    grid = np.empty((k, cols), dtype=values.dtype)
+    _check_states(q, k)
+    grid = np.empty((k, q**k), dtype=values.dtype)
     for i in range(k):
         # row i in blocks of q^i columns that each hold one value of site i
         grid[i].reshape(-1, q, q**i)[...] = values[:, None]
@@ -101,19 +107,11 @@ def _spin_grid(values, k: int) -> np.ndarray:
 
 
 def build_system(model: m.GibbsModel, region="box", omega=None) -> System:
-    """System for a model region, optionally under an omega override.
-
-    omega may be a mapping site -> spin value; every assigned value must lie
-    in the spin interval.
-    """
-    sites = m.resolve_region(model, region)
-    if omega is None:
-        return _build(model, sites, None)
-    items = tuple(sorted((tuple(s), int(v)) for s, v in dict(omega).items()))
-    for s, v in items:
-        if v not in model.spin:
-            raise DomainError(f"override value {v} at {s} outside the spin interval")
-    return _build(model, sites, items)
+    """System for a model region, optionally under an omega override: a
+    mapping site -> spin value, each value in the spin interval (the model
+    under that explicit boundary checks them)."""
+    items = None if omega is None else tuple(sorted((tuple(s), int(v)) for s, v in dict(omega).items()))
+    return _build(model, m.resolve_region(model, region), items)
 
 
 def windowed_exterior(model: m.GibbsModel, region="box"):

@@ -25,28 +25,27 @@ every exponential bounded by 1.
 
 The state budget (default 2^24) on |I|^N is enforced before any allocation,
 whichever route runs; breaching it raises CapacityError naming the
-offending count. All functions are pure and safe to call concurrently.
+offending count. A decay scan gives each conditioning of the decimated
+region the one System with fields summed from a row of window spins and a
+region x window coupling block. All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import model as m
-from ._system import System, _spin_grid, build_system, windowed_exterior
+from ._system import System, _check_states, _spin_grid, build_system, windowed_exterior
 from .errors import LOG_FLOAT_MAX, CapacityError, DegenerateDistributionError
 
 DEFAULT_BUDGET = 1 << 24
 
 _CHUNK_TARGET = 1 << 18
-
-# decimated_char_fn_sup enumerates the realized conditionings of the
-# interior window sites up to this count and samples them beyond it.
-CONDITIONING_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,8 @@ class DecimatedCharFnSup:
     """Max of |char fn of the decimated total spin| over scanned conditionings.
 
     Every field but entries is a tuple with one value per t of the grid.
-    entries holds one (label, |cf| per t) pair per scanned conditioning;
+    entries holds one (label, |cf| per t) pair per scanned conditioning:
+    all_lo, all_hi, random_k, conditional_idx (see decimated_char_fn_sup);
     full_box_abs is |E(e^{itS})| for the whole box under the model's own
     boundary, reported alongside for the conditioning inequality it must
     satisfy.
@@ -121,18 +121,9 @@ class _Kahan:
         self.total = t
 
 
-def _check_budget(q: int, n: int, budget: int):
-    """Raise, before anything is built, when q^n configurations pass the budget.
-
-    The count stays in the form q^n: written out, it can pass Python's
-    4300-digit limit on int-to-str conversion."""
-    if q**n > budget:
-        raise CapacityError(f"enumeration needs {q}^{n} states, budget is {budget}")
-
-
 def _checked_system(model: m.GibbsModel, region, budget: int) -> System:
     sites = m.resolve_region(model, region)
-    _check_budget(model.spin.card, len(sites), budget)
+    _check_states(model.spin.card, len(sites), budget, "enumeration")
     return build_system(model, sites)
 
 
@@ -349,61 +340,58 @@ def decimated_char_fn_sup(
 ) -> DecimatedCharFnSup:
     """Scan |E^omega(e^{it S~})| of the decimated box over conditionings.
 
-    The scanned set holds the two extremal constant assignments, uniform
-    random assignments on the windowed exterior, and the realized
-    conditionings: interior non-decimated sites run over all their spin
-    values (enumerated when that count fits CONDITIONING_CAP, sampled
-    otherwise) while true exterior sites keep the model's own boundary.
-    Realized conditionings are exactly the terms whose average is the
-    full-box characteristic function, so the returned sup dominates
-    |E(e^{itS})| up to the certified window tail.
-
-    The set does not depend on t: each conditioning's exact pmf is computed
-    once and Fourier-summed over the whole t_grid.
+    A conditioning is a row of spins on the windowed exterior W: two constant
+    rows, omega_samples random ones, and the realized ones, where the
+    interior sites of W that couple to the region take every combination of
+    spins and the rest of W keeps the model's boundary. Realized rows are the
+    terms whose average is the full-box characteristic function, so the sup
+    dominates |E(e^{itS})| up to the certified window tail; with the region
+    they fit in the box, so its state budget bounds the scan. A row's fields
+    are its spins summed against the region x W coupling block in window
+    order, as model._field_slopes sums an explicit boundary, so each System
+    equals build_system(model, "decimated", omega) bit for bit. The set does
+    not depend on t: each pmf is Fourier-summed over the whole t_grid.
     """
     ts = tuple(float(t) for t in t_grid)
     q = model.spin.card
     # full_box_abs enumerates the whole box, which holds the decimated region
-    _check_budget(q, model.box.site_count, budget)
-    region = m.resolve_region(model, "decimated")
+    _check_states(q, model.box.site_count, budget, "enumeration")
+    system = build_system(model, "decimated")
     window = windowed_exterior(model, "decimated")
-    interior = tuple(y for y in window if y in model.box)
-    exterior = tuple(y for y in window if y not in model.box)
-    values = model.spin.values
+    # block[i, k] = J(x_i, y_k) as model._field_slopes takes it under an
+    # explicit boundary: 0 past the truncation radius unless J is a table
+    coords = np.asarray(window, dtype=np.int64).reshape(len(window), -1)
+    reach = math.inf if model.coupling.kind == "explicit" else model.truncation_radius
+    block = np.zeros((system.site_count, len(window)))
+    for i, x in enumerate(system.sites):
+        for k in np.flatnonzero(np.abs(coords - np.asarray(x)).max(axis=1) <= reach):
+            block[i, k] = model.coupling.value(x, window[k])
+    values = np.asarray(model.spin.values, dtype=float)
     rng = np.random.default_rng(seed)
 
-    omegas: list[tuple[str, dict]] = [
-        ("all_lo", {y: model.spin.lo for y in window}),
-        ("all_hi", {y: model.spin.hi for y in window}),
-    ]
-    for k in range(omega_samples):
-        draw = rng.integers(0, q, size=len(window))
-        omegas.append((f"random_{k}", {y: values[d] for y, d in zip(window, draw)}))
-
-    base = {y: model.boundary.omega(y) for y in exterior}
-    realized_total = q ** len(interior)
-    if realized_total <= CONDITIONING_CAP:
-        for idx, combo in enumerate(_spin_grid(values, len(interior)).T):
-            omega = dict(base)
-            omega.update(zip(interior, combo))
-            omegas.append((f"conditional_{idx}", omega))
-    else:
+    def rows():
+        yield "all_lo", np.full(len(window), float(model.spin.lo))
+        yield "all_hi", np.full(len(window), float(model.spin.hi))
         for k in range(omega_samples):
-            draw = rng.integers(0, q, size=len(interior))
-            omega = dict(base)
-            omega.update({y: values[d] for y, d in zip(interior, draw)})
-            omegas.append((f"conditional_sample_{k}", omega))
+            yield f"random_{k}", values[rng.integers(0, q, size=len(window))]
+        interior = np.array([y in model.box for y in window])
+        row = np.where(interior, 0.0, [model.boundary.omega(y) for y in window])
+        coupled = np.flatnonzero(interior & block.any(axis=0))
+        # the first coupled site varies fastest, as in _spin_grid
+        for idx, combo in enumerate(itertools.product(values, repeat=len(coupled))):
+            row[coupled] = combo[::-1]
+            yield f"conditional_{idx}", row
 
-    abs_cf = np.array(
-        [
-            np.abs(char_from_pmf(_moments(build_system(model, region, omega=omega))[4], ts))
-            for _, omega in omegas
-        ]
-    )
+    entries = []
+    for label, row in rows():
+        # cumsum adds in window order; + 0.0 turns a -0.0 sum into the 0.0
+        # that a sum started at 0.0 gives
+        fields = tuple(float(np.cumsum(b * row)[-1]) + 0.0 for b in block)
+        abs_cf = np.abs(char_from_pmf(_moments(replace(system, fields=fields))[4], ts))
+        entries.append((label, tuple(float(v) for v in abs_cf)))
     return DecimatedCharFnSup(
         t=ts,
-        sup=tuple(float(v) for v in abs_cf.max(axis=0)),
+        sup=tuple(map(max, zip(*(row for _, row in entries)))),
         full_box_abs=tuple(float(v) for v in np.abs(char_fn(model, "box", ts, budget=budget))),
-        entries=tuple((label, tuple(float(v) for v in row)) for (label, _), row in zip(omegas, abs_cf)),
+        entries=tuple(entries),
     )
-

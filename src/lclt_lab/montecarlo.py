@@ -11,7 +11,8 @@ Randomness is counter-based: every (sweep, color block) pair gets its own
 Philox stream derived from the seed, so results depend only on the spec,
 never on execution order. Errors are estimated by batch means across
 chains, which also yields the effective sample size reported alongside
-every estimate.
+every estimate. Condition on an exterior assignment omega with
+replace(model, boundary=BoundaryCondition.explicit(omega)).
 """
 
 from __future__ import annotations
@@ -79,9 +80,9 @@ def _block_rng(seed: int, sweep: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def total_spin_samples(model: m.GibbsModel, spec: ChainSpec, region="box", omega=None) -> np.ndarray:
+def total_spin_samples(model: m.GibbsModel, spec: ChainSpec, region="box") -> np.ndarray:
     """Retained total-spin samples, shape (chains, samples)."""
-    system = build_system(model, region, omega)
+    system = build_system(model, region)
     n = system.site_count
     values = system.value_array
     q = len(values)
@@ -133,23 +134,23 @@ def _estimate_from_series(series: np.ndarray, chains: int, samples: int) -> Esti
     return Estimate(value=value, std_error=se, n_effective=max(n_eff, 1.0))
 
 
-def sample_statistics(model: m.GibbsModel, spec: ChainSpec, region="box", omega=None) -> dict:
+def sample_statistics(model: m.GibbsModel, spec: ChainSpec, region="box") -> dict:
     """Batch-means estimates of the total-spin mean and variance."""
-    s = total_spin_samples(model, spec, region, omega)
+    s = total_spin_samples(model, spec, region)
     mean_est = _estimate_from_series(s, spec.chains, spec.samples)
     centered = (s - s.mean()) ** 2
     var_est = _estimate_from_series(centered, spec.chains, spec.samples)
     return {"mean": mean_est, "variance": var_est}
 
 
-def sample_pmf_gap(model: m.GibbsModel, spec: ChainSpec, region="box", omega=None) -> dict:
+def sample_pmf_gap(model: m.GibbsModel, spec: ChainSpec, region="box") -> dict:
     """Sampled worst deviation sup_p |sqrt(D) pi(p) - gaussian(z_p)|.
 
     The pmf, mean, and variance all come from the same samples. The error
     bar is the multinomial error of the worst cell at the batch-means
     effective sample size, scaled by sqrt(D).
     """
-    s = total_spin_samples(model, spec, region, omega)
+    s = total_spin_samples(model, spec, region)
     flat = s.reshape(-1)
     var = float(flat.var(ddof=1))
     if var <= 1e-12:
@@ -175,9 +176,9 @@ def sample_pmf_gap(model: m.GibbsModel, spec: ChainSpec, region="box", omega=Non
     return {"gap": Estimate(value=float(dev[worst]), std_error=se, n_effective=n_eff)}
 
 
-def state_occupancy(model: m.GibbsModel, spec: ChainSpec, region="box", omega=None) -> dict:
+def state_occupancy(model: m.GibbsModel, spec: ChainSpec, region="box") -> dict:
     """Sampled distribution of the total spin, for stationarity diagnostics."""
-    s = total_spin_samples(model, spec, region, omega).reshape(-1)
+    s = total_spin_samples(model, spec, region).reshape(-1)
     ps = np.rint(s).astype(np.int64)
     p_min = int(ps.min())
     counts = np.bincount(ps - p_min)

@@ -40,7 +40,7 @@ from itertools import accumulate, combinations
 import numpy as np
 
 from . import model as m
-from ._system import System, _spin_grid, build_system
+from ._system import System, _check_states, _spin_grid, build_system
 from .combinatorics import connected_sum, connected_sum_by_enumeration, spanning_tree_edge_sets
 from .errors import LOG_FLOAT_MAX, CapacityError, DomainError, PreconditionError
 
@@ -176,6 +176,17 @@ def _gas_for_system(system: System) -> _Gas:
 
 def _gas(model: m.GibbsModel, region, omega) -> _Gas:
     return _gas_for_system(build_system(model, region, omega))
+
+
+def _gas_for_mode(model: m.GibbsModel, region, omega, mode: str) -> _Gas:
+    """_gas once the region's site count, checked before the System is built,
+    fits the mode: q^n configurations direct, 2^n site sets by gas sum."""
+    n = len(m.resolve_region(model, region))
+    if mode == "direct":
+        _check_states(model.spin.card, n)
+    elif mode == "polymer_sum" and n > POLYMER_REGION_CAP:
+        raise CapacityError(f"gas sum over {n} sites walks 2^{n} site sets, cap is {POLYMER_REGION_CAP} sites")
+    return _gas(model, region, omega)
 
 
 def _polymer_sites(polymer) -> tuple[m.Site, ...]:
@@ -415,14 +426,10 @@ def _partition_direct(gas: _Gas, t: float, c: float) -> complex:
 
 
 def _check_region(gas: _Gas, what: str) -> None:
-    # The recursion walks 2^n site sets and needs every connected subset of
-    # a coupling component; dropping the large ones would silently break
-    # the identity the gas sum certifies.
+    # The recursion (its site count checked by _gas_for_mode) needs every
+    # connected subset of a coupling component; dropping the large ones
+    # would silently break the identity the gas sum certifies.
     n = len(gas.sites)
-    if n > POLYMER_REGION_CAP:
-        raise CapacityError(
-            f"{what} over {n} sites walks 2^{n} site sets, cap is {POLYMER_REGION_CAP} sites"
-        )
     everything = (1 << n) - 1
     largest = max((_reach(1 << i, gas.adjacency, everything).bit_count() for i in range(n)), default=0)
     if largest > RECURSION_POLYMER_CAP:
@@ -489,7 +496,7 @@ def polymer_partition(
     The two modes must agree to enumeration precision; that identity is the
     master check of this module.
     """
-    return _partition(_gas(model, region, omega), params.t, params.c, mode)
+    return _partition(_gas_for_mode(model, region, omega, mode), params.t, params.c, mode)
 
 
 def char_fn_ratio(
@@ -514,7 +521,7 @@ def continuous_log_partition(
     """
     if steps < 1:
         raise DomainError(f"need at least one step, got {steps}")
-    gas = _gas(model, region, omega)
+    gas = _gas_for_mode(model, region, omega, mode)
     start = _partition(gas, 0.0, params.c, mode)
     if abs(start.imag) > 1e-9 * abs(start) or start.real <= 0:
         raise PreconditionError(f"partition function at t=0 is {start!r}, not positive")
@@ -731,7 +738,7 @@ def truncated_log_partition(
     """
     if K < 1:
         raise DomainError(f"truncation order must be positive, got {K}")
-    gas = _gas(model, region, omega)
+    gas = _gas_for_mode(model, region, omega, "polymer_sum")
     _check_region(gas, "cluster series")
     n = len(gas.sites)
     # Xi(lambda) has degree at most n: a family of disjoint polymers has at

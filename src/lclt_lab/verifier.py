@@ -15,7 +15,8 @@ budget sigma^2 kappa / 4, and the large-t rate. Two variants of the
 large-t rate are carried side by side: the stated one with a single
 power of kappa and the proved one with kappa squared, which is what the
 consecutive-pair argument actually delivers. Anything that must hold
-defaults to the proved variant.
+defaults to the proved variant. To condition on an exterior assignment
+omega, pass replace(model, boundary=BoundaryCondition.explicit(omega)).
 """
 
 from __future__ import annotations
@@ -131,6 +132,16 @@ def all_passed(reports) -> bool:
     return all(r.passed for r in reports)
 
 
+def _require_normal(name: str, symbol: str, value: float, log_value: float) -> None:
+    # every constant scales with a power of kappa: one that underflows would
+    # turn its checks into 0 <= 0 (delta) or e^0 <= 1 (c)
+    if not value >= sys.float_info.min:
+        raise CapacityError(
+            f"{name} is not a positive normal float64: log {symbol} is"
+            f" {log_value:.1f}, float64 normals end at {math.log(sys.float_info.min):.1f}"
+        )
+
+
 @lru_cache(maxsize=256)
 def _constants_cached(model: m.GibbsModel, c_variant: str) -> ConstantsBundle:
     sigma = model.spin.sigma
@@ -138,20 +149,16 @@ def _constants_cached(model: m.GibbsModel, c_variant: str) -> ConstantsBundle:
     j_full = m.interaction_norm(model, step=1)
     j_step = m.interaction_norm(model, step=model.box.r0)
     kap = m.kappa(j_full, sigma, card)
+    log_kap = m.log_kappa(j_full, sigma, card)
     delta = kap / (12.0 * sigma)
-    if not delta >= sys.float_info.min:
-        # every constant below scales with a power of kappa, so a delta
-        # that underflows would turn each check into 0 <= 0
-        log_delta = m.log_kappa(j_full, sigma, card) - math.log(12.0 * sigma)
-        raise CapacityError(
-            f"delta = kappa/(12 sigma) is not a positive normal float64: log delta is"
-            f" {log_delta:.1f}, float64 normals end at {math.log(sys.float_info.min):.1f}"
-        )
+    _require_normal("delta = kappa/(12 sigma)", "delta", delta, log_kap - math.log(12.0 * sigma))
     gauss = sigma**2 * kap / 4.0
     half = math.sin(delta / 2.0) ** 2
     c_stated = kap * half
     c_proved = kap**2 * half
     c_sel = c_proved if c_variant == "proved" else c_stated
+    log_c = (2 if c_variant == "proved" else 1) * log_kap + 2.0 * math.log(math.sin(delta / 2.0))
+    _require_normal(f"the {c_variant} large-t rate c", "c", c_sel, log_c)
     nu = 2.0 * math.e**2 * math.exp(j_step * sigma**2 / 2.0) * sigma**2 * math.sqrt(j_step)
     eps = min(math.e * delta * sigma, nu)
     lhs = math.exp(j_step * sigma**2 / 2.0) * math.sqrt(j_step)
@@ -159,7 +166,7 @@ def _constants_cached(model: m.GibbsModel, c_variant: str) -> ConstantsBundle:
     a_dressed = c_sel / 4.0
     thr_dressed = (
         math.exp(-5.0 * c_sel / 4.0)
-        * (math.exp(a_dressed) - 1.0)
+        * math.expm1(a_dressed)
         / ((1.0 + delta * sigma) * math.e * sigma**2)
     )
     return ConstantsBundle(
@@ -217,7 +224,7 @@ def _require_condition(consts: ConstantsBundle):
 
 
 def check_single_spin_cf(
-    model: m.GibbsModel, t_grid, c_variant: str = "proved", region="decimated", omega=None
+    model: m.GibbsModel, t_grid, c_variant: str = "proved", region="decimated"
 ) -> list[VerificationReport]:
     """Per t: the worst single-site |E_x(e^{its})| against e^{-c}.
 
@@ -236,7 +243,7 @@ def check_single_spin_cf(
         worst = 0.0
         worst_site = None
         for x in sites:
-            val = abs(pg.site_char_fn(model, x, t, region, omega))
+            val = abs(pg.site_char_fn(model, x, t, region))
             if val > worst:
                 worst, worst_site = val, x
         reports.append(
@@ -319,7 +326,6 @@ def check_curvature_decomposition(
     model: m.GibbsModel,
     theta: float,
     region="decimated",
-    omega=None,
     series_order: int = 60,
 ) -> list[VerificationReport]:
     """Audit of the small-t curvature split on a coupling-free region.
@@ -348,7 +354,7 @@ def check_curvature_decomposition(
       derivative of log Xi within the remainder bound.
     """
     consts = constants(model)
-    gas = pg._gas(model, region, omega)
+    gas = pg._gas(model, region, None)
     if any(gas.adjacency):
         raise PreconditionError(
             "the curvature split is audited on regions with no internal couplings;"
@@ -409,7 +415,6 @@ def check_dressed_route(
     model: m.GibbsModel,
     t: float,
     region="decimated",
-    omega=None,
     K: int = 4,
     c_variant: str = "proved",
     budget: int = ee.DEFAULT_BUDGET,
@@ -433,8 +438,8 @@ def check_dressed_route(
     params_t = pg.ActivityParams(t=t, c=c, delta_cap=consts.delta)
     params_0 = pg.ActivityParams(t=0.0, c=c, delta_cap=consts.delta)
 
-    series_t = pg.truncated_log_partition(model, params_t, region, omega, K=K, absolute=True)
-    series_0 = pg.truncated_log_partition(model, params_0, region, omega, K=K, absolute=True)
+    series_t = pg.truncated_log_partition(model, params_t, region, K=K, absolute=True)
+    series_0 = pg.truncated_log_partition(model, params_0, region, K=K, absolute=True)
     if series_t.dominating_tail is None or series_0.dominating_tail is None:
         raise PreconditionError("the dressed series tail cannot be certified for this model")
     total_t = float(series_t.partial_sums[-1].real) + series_t.dominating_tail

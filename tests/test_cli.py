@@ -95,6 +95,27 @@ def test_underflowing_delta_exits_two(argv, tmp_path, capsys):
     assert "delta = kappa/(12 sigma) is not a positive normal float64: log delta is -1603.2" in capsys.readouterr().err
 
 
+def test_underflowing_rate_exits_two(tmp_path, capsys):
+    """At strength 100 delta is normal but the large-t rate c underflows;
+    constants and decay-large-t stop instead of passing 0 <= 0 and 1 <= 1."""
+    path = tmp_path / "strong.json"
+    path.write_text(json.dumps({**MODEL_OK, "coupling": {"kind": "nearest_neighbor", "strength": 100.0}}))
+    for command in ("constants", "decay-large-t"):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "large-t rate c is not a positive normal float64: log c is -1609.1" in capsys.readouterr().err
+
+
+def test_oversized_polymer_region_exits_two_before_building(tmp_path, capsys):
+    """identity-check on the 513^2 decimated sites of a radius-512 box stops
+    at the direct route's spin grid, before the System is built."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({**MODEL_OK, "dimension": 2, "radius": 512}))
+    start = time.perf_counter()
+    assert cli.main(["identity-check", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 30.0
+    assert "spin grid needs 2^263169 states, budget is 1048576" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["decay-small-t"], ["integrals", "--a-cut", "0.5"]])
 def test_over_budget_region_exits_two_before_building(argv, tmp_path, capsys):
     """The state budget is checked on the site count, before a System over

@@ -336,36 +336,46 @@ def test_decimated_sup_dominates_full_box():
 
 
 def test_decimated_entries_match_brute_force():
-    """Each conditioning's grid of |cf| against a brute-force sum under its omega."""
-    model = lm.GibbsModel(
-        box=lm.Box(dimension=1, radius=2, r0=2),
-        spin=lm.SpinInterval(-1, 1),
-        coupling=lm.Coupling.explicit(
-            [((-2,), (0,), 0.2), ((0,), (1,), -0.15), ((1,), (2,), 0.1), ((-2,), (-1,), 0.25)]
+    """Each conditioning's grid of |cf| against a brute-force sum under its
+    omega, on a 1D explicit table and on the 2D q = 3 box whose 3^8 interior
+    combinations hold 81 distinct ones (the 4 nearest neighbours of its one
+    decimated site)."""
+    models = [
+        lm.GibbsModel(
+            box=lm.Box(dimension=1, radius=2, r0=2),
+            spin=lm.SpinInterval(-1, 1),
+            coupling=lm.Coupling.explicit(
+                [((-2,), (0,), 0.2), ((0,), (1,), -0.15), ((1,), (2,), 0.1), ((-2,), (-1,), 0.25)]
+            ),
+            boundary=lm.BoundaryCondition.constant(1),
         ),
-        boundary=lm.BoundaryCondition.constant(1),
-    )
+        nn_chain(radius=1, strength=0.15, spin=(-1, 1), boundary=1, r0=2, dimension=2),
+    ]
     ts = np.array([0.1, 0.7, 2.0, math.pi])
     omega_samples, seed = 3, 5
-    scan = ee.decimated_char_fn_sup(model, ts, omega_samples=omega_samples, seed=seed)
+    for model in models:
+        scan = ee.decimated_char_fn_sup(model, ts, omega_samples=omega_samples, seed=seed)
 
-    # The conditioning set, rebuilt from its definition.
-    window = windowed_exterior(model, "decimated")
-    interior = [y for y in window if y in model.box]
-    exterior = {y: model.boundary.omega(y) for y in window if y not in model.box}
-    values = model.spin.values
-    rng = np.random.default_rng(seed)
-    omegas = {"all_lo": dict.fromkeys(window, -1), "all_hi": dict.fromkeys(window, 1)}
-    for k in range(omega_samples):
-        draw = rng.integers(0, len(values), size=len(window))
-        omegas[f"random_{k}"] = {y: values[d] for y, d in zip(window, draw)}
-    # conditional_idx spells idx in base q with the first interior site as
-    # its lowest digit; product() varies its last position fastest.
-    for idx, combo in enumerate(itertools.product(values, repeat=len(interior))):
-        omegas[f"conditional_{idx}"] = {**exterior, **dict(zip(interior, reversed(combo)))}
+        # The conditioning set, rebuilt from its definition: the realized
+        # ones run over the interior window sites that couple to the region.
+        region = lm.resolve_region(model, "decimated")
+        window = windowed_exterior(model, "decimated")
+        interior = [
+            y for y in window if y in model.box and any(model.coupling.value(x, y) != 0.0 for x in region)
+        ]
+        exterior = {y: model.boundary.omega(y) for y in window if y not in model.box}
+        values = model.spin.values
+        rng = np.random.default_rng(seed)
+        omegas = {"all_lo": dict.fromkeys(window, -1), "all_hi": dict.fromkeys(window, 1)}
+        for k in range(omega_samples):
+            draw = rng.integers(0, len(values), size=len(window))
+            omegas[f"random_{k}"] = {y: values[d] for y, d in zip(window, draw)}
+        # conditional_idx spells idx in base q with the first interior site
+        # as its lowest digit; product() varies its last position fastest.
+        for idx, combo in enumerate(itertools.product(values, repeat=len(interior))):
+            omegas[f"conditional_{idx}"] = {**exterior, **dict(zip(interior, reversed(combo)))}
 
-    assert [label for label, _ in scan.entries] == list(omegas)
-    for label, got in scan.entries:
-        want = np.abs(brute_char_fn(model, "decimated", ts, omegas[label]))
-        assert np.allclose(got, want, rtol=0, atol=1e-13), label
-
+        assert [label for label, _ in scan.entries] == list(omegas)
+        for label, got in scan.entries:
+            want = np.abs(brute_char_fn(model, "decimated", ts, omegas[label]))
+            assert np.allclose(got, want, rtol=0, atol=1e-13), label

@@ -11,7 +11,7 @@ import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
 import lclt_lab.polymer as pg
 from conftest import SPIN_CHOICES, nn_chain, random_model, random_omega
-from lclt_lab._system import build_system
+from lclt_lab._system import _spin_grid, build_system
 from lclt_lab.errors import CapacityError, DomainError, PreconditionError
 
 
@@ -434,3 +434,34 @@ def test_polymer_normalizes_sites():
     assert p.sites == ((0,), (2,))
     with pytest.raises(DomainError):
         pg.Polymer(())
+
+
+def test_oversized_region_fails_before_building(monkeypatch):
+    """The entry points check the resolved region's size before a System is
+    built: q^n against the spin grid budget on the direct route, n against
+    POLYMER_REGION_CAP on the gas sum; the count stays in the form q^n."""
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a System was built")
+
+    monkeypatch.setattr(pg, "build_system", no_build)
+    model = nn_chain(radius=512, strength=0.1, spin=(0, 1), boundary=1, r0=2, dimension=2)
+    params = pg.ActivityParams(t=0.5)
+    grid = r"spin grid needs 2\^263169 states, budget is 1048576"
+    gas_sum = r"gas sum over 263169 sites walks 2\^263169 site sets, cap is 14 sites"
+    with pytest.raises(CapacityError, match=grid):
+        pg.polymer_partition(model, params, mode="direct")
+    with pytest.raises(CapacityError, match=gas_sum):
+        pg.polymer_partition(model, params, mode="polymer_sum")
+    with pytest.raises(CapacityError, match=grid):
+        pg.continuous_log_partition(model, params)
+    with pytest.raises(CapacityError, match=gas_sum):
+        pg.continuous_log_partition(model, params, mode="polymer_sum")
+    with pytest.raises(CapacityError, match=gas_sum):
+        pg.truncated_log_partition(model, params)
+    # 15 sites: the direct route's 2^15 grid fits, the gas sum's cap does not
+    chain = nn_chain(radius=7, strength=0.1, spin=(0, 1), boundary=1)
+    with pytest.raises(CapacityError, match="gas sum over 15 sites"):
+        pg.polymer_partition(chain, params, region="box", mode="polymer_sum")
+    with pytest.raises(CapacityError, match=r"spin grid needs 2\^15000 states"):
+        _spin_grid([0, 1], 15000)

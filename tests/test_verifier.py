@@ -43,10 +43,34 @@ def test_constants_raise_when_delta_underflows():
         with pytest.raises(CapacityError, match=r"log delta is -1603\.2, float64 normals end at -708\.4"):
             vf.constants(model, variant)
     # log delta = -2 J_full - log 24 with J_full = 2 J: a subnormal delta
-    # raises too, while one just inside the normal range derives
+    # raises too, while one just inside the normal range passes this check
+    # and stops at the large-t rate c = kappa^2 sin^2(delta/2), far below it
     with pytest.raises(CapacityError, match=r"log delta is -709\.2"):
         vf.constants(nn_chain(radius=3, strength=176.5, spin=(0, 1), boundary=1, r0=2))
-    assert vf.constants(nn_chain(radius=3, strength=176.0, spin=(0, 1), boundary=1, r0=2)).delta > 0.0
+    with pytest.raises(CapacityError, match=r"rate c is not a positive normal float64: log c is -2825\.1"):
+        vf.constants(nn_chain(radius=3, strength=176.0, spin=(0, 1), boundary=1, r0=2))
+
+
+def test_large_t_rate_without_cancellation_or_underflow():
+    """The dressed threshold takes expm1(c/4), which exp(c/4) - 1 rounds to
+    0 once c/4 is below one ulp of 1; a rate c that underflows raises, naming
+    log c, instead of making every large-t check e^0 = 1."""
+    for strength in (1.0, 3.0):
+        consts = vf.constants(nn_chain(radius=3, strength=strength, spin=(0, 1), boundary=1, r0=2))
+        c, sigma = consts.c_selected, consts.sigma
+        a = c / 4.0
+        # a + a^2/2 is expm1(a) to within a^2/6 relative, far below 1e-15 here
+        want = math.exp(-5.0 * c / 4.0) * (a + a * a / 2.0) / ((1.0 + consts.delta * sigma) * math.e * sigma**2)
+        assert consts.r0_threshold_dressed > 0.0
+        assert consts.r0_threshold_dressed == pytest.approx(want, rel=1e-14)
+    # strength 50: the proved rate kappa^2 sin^2(delta/2) underflows, the stated one does not
+    model = nn_chain(radius=3, strength=50.0, spin=(0, 1), boundary=1, r0=2)
+    assert vf.constants(model, "stated").c_selected > 0.0
+    with pytest.raises(CapacityError, match=r"the proved large-t rate c .* log c is -809\.1"):
+        vf.constants(model, "proved")
+    model = nn_chain(radius=3, strength=100.0, spin=(0, 1), boundary=1, r0=2)
+    with pytest.raises(CapacityError, match=r"the stated large-t rate c .* log c is -1208\.4"):
+        vf.constants(model, "stated")
 
 
 def test_constants_variant_switch():
