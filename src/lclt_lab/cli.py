@@ -265,8 +265,9 @@ def _cmd_lclt_scan(args) -> tuple[list[dict], bool]:
 def _cmd_mc(args) -> tuple[list[dict], bool]:
     model = _load_model(args.config)
     spec = mc.ChainSpec(seed=args.seed, burn_in=args.burn_in, samples=args.samples, chains=args.chains)
-    est = mc.sample_statistics(model, spec)
+    # The exact side checks its state budget before any sweep is run.
     exact = ee.statistics(model, "box", budget=args.budget)
+    est = mc.sample_statistics(model, spec)
     record = {
         "mean": vars(est["mean"]),
         "variance": vars(est["variance"]),

@@ -7,12 +7,15 @@ Within a class the neighbor sums are constant, so the block update is
 exactly a sequence of single-site updates and the chain keeps the Gibbs
 measure invariant.
 
-Randomness is counter-based: every (sweep, color block) pair gets its own
-Philox stream derived from the seed, so results depend only on the spec,
-never on execution order. Errors are estimated by batch means across
-chains, which also yields the effective sample size reported alongside
-every estimate. Condition on an exterior assignment omega with
-replace(model, boundary=BoundaryCondition.explicit(omega)).
+Randomness is counter-based: every (sweep, color block) pair reads its own
+Philox stream, keyed by the seed and the pair, so results depend only on
+the spec, never on execution order. One generator per call is re-keyed in
+place for each pair (counter 0, empty buffer), which yields the stream a
+fresh Philox with that key would, without building one (Salmon et al.,
+SC'11). The chain state is the array of spin values. Errors are estimated
+by batch means across chains, which also yields the effective sample size
+reported alongside every estimate. Condition on an exterior assignment
+omega with replace(model, boundary=BoundaryCondition.explicit(omega)).
 """
 
 from __future__ import annotations
@@ -55,61 +58,72 @@ class Estimate:
     n_effective: float
 
 
-def _greedy_coloring(n: int, coupling: np.ndarray) -> list[np.ndarray]:
-    degree = (coupling != 0.0).sum(axis=1)
-    order = sorted(range(n), key=lambda i: (-degree[i], i))
-    color = [-1] * n
+def _greedy_coloring(coupling: np.ndarray) -> list[np.ndarray]:
+    linked = coupling != 0.0
+    neighbours = [np.flatnonzero(row) for row in linked]
+    degree = linked.sum(axis=1)
+    order = sorted(range(len(coupling)), key=lambda i: (-degree[i], i))
+    color = [-1] * len(coupling)
     for i in order:
-        taken = {color[j] for j in range(n) if color[j] >= 0 and coupling[i, j] != 0.0}
+        taken = {color[j] for j in neighbours[i] if color[j] >= 0}
         c = 0
         while c in taken:
             c += 1
         color[i] = c
-    classes = []
-    for c in range(max(color) + 1):
-        classes.append(np.array([i for i in range(n) if color[i] == c], dtype=np.intp))
-    return classes
+    color = np.array(color)
+    return [np.flatnonzero(color == c) for c in range(color.max() + 1)]
 
 
-def _block_rng(seed: int, sweep: int, block: int) -> np.random.Generator:
+def _rekey(bitgen: np.random.Philox, mixed: int, sweep: int, block: int) -> None:
     # (sweep, block) goes into the Philox key, not the counter: a stream's
     # counter advances as values are drawn, so counter-indexed streams for
     # consecutive sweeps would overlap. Distinct keys never share output.
-    mixed = (seed & 0xFFFFFFFFFFFFFFFF) ^ 0x9E3779B97F4A7C15
-    key = np.array([mixed, (sweep << 32) | block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    # Counter 0 and an empty buffer make this the stream a fresh
+    # Philox(key=...) would give.
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (mixed, (sweep << 32) | block)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def total_spin_samples(model: m.GibbsModel, spec: ChainSpec, region="box") -> np.ndarray:
     """Retained total-spin samples, shape (chains, samples)."""
     system = build_system(model, region)
-    n = system.site_count
+    if system.site_count == 0:
+        raise DegenerateDistributionError("the empty region () has no total spin to sample: it has no sites")
     values = system.value_array
     q = len(values)
     fields = system.field_array
     coupling = system.pair_matrix()
-    blocks = _greedy_coloring(n, coupling)
+    blocks = [(block, coupling[:, block], fields[block]) for block in _greedy_coloring(coupling)]
 
-    init = _block_rng(spec.seed, 0, len(blocks))
-    state = init.integers(0, q, size=(spec.chains, n))
+    mixed = (spec.seed & 0xFFFFFFFFFFFFFFFF) ^ 0x9E3779B97F4A7C15
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    # The starting spins read the stream of (sweep 0, block len(blocks)),
+    # which no update uses.
+    _rekey(bitgen, mixed, 0, len(blocks))
+    spins = values[rng.integers(0, q, size=(spec.chains, system.site_count))]
     out = np.empty((spec.chains, spec.samples))
     total_sweeps = spec.burn_in + spec.samples * spec.thinning
     kept = 0
     for sweep in range(total_sweeps):
-        for b, block in enumerate(blocks):
-            rng = _block_rng(spec.seed, sweep + 1, b)
-            cur = state[:, block]
-            # Uniform over all q states, current included: the 1/q self-loop
+        for b, (block, links, h) in enumerate(blocks):
+            _rekey(bitgen, mixed, sweep + 1, b)
+            cur = spins[:, block]
+            # Uniform over all q values, current included: the 1/q self-loop
             # keeps the chain aperiodic even when every move is accepted
             # (a field-free two-state site would otherwise alternate forever).
-            prop = rng.integers(0, q, size=cur.shape)
-            spins = values[state]
-            neigh = spins @ coupling[:, block]
-            delta = (values[prop] - values[cur]) * (fields[block] + neigh)
+            prop = values[rng.integers(0, q, size=cur.shape)]
+            delta = (prop - cur) * (h + spins @ links)
             accept = rng.random(size=cur.shape) < np.exp(np.minimum(delta, 0.0))
-            state[:, block] = np.where(accept, prop, cur)
+            spins[:, block] = np.where(accept, prop, cur)
         if sweep >= spec.burn_in and (sweep - spec.burn_in) % spec.thinning == 0:
-            out[:, kept] = values[state].sum(axis=1)
+            out[:, kept] = spins.sum(axis=1)
             kept += 1
     assert kept == spec.samples
     return out

@@ -85,6 +85,20 @@ def test_box_past_site_cap_exit_two(tmp_path, capsys):
     assert "enumeration needs 2^1050625 states, budget is 16777216" in capsys.readouterr().err
 
 
+def test_mc_checks_budget_before_sampling(tmp_path, capsys, monkeypatch):
+    """On a 41x41 box the exact side's state budget stops mc before any
+    sweep: the sampler is never called."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled before the budget check")
+
+    monkeypatch.setattr(cli.mc, "total_spin_samples", fail)
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({**MODEL_OK, "dimension": 2, "radius": 20}))
+    assert cli.main(["mc", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "enumeration needs 2^1681 states, budget is 16777216" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["constants"], ["decay-small-t"], ["integrals", "--a-cut", "0.02"]])
 def test_underflowing_delta_exits_two(argv, tmp_path, capsys):
     """At strength 400 kappa = e^-1600 / 2 underflows; every command that
