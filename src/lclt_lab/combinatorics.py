@@ -7,12 +7,12 @@ tree-graph bounds), and sums of the form
     sum over connected spanning subgraphs g of prod_{edges of g} u_e
 
 for a symmetric matrix of edge factors u. The last is computed two
-independent ways: a subset convolution recursion in O(3^k) vector
-operations (production path, works elementwise over an extra config axis)
-and literal enumeration over the cached connected-graph masks (the
-cross-check oracle). Hard-core Ursell coefficients are the u in {0, -1}
-special case and depend only on the overlap pattern, so they are cached by
-that pattern.
+independent ways: a rooted recursion over the connected vertex sets of
+the coupling graph, free of subtraction (production path, works
+elementwise over an extra config axis), and literal enumeration over the
+cached connected-graph masks (the cross-check oracle). Hard-core Ursell
+coefficients are the u in {0, -1} special case and depend only on the
+overlap pattern, so they are cached by that pattern.
 
 Edge i<j of the k-vertex complete graph occupies bit position
 edge_list(k).index((i,j)) in every mask used here.
@@ -112,50 +112,140 @@ def spanning_tree_edge_sets(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(_tree_edges_from_pruefer(seq, k) for seq in product(range(k), repeat=k - 2))
 
 
+@lru_cache(maxsize=4096)
+def _rooted_plan(adjacency: tuple[int, ...]):
+    """Schedule of the rooted recursion on one coupling graph, or None when
+    the graph is disconnected.
+
+    Returns (root, walk, sets) per root, roots descending. sets lists each
+    connected vertex set V with that root that the full set reaches, in
+    ascending mask order, with its terms (B, V\\B): B holds the second
+    lowest vertex of V, both B and V\\B are connected, and B meets the
+    root's neighbours. walk lists every T = B & N(root) the terms use and
+    each prefix of one, in depth-first order, as (T, highest vertex of T,
+    the blocks B with that T).
+    """
+    k = len(adjacency)
+    connected: dict[int, bool] = {}
+
+    def is_connected(mask: int) -> bool:
+        got = connected.get(mask)
+        if got is None:
+            reach = frontier = mask & -mask
+            while frontier:
+                v = (frontier & -frontier).bit_length() - 1
+                frontier &= frontier - 1
+                new = adjacency[v] & mask & ~reach
+                reach |= new
+                frontier |= new
+            got = connected[mask] = reach == mask
+        return got
+
+    full = (1 << k) - 1
+    if not is_connected(full):
+        return None
+    terms: dict[int, list[tuple[int, int]]] = {}
+    todo = [full]
+    while todo:
+        v = todo.pop()
+        if v in terms or v & (v - 1) == 0:
+            continue
+        root = v & -v
+        near = adjacency[root.bit_length() - 1]
+        second = (v ^ root) & -(v ^ root)
+        free = v ^ root ^ second
+        out = terms[v] = []
+        sub = free
+        while True:
+            block = second | sub
+            if block & near and is_connected(block) and is_connected(v ^ block):
+                out.append((block, v ^ block))
+                todo += (block, v ^ block)
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    plan = []
+    for r in range(k - 1, -1, -1):
+        sets = sorted((v, out) for v, out in terms.items() if v & -v == 1 << r)
+        if not sets:
+            continue
+        by_touch: dict[int, list[int]] = {}
+        for block in sorted({b for _, out in sets for b, _ in out}):
+            by_touch.setdefault(block & adjacency[r], []).append(block)
+        prefixes = set()
+        for touch in by_touch:
+            while touch:
+                prefixes.add(touch)
+                touch ^= 1 << (touch.bit_length() - 1)
+        order = sorted(prefixes, key=lambda t: [v for v in range(k) if t >> v & 1])
+        walk = [(t, t.bit_length() - 1, by_touch.get(t, [])) for t in order]
+        plan.append((r, walk, sets))
+    return plan
+
+
 def connected_sum(edge_factor) -> float | complex | np.ndarray:
     """Sum over connected spanning subgraphs of the product of edge factors.
 
     edge_factor is a symmetric (k, k) array, optionally with trailing axes
-    that the sum is carried along elementwise (diagonal ignored). Uses the
-    partition of an arbitrary graph into the component containing the
-    lowest vertex and the rest: with Z[V] = prod_{e in V} (1 + u_e),
+    that the sum is carried along elementwise (diagonal ignored). Vertices
+    i and j are coupled when edge_factor[i, j] is nonzero at some trailing
+    index; a disconnected coupling graph gives exactly 0. On the connected
+    vertex sets V, with root r = min V, deleting r splits a connected graph
+    on V into connected blocks B of V\\{r}, each joined to r by a nonempty
+    set of edges:
 
-        f[V] = Z[V] - sum_{W proper subset of V containing min V} f[W] Z[V\\W]
+        C[V] = sum over such partitions of prod_B C[B] h_r(B),
+        h_r(B) = prod_{b in B, b ~ r} (1 + u_rb) - 1,
 
-    and f over the full vertex set is the connected sum. O(3^k) vector ops.
+    with h accumulated as h + u + h u. The partition sum is peeled one
+    block at a time, the block holding the lowest vertex after r, and what
+    is left over with r is again a connected set with root r:
+
+        C[V] = sum_B C[B] h_r(B) C[V\\B],   C[{v}] = 1.
+
+    Nothing is subtracted, so nonnegative factors give a sum of
+    nonnegative terms, accurate to rounding however small the factors.
+    The cost is one vector product per pair (V, B) with B and V\\B
+    connected: one per set on a path, and about 3^k / 4 only on the
+    complete graph. The schedule depends only on the coupling graph and
+    is cached per graph.
     """
     ef = np.asarray(edge_factor)
     k = ef.shape[0]
     if ef.shape[:2] != (k, k):
         raise ValueError(f"edge factors must be square, got shape {ef.shape}")
-    if k == 1:
-        one = np.ones(ef.shape[2:], dtype=ef.dtype)
-        return one if ef.ndim > 2 else ef.dtype.type(1)
-    full = 1 << k
-    z = np.empty((full,) + ef.shape[2:], dtype=ef.dtype)
-    z[0] = 1
-    for s in range(1, full):
-        top = s.bit_length() - 1
-        rest = s & ~(1 << top)
-        acc = z[rest].copy() if ef.ndim > 2 else z[rest]
-        j_set = rest
-        while j_set:
-            j = (j_set & -j_set).bit_length() - 1
-            acc = acc * (1 + ef[top, j])
-            j_set &= j_set - 1
-        z[s] = acc
-    f = np.empty_like(z)
-    f[0] = 0
-    for s in range(1, full):
-        anchor = s & -s
-        total = z[s].copy() if ef.ndim > 2 else z[s]
-        w = (s - 1) & s
-        while w:
-            if w & anchor:
-                total = total - f[w] * z[s & ~w]
-            w = (w - 1) & s
-        f[s] = total
-    out = f[full - 1]
+    shape = ef.shape[2:]
+    u = ef.reshape(k, k, -1)
+    coupled = np.triu(u.any(axis=2), 1)
+    coupled |= coupled.T
+    plan = _rooted_plan(tuple(int(bits) for bits in coupled @ (1 << np.arange(k))))
+    if plan is None:
+        out = np.zeros(shape, dtype=ef.dtype)
+    else:
+        one = np.ones(u.shape[2], dtype=ef.dtype)
+        c = {1 << v: one for v in range(k)}
+        tmp = np.empty_like(one)
+        for r, walk, sets in plan:
+            weighted = {}
+            path = [(0, None)]
+            for touch, b, blocks in walk:
+                while path[-1][0] != touch ^ (1 << b):
+                    path.pop()
+                h = path[-1][1]
+                h = u[r, b] if h is None else h + u[r, b] + h * u[r, b]
+                path.append((touch, h))
+                for block in blocks:
+                    weighted[block] = h if c[block] is one else c[block] * h
+            for v, terms in sets:
+                (block, rest), *more = terms
+                if c[rest] is one:  # the block is all of V but the root
+                    acc = weighted[block].copy() if more else weighted[block]
+                else:
+                    acc = weighted[block] * c[rest]
+                for block, rest in more:
+                    acc += np.multiply(weighted[block], c[rest], out=tmp)
+                c[v] = acc
+        out = np.array(c[(1 << k) - 1]).reshape(shape)
     return out if ef.ndim > 2 else out.item()
 
 
@@ -191,8 +281,8 @@ def ursell_hardcore(polymers) -> float:
     """Hard-core Ursell coefficient of a tuple of site sets.
 
     1 for a single polymer; otherwise the connected sum over the overlap
-    graph with factor -1 on every intersecting pair. Zero whenever the
-    overlap graph is disconnected. Depends only on the overlap pattern,
+    graph with factor -1 on every intersecting pair, exactly zero whenever
+    the overlap graph is disconnected. Depends only on the overlap pattern,
     which is what gets cached.
     """
     sets = [frozenset(p) for p in polymers]
@@ -209,23 +299,6 @@ def ursell_hardcore(polymers) -> float:
     for pos, (i, j) in enumerate(edge_list(k)):
         if sets[i] & sets[j]:
             bits |= 1 << pos
-    # Disconnected overlap graph: the connected sum vanishes identically,
-    # skip the recursion.
-    seen = {0}
-    frontier = [0]
-    adj = [[] for _ in range(k)]
-    for pos, (i, j) in enumerate(edge_list(k)):
-        if bits >> pos & 1:
-            adj[i].append(j)
-            adj[j].append(i)
-    while frontier:
-        v = frontier.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    if len(seen) != k:
-        return 0.0
     return _ursell_from_overlap_bits(k, bits)
 
 

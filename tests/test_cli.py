@@ -171,6 +171,24 @@ def test_reports_validate_across_commands(config, tmp_path):
             jsonschema.validate(line, SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "argv, prefix, tolerance",
+    [
+        (["identity-check", "--dressed"], "partition_identity", 1e-10),
+        (["mc", "--samples", "400", "--burn-in", "100"], "mc_", 1e-12),
+    ],
+    ids=["identity-check", "mc"],
+)
+def test_slack_is_a_report_parameter(config, tmp_path, argv, prefix, tolerance):
+    """A check that allows a fixed slack names it among its parameters."""
+    out = tmp_path / "out"
+    assert cli.main([argv[0], "--config", config, *argv[1:], "--out", str(out)]) == 0
+    lines = [ln for ln in _reports(out) if ln.get("check", "").startswith(prefix)]
+    assert lines
+    for line in lines:
+        assert line["parameters"]["tolerance"] == tolerance
+
+
 def test_rerun_is_byte_identical(config, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lclt_lab.combinatorics as cb
 from lclt_lab.errors import CapacityError, DomainError
@@ -91,6 +94,83 @@ def test_connected_sum_two_vertices_closed_form():
     # with one edge the only connected graph is that edge
     fac = np.array([[0.0, 0.7], [0.7, 0.0]])
     assert cb.connected_sum(fac) == pytest.approx(0.7, abs=1e-15)
+
+
+def _path_factors(k, u):
+    """Path 0-1-...-(k-1) with factor u (1 + i/10) on edge (i, i+1)."""
+    fac = np.zeros((k, k))
+    for i in range(k - 1):
+        fac[i, i + 1] = fac[i + 1, i] = u * (1 + i / 10)
+    return fac
+
+
+@pytest.mark.parametrize("u", [1e-4, 1e-2, 0.3])
+def test_connected_sum_weak_coupling_path(u):
+    # a path has one connected spanning subgraph, the path itself
+    for k in range(3, 10):
+        fac = _path_factors(k, u)
+        exact = math.prod(fac[i, i + 1] for i in range(k - 1))
+        assert cb.connected_sum(fac) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("u", [1e-4, 1e-2, 0.3])
+def test_connected_sum_weak_coupling_grid(u):
+    # 2x3 grid, vertices 3 r + c: two 4-cycles sharing the middle rung
+    fac = np.zeros((6, 6))
+    for a, b in ((0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)):
+        fac[a, b] = fac[b, a] = u * (1 + (a + b) / 20)
+    assert cb.connected_sum(fac) == pytest.approx(cb.connected_sum_by_enumeration(fac), rel=1e-12, abs=0.0)
+
+
+def test_connected_sum_disconnected_is_exactly_zero():
+    # two components {0, 2} and {1, 3, 4}: no connected spanning subgraph
+    rng = np.random.default_rng(9)
+    mask = np.zeros((5, 5), dtype=bool)
+    for a, b in ((0, 2), (1, 3), (3, 4), (1, 4)):
+        mask[a, b] = mask[b, a] = True
+    for shape in ((5, 5), (5, 5, 6)):
+        for cplx in (False, True):
+            fac = rng.uniform(-0.9, 0.9, size=shape)
+            if cplx:
+                fac = fac + 1j * rng.uniform(-0.5, 0.5, size=shape)
+            fac = (fac + np.swapaxes(fac, 0, 1)) * mask.reshape(mask.shape + (1,) * (len(shape) - 2))
+            got = cb.connected_sum(fac)
+            assert np.shape(got) == shape[2:]
+            assert np.all(np.asarray(got) == 0.0)
+
+
+@st.composite
+def _factor_arrays(draw):
+    """Symmetric factors on k <= 6 vertices: a random edge mask (possibly
+    disconnected), magnitudes 1e-6..1, real or complex, with or without a
+    trailing config axis."""
+    k = draw(st.integers(1, 6))
+    trailing = draw(st.sampled_from([(), (1,), (3,)]))
+    shape = (k, k) + trailing
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    fac = draw(hnp.arrays(np.float64, shape, elements=unit))
+    if draw(st.booleans()):
+        fac = fac + 1j * draw(hnp.arrays(np.float64, shape, elements=unit))
+    fac = fac * 10.0 ** draw(hnp.arrays(np.float64, shape, elements=st.floats(-6.0, 0.0)))
+    edges = draw(st.integers(0, (1 << (k * (k - 1) // 2)) - 1))
+    mask = np.zeros((k, k))
+    for pos, (i, j) in enumerate(cb.edge_list(k)):
+        mask[i, j] = mask[j, i] = edges >> pos & 1
+    fac = fac * mask.reshape(mask.shape + (1,) * len(trailing))
+    return (fac + np.swapaxes(fac, 0, 1)) / 2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(_factor_arrays())
+def test_connected_sum_property_matches_enumeration(fac):
+    # one oracle call on the factors and their moduli side by side
+    k = fac.shape[0]
+    both = np.concatenate([fac.reshape(k, k, -1), np.abs(fac).reshape(k, k, -1)], axis=2)
+    oracle = cb.connected_sum_by_enumeration(both)
+    half = both.shape[2] // 2
+    want, scale = oracle[:half], oracle[half:].real
+    got = np.reshape(cb.connected_sum(fac), -1)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 def test_ursell_identical_polymers_rota():

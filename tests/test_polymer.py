@@ -86,6 +86,47 @@ def test_activity_matches_graph_enumeration():
         checked += 1
 
 
+def _weak_chain():
+    """Nine {0, 1} sites at J = 3e-4, where a Mayer sum is ~J^(k-1) and a
+    sum computed by differences of O(1) numbers loses every digit."""
+    model = nn_chain(radius=4, strength=3e-4, spin=(0, 1), boundary=1)
+    return model, lm.resolve_region(model, "box")
+
+
+def test_weak_coupling_activity_matches_graph_enumeration():
+    model, region = _weak_chain()
+    for k in range(2, 7):
+        poly = region[1 : 1 + k]
+        for c in (0.0, 0.3):
+            for t in (0.4, 2.1):
+                params = pg.ActivityParams(t=t, c=c)
+                fast = pg.activity(model, params, poly, region="box")
+                slow = pg.activity_by_graph_enumeration(model, params, poly, region="box")
+                assert fast == pytest.approx(slow, rel=1e-12, abs=0.0)
+
+
+def test_weak_coupling_activity_and_majorant_match_path_product():
+    # On a chain of {0, 1} spins every edge factor e^{J s s'} - 1 vanishes
+    # unless both ends are 1, so the one surviving configuration of a
+    # k-site interval is all ones, with Mayer sum expm1(J)^(k-1).
+    model, region = _weak_chain()
+    system = build_system(model, "box")
+    p_up = {x: 1.0 / (1.0 + math.exp(-h)) for x, h in zip(system.sites, system.fields)}
+    delta = 0.01
+    for k in range(2, 9):
+        for start in range(len(region) - k + 1):
+            poly = region[start : start + k]
+            mass = math.prod(p_up[x] for x in poly) * math.expm1(3e-4) ** (k - 1)
+            w0 = pg.weight_w0(model, poly, delta, region="box")
+            assert w0 > 0.0
+            assert w0 == pytest.approx((1.0 + delta) ** k * mass, rel=1e-12, abs=0.0)
+            for c in (0.0, 0.3):
+                for t in (0.4, 2.1):
+                    want = math.exp(c * k) * mass * cmath.exp(1j * t * k)
+                    got = pg.activity(model, pg.ActivityParams(t=t, c=c), poly, region="box")
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_mayer_sum_computed_once_per_polymer(monkeypatch):
     """Every t-dependent polymer quantity reads one Mayer table per polymer."""
     calls = Counter()
