@@ -129,17 +129,20 @@ def windowed_exterior(model: m.GibbsModel, region="box"):
             f"window of radius {radius} around {len(sites)} sites spans up to "
             f"{span**d * len(sites)} candidates, over the cap {8 * m.SITE_CAP}"
         )
-    in_region = set(sites)
-    out = set()
-    offsets = np.stack(
-        [g.ravel() for g in np.meshgrid(*([np.arange(-radius, radius + 1)] * d), indexing="ij")],
-        axis=1,
-    )
-    for x in sites:
-        for off in offsets:
-            y = tuple(int(c) for c in np.asarray(x) + off)
-            if y not in in_region:
-                out.add(y)
+    if not sites:
+        return ()
+    coords = np.asarray(sites, dtype=np.int64)
+    offsets = np.indices((span,) * d).reshape(d, -1).T - radius
+    # each candidate x + offset as one mixed-radix key over the bounding box
+    # of the candidates, the first coordinate most significant, so sorted
+    # keys are sorted sites and a key is a sum of a site's and an offset's
+    lo = coords.min(axis=0) - radius
+    shape = tuple((coords.max(axis=0) + radius + 1 - lo).tolist())
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    site_keys = (coords - lo) @ strides
+    keys = np.unique((site_keys[:, None] + offsets @ strides).ravel())
+    keys = keys[~np.isin(keys, site_keys, kind="sort")]
+    out = np.stack(np.unravel_index(keys, shape), axis=1) + lo
     if len(out) > m.SITE_CAP:
         raise CapacityError(f"windowed exterior holds {len(out)} sites, over the cap {m.SITE_CAP}")
-    return tuple(sorted(out))
+    return tuple(map(tuple, out.tolist()))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import math
 import sys
@@ -49,7 +50,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later main call in
+    the process: parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="lclt-lab",
         description="Exact verification of characteristic-function decay for lattice spin models.",

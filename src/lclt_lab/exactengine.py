@@ -92,8 +92,10 @@ class DecimatedCharFnSup:
     """Max of |char fn of the decimated total spin| over scanned conditionings.
 
     Every field but entries is a tuple with one value per t of the grid.
-    entries holds one (label, |cf| per t) pair per scanned conditioning:
-    all_lo, all_hi, random_k, conditional_idx (see decimated_char_fn_sup);
+    entries holds one (label, |cf| per t) pair per scanned conditioning, in
+    scan order: all_lo, all_hi, random_k, conditional_idx (see
+    decimated_char_fn_sup). worst[k] is the label of the first entry that
+    attains sup[k]; ties are common, so the first one is the rule.
     full_box_abs is |E(e^{itS})| for the whole box under the model's own
     boundary, reported alongside for the conditioning inequality it must
     satisfy.
@@ -101,6 +103,7 @@ class DecimatedCharFnSup:
 
     t: tuple[float, ...]
     sup: tuple[float, ...]
+    worst: tuple[str, ...]
     full_box_abs: tuple[float, ...]
     entries: tuple[tuple[str, tuple[float, ...]], ...]
 
@@ -350,7 +353,12 @@ def decimated_char_fn_sup(
     are its spins summed against the region x W coupling block in window
     order, as model._field_slopes sums an explicit boundary, so each System
     equals build_system(model, "decimated", omega) bit for bit. The set does
-    not depend on t: each pmf is Fourier-summed over the whole t_grid.
+    not depend on t, and every conditioning's pmf has the same support, so
+    one Fourier matrix exp(i t p) over t_grid x support serves the scan.
+    Each |cf| row is that matrix times one pmf, the product char_from_pmf
+    takes, so the rows match it bit for bit; one matrix-matrix product over
+    all pmfs would sum in another order, move last bits and, since tied
+    maxima are common, move worst labels.
     """
     ts = tuple(float(t) for t in t_grid)
     q = model.spin.card
@@ -382,16 +390,25 @@ def decimated_char_fn_sup(
             row[coupled] = combo[::-1]
             yield f"conditional_{idx}", row
 
-    entries = []
+    # every conditioning has the support of the decimated total spin
+    n = system.site_count
+    support = np.arange(n * model.spin.lo, n * model.spin.hi + 1)
+    fourier = np.exp(1j * np.multiply.outer(np.asarray(ts), support))
+    labels, abs_cfs = [], []
     for label, row in rows():
-        # cumsum adds in window order; + 0.0 turns a -0.0 sum into the 0.0
-        # that a sum started at 0.0 gives
-        fields = tuple(float(np.cumsum(b * row)[-1]) + 0.0 for b in block)
-        abs_cf = np.abs(char_from_pmf(_moments(replace(system, fields=fields))[4], ts))
-        entries.append((label, tuple(float(v) for v in abs_cf)))
+        # cumsum adds each row in window order; + 0.0 turns a -0.0 sum into
+        # the 0.0 that a sum started at 0.0 gives
+        fields = np.cumsum(block * row, axis=1)[:, -1] + 0.0
+        table = _moments(replace(system, fields=tuple(fields.tolist())))[4]
+        labels.append(label)
+        # one matrix-vector product per conditioning, as char_from_pmf takes
+        # it: a matrix-matrix product over all of them sums in another order
+        abs_cfs.append(np.abs(fourier @ np.asarray(table.probabilities)))
+    abs_cfs = np.stack(abs_cfs)
     return DecimatedCharFnSup(
         t=ts,
-        sup=tuple(map(max, zip(*(row for _, row in entries)))),
-        full_box_abs=tuple(float(v) for v in np.abs(char_fn(model, "box", ts, budget=budget))),
-        entries=tuple(entries),
+        sup=tuple(abs_cfs.max(axis=0).tolist()),
+        worst=tuple(labels[k] for k in abs_cfs.argmax(axis=0).tolist()),
+        full_box_abs=tuple(np.abs(char_fn(model, "box", ts, budget=budget)).tolist()),
+        entries=tuple(zip(labels, map(tuple, abs_cfs.tolist()))),
     )

@@ -277,8 +277,7 @@ def _decay_check(
     extra = {"c_variant": c_variant} if large else {}
     scan = ee.decimated_char_fn_sup(model, ts, omega_samples=omega_samples, seed=seed, budget=budget)
     reports = []
-    for k, (t, sup) in enumerate(zip(scan.t, scan.sup)):
-        label = max(scan.entries, key=lambda e: e[1][k])[0]
+    for t, sup, label in zip(scan.t, scan.sup, scan.worst):
         if large:
             rhs = math.exp(-(consts.c_selected / 2.0) * n)
         else:

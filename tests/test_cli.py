@@ -209,8 +209,10 @@ def test_min_r0_message(config, tmp_path, capsys):
         (["constants", "--config", "{config}"], "constants_reports.jsonl"),
         (["graph-tables", "--max-k", "5"], "graph_tables_reports.jsonl"),
         (["lclt-scan", "--config", "{config}", "--sizes", "3,5,7"], "lclt_scan_reports.jsonl"),
+        (["decay-small-t", "--config", "{config}"], "decay_small_t_reports.jsonl"),
+        (["decay-large-t", "--config", "{config}"], "decay_large_t_reports.jsonl"),
     ],
-    ids=["constants", "graph-tables", "lclt-scan"],
+    ids=["constants", "graph-tables", "lclt-scan", "decay-small-t", "decay-large-t"],
 )
 def test_constants_golden_file(tmp_path, argv, golden):
     """Frozen byte-level output so report drift is a conscious decision."""
@@ -221,3 +223,23 @@ def test_constants_golden_file(tmp_path, argv, golden):
     assert cli.main(argv + ["--out", str(out)]) == 0
     golden = (REPO / "tests" / "data" / golden).read_bytes()
     assert (out / "reports.jsonl").read_bytes() == golden
+
+
+def test_parser_is_reused_across_calls(config, tmp_path, capsys):
+    """One parser serves every main call in a process; no call's options
+    leak into the next."""
+    assert cli._build_parser() is cli._build_parser()
+    identity = ["identity-check", "--config", config, "--t-points", "3"]
+    assert cli.main([*identity, "--out", str(tmp_path / "a"), "--dressed"]) == 0
+    assert any(ln["parameters"]["c"] > 0.0 for ln in _reports(tmp_path / "a"))
+    assert cli.main([*identity, "--out", str(tmp_path / "b")]) == 0
+    assert all(ln["parameters"]["c"] == 0.0 for ln in _reports(tmp_path / "b"))
+    assert cli.main(["decay-small-t", "--config", config, "--out", str(tmp_path / "c"), "--t-points", "4"]) == 0
+    assert len(_reports(tmp_path / "c")) == 4
+    assert cli.main(["decay-small-t", "--config", config, "--out", str(tmp_path / "d")]) == 0
+    assert len(_reports(tmp_path / "d")) == 64
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert cli.main(["constants", "--config", config, "--out", str(tmp_path / "e")]) == 0
+    assert "lclt-lab" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -379,3 +380,66 @@ def test_decimated_entries_match_brute_force():
         for label, got in scan.entries:
             want = np.abs(brute_char_fn(model, "decimated", ts, omegas[label]))
             assert np.allclose(got, want, rtol=0, atol=1e-13), label
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        nn_chain(radius=3, strength=0.1, spin=(0, 1), boundary=1, r0=2),
+        nn_chain(radius=1, strength=0.05, spin=(-1, 1), boundary=1, r0=2, dimension=2),
+    ],
+    ids=["readme-chain", "box-2d-q3"],
+)
+def test_decimated_scan_worst_and_rows(model):
+    """worst names the first entry attaining each sup (every t point of the
+    README model has a tie), and the all_lo, all_hi and conditional_0 rows
+    equal char_from_pmf on the pmf under that explicit omega bit for bit."""
+    ts = np.linspace(0.05, math.pi, 64)
+    scan = ee.decimated_char_fn_sup(model, ts)
+    for k in range(len(ts)):
+        values = [row[k] for _, row in scan.entries]
+        assert scan.sup[k] == max(values)
+        assert scan.worst[k] == scan.entries[values.index(scan.sup[k])][0]
+
+    region = lm.resolve_region(model, "decimated")
+    window = windowed_exterior(model, "decimated")
+    lo, hi = model.spin.lo, model.spin.hi
+    coupled = [y for y in window if y in model.box and any(model.coupling.value(x, y) != 0.0 for x in region)]
+    omegas = {
+        "all_lo": dict.fromkeys(window, lo),
+        "all_hi": dict.fromkeys(window, hi),
+        "conditional_0": {
+            **{y: model.boundary.omega(y) for y in window if y not in model.box},
+            **dict.fromkeys(coupled, lo),
+        },
+    }
+    entries = dict(scan.entries)
+    for label, omega in omegas.items():
+        conditioned = replace(model, boundary=lm.BoundaryCondition.explicit(omega))
+        want = np.abs(ee.char_from_pmf(ee.pmf(conditioned, "decimated"), ts))
+        assert entries[label] == tuple(want.tolist()), label
+
+
+def _window_walk(model, region):
+    """windowed_exterior as a walk over every (site, offset) candidate."""
+    sites = lm.resolve_region(model, region)
+    radius, d = model.truncation_radius, model.box.dimension
+    out = set()
+    for x in sites:
+        for off in itertools.product(range(-radius, radius + 1), repeat=d):
+            y = tuple(a + b for a, b in zip(x, off))
+            if y not in sites:
+                out.add(y)
+    return tuple(sorted(out))
+
+
+def test_windowed_exterior_matches_candidate_walk():
+    for d, box_radius, r0 in [(1, 0, 1), (1, 3, 2), (1, 5, 3), (2, 1, 2), (2, 3, 1), (3, 1, 1), (3, 2, 2)]:
+        for radius in (0, 1, 2, 4):
+            model = replace(nn_chain(radius=box_radius, r0=r0, dimension=d), truncation_radius=radius)
+            for region in ("box", "decimated"):
+                assert windowed_exterior(model, region) == _window_walk(model, region), (d, box_radius, radius)
+    with pytest.raises(CapacityError, match="spans up to"):
+        windowed_exterior(replace(nn_chain(radius=3, dimension=3), truncation_radius=40), "box")
+    with pytest.raises(CapacityError, match="windowed exterior holds"):
+        windowed_exterior(replace(nn_chain(radius=0), truncation_radius=600_000), "box")
