@@ -2,8 +2,8 @@
 
 A System is the flattened data every engine consumes: the ordered region
 sites, the spin values, the nonzero pair couplings among region sites (by
-site index), and the per-site boundary field slopes. Systems are immutable
-and hashable so downstream caches can key on them directly.
+site index, from the model's coupling kernel), and the per-site boundary
+field slopes. Systems are immutable and hashable so caches key on them.
 
 An omega override is the model under the explicit boundary condition of
 that finite assignment on exterior sites (the polymer layer's conditioning
@@ -64,13 +64,10 @@ class System:
 
 
 def _region_pairs(model: m.GibbsModel, region: tuple[m.Site, ...]):
-    pairs = []
-    for i, x in enumerate(region):
-        for k in range(i + 1, len(region)):
-            j = model.coupling.value(x, region[k])
-            if j != 0.0:
-                pairs.append((i, k, j))
-    return tuple(pairs)
+    """(i, k, J) of each coupled pair i < k, by i and then k."""
+    i, k, j = m._couplings_within(model, region, region, model.coupling.range_bound or 2 * model.box.radius)
+    keep = (i < k) & (j != 0.0)
+    return tuple(zip(i[keep].tolist(), k[keep].tolist(), j[keep].tolist()))
 
 
 @lru_cache(maxsize=512)
@@ -81,7 +78,7 @@ def _build(model: m.GibbsModel, region: tuple[m.Site, ...], omega_items) -> Syst
         sites=region,
         values=model.spin.values,
         pairs=_region_pairs(model, region),
-        fields=m.boundary_field_coefficients(model, region),
+        fields=m._field_slopes(model, region, region),
     )
 
 
@@ -110,8 +107,12 @@ def build_system(model: m.GibbsModel, region="box", omega=None) -> System:
     """System for a model region, optionally under an omega override: a
     mapping site -> spin value, each value in the spin interval (the model
     under that explicit boundary checks them)."""
-    items = None if omega is None else tuple(sorted((tuple(s), int(v)) for s, v in dict(omega).items()))
-    return _build(model, m.resolve_region(model, region), items)
+    return _build(model, m.resolve_region(model, region), _omega_items(omega))
+
+
+def _omega_items(omega):
+    """An omega override as the hashable key _build takes: sorted items."""
+    return None if omega is None else tuple(sorted((tuple(s), int(v)) for s, v in dict(omega).items()))
 
 
 def windowed_exterior(model: m.GibbsModel, region="box"):

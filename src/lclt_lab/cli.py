@@ -112,10 +112,11 @@ def _checked(reports, lines=()) -> tuple[list[dict], bool]:
 
 
 def _sanitize(obj):
+    """obj for json.dumps; str, bool, int and finite float members pass as they are."""
     if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
+        return dict(zip(obj, _sanitize(list(obj.values()))))
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
+        return [v if type(v) in (str, bool, int) or type(v) is float and math.isfinite(v) else _sanitize(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, complex):

@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import model as m
-from ._system import System, _check_states, _spin_grid, build_system, windowed_exterior
+from ._system import System, _build, _check_states, _spin_grid, build_system, windowed_exterior
 from .errors import LOG_FLOAT_MAX, CapacityError, DegenerateDistributionError
 
 DEFAULT_BUDGET = 1 << 24
@@ -96,15 +96,11 @@ class DecimatedCharFnSup:
     scan order: all_lo, all_hi, random_k, conditional_idx (see
     decimated_char_fn_sup). worst[k] is the label of the first entry that
     attains sup[k]; ties are common, so the first one is the rule.
-    full_box_abs is |E(e^{itS})| for the whole box under the model's own
-    boundary, reported alongside for the conditioning inequality it must
-    satisfy.
     """
 
     t: tuple[float, ...]
     sup: tuple[float, ...]
     worst: tuple[str, ...]
-    full_box_abs: tuple[float, ...]
     entries: tuple[tuple[str, tuple[float, ...]], ...]
 
 
@@ -127,7 +123,7 @@ class _Kahan:
 def _checked_system(model: m.GibbsModel, region, budget: int) -> System:
     sites = m.resolve_region(model, region)
     _check_states(model.spin.card, len(sites), budget, "enumeration")
-    return build_system(model, sites)
+    return _build(model, sites, None)
 
 
 def _scan(system: System):
@@ -348,8 +344,9 @@ def decimated_char_fn_sup(
     interior sites of W that couple to the region take every combination of
     spins and the rest of W keeps the model's boundary. Realized rows are the
     terms whose average is the full-box characteristic function, so the sup
-    dominates |E(e^{itS})| up to the certified window tail; with the region
-    they fit in the box, so its state budget bounds the scan. A row's fields
+    dominates |E(e^{itS})| up to the certified window tail. The state budget
+    bounds q^n for the n region sites before the block is built, and q^(n +
+    coupled interior sites) before the first conditioning. A row's fields
     are its spins summed against the region x W coupling block in window
     order, as model._field_slopes sums an explicit boundary, so each System
     equals build_system(model, "decimated", omega) bit for bit. The set does
@@ -362,19 +359,14 @@ def decimated_char_fn_sup(
     """
     ts = tuple(float(t) for t in t_grid)
     q = model.spin.card
-    # full_box_abs enumerates the whole box, which holds the decimated region
-    _check_states(q, model.box.site_count, budget, "enumeration")
-    system = build_system(model, "decimated")
+    system = _checked_system(model, "decimated", budget)
+    n = system.site_count
     window = windowed_exterior(model, "decimated")
-    # block[i, k] = J(x_i, y_k) as model._field_slopes takes it under an
-    # explicit boundary: 0 past the truncation radius unless J is a table
-    coords = np.asarray(window, dtype=np.int64).reshape(len(window), -1)
-    reach = math.inf if model.coupling.kind == "explicit" else model.truncation_radius
-    block = np.zeros((system.site_count, len(window)))
-    for i, x in enumerate(system.sites):
-        for k in np.flatnonzero(np.abs(coords - np.asarray(x)).max(axis=1) <= reach):
-            block[i, k] = model.coupling.value(x, window[k])
+    block = m._coupling_block(model, system.sites, window)
     values = np.asarray(model.spin.values, dtype=float)
+    interior = np.array([y in model.box for y in window], dtype=bool)
+    coupled = np.flatnonzero(interior & block.any(axis=0))
+    _check_states(q, n + len(coupled), budget, "enumeration")
     rng = np.random.default_rng(seed)
 
     def rows():
@@ -382,16 +374,13 @@ def decimated_char_fn_sup(
         yield "all_hi", np.full(len(window), float(model.spin.hi))
         for k in range(omega_samples):
             yield f"random_{k}", values[rng.integers(0, q, size=len(window))]
-        interior = np.array([y in model.box for y in window])
         row = np.where(interior, 0.0, [model.boundary.omega(y) for y in window])
-        coupled = np.flatnonzero(interior & block.any(axis=0))
         # the first coupled site varies fastest, as in _spin_grid
         for idx, combo in enumerate(itertools.product(values, repeat=len(coupled))):
             row[coupled] = combo[::-1]
             yield f"conditional_{idx}", row
 
     # every conditioning has the support of the decimated total spin
-    n = system.site_count
     support = np.arange(n * model.spin.lo, n * model.spin.hi + 1)
     fourier = np.exp(1j * np.multiply.outer(np.asarray(ts), support))
     labels, abs_cfs = [], []
@@ -409,6 +398,5 @@ def decimated_char_fn_sup(
         t=ts,
         sup=tuple(abs_cfs.max(axis=0).tolist()),
         worst=tuple(labels[k] for k in abs_cfs.argmax(axis=0).tolist()),
-        full_box_abs=tuple(np.abs(char_fn(model, "box", ts, budget=budget)).tolist()),
         entries=tuple(zip(labels, map(tuple, abs_cfs.tolist()))),
     )

@@ -27,7 +27,10 @@ kinds default unassigned sites to 0, contributing no field).
 Exterior sums for translation-invariant couplings are evaluated inside a
 finite window of radius ``truncation_radius``; for power-law couplings the
 window is certified at construction so the neglected tail of
-sum |J(x,y)| * sigma stays below 1e-12. Finite-range kinds are exact.
+sum |J(x,y)| * sigma stays below 1e-12. Finite-range kinds are exact. Every
+J(x, y) the engines use comes from one kernel (Coupling.between, paired by
+_couplings_within), bit for bit the scalar Coupling.value on every CPU,
+which hamiltonian and the tests keep as the reference.
 
 All model objects are immutable and hashable; every function here is pure,
 so concurrent use needs no locks.
@@ -229,18 +232,48 @@ class Coupling:
         key = (x, y) if x <= y else (y, x)
         return self._pair_lookup.get(key, 0.0)
 
-    def values_from(self, x: Site, ys: np.ndarray) -> np.ndarray:
-        """Vectorized J(x, y) over an array of sites, shape (m, d)."""
-        diff = ys - np.asarray(x, dtype=np.int64)
+    def between(self, xs, ys) -> np.ndarray:
+        """J(x, y) over broadcast integer site arrays (..., d), with value's
+        bits on every CPU: the power law takes Python's pow, not numpy's."""
+        xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64))
+        if self.kind == "explicit":
+            rows = zip(*(map(tuple, a.reshape(-1, a.shape[-1]).tolist()) for a in (xs, ys)))
+            return np.array([self._pair_lookup.get(tuple(sorted(r)), 0.0) for r in rows]).reshape(xs.shape[:-1])
+        diff = xs - ys
         if self.kind == "nearest_neighbor":
-            return np.where(np.abs(diff).sum(axis=1) == 1, self.strength, 0.0)
-        if self.kind == "power_law":
-            r2 = (diff.astype(float) ** 2).sum(axis=1)
-            out = np.zeros(len(ys))
-            nz = r2 > 0
-            out[nz] = self.strength / r2[nz] ** (self.exponent / 2.0)
-            return out
-        return np.array([self.value(x, tuple(int(c) for c in y)) for y in ys])
+            return np.where(np.abs(diff).sum(axis=-1) == 1, self.strength, 0.0)
+        r2, inverse = np.unique((diff * diff).sum(axis=-1), return_inverse=True)
+        table = np.array([self.strength / r ** (self.exponent / 2.0) if r else 0.0 for r in r2.tolist()])
+        return table[inverse].reshape(diff.shape[:-1])
+
+
+def _couplings_within(model: "GibbsModel", xs, ys, radius: int):
+    """(i, k, J(xs[i], ys[k])) over the site pairs within sup-distance radius,
+    by i and then k. Each x is compared only with the run of ys, sorted on
+    the first coordinate, whose first coordinate is within radius of its."""
+    d = model.box.dimension
+    xs, ys = (np.asarray(sites, dtype=np.int64).reshape(len(sites), d) for sites in (xs, ys))
+    order = np.argsort(ys[:, 0], kind="stable")
+    first = np.searchsorted(ys[order, 0], xs[:, 0] - radius, "left")
+    count = np.searchsorted(ys[order, 0], xs[:, 0] + radius, "right") - first
+    i = np.repeat(np.arange(len(xs)), count)
+    k = order[np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    near = np.ones(len(i), dtype=bool)
+    for c in range(1, d):
+        near &= np.abs(xs[i, c] - ys[k, c]) <= radius
+    by_x = np.lexsort((k[near], i[near]))
+    i, k = i[near][by_x], k[near][by_x]
+    return i, k, model.coupling.between(xs[i], ys[k])
+
+
+def _coupling_block(model: "GibbsModel", xs, ys) -> np.ndarray:
+    """J(x, y) over xs x ys as an explicit boundary takes it: 0 past the
+    truncation radius unless J is a table."""
+    reach = model.coupling.range_bound if model.coupling.kind == "explicit" else model.truncation_radius
+    i, k, j = _couplings_within(model, xs, ys, reach)
+    block = np.zeros((len(xs), len(ys)))
+    block[i, k] = j
+    return block
 
 
 @dataclass(frozen=True)
@@ -415,8 +448,7 @@ def _window_coupling_total(model: GibbsModel, step: int, absolute: bool = True) 
     Translation invariant kinds only; compensated by numpy pairwise summation.
     """
     d = model.box.dimension
-    radius = model.truncation_radius
-    reach = radius // step
+    reach = model.truncation_radius // step
     if reach < 1:
         return 0.0
     count = (2 * reach + 1) ** d
@@ -425,14 +457,8 @@ def _window_coupling_total(model: GibbsModel, step: int, absolute: bool = True) 
             f"interaction window holds {count} offsets, over the budget {WINDOW_BUDGET}; "
             "raise the power-law exponent or lower the truncation radius"
         )
-    axis = np.arange(-reach, reach + 1, dtype=np.int64) * step
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=1)
-    origin = tuple([0] * d)
-    values = model.coupling.values_from(origin, offsets)
-    if absolute:
-        values = np.abs(values)
-    return float(values.sum())
+    values = model.coupling.between(0, (np.indices((2 * reach + 1,) * d).reshape(d, -1).T - reach) * step)
+    return float((np.abs(values) if absolute else values).sum())
 
 
 def interaction_norm(model: GibbsModel, step: int = 1) -> float:
@@ -476,36 +502,22 @@ def _field_slopes(model: GibbsModel, region_sites: tuple[Site, ...], xs) -> tupl
     if bc.kind == "zero":
         return (0.0,) * len(xs)
     in_region = set(region_sites)
-    if model.coupling.kind == "explicit":
-        totals = dict.fromkeys(xs, 0.0)
-        for a, b, j in model.coupling.pairs:
-            if a in totals and b not in in_region:
-                totals[a] += j * bc.omega(b)
-            elif b in totals and a not in in_region:
-                totals[b] += j * bc.omega(a)
-        return tuple(totals.values())
-    if bc.kind == "explicit":
-        radius = model.truncation_radius
-        exterior = [(y, v) for y, v in bc.assignments if v != 0 and y not in in_region]
-        out = []
-        for x in xs:
-            total = 0.0
-            for y, v in exterior:
-                if max(abs(a - b) for a, b in zip(x, y)) <= radius:
-                    total += model.coupling.value(x, y) * v
-            out.append(total)
-        return tuple(out)
+    if model.coupling.kind == "explicit" or bc.kind == "explicit":
+        # J(x, y) omega_y over exterior table partners or assignments in site
+        # order, added left to right from 0.0 (+ 0.0 turns a -0.0 sum to 0.0)
+        if model.coupling.kind == "explicit":
+            exterior = [(y, bc.omega(y)) for y in sorted({s for p in model.coupling.pairs for s in p[:2]} - in_region)]
+        else:
+            exterior = [(y, v) for y, v in bc.assignments if v != 0 and y not in in_region]
+        terms = _coupling_block(model, xs, [y for y, _ in exterior]) * [v for _, v in exterior]
+        return tuple((np.cumsum(terms, axis=1)[:, -1] + 0.0).tolist()) if exterior else (0.0,) * len(xs)
     # Constant boundary over a translation-invariant coupling: subtract the
     # in-region, in-window part from the full-window total instead of walking
-    # the window site by site.
-    ys = np.asarray(region_sites, dtype=np.int64)
+    # the window site by site; each x's part is one array in region order.
     window_total = _window_coupling_total(model, 1, absolute=False)
-    out = []
-    for x in xs:
-        in_window = np.abs(ys - np.asarray(x, dtype=np.int64)).max(axis=1) <= model.truncation_radius
-        in_region_sum = float(model.coupling.values_from(x, ys[in_window]).sum())
-        out.append(bc.value * (window_total - in_region_sum))
-    return tuple(out)
+    i, _, j = _couplings_within(model, xs, region_sites, model.truncation_radius)
+    ends = np.cumsum(np.bincount(i, minlength=len(xs)))
+    return tuple(bc.value * (window_total - float(j[a:b].sum())) for a, b in zip([0, *ends[:-1]], ends))
 
 
 def boundary_field(model: GibbsModel, x: Site, s: int, region="box") -> float:

@@ -40,7 +40,7 @@ from itertools import accumulate, combinations
 import numpy as np
 
 from . import model as m
-from ._system import System, _check_states, _spin_grid, build_system
+from ._system import System, _build, _check_states, _omega_items, _spin_grid, build_system
 from .combinatorics import connected_sum, connected_sum_by_enumeration, spanning_tree_edge_sets
 from .errors import LOG_FLOAT_MAX, CapacityError, DomainError, PreconditionError
 
@@ -181,12 +181,13 @@ def _gas(model: m.GibbsModel, region, omega) -> _Gas:
 def _gas_for_mode(model: m.GibbsModel, region, omega, mode: str) -> _Gas:
     """_gas once the region's site count, checked before the System is built,
     fits the mode: q^n configurations direct, 2^n site sets by gas sum."""
-    n = len(m.resolve_region(model, region))
+    sites = m.resolve_region(model, region)
+    n = len(sites)
     if mode == "direct":
         _check_states(model.spin.card, n)
     elif mode == "polymer_sum" and n > POLYMER_REGION_CAP:
         raise CapacityError(f"gas sum over {n} sites walks 2^{n} site sets, cap is {POLYMER_REGION_CAP} sites")
-    return _gas(model, region, omega)
+    return _gas_for_system(_build(model, sites, _omega_items(omega)))
 
 
 def _polymer_sites(polymer) -> tuple[m.Site, ...]:

@@ -82,7 +82,7 @@ def test_box_past_site_cap_exit_two(tmp_path, capsys):
     assert cli.main(["mc", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "1050625 sites, over the cap" in capsys.readouterr().err
     assert cli.main(["decay-small-t", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "enumeration needs 2^1050625 states, budget is 16777216" in capsys.readouterr().err
+    assert "enumeration needs 2^263169 states, budget is 16777216" in capsys.readouterr().err
 
 
 def test_mc_checks_budget_before_sampling(tmp_path, capsys, monkeypatch):
@@ -133,13 +133,15 @@ def test_oversized_polymer_region_exits_two_before_building(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["decay-small-t"], ["integrals", "--a-cut", "0.5"]])
 def test_over_budget_region_exits_two_before_building(argv, tmp_path, capsys):
     """The state budget is checked on the site count, before a System over
-    90601 decimated sites (or the 361201-site box) is built."""
+    the 90601 decimated sites the decay scan enumerates (or the 361201-site
+    box the integrals enumerate) is built."""
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({**MODEL_OK, "dimension": 2, "radius": 300}))
     start = time.perf_counter()
     assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert time.perf_counter() - start < 30.0
-    assert "enumeration needs 2^361201 states, budget is 16777216" in capsys.readouterr().err
+    states = {"decay-small-t": 90601, "integrals": 361201}[argv[0]]
+    assert f"enumeration needs 2^{states} states, budget is 16777216" in capsys.readouterr().err
 
 
 def test_precondition_exit_one(tmp_path, capsys):
@@ -211,15 +213,20 @@ def test_min_r0_message(config, tmp_path, capsys):
         (["lclt-scan", "--config", "{config}", "--sizes", "3,5,7"], "lclt_scan_reports.jsonl"),
         (["decay-small-t", "--config", "{config}"], "decay_small_t_reports.jsonl"),
         (["decay-large-t", "--config", "{config}"], "decay_large_t_reports.jsonl"),
+        (["site-cf", "--config", "{power_law}"], "site_cf_power_law_reports.jsonl"),
     ],
-    ids=["constants", "graph-tables", "lclt-scan", "decay-small-t", "decay-large-t"],
+    ids=["constants", "graph-tables", "lclt-scan", "decay-small-t", "decay-large-t", "site-cf-power-law"],
 )
 def test_constants_golden_file(tmp_path, argv, golden):
-    """Frozen byte-level output so report drift is a conscious decision."""
+    """Frozen byte-level output so report drift is a conscious decision,
+    also on a power-law chain (whose couplings' independence of the CPU
+    test_coupling.test_power_law_kernel_is_value_bit_for_bit checks)."""
     out = tmp_path / "out"
     config = tmp_path / "model.json"
     config.write_text(json.dumps(MODEL_OK))
-    argv = [arg.format(config=config) for arg in argv]
+    power_law = tmp_path / "power_law.json"
+    power_law.write_text(json.dumps({**MODEL_OK, "coupling": {"kind": "power_law", "strength": 0.05, "exponent": 6.0}}))
+    argv = [arg.format(config=config, power_law=power_law) for arg in argv]
     assert cli.main(argv + ["--out", str(out)]) == 0
     golden = (REPO / "tests" / "data" / golden).read_bytes()
     assert (out / "reports.jsonl").read_bytes() == golden

@@ -486,6 +486,7 @@ def test_oversized_region_fails_before_building(monkeypatch):
         raise AssertionError("a System was built")
 
     monkeypatch.setattr(pg, "build_system", no_build)
+    monkeypatch.setattr(pg, "_build", no_build)
     model = nn_chain(radius=512, strength=0.1, spin=(0, 1), boundary=1, r0=2, dimension=2)
     params = pg.ActivityParams(t=0.5)
     grid = r"spin grid needs 2\^263169 states, budget is 1048576"
