@@ -292,8 +292,14 @@ class BoundaryCondition:
     def __post_init__(self):
         if self.kind not in ("zero", "constant", "explicit"):
             raise DomainError(f"unknown boundary kind {self.kind!r}")
-        if self.kind == "explicit" and self.assignments is None:
-            raise DomainError("explicit boundary needs assignments")
+        if self.kind == "explicit":
+            if self.assignments is None:
+                raise DomainError("explicit boundary needs assignments")
+            seen = set()
+            for site, _ in self.assignments:
+                if site in seen:
+                    raise DomainError(f"duplicate explicit boundary site {site}")
+                seen.add(site)
 
     @staticmethod
     def zero() -> "BoundaryCondition":

@@ -8,19 +8,26 @@ exactly a sequence of single-site updates and the chain keeps the Gibbs
 measure invariant.
 
 Randomness is counter-based: every (sweep, color block) pair reads its own
-Philox stream, keyed by the seed and the pair, so results depend only on
-the spec, never on execution order. One generator per call is re-keyed in
-place for each pair (counter 0, empty buffer), which yields the stream a
-fresh Philox with that key would, without building one (Salmon et al.,
-SC'11). The chain state is the array of spin values. Errors are estimated
-by batch means across chains, which also yields the effective sample size
-reported alongside every estimate. Condition on an exterior assignment
-omega with replace(model, boundary=BoundaryCondition.explicit(omega)).
+Philox4x64-10 stream, keyed by the seed and the pair, so results depend
+only on the spec, never on execution order (Salmon et al., SC'11). The
+random numbers of CHUNK_SWEEPS sweeps are drawn before those sweeps run:
+one generator per call is re-keyed in place for each pair (counter 0, empty
+buffer) and its raw 64-bit words fill one row of a tape per block. A row
+holds, in stream order, the words of the block's Generator.integers(0, q)
+draws (Lemire's bounded integers on uint32 halves, low half first; Lemire,
+ACM TOMACS 2019) and then those of its Generator.random draws, so the tape
+gives each pair exactly what Generator would. A row in which Lemire would
+reject a draw is drawn again through Generator. The chain state is the
+array of spin values. Errors are estimated by batch means across chains,
+which also yields the effective sample size reported alongside every
+estimate. Condition on an exterior assignment omega with
+replace(model, boundary=BoundaryCondition.explicit(omega)).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +37,9 @@ from ._system import build_system
 from .errors import DegenerateDistributionError, DomainError
 
 BATCH_TARGET = 30
+# Sweeps whose random numbers are drawn at once. A chunk's tapes hold two
+# floats per sweep, chain and site, so this bounds their memory.
+CHUNK_SWEEPS = 64
 
 
 @dataclass(frozen=True)
@@ -41,6 +51,10 @@ class ChainSpec:
     chains: int = 2
 
     def __post_init__(self):
+        for name in ("seed", "burn_in", "samples", "thinning", "chains"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.samples < 100:
             raise DomainError(f"need at least 100 retained samples per chain, got {self.samples}")
         if self.chains < 2:
@@ -79,7 +93,8 @@ def _rekey(bitgen: np.random.Philox, mixed: int, sweep: int, block: int) -> None
     # counter advances as values are drawn, so counter-indexed streams for
     # consecutive sweeps would overlap. Distinct keys never share output.
     # Counter 0 and an empty buffer make this the stream a fresh
-    # Philox(key=...) would give.
+    # Philox(key=...) would give, so random_raw reads that stream's words
+    # from its first, as Generator draws on a fresh key would.
     bitgen.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": (mixed, (sweep << 32) | block)},
@@ -88,6 +103,46 @@ def _rekey(bitgen: np.random.Philox, mixed: int, sweep: int, block: int) -> None
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def _split_raw(raw: np.ndarray, draws: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Proposal indices, uniforms and rejected rows of a tape of raw words.
+
+    Each row of raw holds one stream's first ceil(draws/2) + draws words.
+    The first ceil(draws/2) words give draws uint32s, low half first, as
+    Generator.integers(0, q) reads them (an odd count leaves a half
+    unread); Lemire's index is the high word of x * q. The rest give
+    Generator.random's (word >> 11) * 2**-53. A row is rejected when Lemire
+    would draw again for some x, that is when the low word of x * q is
+    below 2**32 mod q: never for a power of two q, else with probability
+    about draws * 2**-32.
+    """
+    half = (draws + 1) // 2
+    words = raw[:, :half]
+    x = np.stack((words & 0xFFFFFFFF, words >> 32), axis=-1).reshape(len(raw), 2 * half)[:, :draws]
+    m = x * np.uint64(q)
+    index = (m >> 32).astype(np.intp)
+    rejected = ((m & 0xFFFFFFFF) < (1 << 32) % q).any(axis=1)
+    uniform = (raw[:, half:] >> 11) * 2.0**-53
+    return index, uniform, rejected
+
+
+def _block_draws(rng: np.random.Generator, mixed: int, sweeps: range, block: int, shape: tuple, q: int):
+    """Generator.integers(0, q, shape) and Generator.random(shape) of the
+    streams of (sweep + 1, block) for each sweep, stacked along axis 0."""
+    bitgen = rng.bit_generator
+    draws = shape[0] * shape[1]
+    width = (draws + 1) // 2 + draws
+    raw = np.empty((len(sweeps), width), dtype=np.uint64)
+    for row, sweep in enumerate(sweeps):
+        _rekey(bitgen, mixed, sweep + 1, block)
+        raw[row] = bitgen.random_raw(width)
+    index, uniform, rejected = _split_raw(raw, draws, q)
+    for row in np.flatnonzero(rejected):
+        _rekey(bitgen, mixed, sweeps[row] + 1, block)
+        index[row] = rng.integers(0, q, size=draws)
+        uniform[row] = rng.random(size=draws)
+    return index.reshape(len(sweeps), *shape), uniform.reshape(len(sweeps), *shape)
 
 
 def total_spin_samples(model: m.GibbsModel, spec: ChainSpec, region="box") -> np.ndarray:
@@ -101,30 +156,34 @@ def total_spin_samples(model: m.GibbsModel, spec: ChainSpec, region="box") -> np
     coupling = system.pair_matrix()
     blocks = [(block, coupling[:, block], fields[block]) for block in _greedy_coloring(coupling)]
 
-    mixed = (spec.seed & 0xFFFFFFFFFFFFFFFF) ^ 0x9E3779B97F4A7C15
-    bitgen = np.random.Philox()
-    rng = np.random.Generator(bitgen)
+    mixed = (int(spec.seed) & 0xFFFFFFFFFFFFFFFF) ^ 0x9E3779B97F4A7C15
+    rng = np.random.Generator(np.random.Philox())
     # The starting spins read the stream of (sweep 0, block len(blocks)),
     # which no update uses.
-    _rekey(bitgen, mixed, 0, len(blocks))
+    _rekey(rng.bit_generator, mixed, 0, len(blocks))
     spins = values[rng.integers(0, q, size=(spec.chains, system.site_count))]
     out = np.empty((spec.chains, spec.samples))
     total_sweeps = spec.burn_in + spec.samples * spec.thinning
     kept = 0
-    for sweep in range(total_sweeps):
-        for b, (block, links, h) in enumerate(blocks):
-            _rekey(bitgen, mixed, sweep + 1, b)
-            cur = spins[:, block]
+    for first in range(0, total_sweeps, CHUNK_SWEEPS):
+        sweeps = range(first, min(first + CHUNK_SWEEPS, total_sweeps))
+        tapes = []
+        for b, (block, _, _) in enumerate(blocks):
+            index, uniform = _block_draws(rng, mixed, sweeps, b, (spec.chains, len(block)), q)
             # Uniform over all q values, current included: the 1/q self-loop
             # keeps the chain aperiodic even when every move is accepted
             # (a field-free two-state site would otherwise alternate forever).
-            prop = values[rng.integers(0, q, size=cur.shape)]
-            delta = (prop - cur) * (h + spins @ links)
-            accept = rng.random(size=cur.shape) < np.exp(np.minimum(delta, 0.0))
-            spins[:, block] = np.where(accept, prop, cur)
-        if sweep >= spec.burn_in and (sweep - spec.burn_in) % spec.thinning == 0:
-            out[:, kept] = spins.sum(axis=1)
-            kept += 1
+            tapes.append((values[index], uniform))
+        for row, sweep in enumerate(sweeps):
+            for (block, links, h), (props, uniforms) in zip(blocks, tapes):
+                cur = spins[:, block]
+                prop = props[row]
+                delta = (prop - cur) * (h + spins @ links)
+                accept = uniforms[row] < np.exp(np.minimum(delta, 0.0))
+                spins[:, block] = np.where(accept, prop, cur)
+            if sweep >= spec.burn_in and (sweep - spec.burn_in) % spec.thinning == 0:
+                out[:, kept] = spins.sum(axis=1)
+                kept += 1
     assert kept == spec.samples
     return out
 

@@ -74,6 +74,14 @@ def test_invalid_config_exit_two(tmp_path, capsys):
     assert cli.main(["constants", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_repeated_boundary_site_exit_two(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    boundary = {"kind": "explicit", "assignments": [[[4], 1], [[-4], 0], [[4], 1]]}
+    path.write_text(json.dumps({**MODEL_OK, "boundary": boundary}))
+    assert cli.main(["constants", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "duplicate explicit boundary site (4,)" in capsys.readouterr().err
+
+
 def test_box_past_site_cap_exit_two(tmp_path, capsys):
     """mc lists the whole box and stops at the site cap; the decay scan lists
     only the 513^2 decimated sites and stops at the state budget."""
@@ -214,19 +222,24 @@ def test_min_r0_message(config, tmp_path, capsys):
         (["decay-small-t", "--config", "{config}"], "decay_small_t_reports.jsonl"),
         (["decay-large-t", "--config", "{config}"], "decay_large_t_reports.jsonl"),
         (["site-cf", "--config", "{power_law}"], "site_cf_power_law_reports.jsonl"),
+        (["mc", "--config", "{dyadic}"], "mc_reports.jsonl"),
     ],
-    ids=["constants", "graph-tables", "lclt-scan", "decay-small-t", "decay-large-t", "site-cf-power-law"],
+    ids=["constants", "graph-tables", "lclt-scan", "decay-small-t", "decay-large-t", "site-cf-power-law", "mc"],
 )
 def test_constants_golden_file(tmp_path, argv, golden):
     """Frozen byte-level output so report drift is a conscious decision,
     also on a power-law chain (whose couplings' independence of the CPU
-    test_coupling.test_power_law_kernel_is_value_bit_for_bit checks)."""
+    test_coupling.test_power_law_kernel_is_value_bit_for_bit checks), and
+    on seeded Metropolis samples with a dyadic coupling, whose neighbour
+    sums are exact in any summation order."""
     out = tmp_path / "out"
     config = tmp_path / "model.json"
     config.write_text(json.dumps(MODEL_OK))
     power_law = tmp_path / "power_law.json"
     power_law.write_text(json.dumps({**MODEL_OK, "coupling": {"kind": "power_law", "strength": 0.05, "exponent": 6.0}}))
-    argv = [arg.format(config=config, power_law=power_law) for arg in argv]
+    dyadic = tmp_path / "dyadic.json"
+    dyadic.write_text(json.dumps({**MODEL_OK, "coupling": {"kind": "nearest_neighbor", "strength": 0.125}}))
+    argv = [arg.format(config=config, power_law=power_law, dyadic=dyadic) for arg in argv]
     assert cli.main(argv + ["--out", str(out)]) == 0
     golden = (REPO / "tests" / "data" / golden).read_bytes()
     assert (out / "reports.jsonl").read_bytes() == golden

@@ -130,6 +130,15 @@ def test_boundary_field_coefficient_edge_site():
     assert lm.boundary_field_coefficient(model, (1,), ((-1,), (1,))) == pytest.approx(0.2)
 
 
+def test_repeated_boundary_site_is_a_domain_error():
+    """A site listed twice would give omega one value and the field both."""
+    with pytest.raises(DomainError, match=r"duplicate explicit boundary site \(4,\)"):
+        lm.BoundaryCondition.explicit([((4,), 1), ((-4,), 0), ((4,), 1)])
+    with pytest.raises(DomainError, match="duplicate explicit boundary site"):
+        lm.BoundaryCondition(kind="explicit", assignments=(((4,), 1), ((4,), 0)))
+    assert lm.BoundaryCondition.explicit({(4,): 1, (-4,): 0}).omega((4,)) == 1
+
+
 def test_single_spin_distribution_logistic():
     # one site with a single exterior neighbor held at 1 through J = 0.1:
     # p(1) = 1 / (1 + e^-0.1)

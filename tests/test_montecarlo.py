@@ -12,6 +12,23 @@ from lclt_lab.errors import DegenerateDistributionError, DomainError
 SPEC = mc.ChainSpec(seed=11, burn_in=200, samples=2000, thinning=2, chains=4)
 
 
+def test_seed_is_any_integer():
+    """A numpy integer seed gives its int's stream; a count or seed that is
+    not an integer is a DomainError before a sweep."""
+    model = nn_chain(radius=2, strength=0.25, spin=(0, 1), boundary=1)
+    for seed, same in ((5, (np.int64(5), np.uint64(5), np.int32(5))), (-7, (np.int64(-7),))):
+        want = mc.total_spin_samples(model, mc.ChainSpec(seed=seed, burn_in=10, samples=100))
+        for other in same:
+            got = mc.total_spin_samples(model, mc.ChainSpec(seed=other, burn_in=10, samples=100))
+            assert np.array_equal(got, want)
+    for bad in (1.5, np.float64(5.0), True, np.bool_(True), "5", None):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            mc.ChainSpec(seed=bad, burn_in=10, samples=100)
+    for name, bad in (("burn_in", 1.5), ("samples", 100.0), ("thinning", True), ("chains", 2.5)):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            mc.ChainSpec(**{"seed": 0, "burn_in": 10, "samples": 100, name: bad})
+
+
 def test_chain_spec_validation():
     with pytest.raises(DomainError):
         mc.ChainSpec(seed=0, burn_in=10, samples=99)
@@ -66,6 +83,20 @@ SAMPLE_DIGESTS = [
         "b3a14b898c09430d6711cb70e3e95766ff6580de90d9df9b482d8b7bff993309",
         id="five-chains-negative-seed",
     ),
+    pytest.param(
+        nn_chain(radius=3, strength=0.125, spin=(-2, 2), boundary=1),
+        mc.ChainSpec(seed=4, burn_in=15, samples=100, chains=3),
+        "box",
+        "6a5a88c4dd31bedb8f8a39a9e8db4c761c5c952f37ae5309eefedcd758a7b65c",
+        id="q5-odd-block",
+    ),
+    pytest.param(
+        nn_chain(radius=5, strength=0.25, spin=(-1, 1), boundary=1),
+        mc.ChainSpec(seed=5, burn_in=37, samples=100, thinning=3, chains=2),
+        "box",
+        "8b831016c04ec4c5af8b229dc7674f7c24d054f6343d3f53fd42d27a6e49e000",
+        id="six-chunks-thinned",
+    ),
 ]
 
 
@@ -74,6 +105,100 @@ def test_samples_match_stored_digest(model, spec, region, digest):
     samples = mc.total_spin_samples(model, spec, region)
     assert samples.shape == (spec.chains, spec.samples)
     assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
+
+
+def _generator_draws(mixed, sweep, block, shape, q):
+    """What Generator draws on a fresh Philox keyed by (sweep + 1, block)."""
+    rng = np.random.Generator(np.random.Philox(key=[mixed, ((sweep + 1) << 32) | block]))
+    return rng.integers(0, q, size=shape), rng.random(size=shape)
+
+
+# q = 3 << 30 makes Lemire reject a quarter of all draws, so most rows of
+# that tape are drawn again.
+@pytest.mark.parametrize("q", [2, 3, 5, 3 << 30])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 4), (5, 7)], ids=["c1", "c9", "c8", "c35"])
+def test_tape_matches_generator(q, shape):
+    mixed = 0x0123456789ABCDEF
+    rng = np.random.Generator(np.random.Philox())
+    sweeps = range(3, 3 + 20)
+    index, uniform = mc._block_draws(rng, mixed, sweeps, 1, shape, q)
+    assert index.shape == uniform.shape == (len(sweeps), *shape)
+    for row, sweep in enumerate(sweeps):
+        want_index, want_uniform = _generator_draws(mixed, sweep, 1, shape, q)
+        assert np.array_equal(index[row], want_index)
+        assert np.array_equal(uniform[row], want_uniform)
+
+
+def test_rejected_row_is_redrawn(monkeypatch):
+    """A row whose first uint32 is 0 is rejected at q = 3 (0 * 3 leaves a
+    low word below 2**32 mod 3 = 1), never at q = 2, and the rejected row
+    is drawn again to Generator's output."""
+    split = mc._split_raw
+
+    def crafted(raw, draws, q):
+        raw = raw.copy()
+        raw[1, 0] = raw[1, 0] >> 32 << 32
+        index, uniform, rejected = split(raw, draws, q)
+        assert rejected.tolist() == [False, q == 3, False]
+        assert index[1, 0] == 0
+        return index, uniform, rejected
+
+    monkeypatch.setattr(mc, "_split_raw", crafted)
+    mixed = 77
+    for q in (2, 3):
+        rng = np.random.Generator(np.random.Philox())
+        index, uniform = mc._block_draws(rng, mixed, range(3), 0, (3, 3), q)
+        for sweep in range(3):
+            want_index, want_uniform = _generator_draws(mixed, sweep, 0, (3, 3), q)
+            if q == 2 and sweep == 1:
+                # kept: the crafted word's index 0 stands, the rest is the stream
+                assert index[1, 0, 0] == 0
+                want_index[0, 0] = 0
+            assert np.array_equal(index[sweep], want_index)
+            assert np.array_equal(uniform[sweep], want_uniform)
+
+
+def _per_block_samples(model, spec):
+    """The sampler with Generator drawing each (sweep, block)'s numbers when
+    the sweep reaches the block, as it did before the tape."""
+    system = build_system(model)
+    values = system.value_array
+    q = len(values)
+    coupling = system.pair_matrix()
+    blocks = mc._greedy_coloring(coupling)
+    mixed = (int(spec.seed) & 0xFFFFFFFFFFFFFFFF) ^ 0x9E3779B97F4A7C15
+    rng = np.random.Generator(np.random.Philox())
+    mc._rekey(rng.bit_generator, mixed, 0, len(blocks))
+    spins = values[rng.integers(0, q, size=(spec.chains, system.site_count))]
+    out = []
+    for sweep in range(spec.burn_in + spec.samples * spec.thinning):
+        for b, block in enumerate(blocks):
+            mc._rekey(rng.bit_generator, mixed, sweep + 1, b)
+            cur = spins[:, block]
+            prop = values[rng.integers(0, q, size=cur.shape)]
+            delta = (prop - cur) * (system.field_array[block] + spins @ coupling[:, block])
+            accept = rng.random(size=cur.shape) < np.exp(np.minimum(delta, 0.0))
+            spins[:, block] = np.where(accept, prop, cur)
+        if sweep >= spec.burn_in and (sweep - spec.burn_in) % spec.thinning == 0:
+            out.append(spins.sum(axis=1))
+    return np.stack(out, axis=1)
+
+
+@pytest.mark.parametrize(
+    "spin, spec",
+    [
+        ((-1, 1), mc.ChainSpec(seed=21, burn_in=37, samples=100, thinning=2, chains=3)),
+        ((-2, 2), mc.ChainSpec(seed=22, burn_in=mc.CHUNK_SWEEPS, samples=100, thinning=1, chains=3)),
+    ],
+    ids=["q3-237-sweeps", "q5-164-sweeps"],
+)
+def test_chunked_tape_matches_per_block_draws(spin, spec):
+    """Over several chunks and a partial last one, with odd blocks (3 chains
+    times 3 sites) and a coupling that is not dyadic."""
+    model = nn_chain(radius=3, strength=0.3, spin=spin, boundary=1)
+    total_sweeps = spec.burn_in + spec.samples * spec.thinning
+    assert total_sweeps > 2 * mc.CHUNK_SWEEPS and total_sweeps % mc.CHUNK_SWEEPS
+    assert np.array_equal(mc.total_spin_samples(model, spec), _per_block_samples(model, spec))
 
 
 def _full_scan_coloring(n, coupling):
