@@ -54,6 +54,14 @@ class System:
             J[i, j] = J[j, i] = v
         return J
 
+    def site_probs(self) -> np.ndarray:
+        """(n, q) single-site measures: row x is the softmax of field_x * values,
+        the law of spin x under its field alone."""
+        logits = np.outer(self.field_array, self.value_array)
+        logits -= logits.max(axis=1, keepdims=True)
+        weights = np.exp(logits)
+        return weights / weights.sum(axis=1, keepdims=True)
+
     def energy_shift(self) -> float:
         """Upper bound on the log weight, used to keep exponentials bounded:
         every pair and field term at its largest corner of the spin interval."""

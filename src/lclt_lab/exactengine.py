@@ -21,7 +21,13 @@ one matrix-vector product) and a high block that changes per chunk. Chunk
 contributions are combined with compensated (Kahan) summation in a fixed
 order, so results do not depend on how the scan is partitioned. Weights are
 computed relative to an a-priori upper bound on the log weight, which keeps
-every exponential bounded by 1.
+every exponential bounded by 1. On frustrated couplings that bound can sit
+hundreds above the largest log weight, so the scan records the largest one;
+when the largest shifted weight falls under tiny/eps (log weight more than
+672.3 below the bound), the sum is taken again shifted by the largest log
+weight itself. Either way every weight within a factor eps of the largest
+is a normal float, so Z_shifted is positive on every system (the transfer
+sum rescales its table to a largest entry of 1 at each step).
 
 The state budget (default 2^24) on |I|^N is enforced before any allocation,
 whichever route runs; breaching it raises CapacityError naming the
@@ -46,6 +52,10 @@ from .errors import LOG_FLOAT_MAX, CapacityError, DegenerateDistributionError
 DEFAULT_BUDGET = 1 << 24
 
 _CHUNK_TARGET = 1 << 18
+
+# log(tiny/eps): a largest shifted weight above it keeps every weight within
+# a factor eps of it a normal float
+_LOG_TINY_OVER_EPS = math.log(np.finfo(float).tiny / np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -131,7 +141,10 @@ def _scan(system: System):
 
     Returns (shift, Z_shifted, sum_wS, sum_wS2, bins, s_min), where w is the
     shifted weight exp(-H - shift) and bins[p - s_min] is the sum of w over
-    configurations with S = p.
+    configurations with S = p. The shift is System.energy_shift(); when the
+    largest log weight lies so far below it that the largest weight is under
+    tiny/eps, the sum is taken a second time shifted by that largest log
+    weight, so every weight within a factor eps of the largest stays normal.
     """
     n = system.site_count
     q = len(system.values)
@@ -167,32 +180,42 @@ def _scan(system: System):
     s_min = n * int(min(system.values))
     s_max = n * int(max(system.values))
 
-    z_acc = _Kahan()
-    s1_acc = _Kahan()
-    s2_acc = _Kahan()
-    bins = np.zeros(s_max - s_min + 1)
+    def chunks():
+        """(log weight, total spin) of each chunk of configurations."""
+        for v_high in highs.T:
+            e_high = 0.0
+            for i, j, v in pairs_hh:
+                e_high += v * v_high[i - m_low] * v_high[j - m_low]
+            for k, s in enumerate(v_high):
+                e_high += fields[m_low + k] * s
+            energy = e_low + e_high
+            if pairs_lh:
+                coef = np.zeros(m_low)
+                for i, j, v in pairs_lh:
+                    coef[i] += v * v_high[j - m_low]
+                energy = energy + coef @ lows
+            yield energy, s_low + float(v_high.sum())
 
-    for v_high in highs.T:
-        e_high = 0.0
-        for i, j, v in pairs_hh:
-            e_high += v * v_high[i - m_low] * v_high[j - m_low]
-        for k, s in enumerate(v_high):
-            e_high += fields[m_low + k] * s
-        energy = e_low + e_high
-        if pairs_lh:
-            coef = np.zeros(m_low)
-            for i, j, v in pairs_lh:
-                coef[i] += v * v_high[j - m_low]
-            energy = energy + coef @ lows
-        w = np.exp(energy - shift)
-        s_tot = s_low + float(v_high.sum())
-        z_acc.add(float(w.sum()))
-        s1_acc.add(float(np.dot(w, s_tot)))
-        s2_acc.add(float(np.dot(w, s_tot * s_tot)))
-        idx = np.rint(s_tot).astype(np.int64) - s_min
-        bins += np.bincount(idx, weights=w, minlength=len(bins))
+    def sums(shift):
+        z_acc = _Kahan()
+        s1_acc = _Kahan()
+        s2_acc = _Kahan()
+        bins = np.zeros(s_max - s_min + 1)
+        top = -math.inf
+        for energy, s_tot in chunks():
+            top = max(top, float(energy.max()))
+            w = np.exp(energy - shift)
+            z_acc.add(float(w.sum()))
+            s1_acc.add(float(np.dot(w, s_tot)))
+            s2_acc.add(float(np.dot(w, s_tot * s_tot)))
+            idx = np.rint(s_tot).astype(np.int64) - s_min
+            bins += np.bincount(idx, weights=w, minlength=len(bins))
+        return (shift, z_acc.total, s1_acc.total, s2_acc.total, bins, s_min), top
 
-    return shift, z_acc.total, s1_acc.total, s2_acc.total, bins, s_min
+    out, top = sums(shift)
+    if top - shift < _LOG_TINY_OVER_EPS:
+        out, _ = sums(top)
+    return out
 
 
 def _bandwidth(system: System) -> int:
@@ -256,11 +279,6 @@ def _moments(system: System):
     # the transfer sum takes n q^(R+1) (n(q-1)+1) steps, enumeration q^n
     route = _transfer if n * q ** (_bandwidth(system) + 1) * (n * (q - 1) + 1) < q**n else _scan
     shift, z, s1, s2, bins, s_min = route(system)
-    if z == 0.0:
-        raise CapacityError(
-            f"every weight of the {system.site_count}-site enumeration underflows to 0"
-            f" when shifted by its log-weight bound {shift:.1f}"
-        )
     mean = s1 / z
     var = s2 / z - mean * mean
     probs = bins / z

@@ -21,10 +21,15 @@ sum of p * (Mayer sum) over configurations of total spin s, is computed
 once per region: the activity is e^{c|R|} sum_s A_R(s) e^{its}, and its
 t-derivatives and the weights w0 that majorize it read the same table.
 
-Xi(t) has two independent routes: direct enumeration of the region's
-configurations, and the gas sum over Mayer tables, a subset recursion.
-Run with one power of a formal lambda per polymer, the recursion gives
-Xi(lambda) through lambda^K, whose truncated log is the cluster series.
+Xi(t) has two independent routes. The direct one reads the exact engine's
+sum over the same System: with z_x = sum_s e^{h_x s} the normalizer of p_x,
+Xi(t) = Z / prod_x z_x * E(e^{itS}), and E(e^{itS}) is the Fourier sum of
+the exact pmf, so the region is enumerated (or transfer-summed) once; the
+dressed direct route (c > 0) sums over every graph of the region's
+couplings instead. The other route is the gas sum over Mayer tables, a
+subset recursion; the exact engine never reads a Mayer table. Run with one
+power of a formal lambda per polymer, the recursion gives Xi(lambda)
+through lambda^K, whose truncated log is the cluster series.
 Mayer sums are checked against connected-graph enumeration, and a value
 past float64's range is a CapacityError, never NaN.
 """
@@ -39,6 +44,7 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
+from . import exactengine as ee
 from . import model as m
 from ._system import System, _build, _check_states, _omega_items, _spin_grid, build_system
 from .combinatorics import connected_sum, connected_sum_by_enumeration, spanning_tree_edge_sets
@@ -131,9 +137,8 @@ class TreeGraphBounds:
 
 class _Gas:
     """Per-region tables: single-site measures, couplings, spin grids, and
-    t-free caches filled on first use: Mayer tables by polymer index
-    tuple, weight norms by (size, dressing, delta), and the direct route's
-    configuration weights and total spins."""
+    t-free caches filled on first use: Mayer tables by polymer index tuple
+    and weight norms by (size, dressing, delta)."""
 
     def __init__(self, system: System):
         self.system = system
@@ -141,11 +146,7 @@ class _Gas:
         self.values = np.array(system.values, dtype=float)
         self.q = len(system.values)
         self.index = {x: i for i, x in enumerate(system.sites)}
-        fields = system.field_array
-        logits = np.outer(fields, self.values)
-        logits -= logits.max(axis=1, keepdims=True)
-        weights = np.exp(logits)
-        self.probs = weights / weights.sum(axis=1, keepdims=True)
+        self.probs = system.site_probs()
         self.coupling = system.pair_matrix()
         self.sigma = int(max(abs(v) for v in system.values))
         n = len(self.sites)
@@ -156,7 +157,6 @@ class _Gas:
                 self.adjacency[j] |= 1 << i
         self.mayer: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, float]] = {}
         self.norms: dict[tuple[int, float, float], float] = {}
-        self.direct: tuple[np.ndarray, np.ndarray] | None = None
 
     @cached_property
     def connected(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -365,25 +365,17 @@ def site_char_fn(model: m.GibbsModel, x: m.Site, t: float, region="decimated", o
     return complex(np.dot(gas.probs[gas.index[x]], np.exp(1j * t * gas.values)))
 
 
-def _direct_tables(gas: _Gas) -> tuple[np.ndarray, np.ndarray]:
-    """Weight p e^{energy} and total spin of every configuration of the region."""
-    if gas.direct is None:
-        idx = tuple(range(len(gas.sites)))
-        values, probs = _config_tables(gas, idx)
-        with np.errstate(over="ignore"):
-            weights = probs * np.exp(_pair_energy(gas, idx, values))
-        if not np.isfinite(weights).all():
-            raise _overflow("direct route", gas, idx)
-        gas.direct = (weights, values.sum(axis=0))
-    return gas.direct
-
-
 def _partition_direct(gas: _Gas, t: float, c: float) -> complex:
     n = len(gas.sites)
     if c == 0.0:
-        # Every site carries its phase factor; this is plain enumeration.
-        weights, totals = _direct_tables(gas)
-        return complex(np.dot(weights, np.exp(1j * t * totals)))
+        # Every site carries its phase factor: Xi(t) = Z / prod_x z_x times
+        # the exact characteristic function, Z = e^shift Z_shifted.
+        shift, z, _, _, table = ee._moments(gas.system)
+        log_norms = np.logaddexp.reduce(np.outer(gas.system.field_array, gas.values), axis=1)
+        log_xi0 = shift + math.log(z) - float(log_norms.sum())
+        if log_xi0 > LOG_FLOAT_MAX:
+            raise _overflow("direct route", gas, tuple(range(n)))
+        return math.exp(log_xi0) * ee.char_from_pmf(table, t)
 
     # Dressed variant: sum over all graphs, each weighted by e^{c|support|}
     # and phase factors on the support only.

@@ -5,6 +5,8 @@ Random-model factories take an explicit Generator: every randomized test
 seeds its own stream and stays reproducible run to run.
 """
 
+import itertools
+
 import numpy as np
 
 from lclt_lab.model import (
@@ -48,6 +50,21 @@ def regime_finite_range():
 def regime_weak_coupling():
     """Coupling weak enough that step 1 already satisfies the condition."""
     return nn_chain(radius=2, strength=1e-11, spin=(0, 1), boundary=1, r0=1)
+
+
+def frustrated_complete_graph(n, strength):
+    """n sites of a 1D box, every pair coupled antiferromagnetically, spins
+    {-1, 0, 1}, zero boundary: the energy-shift bound sits hundreds above
+    the largest log weight. Returns (model, region)."""
+    radius = n // 2
+    sites = tuple((x,) for x in range(-radius, -radius + n))
+    model = GibbsModel(
+        box=Box(dimension=1, radius=radius, r0=1),
+        spin=SpinInterval(-1, 1),
+        coupling=Coupling.explicit([(a, b, strength) for a, b in itertools.combinations(sites, 2)]),
+        boundary=BoundaryCondition.zero(),
+    )
+    return model, sites
 
 
 SPIN_CHOICES = ((0, 1), (-1, 0), (-1, 1))

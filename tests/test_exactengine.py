@@ -7,7 +7,7 @@ import pytest
 
 import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
-from conftest import free_chain, nn_chain, random_model, random_omega
+from conftest import free_chain, frustrated_complete_graph, nn_chain, random_model, random_omega
 from lclt_lab._system import build_system, windowed_exterior
 from lclt_lab.errors import CapacityError, DegenerateDistributionError
 
@@ -284,19 +284,36 @@ def test_energy_shift_bound_keeps_weights_finite():
     assert ee.log_partition_function(model) == pytest.approx(math.log(34), rel=1e-12)
 
 
-def test_frustrated_underflow_raises_capacity_error():
-    # an antiferromagnetic triangle: the bound is 1200, the true max 400
-    sites = ((-1,), (0,), (1,))
-    model = lm.GibbsModel(
-        box=lm.Box(dimension=1, radius=1, r0=1),
-        spin=lm.SpinInterval(-1, 1),
-        coupling=lm.Coupling.explicit([(a, b, -400.0) for a, b in itertools.combinations(sites, 2)]),
-        boundary=lm.BoundaryCondition.zero(),
-    )
-    message = r"3-site enumeration underflows to 0 when shifted by its log-weight bound 1200\.0"
-    for fn in (ee.log_partition_function, ee.statistics, ee.pmf):
-        with pytest.raises(CapacityError, match=message):
-            fn(model)
+@pytest.mark.parametrize(
+    "n, strength, bound", [(3, -400.0, 1200.0), (10, -19.0, 855.0)], ids=["triangle", "k10"]
+)
+def test_frustrated_couplings_match_brute_force(n, strength, bound):
+    """Every weight shifted by the a-priori bound underflows; the rescan at
+    the largest log weight gives log Z, moments and pmf of the brute-force
+    sum over all 3^n configurations."""
+    model, region = frustrated_complete_graph(n, strength)
+    assert build_system(model, region).energy_shift() == bound
+    configs = np.array(list(itertools.product((-1, 0, 1), repeat=n)), dtype=float).T
+    log_w = sum(strength * configs[a] * configs[b] for a, b in itertools.combinations(range(n), 2))
+    top = float(log_w.max())
+    assert bound - top > 745.2  # exp(top - bound) is 0.0 in float64
+    w = np.exp(log_w - top)
+    total = configs.sum(axis=0)
+    z = math.fsum(w)
+    mean = math.fsum(w * total) / z
+    var = math.fsum(w * (total - mean) ** 2) / z
+    law = {p: math.fsum(w[total == p]) / z for p in range(-n, n + 1)}
+
+    log_z = ee.log_partition_function(model, region)
+    assert math.isfinite(log_z) and log_z == pytest.approx(top + math.log(z), rel=1e-14)
+    if n == 3:
+        assert log_z == pytest.approx(400.0 + math.log(12.0), rel=1e-15)
+    stats = ee.statistics(model, region)
+    assert stats.mean_S == pytest.approx(mean, abs=1e-12)
+    assert stats.variance_S == pytest.approx(var, rel=1e-9, abs=1e-15)
+    table = ee.pmf(model, region)
+    assert all(map(math.isfinite, table.probabilities))
+    assert table.as_dict() == pytest.approx(law, rel=1e-12, abs=1e-300)
 
 
 def test_partition_function_overflow_raises_capacity_error():

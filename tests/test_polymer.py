@@ -1,7 +1,7 @@
 import cmath
 import math
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ import lclt_lab.combinatorics as cb
 import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
 import lclt_lab.polymer as pg
-from conftest import SPIN_CHOICES, nn_chain, random_model, random_omega
+from conftest import SPIN_CHOICES, frustrated_complete_graph, nn_chain, random_model, random_omega
 from lclt_lab._system import _spin_grid, build_system
 from lclt_lab.errors import CapacityError, DomainError, PreconditionError
 
@@ -343,6 +343,42 @@ def test_partition_routes_agree():
             direct = pg.polymer_partition(model, params, region="decimated", omega=omega, mode="direct")
             dp = pg.polymer_partition(model, params, region="decimated", omega=omega, mode="polymer_sum")
             assert dp == pytest.approx(direct, rel=1e-11, abs=1e-14)
+
+
+def brute_partition(model, region, ts, omega=None):
+    """Xi(t) on a t grid by enumeration: every configuration's weight
+    prod_x p_x(s_x) e^{pair energy} against its total spin."""
+    system = build_system(model, region, omega)
+    n, values = system.site_count, np.array(system.values, dtype=float)
+    logits = np.outer(system.fields, values)
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    digits = np.array(list(product(range(len(values)), repeat=n)), dtype=int).reshape(-1, n).T
+    spins = values[digits]
+    weights = np.prod([probs[x][digits[x]] for x in range(n)], axis=0)
+    energy = sum((v * spins[i] * spins[j] for i, j, v in system.pairs), np.zeros(digits.shape[1]))
+    return np.exp(1j * np.outer(ts, spins.sum(axis=0))) @ (weights * np.exp(energy))
+
+
+def test_direct_route_matches_enumeration():
+    """The direct route, read off the exact engine's pmf, against the sum over
+    every configuration, on random models with and without omega and on two
+    frustrated complete graphs whose energy-shift bound underflows."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for _ in range(20):
+        model = random_model(rng)
+        cases += [(model, "decimated", None), (model, "decimated", random_omega(rng, model))]
+    cases += [(*frustrated_complete_graph(3, -400.0), None), (*frustrated_complete_graph(10, -19.0), None)]
+    ts = (0.0, 0.3, 1.1, 2.5, math.pi)
+    for model, region, omega in cases:
+        want = brute_partition(model, region, ts, omega)
+        for t, expected in zip(ts, want):
+            got = pg.polymer_partition(model, pg.ActivityParams(t=t), region, omega, mode="direct")
+            assert cmath.isfinite(got)
+            # Xi(t) has analytic zeros (two-state spins at t = pi), where the
+            # two sums agree to rounding of Xi(0), not of Xi(t)
+            assert abs(got - expected) <= 1e-12 * max(abs(expected), 1e-3 * want[0].real), (t, got, expected)
 
 
 def test_char_fn_ratio_matches_exact_engine():

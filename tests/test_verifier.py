@@ -6,6 +6,7 @@ import pytest
 import lclt_lab.model as lm
 import lclt_lab.verifier as vf
 from conftest import free_chain, nn_chain, regime_finite_range, regime_weak_coupling
+from lclt_lab._system import build_system
 from lclt_lab.errors import CapacityError, DomainError, PreconditionError
 
 
@@ -188,6 +189,31 @@ def test_curvature_rejects_coupled_region():
         vf.check_curvature_decomposition(model, theta=0.01)
     with pytest.raises(DomainError):
         vf.check_curvature_decomposition(regime_finite_range(), theta=1.0)
+
+
+def test_site_checks_reject_empty_region():
+    """An empty region has no single-site measure to bound: both checks
+    raise a DomainError naming it instead of reporting on nothing."""
+    model = regime_finite_range()
+    c = vf.constants(model)
+    with pytest.raises(DomainError, match=r"region \(\) has no sites"):
+        vf.check_single_spin_cf(model, [c.delta], region=())
+    with pytest.raises(DomainError, match=r"region \(\) has no sites"):
+        vf.check_curvature_decomposition(model, theta=c.delta / 2, region=())
+
+
+def test_single_spin_cf_matches_per_site_dot():
+    """The one (sites x t) product against each site's own dot with its
+    phases; the worst site is the first to attain the max."""
+    model = nn_chain(radius=4, strength=0.15, spin=(-1, 1), boundary=1, r0=1)
+    c = vf.constants(model)
+    grid = np.linspace(c.delta, 2 * math.pi - c.delta, 9)
+    system = build_system(model, "decimated")
+    probs = system.site_probs()
+    for rep, t in zip(vf.check_single_spin_cf(model, grid), grid):
+        vals = [abs(complex(np.dot(p, np.exp(1j * t * system.value_array)))) for p in probs]
+        assert rep.lhs == pytest.approx(max(vals), rel=1e-15)
+        assert tuple(rep.parameters["worst_site"]) == system.sites[vals.index(max(vals))]
 
 
 def test_dressed_route_weak_coupling():
