@@ -44,10 +44,10 @@ def main():
 
     print("\ndecimated characteristic function decay, sup over conditionings")
     ts = np.linspace(c.delta / 8, c.delta, 8)
-    small = vf.check_small_t_decay(model, ts, omega_samples=8, seed=0)
+    small = vf.check_small_t_decay(model, ts, seed=0)
     print(f"  small t (gaussian bound): {sum(r.passed for r in small)}/{len(small)} pass")
     ts = c.delta + (math.pi - c.delta) * np.linspace(1.0 / 8, 1.0, 8)
-    large = vf.check_large_t_decay(model, ts, omega_samples=8, seed=0)
+    large = vf.check_large_t_decay(model, ts, seed=0)
     print(f"  large t (volume bound):   {sum(r.passed for r in large)}/{len(large)} pass")
 
     print("\ncurvature of log Xi at theta = delta/2, decimated region")

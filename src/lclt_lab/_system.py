@@ -90,20 +90,15 @@ def _build(model: m.GibbsModel, region: tuple[m.Site, ...], omega_items) -> Syst
     )
 
 
-def _check_states(q: int, k: int, budget: int = SPIN_GRID_BUDGET, what: str = "spin grid") -> None:
-    """Raise, before anything is built, when the q^k configurations of k sites
-    pass the budget. The count stays in the form q^k: written out, it can
-    pass Python's 4300-digit limit on int-to-str conversion."""
-    if q**k > budget:
-        raise CapacityError(f"{what} needs {q}^{k} states, budget is {budget}")
-
-
 def _spin_grid(values, k: int) -> np.ndarray:
     """(k, q^k) array over the q spin values whose column c is configuration
-    c of k sites, site 0 varying fastest."""
+    c of k sites, site 0 varying fastest. Past SPIN_GRID_BUDGET columns it
+    raises before allocating; the count stays in the form q^k: written out,
+    it can pass Python's 4300-digit limit on int-to-str conversion."""
     values = np.asarray(values)
     q = len(values)
-    _check_states(q, k)
+    if q**k > SPIN_GRID_BUDGET:
+        raise CapacityError(f"spin grid needs {q}^{k} states, budget is {SPIN_GRID_BUDGET}")
     grid = np.empty((k, q**k), dtype=values.dtype)
     for i in range(k):
         # row i in blocks of q^i columns that each hold one value of site i

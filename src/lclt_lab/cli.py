@@ -61,37 +61,45 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
+    def common(p, config=True, t_points=False, c_variant=True, budget=False):
+        """The options every subcommand shares, and those of the three that
+        only some read."""
         if config:
             p.add_argument("--config", required=True, help="model JSON file")
         p.add_argument("--out", default="reports", help="output directory (default: reports)")
+        # every subcommand takes --seed, also those that draw nothing:
+        # perfbench's cli-decay workload passes one to constants, site-cf
+        # and integrals
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--t-points", type=int, default=64, dest="t_points")
-        p.add_argument("--c-variant", choices=["stated", "proved"], default="proved", dest="c_variant")
-        p.add_argument("--budget", type=int, default=ee.DEFAULT_BUDGET)
+        if t_points:
+            p.add_argument("--t-points", type=int, default=64, dest="t_points")
+        if c_variant:
+            p.add_argument("--c-variant", choices=["stated", "proved"], default="proved", dest="c_variant")
+        if budget:
+            p.add_argument("--budget", type=int, default=ee.DEFAULT_BUDGET)
 
     common(sub.add_parser("constants", help="derived constants and the decimation-step condition"))
     p = sub.add_parser("min-r0", help="smallest decimation step passing the smallness condition")
     common(p)
     p.add_argument("--r0-max", type=int, default=vf.DEFAULT_R0_MAX, dest="r0_max")
     p = sub.add_parser("identity-check", help="gas partition function: direct vs polymer sum")
-    common(p)
+    common(p, t_points=True)
     p.add_argument("--dressed", action="store_true", help="also check the dressed variant")
     p = sub.add_parser("graph-tables", help="connected-graph, tree, and cumulant tables")
-    common(p, config=False)
+    common(p, config=False, c_variant=False)
     p.add_argument("--max-k", type=int, default=6, dest="max_k")
-    common(sub.add_parser("site-cf", help="single-site characteristic-function contraction"))
-    common(sub.add_parser("decay-small-t", help="Gaussian decay on (0, delta]"))
-    common(sub.add_parser("decay-large-t", help="volume decay on (delta, pi]"))
+    common(sub.add_parser("site-cf", help="single-site characteristic-function contraction"), t_points=True)
+    common(sub.add_parser("decay-small-t", help="Gaussian decay on (0, delta]"), t_points=True, budget=True)
+    common(sub.add_parser("decay-large-t", help="volume decay on (delta, pi]"), t_points=True, budget=True)
     p = sub.add_parser("integrals", help="four-integral bound on the lattice-vs-Gaussian gap")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--a-cut", type=float, required=True, dest="a_cut")
     p.add_argument("--delta", type=float, default=None)
     p = sub.add_parser("lclt-scan", help="gap and variance density across growing chains")
-    common(p)
+    common(p, c_variant=False, budget=True)
     p.add_argument("--sizes", default="5,9,13", help="comma-separated chain lengths")
     p = sub.add_parser("mc", help="Metropolis estimates against exact enumeration")
-    common(p)
+    common(p, c_variant=False, budget=True)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--chains", type=int, default=4)
     p.add_argument("--burn-in", type=int, default=500, dest="burn_in")
@@ -271,7 +279,8 @@ def _cmd_lclt_scan(args) -> tuple[list[dict], bool]:
 def _cmd_mc(args) -> tuple[list[dict], bool]:
     model = _load_model(args.config)
     spec = mc.ChainSpec(seed=args.seed, burn_in=args.burn_in, samples=args.samples, chains=args.chains)
-    # The exact side checks its state budget before any sweep is run.
+    # The exact side checks its work, the transfer steps or states of the
+    # route it takes, against the budget before any sweep is run.
     exact = ee.statistics(model, "box", budget=args.budget)
     est = mc.sample_statistics(model, spec)
     record = {

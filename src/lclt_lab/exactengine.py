@@ -29,11 +29,16 @@ weight itself. Either way every weight within a factor eps of the largest
 is a normal float, so Z_shifted is positive on every system (the transfer
 sum rescales its table to a largest entry of 1 at each step).
 
-The state budget (default 2^24) on |I|^N is enforced before any allocation,
-whichever route runs; breaching it raises CapacityError naming the
-offending count. A decay scan gives each conditioning of the decimated
-region the one System with fields summed from a row of window spins and a
-region x window coupling block. All functions are pure and thread-safe.
+One function, _cost, decides what an exact sum costs: the route _moments
+takes and that route's work, N |I|^(R+1) (N(|I|-1)+1) transfer steps or
+|I|^N states. The budget (default 2^24) is checked on that work twice:
+before the System is built at R = 0, which bounds every route's work from
+below, and after it on the System's own R. Breaching it raises
+CapacityError naming the route and its work. A decay scan gives each
+conditioning of the decimated region the one System with fields summed
+from a row of window spins and a region x window coupling block, and
+charges the realized conditionings times the work of one. All functions
+are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -46,10 +51,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import model as m
-from ._system import System, _build, _check_states, _spin_grid, build_system, windowed_exterior
-from .errors import LOG_FLOAT_MAX, CapacityError, DegenerateDistributionError
+from ._system import System, _build, _spin_grid, build_system, windowed_exterior
+from .errors import CapacityError, DegenerateDistributionError, require_normal_exp
 
 DEFAULT_BUDGET = 1 << 24
+# Random window rows a decay scan draws besides the constant and realized ones.
+OMEGA_SAMPLES = 8
 
 _CHUNK_TARGET = 1 << 18
 
@@ -130,10 +137,35 @@ class _Kahan:
         self.total = t
 
 
-def _checked_system(model: m.GibbsModel, region, budget: int) -> System:
+def _cost(n: int, q: int, band: int):
+    """(route, work, name, count) of the exact sum over n sites of q spin
+    values whose coupled pairs lie at most band apart in System order: the
+    transfer sum takes n q^(band+1) (n(q-1)+1) steps, enumeration q^n states,
+    and the cheaper one runs. count spells the work in that form: written
+    out, q^n can pass Python's 4300-digit limit on int-to-str conversion."""
+    width = n * (q - 1) + 1
+    steps = n * q ** (band + 1) * width
+    if steps < q**n:
+        return _transfer, steps, "transfer sum", f"{n}*{q}^{band + 1}*{width} steps"
+    return _scan, q**n, "enumeration", f"{q}^{n} states"
+
+
+def _check_cost(n: int, q: int, band: int, budget: int, at_least: bool = False) -> None:
+    _, work, name, count = _cost(n, q, band)
+    if work > budget:
+        raise CapacityError(f"{name} needs {'at least ' if at_least else ''}{count}, budget is {budget}")
+
+
+def _checked_system(model: m.GibbsModel, region, budget: int, omega_items=None) -> System:
+    """The region's System (under an omega override, as _build takes it)
+    once its exact sum fits the budget: checked at band 0, a lower bound on
+    every route's work, before the System is built, then at its own band."""
     sites = m.resolve_region(model, region)
-    _check_states(model.spin.card, len(sites), budget, "enumeration")
-    return _build(model, sites, None)
+    q = model.spin.card
+    _check_cost(len(sites), q, 0, budget, at_least=True)
+    system = _build(model, sites, omega_items)
+    _check_cost(system.site_count, q, _bandwidth(system), budget)
+    return system
 
 
 def _scan(system: System):
@@ -275,9 +307,7 @@ def _transfer(system: System):
 
 @lru_cache(maxsize=64)
 def _moments(system: System):
-    n, q = system.site_count, len(system.values)
-    # the transfer sum takes n q^(R+1) (n(q-1)+1) steps, enumeration q^n
-    route = _transfer if n * q ** (_bandwidth(system) + 1) * (n * (q - 1) + 1) < q**n else _scan
+    route = _cost(system.site_count, len(system.values), _bandwidth(system))[0]
     shift, z, s1, s2, bins, s_min = route(system)
     mean = s1 / z
     var = s2 / z - mean * mean
@@ -289,13 +319,10 @@ def _moments(system: System):
 
 
 def partition_function(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) -> float:
-    """Z = sum over configurations of exp(-H) on the region."""
+    """Z = sum over configurations of exp(-H) on the region; a Z past
+    float64's range or under its smallest normal is a CapacityError."""
     log_z = log_partition_function(model, region, budget)
-    if log_z > LOG_FLOAT_MAX:
-        raise CapacityError(
-            f"partition function is not finite in float64: log Z is {log_z:.1f},"
-            f" float64 ends at {LOG_FLOAT_MAX:.1f}"
-        )
+    require_normal_exp("partition function", "Z", log_z)
     return math.exp(log_z)
 
 
@@ -351,20 +378,20 @@ def lclt_gap(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) ->
 def decimated_char_fn_sup(
     model: m.GibbsModel,
     t_grid,
-    omega_samples: int = 8,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> DecimatedCharFnSup:
     """Scan |E^omega(e^{it S~})| of the decimated box over conditionings.
 
     A conditioning is a row of spins on the windowed exterior W: two constant
-    rows, omega_samples random ones, and the realized ones, where the
+    rows, OMEGA_SAMPLES random ones, and the realized ones, where the
     interior sites of W that couple to the region take every combination of
     spins and the rest of W keeps the model's boundary. Realized rows are the
     terms whose average is the full-box characteristic function, so the sup
-    dominates |E(e^{itS})| up to the certified window tail. The state budget
-    bounds q^n for the n region sites before the block is built, and q^(n +
-    coupled interior sites) before the first conditioning. A row's fields
+    dominates |E(e^{itS})| up to the certified window tail. The budget
+    bounds the work of one exact sum over the region before the block is
+    built, and q^(coupled interior sites) realized conditionings times that
+    work before the first conditioning. A row's fields
     are its spins summed against the region x W coupling block in window
     order, as model._field_slopes sums an explicit boundary, so each System
     equals build_system(model, "decimated", omega) bit for bit. The set does
@@ -384,13 +411,17 @@ def decimated_char_fn_sup(
     values = np.asarray(model.spin.values, dtype=float)
     interior = np.array([y in model.box for y in window], dtype=bool)
     coupled = np.flatnonzero(interior & block.any(axis=0))
-    _check_states(q, n + len(coupled), budget, "enumeration")
+    _, work, name, count = _cost(n, q, _bandwidth(system))
+    if q ** len(coupled) * work > budget:
+        raise CapacityError(
+            f"{name} over {q}^{len(coupled)} conditionings needs {q}^{len(coupled)}*{count}, budget is {budget}"
+        )
     rng = np.random.default_rng(seed)
 
     def rows():
         yield "all_lo", np.full(len(window), float(model.spin.lo))
         yield "all_hi", np.full(len(window), float(model.spin.hi))
-        for k in range(omega_samples):
+        for k in range(OMEGA_SAMPLES):
             yield f"random_{k}", values[rng.integers(0, q, size=len(window))]
         row = np.where(interior, 0.0, [model.boundary.omega(y) for y in window])
         # the first coupled site varies fastest, as in _spin_grid

@@ -24,20 +24,24 @@ t-derivatives and the weights w0 that majorize it read the same table.
 Xi(t) has two independent routes. The direct one reads the exact engine's
 sum over the same System: with z_x = sum_s e^{h_x s} the normalizer of p_x,
 Xi(t) = Z / prod_x z_x * E(e^{itS}), and E(e^{itS}) is the Fourier sum of
-the exact pmf, so the region is enumerated (or transfer-summed) once; the
-dressed direct route (c > 0) sums over every graph of the region's
-couplings instead. The other route is the gas sum over Mayer tables, a
+the exact pmf, so the region is enumerated (or transfer-summed) once,
+under the exact engine's default budget on that sum's work; the dressed
+direct route (c > 0) sums over every graph of the region's couplings
+instead. The other route is the gas sum over Mayer tables, a
 subset recursion; the exact engine never reads a Mayer table. Run with one
 power of a formal lambda per polymer, the recursion gives Xi(lambda)
 through lambda^K, whose truncated log is the cluster series.
+Mayer tables are built for polymers of up to MAX_POLYMER_SIZE sites.
 Mayer sums are checked against connected-graph enumeration, and a value
-past float64's range is a CapacityError, never NaN.
+past float64's range is a CapacityError, never NaN; so is an undressed
+Xi(0) under float64's smallest normal, which ratios and logs divide by.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
@@ -46,18 +50,18 @@ import numpy as np
 
 from . import exactengine as ee
 from . import model as m
-from ._system import System, _build, _check_states, _omega_items, _spin_grid, build_system
+from ._system import System, _build, _omega_items, _spin_grid, build_system
 from .combinatorics import connected_sum, connected_sum_by_enumeration, spanning_tree_edge_sets
-from .errors import LOG_FLOAT_MAX, CapacityError, DomainError, PreconditionError
+from .errors import LOG_FLOAT_MAX, LOG_FLOAT_MIN, CapacityError, DomainError, PreconditionError, require_normal_exp
 
 GRAPH_SUM_BUDGET = 1 << 25
 POLYMER_REGION_CAP = 14
-
-MAX_POLYMER_SIZE = 8
-# The gas recursion must carry every connected subset of a coupling
-# component or the identity it certifies silently breaks; its private cap
-# is therefore a little above the public per-polymer one.
-RECURSION_POLYMER_CAP = 10
+# Largest polymer whose Mayer table is built. The gas sum needs every
+# connected subset of a coupling component, so it refuses regions with a
+# larger component rather than drop polymers.
+MAX_POLYMER_SIZE = 10
+# t steps of the continuous log of Xi.
+LOG_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -136,9 +140,10 @@ class TreeGraphBounds:
 
 
 class _Gas:
-    """Per-region tables: single-site measures, couplings, spin grids, and
-    t-free caches filled on first use: Mayer tables by polymer index tuple
-    and weight norms by (size, dressing, delta)."""
+    """Per-region tables: single-site measures, and t-free caches filled on
+    first use: the coupling matrix and adjacency masks (O(n^2), read only by
+    the polymer side, never by the undressed direct route), Mayer tables by
+    polymer index tuple and weight norms by (size, dressing, delta)."""
 
     def __init__(self, system: System):
         self.system = system
@@ -147,16 +152,23 @@ class _Gas:
         self.q = len(system.values)
         self.index = {x: i for i, x in enumerate(system.sites)}
         self.probs = system.site_probs()
-        self.coupling = system.pair_matrix()
         self.sigma = int(max(abs(v) for v in system.values))
-        n = len(self.sites)
-        self.adjacency = [0] * n
-        for i, j, v in system.pairs:
-            if v != 0.0:
-                self.adjacency[i] |= 1 << j
-                self.adjacency[j] |= 1 << i
         self.mayer: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, float]] = {}
         self.norms: dict[tuple[int, float, float], float] = {}
+
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        return self.system.pair_matrix()
+
+    @cached_property
+    def adjacency(self) -> list[int]:
+        """Bit mask of the coupled sites of each site."""
+        adjacency = [0] * len(self.sites)
+        for i, j, v in self.system.pairs:
+            if v != 0.0:
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
+        return adjacency
 
     @cached_property
     def connected(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -179,15 +191,19 @@ def _gas(model: m.GibbsModel, region, omega) -> _Gas:
 
 
 def _gas_for_mode(model: m.GibbsModel, region, omega, mode: str) -> _Gas:
-    """_gas once the region's site count, checked before the System is built,
-    fits the mode: q^n configurations direct, 2^n site sets by gas sum."""
-    sites = m.resolve_region(model, region)
-    n = len(sites)
+    """_gas once the region fits the mode, checked before the System is
+    built: direct, the exact engine's sum against its default budget, as
+    every exact sum is checked; by gas sum, n sites against the cap on its
+    2^n site sets."""
     if mode == "direct":
-        _check_states(model.spin.card, n)
-    elif mode == "polymer_sum" and n > POLYMER_REGION_CAP:
-        raise CapacityError(f"gas sum over {n} sites walks 2^{n} site sets, cap is {POLYMER_REGION_CAP} sites")
-    return _gas_for_system(_build(model, sites, _omega_items(omega)))
+        system = ee._checked_system(model, region, ee.DEFAULT_BUDGET, _omega_items(omega))
+    else:
+        sites = m.resolve_region(model, region)
+        n = len(sites)
+        if mode == "polymer_sum" and n > POLYMER_REGION_CAP:
+            raise CapacityError(f"gas sum over {n} sites walks 2^{n} site sets, cap is {POLYMER_REGION_CAP} sites")
+        system = _build(model, sites, _omega_items(omega))
+    return _gas_for_system(system)
 
 
 def _polymer_sites(polymer) -> tuple[m.Site, ...]:
@@ -251,9 +267,12 @@ def _overflow(route: str, gas: _Gas, idx: tuple[int, ...]) -> CapacityError:
 
 def _mayer(gas: _Gas, idx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, float]:
     """(spins, amps, abs_mass): amps[j] sums p * (Mayer sum) over the
-    configurations of total spin spins[j]; abs_mass averages |Mayer sum|."""
+    configurations of total spin spins[j]; abs_mass averages |Mayer sum|.
+    Polymers past MAX_POLYMER_SIZE sites are refused."""
     got = gas.mayer.get(idx)
     if got is None:
+        if len(idx) > MAX_POLYMER_SIZE:
+            raise CapacityError(f"polymer of {len(idx)} sites exceeds the cap of {MAX_POLYMER_SIZE}")
         values, probs = _config_tables(gas, idx)
         with np.errstate(over="ignore", invalid="ignore"):
             csum = connected_sum(_edge_factors(gas, idx, values))
@@ -283,17 +302,13 @@ def _mask_connected(mask: int, adjacency) -> bool:
     return _reach(mask & -mask, adjacency, mask) == mask
 
 
-def _activity_from_indices(
-    gas: _Gas, idx: tuple[int, ...], t: float, c: float, cap: int = MAX_POLYMER_SIZE
-) -> complex:
+def _activity_from_indices(gas: _Gas, idx: tuple[int, ...], t: float, c: float) -> complex:
     k = len(idx)
     if k == 1:
         if c != 0.0:
             raise DomainError("the dressed representation has no single-site polymers")
         i = idx[0]
         return complex(np.dot(gas.probs[i], np.exp(1j * t * gas.values) - 1.0))
-    if k > cap:
-        raise CapacityError(f"polymer of {k} sites exceeds the cap of {cap}")
     spins, amps, _ = _mayer(gas, idx)
     return math.exp(c * k) * complex(np.dot(amps, np.exp(1j * t * spins)))
 
@@ -365,16 +380,21 @@ def site_char_fn(model: m.GibbsModel, x: m.Site, t: float, region="decimated", o
     return complex(np.dot(gas.probs[gas.index[x]], np.exp(1j * t * gas.values)))
 
 
+def _exact_xi0(gas: _Gas):
+    """(log Xi(0), pmf of S) from the exact engine's sum over the region's
+    System: Xi(0) = Z / prod_x z_x with Z = e^shift Z_shifted."""
+    shift, z, _, _, table = ee._moments(gas.system)
+    log_norms = np.logaddexp.reduce(np.outer(gas.system.field_array, gas.values), axis=1)
+    return shift + math.log(z) - float(log_norms.sum()), table
+
+
 def _partition_direct(gas: _Gas, t: float, c: float) -> complex:
     n = len(gas.sites)
     if c == 0.0:
-        # Every site carries its phase factor: Xi(t) = Z / prod_x z_x times
-        # the exact characteristic function, Z = e^shift Z_shifted.
-        shift, z, _, _, table = ee._moments(gas.system)
-        log_norms = np.logaddexp.reduce(np.outer(gas.system.field_array, gas.values), axis=1)
-        log_xi0 = shift + math.log(z) - float(log_norms.sum())
-        if log_xi0 > LOG_FLOAT_MAX:
-            raise _overflow("direct route", gas, tuple(range(n)))
+        # Every site carries its phase factor: Xi(t) = Xi(0) times the exact
+        # characteristic function.
+        log_xi0, table = _exact_xi0(gas)
+        require_normal_exp(f"direct route on {n} sites", "Xi(0)", log_xi0)
         return math.exp(log_xi0) * ee.char_from_pmf(table, t)
 
     # Dressed variant: sum over all graphs, each weighted by e^{c|support|}
@@ -425,10 +445,10 @@ def _check_region(gas: _Gas, what: str) -> None:
     n = len(gas.sites)
     everything = (1 << n) - 1
     largest = max((_reach(1 << i, gas.adjacency, everything).bit_count() for i in range(n)), default=0)
-    if largest > RECURSION_POLYMER_CAP:
+    if largest > MAX_POLYMER_SIZE:
         raise CapacityError(
             f"the region has a coupling component of {largest} sites, so the {what}"
-            f" needs polymers up to that size; cap is {RECURSION_POLYMER_CAP}"
+            f" needs polymers up to that size; cap is {MAX_POLYMER_SIZE}"
         )
 
 
@@ -439,7 +459,7 @@ def _activity_groups(gas: _Gas, t: float, c: float, absolute: bool = False) -> l
     for mask, idx in reversed(gas.connected):
         if c != 0.0 and len(idx) == 1:
             continue
-        z = _activity_from_indices(gas, idx, t, c, cap=RECURSION_POLYMER_CAP)
+        z = _activity_from_indices(gas, idx, t, c)
         groups[idx[0]].append((mask, -abs(z) if absolute else z))
     return groups
 
@@ -492,36 +512,46 @@ def polymer_partition(
     return _partition(_gas_for_mode(model, region, omega, mode), params.t, params.c, mode)
 
 
+def _partition_at_zero(gas: _Gas, c: float, mode: str) -> complex:
+    """Xi(0), which ratios and logs of Xi divide by. Undressed it is positive;
+    one under float64's smallest normal is a CapacityError naming log Xi(0),
+    which the direct route raises itself and the gas sum takes from the
+    exact engine's sum."""
+    xi0 = _partition(gas, 0.0, c, mode)
+    if c == 0.0 and not abs(xi0) >= sys.float_info.min:
+        raise CapacityError(
+            f"{mode} route on {len(gas.sites)} sites is not a positive normal float64:"
+            f" log Xi(0) is {_exact_xi0(gas)[0]:.1f}, float64 normals end at {LOG_FLOAT_MIN:.1f}"
+        )
+    return xi0
+
+
 def char_fn_ratio(
     model: m.GibbsModel, region="decimated", t: float = 0.0, omega=None, mode="polymer_sum"
 ) -> complex:
     """Xi(t)/Xi(0): the characteristic function of the region's total spin."""
-    params_t = ActivityParams(t=float(t))
-    params_0 = ActivityParams(t=0.0)
-    num = polymer_partition(model, params_t, region, omega, mode)
-    den = polymer_partition(model, params_0, region, omega, mode)
-    return num / den
+    gas = _gas_for_mode(model, region, omega, mode)
+    return _partition(gas, float(t), 0.0, mode) / _partition_at_zero(gas, 0.0, mode)
 
 
 def continuous_log_partition(
-    model: m.GibbsModel, params: ActivityParams, region="decimated", omega=None, mode="direct", steps: int = 64
+    model: m.GibbsModel, params: ActivityParams, region="decimated", omega=None, mode="direct"
 ) -> complex:
     """log Xi(t) on the branch continuous in t from t=0.
 
-    Xi(0) is real and positive; the log is accumulated over small t steps so
-    each increment stays within the principal strip. Principal-branch
-    evaluation at the endpoint would be wrong once the phase winds.
+    Xi(0) is real and positive; the log is accumulated over LOG_STEPS small
+    t steps so each increment stays within the principal strip.
+    Principal-branch evaluation at the endpoint would be wrong once the
+    phase winds.
     """
-    if steps < 1:
-        raise DomainError(f"need at least one step, got {steps}")
     gas = _gas_for_mode(model, region, omega, mode)
-    start = _partition(gas, 0.0, params.c, mode)
+    start = _partition_at_zero(gas, params.c, mode)
     if abs(start.imag) > 1e-9 * abs(start) or start.real <= 0:
         raise PreconditionError(f"partition function at t=0 is {start!r}, not positive")
     log_val = complex(math.log(start.real))
     prev = start
-    for step in range(1, steps + 1):
-        tau = params.t * step / steps
+    for step in range(1, LOG_STEPS + 1):
+        tau = params.t * step / LOG_STEPS
         cur = _partition(gas, tau, params.c, mode)
         log_val += cmath.log(cur / prev)
         prev = cur
@@ -541,8 +571,6 @@ def weight_w0(model: m.GibbsModel, polymer, delta: float, region="decimated", om
     k = len(idx)
     if k == 1:
         return delta * gas.sigma
-    if k > MAX_POLYMER_SIZE:
-        raise CapacityError(f"polymer of {k} sites exceeds the cap of {MAX_POLYMER_SIZE}")
     return (1.0 + delta * gas.sigma) ** k * _mayer(gas, idx)[2]
 
 
@@ -679,7 +707,7 @@ def _series_damping(model, gas, params, a, region, omega):
         bound_base = weight_norm_bound(2, delta, gas.sigma, step_norm, c=dress) ** 0.5
     except (PreconditionError, DomainError):
         return None
-    k_cap = min(4, len(gas.sites), MAX_POLYMER_SIZE)
+    k_cap = min(4, len(gas.sites))
     norms = {}
     for k in range(1, k_cap + 1):
         if k == 1 and params.c != 0.0:
@@ -714,7 +742,6 @@ def truncated_log_partition(
     omega=None,
     K: int = 4,
     absolute: bool = False,
-    a: float | None = None,
 ) -> ClusterSeriesResult:
     """Cluster series for log Xi through clusters of K polymers.
 
@@ -726,8 +753,8 @@ def truncated_log_partition(
     absolute=True gives the positive dominating series, every factor in
     absolute value: Ursell coefficients of m polymers have sign (-1)^{m-1},
     so it is -L_m for activities -|zeta|. The tail certificate (absolute
-    series, per the damping helper) uses exponent a, defaulting to ln 2
-    undressed and c/4 dressed.
+    series, per the damping helper) uses exponent a = ln 2 undressed and
+    c/4 dressed.
     """
     if K < 1:
         raise DomainError(f"truncation order must be positive, got {K}")
@@ -747,11 +774,11 @@ def truncated_log_partition(
         raise _overflow("cluster series", gas, tuple(range(n)))
 
     partial = tuple(accumulate(by_order, initial=0.0 if absolute else 0j))[1:]
-    a_eff = a if a is not None else (math.log(2.0) if params.c == 0.0 else params.c / 4.0)
-    theta = _series_damping(model, gas, params, a_eff, region, omega)
+    a = math.log(2.0) if params.c == 0.0 else params.c / 4.0
+    theta = _series_damping(model, gas, params, a, region, omega)
     tail = None
     if theta is not None and theta > 1.0:
-        tail = a_eff * len(gas.sites) / theta ** (K + 1)
+        tail = a * len(gas.sites) / theta ** (K + 1)
     return ClusterSeriesResult(
         truncation_order=K,
         partial_sums=partial,

@@ -32,13 +32,19 @@ from . import exactengine as ee
 from . import model as m
 from . import polymer as pg
 from ._system import System, build_system
-from .errors import CapacityError, DomainError, PreconditionError
+from .errors import LOG_FLOAT_MIN, CapacityError, DomainError, PreconditionError
 
 DEFAULT_R0_MAX = 8
 # Slacks of the integral bounds: the gap against the sum of the four
 # integrals, and each decay integral against its closed form.
 GAP_SLACK = 1e-8
 DECAY_INTEGRAL_SLACK = 1e-12
+# Absolute tolerance of each of the integral decomposition's quadratures.
+QUAD_TOL = 1e-9
+# Last order summed of the curvature split's k >= 3 series.
+CURVATURE_SERIES_ORDER = 60
+# Truncation order of the dressed route's cluster series.
+DRESSED_SERIES_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,7 @@ def _require_normal(name: str, symbol: str, value: float, log_value: float) -> N
     if not value >= sys.float_info.min:
         raise CapacityError(
             f"{name} is not a positive normal float64: log {symbol} is"
-            f" {log_value:.1f}, float64 normals end at {math.log(sys.float_info.min):.1f}"
+            f" {log_value:.1f}, float64 normals end at {LOG_FLOAT_MIN:.1f}"
         )
 
 
@@ -266,7 +272,7 @@ def _site_measure_system(model: m.GibbsModel, region) -> System:
 
 
 def _decay_check(
-    large: bool, model: m.GibbsModel, t_points, omega_samples: int, seed: int, c_variant: str, budget: int
+    large: bool, model: m.GibbsModel, t_points, seed: int, c_variant: str, budget: int
 ) -> list[VerificationReport]:
     """The small-t (large off) or large-t decay check over one scan of the
     whole grid. worst_conditioning names the first conditioning attaining
@@ -283,14 +289,14 @@ def _decay_check(
         if not (lo < t <= hi + 1e-12):
             raise DomainError(f"t={t} is outside {span}")
     extra = {"c_variant": c_variant} if large else {}
-    scan = ee.decimated_char_fn_sup(model, ts, omega_samples=omega_samples, seed=seed, budget=budget)
+    scan = ee.decimated_char_fn_sup(model, ts, seed=seed, budget=budget)
     reports = []
     for t, sup, label in zip(scan.t, scan.sup, scan.worst):
         if large:
             rhs = math.exp(-(consts.c_selected / 2.0) * n)
         else:
             rhs = math.exp(-(consts.gauss_decay / 2.0) * n * t * t)
-        params = {"t": t, "sites": n, "omega_samples": omega_samples, **extra, "worst_conditioning": label}
+        params = {"t": t, "sites": n, "omega_samples": ee.OMEGA_SAMPLES, **extra, "worst_conditioning": label}
         reports.append(report(name, params, sup, rhs))
     return reports
 
@@ -298,7 +304,6 @@ def _decay_check(
 def check_small_t_decay(
     model: m.GibbsModel,
     t_points,
-    omega_samples: int = 8,
     seed: int = 0,
     c_variant: str = "proved",
     budget: int = ee.DEFAULT_BUDGET,
@@ -311,13 +316,12 @@ def check_small_t_decay(
     condition holds, naming the failing branch. One scan serves the whole
     grid.
     """
-    return _decay_check(False, model, t_points, omega_samples, seed, c_variant, budget)
+    return _decay_check(False, model, t_points, seed, c_variant, budget)
 
 
 def check_large_t_decay(
     model: m.GibbsModel,
     t_points,
-    omega_samples: int = 8,
     seed: int = 0,
     c_variant: str = "proved",
     budget: int = ee.DEFAULT_BUDGET,
@@ -326,14 +330,13 @@ def check_large_t_decay(
     against exp(-(c/2) |region|); as for the small-t check, one scan serves
     the whole grid.
     """
-    return _decay_check(True, model, t_points, omega_samples, seed, c_variant, budget)
+    return _decay_check(True, model, t_points, seed, c_variant, budget)
 
 
 def check_curvature_decomposition(
     model: m.GibbsModel,
     theta: float,
     region="decimated",
-    series_order: int = 60,
 ) -> list[VerificationReport]:
     """Audit of the small-t curvature split on a coupling-free region.
 
@@ -352,7 +355,8 @@ def check_curvature_decomposition(
       biased models; it is emitted as stated rather than repaired.
       Downstream gates should key on curvature_total, which carries the
       assembled claim that the decay estimates rest on.
-    - curvature_series_tail: |G3| <= (5/2) delta sigma^3 per site.
+    - curvature_series_tail: |G3| <= (5/2) delta sigma^3 per site, G3
+      summed through order CURVATURE_SERIES_ORDER.
     - curvature_total: Re G1 + Re G2 + |G3| <= -sigma^2 kappa / 2 per
       site (plus the series remainder). Relies on the spin interval
       containing zero, which keeps the single-site variance at least
@@ -369,8 +373,6 @@ def check_curvature_decomposition(
         )
     if not (0.0 < theta < consts.delta):
         raise DomainError(f"theta={theta} must lie in (0, {consts.delta:.6g})")
-    if series_order < 3:
-        raise DomainError(f"series_order must be at least 3, got {series_order}")
 
     sigma, delta, kap = consts.sigma, consts.delta, consts.kappa
     n = system.site_count
@@ -392,21 +394,21 @@ def check_curvature_decomposition(
         g1 += xi2
         g2 -= xi1 * xi1 + xi * xi2
         worst_sq = max(worst_sq, (xi1 * xi1).real)
-        for k in range(3, series_order + 1):
+        for k in range(3, CURVATURE_SERIES_ORDER + 1):
             d2 = k * (k - 1) * xi ** (k - 2) * xi1 * xi1 + k * xi ** (k - 1) * xi2
             g3 += (-1) ** (k - 1) * d2 / k
         exact += e2 / e0 - (e1 / e0) ** 2
 
     ds = delta * sigma
     remainder = 0.0
-    for k in range(series_order + 1, series_order + 200):
+    for k in range(CURVATURE_SERIES_ORDER + 1, CURVATURE_SERIES_ORDER + 200):
         term = ((k - 1) * ds ** (k - 2) + ds ** (k - 1)) * sigma**2
         remainder += term
         if term < 1e-300:
             break
 
     per_site = {"theta": theta, "sites": n}
-    with_order = {**per_site, "series_order": series_order}
+    with_order = {**per_site, "series_order": CURVATURE_SERIES_ORDER}
     rows = [
         ("curvature_leading_term", per_site, g1.real, -(7.0 / 8.0) * sigma**2 * kap * n),
         ("curvature_derivative_sign", per_site, worst_sq, 0.0),
@@ -423,7 +425,6 @@ def check_dressed_route(
     model: m.GibbsModel,
     t: float,
     region="decimated",
-    K: int = 4,
     c_variant: str = "proved",
     budget: int = ee.DEFAULT_BUDGET,
 ) -> list[VerificationReport]:
@@ -434,7 +435,8 @@ def check_dressed_route(
     measured |E(e^{itS})| stays under e^{-c n} e^{series at t + series at 0};
     and that envelope stays under e^{-(c/2) n}. The middle one is the
     factorization over graph supports, the outer ones are the series budget
-    spent twice, once for the numerator and once for the normalization.
+    spent twice, once for the numerator and once for the normalization. The
+    series runs through clusters of DRESSED_SERIES_ORDER polymers.
     """
     consts = constants(model, c_variant)
     _require_condition(consts)
@@ -446,8 +448,8 @@ def check_dressed_route(
     params_t = pg.ActivityParams(t=t, c=c, delta_cap=consts.delta)
     params_0 = pg.ActivityParams(t=0.0, c=c, delta_cap=consts.delta)
 
-    series_t = pg.truncated_log_partition(model, params_t, region, K=K, absolute=True)
-    series_0 = pg.truncated_log_partition(model, params_0, region, K=K, absolute=True)
+    series_t = pg.truncated_log_partition(model, params_t, region, K=DRESSED_SERIES_ORDER, absolute=True)
+    series_0 = pg.truncated_log_partition(model, params_0, region, K=DRESSED_SERIES_ORDER, absolute=True)
     if series_t.dominating_tail is None or series_0.dominating_tail is None:
         raise PreconditionError("the dressed series tail cannot be certified for this model")
     total_t = float(series_t.partial_sums[-1].real) + series_t.dominating_tail
@@ -457,9 +459,10 @@ def check_dressed_route(
     measured = abs(ee.char_fn(model, region, t, budget=budget))
     envelope = math.exp(-c * n) * math.exp(total_t + total_0)
 
+    with_order = {"t": t, "sites": n, "order": DRESSED_SERIES_ORDER}
     return [
-        report("dressed_series_budget", {"t": t, "sites": n, "order": K}, max(total_t, total_0), budget_rhs),
-        report("dressed_envelope", {"t": t, "sites": n, "order": K}, measured, envelope),
+        report("dressed_series_budget", dict(with_order), max(total_t, total_0), budget_rhs),
+        report("dressed_envelope", dict(with_order), measured, envelope),
         report("dressed_decay", {"t": t, "sites": n, "c_variant": c_variant}, measured, math.exp(-(c / 2.0) * n)),
     ]
 
@@ -510,7 +513,6 @@ def integral_decomposition(
     delta: float | None = None,
     c_variant: str = "proved",
     budget: int = ee.DEFAULT_BUDGET,
-    quad_tol: float = 1e-9,
 ) -> IntegralDecomposition:
     """Split the lattice-vs-Gaussian gap into its four integral bounds.
 
@@ -545,9 +547,9 @@ def integral_decomposition(
         val = ee.char_from_pmf(table, np.array([t / root_d]))[0]
         return float(abs(np.exp(-1j * t * mu / root_d) * val - math.exp(-t * t / 2.0)))
 
-    i1 = 2.0 * quad(central, 0.0, a_cut, epsabs=quad_tol, limit=200)[0]
-    i2 = 2.0 * root_d * quad(cf_abs, a_cut / root_d, delta, epsabs=quad_tol, limit=200)[0]
-    i3 = 2.0 * root_d * quad(cf_abs, delta, math.pi, epsabs=quad_tol, limit=200)[0]
+    i1 = 2.0 * quad(central, 0.0, a_cut, epsabs=QUAD_TOL, limit=200)[0]
+    i2 = 2.0 * root_d * quad(cf_abs, a_cut / root_d, delta, epsabs=QUAD_TOL, limit=200)[0]
+    i3 = 2.0 * root_d * quad(cf_abs, delta, math.pi, epsabs=QUAD_TOL, limit=200)[0]
     i4 = math.sqrt(2.0 * math.pi) * math.erfc(a_cut / math.sqrt(2.0))
     total = i1 + i2 + i3 + i4
     g_n = 2.0 * math.pi * ee.lclt_gap(model, "box", budget=budget)

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from pathlib import Path
 
@@ -6,6 +7,10 @@ import jsonschema
 import pytest
 
 import lclt_lab.cli as cli
+import lclt_lab.exactengine as ee
+import lclt_lab.model as lm
+import lclt_lab.polymer as pg
+from lclt_lab.errors import CapacityError
 
 REPO = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO / "docs" / "report_schema.json").read_text())
@@ -84,18 +89,20 @@ def test_repeated_boundary_site_exit_two(tmp_path, capsys):
 
 def test_box_past_site_cap_exit_two(tmp_path, capsys):
     """mc lists the whole box and stops at the site cap; the decay scan lists
-    only the 513^2 decimated sites and stops at the state budget."""
+    only the 513^2 decimated sites and stops at the budget on their exact
+    sum, whose work at band 0 already passes it."""
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({**MODEL_OK, "dimension": 2, "radius": 512}))
     assert cli.main(["mc", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "1050625 sites, over the cap" in capsys.readouterr().err
     assert cli.main(["decay-small-t", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "enumeration needs 2^263169 states, budget is 16777216" in capsys.readouterr().err
+    assert "transfer sum needs at least 263169*2^1*263170 steps, budget is 16777216" in capsys.readouterr().err
 
 
 def test_mc_checks_budget_before_sampling(tmp_path, capsys, monkeypatch):
-    """On a 41x41 box the exact side's state budget stops mc before any
-    sweep: the sampler is never called."""
+    """On a 41x41 box the exact side's budget stops mc before any sweep: the
+    transfer sum over its band of 41 sites needs 1681*2^42*1682 steps, and
+    the sampler is never called."""
 
     def fail(*args, **kwargs):
         raise AssertionError("sampled before the budget check")
@@ -104,7 +111,7 @@ def test_mc_checks_budget_before_sampling(tmp_path, capsys, monkeypatch):
     path = tmp_path / "box.json"
     path.write_text(json.dumps({**MODEL_OK, "dimension": 2, "radius": 20}))
     assert cli.main(["mc", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "enumeration needs 2^1681 states, budget is 16777216" in capsys.readouterr().err
+    assert "transfer sum needs 1681*2^42*1682 steps, budget is 16777216" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["constants"], ["decay-small-t"], ["integrals", "--a-cut", "0.02"]])
@@ -129,27 +136,90 @@ def test_underflowing_rate_exits_two(tmp_path, capsys):
 
 def test_oversized_polymer_region_exits_two_before_building(tmp_path, capsys):
     """identity-check on the 513^2 decimated sites of a radius-512 box stops
-    at the direct route's spin grid, before the System is built."""
+    at the direct route's budget on the exact sum, before the System is
+    built."""
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({**MODEL_OK, "dimension": 2, "radius": 512}))
     start = time.perf_counter()
     assert cli.main(["identity-check", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert time.perf_counter() - start < 30.0
-    assert "spin grid needs 2^263169 states, budget is 1048576" in capsys.readouterr().err
+    assert "transfer sum needs at least 263169*2^1*263170 steps, budget is 16777216" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["decay-small-t"], ["integrals", "--a-cut", "0.5"]])
 def test_over_budget_region_exits_two_before_building(argv, tmp_path, capsys):
-    """The state budget is checked on the site count, before a System over
-    the 90601 decimated sites the decay scan enumerates (or the 361201-site
-    box the integrals enumerate) is built."""
+    """The budget is checked on the work at band 0, before a System over the
+    90601 decimated sites of the decay scan (or the 361201-site box of the
+    integrals) is built."""
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({**MODEL_OK, "dimension": 2, "radius": 300}))
     start = time.perf_counter()
     assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert time.perf_counter() - start < 30.0
-    states = {"decay-small-t": 90601, "integrals": 361201}[argv[0]]
-    assert f"enumeration needs 2^{states} states, budget is 16777216" in capsys.readouterr().err
+    n = {"decay-small-t": 90601, "integrals": 361201}[argv[0]]
+    assert f"transfer sum needs at least {n}*2^1*{n + 1} steps, budget is 16777216" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        *((command, "--t-points") for command in ("constants", "min-r0", "integrals", "lclt-scan", "mc")),
+        *((command, "--budget") for command in ("constants", "min-r0", "identity-check", "site-cf")),
+        *((command, "--c-variant") for command in ("lclt-scan", "mc")),
+        ("graph-tables", "--t-points"),
+        ("graph-tables", "--budget"),
+        ("graph-tables", "--c-variant"),
+    ],
+)
+def test_flag_a_subcommand_ignores_exits_two(command, flag, config, tmp_path, capsys):
+    """A subcommand registers only the flags it reads: any other stops in
+    argparse with exit 2, before a config is read."""
+    value = {"--c-variant": "stated"}.get(flag, "3")
+    argv = [command, "--out", str(tmp_path / "o"), flag, value]
+    if command != "graph-tables":
+        argv += ["--config", config]
+    if command == "integrals":
+        argv += ["--a-cut", "0.02"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_long_chain_scan_runs_at_default_budget(tmp_path):
+    """lclt-scan past enumeration: 2000 sites of a radius-1000 chain take
+    2000*2^2*2001 transfer steps, within the default budget."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({**MODEL_OK, "radius": 1000}))
+    out = tmp_path / "o"
+    assert cli.main(["lclt-scan", "--config", str(path), "--out", str(out), "--sizes", "500,1000,2000"]) == 0
+    (record, check) = _reports(out)
+    assert [row["site_count"] for row in record["values"]["rows"]] == [500, 1000, 2000]
+    assert check["pass"]
+
+
+def test_underflowing_partition_function_is_a_capacity_error(tmp_path, capsys):
+    """At J = -400 on spins {1, 2} log Z is -2400: Z and Xi(0) underflow
+    float64. Every entry point that divides by them or returns them stops
+    with a CapacityError naming the log, and identity-check exits 2."""
+    config = {**MODEL_OK, "r0": 1, "spin": {"lo": 1, "hi": 2}, "boundary": {"kind": "zero"}}
+    config["coupling"] = {"kind": "nearest_neighbor", "strength": -400.0}
+    model = lm.model_from_json(json.dumps(config))
+    assert ee.log_partition_function(model) == -2400.0
+    normal = "is not a positive normal float64: log {} is {}, float64 normals end at -708.4"
+    with pytest.raises(CapacityError, match=re.escape("partition function " + normal.format("Z", "-2400.0"))):
+        ee.partition_function(model)
+    xi0 = normal.format("Xi(0)", "-2404.9")
+    for mode in ("direct", "polymer_sum"):
+        with pytest.raises(CapacityError, match=re.escape(f"{mode} route on 7 sites {xi0}")):
+            pg.char_fn_ratio(model, t=0.5, mode=mode)
+        with pytest.raises(CapacityError, match=re.escape(f"{mode} route on 7 sites {xi0}")):
+            pg.continuous_log_partition(model, pg.ActivityParams(t=0.5), mode=mode)
+    path = tmp_path / "cold.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["identity-check", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"direct route on 7 sites {xi0}" in capsys.readouterr().err
 
 
 def test_precondition_exit_one(tmp_path, capsys):

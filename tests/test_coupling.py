@@ -229,6 +229,6 @@ def test_engines_never_call_the_scalar_value(monkeypatch):
             build_system(model, region)
             build_system(model, region, omega={(-4,): 1, (0,): 1})
             lm.boundary_field_coefficients(model, region)
-        ee.decimated_char_fn_sup(model, (0.3, 2.0), omega_samples=2)
+        ee.decimated_char_fn_sup(model, (0.3, 2.0))
     _build.cache_clear()
     lm._window_coupling_total.cache_clear()

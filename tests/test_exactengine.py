@@ -133,7 +133,8 @@ def transfer_matrix_pmf(values, strength, fields):
         new = np.zeros_like(weight)
         for v, s in enumerate(values):
             new[v] = np.roll(step[:, v] @ weight, s)
-        weight = new
+        # rescaled at each site, so long chains stay finite
+        weight = new / new.sum()
     probs = weight.sum(axis=0)
     return lo, probs / probs.sum()
 
@@ -266,14 +267,51 @@ def test_route_dispatch(monkeypatch):
         assert calls == [route]
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    """The budget charges the work of the route _moments takes, n q^(R+1)
+    (n(q-1)+1) transfer steps or q^n states: first at band 0, a lower bound
+    on every route, before the System is built, then at the System's band."""
     model = nn_chain(radius=3, spin=(-1, 1))
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"^transfer sum needs at least 7\*3\^1\*15 steps, budget is 100$"):
         ee.partition_function(model, region="box", budget=100)
+    with pytest.raises(CapacityError, match=r"^transfer sum needs 7\*3\^2\*15 steps, budget is 400$"):
+        ee.partition_function(model, region="box", budget=400)
+    assert ee.partition_function(model, region="box", budget=945) > 0.0
+    readme = nn_chain(radius=3, strength=0.1, spin=(0, 1), boundary=1, r0=2)
+    with pytest.raises(CapacityError, match=r"^enumeration needs 2\^7 states, budget is 120$"):
+        ee.statistics(readme, budget=120)
+    assert ee._cost(2000, 2, 1)[:2] == (ee._transfer, 16_008_000)
+    assert ee._cost(7, 2, 1)[:2] == (ee._scan, 128)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a System was built")
+
+    monkeypatch.setattr(ee, "_build", no_build)
     # written out, 3^20000 would pass the int-to-str digit limit
     region = lm.resolve_region(nn_chain(radius=10000), "box")[:20000]
-    with pytest.raises(CapacityError, match=r"needs 3\^20000 states, budget is 16777216"):
+    message = r"^transfer sum needs at least 20000\*3\^1\*40001 steps, budget is 16777216$"
+    with pytest.raises(CapacityError, match=message):
         ee.statistics(nn_chain(radius=10000), region)
+
+
+def test_long_chain_runs_at_default_budget():
+    """A 2000-site {0, 1} chain, far past enumeration, takes 2000*2^2*2001
+    transfer steps, within the default budget; its moments and gap match a
+    transfer-matrix sum over (last spin, running total)."""
+    strength = 0.1
+    model = nn_chain(radius=1000, strength=strength, spin=(0, 1), boundary=1)
+    region = lm.resolve_region(model, "box")[:2000]
+    lo, want = transfer_matrix_pmf(model.spin.values, strength, [strength] + [0.0] * 1998 + [strength])
+    ps = np.arange(lo, lo + len(want))
+    mean = float(ps @ want)
+    var = float((ps - mean) ** 2 @ want)
+    root = math.sqrt(var)
+    gap = float(np.abs(root * want - np.exp(-((ps - mean) / root) ** 2 / 2.0) / math.sqrt(2.0 * math.pi)).max())
+    stats = ee.statistics(model, region)
+    assert stats.site_count == 2000
+    assert stats.mean_S == pytest.approx(mean, rel=1e-10)
+    assert stats.variance_S == pytest.approx(var, rel=1e-9)
+    assert ee.lclt_gap(model, region) == pytest.approx(gap, rel=1e-8)
 
 
 def test_energy_shift_bound_keeps_weights_finite():
@@ -343,7 +381,7 @@ def test_degenerate_distribution_raises():
 def test_decimated_sup_dominates_full_box():
     model = nn_chain(radius=2, strength=0.1, spin=(0, 1), boundary=1, r0=2)
     ts = (0.05, 0.4, 2.0)
-    scan = ee.decimated_char_fn_sup(model, ts, omega_samples=4, seed=1)
+    scan = ee.decimated_char_fn_sup(model, ts, seed=1)
     assert scan.t == ts
     assert scan.entries, "scan must record the boundary fields it tried"
     assert all(len(values) == len(ts) for _, values in scan.entries)
@@ -351,7 +389,17 @@ def test_decimated_sup_dominates_full_box():
     for k in range(len(ts)):
         assert scan.sup[k] >= full_box_abs[k] - 1e-15
         assert scan.sup[k] == max(values[k] for _, values in scan.entries)
-    assert ee.decimated_char_fn_sup(model, ts, omega_samples=4, seed=1) == scan
+    assert ee.decimated_char_fn_sup(model, ts, seed=1) == scan
+
+
+def test_decimated_scan_budget_charges_every_realized_conditioning():
+    """The 2D q = 3 box's one decimated site has four coupled interior
+    neighbours: 3^4 realized conditionings, each a 3-state enumeration."""
+    model = nn_chain(radius=1, strength=0.05, spin=(-1, 1), boundary=1, r0=2, dimension=2)
+    message = r"^enumeration over 3\^4 conditionings needs 3\^4\*3\^1 states, budget is 242$"
+    with pytest.raises(CapacityError, match=message):
+        ee.decimated_char_fn_sup(model, [0.1], budget=242)
+    assert len(ee.decimated_char_fn_sup(model, [0.1], budget=243).entries) == 2 + ee.OMEGA_SAMPLES + 81
 
 
 def test_decimated_entries_match_brute_force():
@@ -371,9 +419,9 @@ def test_decimated_entries_match_brute_force():
         nn_chain(radius=1, strength=0.15, spin=(-1, 1), boundary=1, r0=2, dimension=2),
     ]
     ts = np.array([0.1, 0.7, 2.0, math.pi])
-    omega_samples, seed = 3, 5
+    seed = 5
     for model in models:
-        scan = ee.decimated_char_fn_sup(model, ts, omega_samples=omega_samples, seed=seed)
+        scan = ee.decimated_char_fn_sup(model, ts, seed=seed)
 
         # The conditioning set, rebuilt from its definition: the realized
         # ones run over the interior window sites that couple to the region.
@@ -386,7 +434,7 @@ def test_decimated_entries_match_brute_force():
         values = model.spin.values
         rng = np.random.default_rng(seed)
         omegas = {"all_lo": dict.fromkeys(window, -1), "all_hi": dict.fromkeys(window, 1)}
-        for k in range(omega_samples):
+        for k in range(ee.OMEGA_SAMPLES):
             draw = rng.integers(0, len(values), size=len(window))
             omegas[f"random_{k}"] = {y: values[d] for y, d in zip(window, draw)}
         # conditional_idx spells idx in base q with the first interior site

@@ -265,8 +265,10 @@ def test_cluster_series_matches_ursell_enumeration():
 
 
 def test_overflowing_weights_raise_not_nan():
-    """A log weight past float64's range is a CapacityError on every route;
-    the same model with the opposite sign stays finite and the routes agree."""
+    """A log weight past float64's range is a CapacityError on every route:
+    the direct route names log Xi(0) from the exact sum, the others the
+    largest log weight; the same model with the opposite sign stays finite
+    and the routes agree."""
     params = pg.ActivityParams(t=0.3)
     hot = nn_chain(radius=3, strength=130, spin=(0, 1), boundary=1)
     calls = (
@@ -276,8 +278,10 @@ def test_overflowing_weights_raise_not_nan():
         lambda model: pg.truncated_log_partition(model, params, region="box", K=3),
         lambda model: pg.truncated_log_partition(model, params, region="box", K=3, absolute=True),
     )
-    for call in calls:
-        with pytest.raises(CapacityError, match=r"on 7 sites is not finite: the largest log weight is 776\.5"):
+    direct = r"^direct route on 7 sites is not finite in float64: log Xi\(0\) is 776\.5, float64 ends at 709\.8$"
+    largest = r"on 7 sites is not finite: the largest log weight is 776\.5"
+    for call, message in zip(calls, (direct, largest, direct, largest, largest)):
+        with pytest.raises(CapacityError, match=message):
             call(hot)
     polymer = pg.Polymer(lm.resolve_region(hot, "box")[:6])
     with pytest.raises(CapacityError, match=r"on 6 sites is not finite: the stability exponent is 780\.0"):
@@ -506,6 +510,28 @@ def test_component_cap_raises_not_truncates():
         pg.polymer_partition(model, pg.ActivityParams(t=0.2), region=region, mode="polymer_sum")
 
 
+def test_mayer_cap_is_one_for_every_entry_point():
+    """Every entry point that reads a Mayer table takes a polymer of
+    MAX_POLYMER_SIZE = 10 sites and refuses one of 11 with one message."""
+    assert pg.MAX_POLYMER_SIZE == 10
+    model = nn_chain(radius=5, strength=0.1, spin=(0, 1), boundary=1)
+    sites = lm.resolve_region(model, "box")
+    params = pg.ActivityParams(t=0.3)
+    calls = (
+        lambda poly: pg.activity(model, params, poly, region="box"),
+        lambda poly: pg.activity_derivative(model, params, poly, order=1, region="box"),
+        lambda poly: pg.activity_derivative(model, params, poly, order=2, region="box"),
+        lambda poly: pg.weight_w0(model, poly, 0.01, region="box"),
+        lambda poly: pg.weight_w1(model, poly, 0.01, region="box"),
+        lambda poly: pg.weight_wc(model, poly, 0.01, 0.5, region="box"),
+        lambda poly: pg.weight_norm(model, len(poly), "w0", 0.01, region="box"),
+    )
+    for call in calls:
+        assert cmath.isfinite(call(pg.Polymer(sites[:10])))
+        with pytest.raises(CapacityError, match=r"^polymer of 11 sites exceeds the cap of 10$"):
+            call(pg.Polymer(sites))
+
+
 def test_polymer_normalizes_sites():
     p = pg.Polymer(((2,), (0,), (2,)))
     assert p.sites == ((0,), (2,))
@@ -514,30 +540,31 @@ def test_polymer_normalizes_sites():
 
 
 def test_oversized_region_fails_before_building(monkeypatch):
-    """The entry points check the resolved region's size before a System is
-    built: q^n against the spin grid budget on the direct route, n against
-    POLYMER_REGION_CAP on the gas sum; the count stays in the form q^n."""
+    """The entry points check the resolved region before a System is built:
+    the exact sum's work at band 0 against the default budget on the direct
+    route, n against POLYMER_REGION_CAP on the gas sum."""
 
     def no_build(*args, **kwargs):
         raise AssertionError("a System was built")
 
     monkeypatch.setattr(pg, "build_system", no_build)
     monkeypatch.setattr(pg, "_build", no_build)
+    monkeypatch.setattr(ee, "_build", no_build)
     model = nn_chain(radius=512, strength=0.1, spin=(0, 1), boundary=1, r0=2, dimension=2)
     params = pg.ActivityParams(t=0.5)
-    grid = r"spin grid needs 2\^263169 states, budget is 1048576"
+    budget = r"^transfer sum needs at least 263169\*2\^1\*263170 steps, budget is 16777216$"
     gas_sum = r"gas sum over 263169 sites walks 2\^263169 site sets, cap is 14 sites"
-    with pytest.raises(CapacityError, match=grid):
+    with pytest.raises(CapacityError, match=budget):
         pg.polymer_partition(model, params, mode="direct")
     with pytest.raises(CapacityError, match=gas_sum):
         pg.polymer_partition(model, params, mode="polymer_sum")
-    with pytest.raises(CapacityError, match=grid):
+    with pytest.raises(CapacityError, match=budget):
         pg.continuous_log_partition(model, params)
     with pytest.raises(CapacityError, match=gas_sum):
         pg.continuous_log_partition(model, params, mode="polymer_sum")
     with pytest.raises(CapacityError, match=gas_sum):
         pg.truncated_log_partition(model, params)
-    # 15 sites: the direct route's 2^15 grid fits, the gas sum's cap does not
+    # 15 sites: the direct route's sum fits, the gas sum's cap does not
     chain = nn_chain(radius=7, strength=0.1, spin=(0, 1), boundary=1)
     with pytest.raises(CapacityError, match="gas sum over 15 sites"):
         pg.polymer_partition(chain, params, region="box", mode="polymer_sum")

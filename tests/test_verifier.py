@@ -131,7 +131,7 @@ def test_small_t_decay_regimes():
     for model in (regime_finite_range(), regime_weak_coupling()):
         c = vf.constants(model)
         ts = [c.delta * f for f in (0.25, 0.7, 1.0)]
-        reports = vf.check_small_t_decay(model, ts, omega_samples=4, seed=2)
+        reports = vf.check_small_t_decay(model, ts, seed=2)
         assert vf.all_passed(reports)
         for r in reports:
             assert r.check_name == "small_t_gaussian_decay"
@@ -142,7 +142,7 @@ def test_large_t_decay_regimes():
     for model in (regime_finite_range(), regime_weak_coupling()):
         c = vf.constants(model)
         ts = [c.delta + (math.pi - c.delta) * f for f in (0.2, 0.8, 1.0)]
-        reports = vf.check_large_t_decay(model, ts, omega_samples=4, seed=2)
+        reports = vf.check_large_t_decay(model, ts, seed=2)
         assert vf.all_passed(reports)
         assert all(r.check_name == "large_t_volume_decay" for r in reports)
 
@@ -150,7 +150,7 @@ def test_large_t_decay_regimes():
 def test_decay_requires_admissible_step():
     model = nn_chain(radius=2, strength=0.5, spin=(-1, 1), boundary=None, r0=1)
     with pytest.raises(PreconditionError, match="dressed series"):
-        vf.check_small_t_decay(model, [0.001], omega_samples=2)
+        vf.check_small_t_decay(model, [0.001])
 
 
 def test_curvature_reports_biased_model():
