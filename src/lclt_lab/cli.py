@@ -266,8 +266,8 @@ def _cmd_lclt_scan(args) -> tuple[list[dict], bool]:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as err:
         raise DomainError(f"--sizes must be comma-separated integers: {err}") from None
-    if len(sizes) < 2 or sorted(sizes) != sizes:
-        raise DomainError("--sizes needs at least two increasing lengths")
+    if len(sizes) < 2 or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise DomainError(f"--sizes needs at least two strictly increasing positive lengths, got {args.sizes}")
     family = [(model, _chain_region(model, n)) for n in sizes]
     rows = vf.lclt_trend(family, budget=args.budget)
     worst = max(b.gap - a.gap for a, b in zip(rows, rows[1:]))

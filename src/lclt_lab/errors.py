@@ -37,8 +37,9 @@ class DegenerateDistributionError(DomainError):
 
 def require_normal_exp(what: str, symbol: str, log_value: float) -> None:
     """Raise CapacityError unless e^log_value is a finite, positive normal
-    float64, naming log_value and the end of the range it passed."""
-    if log_value > LOG_FLOAT_MAX:
+    float64, naming log_value and the end of the range it passed; a NaN
+    log_value is not finite."""
+    if not log_value <= LOG_FLOAT_MAX:
         raise CapacityError(
             f"{what} is not finite in float64: log {symbol} is {log_value:.1f}, float64 ends at {LOG_FLOAT_MAX:.1f}"
         )

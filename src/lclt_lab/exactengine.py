@@ -27,7 +27,9 @@ when the largest shifted weight falls under tiny/eps (log weight more than
 672.3 below the bound), the sum is taken again shifted by the largest log
 weight itself. Either way every weight within a factor eps of the largest
 is a normal float, so Z_shifted is positive on every system (the transfer
-sum rescales its table to a largest entry of 1 at each step).
+sum rescales its table to a largest entry of 1 at each step). A shift, Z,
+moment or bin that float64 cannot hold (finite couplings near 1e308 can
+sum to inf) is a CapacityError naming the route, never NaN.
 
 One function, _cost, decides what an exact sum costs: the route _moments
 takes and that route's work, N |I|^(R+1) (N(|I|-1)+1) transfer steps or
@@ -90,11 +92,12 @@ class PmfTable:
     probabilities: tuple[float, ...]
 
     def __post_init__(self):
+        # written so that a NaN fails each check
+        if not all(p >= 0 for p in self.probabilities):
+            raise RuntimeError("pmf holds a negative or NaN mass")
         total = math.fsum(self.probabilities)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise RuntimeError(f"pmf normalization drifted to {total!r}")
-        if any(p < 0 for p in self.probabilities):
-            raise RuntimeError("pmf holds a negative mass")
 
     @property
     def support(self) -> range:
@@ -307,8 +310,14 @@ def _transfer(system: System):
 
 @lru_cache(maxsize=64)
 def _moments(system: System):
-    route = _cost(system.site_count, len(system.values), _bandwidth(system))[0]
+    route, _, name, _ = _cost(system.site_count, len(system.values), _bandwidth(system))
     shift, z, s1, s2, bins, s_min = route(system)
+    # |S| <= n max|s|, so finite sums with Z_shifted > 0 give finite moments
+    if not (z > 0 and all(map(math.isfinite, (shift, z, s1, s2))) and np.isfinite(bins).all()):
+        raise CapacityError(
+            f"{name} on {system.site_count} sites is not finite in float64: the shift is {shift!r}"
+            f" and Z_shifted {z!r}"
+        )
     mean = s1 / z
     var = s2 / z - mean * mean
     probs = bins / z

@@ -168,18 +168,22 @@ class Coupling:
     def __post_init__(self):
         if self.kind not in ("nearest_neighbor", "power_law", "explicit"):
             raise DomainError(f"unknown coupling kind {self.kind!r}")
-        if self.kind == "power_law" and (self.exponent is None or self.exponent <= 0):
-            raise DomainError("power_law coupling needs a positive exponent")
+        if not math.isfinite(self.strength):
+            raise DomainError(f"coupling strength must be finite, got {self.strength}")
+        if self.kind == "power_law" and not (self.exponent is not None and 0 < self.exponent < math.inf):
+            raise DomainError(f"power_law coupling needs a positive finite exponent, got {self.exponent}")
         if self.kind == "explicit":
             if self.pairs is None:
                 raise DomainError("explicit coupling needs a pair table")
             seen = set()
-            for x, y, _ in self.pairs:
+            for x, y, j in self.pairs:
                 if x == y:
                     raise DomainError(f"explicit coupling assigns J({x},{x}) on the diagonal")
                 key = (min(x, y), max(x, y))
                 if key in seen:
                     raise DomainError(f"duplicate explicit pair {key}")
+                if not math.isfinite(j):
+                    raise DomainError(f"explicit pair {key} has the coupling {j}, which is not finite")
                 seen.add(key)
 
     @staticmethod
@@ -249,17 +253,40 @@ class Coupling:
 
 def _couplings_within(model: "GibbsModel", xs, ys, radius: int):
     """(i, k, J(xs[i], ys[k])) over the site pairs within sup-distance radius,
-    by i and then k. Each x is compared only with the run of ys, sorted on
-    the first coordinate, whose first coordinate is within radius of its."""
+    by i and then k. The ys are sorted on their first two coordinates and
+    each x is compared with runs of them found by binary search: on a chain
+    the one run within radius of x; on 2-D and larger boxes one run per
+    first-coordinate value within radius of x's, the ys of that value whose
+    second coordinate is within radius of x's, so a 2-D x sees at most
+    (2 radius + 1)^2 candidates."""
     d = model.box.dimension
     xs, ys = (np.asarray(sites, dtype=np.int64).reshape(len(sites), d) for sites in (xs, ys))
-    order = np.argsort(ys[:, 0], kind="stable")
-    first = np.searchsorted(ys[order, 0], xs[:, 0] - radius, "left")
-    count = np.searchsorted(ys[order, 0], xs[:, 0] + radius, "right") - first
-    i = np.repeat(np.arange(len(xs)), count)
+    order = np.lexsort(ys[:, :2].T[::-1])
+    lead = ys[order, 0]
+    if d == 1 or not len(ys):
+        owner = np.arange(len(xs))
+        keys, lo, hi = lead, xs[:, 0] - radius, xs[:, 0] + radius
+    else:
+        # one key per y: its row (rank of its first coordinate) then its
+        # second coordinate, so each row's run is one key interval
+        starts = np.flatnonzero(np.diff(lead, prepend=lead[0] - 1))
+        rows, row = lead[starts], np.repeat(np.arange(len(starts)), np.diff(starts, append=len(lead)))
+        base = ys[:, 1].min()
+        width = int(ys[:, 1].max() - base) + 1
+        keys = row * width + ys[order, 1] - base
+        first_row = np.searchsorted(rows, xs[:, 0] - radius, "left")
+        row_count = np.searchsorted(rows, xs[:, 0] + radius, "right") - first_row
+        owner = np.repeat(np.arange(len(xs)), row_count)
+        run_row = np.repeat(first_row - np.cumsum(row_count) + row_count, row_count) + np.arange(row_count.sum())
+        offset = xs[owner, 1] - base
+        lo = run_row * width + np.minimum(np.maximum(offset - radius, 0), width)
+        hi = run_row * width + np.minimum(np.maximum(offset + radius, -1), width - 1)
+    first = np.searchsorted(keys, lo, "left")
+    count = np.maximum(np.searchsorted(keys, hi, "right") - first, 0)
+    i = np.repeat(owner, count)
     k = order[np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())]
     near = np.ones(len(i), dtype=bool)
-    for c in range(1, d):
+    for c in range(2, d):
         near &= np.abs(xs[i, c] - ys[k, c]) <= radius
     by_x = np.lexsort((k[near], i[near]))
     i, k = i[near][by_x], k[near][by_x]

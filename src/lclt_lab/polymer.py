@@ -25,9 +25,13 @@ Xi(t) has two independent routes. The direct one reads the exact engine's
 sum over the same System: with z_x = sum_s e^{h_x s} the normalizer of p_x,
 Xi(t) = Z / prod_x z_x * E(e^{itS}), and E(e^{itS}) is the Fourier sum of
 the exact pmf, so the region is enumerated (or transfer-summed) once,
-under the exact engine's default budget on that sum's work; the dressed
-direct route (c > 0) sums over every graph of the region's couplings
-instead. The other route is the gas sum over Mayer tables, a
+under the exact engine's default budget on that sum's work. The dressed
+direct route (c > 0) sums the graphs of the region's couplings support by
+support instead: taking the coupled pairs one at a time, it keeps for each
+support the per-configuration sum of prod_e (e^{J_e s s'} - 1) over the
+graphs with that support, and GRAPH_SUM_BUDGET bounds the supports times
+the configurations it holds. Both direct routes take a scalar t or a 1-D
+grid of t. The other route is the gas sum over Mayer tables, a
 subset recursion; the exact engine never reads a Mayer table. Run with one
 power of a formal lambda per polymer, the recursion gives Xi(lambda)
 through lambda^K, whose truncated log is the cluster series.
@@ -141,9 +145,10 @@ class TreeGraphBounds:
 
 class _Gas:
     """Per-region tables: single-site measures, and t-free caches filled on
-    first use: the coupling matrix and adjacency masks (O(n^2), read only by
-    the polymer side, never by the undressed direct route), Mayer tables by
-    polymer index tuple and weight norms by (size, dressing, delta)."""
+    first use: the coupling matrix (O(n^2), read by the Mayer tables, the
+    pair energies and the tree-graph check, never by either direct route),
+    adjacency masks, Mayer tables by polymer index tuple and weight norms by
+    (size, dressing, delta)."""
 
     def __init__(self, system: System):
         self.system = system
@@ -388,7 +393,7 @@ def _exact_xi0(gas: _Gas):
     return shift + math.log(z) - float(log_norms.sum()), table
 
 
-def _partition_direct(gas: _Gas, t: float, c: float) -> complex:
+def _partition_direct(gas: _Gas, t, c: float):
     n = len(gas.sites)
     if c == 0.0:
         # Every site carries its phase factor: Xi(t) = Xi(0) times the exact
@@ -397,45 +402,33 @@ def _partition_direct(gas: _Gas, t: float, c: float) -> complex:
         require_normal_exp(f"direct route on {n} sites", "Xi(0)", log_xi0)
         return math.exp(log_xi0) * ee.char_from_pmf(table, t)
 
-    # Dressed variant: sum over all graphs, each weighted by e^{c|support|}
-    # and phase factors on the support only.
+    # Dressed variant: every graph of the region's couplings is weighted by
+    # e^{c|support|} and carries phase factors on its support only. Grown one
+    # coupled pair at a time, sums[support] is, per configuration, the sum of
+    # prod u_e over the graphs with that support so far.
     values, probs = _config_tables(gas, tuple(range(n)))
-    edges = [
-        (i, j, gas.coupling[i, j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if gas.coupling[i, j] != 0.0
-    ]
     cols = values.shape[1]
-    if (1 << len(edges)) * cols > GRAPH_SUM_BUDGET:
-        raise CapacityError(
-            f"graph sum needs 2^{len(edges)} masks over {cols} configs, "
-            f"budget is {GRAPH_SUM_BUDGET}"
-        )
-    u = [np.expm1(j * values[a] * values[b]) for a, b, j in edges]
-    site_phase = [np.exp(1j * t * values[i]) for i in range(n)]
-    phase_cache: dict[int, np.ndarray] = {0: np.ones(cols, dtype=complex)}
-
-    def support_phase(mask: int) -> np.ndarray:
-        got = phase_cache.get(mask)
-        if got is None:
-            low = mask & -mask
-            got = support_phase(mask ^ low) * site_phase[low.bit_length() - 1]
-            phase_cache[mask] = got
-        return got
-
-    total = np.zeros(cols, dtype=complex)
-
-    def walk(e: int, prod: np.ndarray, support: int):
-        if e == len(edges):
-            total.__iadd__(prod * (math.exp(c * support.bit_count()) * support_phase(support)))
-            return
-        walk(e + 1, prod, support)
-        a, b, _ = edges[e]
-        walk(e + 1, prod * u[e], support | (1 << a) | (1 << b))
-
-    walk(0, np.ones(cols), 0)
-    return complex(np.dot(probs, total))
+    sums = {0: np.ones(cols)}
+    for a, b, j in gas.system.pairs:
+        # the pair can at most double the supports held
+        if 2 * len(sums) * cols > GRAPH_SUM_BUDGET:
+            raise CapacityError(
+                f"graph sum needs 2*{len(sums)} supports over {cols} configs, budget is {GRAPH_SUM_BUDGET}"
+            )
+        u = np.expm1(j * values[a] * values[b])
+        pair = (1 << a) | (1 << b)
+        for support, prod in list(sums.items()):
+            grown = prod * u
+            got = sums.get(support | pair)
+            sums[support | pair] = grown if got is None else got + grown
+    ts = np.asarray(t, dtype=float)
+    total = np.zeros(ts.shape + (cols,), dtype=complex)
+    for support, prod in sums.items():
+        on = [i for i in range(n) if support >> i & 1]
+        phase = np.exp(1j * np.multiply.outer(ts, values[on].sum(axis=0)))
+        total += prod * (math.exp(c * len(on)) * phase)
+    xi = total @ probs
+    return complex(xi) if ts.ndim == 0 else xi
 
 
 def _check_region(gas: _Gas, what: str) -> None:
@@ -483,20 +476,22 @@ def _gas_sum(n: int, groups: list[list], K: int | None = None):
     return dp[-1]
 
 
-def _partition_polymer_sum(gas: _Gas, t: float, c: float) -> complex:
+def _partition_polymer_sum(gas: _Gas, t, c: float):
     _check_region(gas, "gas sum")
-    return complex(_gas_sum(len(gas.sites), _activity_groups(gas, t, c)))
+    xis = [complex(_gas_sum(len(gas.sites), _activity_groups(gas, tau, c))) for tau in np.atleast_1d(t).tolist()]
+    return xis[0] if np.ndim(t) == 0 else np.array(xis)
 
 
 _ROUTES = {"direct": _partition_direct, "polymer_sum": _partition_polymer_sum}
 
 
-def _partition(gas: _Gas, t: float, c: float, mode: str) -> complex:
+def _partition(gas: _Gas, t, c: float, mode: str):
+    """Xi at a scalar t (a complex) or over a 1-D grid of t (an array)."""
     route = _ROUTES.get(mode)
     if route is None:
         raise DomainError(f"unknown mode {mode!r}; use 'direct' or 'polymer_sum'")
     xi = route(gas, t, c)
-    if not cmath.isfinite(xi):
+    if not np.isfinite(xi).all():
         raise _overflow(f"{mode} route", gas, tuple(range(len(gas.sites))))
     return xi
 
@@ -540,9 +535,9 @@ def continuous_log_partition(
     """log Xi(t) on the branch continuous in t from t=0.
 
     Xi(0) is real and positive; the log is accumulated over LOG_STEPS small
-    t steps so each increment stays within the principal strip.
-    Principal-branch evaluation at the endpoint would be wrong once the
-    phase winds.
+    t steps, all evaluated in one call, so each increment stays within the
+    principal strip. Principal-branch evaluation at the endpoint would be
+    wrong once the phase winds.
     """
     gas = _gas_for_mode(model, region, omega, mode)
     start = _partition_at_zero(gas, params.c, mode)
@@ -550,9 +545,7 @@ def continuous_log_partition(
         raise PreconditionError(f"partition function at t=0 is {start!r}, not positive")
     log_val = complex(math.log(start.real))
     prev = start
-    for step in range(1, LOG_STEPS + 1):
-        tau = params.t * step / LOG_STEPS
-        cur = _partition(gas, tau, params.c, mode)
+    for cur in _partition(gas, params.t * np.arange(1, LOG_STEPS + 1) / LOG_STEPS, params.c, mode).tolist():
         log_val += cmath.log(cur / prev)
         prev = cur
     return log_val

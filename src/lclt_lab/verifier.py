@@ -528,7 +528,7 @@ def integral_decomposition(
     consts = constants(model, c_variant)
     if delta is None:
         delta = consts.delta
-    if delta <= 0 or delta > math.pi:
+    if not 0 < delta <= math.pi:
         raise DomainError(f"delta must lie in (0, pi], got {delta}")
 
     stats = ee.statistics(model, "box", budget=budget)

@@ -52,19 +52,25 @@ def regime_weak_coupling():
     return nn_chain(radius=2, strength=1e-11, spin=(0, 1), boundary=1, r0=1)
 
 
-def frustrated_complete_graph(n, strength):
-    """n sites of a 1D box, every pair coupled antiferromagnetically, spins
-    {-1, 0, 1}, zero boundary: the energy-shift bound sits hundreds above
-    the largest log weight. Returns (model, region)."""
+def complete_graph(n, strength, spin=(-1, 1)):
+    """n sites of a 1D box, every pair coupled by strength, zero boundary.
+    Returns (model, region)."""
     radius = n // 2
     sites = tuple((x,) for x in range(-radius, -radius + n))
     model = GibbsModel(
         box=Box(dimension=1, radius=radius, r0=1),
-        spin=SpinInterval(-1, 1),
+        spin=SpinInterval(*spin),
         coupling=Coupling.explicit([(a, b, strength) for a, b in itertools.combinations(sites, 2)]),
         boundary=BoundaryCondition.zero(),
     )
     return model, sites
+
+
+def frustrated_complete_graph(n, strength):
+    """complete_graph with spins {-1, 0, 1} and an antiferromagnetic
+    strength: the energy-shift bound sits hundreds above the largest log
+    weight."""
+    return complete_graph(n, strength)
 
 
 SPIN_CHOICES = ((0, 1), (-1, 0), (-1, 1))

@@ -1,9 +1,11 @@
 import json
+import math
 import re
 import time
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import lclt_lab.cli as cli
@@ -122,6 +124,59 @@ def test_underflowing_delta_exits_two(argv, tmp_path, capsys):
     path.write_text(json.dumps({**MODEL_OK, "coupling": {"kind": "nearest_neighbor", "strength": 400.0}}))
     assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "delta = kappa/(12 sigma) is not a positive normal float64: log delta is -1603.2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "coupling, argv, message",
+    [
+        (
+            {"kind": "nearest_neighbor", "strength": 1e308},
+            ["lclt-scan", "--sizes", "3,5"],
+            "enumeration on 3 sites is not finite in float64",
+        ),
+        ({"kind": "nearest_neighbor", "strength": 1e308}, ["mc"], "enumeration on 7 sites is not finite in float64"),
+        (
+            {"kind": "power_law", "strength": 0.1, "exponent": math.nan},
+            ["constants"],
+            "power_law coupling needs a positive finite exponent, got nan",
+        ),
+        (
+            {"kind": "power_law", "strength": 0.1, "exponent": math.inf},
+            ["constants"],
+            "power_law coupling needs a positive finite exponent, got inf",
+        ),
+        *(
+            ({"kind": "explicit", "pairs": [[[0], [1], math.nan]]}, argv, "pair ((0,), (1,)) has the coupling nan")
+            for argv in (["lclt-scan", "--sizes", "3,5"], ["mc"], ["constants"])
+        ),
+    ],
+)
+def test_non_finite_coupling_exits_two(coupling, argv, message, tmp_path, capsys):
+    """A finite strength whose sums are not finite, and the JSON NaN and
+    Infinity that pass the schema's "number", stop with a typed error and
+    write no report."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**MODEL_OK, "coupling": coupling}))
+    with np.errstate(all="ignore"):
+        assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lclt-scan", "--sizes", "5,5"], "strictly increasing positive lengths, got 5,5"),
+        (["lclt-scan", "--sizes", "0,3"], "strictly increasing positive lengths, got 0,3"),
+        (["lclt-scan", "--sizes=-1,3"], "strictly increasing positive lengths, got -1,3"),
+        (["integrals", "--a-cut", "0.02", "--delta", "nan"], "delta must lie in (0, pi], got nan"),
+    ],
+)
+def test_argument_outside_its_domain_exits_two(argv, message, config, tmp_path, capsys):
+    """Arguments that once passed their checks and failed later for another
+    reason: a repeated or nonpositive length, and a NaN delta."""
+    assert cli.main([*argv, "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_underflowing_rate_exits_two(tmp_path, capsys):

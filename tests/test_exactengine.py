@@ -7,6 +7,7 @@ import pytest
 
 import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
+import lclt_lab.polymer as pg
 from conftest import free_chain, frustrated_complete_graph, nn_chain, random_model, random_omega
 from lclt_lab._system import build_system, windowed_exterior
 from lclt_lab.errors import CapacityError, DegenerateDistributionError
@@ -360,6 +361,33 @@ def test_partition_function_overflow_raises_capacity_error():
     assert 709.8 < log_z < math.inf
     with pytest.raises(CapacityError, match=r"log Z is 1040\.0, float64 ends at 709\.8"):
         ee.partition_function(model)
+
+
+def test_non_finite_sums_raise_capacity_error():
+    """At strength 1e308 every coupling is finite but the exact sums are
+    not. The check in _moments turns NaN into the route's CapacityError for
+    each exact entry point, the decay scan and the polymer direct route."""
+    model = nn_chain(radius=3, strength=1e308, spin=(0, 1), boundary=1, r0=2)
+    calls = {
+        7: (ee.statistics, ee.log_partition_function, ee.pmf, ee.lclt_gap, ee.partition_function),
+        3: (
+            lambda mm: ee.decimated_char_fn_sup(mm, [0.5]),
+            lambda mm: pg.polymer_partition(mm, pg.ActivityParams(t=0.3), mode="direct"),
+            lambda mm: pg.char_fn_ratio(mm, t=0.3, mode="direct"),
+        ),
+    }
+    for n, entries in calls.items():
+        for call in entries:
+            with np.errstate(all="ignore"), pytest.raises(
+                CapacityError, match=rf"^enumeration on {n} sites is not finite in float64: the shift is nan"
+            ):
+                call(model)
+
+
+@pytest.mark.parametrize("probabilities", [(math.nan, 1.0), (math.nan, math.nan), (0.5, math.inf), (1.0, -0.0, -1e-3)])
+def test_pmf_table_refuses_nan_and_negative_mass(probabilities):
+    with pytest.raises(RuntimeError, match="pmf"):
+        ee.PmfTable(p_min=0, probabilities=probabilities)
 
 
 def test_degenerate_distribution_raises():

@@ -139,6 +139,23 @@ def test_repeated_boundary_site_is_a_domain_error():
     assert lm.BoundaryCondition.explicit({(4,): 1, (-4,): 0}).omega((4,)) == 1
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: lm.Coupling.nearest_neighbor(math.inf), "coupling strength must be finite, got inf"),
+        (lambda: lm.Coupling.power_law(math.nan, 3.0), "coupling strength must be finite, got nan"),
+        (lambda: lm.Coupling.power_law(0.1, math.nan), "positive finite exponent, got nan"),
+        (lambda: lm.Coupling.power_law(0.1, math.inf), "positive finite exponent, got inf"),
+        (lambda: lm.Coupling.explicit([((0,), (1,), math.nan)]), r"pair \(\(0,\), \(1,\)\) has the coupling nan"),
+    ],
+)
+def test_non_finite_coupling_is_a_domain_error(make, message):
+    """JSON NaN and Infinity pass the schema's "number"; the coupling
+    refuses them before any sum sees them."""
+    with pytest.raises(DomainError, match=message):
+        make()
+
+
 def test_single_spin_distribution_logistic():
     # one site with a single exterior neighbor held at 1 through J = 0.1:
     # p(1) = 1 / (1 + e^-0.1)

@@ -10,7 +10,7 @@ import lclt_lab.combinatorics as cb
 import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
 import lclt_lab.polymer as pg
-from conftest import SPIN_CHOICES, frustrated_complete_graph, nn_chain, random_model, random_omega
+from conftest import SPIN_CHOICES, complete_graph, frustrated_complete_graph, nn_chain, random_model, random_omega
 from lclt_lab._system import _spin_grid, build_system
 from lclt_lab.errors import CapacityError, DomainError, PreconditionError
 
@@ -383,6 +383,119 @@ def test_direct_route_matches_enumeration():
             # Xi(t) has analytic zeros (two-state spins at t = pi), where the
             # two sums agree to rounding of Xi(0), not of Xi(t)
             assert abs(got - expected) <= 1e-12 * max(abs(expected), 1e-3 * want[0].real), (t, got, expected)
+
+
+def graph_walk_partition(gas, ts, c):
+    """The dressed Xi_c over a t grid by walking all 2^E subsets of the
+    region's couplings, one graph at a time: each weighs prod u_e by
+    e^{c|support|} and the phases of the spins on its support."""
+    n = len(gas.sites)
+    values, probs = pg._config_tables(gas, tuple(range(n)))
+    edges = [(i, j, gas.coupling[i, j]) for i in range(n) for j in range(i + 1, n) if gas.coupling[i, j] != 0.0]
+    u = [np.expm1(j * values[a] * values[b]) for a, b, j in edges]
+    site_phase = [np.exp(1j * np.multiply.outer(ts, values[i])) for i in range(n)]
+    phase_cache = {0: np.ones((len(ts), values.shape[1]), dtype=complex)}
+
+    def support_phase(mask):
+        got = phase_cache.get(mask)
+        if got is None:
+            low = mask & -mask
+            got = phase_cache[mask] = support_phase(mask ^ low) * site_phase[low.bit_length() - 1]
+        return got
+
+    total = np.zeros((len(ts), values.shape[1]), dtype=complex)
+
+    def walk(e, prod, support):
+        if e == len(edges):
+            total.__iadd__(prod * (math.exp(c * support.bit_count()) * support_phase(support)))
+            return
+        walk(e + 1, prod, support)
+        a, b, _ = edges[e]
+        walk(e + 1, prod * u[e], support | (1 << a) | (1 << b))
+
+    walk(0, np.ones(values.shape[1]), 0)
+    return total @ probs
+
+
+def test_dressed_direct_route_matches_graph_walk():
+    """The dressed direct route, summed support by support, against the walk
+    over every graph, at each scalar t and over the whole grid: random models
+    with and without omega, and complete graphs K4 to K6."""
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(12):
+        model = random_model(rng)
+        # the whole box where it is small, so that its couplings enter
+        region = "box" if len(lm.resolve_region(model, "box")) <= 7 else "decimated"
+        cases += [(model, region, None), (model, region, random_omega(rng, model, region))]
+    cases += [(*frustrated_complete_graph(k, -0.3), None) for k in (4, 5)]
+    cases += [(*complete_graph(k, 0.2, spin=(0, 1)), None) for k in (4, 5, 6)]
+    cases += [(*complete_graph(6, -0.15), None)]
+    ts = np.array([0.0, 0.3, 1.1, 2.5, math.pi])
+    for model, region, omega in cases:
+        gas = pg._gas_for_mode(model, region, omega, "direct")
+        for c in (0.11, 0.8):
+            want = graph_walk_partition(gas, ts, c)
+            grid = pg._partition(gas, ts, c, "direct")
+            floor = 1e-6 * abs(want[0])
+            for t, expected, on_grid in zip(ts, want, grid):
+                got = pg.polymer_partition(model, pg.ActivityParams(t=t, c=c), region, omega, mode="direct")
+                for value in (got, on_grid):
+                    assert abs(value - expected) <= 1e-10 * max(abs(expected), floor), (t, c, value, expected)
+
+
+def test_dressed_identity_on_complete_graph():
+    """K7: 21 coupled pairs but 128 supports. The walk over 2^21 graphs
+    times 128 configurations passed GRAPH_SUM_BUDGET and was refused; the
+    sum by support holds at most 128 x 128 entries and agrees with the gas
+    sum."""
+    model, region = complete_graph(7, 0.05, spin=(0, 1))
+    for t in (0.0, 0.9, 2.7):
+        params = pg.ActivityParams(t=t, c=0.4)
+        direct = pg.polymer_partition(model, params, region, mode="direct")
+        gas = pg.polymer_partition(model, params, region, mode="polymer_sum")
+        assert gas == pytest.approx(direct, rel=1e-11, abs=1e-14)
+
+
+def test_graph_sum_budget_counts_supports(monkeypatch):
+    """The budget bounds supports x configurations, checked before each pair
+    as twice what is held. Before its last pair K7 holds 120 supports (the
+    empty one and every site set of two or more but that pair's) over 128
+    configurations."""
+    model, region = complete_graph(7, 0.05, spin=(0, 1))
+    params = pg.ActivityParams(t=0.5, c=0.4)
+    monkeypatch.setattr(pg, "GRAPH_SUM_BUDGET", 2 * 120 * 128)
+    pg.polymer_partition(model, params, region, mode="direct")
+    monkeypatch.setattr(pg, "GRAPH_SUM_BUDGET", 2 * 120 * 128 - 1)
+    with pytest.raises(CapacityError, match=r"^graph sum needs 2\*120 supports over 128 configs, budget is 30719$"):
+        pg.polymer_partition(model, params, region, mode="direct")
+
+
+@pytest.mark.parametrize("mode", ["direct", "polymer_sum"])
+@pytest.mark.parametrize("c", [0.0, 0.3])
+def test_continuous_log_makes_one_call_over_its_grid(monkeypatch, mode, c):
+    """Besides Xi(0), the continuous log takes Xi over its LOG_STEPS grid in
+    one call, and matches the per-step loop."""
+    model = nn_chain(radius=2, strength=0.2, spin=(0, 1), boundary=1)
+    params = pg.ActivityParams(t=2.9, c=c)
+    gas = pg._gas_for_mode(model, "box", None, mode)
+    start = prev = pg._partition_at_zero(gas, c, mode)
+    want = complex(math.log(start.real))
+    for step in range(1, pg.LOG_STEPS + 1):
+        cur = pg._partition(gas, params.t * step / pg.LOG_STEPS, c, mode)
+        want += cmath.log(cur / prev)
+        prev = cur
+    shapes = []
+    real = pg._partition
+
+    def counting(gas, t, c, mode):
+        shapes.append(np.shape(t))
+        return real(gas, t, c, mode)
+
+    monkeypatch.setattr(pg, "_partition", counting)
+    got = pg.continuous_log_partition(model, params, region="box", mode=mode)
+    assert shapes == [(), (pg.LOG_STEPS,)]
+    assert abs(got - want) <= 1e-13
 
 
 def test_char_fn_ratio_matches_exact_engine():
