@@ -3,7 +3,9 @@
 A System is the flattened data every engine consumes: the ordered region
 sites, the spin values, the nonzero pair couplings among region sites (by
 site index, from the model's coupling kernel), and the per-site boundary
-field slopes. Systems are immutable and hashable so caches key on them.
+field slopes. Systems are immutable and hashable so caches key on them,
+and every field slope is finite: one that float64 cannot hold is a
+CapacityError naming its site when the System is made.
 
 An omega override is the model under the explicit boundary condition of
 that finite assignment on exterior sites (the polymer layer's conditioning
@@ -15,6 +17,7 @@ _spin_grid: column c of the grid is configuration c, site 0 varying fastest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -33,6 +36,15 @@ class System:
     values: tuple[int, ...]
     pairs: tuple[tuple[int, int, float], ...]
     fields: tuple[float, ...]
+
+    def __post_init__(self):
+        if all(map(math.isfinite, self.fields)):
+            return
+        # name an infinite slope where there is one: a NaN beside it is inf - inf
+        bad = [i for i, b in enumerate(self.fields) if not math.isfinite(b)]
+        i = next((i for i in bad if math.isinf(self.fields[i])), bad[0])
+        what = f"is {self.fields[i]}, not finite in" if math.isinf(self.fields[i]) else "overflows"
+        raise CapacityError(f"boundary field slope of site {self.sites[i]} {what} float64")
 
     @property
     def site_count(self) -> int:

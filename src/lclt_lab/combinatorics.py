@@ -1,18 +1,15 @@
 """Labeled graphs, trees, and connected-sum machinery on small vertex sets.
 
 The expansion layer needs three primitives on k labeled vertices: every
-connected graph (for definitional cross-checks), every labeled tree (for
+connected graph (for the counting tables), every labeled tree (for
 tree-graph bounds), and sums of the form
 
     sum over connected spanning subgraphs g of prod_{edges of g} u_e
 
-for a symmetric matrix of edge factors u. The last is computed two
-independent ways: a rooted recursion over the connected vertex sets of
-the coupling graph, free of subtraction (production path, works
-elementwise over an extra config axis), and literal enumeration over the
-cached connected-graph masks (the cross-check oracle). Hard-core Ursell
-coefficients are the u in {0, -1} special case and depend only on the
-overlap pattern, so they are cached by that pattern.
+for a symmetric matrix of edge factors u. That sum is a rooted recursion
+over the connected vertex sets of the coupling graph, free of subtraction,
+working elementwise over an extra config axis. A hard-core Ursell
+coefficient is its u in {0, -1} special case on the overlap graph.
 
 Edge i<j of the k-vertex complete graph occupies bit position
 edge_list(k).index((i,j)) in every mask used here.
@@ -112,6 +109,23 @@ def spanning_tree_edge_sets(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(_tree_edges_from_pruefer(seq, k) for seq in product(range(k), repeat=k - 2))
 
 
+def _reach(seed: int, adjacency, within: int) -> int:
+    """Vertices of the mask `within` joined to the vertices of seed by edges
+    inside it; adjacency[v] is the neighbour mask of vertex v."""
+    reach = frontier = seed
+    while frontier:
+        v = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        new = adjacency[v] & within & ~reach
+        reach |= new
+        frontier |= new
+    return reach
+
+
+def _mask_connected(mask: int, adjacency) -> bool:
+    return _reach(mask & -mask, adjacency, mask) == mask
+
+
 @lru_cache(maxsize=4096)
 def _rooted_plan(adjacency: tuple[int, ...]):
     """Schedule of the rooted recursion on one coupling graph, or None when
@@ -131,14 +145,7 @@ def _rooted_plan(adjacency: tuple[int, ...]):
     def is_connected(mask: int) -> bool:
         got = connected.get(mask)
         if got is None:
-            reach = frontier = mask & -mask
-            while frontier:
-                v = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                new = adjacency[v] & mask & ~reach
-                reach |= new
-                frontier |= new
-            got = connected[mask] = reach == mask
+            got = connected[mask] = _mask_connected(mask, adjacency)
         return got
 
     full = (1 << k) - 1
@@ -247,72 +254,6 @@ def connected_sum(edge_factor) -> float | complex | np.ndarray:
                 c[v] = acc
         out = np.array(c[(1 << k) - 1]).reshape(shape)
     return out if ef.ndim > 2 else out.item()
-
-
-def connected_sum_by_enumeration(edge_factor) -> float | complex | np.ndarray:
-    """Same sum as connected_sum, by brute force over connected graphs.
-
-    Retained as the independent oracle for the recursion; cost grows with
-    the connected-graph count, so keep k small.
-    """
-    ef = np.asarray(edge_factor)
-    k = ef.shape[0]
-    edges = edge_list(k)
-    total = np.zeros(ef.shape[2:], dtype=ef.dtype)
-    for mask in connected_graph_masks(k):
-        term = np.ones(ef.shape[2:], dtype=ef.dtype)
-        for pos, (i, j) in enumerate(edges):
-            if mask >> pos & 1:
-                term = term * ef[i, j]
-        total = total + term
-    return total if ef.ndim > 2 else total.item()
-
-
-@lru_cache(maxsize=4096)
-def _ursell_from_overlap_bits(k: int, bits: int) -> float:
-    zeta = np.zeros((k, k))
-    for pos, (i, j) in enumerate(edge_list(k)):
-        if bits >> pos & 1:
-            zeta[i, j] = zeta[j, i] = -1.0
-    return float(connected_sum(zeta))
-
-
-def ursell_hardcore(polymers) -> float:
-    """Hard-core Ursell coefficient of a tuple of site sets.
-
-    1 for a single polymer; otherwise the connected sum over the overlap
-    graph with factor -1 on every intersecting pair, exactly zero whenever
-    the overlap graph is disconnected. Depends only on the overlap pattern,
-    which is what gets cached.
-    """
-    sets = [frozenset(p) for p in polymers]
-    k = len(sets)
-    if k == 0:
-        raise ValueError("need at least one polymer")
-    if any(not s for s in sets):
-        raise ValueError("polymers must be nonempty")
-    if k > 8:
-        raise CapacityError(f"Ursell coefficient of order {k} exceeds the cap of 8")
-    if k == 1:
-        return 1.0
-    bits = 0
-    for pos, (i, j) in enumerate(edge_list(k)):
-        if sets[i] & sets[j]:
-            bits |= 1 << pos
-    return _ursell_from_overlap_bits(k, bits)
-
-
-def ursell_hardcore_by_enumeration(polymers) -> float:
-    """Definitional Ursell sum over connected graphs; oracle for the cache."""
-    sets = [frozenset(p) for p in polymers]
-    k = len(sets)
-    if k == 1:
-        return 1.0
-    zeta = np.zeros((k, k))
-    for i, j in edge_list(k):
-        if sets[i] & sets[j]:
-            zeta[i, j] = zeta[j, i] = -1.0
-    return float(connected_sum_by_enumeration(zeta))
 
 
 def graph_census(max_k: int) -> list[dict]:

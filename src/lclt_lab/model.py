@@ -553,13 +553,6 @@ def _field_slopes(model: GibbsModel, region_sites: tuple[Site, ...], xs) -> tupl
     return tuple(bc.value * (window_total - float(j[a:b].sum())) for a, b in zip([0, *ends[:-1]], ends))
 
 
-def boundary_field(model: GibbsModel, x: Site, s: int, region="box") -> float:
-    """Boundary field h_x(s) for a spin value s at region site x."""
-    if s not in model.spin:
-        raise DomainError(f"spin value {s} outside the interval")
-    return boundary_field_coefficient(model, x, region) * s
-
-
 def hamiltonian(model: GibbsModel, config: SpinConfig) -> float:
     """Log Boltzmann weight -H of a configuration on its own region.
 
@@ -721,28 +714,3 @@ def model_from_dict(raw: Mapping) -> GibbsModel:
 
 def model_from_json(text: str) -> GibbsModel:
     return model_from_dict(json.loads(text))
-
-
-def model_to_dict(model: GibbsModel) -> dict:
-    """Inverse of model_from_dict, up to defaulted truncation radius."""
-    c: dict = {"kind": model.coupling.kind}
-    if model.coupling.kind in ("nearest_neighbor", "power_law"):
-        c["strength"] = model.coupling.strength
-    if model.coupling.kind == "power_law":
-        c["exponent"] = model.coupling.exponent
-    if model.coupling.kind == "explicit":
-        c["pairs"] = [[list(x), list(y), j] for x, y, j in model.coupling.pairs]
-    b: dict = {"kind": model.boundary.kind}
-    if model.boundary.kind == "constant":
-        b["value"] = model.boundary.value
-    if model.boundary.kind == "explicit":
-        b["assignments"] = [[list(site), v] for site, v in model.boundary.assignments]
-    return {
-        "dimension": model.box.dimension,
-        "radius": model.box.radius,
-        "r0": model.box.r0,
-        "truncation_radius": model.truncation_radius,
-        "spin": {"lo": model.spin.lo, "hi": model.spin.hi},
-        "coupling": c,
-        "boundary": b,
-    }

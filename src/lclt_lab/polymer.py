@@ -35,10 +35,10 @@ grid of t. The other route is the gas sum over Mayer tables, a
 subset recursion; the exact engine never reads a Mayer table. Run with one
 power of a formal lambda per polymer, the recursion gives Xi(lambda)
 through lambda^K, whose truncated log is the cluster series.
-Mayer tables are built for polymers of up to MAX_POLYMER_SIZE sites.
-Mayer sums are checked against connected-graph enumeration, and a value
-past float64's range is a CapacityError, never NaN; so is an undressed
-Xi(0) under float64's smallest normal, which ratios and logs divide by.
+Mayer tables are built for polymers of up to MAX_POLYMER_SIZE sites, each
+from the polymer's own couplings in the region's pair list. A value past
+float64's range is a CapacityError, never NaN; so is an undressed Xi(0)
+under float64's smallest normal, which ratios and logs divide by.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import numpy as np
 from . import exactengine as ee
 from . import model as m
 from ._system import System, _build, _omega_items, _spin_grid, build_system
-from .combinatorics import connected_sum, connected_sum_by_enumeration, spanning_tree_edge_sets
+from .combinatorics import _mask_connected, _reach, connected_sum, spanning_tree_edge_sets
 from .errors import LOG_FLOAT_MAX, LOG_FLOAT_MIN, CapacityError, DomainError, PreconditionError, require_normal_exp
 
 GRAPH_SUM_BUDGET = 1 << 25
@@ -145,10 +145,8 @@ class TreeGraphBounds:
 
 class _Gas:
     """Per-region tables: single-site measures, and t-free caches filled on
-    first use: the coupling matrix (O(n^2), read by the Mayer tables, the
-    pair energies and the tree-graph check, never by either direct route),
-    adjacency masks, Mayer tables by polymer index tuple and weight norms by
-    (size, dressing, delta)."""
+    first use: adjacency masks, connected site sets, Mayer tables by polymer
+    index tuple and weight norms by (size, dressing, delta)."""
 
     def __init__(self, system: System):
         self.system = system
@@ -160,10 +158,6 @@ class _Gas:
         self.sigma = int(max(abs(v) for v in system.values))
         self.mayer: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, float]] = {}
         self.norms: dict[tuple[int, float, float], float] = {}
-
-    @cached_property
-    def coupling(self) -> np.ndarray:
-        return self.system.pair_matrix()
 
     @cached_property
     def adjacency(self) -> list[int]:
@@ -226,7 +220,7 @@ def _indices(gas: _Gas, polymer) -> tuple[int, ...]:
 
 
 def _config_tables(gas: _Gas, idx: tuple[int, ...]):
-    """Spin values (k, M), joint product measure (M,), per-pair couplings."""
+    """Spin values (k, M) and joint product measure (M,)."""
     k = len(idx)
     digits = _spin_grid(np.arange(gas.q), k)
     values = gas.values[digits]
@@ -236,25 +230,26 @@ def _config_tables(gas: _Gas, idx: tuple[int, ...]):
     return values, probs
 
 
+def _internal_pairs(gas: _Gas, idx: tuple[int, ...]) -> list[tuple[int, int, float]]:
+    """(a, b, J) of each coupled pair of the region inside the polymer, a < b
+    its positions in idx, in System order (which, idx ascending, is a then b)."""
+    local = {i: a for a, i in enumerate(idx)}
+    return [(local[i], local[j], v) for i, j, v in gas.system.pairs if i in local and j in local]
+
+
 def _edge_factors(gas: _Gas, idx: tuple[int, ...], values: np.ndarray) -> np.ndarray:
     k = len(idx)
     ef = np.zeros((k, k, values.shape[1]))
-    for a in range(k):
-        for b in range(a + 1, k):
-            j = gas.coupling[idx[a], idx[b]]
-            if j != 0.0:
-                ef[a, b] = ef[b, a] = np.expm1(j * values[a] * values[b])
+    for a, b, j in _internal_pairs(gas, idx):
+        ef[a, b] = ef[b, a] = np.expm1(j * values[a] * values[b])
     return ef
 
 
 def _pair_energy(gas: _Gas, idx: tuple[int, ...], values: np.ndarray) -> np.ndarray:
     """Internal coupling energy sum_{a<b} J s_a s_b of every configuration."""
     energy = np.zeros(values.shape[1])
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            j = gas.coupling[idx[a], idx[b]]
-            if j != 0.0:
-                energy += j * values[a] * values[b]
+    for a, b, j in _internal_pairs(gas, idx):
+        energy += j * values[a] * values[b]
     return energy
 
 
@@ -291,22 +286,6 @@ def _mayer(gas: _Gas, idx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, flo
     return got
 
 
-def _reach(seed: int, adjacency, within: int) -> int:
-    """Sites of the mask `within` joined to the sites of seed by couplings inside it."""
-    reach = frontier = seed
-    while frontier:
-        v = (frontier & -frontier).bit_length() - 1
-        frontier &= frontier - 1
-        new = adjacency[v] & within & ~reach
-        reach |= new
-        frontier |= new
-    return reach
-
-
-def _mask_connected(mask: int, adjacency) -> bool:
-    return _reach(mask & -mask, adjacency, mask) == mask
-
-
 def _activity_from_indices(gas: _Gas, idx: tuple[int, ...], t: float, c: float) -> complex:
     k = len(idx)
     if k == 1:
@@ -328,25 +307,6 @@ def activity(model: m.GibbsModel, params: ActivityParams, polymer, region="decim
     """
     gas = _gas(model, region, omega)
     return _activity_from_indices(gas, _indices(gas, polymer), params.t, params.c)
-
-
-def activity_by_graph_enumeration(
-    model: m.GibbsModel, params: ActivityParams, polymer, region="decimated", omega=None
-) -> complex:
-    """Activity with the Mayer sum expanded over explicit connected graphs.
-
-    Independent oracle for activity(): it recomputes the sum per call and
-    never reads the Mayer tables. Cost grows with the connected-graph
-    count of |R|, so keep polymers small.
-    """
-    gas = _gas(model, region, omega)
-    idx = _indices(gas, polymer)
-    if len(idx) == 1:
-        return _activity_from_indices(gas, idx, params.t, params.c)
-    values, probs = _config_tables(gas, idx)
-    csum = connected_sum_by_enumeration(_edge_factors(gas, idx, values))
-    phases = np.exp(1j * params.t * values.sum(axis=0))
-    return math.exp(params.c * len(idx)) * complex(np.dot(probs * csum, phases))
 
 
 def activity_derivative(
@@ -375,14 +335,6 @@ def activity_derivative(
     base = amps * np.exp(1j * t * spins)
     factor = (1j * spins) if order == 1 else -(spins * spins)
     return math.exp(c * len(idx)) * complex(np.dot(base, factor))
-
-
-def site_char_fn(model: m.GibbsModel, x: m.Site, t: float, region="decimated", omega=None) -> complex:
-    """E_x(e^{its}) under the single-site measure of the region's conditioning."""
-    gas = _gas(model, region, omega)
-    if x not in gas.index:
-        raise DomainError(f"site {x} is not in the region")
-    return complex(np.dot(gas.probs[gas.index[x]], np.exp(1j * t * gas.values)))
 
 
 def _exact_xi0(gas: _Gas):
@@ -565,20 +517,6 @@ def weight_w0(model: m.GibbsModel, polymer, delta: float, region="decimated", om
     if k == 1:
         return delta * gas.sigma
     return (1.0 + delta * gas.sigma) ** k * _mayer(gas, idx)[2]
-
-
-def weight_w1(model: m.GibbsModel, polymer, delta: float, region="decimated", omega=None) -> float:
-    """w0 dressed by e^{|R|}."""
-    k = len(_polymer_sites(polymer))
-    return weight_w0(model, polymer, delta, region, omega) * math.exp(k)
-
-
-def weight_wc(model: m.GibbsModel, polymer, delta: float, c: float, region="decimated", omega=None) -> float:
-    """w0 dressed by e^{c|R|}."""
-    if c < 0:
-        raise DomainError(f"dressing exponent must be nonnegative, got {c}")
-    k = len(_polymer_sites(polymer))
-    return weight_w0(model, polymer, delta, region, omega) * math.exp(c * k)
 
 
 _WEIGHT_DRESSING = {"w0": 0.0, "w1": 1.0}
@@ -829,13 +767,14 @@ def tree_graph_bound_check(
         )
     prefactor = math.exp(exponent)
     cols = values.shape[1]
+    coupling = {(a, b): j for a, b, j in _internal_pairs(gas, idx)}
     tree_sum = np.zeros(cols)
     j_sum = 0.0
     for edges in spanning_tree_edge_sets(k):
         term = np.ones(cols)
         j_term = 1.0
         for a, b in edges:
-            jab = gas.coupling[idx[a], idx[b]]
+            jab = coupling.get((a, b), 0.0)
             term = term * (1.0 - np.exp(-np.abs(jab * values[a] * values[b])))
             j_term *= abs(jab)
         tree_sum += term

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import exactengine as ee
 from . import model as m
-from . import polymer as pg
 from ._system import System, build_system
 from .errors import LOG_FLOAT_MIN, CapacityError, DomainError, PreconditionError
 
@@ -43,8 +42,6 @@ DECAY_INTEGRAL_SLACK = 1e-12
 QUAD_TOL = 1e-9
 # Last order summed of the curvature split's k >= 3 series.
 CURVATURE_SERIES_ORDER = 60
-# Truncation order of the dressed route's cluster series.
-DRESSED_SERIES_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -246,15 +243,24 @@ def check_single_spin_cf(
         if not (lo - 1e-12 <= t <= hi + 1e-12):
             raise DomainError(f"t={t} is outside [{lo:.6g}, {hi:.6g}], no contraction is claimed there")
     system = _site_measure_system(model, region)
-    # |E_x(e^{its})| of every site x and t at once; hypot is Python's abs of
-    # a complex, bit for bit
-    cf = system.site_probs() @ np.exp(1j * np.multiply.outer(system.value_array, ts))
+    # sites sharing a field share a law: one row per distinct law, taken at
+    # its first site in site order, so the first row attaining the max at a
+    # t holds the first site attaining it
+    probs = system.site_probs()
+    first = np.sort(np.unique(probs, axis=0, return_index=True)[1])
+    if len(first) == 1 < len(probs):
+        # numpy takes a one-row product down its vector path, which rounds
+        # otherwise than the matrix product that rows of many sites get
+        first = np.arange(2)
+    # |E_x(e^{its})| of every law and t at once; hypot is Python's abs of a
+    # complex, bit for bit
+    cf = probs[first] @ np.exp(1j * np.multiply.outer(system.value_array, ts))
     abs_cf = np.hypot(cf.real, cf.imag)
     worst = abs_cf.argmax(axis=0)
     return [
         report(
             "single_site_contraction",
-            {"t": t, "c_variant": c_variant, "worst_site": list(system.sites[k])},
+            {"t": t, "c_variant": c_variant, "worst_site": list(system.sites[first[k]])},
             float(abs_cf[k, col]),
             math.exp(-consts.c_selected),
         )
@@ -419,52 +425,6 @@ def check_curvature_decomposition(
         ("curvature_series_identity", with_order, abs(g1 + g2 + g3 - exact), remainder * n + 1e-10),
     ]
     return [report(name, dict(params), lhs, rhs) for name, params, lhs, rhs in rows]
-
-
-def check_dressed_route(
-    model: m.GibbsModel,
-    t: float,
-    region="decimated",
-    c_variant: str = "proved",
-    budget: int = ee.DEFAULT_BUDGET,
-) -> list[VerificationReport]:
-    """Large-t decay rebuilt from the dressed gas rather than asserted.
-
-    Three inequalities: the absolute dressed series (truncated plus its
-    certified tail) stays within (c/4) |region| at this t and at t=0; the
-    measured |E(e^{itS})| stays under e^{-c n} e^{series at t + series at 0};
-    and that envelope stays under e^{-(c/2) n}. The middle one is the
-    factorization over graph supports, the outer ones are the series budget
-    spent twice, once for the numerator and once for the normalization. The
-    series runs through clusters of DRESSED_SERIES_ORDER polymers.
-    """
-    consts = constants(model, c_variant)
-    _require_condition(consts)
-    if not (consts.delta < t <= math.pi + 1e-12):
-        raise DomainError(f"t={t} must lie in ({consts.delta:.6g}, pi] for the dressed route")
-    t = float(t)
-    c = consts.c_selected
-    n = len(m.resolve_region(model, region))
-    params_t = pg.ActivityParams(t=t, c=c, delta_cap=consts.delta)
-    params_0 = pg.ActivityParams(t=0.0, c=c, delta_cap=consts.delta)
-
-    series_t = pg.truncated_log_partition(model, params_t, region, K=DRESSED_SERIES_ORDER, absolute=True)
-    series_0 = pg.truncated_log_partition(model, params_0, region, K=DRESSED_SERIES_ORDER, absolute=True)
-    if series_t.dominating_tail is None or series_0.dominating_tail is None:
-        raise PreconditionError("the dressed series tail cannot be certified for this model")
-    total_t = float(series_t.partial_sums[-1].real) + series_t.dominating_tail
-    total_0 = float(series_0.partial_sums[-1].real) + series_0.dominating_tail
-    budget_rhs = consts.a_dressed * n
-
-    measured = abs(ee.char_fn(model, region, t, budget=budget))
-    envelope = math.exp(-c * n) * math.exp(total_t + total_0)
-
-    with_order = {"t": t, "sites": n, "order": DRESSED_SERIES_ORDER}
-    return [
-        report("dressed_series_budget", dict(with_order), max(total_t, total_0), budget_rhs),
-        report("dressed_envelope", dict(with_order), measured, envelope),
-        report("dressed_decay", {"t": t, "sites": n, "c_variant": c_variant}, measured, math.exp(-(c / 2.0) * n)),
-    ]
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,32 @@ def random_model(rng: np.random.Generator, max_coupling=0.3, dims=(1, 2)):
     return GibbsModel(box=box, spin=SpinInterval(*spin), coupling=coupling, boundary=boundary)
 
 
+def model_to_dict(model: GibbsModel) -> dict:
+    """The JSON object layout of a model, which model_from_dict reads back
+    (up to a defaulted truncation radius)."""
+    c: dict = {"kind": model.coupling.kind}
+    if model.coupling.kind in ("nearest_neighbor", "power_law"):
+        c["strength"] = model.coupling.strength
+    if model.coupling.kind == "power_law":
+        c["exponent"] = model.coupling.exponent
+    if model.coupling.kind == "explicit":
+        c["pairs"] = [[list(x), list(y), j] for x, y, j in model.coupling.pairs]
+    b: dict = {"kind": model.boundary.kind}
+    if model.boundary.kind == "constant":
+        b["value"] = model.boundary.value
+    if model.boundary.kind == "explicit":
+        b["assignments"] = [[list(site), v] for site, v in model.boundary.assignments]
+    return {
+        "dimension": model.box.dimension,
+        "radius": model.box.radius,
+        "r0": model.box.r0,
+        "truncation_radius": model.truncation_radius,
+        "spin": {"lo": model.spin.lo, "hi": model.spin.hi},
+        "coupling": c,
+        "boundary": b,
+    }
+
+
 def random_omega(rng: np.random.Generator, model, region="decimated"):
     """Boundary spins drawn uniformly from the spin interval, one per
     exterior site that can influence the region."""

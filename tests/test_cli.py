@@ -132,9 +132,13 @@ def test_underflowing_delta_exits_two(argv, tmp_path, capsys):
         (
             {"kind": "nearest_neighbor", "strength": 1e308},
             ["lclt-scan", "--sizes", "3,5"],
-            "enumeration on 3 sites is not finite in float64",
+            "boundary field slope of site (-3,) is inf, not finite in float64",
         ),
-        ({"kind": "nearest_neighbor", "strength": 1e308}, ["mc"], "enumeration on 7 sites is not finite in float64"),
+        (
+            {"kind": "nearest_neighbor", "strength": 1e308},
+            ["mc"],
+            "boundary field slope of site (-3,) is inf, not finite in float64",
+        ),
         (
             {"kind": "power_law", "strength": 0.1, "exponent": math.nan},
             ["constants"],
@@ -149,12 +153,17 @@ def test_underflowing_delta_exits_two(argv, tmp_path, capsys):
             ({"kind": "explicit", "pairs": [[[0], [1], math.nan]]}, argv, "pair ((0,), (1,)) has the coupling nan")
             for argv in (["lclt-scan", "--sizes", "3,5"], ["mc"], ["constants"])
         ),
+        (
+            {"kind": "nearest_neighbor", "strength": 1e308},
+            ["identity-check"],
+            "boundary field slope of site (-2,) is inf, not finite in float64",
+        ),
     ],
 )
 def test_non_finite_coupling_exits_two(coupling, argv, message, tmp_path, capsys):
-    """A finite strength whose sums are not finite, and the JSON NaN and
-    Infinity that pass the schema's "number", stop with a typed error and
-    write no report."""
+    """A finite strength whose field slopes are not finite, and the JSON NaN
+    and Infinity that pass the schema's "number", stop with a typed error
+    and write no report."""
     path = tmp_path / "model.json"
     path.write_text(json.dumps({**MODEL_OK, "coupling": coupling}))
     with np.errstate(all="ignore"):

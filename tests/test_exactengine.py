@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
+import lclt_lab.montecarlo as mc
 import lclt_lab.polymer as pg
 from conftest import free_chain, frustrated_complete_graph, nn_chain, random_model, random_omega
 from lclt_lab._system import build_system, windowed_exterior
@@ -364,24 +366,61 @@ def test_partition_function_overflow_raises_capacity_error():
 
 
 def test_non_finite_sums_raise_capacity_error():
-    """At strength 1e308 every coupling is finite but the exact sums are
-    not. The check in _moments turns NaN into the route's CapacityError for
-    each exact entry point, the decay scan and the polymer direct route."""
-    model = nn_chain(radius=3, strength=1e308, spin=(0, 1), boundary=1, r0=2)
-    calls = {
-        7: (ee.statistics, ee.log_partition_function, ee.pmf, ee.lclt_gap, ee.partition_function),
-        3: (
-            lambda mm: ee.decimated_char_fn_sup(mm, [0.5]),
-            lambda mm: pg.polymer_partition(mm, pg.ActivityParams(t=0.3), mode="direct"),
-            lambda mm: pg.char_fn_ratio(mm, t=0.3, mode="direct"),
-        ),
-    }
-    for n, entries in calls.items():
-        for call in entries:
-            with np.errstate(all="ignore"), pytest.raises(
-                CapacityError, match=rf"^enumeration on {n} sites is not finite in float64: the shift is nan"
-            ):
-                call(model)
+    """At strength 1e308 under a zero boundary every coupling and field is
+    finite but the exact sums are not. The check in _moments turns that
+    into the route's CapacityError for each exact entry point and the
+    polymer direct route."""
+    model = nn_chain(radius=3, strength=1e308, spin=(0, 1), boundary=None, r0=2)
+    entries = (
+        ee.statistics,
+        ee.log_partition_function,
+        ee.pmf,
+        ee.lclt_gap,
+        ee.partition_function,
+        lambda mm: pg.polymer_partition(mm, pg.ActivityParams(t=0.3), region="box", mode="direct"),
+        lambda mm: pg.char_fn_ratio(mm, "box", t=0.3, mode="direct"),
+    )
+    for call in entries:
+        with np.errstate(all="ignore"), pytest.raises(
+            CapacityError, match=r"^enumeration on 7 sites is not finite in float64: the shift is inf"
+        ):
+            call(model)
+
+
+_HOT_FIELDS = nn_chain(radius=3, strength=1e308, spin=(0, 1), boundary=1, r0=2)
+_ENTRY_POINTS = {
+    "statistics": lambda: ee.statistics(_HOT_FIELDS),
+    "pmf": lambda: ee.pmf(_HOT_FIELDS),
+    "partition_function": lambda: ee.partition_function(_HOT_FIELDS),
+    "decay_scan": lambda: ee.decimated_char_fn_sup(_HOT_FIELDS, [0.5]),
+    # under a zero boundary only the scan's conditioning rows overflow
+    "decay_scan_rows": lambda: ee.decimated_char_fn_sup(
+        replace(_HOT_FIELDS, boundary=lm.BoundaryCondition.zero()), [0.5]
+    ),
+    **{
+        f"{mode}_c{c}": lambda mode=mode, c=c: pg.polymer_partition(
+            _HOT_FIELDS, pg.ActivityParams(t=0.3, c=c), mode=mode
+        )
+        for mode in ("direct", "polymer_sum")
+        for c in (0.0, 0.5)
+    },
+    "char_fn_ratio": lambda: pg.char_fn_ratio(_HOT_FIELDS, t=0.3),
+    "continuous_log": lambda: pg.continuous_log_partition(_HOT_FIELDS, pg.ActivityParams(t=0.3)),
+    "cluster_series": lambda: pg.truncated_log_partition(_HOT_FIELDS, pg.ActivityParams(t=0.3), K=2),
+    "metropolis": lambda: mc.total_spin_samples(_HOT_FIELDS, mc.ChainSpec(seed=0, burn_in=0, samples=100)),
+}
+
+
+@pytest.mark.parametrize("call", _ENTRY_POINTS.values(), ids=_ENTRY_POINTS.keys())
+def test_non_finite_field_names_its_site(call):
+    """At strength 1e308 a constant boundary's field slope overflows: every
+    engine refuses the System with a CapacityError naming the site, never
+    an error about NaN."""
+    with np.errstate(all="ignore"), pytest.raises(CapacityError) as err:
+        call()
+    message = str(err.value)
+    assert re.match(r"^boundary field slope of site \(-?\d+,\) is -?inf, not finite in float64$", message)
+    assert "nan" not in message
 
 
 @pytest.mark.parametrize("probabilities", [(math.nan, 1.0), (math.nan, math.nan), (0.5, math.inf), (1.0, -0.0, -1e-3)])

@@ -8,7 +8,7 @@ import pytest
 import lclt_lab.model as lm
 import lclt_lab.verifier as vf
 from lclt_lab._system import _region_pairs
-from conftest import nn_chain, free_chain, random_model
+from conftest import free_chain, model_to_dict, nn_chain, random_model
 from lclt_lab.errors import CapacityError, DomainError
 
 
@@ -190,13 +190,13 @@ def test_schema_roundtrip():
     rng = np.random.default_rng(7)
     for _ in range(10):
         model = random_model(rng)
-        data = lm.model_to_dict(model)
+        data = model_to_dict(model)
         again = lm.model_from_dict(json.loads(json.dumps(data)))
         assert again == model
 
 
 def test_schema_rejects_malformed():
-    good = lm.model_to_dict(nn_chain())
+    good = model_to_dict(nn_chain())
     for breakage in (
         lambda d: d.pop("radius"),
         lambda d: d.__setitem__("dimension", 0),
@@ -215,7 +215,7 @@ def test_schema_rejects_malformed():
 def test_model_json_loading(tmp_path):
     model = nn_chain(radius=2, strength=0.15, spin=(0, 1), boundary=None, r0=2)
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(lm.model_to_dict(model)))
+    path.write_text(json.dumps(model_to_dict(model)))
     assert lm.model_from_json(path.read_text()) == model
 
 
@@ -255,14 +255,6 @@ def test_region_pairs_keep_explicit_pairs_inside_region():
     assert _region_pairs(model, lm.resolve_region(model, "box")) == ((2, 24, 0.3), (14, 18, -0.4))
     assert _region_pairs(model, lm.resolve_region(model, "decimated")) == ((1, 8, 0.3),)
     assert _region_pairs(nn_chain(radius=3, strength=0.0), lm.resolve_region(nn_chain(radius=3), "box")) == ()
-
-
-def test_boundary_field_is_linear_in_spin():
-    model = nn_chain(radius=2, strength=0.2, spin=(-1, 1), boundary=1)
-    for x in lm.resolve_region(model, "box"):
-        b = lm.boundary_field_coefficient(model, x, "box")
-        for s in model.spin.values:
-            assert lm.boundary_field(model, x, s, "box") == pytest.approx(b * s)
 
 
 def test_coefficient_matches_direct_exterior_sum():

@@ -6,10 +6,10 @@ from itertools import combinations, combinations_with_replacement, product
 import numpy as np
 import pytest
 
-import lclt_lab.combinatorics as cb
 import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
 import lclt_lab.polymer as pg
+import oracles
 from conftest import SPIN_CHOICES, complete_graph, frustrated_complete_graph, nn_chain, random_model, random_omega
 from lclt_lab._system import _spin_grid, build_system
 from lclt_lab.errors import CapacityError, DomainError, PreconditionError
@@ -41,24 +41,24 @@ def test_weight_w0_pair_oracle():
     model = two_site_model()
     w = pg.weight_w0(model, pg.Polymer(TWO_SITE), delta=0.04, region=TWO_SITE)
     assert w == pytest.approx(0.028438216247655145, rel=1e-14)
-    w1 = pg.weight_w1(model, pg.Polymer(TWO_SITE), delta=0.04, region=TWO_SITE)
+    # the pair is the one size-2 polymer through either anchor; w1 dresses it by e^2
+    w1 = pg.weight_norm(model, 2, "w1", delta=0.04, region=TWO_SITE)
     assert w1 == pytest.approx(w * math.e**2, rel=1e-14)
 
 
 def test_singleton_weight_is_delta_sigma():
     model = nn_chain(radius=2, strength=0.1, spin=(-1, 1))
     assert pg.weight_w0(model, pg.Polymer(((0,),)), delta=0.03, region="box") == pytest.approx(0.03)
-    assert pg.weight_wc(model, pg.Polymer(((0,),)), delta=0.03, c=0.2, region="box") == pytest.approx(
-        0.03 * math.exp(0.2)
-    )
+    assert pg.weight_norm(model, 1, "wc", delta=0.03, c=0.2, region="box") == pytest.approx(0.03 * math.exp(0.2))
 
 
 def test_singleton_activity_is_char_fn_minus_one():
     model = nn_chain(radius=2, strength=0.2, spin=(0, 1), boundary=1)
     x = (1,)
+    law = lm.single_spin_distribution(model, x, region="box")
     for t in (0.0, 0.4, 1.3):
         z = pg.activity(model, pg.ActivityParams(t=t), pg.Polymer((x,)), region="box")
-        cf = pg.site_char_fn(model, x, t, region="box")
+        cf = sum(p * cmath.exp(1j * t * s) for s, p in law.items())
         assert z == pytest.approx(cf - 1.0, abs=1e-14)
     with pytest.raises(DomainError):
         pg.activity(model, pg.ActivityParams(t=0.1, c=0.5), pg.Polymer((x,)), region="box")
@@ -81,7 +81,7 @@ def test_activity_matches_graph_enumeration():
         for t in rng.uniform(0.0, math.pi, size=4):
             params = pg.ActivityParams(t=float(t), c=c)
             fast = pg.activity(model, params, poly, region="box")
-            slow = pg.activity_by_graph_enumeration(model, params, poly, region="box")
+            slow = oracles.activity_by_graph_enumeration(model, params, poly, region="box")
             assert fast == pytest.approx(slow, rel=1e-11, abs=1e-14)
         checked += 1
 
@@ -101,7 +101,7 @@ def test_weak_coupling_activity_matches_graph_enumeration():
             for t in (0.4, 2.1):
                 params = pg.ActivityParams(t=t, c=c)
                 fast = pg.activity(model, params, poly, region="box")
-                slow = pg.activity_by_graph_enumeration(model, params, poly, region="box")
+                slow = oracles.activity_by_graph_enumeration(model, params, poly, region="box")
                 assert fast == pytest.approx(slow, rel=1e-12, abs=0.0)
 
 
@@ -235,7 +235,7 @@ def brute_cluster_series(model, params, region, K):
     for order in range(1, K + 1):
         total, total_abs = 0j, 0.0
         for combo in combinations_with_replacement(range(len(polymers)), order):
-            phi = cb.ursell_hardcore(tuple(frozenset(polymers[i]) for i in combo))
+            phi = oracles.ursell_hardcore(tuple(frozenset(polymers[i]) for i in combo))
             if phi == 0.0:
                 continue
             mult = math.prod(math.factorial(r) for r in Counter(combo).values())
@@ -391,7 +391,7 @@ def graph_walk_partition(gas, ts, c):
     e^{c|support|} and the phases of the spins on its support."""
     n = len(gas.sites)
     values, probs = pg._config_tables(gas, tuple(range(n)))
-    edges = [(i, j, gas.coupling[i, j]) for i in range(n) for j in range(i + 1, n) if gas.coupling[i, j] != 0.0]
+    edges = gas.system.pairs
     u = [np.expm1(j * values[a] * values[b]) for a, b, j in edges]
     site_phase = [np.exp(1j * np.multiply.outer(ts, values[i])) for i in range(n)]
     phase_cache = {0: np.ones((len(ts), values.shape[1]), dtype=complex)}
@@ -635,8 +635,6 @@ def test_mayer_cap_is_one_for_every_entry_point():
         lambda poly: pg.activity_derivative(model, params, poly, order=1, region="box"),
         lambda poly: pg.activity_derivative(model, params, poly, order=2, region="box"),
         lambda poly: pg.weight_w0(model, poly, 0.01, region="box"),
-        lambda poly: pg.weight_w1(model, poly, 0.01, region="box"),
-        lambda poly: pg.weight_wc(model, poly, 0.01, 0.5, region="box"),
         lambda poly: pg.weight_norm(model, len(poly), "w0", 0.01, region="box"),
     )
     for call in calls:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
+import lclt_lab.polymer as pg
 import lclt_lab.verifier as vf
 from conftest import free_chain, nn_chain, regime_finite_range, regime_weak_coupling
 from lclt_lab._system import build_system
@@ -202,33 +204,62 @@ def test_site_checks_reject_empty_region():
         vf.check_curvature_decomposition(model, theta=c.delta / 2, region=())
 
 
+def _opposite_end_fields():
+    """A 7-site chain whose end sites see fields -0.15 and +0.15 and whose
+    inner sites see none: the two end laws are mirror images, so their
+    |cf| tie, and the first site in np.unique's sorted order is the last."""
+    return lm.GibbsModel(
+        box=lm.Box(dimension=1, radius=3, r0=1),
+        spin=lm.SpinInterval(-1, 1),
+        coupling=lm.Coupling.nearest_neighbor(0.15),
+        boundary=lm.BoundaryCondition.explicit([((-4,), -1), ((4,), 1)]),
+    )
+
+
 def test_single_spin_cf_matches_per_site_dot():
-    """The one (sites x t) product against each site's own dot with its
-    phases; the worst site is the first to attain the max."""
-    model = nn_chain(radius=4, strength=0.15, spin=(-1, 1), boundary=1, r0=1)
-    c = vf.constants(model)
-    grid = np.linspace(c.delta, 2 * math.pi - c.delta, 9)
-    system = build_system(model, "decimated")
-    probs = system.site_probs()
-    for rep, t in zip(vf.check_single_spin_cf(model, grid), grid):
-        vals = [abs(complex(np.dot(p, np.exp(1j * t * system.value_array)))) for p in probs]
-        assert rep.lhs == pytest.approx(max(vals), rel=1e-15)
-        assert tuple(rep.parameters["worst_site"]) == system.sites[vals.index(max(vals))]
+    """The product over distinct single-site laws against each site's own
+    dot with its phases; the worst site is the first to attain the max,
+    also where two distinct laws tie."""
+    for model in (nn_chain(radius=4, strength=0.15, spin=(-1, 1), boundary=1, r0=1), _opposite_end_fields()):
+        c = vf.constants(model)
+        grid = np.linspace(c.delta, 2 * math.pi - c.delta, 9)
+        system = build_system(model, "decimated")
+        probs = system.site_probs()
+        ties = 0
+        for rep, t in zip(vf.check_single_spin_cf(model, grid), grid):
+            vals = [abs(complex(np.dot(p, np.exp(1j * t * system.value_array)))) for p in probs]
+            assert rep.lhs == pytest.approx(max(vals), rel=1e-15)
+            assert tuple(rep.parameters["worst_site"]) == system.sites[vals.index(max(vals))]
+            ties += vals[0] == vals[-1] == max(vals)
+        if model.boundary.kind == "explicit":
+            assert ties >= 4
 
 
 def test_dressed_route_weak_coupling():
+    """Large-t decay rebuilt from the dressed gas: the absolute dressed
+    series through clusters of 4 polymers, plus its certified tail, stays
+    within (c/4) |region| at t and at 0; |E(e^{itS})| stays under
+    e^{-c n} e^{series at t + series at 0}; and under e^{-(c/2) n}."""
     model = regime_weak_coupling()
-    reports = vf.check_dressed_route(model, t=2.0)
-    names = [r.check_name for r in reports]
-    assert names == ["dressed_series_budget", "dressed_envelope", "dressed_decay"]
-    assert vf.all_passed(reports)
+    consts = vf.constants(model)
+    assert consts.r0_condition_ok
+    t, c = 2.0, consts.c_selected
+    n = len(lm.resolve_region(model, "decimated"))
+    totals = []
+    for tau in (t, 0.0):
+        params = pg.ActivityParams(t=tau, c=c, delta_cap=consts.delta)
+        series = pg.truncated_log_partition(model, params, "decimated", K=4, absolute=True)
+        assert series.dominating_tail is not None
+        totals.append(float(series.partial_sums[-1].real) + series.dominating_tail)
+    assert max(totals) <= consts.a_dressed * n
+    measured = abs(ee.char_fn(model, "decimated", t))
+    assert measured <= math.exp(-c * n) * math.exp(sum(totals))
+    assert measured <= math.exp(-(c / 2.0) * n)
 
 
 def test_integral_decomposition():
     model = nn_chain(radius=2, strength=0.1, spin=(0, 1), boundary=1, r0=2)
     c = vf.constants(model)
-    import lclt_lab.exactengine as ee
-
     d = ee.statistics(model, region="decimated").variance_S
     a_cut = 0.5 * c.delta * math.sqrt(d)
     dec = vf.integral_decomposition(model, a_cut)
