@@ -4,8 +4,10 @@ A System is the flattened data every engine consumes: the ordered region
 sites, the spin values, the nonzero pair couplings among region sites (by
 site index, from the model's coupling kernel), and the per-site boundary
 field slopes. Systems are immutable and hashable so caches key on them,
-and every field slope is finite: one that float64 cannot hold is a
-CapacityError naming its site when the System is made.
+and float64 holds their energy bound sum |J| sigma^2 + sum |h| sigma, which
+bounds every log weight and local field: a System past it is a
+CapacityError naming its largest term (an infinite field slope by its
+site) when it is made.
 
 An omega override is the model under the explicit boundary condition of
 that finite assignment on exterior sites (the polymer layer's conditioning
@@ -38,13 +40,30 @@ class System:
     fields: tuple[float, ...]
 
     def __post_init__(self):
-        if all(map(math.isfinite, self.fields)):
+        # Every log weight, local field and energy shift is at most the bound
+        # sum |J| sigma^2 + sum |h_x| sigma in absolute value, sigma the
+        # largest |spin|; while float64 holds it, no engine's sum overflows.
+        sigma = max(-min(self.values), max(self.values))
+        bound = sum(abs(v) for _, _, v in self.pairs) * sigma * sigma + sum(map(abs, self.fields)) * sigma
+        if math.isfinite(bound):
             return
-        # name an infinite slope where there is one: a NaN beside it is inf - inf
-        bad = [i for i, b in enumerate(self.fields) if not math.isfinite(b)]
-        i = next((i for i in bad if math.isinf(self.fields[i])), bad[0])
-        what = f"is {self.fields[i]}, not finite in" if math.isinf(self.fields[i]) else "overflows"
-        raise CapacityError(f"boundary field slope of site {self.sites[i]} {what} float64")
+        terms = [abs(v) * sigma * sigma for _, _, v in self.pairs] + [abs(b) * sigma for b in self.fields]
+        # name an infinite term, else a NaN one (inf - inf), else the largest
+        bad = [k for k, t in enumerate(terms) if not math.isfinite(t)]
+        k = next((k for k in bad if math.isinf(terms[k])), bad[0]) if bad else terms.index(max(terms))
+        if k >= len(self.pairs):
+            site, b = self.sites[k - len(self.pairs)], self.fields[k - len(self.pairs)]
+            if not math.isfinite(b):
+                what = f"is {b}, not finite in" if math.isinf(b) else "overflows"
+                raise CapacityError(f"boundary field slope of site {site} {what} float64")
+            culprit = f"the field slope {b!r} of site {site}"
+        else:
+            i, j, v = self.pairs[k]
+            culprit = f"the pair {self.sites[i]}, {self.sites[j]} with J = {v!r}"
+        raise CapacityError(
+            f"energy bound sum |J| sigma^2 + sum |h| sigma on {self.site_count} sites overflows float64;"
+            f" its largest term is {culprit}"
+        )
 
     @property
     def site_count(self) -> int:

@@ -27,9 +27,11 @@ when the largest shifted weight falls under tiny/eps (log weight more than
 672.3 below the bound), the sum is taken again shifted by the largest log
 weight itself. Either way every weight within a factor eps of the largest
 is a normal float, so Z_shifted is positive on every system (the transfer
-sum rescales its table to a largest entry of 1 at each step). A shift, Z,
-moment or bin that float64 cannot hold (finite couplings near 1e308 can
-sum to inf) is a CapacityError naming the route, never NaN.
+sum rescales its table to a largest entry of 1 at each step). A System
+refuses an energy bound past float64 (finite couplings near 1e308 give
+one), so the shift and every log weight are finite; a Z, moment or bin
+that float64 still cannot hold is a CapacityError naming the route, never
+NaN.
 
 One function, _cost, decides what an exact sum costs: the route _moments
 takes and that route's work, N |I|^(R+1) (N(|I|-1)+1) transfer steps or

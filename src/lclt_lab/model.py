@@ -479,6 +479,7 @@ def _window_coupling_total(model: GibbsModel, step: int, absolute: bool = True) 
     or of the signed J(z) when absolute is off.
 
     Translation invariant kinds only; compensated by numpy pairwise summation.
+    A total past float64 is inf, without a numpy warning: the callers decide.
     """
     d = model.box.dimension
     reach = model.truncation_radius // step
@@ -491,7 +492,8 @@ def _window_coupling_total(model: GibbsModel, step: int, absolute: bool = True) 
             "raise the power-law exponent or lower the truncation radius"
         )
     values = model.coupling.between(0, (np.indices((2 * reach + 1,) * d).reshape(d, -1).T - reach) * step)
-    return float((np.abs(values) if absolute else values).sum())
+    with np.errstate(over="ignore"):
+        return float((np.abs(values) if absolute else values).sum())
 
 
 def interaction_norm(model: GibbsModel, step: int = 1) -> float:
@@ -530,27 +532,40 @@ def boundary_field_coefficients(model: GibbsModel, region="box") -> tuple[float,
 
 
 def _field_slopes(model: GibbsModel, region_sites: tuple[Site, ...], xs) -> tuple[float, ...]:
-    """b_x for each site x of xs, all of them in the resolved region_sites."""
+    """b_x for each site x of xs, all of them in the resolved region_sites.
+    A slope that float64 cannot hold is a CapacityError naming its site."""
     bc = model.boundary
     if bc.kind == "zero":
         return (0.0,) * len(xs)
     in_region = set(region_sites)
-    if model.coupling.kind == "explicit" or bc.kind == "explicit":
-        # J(x, y) omega_y over exterior table partners or assignments in site
-        # order, added left to right from 0.0 (+ 0.0 turns a -0.0 sum to 0.0)
-        if model.coupling.kind == "explicit":
-            exterior = [(y, bc.omega(y)) for y in sorted({s for p in model.coupling.pairs for s in p[:2]} - in_region)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.coupling.kind == "explicit" or bc.kind == "explicit":
+            # J(x, y) omega_y over exterior table partners or assignments in
+            # site order, added left to right from 0.0 (+ 0.0 turns a -0.0
+            # sum to 0.0)
+            if model.coupling.kind == "explicit":
+                partners = sorted({s for p in model.coupling.pairs for s in p[:2]} - in_region)
+                exterior = [(y, bc.omega(y)) for y in partners]
+            else:
+                exterior = [(y, v) for y, v in bc.assignments if v != 0 and y not in in_region]
+            terms = _coupling_block(model, xs, [y for y, _ in exterior]) * [v for _, v in exterior]
+            slopes = tuple((np.cumsum(terms, axis=1)[:, -1] + 0.0).tolist()) if exterior else (0.0,) * len(xs)
         else:
-            exterior = [(y, v) for y, v in bc.assignments if v != 0 and y not in in_region]
-        terms = _coupling_block(model, xs, [y for y, _ in exterior]) * [v for _, v in exterior]
-        return tuple((np.cumsum(terms, axis=1)[:, -1] + 0.0).tolist()) if exterior else (0.0,) * len(xs)
-    # Constant boundary over a translation-invariant coupling: subtract the
-    # in-region, in-window part from the full-window total instead of walking
-    # the window site by site; each x's part is one array in region order.
-    window_total = _window_coupling_total(model, 1, absolute=False)
-    i, _, j = _couplings_within(model, xs, region_sites, model.truncation_radius)
-    ends = np.cumsum(np.bincount(i, minlength=len(xs)))
-    return tuple(bc.value * (window_total - float(j[a:b].sum())) for a, b in zip([0, *ends[:-1]], ends))
+            # Constant boundary over a translation-invariant coupling:
+            # subtract the in-region, in-window part from the full-window
+            # total instead of walking the window site by site; each x's
+            # part is one array in region order.
+            window_total = _window_coupling_total(model, 1, absolute=False)
+            i, _, j = _couplings_within(model, xs, region_sites, model.truncation_radius)
+            ends = np.cumsum(np.bincount(i, minlength=len(xs)))
+            slopes = tuple(bc.value * (window_total - float(j[a:b].sum())) for a, b in zip([0, *ends[:-1]], ends))
+    if all(map(math.isfinite, slopes)):
+        return slopes
+    # name an infinite slope where there is one: a NaN beside it is inf - inf
+    bad = [k for k, b in enumerate(slopes) if not math.isfinite(b)]
+    k = next((k for k in bad if math.isinf(slopes[k])), bad[0])
+    what = f"is {slopes[k]}, not finite in" if math.isinf(slopes[k]) else "overflows"
+    raise CapacityError(f"boundary field slope of site {xs[k]} {what} float64")
 
 
 def hamiltonian(model: GibbsModel, config: SpinConfig) -> float:

@@ -7,6 +7,21 @@ Within a class the neighbor sums are constant, so the block update is
 exactly a sequence of single-site updates and the chain keeps the Gibbs
 measure invariant.
 
+The state is laid out by color class, each class in site order, so a class
+is one contiguous slice of the columns and is updated in place. A last
+column of ones carries the fields: a class's links are its coupling columns
+over the state's order with its fields as a last row, so one matrix product
+gives each local field h_x + sum_y J(x, y) s_y. A move that changes the log
+weight by delta is accepted when u < exp(delta), which decides as
+u < exp(min(delta, 0)) does: for delta >= 0 both sides exceed u, since
+u <= 1 - 2**-53 and exp(delta) >= 1 (inf when it overflows), and below 0
+the two are one value. The System's energy bound is finite, so no local
+field is NaN. A site's couplings all come from other classes, and its field
+is the last term of its sum. With two classes its neighbors keep their site
+order in the sum; with more the terms may be grouped differently, and a
+sample could move only if a last-bit change flipped a verdict. The tests
+hold the samples to the update over the spins in site order, bit for bit.
+
 Randomness is counter-based: every (sweep, color block) pair reads its own
 Philox4x64-10 stream, keyed by the seed and the pair, so results depend
 only on the spec, never on execution order (Salmon et al., SC'11). The
@@ -17,17 +32,17 @@ holds, in stream order, the words of the block's Generator.integers(0, q)
 draws (Lemire's bounded integers on uint32 halves, low half first; Lemire,
 ACM TOMACS 2019) and then those of its Generator.random draws, so the tape
 gives each pair exactly what Generator would. A row in which Lemire would
-reject a draw is drawn again through Generator. The chain state is the
-array of spin values. Errors are estimated by batch means across chains,
-which also yields the effective sample size reported alongside every
-estimate. Condition on an exterior assignment omega with
-replace(model, boundary=BoundaryCondition.explicit(omega)).
+reject a draw is drawn again through Generator. Errors are estimated by
+batch means across chains, which also yields the effective sample size
+reported alongside every estimate. Condition on an exterior assignment
+omega with replace(model, boundary=BoundaryCondition.explicit(omega)).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +103,12 @@ def _greedy_coloring(coupling: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(color == c) for c in range(color.max() + 1)]
 
 
+# The state _rekey assigns, one per thread: only its key changes between
+# calls, and a dict shared across threads could be re-keyed by another
+# thread between the update and the assignment.
+_rekey_state = threading.local()
+
+
 def _rekey(bitgen: np.random.Philox, mixed: int, sweep: int, block: int) -> None:
     # (sweep, block) goes into the Philox key, not the counter: a stream's
     # counter advances as values are drawn, so counter-indexed streams for
@@ -95,14 +116,18 @@ def _rekey(bitgen: np.random.Philox, mixed: int, sweep: int, block: int) -> None
     # Counter 0 and an empty buffer make this the stream a fresh
     # Philox(key=...) would give, so random_raw reads that stream's words
     # from its first, as Generator draws on a fresh key would.
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (mixed, (sweep << 32) | block)},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    state = getattr(_rekey_state, "state", None)
+    if state is None:
+        state = _rekey_state.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    state["state"]["key"] = (mixed, (sweep << 32) | block)
+    bitgen.state = state
 
 
 def _split_raw(raw: np.ndarray, draws: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,11 +158,11 @@ def _block_draws(rng: np.random.Generator, mixed: int, sweeps: range, block: int
     bitgen = rng.bit_generator
     draws = shape[0] * shape[1]
     width = (draws + 1) // 2 + draws
-    raw = np.empty((len(sweeps), width), dtype=np.uint64)
-    for row, sweep in enumerate(sweeps):
+    rows = []
+    for sweep in sweeps:
         _rekey(bitgen, mixed, sweep + 1, block)
-        raw[row] = bitgen.random_raw(width)
-    index, uniform, rejected = _split_raw(raw, draws, q)
+        rows.append(bitgen.random_raw(width))
+    index, uniform, rejected = _split_raw(np.stack(rows), draws, q)
     for row in np.flatnonzero(rejected):
         _rekey(bitgen, mixed, sweeps[row] + 1, block)
         index[row] = rng.integers(0, q, size=draws)
@@ -148,42 +173,57 @@ def _block_draws(rng: np.random.Generator, mixed: int, sweeps: range, block: int
 def total_spin_samples(model: m.GibbsModel, spec: ChainSpec, region="box") -> np.ndarray:
     """Retained total-spin samples, shape (chains, samples)."""
     system = build_system(model, region)
-    if system.site_count == 0:
+    n = system.site_count
+    if n == 0:
         raise DegenerateDistributionError("the empty region () has no total spin to sample: it has no sites")
     values = system.value_array
     q = len(values)
-    fields = system.field_array
     coupling = system.pair_matrix()
-    blocks = [(block, coupling[:, block], fields[block]) for block in _greedy_coloring(coupling)]
+    blocks = _greedy_coloring(coupling)
+    perm = np.concatenate(blocks)
 
     mixed = (int(spec.seed) & 0xFFFFFFFFFFFFFFFF) ^ 0x9E3779B97F4A7C15
     rng = np.random.Generator(np.random.Philox())
     # The starting spins read the stream of (sweep 0, block len(blocks)),
-    # which no update uses.
+    # which no update uses; they are drawn in site order, then permuted.
     _rekey(rng.bit_generator, mixed, 0, len(blocks))
-    spins = values[rng.integers(0, q, size=(spec.chains, system.site_count))]
+    spins = np.ones((spec.chains, n + 1))
+    sites = spins[:, :n]
+    sites[...] = values[rng.integers(0, q, size=(spec.chains, n))][:, perm]
+    # Block b is the slice cur of the state; its links are the coupling rows
+    # in state order over its sites, then its fields against the last column.
+    ordered = coupling[perm]
+    steps, lo = [], 0
+    for block in blocks:
+        hi = lo + len(block)
+        steps.append((spins[:, lo:hi], np.vstack((ordered[:, block], system.field_array[block]))))
+        lo = hi
+
     out = np.empty((spec.chains, spec.samples))
     total_sweeps = spec.burn_in + spec.samples * spec.thinning
     kept = 0
-    for first in range(0, total_sweeps, CHUNK_SWEEPS):
-        sweeps = range(first, min(first + CHUNK_SWEEPS, total_sweeps))
-        tapes = []
-        for b, (block, _, _) in enumerate(blocks):
-            index, uniform = _block_draws(rng, mixed, sweeps, b, (spec.chains, len(block)), q)
-            # Uniform over all q values, current included: the 1/q self-loop
-            # keeps the chain aperiodic even when every move is accepted
-            # (a field-free two-state site would otherwise alternate forever).
-            tapes.append((values[index], uniform))
-        for row, sweep in enumerate(sweeps):
-            for (block, links, h), (props, uniforms) in zip(blocks, tapes):
-                cur = spins[:, block]
-                prop = props[row]
-                delta = (prop - cur) * (h + spins @ links)
-                accept = uniforms[row] < np.exp(np.minimum(delta, 0.0))
-                spins[:, block] = np.where(accept, prop, cur)
-            if sweep >= spec.burn_in and (sweep - spec.burn_in) % spec.thinning == 0:
-                out[:, kept] = spins.sum(axis=1)
-                kept += 1
+    # exp(delta) may overflow to inf on an uphill move, which accepts it
+    with np.errstate(over="ignore"):
+        for first in range(0, total_sweeps, CHUNK_SWEEPS):
+            sweeps = range(first, min(first + CHUNK_SWEEPS, total_sweeps))
+            tapes = []
+            for b, (cur, links) in enumerate(steps):
+                index, uniform = _block_draws(rng, mixed, sweeps, b, cur.shape, q)
+                # Uniform over all q values, current included: the 1/q
+                # self-loop keeps the chain aperiodic even when every move is
+                # accepted (a field-free two-state site would otherwise
+                # alternate forever).
+                tapes.append((cur, links, values[index], uniform))
+            for row, sweep in enumerate(sweeps):
+                for cur, links, props, uniforms in tapes:
+                    prop = props[row]
+                    delta = prop - cur
+                    delta *= spins @ links
+                    np.exp(delta, out=delta)
+                    np.copyto(cur, prop, where=uniforms[row] < delta)
+                if sweep >= spec.burn_in and (sweep - spec.burn_in) % spec.thinning == 0:
+                    np.add.reduce(sites, axis=1, out=out[:, kept])
+                    kept += 1
     assert kept == spec.samples
     return out
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -367,9 +368,9 @@ def test_partition_function_overflow_raises_capacity_error():
 
 def test_non_finite_sums_raise_capacity_error():
     """At strength 1e308 under a zero boundary every coupling and field is
-    finite but the exact sums are not. The check in _moments turns that
-    into the route's CapacityError for each exact entry point and the
-    polymer direct route."""
+    finite but the energy bound sum |J| sigma^2 + sum |h| sigma is not. The
+    System refuses it, naming its largest pair, before any exact entry point
+    or the polymer direct route sums, and no numpy warning is raised."""
     model = nn_chain(radius=3, strength=1e308, spin=(0, 1), boundary=None, r0=2)
     entries = (
         ee.statistics,
@@ -381,10 +382,13 @@ def test_non_finite_sums_raise_capacity_error():
         lambda mm: pg.char_fn_ratio(mm, "box", t=0.3, mode="direct"),
     )
     for call in entries:
-        with np.errstate(all="ignore"), pytest.raises(
-            CapacityError, match=r"^enumeration on 7 sites is not finite in float64: the shift is inf"
-        ):
+        with warnings.catch_warnings(), pytest.raises(CapacityError) as err:
+            warnings.simplefilter("error")
             call(model)
+        assert str(err.value) == (
+            "energy bound sum |J| sigma^2 + sum |h| sigma on 7 sites overflows float64;"
+            " its largest term is the pair (-3,), (-2,) with J = 1e+308"
+        )
 
 
 _HOT_FIELDS = nn_chain(radius=3, strength=1e308, spin=(0, 1), boundary=1, r0=2)
@@ -421,6 +425,51 @@ def test_non_finite_field_names_its_site(call):
     message = str(err.value)
     assert re.match(r"^boundary field slope of site \(-?\d+,\) is -?inf, not finite in float64$", message)
     assert "nan" not in message
+
+
+_HUGE = {
+    "zero_boundary": nn_chain(radius=3, strength=1e308, spin=(0, 1), boundary=None),
+    "constant_boundary": nn_chain(radius=3, strength=1e308, spin=(0, 1), boundary=1),
+}
+_HUGE_ENTRIES = {
+    "metropolis": lambda model: mc.total_spin_samples(model, mc.ChainSpec(seed=0, burn_in=0, samples=100)),
+    "statistics": ee.statistics,
+    "lclt_gap": ee.lclt_gap,
+    "polymer_partition": lambda model: pg.polymer_partition(model, pg.ActivityParams(t=0.3)),
+    "single_spin_distribution": lambda model: lm.single_spin_distribution(model, (0,)),
+    "boundary_field_coefficient": lambda model: lm.boundary_field_coefficient(model, (3,)),
+    "boundary_field_coefficients": lm.boundary_field_coefficients,
+}
+# A zero boundary gives every site the field 0 whatever the coupling, so the
+# field-only entry points have an exact finite answer there.
+_ZERO_FIELD = {
+    "single_spin_distribution": {0: 0.5, 1: 0.5},
+    "boundary_field_coefficient": 0.0,
+    "boundary_field_coefficients": (0.0,) * 7,
+}
+
+
+@pytest.mark.parametrize("entry", _HUGE_ENTRIES)
+@pytest.mark.parametrize("chain", _HUGE)
+def test_huge_chain_stops_without_warning(chain, entry):
+    """At strength 1e308 every entry point that needs the couplings or an
+    overflowing field stops with a CapacityError before any sum or sweep:
+    numpy warns of nothing, and the message never speaks of NaN."""
+    lm._window_coupling_total.cache_clear()
+    call = _HUGE_ENTRIES[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if chain == "zero_boundary" and entry in _ZERO_FIELD:
+            assert call(_HUGE[chain]) == _ZERO_FIELD[entry]
+            return
+        with pytest.raises(CapacityError) as err:
+            call(_HUGE[chain])
+    message = str(err.value)
+    assert "nan" not in message.lower()
+    if chain == "zero_boundary":
+        assert message.endswith("its largest term is the pair (-3,), (-2,) with J = 1e+308")
+    else:
+        assert message.startswith("boundary field slope of site (")
 
 
 @pytest.mark.parametrize("probabilities", [(math.nan, 1.0), (math.nan, math.nan), (0.5, math.inf), (1.0, -0.0, -1e-3)])

@@ -8,6 +8,7 @@ import lclt_lab.montecarlo as mc
 from conftest import free_chain, nn_chain, random_model
 from lclt_lab._system import build_system
 from lclt_lab.errors import DegenerateDistributionError, DomainError
+from lclt_lab.model import BoundaryCondition, Box, Coupling, GibbsModel, SpinInterval
 
 SPEC = mc.ChainSpec(seed=11, burn_in=200, samples=2000, thinning=2, chains=4)
 
@@ -158,10 +159,11 @@ def test_rejected_row_is_redrawn(monkeypatch):
             assert np.array_equal(uniform[sweep], want_uniform)
 
 
-def _per_block_samples(model, spec):
+def _per_block_samples(model, spec, region="box"):
     """The sampler with Generator drawing each (sweep, block)'s numbers when
-    the sweep reaches the block, as it did before the tape."""
-    system = build_system(model)
+    the sweep reaches the block, as it did before the tape, on the spins in
+    site order with the fields added apart."""
+    system = build_system(model, region)
     values = system.value_array
     q = len(values)
     coupling = system.pair_matrix()
@@ -184,21 +186,72 @@ def _per_block_samples(model, spec):
     return np.stack(out, axis=1)
 
 
-@pytest.mark.parametrize(
-    "spin, spec",
-    [
-        ((-1, 1), mc.ChainSpec(seed=21, burn_in=37, samples=100, thinning=2, chains=3)),
-        ((-2, 2), mc.ChainSpec(seed=22, burn_in=mc.CHUNK_SWEEPS, samples=100, thinning=1, chains=3)),
-    ],
-    ids=["q3-237-sweeps", "q5-164-sweeps"],
+def _explicit_model(radius, r0, pairs):
+    """A 1-D box of the given radius under the explicit pairs (a, b, J) of
+    site coordinates, spins {-1, 0, 1} and boundary 1."""
+    return GibbsModel(
+        box=Box(dimension=1, radius=radius, r0=r0),
+        spin=SpinInterval(-1, 1),
+        coupling=Coupling.explicit([((a,), (b,), j) for a, b, j in pairs]),
+        boundary=BoundaryCondition.constant(1),
+    )
+
+
+# Two triangles and a pendant: three colour classes, so a site's neighbour
+# sum takes its terms from two other classes, and none of these couplings is
+# dyadic. Leaving site 3 out of the region makes its pair a field on site 2.
+THREE_COLOURS = _explicit_model(
+    3,
+    1,
+    [(-3, -2, 0.3), (-2, -1, -0.17), (-3, -1, 0.23), (-1, 0, 0.11)]
+    + [(0, 1, 0.29), (1, 2, -0.31), (0, 2, 0.07), (2, 3, 0.13)],
 )
-def test_chunked_tape_matches_per_block_draws(spin, spec):
+# The even sites of a radius-4 box, coupled among themselves in two
+# triangles and to odd sites outside the region, which become fields.
+DECIMATED_COUPLED = _explicit_model(
+    4,
+    2,
+    [(-4, -2, 0.3), (-2, 0, -0.21), (-4, 0, 0.17), (0, 2, 0.23), (2, 4, -0.13), (0, 4, 0.19)]
+    + [(-3, -2, 0.27), (1, 2, -0.11), (3, 4, 0.37)],
+)
+
+
+@pytest.mark.parametrize(
+    "model, region, spec",
+    [
+        (
+            nn_chain(radius=3, strength=0.3, spin=(-1, 1), boundary=1),
+            "box",
+            mc.ChainSpec(seed=21, burn_in=37, samples=100, thinning=2, chains=3),
+        ),
+        (
+            nn_chain(radius=3, strength=0.3, spin=(-2, 2), boundary=1),
+            "box",
+            mc.ChainSpec(seed=22, burn_in=mc.CHUNK_SWEEPS, samples=100, thinning=1, chains=3),
+        ),
+        (
+            THREE_COLOURS,
+            tuple((x,) for x in range(-3, 3)),
+            mc.ChainSpec(seed=23, burn_in=37, samples=100, thinning=2, chains=3),
+        ),
+        # no burn-in: the first retained sample still shows the starting spins
+        (DECIMATED_COUPLED, "decimated", mc.ChainSpec(seed=24, burn_in=0, samples=150, chains=4)),
+    ],
+    ids=["q3-237-sweeps", "q5-164-sweeps", "three-colours-explicit", "decimated-explicit"],
+)
+def test_chunked_tape_matches_per_block_draws(model, region, spec):
     """Over several chunks and a partial last one, with odd blocks (3 chains
-    times 3 sites) and a coupling that is not dyadic."""
-    model = nn_chain(radius=3, strength=0.3, spin=spin, boundary=1)
+    times 3 sites) and couplings that are not dyadic, the sampler on
+    contiguous colour blocks with the fields in its links matches the
+    per-block oracle bit for bit."""
     total_sweeps = spec.burn_in + spec.samples * spec.thinning
     assert total_sweeps > 2 * mc.CHUNK_SWEEPS and total_sweeps % mc.CHUNK_SWEEPS
-    assert np.array_equal(mc.total_spin_samples(model, spec), _per_block_samples(model, spec))
+    system = build_system(model, region)
+    assert any(system.fields) and system.pairs
+    if model is THREE_COLOURS:
+        assert len(mc._greedy_coloring(system.pair_matrix())) == 3
+    got = mc.total_spin_samples(model, spec, region)
+    assert np.array_equal(got, _per_block_samples(model, spec, region))
 
 
 def _full_scan_coloring(n, coupling):
