@@ -1,112 +1,30 @@
-"""Labeled graphs, trees, and connected-sum machinery on small vertex sets.
+"""Sums over the connected graphs and spanning trees of small coupling graphs.
 
-The expansion layer needs three primitives on k labeled vertices: every
-connected graph (for the counting tables), every labeled tree (for
-tree-graph bounds), and sums of the form
+The expansion layer needs two sums on k labeled vertices with a symmetric
+matrix of edge factors u,
 
-    sum over connected spanning subgraphs g of prod_{edges of g} u_e
+    C = sum over connected spanning subgraphs g of prod_{edges of g} u_e,
+    T = sum over spanning trees g of prod_{edges of g} u_e,
 
-for a symmetric matrix of edge factors u. That sum is a rooted recursion
-over the connected vertex sets of the coupling graph, free of subtraction,
-working elementwise over an extra config axis. A hard-core Ursell
-coefficient is its u in {0, -1} special case on the overlap graph.
-
-Edge i<j of the k-vertex complete graph occupies bit position
-edge_list(k).index((i,j)) in every mask used here.
+the connected Mayer sum and its tree-graph majorant. Both come from one
+rooted recursion over the connected vertex sets of the coupling graph,
+working elementwise over an extra config axis; only the weight of the
+edges from the root to a block differs. A hard-core Ursell coefficient is
+C with u in {0, -1} on the overlap graph, and unit factors on the complete
+graph count the connected graphs and the labeled trees (graph_census).
+Enumerating graphs or trees one by one is left to the tests, as the
+oracle these sums are checked against.
 """
 
 from __future__ import annotations
 
-import heapq
 from functools import lru_cache
-from itertools import combinations, product
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
-
-# Connected-graph enumeration materializes all 2^(k(k-1)/2) edge sets; the
-# vertex cap keeps that table (and its memory) desk-sized.
-MAX_ENUMERATED_VERTICES = 7
-MAX_TREE_VERTICES = 8
-
-# Classical counts of connected labeled graphs on k = 1..7 vertices, the
-# reference values our enumeration is checked against.
+# Connected labeled graphs on k = 1..7 vertices (OEIS A001187), the
+# reference values the census is checked against.
 CONNECTED_COUNTS_KNOWN = (1, 1, 4, 38, 728, 26704, 1866256)
-
-
-@lru_cache(maxsize=None)
-def edge_list(k: int) -> tuple[tuple[int, int], ...]:
-    """Pairs (i, j), i<j, in the fixed bit order used by all masks here."""
-    return tuple(combinations(range(k), 2))
-
-
-@lru_cache(maxsize=None)
-def connected_graph_masks(k: int) -> tuple[int, ...]:
-    """Edge bitmasks of every connected graph on k labeled vertices.
-
-    Filters all 2^(k(k-1)/2) masks with a vectorized reachability sweep;
-    cached per k. Masks are ascending, so iteration order is reproducible.
-    """
-    if k < 1:
-        raise DomainError(f"vertex count {k} is not positive")
-    if k > MAX_ENUMERATED_VERTICES:
-        total = 1 << (k * (k - 1) // 2)
-        raise CapacityError(
-            f"connected-graph enumeration on {k} vertices walks {total} edge sets, "
-            f"cap is {1 << (MAX_ENUMERATED_VERTICES * (MAX_ENUMERATED_VERTICES - 1) // 2)}"
-        )
-    if k == 1:
-        return (0,)
-    edges = edge_list(k)
-    masks = np.arange(1 << len(edges), dtype=np.int64)
-    reach = np.ones_like(masks)
-    for _ in range(k - 1):
-        for e, (i, j) in enumerate(edges):
-            has = (masks >> e) & 1
-            reach |= (has & ((reach >> i) & 1)) << j
-            reach |= (has & ((reach >> j) & 1)) << i
-    full = (1 << k) - 1
-    return tuple(int(m) for m in masks[reach == full])
-
-
-def connected_graph_count(k: int) -> int:
-    return len(connected_graph_masks(k))
-
-
-def _tree_edges_from_pruefer(seq: tuple[int, ...], k: int) -> tuple[tuple[int, int], ...]:
-    degree = [1] * k
-    for v in seq:
-        degree[v] += 1
-    leaves = [i for i in range(k) if degree[i] == 1]
-    heapq.heapify(leaves)
-    out = []
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        out.append((min(leaf, v), max(leaf, v)))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u, v = heapq.heappop(leaves), heapq.heappop(leaves)
-    out.append((min(u, v), max(u, v)))
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def spanning_tree_edge_sets(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Edge sets of all labeled trees on k vertices, one per Pruefer word."""
-    if k < 1:
-        raise DomainError(f"vertex count {k} is not positive")
-    if k > MAX_TREE_VERTICES:
-        raise CapacityError(
-            f"tree enumeration on {k} vertices yields {k ** (k - 2)} trees, "
-            f"cap is {MAX_TREE_VERTICES ** (MAX_TREE_VERTICES - 2)}"
-        )
-    if k == 1:
-        return ((),)
-    if k == 2:
-        return (((0, 1),),)
-    return tuple(_tree_edges_from_pruefer(seq, k) for seq in product(range(k), repeat=k - 2))
 
 
 def _reach(seed: int, adjacency, within: int) -> int:
@@ -190,32 +108,19 @@ def _rooted_plan(adjacency: tuple[int, ...]):
     return plan
 
 
-def connected_sum(edge_factor) -> float | complex | np.ndarray:
-    """Sum over connected spanning subgraphs of the product of edge factors.
+def _rooted_sum(edge_factor, extend):
+    """The rooted recursion shared by connected_sum and spanning_tree_sum.
 
-    edge_factor is a symmetric (k, k) array, optionally with trailing axes
-    that the sum is carried along elementwise (diagonal ignored). Vertices
-    i and j are coupled when edge_factor[i, j] is nonzero at some trailing
-    index; a disconnected coupling graph gives exactly 0. On the connected
-    vertex sets V, with root r = min V, deleting r splits a connected graph
-    on V into connected blocks B of V\\{r}, each joined to r by a nonempty
-    set of edges:
+    On the connected vertex sets V, with root r = min V, the graphs summed
+    split, once r is deleted, into blocks B of V\\{r} joined to r; peeling
+    the block that holds the lowest vertex after r leaves a set with root r
+    again:
 
-        C[V] = sum over such partitions of prod_B C[B] h_r(B),
-        h_r(B) = prod_{b in B, b ~ r} (1 + u_rb) - 1,
+        S[V] = sum_B S[B] h_r(B) S[V\\B],   S[{v}] = 1,
 
-    with h accumulated as h + u + h u. The partition sum is peeled one
-    block at a time, the block holding the lowest vertex after r, and what
-    is left over with r is again a connected set with root r:
-
-        C[V] = sum_B C[B] h_r(B) C[V\\B],   C[{v}] = 1.
-
-    Nothing is subtracted, so nonnegative factors give a sum of
-    nonnegative terms, accurate to rounding however small the factors.
-    The cost is one vector product per pair (V, B) with B and V\\B
-    connected: one per set on a path, and about 3^k / 4 only on the
-    complete graph. The schedule depends only on the coupling graph and
-    is cached per graph.
+    over the B of _rooted_plan. h_r(B) sums the allowed edge sets from r into
+    B and is built one edge at a time, h <- extend(h, u_rb). A disconnected
+    coupling graph gives exactly 0.
     """
     ef = np.asarray(edge_factor)
     k = ef.shape[0]
@@ -239,7 +144,7 @@ def connected_sum(edge_factor) -> float | complex | np.ndarray:
                 while path[-1][0] != touch ^ (1 << b):
                     path.pop()
                 h = path[-1][1]
-                h = u[r, b] if h is None else h + u[r, b] + h * u[r, b]
+                h = u[r, b] if h is None else extend(h, u[r, b])
                 path.append((touch, h))
                 for block in blocks:
                     weighted[block] = h if c[block] is one else c[block] * h
@@ -256,18 +161,62 @@ def connected_sum(edge_factor) -> float | complex | np.ndarray:
     return out if ef.ndim > 2 else out.item()
 
 
+def connected_sum(edge_factor) -> float | complex | np.ndarray:
+    """Sum over connected spanning subgraphs of the product of edge factors.
+
+    edge_factor is a symmetric (k, k) array, optionally with trailing axes
+    that the sum is carried along elementwise (diagonal ignored). Vertices
+    i and j are coupled when edge_factor[i, j] is nonzero at some trailing
+    index; a disconnected coupling graph gives exactly 0. Deleting the root
+    r = min V splits a connected graph on V into connected blocks B of
+    V\\{r}, each joined to r by a nonempty set of edges, so the block
+    weight of _rooted_sum is
+
+        h_r(B) = prod_{b in B, b ~ r} (1 + u_rb) - 1,
+
+    accumulated as h + u + h u. The recursion subtracts nothing, but its
+    terms are all nonnegative only when the factors are: nonnegative
+    factors give a sum accurate to rounding however small they are, while
+    factors of both signs (e^{J s s'} - 1 with J s s' < 0) can cancel to
+    any degree.
+    The cost is one vector product per pair (V, B) with B and V\\B
+    connected: one per set on a path, and about 3^k / 4 only on the
+    complete graph. The schedule depends only on the coupling graph and
+    is cached per graph.
+    """
+    return _rooted_sum(edge_factor, lambda h, u: h + u + h * u)
+
+
+def spanning_tree_sum(edge_factor) -> float | complex | np.ndarray:
+    """Sum over spanning trees of the product of edge factors.
+
+    Takes connected_sum's input and gives exactly 0 on a disconnected
+    coupling graph. Deleting the root r from a spanning tree of V leaves
+    subtrees, each joined to r by exactly one edge, so the block weight of
+    _rooted_sum is h_r(B) = sum_{b in B} u_rb, accumulated as h + u, on the
+    schedule connected_sum takes.
+    """
+    return _rooted_sum(edge_factor, lambda h, u: h + u)
+
+
 def graph_census(max_k: int) -> list[dict]:
-    """Counting table: edge slots, all graphs, connected graphs, trees."""
+    """Counting table: edge slots, all graphs, connected graphs, trees.
+
+    The counts are the two sums on unit factors of the complete graph. Up to
+    k = 10 every partial sum is a positive integer below 2^53, so float64
+    holds them exactly.
+    """
     rows = []
     for k in range(1, max_k + 1):
         slots = k * (k - 1) // 2
+        unit = np.ones((k, k)) - np.eye(k)
         rows.append(
             {
                 "k": k,
                 "edge_slots": slots,
                 "graphs": 1 << slots,
-                "connected": connected_graph_count(k),
-                "trees": len(spanning_tree_edge_sets(k)),
+                "connected": int(connected_sum(unit)),
+                "trees": int(spanning_tree_sum(unit)),
             }
         )
     return rows

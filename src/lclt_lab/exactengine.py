@@ -18,8 +18,8 @@ Enumeration walks configurations in the order of _system._spin_grid, split
 into a low block evaluated as one vectorized slab per chunk (the low-site
 energies are a fixed vector reused across chunks, cross terms enter through
 one matrix-vector product) and a high block that changes per chunk. Chunk
-contributions are combined with compensated (Kahan) summation in a fixed
-order, so results do not depend on how the scan is partitioned. Weights are
+contributions are combined by math.fsum, correctly rounded, so results do
+not depend on the order the chunks are added in. Weights are
 computed relative to an a-priori upper bound on the log weight, which keeps
 every exponential bounded by 1. On frustrated couplings that bound can sit
 hundreds above the largest log weight, so the scan records the largest one;
@@ -126,22 +126,6 @@ class DecimatedCharFnSup:
     entries: tuple[tuple[str, tuple[float, ...]], ...]
 
 
-class _Kahan:
-    """Compensated accumulator of floats."""
-
-    __slots__ = ("total", "comp")
-
-    def __init__(self):
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, x):
-        y = x - self.comp
-        t = self.total + y
-        self.comp = (t - self.total) - y
-        self.total = t
-
-
 def _cost(n: int, q: int, band: int):
     """(route, work, name, count) of the exact sum over n sites of q spin
     values whose coupled pairs lie at most band apart in System order: the
@@ -234,20 +218,19 @@ def _scan(system: System):
             yield energy, s_low + float(v_high.sum())
 
     def sums(shift):
-        z_acc = _Kahan()
-        s1_acc = _Kahan()
-        s2_acc = _Kahan()
+        z_parts, s1_parts, s2_parts = [], [], []
         bins = np.zeros(s_max - s_min + 1)
         top = -math.inf
         for energy, s_tot in chunks():
             top = max(top, float(energy.max()))
             w = np.exp(energy - shift)
-            z_acc.add(float(w.sum()))
-            s1_acc.add(float(np.dot(w, s_tot)))
-            s2_acc.add(float(np.dot(w, s_tot * s_tot)))
+            z_parts.append(float(w.sum()))
+            s1_parts.append(float(np.dot(w, s_tot)))
+            s2_parts.append(float(np.dot(w, s_tot * s_tot)))
             idx = np.rint(s_tot).astype(np.int64) - s_min
             bins += np.bincount(idx, weights=w, minlength=len(bins))
-        return (shift, z_acc.total, s1_acc.total, s2_acc.total, bins, s_min), top
+        totals = (math.fsum(z_parts), math.fsum(s1_parts), math.fsum(s2_parts))
+        return (shift, *totals, bins, s_min), top
 
     out, top = sums(shift)
     if top - shift < _LOG_TINY_OVER_EPS:

@@ -572,8 +572,12 @@ def hamiltonian(model: GibbsModel, config: SpinConfig) -> float:
     """Log Boltzmann weight -H of a configuration on its own region.
 
     -H = sum_{{x,y} in region} J(x,y) s_x s_y + sum_x h_x(s_x). The region is
-    the site set of the config; all other sites are exterior.
+    the site set of the config; all other sites are exterior. Couplings come
+    from the scalar Coupling.value, and a region whose energy bound float64
+    cannot hold is System's CapacityError.
     """
+    from ._system import System  # _system imports this module
+
     for v in config.values:
         if v not in model.spin:
             raise DomainError(f"config value {v} outside the spin interval")
@@ -581,13 +585,18 @@ def hamiltonian(model: GibbsModel, config: SpinConfig) -> float:
     lookup = dict(zip(config.sites, config.values))
     values = [lookup[s] for s in region]
     slopes = _field_slopes(model, region, region)
+    pairs = tuple(
+        (i, k, j)
+        for i, x in enumerate(region)
+        for k in range(i + 1, len(region))
+        if (j := model.coupling.value(x, region[k])) != 0.0
+    )
+    System(region, model.spin.values, pairs, slopes)
     total = 0.0
-    for i, x in enumerate(region):
-        for k in range(i + 1, len(region)):
-            j = model.coupling.value(x, region[k])
-            if j != 0.0:
-                total += j * values[i] * values[k]
-        total += slopes[i] * values[i]
+    for i, k, j in pairs:
+        total += j * values[i] * values[k]
+    for h, s in zip(slopes, values):
+        total += h * s
     return total
 
 

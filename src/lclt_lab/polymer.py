@@ -36,7 +36,8 @@ subset recursion; the exact engine never reads a Mayer table. Run with one
 power of a formal lambda per polymer, the recursion gives Xi(lambda)
 through lambda^K, whose truncated log is the cluster series.
 Mayer tables are built for polymers of up to MAX_POLYMER_SIZE sites, each
-from the polymer's own couplings in the region's pair list. A value past
+from the polymer's own couplings in the region's pair list; the tree-graph
+check builds the same configuration tables under the same cap. A value past
 float64's range is a CapacityError, never NaN; so is an undressed Xi(0)
 under float64's smallest normal, which ratios and logs divide by.
 """
@@ -55,7 +56,7 @@ import numpy as np
 from . import exactengine as ee
 from . import model as m
 from ._system import System, _build, _omega_items, _spin_grid, build_system
-from .combinatorics import _mask_connected, _reach, connected_sum, spanning_tree_edge_sets
+from .combinatorics import _mask_connected, _reach, connected_sum, spanning_tree_sum
 from .errors import LOG_FLOAT_MAX, LOG_FLOAT_MIN, CapacityError, DomainError, PreconditionError, require_normal_exp
 
 GRAPH_SUM_BUDGET = 1 << 25
@@ -230,6 +231,13 @@ def _config_tables(gas: _Gas, idx: tuple[int, ...]):
     return values, probs
 
 
+def _polymer_tables(gas: _Gas, idx: tuple[int, ...]):
+    """_config_tables of a polymer of at most MAX_POLYMER_SIZE sites."""
+    if len(idx) > MAX_POLYMER_SIZE:
+        raise CapacityError(f"polymer of {len(idx)} sites exceeds the cap of {MAX_POLYMER_SIZE}")
+    return _config_tables(gas, idx)
+
+
 def _internal_pairs(gas: _Gas, idx: tuple[int, ...]) -> list[tuple[int, int, float]]:
     """(a, b, J) of each coupled pair of the region inside the polymer, a < b
     its positions in idx, in System order (which, idx ascending, is a then b)."""
@@ -271,9 +279,7 @@ def _mayer(gas: _Gas, idx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, flo
     Polymers past MAX_POLYMER_SIZE sites are refused."""
     got = gas.mayer.get(idx)
     if got is None:
-        if len(idx) > MAX_POLYMER_SIZE:
-            raise CapacityError(f"polymer of {len(idx)} sites exceeds the cap of {MAX_POLYMER_SIZE}")
-        values, probs = _config_tables(gas, idx)
+        values, probs = _polymer_tables(gas, idx)
         with np.errstate(over="ignore", invalid="ignore"):
             csum = connected_sum(_edge_factors(gas, idx, values))
             weighted = probs * csum
@@ -719,6 +725,14 @@ def truncated_log_partition(
     )
 
 
+def _stability(gas: _Gas, idx: tuple[int, ...], values: np.ndarray, step_norm: float):
+    """stability_check's triple from the polymer's configuration values."""
+    energy = _pair_energy(gas, idx, values)
+    floor = -len(idx) * step_norm * gas.sigma**2 / 2.0
+    lowest = float(energy.min())
+    return lowest, floor, lowest >= floor - 1e-12
+
+
 def stability_check(model: m.GibbsModel, polymer, step_norm: float | None = None, region="decimated", omega=None):
     """Least internal pair energy of the polymer against -|R| J sigma^2 / 2.
 
@@ -727,14 +741,10 @@ def stability_check(model: m.GibbsModel, polymer, step_norm: float | None = None
     """
     gas = _gas(model, region, omega)
     idx = _indices(gas, polymer)
-    k = len(idx)
     if step_norm is None:
         step_norm = m.interaction_norm(model, step=model.box.r0)
     values, _ = _config_tables(gas, idx)
-    energy = _pair_energy(gas, idx, values)
-    floor = -k * step_norm * gas.sigma**2 / 2.0
-    lowest = float(energy.min())
-    return lowest, floor, lowest >= floor - 1e-12
+    return _stability(gas, idx, values, step_norm)
 
 
 def tree_graph_bound_check(
@@ -742,22 +752,20 @@ def tree_graph_bound_check(
 ) -> TreeGraphBounds:
     """Per-configuration chain |Mayer sum| <= tree majorant <= coupling-norm majorant.
 
-    The tree majorant multiplies 1 - e^{-|J s s'|} over the edges of every
-    labeled tree on the polymer; the coarser form replaces each edge factor
-    by sigma^2 |J|. Both carry the stability prefactor e^{|R| J sigma^2 / 2}.
+    The tree majorant sums over the labeled trees on the polymer the product
+    of 1 - e^{-|J s s'|} over their edges; the coarser form replaces each edge
+    factor by sigma^2 |J|. Both carry the stability prefactor
+    e^{|R| J sigma^2 / 2}. Polymers past MAX_POLYMER_SIZE sites are refused.
     """
     gas = _gas(model, region, omega)
     idx = _indices(gas, polymer)
     k = len(idx)
     if k < 2:
         raise DomainError("the tree-graph chain needs at least two sites")
-    if k > 6:
-        raise CapacityError(f"tree-graph check on {k} sites exceeds the cap of 6")
     if step_norm is None:
         step_norm = m.interaction_norm(model, step=model.box.r0)
-    values, _ = _config_tables(gas, idx)
-    csum = connected_sum(_edge_factors(gas, idx, values))
-    lhs = np.abs(csum)
+    values, _ = _polymer_tables(gas, idx)
+    lhs = np.abs(connected_sum(_edge_factors(gas, idx, values)))
 
     exponent = k * step_norm * gas.sigma**2 / 2.0
     if exponent > LOG_FLOAT_MAX:
@@ -766,24 +774,16 @@ def tree_graph_bound_check(
             f" {exponent:.1f}, float64 ends at {LOG_FLOAT_MAX:.1f}"
         )
     prefactor = math.exp(exponent)
-    cols = values.shape[1]
-    coupling = {(a, b): j for a, b, j in _internal_pairs(gas, idx)}
-    tree_sum = np.zeros(cols)
-    j_sum = 0.0
-    for edges in spanning_tree_edge_sets(k):
-        term = np.ones(cols)
-        j_term = 1.0
-        for a, b in edges:
-            jab = coupling.get((a, b), 0.0)
-            term = term * (1.0 - np.exp(-np.abs(jab * values[a] * values[b])))
-            j_term *= abs(jab)
-        tree_sum += term
-        j_sum += j_term
-    rhs_trees = prefactor * tree_sum
-    rhs_j = prefactor * gas.sigma ** (2 * k - 2) * j_sum
+    tree_factors = np.zeros((k, k, values.shape[1]))
+    coupling = np.zeros((k, k))
+    for a, b, j in _internal_pairs(gas, idx):
+        tree_factors[a, b] = tree_factors[b, a] = 1.0 - np.exp(-np.abs(j * values[a] * values[b]))
+        coupling[a, b] = coupling[b, a] = abs(j)
+    rhs_trees = prefactor * spanning_tree_sum(tree_factors)
+    rhs_j = prefactor * gas.sigma ** (2 * k - 2) * spanning_tree_sum(coupling)
 
     worst = int(np.argmax(lhs))
-    stab_lhs, stab_floor, _ = stability_check(model, polymer, step_norm, region, omega)
+    stab_lhs, stab_floor, _ = _stability(gas, idx, values, step_norm)
     return TreeGraphBounds(
         lhs=float(lhs[worst]),
         rhs_trees=float(rhs_trees[worst]),

@@ -1,26 +1,107 @@
 """Independent routes that the tests hold the library against.
 
 Each recomputes a quantity from its definition, by brute force over every
-connected graph, and never through the rooted recursion or the Mayer
-tables the library runs. Costs grow with the connected-graph count, so
-keep k small (the enumeration refuses k > 7).
+connected graph or every labeled tree, and never through the rooted
+recursion or the Mayer tables the library runs. Costs grow with the
+graph and tree counts, so keep k small (the enumerations refuse k > 7
+and k > 8).
 """
 
+import heapq
 import math
+from functools import lru_cache
+from itertools import combinations, product
 
 import numpy as np
 
 import lclt_lab.combinatorics as cb
 import lclt_lab.polymer as pg
+from lclt_lab.errors import CapacityError, DomainError
+
+# Connected-graph enumeration materializes all 2^(k(k-1)/2) edge sets; the
+# vertex caps keep that table and the k^(k-2) trees desk-sized.
+MAX_ENUMERATED_VERTICES = 7
+MAX_TREE_VERTICES = 8
+
+
+@lru_cache(maxsize=None)
+def edge_list(k: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (i, j), i<j; edge i<j occupies bit edge_list(k).index((i, j))
+    of every edge mask here."""
+    return tuple(combinations(range(k), 2))
+
+
+@lru_cache(maxsize=None)
+def connected_graph_masks(k: int) -> tuple[int, ...]:
+    """Edge bitmasks of every connected graph on k labeled vertices.
+
+    Filters all 2^(k(k-1)/2) masks with a vectorized reachability sweep;
+    cached per k. Masks are ascending, so iteration order is reproducible.
+    """
+    if k < 1:
+        raise DomainError(f"vertex count {k} is not positive")
+    if k > MAX_ENUMERATED_VERTICES:
+        total = 1 << (k * (k - 1) // 2)
+        raise CapacityError(
+            f"connected-graph enumeration on {k} vertices walks {total} edge sets, "
+            f"cap is {1 << (MAX_ENUMERATED_VERTICES * (MAX_ENUMERATED_VERTICES - 1) // 2)}"
+        )
+    if k == 1:
+        return (0,)
+    edges = edge_list(k)
+    masks = np.arange(1 << len(edges), dtype=np.int64)
+    reach = np.ones_like(masks)
+    for _ in range(k - 1):
+        for e, (i, j) in enumerate(edges):
+            has = (masks >> e) & 1
+            reach |= (has & ((reach >> i) & 1)) << j
+            reach |= (has & ((reach >> j) & 1)) << i
+    full = (1 << k) - 1
+    return tuple(int(m) for m in masks[reach == full])
+
+
+def _tree_edges_from_pruefer(seq: tuple[int, ...], k: int) -> tuple[tuple[int, int], ...]:
+    degree = [1] * k
+    for v in seq:
+        degree[v] += 1
+    leaves = [i for i in range(k) if degree[i] == 1]
+    heapq.heapify(leaves)
+    out = []
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        out.append((min(leaf, v), max(leaf, v)))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    u, v = heapq.heappop(leaves), heapq.heappop(leaves)
+    out.append((min(u, v), max(u, v)))
+    return tuple(sorted(out))
+
+
+@lru_cache(maxsize=None)
+def spanning_tree_edge_sets(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Edge sets of all labeled trees on k vertices, one per Pruefer word."""
+    if k < 1:
+        raise DomainError(f"vertex count {k} is not positive")
+    if k > MAX_TREE_VERTICES:
+        raise CapacityError(
+            f"tree enumeration on {k} vertices yields {k ** (k - 2)} trees, "
+            f"cap is {MAX_TREE_VERTICES ** (MAX_TREE_VERTICES - 2)}"
+        )
+    if k == 1:
+        return ((),)
+    if k == 2:
+        return (((0, 1),),)
+    return tuple(_tree_edges_from_pruefer(seq, k) for seq in product(range(k), repeat=k - 2))
 
 
 def connected_sum_by_enumeration(edge_factor):
     """Same sum as combinatorics.connected_sum, over the connected graphs."""
     ef = np.asarray(edge_factor)
     k = ef.shape[0]
-    edges = cb.edge_list(k)
+    edges = edge_list(k)
     total = np.zeros(ef.shape[2:], dtype=ef.dtype)
-    for mask in cb.connected_graph_masks(k):
+    for mask in connected_graph_masks(k):
         term = np.ones(ef.shape[2:], dtype=ef.dtype)
         for pos, (i, j) in enumerate(edges):
             if mask >> pos & 1:
@@ -29,25 +110,50 @@ def connected_sum_by_enumeration(edge_factor):
     return total if ef.ndim > 2 else total.item()
 
 
-def _overlap_factors(polymers) -> np.ndarray:
-    """-1 on every pair of intersecting site sets, 0 elsewhere."""
+def spanning_tree_sum_by_enumeration(edge_factor):
+    """Same sum as combinatorics.spanning_tree_sum, over the labeled trees."""
+    ef = np.asarray(edge_factor)
+    total = np.zeros(ef.shape[2:], dtype=ef.dtype)
+    for edges in spanning_tree_edge_sets(ef.shape[0]):
+        term = np.ones(ef.shape[2:], dtype=ef.dtype)
+        for i, j in edges:
+            term = term * ef[i, j]
+        total = total + term
+    return total if ef.ndim > 2 else total.item()
+
+
+def _overlap_bits(polymers) -> tuple[int, int]:
+    """(k, mask): bit edge_list(k).index((i, j)) of mask is set when site
+    sets i and j intersect."""
     sets = [frozenset(p) for p in polymers]
-    zeta = np.zeros((len(sets), len(sets)))
-    for i, j in cb.edge_list(len(sets)):
-        if sets[i] & sets[j]:
+    edges = edge_list(len(sets))
+    return len(sets), sum(1 << pos for pos, (i, j) in enumerate(edges) if sets[i] & sets[j])
+
+
+def _overlap_factors(k: int, bits: int) -> np.ndarray:
+    """-1 on every pair of intersecting site sets, 0 elsewhere."""
+    zeta = np.zeros((k, k))
+    for pos, (i, j) in enumerate(edge_list(k)):
+        if bits >> pos & 1:
             zeta[i, j] = zeta[j, i] = -1.0
     return zeta
 
 
+@lru_cache(maxsize=None)
+def _ursell_from_overlap_bits(k: int, bits: int) -> float:
+    return float(cb.connected_sum(_overlap_factors(k, bits)))
+
+
 def ursell_hardcore(polymers) -> float:
     """Hard-core Ursell coefficient of a tuple of site sets: the connected
-    sum over their overlap graph, exactly 0 when that graph is disconnected."""
-    return float(cb.connected_sum(_overlap_factors(polymers)))
+    sum over their overlap graph, exactly 0 when that graph is disconnected.
+    Cached by the overlap pattern, the only thing the coefficient reads."""
+    return _ursell_from_overlap_bits(*_overlap_bits(polymers))
 
 
 def ursell_hardcore_by_enumeration(polymers) -> float:
     """The same coefficient by the definitional sum over connected graphs."""
-    return float(connected_sum_by_enumeration(_overlap_factors(polymers)))
+    return float(connected_sum_by_enumeration(_overlap_factors(*_overlap_bits(polymers))))
 
 
 def activity_by_graph_enumeration(model, params, polymer, region="decimated", omega=None) -> complex:

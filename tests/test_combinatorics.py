@@ -11,20 +11,26 @@ import oracles
 from lclt_lab.errors import CapacityError, DomainError
 
 
+def _unit_factors(k):
+    return np.ones((k, k)) - np.eye(k)
+
+
 def test_connected_graph_counts_match_known_sequence():
-    for k, expected in enumerate(cb.CONNECTED_COUNTS_KNOWN[:6], start=1):
-        assert cb.connected_graph_count(k) == expected
+    # the recursion's census against OEIS A001187, and the oracle's masks too
+    for row, expected in zip(cb.graph_census(6), cb.CONNECTED_COUNTS_KNOWN[:6]):
+        assert row["connected"] == expected
+        assert len(oracles.connected_graph_masks(row["k"])) == expected
 
 
 def test_connected_graph_count_seven_vertices():
-    # the largest enumerable order; 2^21 candidate graphs
-    assert cb.connected_graph_count(7) == 1866256
+    # unit factors on the complete graph: 1866256 of the 2^21 edge sets
+    assert cb.connected_sum(_unit_factors(7)) == 1866256.0
 
 
 def test_connected_masks_are_connected_graphs():
     for k in (2, 3, 4):
-        edges = cb.edge_list(k)
-        for mask in cb.connected_graph_masks(k):
+        edges = oracles.edge_list(k)
+        for mask in oracles.connected_graph_masks(k):
             chosen = [e for i, e in enumerate(edges) if mask >> i & 1]
             # union-find check, independent of the library's BFS
             parent = list(range(k))
@@ -41,14 +47,18 @@ def test_connected_masks_are_connected_graphs():
 
 
 def test_spanning_tree_counts_cayley():
+    # k^(k-2) exactly from the recursion up to 10 vertices, and the
+    # oracle's Pruefer enumeration up to 7
+    for k in range(2, 11):
+        assert cb.spanning_tree_sum(_unit_factors(k)) == float(k ** (k - 2))
     for k in range(2, 8):
-        assert len(cb.spanning_tree_edge_sets(k)) == k ** (k - 2)
+        assert len(oracles.spanning_tree_edge_sets(k)) == k ** (k - 2)
 
 
 def test_spanning_trees_are_trees():
     for k in (3, 4, 5):
         seen = set()
-        for edges in cb.spanning_tree_edge_sets(k):
+        for edges in oracles.spanning_tree_edge_sets(k):
             assert len(edges) == k - 1
             seen.add(frozenset(edges))
             touched = {v for e in edges for v in e}
@@ -58,11 +68,11 @@ def test_spanning_trees_are_trees():
 
 def test_enumeration_caps():
     with pytest.raises(CapacityError):
-        cb.connected_graph_masks(cb.MAX_ENUMERATED_VERTICES + 1)
+        oracles.connected_graph_masks(oracles.MAX_ENUMERATED_VERTICES + 1)
     with pytest.raises(CapacityError):
-        cb.spanning_tree_edge_sets(cb.MAX_TREE_VERTICES + 1)
+        oracles.spanning_tree_edge_sets(oracles.MAX_TREE_VERTICES + 1)
     with pytest.raises(DomainError):
-        cb.connected_graph_count(0)
+        oracles.connected_graph_masks(0)
 
 
 def test_connected_sum_matches_enumeration():
@@ -75,6 +85,21 @@ def test_connected_sum_matches_enumeration():
         fast = cb.connected_sum(fac)
         slow = oracles.connected_sum_by_enumeration(fac)
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-15)
+    # the tree sum on weighted graphs with about 40% of the edges missing,
+    # along a config axis of 5, and without one
+    rng = np.random.default_rng(15)
+    for k in (2, 3, 4, 5, 6):
+        for _ in range(4):
+            fac = rng.uniform(-1.0, 1.0, size=(k, k, 5)) * (rng.random((k, k, 1)) < 0.6)
+            fac = np.triu(fac.transpose(2, 0, 1), 1).transpose(1, 2, 0)
+            fac = fac + fac.transpose(1, 0, 2)
+            want = oracles.spanning_tree_sum_by_enumeration(fac)
+            scale = oracles.spanning_tree_sum_by_enumeration(np.abs(fac))
+            got = cb.spanning_tree_sum(fac)
+            assert got.shape == (5,)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+            assert np.all(got[scale == 0.0] == 0.0)
+            assert cb.spanning_tree_sum(fac[:, :, 0]) == got[0]
 
 
 def test_connected_sum_batched_configs():
@@ -135,9 +160,10 @@ def test_connected_sum_disconnected_is_exactly_zero():
             if cplx:
                 fac = fac + 1j * rng.uniform(-0.5, 0.5, size=shape)
             fac = (fac + np.swapaxes(fac, 0, 1)) * mask.reshape(mask.shape + (1,) * (len(shape) - 2))
-            got = cb.connected_sum(fac)
-            assert np.shape(got) == shape[2:]
-            assert np.all(np.asarray(got) == 0.0)
+            for graph_sum in (cb.connected_sum, cb.spanning_tree_sum):
+                got = graph_sum(fac)
+                assert np.shape(got) == shape[2:]
+                assert np.all(np.asarray(got) == 0.0)
 
 
 @st.composite
@@ -155,7 +181,7 @@ def _factor_arrays(draw):
     fac = fac * 10.0 ** draw(hnp.arrays(np.float64, shape, elements=st.floats(-6.0, 0.0)))
     edges = draw(st.integers(0, (1 << (k * (k - 1) // 2)) - 1))
     mask = np.zeros((k, k))
-    for pos, (i, j) in enumerate(cb.edge_list(k)):
+    for pos, (i, j) in enumerate(oracles.edge_list(k)):
         mask[i, j] = mask[j, i] = edges >> pos & 1
     fac = fac * mask.reshape(mask.shape + (1,) * len(trailing))
     return (fac + np.swapaxes(fac, 0, 1)) / 2
@@ -164,14 +190,18 @@ def _factor_arrays(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
 @given(_factor_arrays())
 def test_connected_sum_property_matches_enumeration(fac):
-    # one oracle call on the factors and their moduli side by side
+    # one oracle call per sum on the factors and their moduli side by side
     k = fac.shape[0]
     both = np.concatenate([fac.reshape(k, k, -1), np.abs(fac).reshape(k, k, -1)], axis=2)
-    oracle = oracles.connected_sum_by_enumeration(both)
     half = both.shape[2] // 2
-    want, scale = oracle[:half], oracle[half:].real
-    got = np.reshape(cb.connected_sum(fac), -1)
-    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    for graph_sum, oracle in (
+        (cb.connected_sum, oracles.connected_sum_by_enumeration),
+        (cb.spanning_tree_sum, oracles.spanning_tree_sum_by_enumeration),
+    ):
+        by_enumeration = oracle(both)
+        want, scale = by_enumeration[:half], by_enumeration[half:].real
+        got = np.reshape(graph_sum(fac), -1)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 def test_ursell_identical_polymers_rota():

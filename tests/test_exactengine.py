@@ -439,6 +439,7 @@ _HUGE_ENTRIES = {
     "single_spin_distribution": lambda model: lm.single_spin_distribution(model, (0,)),
     "boundary_field_coefficient": lambda model: lm.boundary_field_coefficient(model, (3,)),
     "boundary_field_coefficients": lm.boundary_field_coefficients,
+    "hamiltonian": lambda model: lm.hamiltonian(model, lm.SpinConfig(model.box.sites, (1,) * len(model.box.sites))),
 }
 # A zero boundary gives every site the field 0 whatever the coupling, so the
 # field-only entry points have an exact finite answer there.

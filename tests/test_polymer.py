@@ -624,7 +624,8 @@ def test_component_cap_raises_not_truncates():
 
 
 def test_mayer_cap_is_one_for_every_entry_point():
-    """Every entry point that reads a Mayer table takes a polymer of
+    """Every entry point that reads a Mayer table, and the tree-graph check
+    that builds the same configuration tables, takes a polymer of
     MAX_POLYMER_SIZE = 10 sites and refuses one of 11 with one message."""
     assert pg.MAX_POLYMER_SIZE == 10
     model = nn_chain(radius=5, strength=0.1, spin=(0, 1), boundary=1)
@@ -636,6 +637,7 @@ def test_mayer_cap_is_one_for_every_entry_point():
         lambda poly: pg.activity_derivative(model, params, poly, order=2, region="box"),
         lambda poly: pg.weight_w0(model, poly, 0.01, region="box"),
         lambda poly: pg.weight_norm(model, len(poly), "w0", 0.01, region="box"),
+        lambda poly: pg.tree_graph_bound_check(model, poly, region="box").margin_trees,
     )
     for call in calls:
         assert cmath.isfinite(call(pg.Polymer(sites[:10])))
