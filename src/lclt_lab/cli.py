@@ -89,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integrals", help="four-integral bound on the lattice-vs-Gaussian gap")
     common(p, budget=True)
     p.add_argument("--a-cut", type=float, required=True, dest="a_cut")
-    p.add_argument("--delta", type=float, default=None)
     p = sub.add_parser("lclt-scan", help="gap and variance density across growing chains")
     common(p, c_variant=False, budget=True)
     p.add_argument("--sizes", default="5,9,13", help="comma-separated chain lengths")
@@ -243,9 +242,7 @@ def _cmd_decay_large_t(args) -> tuple[list[dict], bool]:
 
 def _cmd_integrals(args) -> tuple[list[dict], bool]:
     model = _load_model(args.config)
-    dec = vf.integral_decomposition(
-        model, args.a_cut, delta=args.delta, c_variant=args.c_variant, budget=args.budget
-    )
+    dec = vf.integral_decomposition(model, args.a_cut, c_variant=args.c_variant, budget=args.budget)
     return _checked(dec.reports(), [_record("integral_decomposition", dec.as_dict())])
 
 

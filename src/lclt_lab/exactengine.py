@@ -173,9 +173,6 @@ def _scan(system: System):
     fields = system.field_array
     shift = system.energy_shift()
 
-    if n == 0:
-        return shift, math.exp(-shift), 0.0, 0.0, np.array([1.0]), 0
-
     m_low = 1
     while m_low < n and q ** (m_low + 1) <= _CHUNK_TARGET:
         m_low += 1

@@ -474,15 +474,16 @@ def resolve_region(model: GibbsModel, region) -> tuple[Site, ...]:
 
 
 @lru_cache(maxsize=256)
-def _window_coupling_total(model: GibbsModel, step: int, absolute: bool = True) -> float:
+def _window_coupling_total(coupling: Coupling, d: int, truncation: int, step: int, absolute: bool = True) -> float:
     """sum over nonzero offsets z in (step Z)^d with |z|_sup <= truncation of |J(z)|,
     or of the signed J(z) when absolute is off.
 
     Translation invariant kinds only; compensated by numpy pairwise summation.
     A total past float64 is inf, without a numpy warning: the callers decide.
+    Cached on what it reads, so models differing only in r0, box radius or
+    boundary share it.
     """
-    d = model.box.dimension
-    reach = model.truncation_radius // step
+    reach = truncation // step
     if reach < 1:
         return 0.0
     count = (2 * reach + 1) ** d
@@ -491,7 +492,7 @@ def _window_coupling_total(model: GibbsModel, step: int, absolute: bool = True) 
             f"interaction window holds {count} offsets, over the budget {WINDOW_BUDGET}; "
             "raise the power-law exponent or lower the truncation radius"
         )
-    values = model.coupling.between(0, (np.indices((2 * reach + 1,) * d).reshape(d, -1).T - reach) * step)
+    values = coupling.between(0, (np.indices((2 * reach + 1,) * d).reshape(d, -1).T - reach) * step)
     with np.errstate(over="ignore"):
         return float((np.abs(values) if absolute else values).sum())
 
@@ -506,7 +507,7 @@ def interaction_norm(model: GibbsModel, step: int = 1) -> float:
     if step < 1:
         raise DomainError("step must be at least 1")
     if model.coupling.kind != "explicit":
-        return _window_coupling_total(model, step)
+        return _window_coupling_total(model.coupling, model.box.dimension, model.truncation_radius, step)
     totals: dict[Site, float] = {}
     for a, b, j in model.coupling.pairs:
         if all(c % step == 0 for c in a + b):
@@ -555,7 +556,9 @@ def _field_slopes(model: GibbsModel, region_sites: tuple[Site, ...], xs) -> tupl
             # subtract the in-region, in-window part from the full-window
             # total instead of walking the window site by site; each x's
             # part is one array in region order.
-            window_total = _window_coupling_total(model, 1, absolute=False)
+            window_total = _window_coupling_total(
+                model.coupling, model.box.dimension, model.truncation_radius, 1, absolute=False
+            )
             i, _, j = _couplings_within(model, xs, region_sites, model.truncation_radius)
             ends = np.cumsum(np.bincount(i, minlength=len(xs)))
             slopes = tuple(bc.value * (window_total - float(j[a:b].sum())) for a, b in zip([0, *ends[:-1]], ends))

@@ -238,27 +238,31 @@ def _polymer_tables(gas: _Gas, idx: tuple[int, ...]):
     return _config_tables(gas, idx)
 
 
-def _internal_pairs(gas: _Gas, idx: tuple[int, ...]) -> list[tuple[int, int, float]]:
+def _pair_terms(gas: _Gas, idx: tuple[int, ...], values: np.ndarray):
     """(a, b, J) of each coupled pair of the region inside the polymer, a < b
-    its positions in idx, in System order (which, idx ascending, is a then b)."""
+    its positions in idx, in System order (which, idx ascending, is a then
+    b), and J s_a s_b of each pair (rows) and configuration (columns)."""
     local = {i: a for a, i in enumerate(idx)}
-    return [(local[i], local[j], v) for i, j, v in gas.system.pairs if i in local and j in local]
+    pairs = [(local[i], local[j], v) for i, j, v in gas.system.pairs if i in local and j in local]
+    terms = np.empty((len(pairs), values.shape[1]))
+    for row, (a, b, j) in enumerate(pairs):
+        terms[row] = j * values[a] * values[b]
+    return pairs, terms
 
 
-def _edge_factors(gas: _Gas, idx: tuple[int, ...], values: np.ndarray) -> np.ndarray:
-    k = len(idx)
-    ef = np.zeros((k, k, values.shape[1]))
-    for a, b, j in _internal_pairs(gas, idx):
-        ef[a, b] = ef[b, a] = np.expm1(j * values[a] * values[b])
-    return ef
+def _by_pair(k: int, pairs, entries: np.ndarray) -> np.ndarray:
+    """(k, k, ...) symmetric table holding entries[p] at both positions of
+    pair p and 0 off the pairs."""
+    out = np.zeros((k, k) + entries.shape[1:])
+    for (a, b, _), entry in zip(pairs, entries):
+        out[a, b] = out[b, a] = entry
+    return out
 
 
-def _pair_energy(gas: _Gas, idx: tuple[int, ...], values: np.ndarray) -> np.ndarray:
-    """Internal coupling energy sum_{a<b} J s_a s_b of every configuration."""
-    energy = np.zeros(values.shape[1])
-    for a, b, j in _internal_pairs(gas, idx):
-        energy += j * values[a] * values[b]
-    return energy
+def _pair_energy(terms: np.ndarray) -> np.ndarray:
+    """Internal coupling energy sum_{a<b} J s_a s_b of every configuration,
+    from the _pair_terms rows added in order to 0."""
+    return sum(terms, np.zeros(terms.shape[1]))
 
 
 def _overflow(route: str, gas: _Gas, idx: tuple[int, ...]) -> CapacityError:
@@ -266,7 +270,7 @@ def _overflow(route: str, gas: _Gas, idx: tuple[int, ...]) -> CapacityError:
     largest log weight p e^{energy} of its configurations."""
     values, probs = _config_tables(gas, idx)
     with np.errstate(divide="ignore"):
-        log_weight = float((np.log(probs) + _pair_energy(gas, idx, values)).max())
+        log_weight = float((np.log(probs) + _pair_energy(_pair_terms(gas, idx, values)[1])).max())
     return CapacityError(
         f"{route} on {len(idx)} sites is not finite: the largest log weight is"
         f" {log_weight:.1f}, float64 ends at {LOG_FLOAT_MAX:.1f}"
@@ -280,8 +284,9 @@ def _mayer(gas: _Gas, idx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, flo
     got = gas.mayer.get(idx)
     if got is None:
         values, probs = _polymer_tables(gas, idx)
+        pairs, terms = _pair_terms(gas, idx, values)
         with np.errstate(over="ignore", invalid="ignore"):
-            csum = connected_sum(_edge_factors(gas, idx, values))
+            csum = connected_sum(_by_pair(len(idx), pairs, np.expm1(terms)))
             weighted = probs * csum
             abs_mass = float(np.dot(probs, np.abs(csum)))
         if not (np.isfinite(weighted).all() and math.isfinite(abs_mass)):
@@ -292,15 +297,25 @@ def _mayer(gas: _Gas, idx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, flo
     return got
 
 
-def _activity_from_indices(gas: _Gas, idx: tuple[int, ...], t: float, c: float) -> complex:
+def _activity_from_indices(gas: _Gas, idx: tuple[int, ...], t: float, c: float, order: int = 0) -> complex:
+    """sum_s w(s) (is)^order e^{its} over the polymer's table: the activity
+    at order 0, its t-derivatives at orders 1 and 2. One site: w is the
+    single-site law, with its -1 at order 0 (undressed only). Two or more
+    sites: w is the Mayer table times e^{c|R|}."""
     k = len(idx)
     if k == 1:
         if c != 0.0:
             raise DomainError("the dressed representation has no single-site polymers")
-        i = idx[0]
-        return complex(np.dot(gas.probs[i], np.exp(1j * t * gas.values) - 1.0))
-    spins, amps, _ = _mayer(gas, idx)
-    return math.exp(c * k) * complex(np.dot(amps, np.exp(1j * t * spins)))
+        spins, weights = gas.values, gas.probs[idx[0]]
+    else:
+        spins, weights, _ = _mayer(gas, idx)
+    phases = np.exp(1j * t * spins)
+    if order:
+        phases = (1j * spins) ** order * phases
+    elif k == 1:
+        phases = phases - 1.0
+    total = complex(np.dot(weights, phases))
+    return total if k == 1 else math.exp(c * k) * total
 
 
 def activity(model: m.GibbsModel, params: ActivityParams, polymer, region="decimated", omega=None) -> complex:
@@ -326,21 +341,7 @@ def activity_derivative(
     if order not in (1, 2):
         raise DomainError(f"derivative order must be 1 or 2, got {order}")
     gas = _gas(model, region, omega)
-    idx = _indices(gas, polymer)
-    t, c = params.t, params.c
-    if len(idx) == 1:
-        if c != 0.0:
-            raise DomainError("the dressed representation has no single-site polymers")
-        i = idx[0]
-        vals = gas.values
-        phases = np.exp(1j * t * vals)
-        if order == 1:
-            return complex(1j * np.dot(gas.probs[i], vals * phases))
-        return complex(-np.dot(gas.probs[i], vals * vals * phases))
-    spins, amps, _ = _mayer(gas, idx)
-    base = amps * np.exp(1j * t * spins)
-    factor = (1j * spins) if order == 1 else -(spins * spins)
-    return math.exp(c * len(idx)) * complex(np.dot(base, factor))
+    return _activity_from_indices(gas, _indices(gas, polymer), params.t, params.c, order)
 
 
 def _exact_xi0(gas: _Gas):
@@ -509,6 +510,12 @@ def continuous_log_partition(
     return log_val
 
 
+def _weight(gas: _Gas, idx: tuple[int, ...], delta: float) -> float:
+    """w0 of a polymer of two or more sites: (1 + delta*sigma)^|R| times the
+    spin average of |connected Mayer sum|."""
+    return (1.0 + delta * gas.sigma) ** len(idx) * _mayer(gas, idx)[2]
+
+
 def weight_w0(model: m.GibbsModel, polymer, delta: float, region="decimated", omega=None) -> float:
     """t-uniform majorant of the activity: delta*sigma for one site, else
     (1 + delta*sigma)^|R| times the spin average of |connected Mayer sum|.
@@ -519,10 +526,9 @@ def weight_w0(model: m.GibbsModel, polymer, delta: float, region="decimated", om
         raise DomainError(f"delta must be positive, got {delta}")
     gas = _gas(model, region, omega)
     idx = _indices(gas, polymer)
-    k = len(idx)
-    if k == 1:
+    if len(idx) == 1:
         return delta * gas.sigma
-    return (1.0 + delta * gas.sigma) ** k * _mayer(gas, idx)[2]
+    return _weight(gas, idx, delta)
 
 
 _WEIGHT_DRESSING = {"w0": 0.0, "w1": 1.0}
@@ -573,8 +579,7 @@ def weight_norm(
             mask = (1 << anchor) | sum(1 << i for i in rest)
             if not _mask_connected(mask, gas.adjacency):
                 continue
-            idx = tuple(sorted((anchor, *rest)))
-            total += (1.0 + delta * gas.sigma) ** k * _mayer(gas, idx)[2]
+            total += _weight(gas, tuple(sorted((anchor, *rest))), delta)
         best = max(best, total * factor)
     gas.norms[(k, dress, delta)] = best
     return best
@@ -725,10 +730,10 @@ def truncated_log_partition(
     )
 
 
-def _stability(gas: _Gas, idx: tuple[int, ...], values: np.ndarray, step_norm: float):
-    """stability_check's triple from the polymer's configuration values."""
-    energy = _pair_energy(gas, idx, values)
-    floor = -len(idx) * step_norm * gas.sigma**2 / 2.0
+def _stability(gas: _Gas, k: int, terms: np.ndarray, step_norm: float):
+    """stability_check's triple for a polymer of k sites from its _pair_terms."""
+    energy = _pair_energy(terms)
+    floor = -k * step_norm * gas.sigma**2 / 2.0
     lowest = float(energy.min())
     return lowest, floor, lowest >= floor - 1e-12
 
@@ -744,7 +749,7 @@ def stability_check(model: m.GibbsModel, polymer, step_norm: float | None = None
     if step_norm is None:
         step_norm = m.interaction_norm(model, step=model.box.r0)
     values, _ = _config_tables(gas, idx)
-    return _stability(gas, idx, values, step_norm)
+    return _stability(gas, len(idx), _pair_terms(gas, idx, values)[1], step_norm)
 
 
 def tree_graph_bound_check(
@@ -765,7 +770,8 @@ def tree_graph_bound_check(
     if step_norm is None:
         step_norm = m.interaction_norm(model, step=model.box.r0)
     values, _ = _polymer_tables(gas, idx)
-    lhs = np.abs(connected_sum(_edge_factors(gas, idx, values)))
+    pairs, terms = _pair_terms(gas, idx, values)
+    lhs = np.abs(connected_sum(_by_pair(k, pairs, np.expm1(terms))))
 
     exponent = k * step_norm * gas.sigma**2 / 2.0
     if exponent > LOG_FLOAT_MAX:
@@ -774,16 +780,12 @@ def tree_graph_bound_check(
             f" {exponent:.1f}, float64 ends at {LOG_FLOAT_MAX:.1f}"
         )
     prefactor = math.exp(exponent)
-    tree_factors = np.zeros((k, k, values.shape[1]))
-    coupling = np.zeros((k, k))
-    for a, b, j in _internal_pairs(gas, idx):
-        tree_factors[a, b] = tree_factors[b, a] = 1.0 - np.exp(-np.abs(j * values[a] * values[b]))
-        coupling[a, b] = coupling[b, a] = abs(j)
-    rhs_trees = prefactor * spanning_tree_sum(tree_factors)
+    coupling = _by_pair(k, pairs, np.abs([j for _, _, j in pairs]))
+    rhs_trees = prefactor * spanning_tree_sum(_by_pair(k, pairs, 1.0 - np.exp(-np.abs(terms))))
     rhs_j = prefactor * gas.sigma ** (2 * k - 2) * spanning_tree_sum(coupling)
 
     worst = int(np.argmax(lhs))
-    stab_lhs, stab_floor, _ = _stability(gas, idx, values, step_norm)
+    stab_lhs, stab_floor, _ = _stability(gas, k, terms, step_norm)
     return TreeGraphBounds(
         lhs=float(lhs[worst]),
         rhs_trees=float(rhs_trees[worst]),

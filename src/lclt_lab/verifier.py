@@ -22,7 +22,6 @@ omega, pass replace(model, boundary=BoundaryCondition.explicit(omega)).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -30,8 +29,9 @@ import numpy as np
 
 from . import exactengine as ee
 from . import model as m
-from ._system import System, build_system
-from .errors import LOG_FLOAT_MIN, CapacityError, DomainError, PreconditionError
+from . import polymer as pg
+from ._system import build_system
+from .errors import DomainError, PreconditionError, require_normal_exp
 
 DEFAULT_R0_MAX = 8
 # Slacks of the integral bounds: the gap against the sum of the four
@@ -136,16 +136,6 @@ def all_passed(reports) -> bool:
     return all(r.passed for r in reports)
 
 
-def _require_normal(name: str, symbol: str, value: float, log_value: float) -> None:
-    # every constant scales with a power of kappa: one that underflows would
-    # turn its checks into 0 <= 0 (delta) or e^0 <= 1 (c)
-    if not value >= sys.float_info.min:
-        raise CapacityError(
-            f"{name} is not a positive normal float64: log {symbol} is"
-            f" {log_value:.1f}, float64 normals end at {LOG_FLOAT_MIN:.1f}"
-        )
-
-
 @lru_cache(maxsize=256)
 def _constants_cached(model: m.GibbsModel, c_variant: str) -> ConstantsBundle:
     sigma = model.spin.sigma
@@ -155,14 +145,16 @@ def _constants_cached(model: m.GibbsModel, c_variant: str) -> ConstantsBundle:
     kap = m.kappa(j_full, sigma, card)
     log_kap = m.log_kappa(j_full, sigma, card)
     delta = kap / (12.0 * sigma)
-    _require_normal("delta = kappa/(12 sigma)", "delta", delta, log_kap - math.log(12.0 * sigma))
+    # every constant scales with a power of kappa: one that underflows would
+    # turn its checks into 0 <= 0 (delta) or e^0 <= 1 (c)
+    require_normal_exp("delta = kappa/(12 sigma)", "delta", log_kap - math.log(12.0 * sigma))
     gauss = sigma**2 * kap / 4.0
     half = math.sin(delta / 2.0) ** 2
     c_stated = kap * half
     c_proved = kap**2 * half
     c_sel = c_proved if c_variant == "proved" else c_stated
     log_c = (2 if c_variant == "proved" else 1) * log_kap + 2.0 * math.log(math.sin(delta / 2.0))
-    _require_normal(f"the {c_variant} large-t rate c", "c", c_sel, log_c)
+    require_normal_exp(f"the {c_variant} large-t rate c", "c", log_c)
     nu = 2.0 * math.e**2 * math.exp(j_step * sigma**2 / 2.0) * sigma**2 * math.sqrt(j_step)
     eps = min(math.e * delta * sigma, nu)
     lhs = math.exp(j_step * sigma**2 / 2.0) * math.sqrt(j_step)
@@ -242,12 +234,8 @@ def check_single_spin_cf(
     for t in ts:
         if not (lo - 1e-12 <= t <= hi + 1e-12):
             raise DomainError(f"t={t} is outside [{lo:.6g}, {hi:.6g}], no contraction is claimed there")
-    system = _site_measure_system(model, region)
-    # sites sharing a field share a law: one row per distinct law, taken at
-    # its first site in site order, so the first row attaining the max at a
-    # t holds the first site attaining it
-    probs = system.site_probs()
-    first = np.sort(np.unique(probs, axis=0, return_index=True)[1])
+    system, probs, first, _ = _site_laws(model, region)
+    # the first row attaining the max at a t holds the first site attaining it
     if len(first) == 1 < len(probs):
         # numpy takes a one-row product down its vector path, which rounds
         # otherwise than the matrix product that rows of many sites get
@@ -268,13 +256,18 @@ def check_single_spin_cf(
     ]
 
 
-def _site_measure_system(model: m.GibbsModel, region) -> System:
-    """The region's System, whose site_probs are the single-site measures;
-    an empty region has none to check."""
+def _site_laws(model: m.GibbsModel, region):
+    """(System, single-site measures, first sites, counts) of the region:
+    sites sharing a field share a law, so each distinct law is taken once,
+    at its first site in site order, with the number of sites holding it.
+    An empty region has no single-site measures to check."""
     system = build_system(model, region)
     if not system.sites:
         raise DomainError(f"region {region!r} has no sites, so it has no single-site measures to check")
-    return system
+    probs = system.site_probs()
+    _, first, counts = np.unique(probs, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return system, probs, first[order], counts[order]
 
 
 def _decay_check(
@@ -371,7 +364,7 @@ def check_curvature_decomposition(
       derivative of log Xi within the remainder bound.
     """
     consts = constants(model)
-    system = _site_measure_system(model, region)
+    system, _, first, counts = _site_laws(model, region)
     if system.pairs:
         raise PreconditionError(
             "the curvature split is audited on regions with no internal couplings;"
@@ -382,28 +375,27 @@ def check_curvature_decomposition(
 
     sigma, delta, kap = consts.sigma, consts.delta, consts.kappa
     n = system.site_count
-    vals = system.value_array
-    probs = system.site_probs()
-    phases = np.exp(1j * theta * vals)
+    gas = pg._gas_for_system(system)
 
+    # every term is a sum over sites, so each distinct law enters once,
+    # times the number of sites holding it
     g1 = 0j
     g2 = 0j
     g3 = 0j
     exact = 0j
     worst_sq = -math.inf
-    for i in range(n):
-        p = probs[i]
-        e0 = complex(np.dot(p, phases))
-        e1 = complex(1j * np.dot(p, vals * phases))
-        e2 = complex(-np.dot(p, vals * vals * phases))
-        xi, xi1, xi2 = e0 - 1.0, e1, e2
-        g1 += xi2
-        g2 -= xi1 * xi1 + xi * xi2
+    for i, count in zip(first.tolist(), counts.tolist()):
+        xi, xi1, xi2 = (pg._activity_from_indices(gas, (i,), theta, 0.0, order) for order in range(3))
+        g1 += count * xi2
+        g2 -= count * (xi1 * xi1 + xi * xi2)
         worst_sq = max(worst_sq, (xi1 * xi1).real)
+        series = 0j
         for k in range(3, CURVATURE_SERIES_ORDER + 1):
             d2 = k * (k - 1) * xi ** (k - 2) * xi1 * xi1 + k * xi ** (k - 1) * xi2
-            g3 += (-1) ** (k - 1) * d2 / k
-        exact += e2 / e0 - (e1 / e0) ** 2
+            series += (-1) ** (k - 1) * d2 / k
+        g3 += count * series
+        e0 = 1.0 + xi
+        exact += count * (xi2 / e0 - (xi1 / e0) ** 2)
 
     ds = delta * sigma
     remainder = 0.0
@@ -470,7 +462,6 @@ class IntegralDecomposition:
 def integral_decomposition(
     model: m.GibbsModel,
     a_cut: float,
-    delta: float | None = None,
     c_variant: str = "proved",
     budget: int = ee.DEFAULT_BUDGET,
 ) -> IntegralDecomposition:
@@ -486,11 +477,7 @@ def integral_decomposition(
     from scipy.integrate import quad
 
     consts = constants(model, c_variant)
-    if delta is None:
-        delta = consts.delta
-    if not 0 < delta <= math.pi:
-        raise DomainError(f"delta must lie in (0, pi], got {delta}")
-
+    delta = consts.delta
     stats = ee.statistics(model, "box", budget=budget)
     table = ee.pmf(model, "box", budget=budget)
     mu, var = stats.mean_S, stats.variance_S
@@ -518,16 +505,14 @@ def integral_decomposition(
     cc = consts.gauss_decay
     scale = math.sqrt(cc / 2.0)
     lo = a_cut * math.sqrt(n_dec / var)
-    hi = consts.delta * math.sqrt(n_dec)
+    hi = delta * math.sqrt(n_dec)
     b_j2 = (
         2.0
         * math.sqrt(var / n_dec)
         * math.sqrt(math.pi / (2.0 * cc))
         * (math.erf(hi * scale) - math.erf(lo * scale))
     )
-    b_j3 = 2.0 * root_d * (math.pi - consts.delta) * math.exp(-(consts.c_selected / 2.0) * n_dec)
-
-    lemma_ok = consts.r0_condition_ok and abs(delta - consts.delta) < 1e-15
+    b_j3 = 2.0 * root_d * (math.pi - delta) * math.exp(-(consts.c_selected / 2.0) * n_dec)
     return IntegralDecomposition(
         a_cut=a_cut,
         delta=delta,
@@ -545,7 +530,7 @@ def integral_decomposition(
         bound_holds=g_n <= total + GAP_SLACK,
         b_j2=b_j2,
         b_j3=b_j3,
-        lemma_ok=lemma_ok,
+        lemma_ok=consts.r0_condition_ok,
         i2_within=i2 <= b_j2 + DECAY_INTEGRAL_SLACK,
         i3_within=i3 <= b_j3 + DECAY_INTEGRAL_SLACK,
     )

@@ -164,6 +164,7 @@ def activity_by_graph_enumeration(model, params, polymer, region="decimated", om
     if len(idx) == 1:
         return pg._activity_from_indices(gas, idx, params.t, params.c)
     values, probs = pg._config_tables(gas, idx)
-    csum = connected_sum_by_enumeration(pg._edge_factors(gas, idx, values))
+    pairs, terms = pg._pair_terms(gas, idx, values)
+    csum = connected_sum_by_enumeration(pg._by_pair(len(idx), pairs, np.expm1(terms)))
     phases = np.exp(1j * params.t * values.sum(axis=0))
     return math.exp(params.c * len(idx)) * complex(np.dot(probs * csum, phases))

@@ -178,12 +178,11 @@ def test_non_finite_coupling_exits_two(coupling, argv, message, tmp_path, capsys
         (["lclt-scan", "--sizes", "5,5"], "strictly increasing positive lengths, got 5,5"),
         (["lclt-scan", "--sizes", "0,3"], "strictly increasing positive lengths, got 0,3"),
         (["lclt-scan", "--sizes=-1,3"], "strictly increasing positive lengths, got -1,3"),
-        (["integrals", "--a-cut", "0.02", "--delta", "nan"], "delta must lie in (0, pi], got nan"),
     ],
 )
 def test_argument_outside_its_domain_exits_two(argv, message, config, tmp_path, capsys):
     """Arguments that once passed their checks and failed later for another
-    reason: a repeated or nonpositive length, and a NaN delta."""
+    reason: a repeated or nonpositive length."""
     assert cli.main([*argv, "--config", config, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
 

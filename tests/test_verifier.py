@@ -105,8 +105,13 @@ def test_min_r0_cases():
         coupling=lm.Coupling.power_law(2.0, 3.0),
         boundary=lm.BoundaryCondition.zero(),
     )
+    # the candidates differ only in r0, and the window totals are cached on
+    # what they read, so each step's total is computed once
+    vf._constants_cached.cache_clear()
+    lm._window_coupling_total.cache_clear()
     with pytest.raises(PreconditionError):
         vf.min_r0(model, r0_max=6)
+    assert lm._window_coupling_total.cache_info().misses == 6
 
 
 def test_failing_branch_labels():
@@ -158,19 +163,21 @@ def test_decay_requires_admissible_step():
 def test_curvature_reports_biased_model():
     """Biased binary spins: every report holds except the as-displayed
     per-site bound on the quadratic cluster term, whose direction the
-    -1/2 prefactor flips; the assembled total still passes."""
-    model = regime_finite_range()
-    c = vf.constants(model)
-    reports = {r.check_name: r for r in vf.check_curvature_decomposition(model, theta=c.delta / 2)}
-    assert reports["curvature_series_identity"].passed
-    assert reports["curvature_series_identity"].lhs <= 1e-12
-    assert reports["curvature_leading_term"].passed
-    assert reports["curvature_derivative_sign"].passed
-    assert reports["curvature_quadratic_chain"].passed
-    assert reports["curvature_series_tail"].passed
-    assert reports["curvature_total"].passed
-    assert not reports["curvature_quadratic_term"].passed
-    assert reports["curvature_quadratic_term"].lhs > reports["curvature_quadratic_term"].rhs
+    -1/2 prefactor flips; the assembled total still passes. The same chain
+    at radius 5000 (5001 decimated sites of one law) holds the identity to
+    the same precision."""
+    for model in (regime_finite_range(), nn_chain(radius=5000, strength=0.1, spin=(0, 1), boundary=1, r0=2)):
+        c = vf.constants(model)
+        reports = {r.check_name: r for r in vf.check_curvature_decomposition(model, theta=c.delta / 2)}
+        assert reports["curvature_series_identity"].passed
+        assert reports["curvature_series_identity"].lhs <= 1e-12
+        assert reports["curvature_leading_term"].passed
+        assert reports["curvature_derivative_sign"].passed
+        assert reports["curvature_quadratic_chain"].passed
+        assert reports["curvature_series_tail"].passed
+        assert reports["curvature_total"].passed
+        assert not reports["curvature_quadratic_term"].passed
+        assert reports["curvature_quadratic_term"].lhs > reports["curvature_quadratic_term"].rhs
 
 
 def test_curvature_reports_centered_model():
