@@ -31,10 +31,16 @@ support instead: taking the coupled pairs one at a time, it keeps for each
 support the per-configuration sum of prod_e (e^{J_e s s'} - 1) over the
 graphs with that support, and GRAPH_SUM_BUDGET bounds the supports times
 the configurations it holds. Both direct routes take a scalar t or a 1-D
-grid of t. The other route is the gas sum over Mayer tables, a
-subset recursion; the exact engine never reads a Mayer table. Run with one
-power of a formal lambda per polymer, the recursion gives Xi(lambda)
-through lambda^K, whose truncated log is the cluster series.
+grid of t. The other route is the gas sum over Mayer tables, a subset
+recursion; the exact engine never reads a Mayer table. Each region gets
+one plan, built on first use and free of t: its connected polymers, their
+weight rows (single-site laws and Mayer tables) on every total spin a
+polymer can take, and, for each lowest site l, index arrays of the recursion's
+(mask, mask - P, P) steps. At each t every activity then comes from one
+matrix product with the phase columns, and the recursion runs level by
+level over l, each level one gather, one product and one scatter-add. Run
+with one power of a formal lambda per polymer, the recursion gives
+Xi(lambda) through lambda^K, whose truncated log is the cluster series.
 Mayer tables are built for polymers of up to MAX_POLYMER_SIZE sites, each
 from the polymer's own couplings in the region's pair list; the tree-graph
 check builds the same configuration tables under the same cap. A value past
@@ -146,8 +152,9 @@ class TreeGraphBounds:
 
 class _Gas:
     """Per-region tables: single-site measures, and t-free caches filled on
-    first use: adjacency masks, connected site sets, Mayer tables by polymer
-    index tuple and weight norms by (size, dressing, delta)."""
+    first use: adjacency masks, connected site sets, the gas-sum plan, Mayer
+    tables by polymer index tuple, weight norms by (size, dressing, delta)
+    and series dampings by (c, delta, a, step norm)."""
 
     def __init__(self, system: System):
         self.system = system
@@ -157,8 +164,9 @@ class _Gas:
         self.index = {x: i for i, x in enumerate(system.sites)}
         self.probs = system.site_probs()
         self.sigma = int(max(abs(v) for v in system.values))
-        self.mayer: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, float]] = {}
+        self.mayer: dict[tuple[int, ...], tuple[int, np.ndarray, float]] = {}
         self.norms: dict[tuple[int, float, float], float] = {}
+        self.dampings: dict[tuple[float, float, float, float], float | None] = {}
 
     @cached_property
     def adjacency(self) -> list[int]:
@@ -179,6 +187,39 @@ class _Gas:
             for mask in range(1, 1 << n)
             if mask.bit_count() == 1 or _mask_connected(mask, self.adjacency)
         )
+
+    @cached_property
+    def plan(self) -> _Plan:
+        return _build_plan(self)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The gas sum's t-free schedule over one region of n sites.
+
+    Rows are the connected polymers, masks descending (so grouped by lowest
+    site, the order the recursion adds them in): masks and sizes per row,
+    and weights, each row's single-site law or Mayer table on `spins`,
+    every total spin a polymer of the region can take. The int32 columns
+    steps[:, bounds[l]:bounds[l + 1]] are level l: (target, source, row)
+    of every polymer P with lowest site l and every mask M whose lowest
+    site is l and that holds P, namely M, M - P and P's row, polymer by
+    polymer, so the one-site polymer {l}, the last row with lowest site l,
+    comes last; its steps are the level's final 2^(n-l-1), which the
+    dressed gas leaves out.
+    """
+
+    n: int
+    masks: np.ndarray
+    sizes: np.ndarray
+    spins: np.ndarray
+    weights: np.ndarray
+    steps: np.ndarray
+    bounds: tuple[int, ...]
+
+    def activities(self, t: float, c: float, order: int = 0) -> np.ndarray:
+        """_activities of every row."""
+        return _activities(self.spins, self.weights, self.sizes, t, c, order)
 
 
 @lru_cache(maxsize=256)
@@ -277,9 +318,9 @@ def _overflow(route: str, gas: _Gas, idx: tuple[int, ...]) -> CapacityError:
     )
 
 
-def _mayer(gas: _Gas, idx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, float]:
-    """(spins, amps, abs_mass): amps[j] sums p * (Mayer sum) over the
-    configurations of total spin spins[j]; abs_mass averages |Mayer sum|.
+def _mayer(gas: _Gas, idx: tuple[int, ...]) -> tuple[int, np.ndarray, float]:
+    """(lowest, amps, abs_mass): amps[j] sums p * (Mayer sum) over the
+    configurations of total spin lowest + j; abs_mass averages |Mayer sum|.
     Polymers past MAX_POLYMER_SIZE sites are refused."""
     got = gas.mayer.get(idx)
     if got is None:
@@ -293,29 +334,53 @@ def _mayer(gas: _Gas, idx: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, flo
             raise _overflow("Mayer table", gas, idx)
         totals = values.sum(axis=0)
         amps = np.bincount(np.rint(totals - totals.min()).astype(np.intp), weights=weighted)
-        got = gas.mayer[idx] = (totals.min() + np.arange(len(amps)), amps, abs_mass)
+        got = gas.mayer[idx] = (int(totals.min()), amps, abs_mass)
     return got
 
 
+def _activities(spins: np.ndarray, weights: np.ndarray, sizes: np.ndarray, t: float, c: float, order: int = 0):
+    """sum_s w(s) (is)^order e^{its} of each row w of weights over the spins,
+    in one matrix product with the columns of (is)^order e^{its}: the
+    activities at order 0, their t-derivatives at orders 1 and 2. A row of
+    size 1 is a single-site law; at order 0 it carries its -1 as
+    e^{its} - 1 = -2 sin^2(ts/2) + i sin(ts), which cancels nothing at
+    small t. A row of two or more sites is a Mayer table, and its sum is
+    multiplied by e^{c|R|}."""
+    ts = t * spins
+    cos, sin = np.cos(ts), np.sin(ts)
+    if order == 0:
+        half = np.sin(ts / 2.0)
+        columns = (cos, sin, -2.0 * (half * half))
+    elif order == 1:
+        columns = (-spins * sin, spins * cos)
+    else:
+        square = spins * spins
+        columns = (-square * cos, -square * sin)
+    parts = weights @ np.stack(columns, axis=1)
+    real, imag = parts[:, 0], parts[:, 1]
+    if order == 0:
+        real = np.where(sizes == 1, parts[:, 2], real)
+    if c != 0.0:
+        scale = np.array([math.exp(c * k) for k in range(int(sizes.max()) + 1)])[sizes]
+        real, imag = real * scale, imag * scale
+    out = np.empty(len(sizes), dtype=complex)
+    out.real, out.imag = real, imag
+    return out
+
+
 def _activity_from_indices(gas: _Gas, idx: tuple[int, ...], t: float, c: float, order: int = 0) -> complex:
-    """sum_s w(s) (is)^order e^{its} over the polymer's table: the activity
-    at order 0, its t-derivatives at orders 1 and 2. One site: w is the
-    single-site law, with its -1 at order 0 (undressed only). Two or more
-    sites: w is the Mayer table times e^{c|R|}."""
+    """_activities of one polymer, its row read off its own table without
+    the region's plan: the single-site law (undressed only) or the Mayer
+    table."""
     k = len(idx)
     if k == 1:
         if c != 0.0:
             raise DomainError("the dressed representation has no single-site polymers")
         spins, weights = gas.values, gas.probs[idx[0]]
     else:
-        spins, weights, _ = _mayer(gas, idx)
-    phases = np.exp(1j * t * spins)
-    if order:
-        phases = (1j * spins) ** order * phases
-    elif k == 1:
-        phases = phases - 1.0
-    total = complex(np.dot(weights, phases))
-    return total if k == 1 else math.exp(c * k) * total
+        lowest, weights, _ = _mayer(gas, idx)
+        spins = lowest + np.arange(len(weights), dtype=float)
+    return complex(_activities(spins, weights[None, :], np.array([k]), t, c, order)[0])
 
 
 def activity(model: m.GibbsModel, params: ActivityParams, polymer, region="decimated", omega=None) -> complex:
@@ -390,54 +455,96 @@ def _partition_direct(gas: _Gas, t, c: float):
     return complex(xi) if ts.ndim == 0 else xi
 
 
-def _check_region(gas: _Gas, what: str) -> None:
-    # The recursion (its site count checked by _gas_for_mode) needs every
-    # connected subset of a coupling component; dropping the large ones
-    # would silently break the identity the gas sum certifies.
+def _build_plan(gas: _Gas) -> _Plan:
+    """The region's _Plan. The recursion (its site count checked by
+    _gas_for_mode) needs every connected subset of a coupling component;
+    dropping the large ones would silently break the identity the gas sum
+    certifies, so a component past MAX_POLYMER_SIZE is refused here."""
     n = len(gas.sites)
     everything = (1 << n) - 1
     largest = max((_reach(1 << i, gas.adjacency, everything).bit_count() for i in range(n)), default=0)
     if largest > MAX_POLYMER_SIZE:
         raise CapacityError(
-            f"the region has a coupling component of {largest} sites, so the {what}"
+            f"the region has a coupling component of {largest} sites, so the gas sum"
             f" needs polymers up to that size; cap is {MAX_POLYMER_SIZE}"
         )
+    polymers = list(reversed(gas.connected))
+    masks = np.array([mask for mask, _ in polymers], dtype=np.int32)
+    sizes = np.array([len(idx) for _, idx in polymers])
+    # every total spin of k = 1..n sites
+    lo, hi = int(gas.values[0]), int(gas.values[-1])
+    base = min(lo, n * lo)
+    spins = base + np.arange(max(hi, n * hi) - base + 1.0)
+    weights = np.zeros((len(polymers), len(spins)))
+    for row, (_, idx) in enumerate(polymers):
+        if len(idx) == 1:
+            start, table = lo, gas.probs[idx[0]]
+        else:
+            start, table, _ = _mayer(gas, idx)
+        weights[row, start - base : start - base + len(table)] = table
+    lowest = np.array([idx[0] for _, idx in polymers])
+    levels = []
+    for low in range(n):
+        targets = np.arange(1 << low, 1 << n, 2 << low, dtype=np.int32)
+        rows = np.flatnonzero(lowest == low).astype(np.int32)
+        held = (targets[None, :] & masks[rows, None]) == masks[rows, None]
+        which, at = np.nonzero(held)
+        levels.append(np.stack((targets[at], targets[at] ^ masks[rows[which]], rows[which])))
+    bounds = tuple(accumulate((level.shape[1] for level in levels), initial=0))
+    return _Plan(n, masks, sizes, spins, weights, np.concatenate(levels, axis=1), bounds)
 
 
-def _activity_groups(gas: _Gas, t: float, c: float, absolute: bool = False) -> list[list]:
-    """(mask, activity) of every polymer, grouped by its lowest site, masks
-    descending within a group; absolute=True carries -|activity|."""
-    groups: list[list] = [[] for _ in gas.sites]
-    for mask, idx in reversed(gas.connected):
-        if c != 0.0 and len(idx) == 1:
-            continue
-        z = _activity_from_indices(gas, idx, t, c)
-        groups[idx[0]].append((mask, -abs(z) if absolute else z))
-    return groups
+def _cpython_product(z, x):
+    """z * x elementwise, each part rounded as CPython's complex product
+    (two real products and a sum, never fused), which numpy's complex
+    multiply does not promise."""
+    out = np.empty(z.shape, dtype=complex)
+    np.subtract(z.real * x.real, z.imag * x.imag, out=out.real)
+    np.add(z.real * x.imag, z.imag * x.real, out=out.imag)
+    return out
 
 
-def _gas_sum(n: int, groups: list[list], K: int | None = None):
-    """Xi over n sites by X[M] = X[M - l] + sum_P z_P X[M - P], l the lowest
-    site of M and P over the polymers in groups[l] inside M. With K, every
-    z_P carries one power of lambda and X holds coefficients through lambda^K."""
-    dp = [None] * (1 << n)
-    dp[0] = 1 + 0j if K is None else np.eye(1, K + 1, dtype=complex)[0]
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        acc = dp[mask ^ low] if K is None else dp[mask ^ low].copy()
-        for poly, z in groups[low.bit_length() - 1]:
-            if poly & mask == poly:
-                if K is None:
-                    acc += z * dp[mask ^ poly]
-                else:
-                    acc[1:] += z * dp[mask ^ poly][:-1]
-        dp[mask] = acc
-    return dp[-1]
+def _gas_sum(plan: _Plan, z: np.ndarray, K: int | None = None, dressed: bool = False):
+    """Xi over the plan's n sites from the activities z of its rows, by
+    X[M] = X[M - l] + sum_P z_P X[M - P], l the lowest site of M and P over
+    the polymers with lowest site l inside M, masks descending, so the
+    one-site polymer {l} last (left out when dressed).
+
+    A mask with lowest site l reads only masks above l, so the masks go by
+    level, l = n-1 down to 0: one copy of X[M - l] over the level, then one
+    gather of the level's X[M - P], one product and one np.add.at, which
+    adds to each M in polymer order. Each mask gets the same additions in
+    the same order as a loop over masks and polymers, rounded as that loop
+    rounds: the scalar Xi by CPython's complex product. With K, every z_P
+    carries one power of lambda, X holds coefficients through lambda^K
+    (numpy's complex product, as on a coefficient array, every degree in
+    the same pass) and the result is that array.
+    """
+    n = plan.n
+    # a real z enters as z + 0i, as both products promote it
+    z = np.asarray(z, dtype=complex)
+    xs = np.zeros((1 if K is None else K + 1, 1 << n), dtype=complex)
+    xs[0, 0] = 1.0
+    # with K, degree j + 1 of mask M sits at flat position j * 2^n + M of xs[1:]
+    graded = xs[1:].reshape(-1)
+    degrees = (np.arange(len(xs) - 1) << n)[:, None]
+    for low in reversed(range(n)):
+        step = 2 << low
+        xs[:, 1 << low :: step] = xs[:, ::step]
+        # the dressed gas stops short of the one-site polymer's steps
+        end = plan.bounds[low + 1] - (dressed << (n - low - 1))
+        targets, sources, rows = plan.steps[:, plan.bounds[low] : end]
+        if K is None:
+            np.add.at(xs[0], targets, _cpython_product(z[rows], xs[0, sources]))
+        else:
+            terms = z[rows] * xs[:-1, sources]
+            np.add.at(graded, (degrees + targets).reshape(-1), terms.reshape(-1))
+    return xs[0, -1] if K is None else xs[:, -1]
 
 
 def _partition_polymer_sum(gas: _Gas, t, c: float):
-    _check_region(gas, "gas sum")
-    xis = [complex(_gas_sum(len(gas.sites), _activity_groups(gas, tau, c))) for tau in np.atleast_1d(t).tolist()]
+    plan = gas.plan
+    xis = [complex(_gas_sum(plan, plan.activities(tau, c), dressed=c != 0.0)) for tau in np.atleast_1d(t).tolist()]
     return xis[0] if np.ndim(t) == 0 else np.array(xis)
 
 
@@ -556,7 +663,11 @@ def weight_norm(
         raise DomainError(f"unknown weight kind {weight_kind!r}")
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta}")
-    gas = _gas(model, region, omega)
+    return _weight_norm(_gas(model, region, omega), k, dress, delta)
+
+
+def _weight_norm(gas: _Gas, k: int, dress: float, delta: float) -> float:
+    """weight_norm on the region's gas, cached on it by (k, dress, delta)."""
     n = len(gas.sites)
     if k > n:
         return 0.0
@@ -629,8 +740,10 @@ def convergence_check(weight_norms, a: float, dominating_tail: float = 0.0) -> C
     return ConvergenceCheck(satisfied=lhs <= rhs, lhs=lhs, rhs=rhs)
 
 
-def _series_damping(model, gas, params, a, region, omega):
-    """Largest damping theta certifying the series tail, or None.
+def _series_damping(model, gas, params, a):
+    """Largest damping theta certifying the series tail, or None; cached on
+    the gas by (c, delta, a, step norm), which is all it reads besides the
+    region.
 
     If sum_k theta^k w^(k) e^{ak} stays within e^a - 1, every cluster
     beyond total size K is suppressed by theta^{K+1}; the bound spends the
@@ -649,32 +762,33 @@ def _series_damping(model, gas, params, a, region, omega):
         bound_base = weight_norm_bound(2, delta, gas.sigma, step_norm, c=dress) ** 0.5
     except (PreconditionError, DomainError):
         return None
+    key = (params.c, delta, a, step_norm)
+    if key in gas.dampings:
+        return gas.dampings[key]
     k_cap = min(4, len(gas.sites))
-    norms = {}
-    for k in range(1, k_cap + 1):
-        if k == 1 and params.c != 0.0:
-            continue
-        kind = ("w1", None) if params.c == 0.0 else ("wc", params.c)
-        norms[k] = weight_norm(model, k, kind[0], delta, kind[1], region, omega)
+    # undressed, the one-site weight delta*sigma is dressed by e^1 like the rest
+    norms = {k: _weight_norm(gas, k, dress, delta) for k in range(1 if params.c == 0.0 else 2, k_cap + 1)}
 
     def admissible(theta: float) -> bool:
         lhs = sum(w * theta**k * math.exp(a * k) for k, w in norms.items())
         lhs += geometric_norm_tail(bound_base * theta, a, k_cap + 1)
         return lhs <= math.exp(a) - 1.0
 
-    if not admissible(1.0):
-        return None
-    lo, hi = 1.0, 1.0
-    while admissible(hi * 2.0) and hi < 1e6:
-        hi *= 2.0
-    hi = hi * 2.0
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        if admissible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    theta = None
+    if admissible(1.0):
+        lo, hi = 1.0, 1.0
+        while admissible(hi * 2.0) and hi < 1e6:
+            hi *= 2.0
+        hi = hi * 2.0
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            if admissible(mid):
+                lo = mid
+            else:
+                hi = mid
+        theta = lo
+    gas.dampings[key] = theta
+    return theta
 
 
 def truncated_log_partition(
@@ -701,11 +815,12 @@ def truncated_log_partition(
     if K < 1:
         raise DomainError(f"truncation order must be positive, got {K}")
     gas = _gas_for_mode(model, region, omega, "polymer_sum")
-    _check_region(gas, "cluster series")
-    n = len(gas.sites)
+    plan = gas.plan
+    n = plan.n
+    z = plan.activities(params.t, params.c)
     # Xi(lambda) has degree at most n: a family of disjoint polymers has at
     # most one per site.
-    xi = _gas_sum(n, _activity_groups(gas, params.t, params.c, absolute), min(K, n))
+    xi = _gas_sum(plan, -np.abs(z) if absolute else z, min(K, n), dressed=params.c != 0.0)
     logs = []
     for order in range(1, K + 1):
         p = xi[order] if order <= n else 0.0
@@ -717,7 +832,7 @@ def truncated_log_partition(
 
     partial = tuple(accumulate(by_order, initial=0.0 if absolute else 0j))[1:]
     a = math.log(2.0) if params.c == 0.0 else params.c / 4.0
-    theta = _series_damping(model, gas, params, a, region, omega)
+    theta = _series_damping(model, gas, params, a)
     tail = None
     if theta is not None and theta > 1.0:
         tail = a * len(gas.sites) / theta ** (K + 1)

@@ -156,15 +156,39 @@ def ursell_hardcore_by_enumeration(polymers) -> float:
     return float(connected_sum_by_enumeration(_overlap_factors(*_overlap_bits(polymers))))
 
 
-def activity_by_graph_enumeration(model, params, polymer, region="decimated", omega=None) -> complex:
-    """polymer.activity with the Mayer sum expanded over connected graphs,
-    recomputed per call without reading the Mayer tables."""
+def activity_by_graph_enumeration(model, params, polymer, region="decimated", omega=None, order: int = 0) -> complex:
+    """polymer.activity (order 0) or its t-derivatives (orders 1 and 2) with
+    the Mayer sum expanded over connected graphs, recomputed per call
+    without reading the Mayer tables or the single-site rows: the sum over
+    configurations of p * C * (iS)^order e^{itS} times e^{c|R|}, less 1 for
+    one site at order 0."""
     gas = pg._gas(model, region, omega)
     idx = pg._indices(gas, polymer)
-    if len(idx) == 1:
-        return pg._activity_from_indices(gas, idx, params.t, params.c)
     values, probs = pg._config_tables(gas, idx)
     pairs, terms = pg._pair_terms(gas, idx, values)
     csum = connected_sum_by_enumeration(pg._by_pair(len(idx), pairs, np.expm1(terms)))
-    phases = np.exp(1j * params.t * values.sum(axis=0))
-    return math.exp(params.c * len(idx)) * complex(np.dot(probs * csum, phases))
+    spin = values.sum(axis=0)
+    phases = (1j * spin) ** order * np.exp(1j * params.t * spin)
+    total = math.exp(params.c * len(idx)) * complex(np.dot(probs * csum, phases))
+    return total - 1.0 if len(idx) == 1 and order == 0 else total
+
+
+def gas_sum_by_masks(n: int, groups: list[list], K: int | None = None):
+    """Xi over n sites by X[M] = X[M - l] + sum_P z_P X[M - P], mask by mask:
+    l is the lowest site of M and P runs over groups[l], the (mask, z) of
+    the polymers with lowest site l in the order they are added, testing
+    each for containment in M. With K, every z_P carries one power of
+    lambda and X holds coefficients through lambda^K."""
+    dp = [None] * (1 << n)
+    dp[0] = 1 + 0j if K is None else np.eye(1, K + 1, dtype=complex)[0]
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        acc = dp[mask ^ low] if K is None else dp[mask ^ low].copy()
+        for poly, z in groups[low.bit_length() - 1]:
+            if poly & mask == poly:
+                if K is None:
+                    acc += z * dp[mask ^ poly]
+                else:
+                    acc[1:] += z * dp[mask ^ poly][:-1]
+        dp[mask] = acc
+    return dp[-1]

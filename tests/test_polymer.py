@@ -162,24 +162,38 @@ def test_mayer_sum_computed_once_per_polymer(monkeypatch):
 
 
 def test_weight_norms_computed_once_per_gas(monkeypatch):
-    """The series damping reads its weight norms from the gas, so a second
-    series at another t scans no polymer subsets."""
+    """The series damping reads its weight norms from the gas, never through
+    the public weight_norm, so a second series at another t scans no
+    polymer subsets; its theta is cached on the gas too, so the absolute
+    series and the series at another t run no second bisection and get the
+    same theta."""
     calls = Counter()
-    real = pg._mask_connected
+    real_connected, real_tail = pg._mask_connected, pg.geometric_norm_tail
 
     def counting(mask, adjacency):
         calls["masks"] += 1
-        return real(mask, adjacency)
+        return real_connected(mask, adjacency)
+
+    def counting_tail(*args):
+        calls["tails"] += 1
+        return real_tail(*args)
+
+    def public_norm(*args, **kwargs):
+        raise AssertionError("the series called the public weight_norm")
 
     monkeypatch.setattr(pg, "_mask_connected", counting)
+    monkeypatch.setattr(pg, "geometric_norm_tail", counting_tail)
+    monkeypatch.setattr(pg, "weight_norm", public_norm)
     model = nn_chain(radius=3, strength=3e-4, spin=(-1, 1), boundary=1)
     pg._gas_for_system.cache_clear()
     first = pg.truncated_log_partition(model, pg.ActivityParams(t=0.004, delta_cap=0.01), region="box", K=3)
-    assert calls["masks"] > 0 and first.damping is not None
+    assert calls["masks"] > 0 and calls["tails"] > 0 and first.damping is not None
     calls.clear()
-    second = pg.truncated_log_partition(model, pg.ActivityParams(t=0.007, delta_cap=0.01), region="box", K=3)
-    assert calls["masks"] == 0
-    assert second.damping == first.damping
+    params = pg.ActivityParams(t=0.007, delta_cap=0.01)
+    second = pg.truncated_log_partition(model, params, region="box", K=3)
+    absolute = pg.truncated_log_partition(model, params, region="box", K=4, absolute=True)
+    assert calls == Counter()
+    assert second.damping == absolute.damping == first.damping
 
 
 def random_gas(rng: np.random.Generator, q: int):
@@ -262,6 +276,125 @@ def test_cluster_series_matches_ursell_enumeration():
                 assert got.by_order == pytest.approx(signed[:K], rel=1e-12, abs=0.0)
                 assert got_abs.by_order == pytest.approx(absolute[:K], rel=1e-12, abs=0.0)
                 assert all(isinstance(v, float) for v in got_abs.partial_sums)
+
+
+PATCH6 = ((-1, -1), (-1, 0), (0, -1), (0, 0), (1, -1), (1, 0))
+
+
+def two_cliques(sizes=(7, 7), strength=0.05):
+    """Two complete graphs side by side on a 1-D box, {0, 1} spins, no
+    coupling between them: a region of sum(sizes) sites, up to
+    POLYMER_REGION_CAP, whose components stay within MAX_POLYMER_SIZE."""
+    n = sum(sizes)
+    sites = tuple((x,) for x in range(-(n // 2), n - n // 2))
+    cliques = (sites[: sizes[0]], sites[sizes[0] :])
+    pairs = [(a, b, strength) for clique in cliques for a, b in combinations(clique, 2)]
+    model = lm.GibbsModel(
+        box=lm.Box(dimension=1, radius=n // 2, r0=1),
+        spin=lm.SpinInterval(0, 1),
+        coupling=lm.Coupling.explicit(pairs),
+        boundary=lm.BoundaryCondition.zero(),
+    )
+    return model, sites
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=complex).tobytes()
+
+
+def mask_groups(gas, z, dressed: bool) -> list[list]:
+    """The (mask, activity) groups of the mask-by-mask loop: every connected
+    polymer (one-site ones left out when dressed) under its lowest site,
+    masks descending, each with its activity in the plan's row."""
+    by_mask = dict(zip(gas.plan.masks.tolist(), z.tolist()))
+    groups = [[] for _ in gas.sites]
+    for mask, idx in reversed(gas.connected):
+        if len(idx) > 1 or not dressed:
+            groups[idx[0]].append((mask, by_mask[mask]))
+    return groups
+
+
+GAS_SUM_REGIONS = {
+    "chain5": (nn_chain(radius=2, strength=0.25, spin=(-1, 1), boundary=1), "box"),
+    "patch6-q3": (nn_chain(radius=1, strength=0.1, spin=(-1, 1), boundary=1, dimension=2), PATCH6),
+    "chain9": (nn_chain(radius=4, strength=0.2, spin=(0, 1), boundary=1), "box"),
+    "uncoupled7": (nn_chain(radius=6, strength=0.1, spin=(-1, 1), boundary=1, r0=2), "decimated"),
+    "cliques14": two_cliques(),
+}
+
+
+@pytest.mark.parametrize("name", list(GAS_SUM_REGIONS))
+def test_gas_sum_matches_mask_loop_bit_for_bit(name):
+    """The plan's level-by-level recursion against the loop over masks and
+    polymers, given the same activities: Xi and Xi(lambda) through lambda^3
+    and lambda^4, signed and -|z|, undressed and dressed, bit for bit."""
+    model, region = GAS_SUM_REGIONS[name]
+    gas = pg._gas(model, region, None)
+    plan = gas.plan
+    n = len(gas.sites)
+    rng = np.random.default_rng(len(name))
+    # the 14-site loop takes about a second per call, so it checks each
+    # setting once rather than every combination
+    settings = list(product((None, 3, 4), (False, True), (0.0, 0.3)))
+    if n > 9:
+        settings = [(None, False, 0.0), (3, True, 0.3), (4, False, 0.0), (None, True, 0.3)]
+    for K, absolute, c in settings:
+        z = plan.activities(float(rng.uniform(0.2, 3.0)), c)
+        if absolute:
+            z = -np.abs(z)
+        K_n = None if K is None else min(K, n)
+        got = pg._gas_sum(plan, z, K_n, dressed=c != 0.0)
+        want = oracles.gas_sum_by_masks(n, mask_groups(gas, z, c != 0.0), K_n)
+        assert bits(got) == bits(want), (K, absolute, c)
+
+
+def test_plan_activities_match_graph_enumeration():
+    """Every row of the batched activities at orders 0, 1 and 2 against the
+    connected-graph oracle and the one-polymer call, which builds no plan."""
+    rng = np.random.default_rng(23)
+    patch = nn_chain(radius=1, strength=0.3, spin=(1, 2), boundary=1, dimension=2)
+    pg._gas_for_system.cache_clear()
+    for model, region in (GAS_SUM_REGIONS["chain5"], (patch, PATCH6[:5])):
+        gas = pg._gas(model, region, None)
+        pg.activity(model, pg.ActivityParams(t=0.5), gas.sites[:2], region)
+        assert "plan" not in vars(gas)
+        plan = gas.plan
+        for c in (0.0, 0.3):
+            params = pg.ActivityParams(t=float(rng.uniform(0.1, 3.0)), c=c)
+            for order in (0, 1, 2):
+                rows = plan.activities(params.t, c, order)
+                for (_, idx), row in zip(reversed(gas.connected), rows.tolist()):
+                    if c and len(idx) == 1:
+                        continue
+                    poly = [gas.sites[i] for i in idx]
+                    slow = oracles.activity_by_graph_enumeration(model, params, poly, region, order=order)
+                    if order:
+                        one = pg.activity_derivative(model, params, poly, order, region)
+                    else:
+                        one = pg.activity(model, params, poly, region)
+                    assert row == pytest.approx(slow, rel=1e-11, abs=1e-14)
+                    assert row == pytest.approx(one, rel=1e-11, abs=1e-14)
+
+
+def test_single_site_activity_keeps_its_digits_at_small_t():
+    """E(e^{its}) - 1 of each single-site law of the README model with spins
+    {-1, 0, 1}, against a 50-digit sum over the same float64 law: the real
+    part, about -t^2 var / 2, keeps full precision down to t = 1e-6."""
+    mpmath = pytest.importorskip("mpmath")
+    model = lm.GibbsModel(
+        box=lm.Box(dimension=1, radius=3, r0=2),
+        spin=lm.SpinInterval(-1, 1),
+        coupling=lm.Coupling.nearest_neighbor(0.1),
+        boundary=lm.BoundaryCondition.constant(1),
+    )
+    gas = pg._gas(model, "decimated", None)
+    with mpmath.workdps(50):
+        for x, law in zip(gas.sites, gas.probs.tolist()):
+            for t in (1e-2, 1e-4, 1e-6):
+                got = pg.activity(model, pg.ActivityParams(t=t), pg.Polymer((x,)))
+                want = mpmath.fsum(p * (mpmath.expj(t * s) - 1) for p, s in zip(law, gas.values.tolist()))
+                assert abs(got.real - want.real) <= 1e-14 * abs(want.real)
+                assert abs(got.imag - want.imag) <= 1e-14 * abs(want.imag)
 
 
 def test_overflowing_weights_raise_not_nan():
