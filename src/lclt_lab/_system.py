@@ -121,6 +121,12 @@ def _build(model: m.GibbsModel, region: tuple[m.Site, ...], omega_items) -> Syst
     )
 
 
+def _check_grid(q: int, k: int) -> None:
+    """Refuse a grid of q^k configurations past SPIN_GRID_BUDGET columns."""
+    if q**k > SPIN_GRID_BUDGET:
+        raise CapacityError(f"spin grid needs {q}^{k} states, budget is {SPIN_GRID_BUDGET}")
+
+
 def _spin_grid(values, k: int) -> np.ndarray:
     """(k, q^k) array over the q spin values whose column c is configuration
     c of k sites, site 0 varying fastest. Past SPIN_GRID_BUDGET columns it
@@ -128,8 +134,7 @@ def _spin_grid(values, k: int) -> np.ndarray:
     it can pass Python's 4300-digit limit on int-to-str conversion."""
     values = np.asarray(values)
     q = len(values)
-    if q**k > SPIN_GRID_BUDGET:
-        raise CapacityError(f"spin grid needs {q}^{k} states, budget is {SPIN_GRID_BUDGET}")
+    _check_grid(q, k)
     grid = np.empty((k, q**k), dtype=values.dtype)
     for i in range(k):
         # row i in blocks of q^i columns that each hold one value of site i

@@ -8,12 +8,19 @@ matrix of edge factors u,
 
 the connected Mayer sum and its tree-graph majorant. Both come from one
 rooted recursion over the connected vertex sets of the coupling graph,
-working elementwise over an extra config axis; only the weight of the
-edges from the root to a block differs. A hard-core Ursell coefficient is
-C with u in {0, -1} on the overlap graph, and unit factors on the complete
-graph count the connected graphs and the labeled trees (graph_census).
-Enumerating graphs or trees one by one is left to the tests, as the
-oracle these sums are checked against.
+working elementwise on edge factors that broadcast; only the weight of the
+edges from the root to a block differs. Its schedule, cached per coupling
+graph, lists every connected vertex set, grown one neighbour at a time
+(never a scan of the 2^k vertex sets), with the terms of each, and one run
+gives the sum on every set: the polymer gas takes every connected
+polymer's Mayer sum from one run over a region, each on its own sites'
+spin axes; connected_sum and spanning_tree_sum read the full set's. The
+cost is one product per term (V, B): one per interval on a path, k(k - 1)/2
+in all, and about 3^k / 4 on the complete graph.
+A hard-core Ursell coefficient is C with u in {0, -1} on the overlap
+graph, and unit factors on the complete graph count the connected graphs
+and the labeled trees (graph_census). Enumerating graphs or trees one by
+one is left to the tests, as the oracle these sums are checked against.
 """
 
 from __future__ import annotations
@@ -40,40 +47,49 @@ def _reach(seed: int, adjacency, within: int) -> int:
     return reach
 
 
-def _mask_connected(mask: int, adjacency) -> bool:
-    return _reach(mask & -mask, adjacency, mask) == mask
+def _connected_sets(adjacency, size: int | None = None) -> list[int]:
+    """Masks, ascending, of the connected vertex sets of a graph (adjacency[v]
+    the neighbour mask of vertex v): all of them, or those of `size`
+    vertices. They grow one neighbour at a time from the single vertices, a
+    level per size, so the cost follows the connected sets up to that size,
+    never the 2^k vertex sets."""
+    level = [1 << v for v in range(len(adjacency))]
+    found = []
+    while level and (size is None or level[0].bit_count() < size):
+        found += level
+        grown = set()
+        for mask in level:
+            rim, rest = 0, mask
+            while rest:
+                rim |= adjacency[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+            rim &= ~mask
+            while rim:
+                grown.add(mask | (rim & -rim))
+                rim &= rim - 1
+        level = sorted(grown)
+    return level if size is not None else sorted(found)
 
 
 @lru_cache(maxsize=4096)
 def _rooted_plan(adjacency: tuple[int, ...]):
-    """Schedule of the rooted recursion on one coupling graph, or None when
-    the graph is disconnected.
+    """Schedule of the rooted recursion on one coupling graph.
 
-    Returns (root, walk, sets) per root, roots descending. sets lists each
-    connected vertex set V with that root that the full set reaches, in
-    ascending mask order, with its terms (B, V\\B): B holds the second
-    lowest vertex of V, both B and V\\B are connected, and B meets the
-    root's neighbours. walk lists every T = B & N(root) the terms use and
-    each prefix of one, in depth-first order, as (T, highest vertex of T,
-    the blocks B with that T).
+    Returns (sets, roots). sets lists every connected vertex set, masks
+    ascending, the single vertices included. roots holds (root, walk, sets)
+    per root, roots descending: sets lists each connected set V of two or
+    more vertices with that root, in ascending mask order, with its terms
+    (B, V\\B): B holds the second lowest vertex of V, both B and V\\B are
+    connected, and B meets the root's neighbours. walk lists every
+    T = B & N(root) the terms use and each prefix of one, in depth-first
+    order, as (T, highest vertex of T, the blocks B with that T).
     """
     k = len(adjacency)
-    connected: dict[int, bool] = {}
-
-    def is_connected(mask: int) -> bool:
-        got = connected.get(mask)
-        if got is None:
-            got = connected[mask] = _mask_connected(mask, adjacency)
-        return got
-
-    full = (1 << k) - 1
-    if not is_connected(full):
-        return None
+    connected = _connected_sets(adjacency)
+    member = frozenset(connected)
     terms: dict[int, list[tuple[int, int]]] = {}
-    todo = [full]
-    while todo:
-        v = todo.pop()
-        if v in terms or v & (v - 1) == 0:
+    for v in connected:
+        if v & (v - 1) == 0:
             continue
         root = v & -v
         near = adjacency[root.bit_length() - 1]
@@ -83,13 +99,12 @@ def _rooted_plan(adjacency: tuple[int, ...]):
         sub = free
         while True:
             block = second | sub
-            if block & near and is_connected(block) and is_connected(v ^ block):
+            if block & near and block in member and v ^ block in member:
                 out.append((block, v ^ block))
-                todo += (block, v ^ block)
             if not sub:
                 break
             sub = (sub - 1) & free
-    plan = []
+    roots = []
     for r in range(k - 1, -1, -1):
         sets = sorted((v, out) for v, out in terms.items() if v & -v == 1 << r)
         if not sets:
@@ -104,24 +119,67 @@ def _rooted_plan(adjacency: tuple[int, ...]):
                 touch ^= 1 << (touch.bit_length() - 1)
         order = sorted(prefixes, key=lambda t: [v for v in range(k) if t >> v & 1])
         walk = [(t, t.bit_length() - 1, by_touch.get(t, [])) for t in order]
-        plan.append((r, walk, sets))
-    return plan
+        roots.append((r, walk, sets))
+    return connected, roots
 
 
-def _rooted_sum(edge_factor, extend):
-    """The rooted recursion shared by connected_sum and spanning_tree_sum.
+def _rooted_sum(u, adjacency, extend, one) -> dict[int, np.ndarray]:
+    """The rooted recursion shared by connected_sum, spanning_tree_sum and
+    the polymer gas's Mayer tables: the sum S[V] of every set _rooted_plan
+    schedules, by mask.
 
     On the connected vertex sets V, with root r = min V, the graphs summed
     split, once r is deleted, into blocks B of V\\{r} joined to r; peeling
     the block that holds the lowest vertex after r leaves a set with root r
     again:
 
-        S[V] = sum_B S[B] h_r(B) S[V\\B],   S[{v}] = 1,
+        S[V] = sum_B S[B] h_r(B) S[V\\B],   S[{v}] = one,
 
     over the B of _rooted_plan. h_r(B) sums the allowed edge sets from r into
-    B and is built one edge at a time, h <- extend(h, u_rb). A disconnected
-    coupling graph gives exactly 0.
+    B and is built one edge at a time, h <- extend(h, u[r][b]). The edge
+    factors u[r][b] of the coupled pairs (adjacency) are arrays that
+    broadcast against each other and against one, elementwise: a factor
+    that lives on its two vertices' own axes gives each S[V] on V's axes
+    only. An unscheduled set (a disconnected one) has no entry.
     """
+    c = {1 << v: one for v in range(len(adjacency))}
+    for r, walk, sets in _rooted_plan(tuple(adjacency))[1]:
+        weighted = {}
+        path = [(0, None)]
+        for touch, b, blocks in walk:
+            while path[-1][0] != touch ^ (1 << b):
+                path.pop()
+            h = path[-1][1]
+            h = u[r][b] if h is None else extend(h, u[r][b])
+            path.append((touch, h))
+            for block in blocks:
+                weighted[block] = h if c[block] is one else c[block] * h
+        for v, terms in sets:
+            (block, rest), *more = terms
+            if c[rest] is one:  # the block is all of V but the root
+                acc = weighted[block].copy() if more else weighted[block]
+            else:
+                acc = weighted[block] * c[rest]
+            for block, rest in more:
+                acc += weighted[block] * c[rest]
+            c[v] = acc
+    return c
+
+
+def _connected_extend(h, u):
+    """h_r(B) of the connected sum, one more edge: prod (1 + u) - 1."""
+    return h + u + h * u
+
+
+def _tree_extend(h, u):
+    """h_r(B) of the spanning-tree sum, one more edge: sum u."""
+    return h + u
+
+
+def _full_sum(edge_factor, extend):
+    """connected_sum or spanning_tree_sum: the rooted recursion on a dense
+    (k, k, ...) table, every set on the whole trailing axis, read at the
+    full set."""
     ef = np.asarray(edge_factor)
     k = ef.shape[0]
     if ef.shape[:2] != (k, k):
@@ -130,34 +188,10 @@ def _rooted_sum(edge_factor, extend):
     u = ef.reshape(k, k, -1)
     coupled = np.triu(u.any(axis=2), 1)
     coupled |= coupled.T
-    plan = _rooted_plan(tuple(int(bits) for bits in coupled @ (1 << np.arange(k))))
-    if plan is None:
-        out = np.zeros(shape, dtype=ef.dtype)
-    else:
-        one = np.ones(u.shape[2], dtype=ef.dtype)
-        c = {1 << v: one for v in range(k)}
-        tmp = np.empty_like(one)
-        for r, walk, sets in plan:
-            weighted = {}
-            path = [(0, None)]
-            for touch, b, blocks in walk:
-                while path[-1][0] != touch ^ (1 << b):
-                    path.pop()
-                h = path[-1][1]
-                h = u[r, b] if h is None else extend(h, u[r, b])
-                path.append((touch, h))
-                for block in blocks:
-                    weighted[block] = h if c[block] is one else c[block] * h
-            for v, terms in sets:
-                (block, rest), *more = terms
-                if c[rest] is one:  # the block is all of V but the root
-                    acc = weighted[block].copy() if more else weighted[block]
-                else:
-                    acc = weighted[block] * c[rest]
-                for block, rest in more:
-                    acc += np.multiply(weighted[block], c[rest], out=tmp)
-                c[v] = acc
-        out = np.array(c[(1 << k) - 1]).reshape(shape)
+    adjacency = [int(bits) for bits in coupled @ (1 << np.arange(k))]
+    full = (1 << k) - 1
+    got = _rooted_sum(u, adjacency, extend, np.ones(u.shape[2], dtype=ef.dtype)).get(full)
+    out = np.zeros(shape, dtype=ef.dtype) if got is None else np.array(got).reshape(shape)
     return out if ef.ndim > 2 else out.item()
 
 
@@ -184,7 +218,7 @@ def connected_sum(edge_factor) -> float | complex | np.ndarray:
     complete graph. The schedule depends only on the coupling graph and
     is cached per graph.
     """
-    return _rooted_sum(edge_factor, lambda h, u: h + u + h * u)
+    return _full_sum(edge_factor, _connected_extend)
 
 
 def spanning_tree_sum(edge_factor) -> float | complex | np.ndarray:
@@ -196,7 +230,7 @@ def spanning_tree_sum(edge_factor) -> float | complex | np.ndarray:
     _rooted_sum is h_r(B) = sum_{b in B} u_rb, accumulated as h + u, on the
     schedule connected_sum takes.
     """
-    return _rooted_sum(edge_factor, lambda h, u: h + u)
+    return _full_sum(edge_factor, _tree_extend)
 
 
 def graph_census(max_k: int) -> list[dict]:

@@ -455,6 +455,8 @@ def resolve_region(model: GibbsModel, region) -> tuple[Site, ...]:
     """Canonical sorted site tuple for a region argument.
 
     Accepts the strings "box" and "decimated" or any iterable of box sites.
+    A hashable tuple of sites is checked once per box and then read from a
+    cache.
     """
     if region is None:
         return model.box.sites
@@ -464,13 +466,29 @@ def resolve_region(model: GibbsModel, region) -> tuple[Site, ...]:
         if region == "decimated":
             return model.box.decimated_sites
         raise DomainError(f"unknown region name {region!r}")
-    sites = tuple(sorted(_as_site(s, model.box.dimension) for s in region))
+    if isinstance(region, tuple):
+        try:
+            hash(region)
+        except TypeError:
+            pass
+        else:
+            return _cached_region_sites(model.box, region)
+    return _region_sites(model.box, region)
+
+
+def _region_sites(box: Box, region) -> tuple[Site, ...]:
+    """resolve_region of an iterable of sites."""
+    sites = tuple(sorted(_as_site(s, box.dimension) for s in region))
     if len(set(sites)) != len(sites):
         raise DomainError("region sites must be distinct")
     for s in sites:
-        if s not in model.box:
+        if s not in box:
             raise DomainError(f"region site {s} lies outside the box")
     return sites
+
+
+# Keyed by (box, region): equal site tuples convert to the same sites.
+_cached_region_sites = lru_cache(maxsize=256)(_region_sites)
 
 
 @lru_cache(maxsize=256)

@@ -20,6 +20,11 @@ Only the phases depend on t, so each polymer's Mayer table, A_R(s) =
 sum of p * (Mayer sum) over configurations of total spin s, is computed
 once per region: the activity is e^{c|R|} sum_s A_R(s) e^{its}, and its
 t-derivatives and the weights w0 that majorize it read the same table.
+The tables come from combinatorics' rooted recursion, whose sum on a
+connected set is built from the sums on its connected subsets: one pass
+over the region gives every connected polymer's table, each sum carried on
+its own sites' spin axes only, and a polymer looked up on its own gets a
+pass over its own sites.
 
 Xi(t) has two independent routes. The direct one reads the exact engine's
 sum over the same System: with z_x = sum_s e^{h_x s} the normalizer of p_x,
@@ -41,9 +46,9 @@ matrix product with the phase columns, and the recursion runs level by
 level over l, each level one gather, one product and one scatter-add. Run
 with one power of a formal lambda per polymer, the recursion gives
 Xi(lambda) through lambda^K, whose truncated log is the cluster series.
-Mayer tables are built for polymers of up to MAX_POLYMER_SIZE sites, each
-from the polymer's own couplings in the region's pair list; the tree-graph
-check builds the same configuration tables under the same cap. A value past
+Mayer tables are built for polymers of up to MAX_POLYMER_SIZE sites, from
+the couplings of the region's pair list; the tree-graph check builds each
+polymer's own configuration tables under the same cap. A value past
 float64's range is a CapacityError, never NaN; so is an undressed Xi(0)
 under float64's smallest normal, which ratios and logs divide by.
 """
@@ -55,14 +60,22 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 import numpy as np
 
 from . import exactengine as ee
 from . import model as m
-from ._system import System, _build, _omega_items, _spin_grid, build_system
-from .combinatorics import _mask_connected, _reach, connected_sum, spanning_tree_sum
+from ._system import System, _build, _check_grid, _omega_items, _spin_grid, build_system
+from .combinatorics import (
+    _connected_extend,
+    _connected_sets,
+    _reach,
+    _rooted_plan,
+    _rooted_sum,
+    connected_sum,
+    spanning_tree_sum,
+)
 from .errors import LOG_FLOAT_MAX, LOG_FLOAT_MIN, CapacityError, DomainError, PreconditionError, require_normal_exp
 
 GRAPH_SUM_BUDGET = 1 << 25
@@ -152,9 +165,12 @@ class TreeGraphBounds:
 
 class _Gas:
     """Per-region tables: single-site measures, and t-free caches filled on
-    first use: adjacency masks, connected site sets, the gas-sum plan, Mayer
-    tables by polymer index tuple, weight norms by (size, dressing, delta)
-    and series dampings by (c, delta, a, step norm)."""
+    first use: adjacency masks, connected site sets (the rooted recursion's
+    schedule, shared by regions of one coupling graph), the gas-sum plan,
+    Mayer tables by polymer index tuple (the plan's pass fills every
+    connected polymer's, a lookup before it one polymer's), weight norms by
+    (size, dressing, delta) and series dampings by (c, delta, a, step
+    norm)."""
 
     def __init__(self, system: System):
         self.system = system
@@ -180,13 +196,14 @@ class _Gas:
 
     @cached_property
     def connected(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(mask, indices) of every connected site set, masks ascending."""
+        """(mask, indices) of every connected site set, masks ascending, as
+        the rooted recursion's schedule on the coupling graph lists them."""
+        return tuple((mask, _members(mask)) for mask in _rooted_plan(tuple(self.adjacency))[0])
+
+    def largest_component(self) -> int:
+        """Site count of the largest coupling component."""
         n = len(self.sites)
-        return tuple(
-            (mask, tuple(i for i in range(n) if mask >> i & 1))
-            for mask in range(1, 1 << n)
-            if mask.bit_count() == 1 or _mask_connected(mask, self.adjacency)
-        )
+        return max((_reach(1 << i, self.adjacency, (1 << n) - 1).bit_count() for i in range(n)), default=0)
 
     @cached_property
     def plan(self) -> _Plan:
@@ -272,10 +289,15 @@ def _config_tables(gas: _Gas, idx: tuple[int, ...]):
     return values, probs
 
 
+def _check_polymer(k: int) -> None:
+    """Refuse a polymer past MAX_POLYMER_SIZE sites."""
+    if k > MAX_POLYMER_SIZE:
+        raise CapacityError(f"polymer of {k} sites exceeds the cap of {MAX_POLYMER_SIZE}")
+
+
 def _polymer_tables(gas: _Gas, idx: tuple[int, ...]):
     """_config_tables of a polymer of at most MAX_POLYMER_SIZE sites."""
-    if len(idx) > MAX_POLYMER_SIZE:
-        raise CapacityError(f"polymer of {len(idx)} sites exceeds the cap of {MAX_POLYMER_SIZE}")
+    _check_polymer(len(idx))
     return _config_tables(gas, idx)
 
 
@@ -318,23 +340,95 @@ def _overflow(route: str, gas: _Gas, idx: tuple[int, ...]) -> CapacityError:
     )
 
 
+@lru_cache(maxsize=1 << 14)
+def _members(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of mask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _joint_law(memo: dict, laws: list, mask: int) -> np.ndarray:
+    """Product of laws[a] over the positions a of mask, ascending, left to
+    right, each prefix kept in memo."""
+    got = memo.get(mask)
+    if got is None:
+        high = mask.bit_length() - 1
+        rest = mask ^ (1 << high)
+        got = memo[mask] = laws[high] if not rest else _joint_law(memo, laws, rest) * laws[high]
+    return got
+
+
+@lru_cache(maxsize=64)
+def _total_bins(values: tuple[float, ...], k: int) -> tuple[int, np.ndarray]:
+    """(lowest, bins): the least total spin of k sites and each
+    configuration's total less it, in _spin_grid order."""
+    totals = _spin_grid(np.array(values), k).sum(axis=0)
+    return int(totals.min()), np.rint(totals - totals.min()).astype(np.intp)
+
+
+def _mayer_pass(gas: _Gas, idx: tuple[int, ...], every: bool) -> None:
+    """Mayer tables (see _mayer) from one rooted recursion over the sites idx,
+    ascending: of each connected set of two or more of them (every), or of
+    idx itself. Tables already cached are kept, and with none to make the
+    recursion does not run.
+
+    Site idx[a] lives on axis -1-a: its spins and law on that axis, each
+    pair's factor e^{J s s'} - 1 on its two sites' axes, so every set's
+    Mayer sum fills just its own q^|V| configurations, whose C-order ravel
+    is _spin_grid's order (lowest site fastest). Joint laws, sums and the
+    |sum| mass are then the products the set's own spin grid would give, in
+    the same order, and the total spins come from that grid (one per set
+    size), so a table keeps every bit. Tables are made, and the first past
+    MAX_POLYMER_SIZE sites, past the spin-grid budget or not finite
+    refused, in descending mask order, the order the gas-sum plan reads
+    them.
+    """
+    k = len(idx)
+    local = {i: a for a, i in enumerate(idx)}
+    adjacency = [sum(1 << local[j] for j in _members(gas.adjacency[i]) if j in local) for i in idx]
+    masks = _rooted_plan(tuple(adjacency))[0] if every else [(1 << k) - 1]
+    todo = []
+    for mask in sorted(masks, reverse=True):
+        key = tuple(idx[a] for a in _members(mask))
+        if len(key) > 1 and key not in gas.mayer:
+            _check_polymer(len(key))
+            _check_grid(gas.q, len(key))
+            todo.append((mask, key))
+    if not todo:
+        return
+    shapes = [(gas.q,) + (1,) * a for a in range(k)]
+    spins = [gas.values.reshape(shape) for shape in shapes]
+    laws = [gas.probs[i].reshape(shape) for i, shape in zip(idx, shapes)]
+    factors: list[dict[int, np.ndarray]] = [{} for _ in idx]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j, v in gas.system.pairs:
+            a, b = local.get(i), local.get(j)
+            if a is not None and b is not None and v != 0.0:
+                factors[a][b] = factors[b][a] = np.expm1((v * spins[a]) * spins[b])
+        sums = _rooted_sum(factors, adjacency, _connected_extend, np.ones(()))
+        joint, values = {}, tuple(gas.values.tolist())
+        for mask, key in todo:
+            probs = _joint_law(joint, laws, mask)
+            csum = sums.get(mask)
+            if csum is None:  # a disconnected polymer
+                csum = np.zeros(probs.shape)
+            weighted = (probs * csum).ravel()
+            abs_mass = float(np.dot(probs.ravel(), np.abs(csum).ravel()))
+            if not (np.isfinite(weighted).all() and math.isfinite(abs_mass)):
+                raise _overflow("Mayer table", gas, key)
+            lowest, bins = _total_bins(values, len(key))
+            gas.mayer[key] = (lowest, np.bincount(bins, weights=weighted), abs_mass)
+
+
 def _mayer(gas: _Gas, idx: tuple[int, ...]) -> tuple[int, np.ndarray, float]:
-    """(lowest, amps, abs_mass): amps[j] sums p * (Mayer sum) over the
-    configurations of total spin lowest + j; abs_mass averages |Mayer sum|.
-    Polymers past MAX_POLYMER_SIZE sites are refused."""
+    """(lowest, amps, abs_mass) of a polymer, cached on the gas: amps[j] sums
+    p * (Mayer sum) over the configurations of total spin lowest + j;
+    abs_mass averages |Mayer sum|. A missing table comes from a pass over
+    the polymer's own sites. Polymers past MAX_POLYMER_SIZE sites are
+    refused."""
     got = gas.mayer.get(idx)
     if got is None:
-        values, probs = _polymer_tables(gas, idx)
-        pairs, terms = _pair_terms(gas, idx, values)
-        with np.errstate(over="ignore", invalid="ignore"):
-            csum = connected_sum(_by_pair(len(idx), pairs, np.expm1(terms)))
-            weighted = probs * csum
-            abs_mass = float(np.dot(probs, np.abs(csum)))
-        if not (np.isfinite(weighted).all() and math.isfinite(abs_mass)):
-            raise _overflow("Mayer table", gas, idx)
-        totals = values.sum(axis=0)
-        amps = np.bincount(np.rint(totals - totals.min()).astype(np.intp), weights=weighted)
-        got = gas.mayer[idx] = (int(totals.min()), amps, abs_mass)
+        _mayer_pass(gas, idx, every=False)
+        got = gas.mayer[idx]
     return got
 
 
@@ -456,18 +550,19 @@ def _partition_direct(gas: _Gas, t, c: float):
 
 
 def _build_plan(gas: _Gas) -> _Plan:
-    """The region's _Plan. The recursion (its site count checked by
-    _gas_for_mode) needs every connected subset of a coupling component;
-    dropping the large ones would silently break the identity the gas sum
-    certifies, so a component past MAX_POLYMER_SIZE is refused here."""
+    """The region's _Plan, its Mayer tables from one _mayer_pass. The
+    recursion (its site count checked by _gas_for_mode) needs every
+    connected subset of a coupling component; dropping the large ones would
+    silently break the identity the gas sum certifies, so a component past
+    MAX_POLYMER_SIZE is refused here."""
     n = len(gas.sites)
-    everything = (1 << n) - 1
-    largest = max((_reach(1 << i, gas.adjacency, everything).bit_count() for i in range(n)), default=0)
+    largest = gas.largest_component()
     if largest > MAX_POLYMER_SIZE:
         raise CapacityError(
             f"the region has a coupling component of {largest} sites, so the gas sum"
             f" needs polymers up to that size; cap is {MAX_POLYMER_SIZE}"
         )
+    _mayer_pass(gas, tuple(range(n)), every=True)
     polymers = list(reversed(gas.connected))
     masks = np.array([mask for mask, _ in polymers], dtype=np.int32)
     sizes = np.array([len(idx) for _, idx in polymers])
@@ -480,7 +575,7 @@ def _build_plan(gas: _Gas) -> _Plan:
         if len(idx) == 1:
             start, table = lo, gas.probs[idx[0]]
         else:
-            start, table, _ = _mayer(gas, idx)
+            start, table, _ = gas.mayer[idx]
         weights[row, start - base : start - base + len(table)] = table
     lowest = np.array([idx[0] for _, idx in polymers])
     levels = []
@@ -667,7 +762,11 @@ def weight_norm(
 
 
 def _weight_norm(gas: _Gas, k: int, dress: float, delta: float) -> float:
-    """weight_norm on the region's gas, cached on it by (k, dress, delta)."""
+    """weight_norm on the region's gas, cached on it by (k, dress, delta).
+
+    The connected k-sets are grown along the couplings, and each anchor sums
+    the weights of those through it in the lexicographic order of their
+    other sites; the cap of 2^18 counts these (anchor, set) pairs."""
     n = len(gas.sites)
     if k > n:
         return 0.0
@@ -676,21 +775,27 @@ def _weight_norm(gas: _Gas, k: int, dress: float, delta: float) -> float:
     cached = gas.norms.get((k, dress, delta))
     if cached is not None:
         return cached
-    per_anchor = math.comb(n - 1, k - 1)
-    if per_anchor * n > 1 << 18:
+    if k > MAX_POLYMER_SIZE:
+        # a connected k-set has no table: refuse as its lookup would, or,
+        # with no such set, sum nothing
+        if gas.largest_component() >= k:
+            _check_polymer(k)
+        return 0.0
+    members = [_members(mask) for mask in _connected_sets(gas.adjacency, k)]
+    if k * len(members) > 1 << 18:
         raise CapacityError(
-            f"weight norm at size {k} over {n} sites scans {per_anchor * n} subsets, cap is {1 << 18}"
+            f"weight norm at size {k} over {n} sites sums {k * len(members)} connected sets through anchors,"
+            f" cap is {1 << 18}"
         )
     factor = math.exp(dress * k)
     best = 0.0
     for anchor in range(n):
+        # the connected k-sets through the anchor, by their other sites in
+        # lexicographic order
+        through = sorted((tuple(i for i in idx if i != anchor), idx) for idx in members if anchor in idx)
         total = 0.0
-        others = [i for i in range(n) if i != anchor]
-        for rest in combinations(others, k - 1):
-            mask = (1 << anchor) | sum(1 << i for i in rest)
-            if not _mask_connected(mask, gas.adjacency):
-                continue
-            total += _weight(gas, tuple(sorted((anchor, *rest))), delta)
+        for _, idx in through:
+            total += _weight(gas, idx, delta)
         best = max(best, total * factor)
     gas.norms[(k, dress, delta)] = best
     return best

@@ -1,10 +1,12 @@
 """Independent routes that the tests hold the library against.
 
-Each recomputes a quantity from its definition, by brute force over every
+Most recompute a quantity from its definition, by brute force over every
 connected graph or every labeled tree, and never through the rooted
 recursion or the Mayer tables the library runs. Costs grow with the
 graph and tree counts, so keep k small (the enumerations refuse k > 7
-and k > 8).
+and k > 8). mayer_table_by_polymer and gas_sum_by_masks are the library's
+earlier routes, one polymer or one mask at a time, which its batched
+passes must match bit for bit.
 """
 
 import heapq
@@ -171,6 +173,21 @@ def activity_by_graph_enumeration(model, params, polymer, region="decimated", om
     phases = (1j * spin) ** order * np.exp(1j * params.t * spin)
     total = math.exp(params.c * len(idx)) * complex(np.dot(probs * csum, phases))
     return total - 1.0 if len(idx) == 1 and order == 0 else total
+
+
+def mayer_table_by_polymer(gas, idx: tuple[int, ...]):
+    """A polymer's Mayer table (lowest, amps, abs_mass), uncached, from its
+    own spin grid: its own laws, total spins and pair factors, every
+    configuration on one dense trailing axis of connected_sum."""
+    values, probs = pg._polymer_tables(gas, idx)
+    pairs, terms = pg._pair_terms(gas, idx, values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        csum = cb.connected_sum(pg._by_pair(len(idx), pairs, np.expm1(terms)))
+        weighted = probs * csum
+        abs_mass = float(np.dot(probs, np.abs(csum)))
+    totals = values.sum(axis=0)
+    amps = np.bincount(np.rint(totals - totals.min()).astype(np.intp), weights=weighted)
+    return int(totals.min()), amps, abs_mass
 
 
 def gas_sum_by_masks(n: int, groups: list[list], K: int | None = None):

@@ -46,6 +46,35 @@ def test_box_regions():
                 assert box.decimated_sites == want
 
 
+def test_explicit_region_tuple_is_checked_once(monkeypatch):
+    """A hashable site tuple resolves as any other iterable of the same
+    sites, is converted once per box and read from the cache after that;
+    a bad one raises the same error on every call."""
+    model = nn_chain(radius=3)
+    region = ((2,), (-1,), (0,))
+    want = lm.resolve_region(model, [list(s) for s in region])
+    assert want == ((-1,), (0,), (2,))
+    assert lm.resolve_region(model, region) == want
+    assert lm.resolve_region(model, ((2.0,), (-1,), (0,))) == want
+    assert lm.resolve_region(model, ([2], [-1], [0])) == want
+
+    def no_conversion(*args):
+        raise AssertionError("a cached region was converted again")
+
+    monkeypatch.setattr(lm, "_as_site", no_conversion)
+    assert lm.resolve_region(model, region) == want
+    assert lm.resolve_region(nn_chain(radius=3, strength=0.4), region) == want
+    monkeypatch.undo()
+    for bad, message in (
+        (((1,), (1,)), "^region sites must be distinct$"),
+        (((4,),), r"^region site \(4,\) lies outside the box$"),
+        (((1, 0),), r"^site \(1, 0\) does not have dimension 1$"),
+    ):
+        for _ in range(2):
+            with pytest.raises(DomainError, match=message):
+                lm.resolve_region(model, bad)
+
+
 # kappa(J, sigma, card) = exp(-2 J sigma^2) / card, frozen from the formula
 KAPPA_CASES = [
     (0.0, 1, 2, 0.5),

@@ -128,24 +128,29 @@ def test_weak_coupling_activity_and_majorant_match_path_product():
 
 
 def test_mayer_sum_computed_once_per_polymer(monkeypatch):
-    """Every t-dependent polymer quantity reads one Mayer table per polymer."""
-    calls = Counter()
-    real = pg.connected_sum
+    """The gas-sum plan makes every Mayer table of its region in one rooted
+    recursion, and every t-dependent polymer quantity then reads those
+    tables. A polymer looked up before any plan gets one pass over its own
+    sites, and none again once its table is cached."""
+    passes = []
+    real = pg._rooted_sum
 
-    def counting(edge_factor):
-        calls[np.asarray(edge_factor).shape[0]] += 1
-        return real(edge_factor)
+    def counting(factors, adjacency, extend, one):
+        passes.append(len(adjacency))
+        return real(factors, adjacency, extend, one)
 
-    monkeypatch.setattr(pg, "connected_sum", counting)
+    monkeypatch.setattr(pg, "_rooted_sum", counting)
     model = nn_chain(radius=2, strength=3e-4, spin=(-1, 1), boundary=1)
     region = lm.resolve_region(model, "box")
+    n = len(region)
     pg._gas_for_system.cache_clear()
     delta = 0.01
     for t in (0.0, 0.004, 0.3, 1.7):
         for c in (0.0, 0.2):
             params = pg.ActivityParams(t=t, c=c, delta_cap=delta)
-            for k in range(2, len(region) + 1):
-                for start in range(len(region) - k + 1):
+            pg.polymer_partition(model, params, region="box", mode="polymer_sum")
+            for k in range(2, n + 1):
+                for start in range(n - k + 1):
                     poly = region[start : start + k]
                     pg.activity(model, params, poly, region="box")
                     pg.activity_derivative(model, params, poly, order=1, region="box")
@@ -153,26 +158,36 @@ def test_mayer_sum_computed_once_per_polymer(monkeypatch):
                     pg.weight_w0(model, poly, delta, region="box")
             for k in (2, 3, 4):
                 pg.weight_norm(model, k, "w1", delta, region="box")
-            pg.polymer_partition(model, params, region="box", mode="polymer_sum")
             pg.truncated_log_partition(model, params, region="box", K=3)
             pg.truncated_log_partition(model, params, region="box", K=3, absolute=True)
-    n = len(region)
-    # the connected polymers of a chain are its intervals of two or more sites
-    assert calls == Counter({k: n - k + 1 for k in range(2, n + 1)})
+    assert passes == [n]
+
+    passes.clear()
+    other = nn_chain(radius=2, strength=2e-4, spin=(-1, 1), boundary=1)
+    poly = region[1:4]
+    params = pg.ActivityParams(t=0.3)
+    for _ in range(2):
+        pg.activity(other, params, poly, region="box")
+        pg.activity_derivative(other, params, poly, order=1, region="box")
+        pg.weight_w0(other, poly, delta, region="box")
+    assert passes == [3]
+    pg.polymer_partition(other, params, region="box", mode="polymer_sum")
+    pg.activity(other, params, region[:2], region="box")
+    assert passes == [3, n]
 
 
 def test_weight_norms_computed_once_per_gas(monkeypatch):
     """The series damping reads its weight norms from the gas, never through
-    the public weight_norm, so a second series at another t scans no
-    polymer subsets; its theta is cached on the gas too, so the absolute
+    the public weight_norm, so a second series at another t lists no
+    connected sets; its theta is cached on the gas too, so the absolute
     series and the series at another t run no second bisection and get the
     same theta."""
     calls = Counter()
-    real_connected, real_tail = pg._mask_connected, pg.geometric_norm_tail
+    real_sets, real_tail = pg._connected_sets, pg.geometric_norm_tail
 
-    def counting(mask, adjacency):
-        calls["masks"] += 1
-        return real_connected(mask, adjacency)
+    def counting(adjacency, size=None):
+        calls["listings"] += 1
+        return real_sets(adjacency, size)
 
     def counting_tail(*args):
         calls["tails"] += 1
@@ -181,13 +196,13 @@ def test_weight_norms_computed_once_per_gas(monkeypatch):
     def public_norm(*args, **kwargs):
         raise AssertionError("the series called the public weight_norm")
 
-    monkeypatch.setattr(pg, "_mask_connected", counting)
+    monkeypatch.setattr(pg, "_connected_sets", counting)
     monkeypatch.setattr(pg, "geometric_norm_tail", counting_tail)
     monkeypatch.setattr(pg, "weight_norm", public_norm)
     model = nn_chain(radius=3, strength=3e-4, spin=(-1, 1), boundary=1)
     pg._gas_for_system.cache_clear()
     first = pg.truncated_log_partition(model, pg.ActivityParams(t=0.004, delta_cap=0.01), region="box", K=3)
-    assert calls["masks"] > 0 and calls["tails"] > 0 and first.damping is not None
+    assert calls["listings"] > 0 and calls["tails"] > 0 and first.damping is not None
     calls.clear()
     params = pg.ActivityParams(t=0.007, delta_cap=0.01)
     second = pg.truncated_log_partition(model, params, region="box", K=3)
@@ -399,9 +414,10 @@ def test_single_site_activity_keeps_its_digits_at_small_t():
 
 def test_overflowing_weights_raise_not_nan():
     """A log weight past float64's range is a CapacityError on every route:
-    the direct route names log Xi(0) from the exact sum, the others the
-    largest log weight; the same model with the opposite sign stays finite
-    and the routes agree."""
+    the direct route names log Xi(0) from the exact sum, the gas routes the
+    largest log weight of the first Mayer table the plan reads, the whole
+    chain's; the same model with the opposite sign stays finite and the
+    routes agree."""
     params = pg.ActivityParams(t=0.3)
     hot = nn_chain(radius=3, strength=130, spin=(0, 1), boundary=1)
     calls = (
@@ -412,8 +428,8 @@ def test_overflowing_weights_raise_not_nan():
         lambda model: pg.truncated_log_partition(model, params, region="box", K=3, absolute=True),
     )
     direct = r"^direct route on 7 sites is not finite in float64: log Xi\(0\) is 776\.5, float64 ends at 709\.8$"
-    largest = r"on 7 sites is not finite: the largest log weight is 776\.5"
-    for call, message in zip(calls, (direct, largest, direct, largest, largest)):
+    mayer = r"^Mayer table on 7 sites is not finite: the largest log weight is 776\.5, float64 ends at 709\.8$"
+    for call, message in zip(calls, (direct, mayer, direct, mayer, mayer)):
         with pytest.raises(CapacityError, match=message):
             call(hot)
     polymer = pg.Polymer(lm.resolve_region(hot, "box")[:6])
@@ -424,6 +440,68 @@ def test_overflowing_weights_raise_not_nan():
     assert gas == pytest.approx(direct, rel=1e-12)
     assert cmath.isfinite(log_xi) and cmath.exp(log_xi) == pytest.approx(direct, rel=1e-9)
     assert all(cmath.isfinite(v) for v in series.by_order + absolute.by_order)
+
+
+def _frustrated_complete_graph(n: int, spin, scale: float, rng) -> tuple:
+    """n sites, every pair coupled with a strength of random sign."""
+    sites = tuple((x,) for x in range(-(n // 2), n - n // 2))
+    pairs = [(a, b, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.4)) / scale) for a, b in combinations(sites, 2)]
+    model = lm.GibbsModel(
+        box=lm.Box(dimension=1, radius=n // 2, r0=1),
+        spin=lm.SpinInterval(*spin),
+        coupling=lm.Coupling.explicit(pairs),
+        boundary=lm.BoundaryCondition.zero(),
+    )
+    return model, sites
+
+
+def _mayer_cases():
+    """(model, region, omega) of seeded chains and 2-D patches under random
+    omegas, complete graphs of 3 to 7 sites, and complete graphs whose
+    couplings take both signs, at q = 2 and q = 3. The spins {5, 6} and
+    {3, 4, 5} make J s s' round differently when grouped otherwise."""
+    rng = np.random.default_rng(31)
+    for spin in ((0, 1), (-1, 1), (5, 6), (3, 5)):
+        scale = max(abs(v) for v in spin) ** 2
+        for _ in range(2):
+            strength = float(rng.uniform(-0.4, 0.4)) / scale
+            chain = nn_chain(radius=4, strength=strength, spin=spin, boundary=spin[1])
+            yield chain, "box", random_omega(rng, chain, "box")
+            patch = nn_chain(radius=2, strength=strength, spin=spin, boundary=spin[1], dimension=2)
+            region = [(x, y) for x, y in patch.box.sites if abs(x) <= 1 and abs(y) <= 1]
+            yield patch, region, random_omega(rng, patch, region)
+        for n in (3, 5, 7) if scale == 1 else (4, 6):
+            yield (*complete_graph(n, 0.2 / scale, spin=spin), None)
+            yield (*_frustrated_complete_graph(n, spin, scale, rng), None)
+
+
+def test_region_pass_matches_per_polymer_tables_bit_for_bit():
+    """Every Mayer table of the plan's one pass over the region, and the
+    table of a polymer looked up on its own, against the table rebuilt from
+    the polymer's own spin grid: lowest spin, amplitudes and |sum| mass bit
+    for bit."""
+    rng = np.random.default_rng(32)
+    checked = 0
+    for model, region, omega in _mayer_cases():
+        system = build_system(model, region, omega)
+        gas = pg._Gas(system)
+        pg._mayer_pass(gas, tuple(range(len(gas.sites))), every=True)
+        connected = [idx for _, idx in gas.connected if len(idx) > 1]
+        assert sorted(gas.mayer) == sorted(connected)
+        alone = pg._Gas(system)
+        picks = [connected[int(i)] for i in rng.choice(len(connected), size=3)]
+        # a polymer whose sites are not all joined has a table of zeros
+        picks.append(tuple(range(0, len(gas.sites), 2))[:4])
+        for idx in connected + picks:
+            lowest, amps, abs_mass = oracles.mayer_table_by_polymer(gas, idx)
+            for got in (gas.mayer[idx] if idx in gas.mayer else None, pg._mayer(alone, idx)):
+                if got is None:
+                    continue
+                assert got[0] == lowest
+                assert got[1].tobytes() == amps.tobytes()
+                assert math.isfinite(abs_mass) and got[2].hex() == abs_mass.hex()
+                checked += 1
+    assert checked > 1000
 
 
 def test_activity_derivatives_match_finite_differences():
@@ -675,6 +753,47 @@ def test_series_damping_refuses_large_t_without_dressing():
     params = pg.ActivityParams(t=2.0, delta_cap=delta)
     res = pg.truncated_log_partition(model, params, region="box", K=3)
     assert res.dominating_tail is None
+
+
+def _joined(idx, adjacency) -> bool:
+    """Whether the sites idx are connected by couplings among them."""
+    seen, todo = {idx[0]}, [idx[0]]
+    while todo:
+        i = todo.pop()
+        for j in idx:
+            if j not in seen and adjacency[i] >> j & 1:
+                seen.add(j)
+                todo.append(j)
+    return len(seen) == len(idx)
+
+
+def test_weight_norm_sums_connected_sets_in_scan_order():
+    """Each anchor sums the connected k-sets through it in the lexicographic
+    order of their other sites, the order a scan of every k-subset adds
+    them in, so the norm matches that scan bit for bit. The cap counts the
+    (anchor, set) pairs listed: a 5x5 patch at k = 5, with more subsets per
+    anchor than the cap allows, is summed."""
+    for model, region in (
+        (nn_chain(radius=4, strength=0.3, spin=(-1, 1), boundary=1), "box"),
+        (nn_chain(radius=1, strength=-0.2, spin=(0, 1), boundary=1, dimension=2), "box"),
+        complete_graph(6, 0.1, spin=(-1, 1)),
+    ):
+        gas = pg._gas(model, region, None)
+        n = len(gas.sites)
+        for k in range(2, 6):
+            want = 0.0
+            for anchor in range(n):
+                total = 0.0
+                for rest in combinations([i for i in range(n) if i != anchor], k - 1):
+                    idx = tuple(sorted((anchor, *rest)))
+                    if _joined(idx, gas.adjacency):
+                        total += pg._weight(gas, idx, 0.02)
+                want = max(want, total * math.exp(0.7 * k))
+            got = pg.weight_norm(model, k, "wc", delta=0.02, c=0.7, region=region)
+            assert got.hex() == want.hex()
+    patch = nn_chain(radius=2, strength=0.1, spin=(0, 1), boundary=1, dimension=2)
+    assert math.comb(24, 4) * 25 > 1 << 18
+    assert pg.weight_norm(patch, 5, "w1", delta=0.02, region="box") > 0.0
 
 
 def test_weight_norm_bound_closed_form():
