@@ -14,9 +14,11 @@ graph, lists every connected vertex set, grown one neighbour at a time
 (never a scan of the 2^k vertex sets), with the terms of each, and one run
 gives the sum on every set: the polymer gas takes every connected
 polymer's Mayer sum from one run over a region, each on its own sites'
-spin axes; connected_sum and spanning_tree_sum read the full set's. The
-cost is one product per term (V, B): one per interval on a path, k(k - 1)/2
-in all, and about 3^k / 4 on the complete graph.
+spin axes; connected_sum and spanning_tree_sum schedule only the sets the
+full set's sum reaches. The cost is one product per term (V, B): over
+every connected set, one per interval on a path, k(k - 1)/2 in all, and
+about 3^k / 4 on the complete graph; for the full set alone, k - 1 on a
+path.
 A hard-core Ursell coefficient is C with u in {0, -1} on the overlap
 graph, and unit factors on the complete graph count the connected graphs
 and the labeled trees (graph_census). Enumerating graphs or trees one by
@@ -29,67 +31,71 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import CapacityError
+
 # Connected labeled graphs on k = 1..7 vertices (OEIS A001187), the
 # reference values the census is checked against.
 CONNECTED_COUNTS_KNOWN = (1, 1, 4, 38, 728, 26704, 1866256)
 
 
-def _reach(seed: int, adjacency, within: int) -> int:
-    """Vertices of the mask `within` joined to the vertices of seed by edges
-    inside it; adjacency[v] is the neighbour mask of vertex v."""
-    reach = frontier = seed
-    while frontier:
-        v = (frontier & -frontier).bit_length() - 1
-        frontier &= frontier - 1
-        new = adjacency[v] & within & ~reach
-        reach |= new
-        frontier |= new
-    return reach
-
-
-def _connected_sets(adjacency, size: int | None = None) -> list[int]:
-    """Masks, ascending, of the connected vertex sets of a graph (adjacency[v]
-    the neighbour mask of vertex v): all of them, or those of `size`
-    vertices. They grow one neighbour at a time from the single vertices, a
-    level per size, so the cost follows the connected sets up to that size,
-    never the 2^k vertex sets."""
-    level = [1 << v for v in range(len(adjacency))]
+def _connected_sets(neighbours, size: int | None = None, cap: int | None = None) -> list[tuple[int, ...]]:
+    """The connected vertex sets of a graph (neighbours[v] the vertices
+    joined to v), each as its vertices ascending: all of them, by size, or
+    those of `size` vertices; the sets of one size in lexicographic order.
+    They grow one neighbour at a time from the single vertices, a level per
+    size, so the cost follows the connected sets up to that size, never the
+    2^k vertex sets. With a cap, a level whose sets pass cap (vertex, set)
+    pairs in all is refused while it grows."""
+    level = [(v,) for v in range(len(neighbours))]
     found = []
-    while level and (size is None or level[0].bit_count() < size):
-        found += level
+    while level:
+        pairs = len(level) * len(level[0])
+        if cap is not None and pairs > cap:
+            raise CapacityError(
+                f"the connected sets of {len(level[0])} vertices reach {pairs} (vertex, set) pairs, cap is {cap}"
+            )
+        if len(level[0]) == size:
+            return level
+        if size is None:
+            found += level
         grown = set()
-        for mask in level:
-            rim, rest = 0, mask
-            while rest:
-                rim |= adjacency[(rest & -rest).bit_length() - 1]
-                rest &= rest - 1
-            rim &= ~mask
-            while rim:
-                grown.add(mask | (rim & -rim))
-                rim &= rim - 1
+        for vertices in level:
+            inside = set(vertices)
+            for v in vertices:
+                for w in neighbours[v]:
+                    if w not in inside:
+                        grown.add(tuple(sorted((*vertices, w))))
+            if cap is not None and len(grown) * (len(vertices) + 1) > cap:
+                break
         level = sorted(grown)
-    return level if size is not None else sorted(found)
+    return [] if size is not None else found
 
 
 @lru_cache(maxsize=4096)
-def _rooted_plan(adjacency: tuple[int, ...]):
+def _rooted_plan(adjacency: tuple[int, ...], target: int | None = None):
     """Schedule of the rooted recursion on one coupling graph.
 
     Returns (sets, roots). sets lists every connected vertex set, masks
     ascending, the single vertices included. roots holds (root, walk, sets)
     per root, roots descending: sets lists each connected set V of two or
-    more vertices with that root, in ascending mask order, with its terms
+    more vertices with that root (every one, or with a target mask those
+    the target's terms reach), in ascending mask order, with its terms
     (B, V\\B): B holds the second lowest vertex of V, both B and V\\B are
     connected, and B meets the root's neighbours. walk lists every
     T = B & N(root) the terms use and each prefix of one, in depth-first
     order, as (T, highest vertex of T, the blocks B with that T).
     """
     k = len(adjacency)
-    connected = _connected_sets(adjacency)
+    connected = sorted(
+        sum(1 << v for v in vertices)
+        for vertices in _connected_sets([[v for v in range(k) if bits >> v & 1] for bits in adjacency])
+    )
     member = frozenset(connected)
     terms: dict[int, list[tuple[int, int]]] = {}
-    for v in connected:
-        if v & (v - 1) == 0:
+    todo = list(connected) if target is None else [target] if target in member else []
+    while todo:
+        v = todo.pop()
+        if v in terms or v & (v - 1) == 0:
             continue
         root = v & -v
         near = adjacency[root.bit_length() - 1]
@@ -101,6 +107,7 @@ def _rooted_plan(adjacency: tuple[int, ...]):
             block = second | sub
             if block & near and block in member and v ^ block in member:
                 out.append((block, v ^ block))
+                todo += (block, v ^ block)
             if not sub:
                 break
             sub = (sub - 1) & free
@@ -123,10 +130,11 @@ def _rooted_plan(adjacency: tuple[int, ...]):
     return connected, roots
 
 
-def _rooted_sum(u, adjacency, extend, one) -> dict[int, np.ndarray]:
+def _rooted_sum(u, adjacency, extend, one, target: int | None = None) -> dict[int, np.ndarray]:
     """The rooted recursion shared by connected_sum, spanning_tree_sum and
     the polymer gas's Mayer tables: the sum S[V] of every set _rooted_plan
-    schedules, by mask.
+    schedules for the target (every connected set, or those the target
+    set's sum needs), by mask.
 
     On the connected vertex sets V, with root r = min V, the graphs summed
     split, once r is deleted, into blocks B of V\\{r} joined to r; peeling
@@ -143,7 +151,7 @@ def _rooted_sum(u, adjacency, extend, one) -> dict[int, np.ndarray]:
     only. An unscheduled set (a disconnected one) has no entry.
     """
     c = {1 << v: one for v in range(len(adjacency))}
-    for r, walk, sets in _rooted_plan(tuple(adjacency))[1]:
+    for r, walk, sets in _rooted_plan(tuple(adjacency), target)[1]:
         weighted = {}
         path = [(0, None)]
         for touch, b, blocks in walk:
@@ -178,8 +186,8 @@ def _tree_extend(h, u):
 
 def _full_sum(edge_factor, extend):
     """connected_sum or spanning_tree_sum: the rooted recursion on a dense
-    (k, k, ...) table, every set on the whole trailing axis, read at the
-    full set."""
+    (k, k, ...) table, every set on the whole trailing axis, over the sets
+    the full set reaches."""
     ef = np.asarray(edge_factor)
     k = ef.shape[0]
     if ef.shape[:2] != (k, k):
@@ -190,7 +198,7 @@ def _full_sum(edge_factor, extend):
     coupled |= coupled.T
     adjacency = [int(bits) for bits in coupled @ (1 << np.arange(k))]
     full = (1 << k) - 1
-    got = _rooted_sum(u, adjacency, extend, np.ones(u.shape[2], dtype=ef.dtype)).get(full)
+    got = _rooted_sum(u, adjacency, extend, np.ones(u.shape[2], dtype=ef.dtype), full).get(full)
     out = np.zeros(shape, dtype=ef.dtype) if got is None else np.array(got).reshape(shape)
     return out if ef.ndim > 2 else out.item()
 

@@ -70,7 +70,6 @@ from ._system import System, _build, _check_grid, _omega_items, _spin_grid, buil
 from .combinatorics import (
     _connected_extend,
     _connected_sets,
-    _reach,
     _rooted_plan,
     _rooted_sum,
     connected_sum,
@@ -165,12 +164,12 @@ class TreeGraphBounds:
 
 class _Gas:
     """Per-region tables: single-site measures, and t-free caches filled on
-    first use: adjacency masks, connected site sets (the rooted recursion's
-    schedule, shared by regions of one coupling graph), the gas-sum plan,
-    Mayer tables by polymer index tuple (the plan's pass fills every
-    connected polymer's, a lookup before it one polymer's), weight norms by
-    (size, dressing, delta) and series dampings by (c, delta, a, step
-    norm)."""
+    first use: each site's couplings, adjacency masks, connected site sets
+    (the rooted recursion's schedule, shared by regions of one coupling
+    graph), the gas-sum plan, Mayer tables by polymer index tuple (the
+    plan's pass fills every connected polymer's, a lookup before it one
+    polymer's), weight norms by (size, dressing, delta) and series
+    dampings by (c, delta, a, step norm)."""
 
     def __init__(self, system: System):
         self.system = system
@@ -185,14 +184,18 @@ class _Gas:
         self.dampings: dict[tuple[float, float, float, float], float | None] = {}
 
     @cached_property
-    def adjacency(self) -> list[int]:
-        """Bit mask of the coupled sites of each site."""
-        adjacency = [0] * len(self.sites)
+    def couplings(self) -> list[dict[int, float]]:
+        """Coupled sites of each site, with their couplings."""
+        couplings: list[dict[int, float]] = [{} for _ in self.sites]
         for i, j, v in self.system.pairs:
             if v != 0.0:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
-        return adjacency
+                couplings[i][j] = couplings[j][i] = v
+        return couplings
+
+    @cached_property
+    def adjacency(self) -> list[int]:
+        """Bit mask of the coupled sites of each site."""
+        return [sum(1 << j for j in c) for c in self.couplings]
 
     @cached_property
     def connected(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -202,8 +205,20 @@ class _Gas:
 
     def largest_component(self) -> int:
         """Site count of the largest coupling component."""
-        n = len(self.sites)
-        return max((_reach(1 << i, self.adjacency, (1 << n) - 1).bit_count() for i in range(n)), default=0)
+        seen, largest = set(), 0
+        for start in range(len(self.sites)):
+            if start in seen:
+                continue
+            seen.add(start)
+            todo, size = [start], 0
+            while todo:
+                size += 1
+                for j in self.couplings[todo.pop()]:
+                    if j not in seen:
+                        seen.add(j)
+                        todo.append(j)
+            largest = max(largest, size)
+        return largest
 
     @cached_property
     def plan(self) -> _Plan:
@@ -368,8 +383,9 @@ def _total_bins(values: tuple[float, ...], k: int) -> tuple[int, np.ndarray]:
 def _mayer_pass(gas: _Gas, idx: tuple[int, ...], every: bool) -> None:
     """Mayer tables (see _mayer) from one rooted recursion over the sites idx,
     ascending: of each connected set of two or more of them (every), or of
-    idx itself. Tables already cached are kept, and with none to make the
-    recursion does not run.
+    idx itself, the recursion then over the sets its sum reaches. Tables
+    already cached are kept, and with none to make the recursion does not
+    run.
 
     Site idx[a] lives on axis -1-a: its spins and law on that axis, each
     pair's factor e^{J s s'} - 1 on its two sites' axes, so every set's
@@ -384,8 +400,9 @@ def _mayer_pass(gas: _Gas, idx: tuple[int, ...], every: bool) -> None:
     """
     k = len(idx)
     local = {i: a for a, i in enumerate(idx)}
-    adjacency = [sum(1 << local[j] for j in _members(gas.adjacency[i]) if j in local) for i in idx]
-    masks = _rooted_plan(tuple(adjacency))[0] if every else [(1 << k) - 1]
+    adjacency = [sum(1 << local[j] for j in gas.couplings[i] if j in local) for i in idx]
+    target = None if every else (1 << k) - 1
+    masks = _rooted_plan(tuple(adjacency))[0] if every else [target]
     todo = []
     for mask in sorted(masks, reverse=True):
         key = tuple(idx[a] for a in _members(mask))
@@ -400,11 +417,12 @@ def _mayer_pass(gas: _Gas, idx: tuple[int, ...], every: bool) -> None:
     laws = [gas.probs[i].reshape(shape) for i, shape in zip(idx, shapes)]
     factors: list[dict[int, np.ndarray]] = [{} for _ in idx]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, j, v in gas.system.pairs:
-            a, b = local.get(i), local.get(j)
-            if a is not None and b is not None and v != 0.0:
-                factors[a][b] = factors[b][a] = np.expm1((v * spins[a]) * spins[b])
-        sums = _rooted_sum(factors, adjacency, _connected_extend, np.ones(()))
+        for a, i in enumerate(idx):
+            for j, v in gas.couplings[i].items():
+                b = local.get(j)
+                if b is not None and b > a:
+                    factors[a][b] = factors[b][a] = np.expm1((v * spins[a]) * spins[b])
+        sums = _rooted_sum(factors, adjacency, _connected_extend, np.ones(()), target)
         joint, values = {}, tuple(gas.values.tolist())
         for mask, key in todo:
             probs = _joint_law(joint, laws, mask)
@@ -766,7 +784,9 @@ def _weight_norm(gas: _Gas, k: int, dress: float, delta: float) -> float:
 
     The connected k-sets are grown along the couplings, and each anchor sums
     the weights of those through it in the lexicographic order of their
-    other sites; the cap of 2^18 counts these (anchor, set) pairs."""
+    other sites. The cap of 2^18 counts the (anchor, set) pairs of each
+    size the listing grows through; the listing is refused as soon as one
+    passes it."""
     n = len(gas.sites)
     if k > n:
         return 0.0
@@ -781,20 +801,21 @@ def _weight_norm(gas: _Gas, k: int, dress: float, delta: float) -> float:
         if gas.largest_component() >= k:
             _check_polymer(k)
         return 0.0
-    members = [_members(mask) for mask in _connected_sets(gas.adjacency, k)]
-    if k * len(members) > 1 << 18:
-        raise CapacityError(
-            f"weight norm at size {k} over {n} sites sums {k * len(members)} connected sets through anchors,"
-            f" cap is {1 << 18}"
-        )
+    try:
+        sets = _connected_sets(gas.couplings, k, cap=1 << 18)
+    except CapacityError as err:
+        raise CapacityError(f"weight norm at size {k} over {n} sites: {err}") from None
+    # sets holding the anchor, in lexicographic order, are in that order of
+    # their other sites too
+    through: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for idx in sets:
+        for i in idx:
+            through[i].append(idx)
     factor = math.exp(dress * k)
     best = 0.0
-    for anchor in range(n):
-        # the connected k-sets through the anchor, by their other sites in
-        # lexicographic order
-        through = sorted((tuple(i for i in idx if i != anchor), idx) for idx in members if anchor in idx)
+    for anchor_sets in through:
         total = 0.0
-        for _, idx in through:
+        for idx in anchor_sets:
             total += _weight(gas, idx, delta)
         best = max(best, total * factor)
     gas.norms[(k, dress, delta)] = best

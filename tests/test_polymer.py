@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 
@@ -135,9 +136,9 @@ def test_mayer_sum_computed_once_per_polymer(monkeypatch):
     passes = []
     real = pg._rooted_sum
 
-    def counting(factors, adjacency, extend, one):
+    def counting(factors, adjacency, extend, one, target=None):
         passes.append(len(adjacency))
-        return real(factors, adjacency, extend, one)
+        return real(factors, adjacency, extend, one, target)
 
     monkeypatch.setattr(pg, "_rooted_sum", counting)
     model = nn_chain(radius=2, strength=3e-4, spin=(-1, 1), boundary=1)
@@ -185,9 +186,9 @@ def test_weight_norms_computed_once_per_gas(monkeypatch):
     calls = Counter()
     real_sets, real_tail = pg._connected_sets, pg.geometric_norm_tail
 
-    def counting(adjacency, size=None):
+    def counting(neighbours, size=None, cap=None):
         calls["listings"] += 1
-        return real_sets(adjacency, size)
+        return real_sets(neighbours, size, cap)
 
     def counting_tail(*args):
         calls["tails"] += 1
@@ -794,6 +795,31 @@ def test_weight_norm_sums_connected_sets_in_scan_order():
     patch = nn_chain(radius=2, strength=0.1, spin=(0, 1), boundary=1, dimension=2)
     assert math.comb(24, 4) * 25 > 1 << 18
     assert pg.weight_norm(patch, 5, "w1", delta=0.02, region="box") > 0.0
+
+
+def test_weight_norm_cap_bounds_the_listing():
+    """The cap bounds the work, not just the answer. A chain of 10001 sites
+    at k = 2, whose C(10000, 1) * 10001 subsets through anchors pass the
+    cap, has 10000 connected pairs and is summed, each anchor as on a short
+    chain; on the
+    complete graph of 40 sites, k = 5 is refused while the 4-site sets
+    grow, before that level is complete. Past MAX_POLYMER_SIZE no set is
+    listed: a component that large is refused by the polymer cap, and a
+    region without one sums nothing."""
+    short, long = (nn_chain(radius=r, strength=0.1, spin=(-1, 1), boundary=1) for r in (100, 5000))
+    assert math.comb(10000, 1) * 10001 > 1 << 18
+    want = pg.weight_norm(short, 2, "w1", delta=0.02, region="box")
+    assert pg.weight_norm(long, 2, "w1", delta=0.02, region="box").hex() == want.hex()
+    dense, sites = complete_graph(40, 0.01)
+    with pytest.raises(CapacityError, match=r"^weight norm at size 5 over 40 sites: the connected sets of 4 ") as err:
+        pg.weight_norm(dense, 5, "w1", delta=0.02, region=sites)
+    reached = int(re.search(r"reach (\d+) ", str(err.value)).group(1))
+    assert 1 << 18 < reached < 4 * math.comb(40, 4)
+    clique, sites = complete_graph(18, 0.01)
+    with pytest.raises(CapacityError, match=r"^polymer of 11 sites exceeds the cap of 10$"):
+        pg.weight_norm(clique, 11, "w1", delta=0.02, region=sites)
+    # 19 sites, the clique and one free site: no connected 19-set
+    assert pg.weight_norm(clique, 19, "w1", delta=0.02, region="box") == 0.0
 
 
 def test_weight_norm_bound_closed_form():
