@@ -5,6 +5,8 @@ it within its own error bars, and the local-CLT gap estimate must track
 the exact gap as the sample grows.
 """
 
+import numpy as np
+
 import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
 import lclt_lab.montecarlo as mc
@@ -44,9 +46,12 @@ def main():
     table = ee.pmf(model)
     exact_pmf = dict(zip(table.support, table.probabilities))
     spec = mc.ChainSpec(seed=7, burn_in=500, samples=20000, thinning=1, chains=4)
-    occ = mc.state_occupancy(model, spec)
-    for total in sorted(occ):
-        print(f"  S = {total:+3d}: {occ[total]:.4f}  ({exact_pmf.get(total, 0.0):.4f})")
+    spins = np.rint(mc.total_spin_samples(model, spec)).astype(np.int64).ravel()
+    low = int(spins.min())
+    for offset, count in enumerate(np.bincount(spins - low)):
+        if count:
+            total = low + offset
+            print(f"  S = {total:+3d}: {count / len(spins):.4f}  ({exact_pmf.get(total, 0.0):.4f})")
 
 
 if __name__ == "__main__":

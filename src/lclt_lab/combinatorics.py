@@ -14,8 +14,8 @@ graph, lists every connected vertex set, grown one neighbour at a time
 (never a scan of the 2^k vertex sets), with the terms of each, and one run
 gives the sum on every set: the polymer gas takes every connected
 polymer's Mayer sum from one run over a region, each on its own sites'
-spin axes; connected_sum and spanning_tree_sum schedule only the sets the
-full set's sum reaches. The cost is one product per term (V, B): over
+spin axes; connected_sum, spanning_tree_sum and the polymer tree-graph
+check schedule only the sets the full set's sum reaches. The cost is one product per term (V, B): over
 every connected set, one per interval on a path, k(k - 1)/2 in all, and
 about 3^k / 4 on the complete graph; for the full set alone, k - 1 on a
 path.
@@ -132,9 +132,9 @@ def _rooted_plan(adjacency: tuple[int, ...], target: int | None = None):
 
 def _rooted_sum(u, adjacency, extend, one, target: int | None = None) -> dict[int, np.ndarray]:
     """The rooted recursion shared by connected_sum, spanning_tree_sum and
-    the polymer gas's Mayer tables: the sum S[V] of every set _rooted_plan
-    schedules for the target (every connected set, or those the target
-    set's sum needs), by mask.
+    the polymer gas's Mayer tables and tree-graph check: the sum S[V] of
+    every set _rooted_plan schedules for the target (every connected set,
+    or those the target set's sum needs), by mask.
 
     On the connected vertex sets V, with root r = min V, the graphs summed
     split, once r is deleted, into blocks B of V\\{r} joined to r; peeling

@@ -535,17 +535,9 @@ def interaction_norm(model: GibbsModel, step: int = 1) -> float:
     return max(totals.values(), default=0.0)
 
 
-def boundary_field_coefficient(model: GibbsModel, x: Site, region="box") -> float:
-    """Field slope b_x = sum_{y outside region} J(x, y) * omega_y, so h_x(s) = b_x * s."""
-    region_sites = resolve_region(model, region)
-    x = _as_site(x, model.box.dimension)
-    if x not in region_sites:
-        raise DomainError(f"site {x} is not in the region")
-    return _field_slopes(model, region_sites, (x,))[0]
-
-
 def boundary_field_coefficients(model: GibbsModel, region="box") -> tuple[float, ...]:
-    """Field slope b_x of every region site, in region order."""
+    """Field slope b_x = sum_{y outside region} J(x, y) * omega_y of every
+    region site, in region order, so h_x(s) = b_x * s."""
     region_sites = resolve_region(model, region)
     return _field_slopes(model, region_sites, region_sites)
 
@@ -623,7 +615,11 @@ def hamiltonian(model: GibbsModel, config: SpinConfig) -> float:
 
 def single_spin_distribution(model: GibbsModel, x: Site, region="box") -> dict[int, float]:
     """p_x(s) = e^{h_x(s)} / sum_s' e^{h_x(s')} over the spin interval."""
-    b = boundary_field_coefficient(model, x, region)
+    region_sites = resolve_region(model, region)
+    x = _as_site(x, model.box.dimension)
+    if x not in region_sites:
+        raise DomainError(f"site {x} is not in the region")
+    b = _field_slopes(model, region_sites, (x,))[0]
     spins = np.array(model.spin.values, dtype=float)
     logw = b * spins
     logw -= logw.max()

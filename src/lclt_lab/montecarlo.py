@@ -288,11 +288,3 @@ def sample_pmf_gap(model: m.GibbsModel, spec: ChainSpec, region="box") -> dict:
     se = root_d * math.sqrt(max(pi_hat * (1.0 - pi_hat), 1.0 / len(flat)) / n_eff)
     return {"gap": Estimate(value=float(dev[worst]), std_error=se, n_effective=n_eff)}
 
-
-def state_occupancy(model: m.GibbsModel, spec: ChainSpec, region="box") -> dict:
-    """Sampled distribution of the total spin, for stationarity diagnostics."""
-    s = total_spin_samples(model, spec, region).reshape(-1)
-    ps = np.rint(s).astype(np.int64)
-    p_min = int(ps.min())
-    counts = np.bincount(ps - p_min)
-    return {int(p_min + i): float(c / len(ps)) for i, c in enumerate(counts) if c}

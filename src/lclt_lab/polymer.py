@@ -24,7 +24,9 @@ The tables come from combinatorics' rooted recursion, whose sum on a
 connected set is built from the sums on its connected subsets: one pass
 over the region gives every connected polymer's table, each sum carried on
 its own sites' spin axes only, and a polymer looked up on its own gets a
-pass over its own sites.
+pass over its own sites. Every pair sum of a polymer takes that one route:
+the tree-graph check runs the same recursion on the same axes for the
+Mayer sum and its two tree majorants.
 
 Xi(t) has two independent routes. The direct one reads the exact engine's
 sum over the same System: with z_x = sum_s e^{h_x s} the normalizer of p_x,
@@ -47,10 +49,10 @@ level over l, each level one gather, one product and one scatter-add. Run
 with one power of a formal lambda per polymer, the recursion gives
 Xi(lambda) through lambda^K, whose truncated log is the cluster series.
 Mayer tables are built for polymers of up to MAX_POLYMER_SIZE sites, from
-the couplings of the region's pair list; the tree-graph check builds each
-polymer's own configuration tables under the same cap. A value past
-float64's range is a CapacityError, never NaN; so is an undressed Xi(0)
-under float64's smallest normal, which ratios and logs divide by.
+the couplings of the region's pair list; the tree-graph check takes
+polymers under the same cap. A value past float64's range is a
+CapacityError, never NaN; so is an undressed Xi(0) under float64's
+smallest normal, which ratios and logs divide by.
 """
 
 from __future__ import annotations
@@ -67,14 +69,7 @@ import numpy as np
 from . import exactengine as ee
 from . import model as m
 from ._system import System, _build, _check_grid, _omega_items, _spin_grid, build_system
-from .combinatorics import (
-    _connected_extend,
-    _connected_sets,
-    _rooted_plan,
-    _rooted_sum,
-    connected_sum,
-    spanning_tree_sum,
-)
+from .combinatorics import _connected_extend, _connected_sets, _rooted_plan, _rooted_sum, _tree_extend
 from .errors import LOG_FLOAT_MAX, LOG_FLOAT_MIN, CapacityError, DomainError, PreconditionError, require_normal_exp
 
 GRAPH_SUM_BUDGET = 1 << 25
@@ -310,45 +305,53 @@ def _check_polymer(k: int) -> None:
         raise CapacityError(f"polymer of {k} sites exceeds the cap of {MAX_POLYMER_SIZE}")
 
 
-def _polymer_tables(gas: _Gas, idx: tuple[int, ...]):
-    """_config_tables of a polymer of at most MAX_POLYMER_SIZE sites."""
-    _check_polymer(len(idx))
-    return _config_tables(gas, idx)
-
-
-def _pair_terms(gas: _Gas, idx: tuple[int, ...], values: np.ndarray):
-    """(a, b, J) of each coupled pair of the region inside the polymer, a < b
-    its positions in idx, in System order (which, idx ascending, is a then
-    b), and J s_a s_b of each pair (rows) and configuration (columns)."""
+def _site_axes(gas: _Gas, idx: tuple[int, ...]):
+    """(adjacency, laws, pairs) of the sites idx, ascending, site idx[a] on
+    axis -1-a: the bit mask of each site's coupled sites among idx, each
+    site's law on its axis, and (a, b, J, (J s_a) s_b) of each coupled pair
+    a < b in System order, the product on the two sites' axes. An array
+    built from them on a set of sites fills just that set's q^|V|
+    configurations, whose C-order ravel is _spin_grid's order (lowest site
+    fastest)."""
     local = {i: a for a, i in enumerate(idx)}
-    pairs = [(local[i], local[j], v) for i, j, v in gas.system.pairs if i in local and j in local]
-    terms = np.empty((len(pairs), values.shape[1]))
-    for row, (a, b, j) in enumerate(pairs):
-        terms[row] = j * values[a] * values[b]
-    return pairs, terms
+    adjacency = [sum(1 << local[j] for j in gas.couplings[i] if j in local) for i in idx]
+    shapes = [(gas.q,) + (1,) * a for a in range(len(idx))]
+    spins = [gas.values.reshape(shape) for shape in shapes]
+    laws = [gas.probs[i].reshape(shape) for i, shape in zip(idx, shapes)]
+    # a site's couplings list its higher partners ascending, so the pairs
+    # come by lower site and then higher, as System lists them
+    pairs = [
+        (a, b, v, (v * spins[a]) * spins[b])
+        for a, i in enumerate(idx)
+        for j, v in gas.couplings[i].items()
+        if (b := local.get(j)) is not None and b > a
+    ]
+    return adjacency, laws, pairs
 
 
-def _by_pair(k: int, pairs, entries: np.ndarray) -> np.ndarray:
-    """(k, k, ...) symmetric table holding entries[p] at both positions of
-    pair p and 0 off the pairs."""
-    out = np.zeros((k, k) + entries.shape[1:])
-    for (a, b, _), entry in zip(pairs, entries):
-        out[a, b] = out[b, a] = entry
-    return out
+def _edge_factors(k: int, pairs, factor) -> list[dict[int, np.ndarray]]:
+    """u[a][b] = u[b][a] = factor(J, (J s_a) s_b) of each _site_axes pair,
+    the edge factors _rooted_sum takes."""
+    u: list[dict[int, np.ndarray]] = [{} for _ in range(k)]
+    for a, b, v, x in pairs:
+        u[a][b] = u[b][a] = factor(v, x)
+    return u
 
 
-def _pair_energy(terms: np.ndarray) -> np.ndarray:
-    """Internal coupling energy sum_{a<b} J s_a s_b of every configuration,
-    from the _pair_terms rows added in order to 0."""
-    return sum(terms, np.zeros(terms.shape[1]))
+def _energy(pairs) -> np.ndarray:
+    """Internal coupling energy sum_{a<b} J s_a s_b on the _site_axes axes,
+    the pair products added in order to 0."""
+    return sum((x for *_, x in pairs), np.zeros(()))
 
 
 def _overflow(route: str, gas: _Gas, idx: tuple[int, ...]) -> CapacityError:
     """The error for a non-finite value: the route, its site count and the
     largest log weight p e^{energy} of its configurations."""
-    values, probs = _config_tables(gas, idx)
+    _check_grid(gas.q, len(idx))
+    _, laws, pairs = _site_axes(gas, idx)
     with np.errstate(divide="ignore"):
-        log_weight = float((np.log(probs) + _pair_energy(_pair_terms(gas, idx, values)[1])).max())
+        log_law = np.log(_joint_law({}, laws, (1 << len(idx)) - 1))
+    log_weight = float((log_law + _energy(pairs)).max())
     return CapacityError(
         f"{route} on {len(idx)} sites is not finite: the largest log weight is"
         f" {log_weight:.1f}, float64 ends at {LOG_FLOAT_MAX:.1f}"
@@ -387,20 +390,18 @@ def _mayer_pass(gas: _Gas, idx: tuple[int, ...], every: bool) -> None:
     already cached are kept, and with none to make the recursion does not
     run.
 
-    Site idx[a] lives on axis -1-a: its spins and law on that axis, each
-    pair's factor e^{J s s'} - 1 on its two sites' axes, so every set's
-    Mayer sum fills just its own q^|V| configurations, whose C-order ravel
-    is _spin_grid's order (lowest site fastest). Joint laws, sums and the
-    |sum| mass are then the products the set's own spin grid would give, in
-    the same order, and the total spins come from that grid (one per set
-    size), so a table keeps every bit. Tables are made, and the first past
+    The sites sit on their _site_axes, each pair's factor e^{J s s'} - 1 on
+    its two sites' axes, so every set's Mayer sum fills just its own q^|V|
+    configurations in _spin_grid's order. Joint laws, sums and the |sum|
+    mass are then the products the set's own spin grid would give, in the
+    same order, and the total spins come from that grid (one per set size),
+    so a table keeps every bit. Tables are made, and the first past
     MAX_POLYMER_SIZE sites, past the spin-grid budget or not finite
     refused, in descending mask order, the order the gas-sum plan reads
     them.
     """
     k = len(idx)
-    local = {i: a for a, i in enumerate(idx)}
-    adjacency = [sum(1 << local[j] for j in gas.couplings[i] if j in local) for i in idx]
+    adjacency, laws, pairs = _site_axes(gas, idx)
     target = None if every else (1 << k) - 1
     masks = _rooted_plan(tuple(adjacency))[0] if every else [target]
     todo = []
@@ -412,16 +413,8 @@ def _mayer_pass(gas: _Gas, idx: tuple[int, ...], every: bool) -> None:
             todo.append((mask, key))
     if not todo:
         return
-    shapes = [(gas.q,) + (1,) * a for a in range(k)]
-    spins = [gas.values.reshape(shape) for shape in shapes]
-    laws = [gas.probs[i].reshape(shape) for i, shape in zip(idx, shapes)]
-    factors: list[dict[int, np.ndarray]] = [{} for _ in idx]
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, i in enumerate(idx):
-            for j, v in gas.couplings[i].items():
-                b = local.get(j)
-                if b is not None and b > a:
-                    factors[a][b] = factors[b][a] = np.expm1((v * spins[a]) * spins[b])
+        factors = _edge_factors(k, pairs, lambda _, x: np.expm1(x))
         sums = _rooted_sum(factors, adjacency, _connected_extend, np.ones(()), target)
         joint, values = {}, tuple(gas.values.tolist())
         for mask, key in todo:
@@ -971,28 +964,6 @@ def truncated_log_partition(
     )
 
 
-def _stability(gas: _Gas, k: int, terms: np.ndarray, step_norm: float):
-    """stability_check's triple for a polymer of k sites from its _pair_terms."""
-    energy = _pair_energy(terms)
-    floor = -k * step_norm * gas.sigma**2 / 2.0
-    lowest = float(energy.min())
-    return lowest, floor, lowest >= floor - 1e-12
-
-
-def stability_check(model: m.GibbsModel, polymer, step_norm: float | None = None, region="decimated", omega=None):
-    """Least internal pair energy of the polymer against -|R| J sigma^2 / 2.
-
-    Returns (min_pair_energy, floor, ok). Enumerates every spin
-    configuration, so keep |R| small.
-    """
-    gas = _gas(model, region, omega)
-    idx = _indices(gas, polymer)
-    if step_norm is None:
-        step_norm = m.interaction_norm(model, step=model.box.r0)
-    values, _ = _config_tables(gas, idx)
-    return _stability(gas, len(idx), _pair_terms(gas, idx, values)[1], step_norm)
-
-
 def tree_graph_bound_check(
     model: m.GibbsModel, polymer, step_norm: float | None = None, region="decimated", omega=None
 ) -> TreeGraphBounds:
@@ -1001,7 +972,11 @@ def tree_graph_bound_check(
     The tree majorant sums over the labeled trees on the polymer the product
     of 1 - e^{-|J s s'|} over their edges; the coarser form replaces each edge
     factor by sigma^2 |J|. Both carry the stability prefactor
-    e^{|R| J sigma^2 / 2}. Polymers past MAX_POLYMER_SIZE sites are refused.
+    e^{|R| J sigma^2 / 2}, and the least pair energy is held against its
+    negative, the stability floor. The three sums are runs of the Mayer
+    tables' rooted recursion on the polymer's _site_axes, each over the sets
+    the full set's sum reaches, read in _spin_grid order. Polymers past
+    MAX_POLYMER_SIZE sites are refused.
     """
     gas = _gas(model, region, omega)
     idx = _indices(gas, polymer)
@@ -1010,23 +985,30 @@ def tree_graph_bound_check(
         raise DomainError("the tree-graph chain needs at least two sites")
     if step_norm is None:
         step_norm = m.interaction_norm(model, step=model.box.r0)
-    values, _ = _polymer_tables(gas, idx)
-    pairs, terms = _pair_terms(gas, idx, values)
-    lhs = np.abs(connected_sum(_by_pair(k, pairs, np.expm1(terms))))
-
+    _check_polymer(k)
+    _check_grid(gas.q, k)
     exponent = k * step_norm * gas.sigma**2 / 2.0
     if exponent > LOG_FLOAT_MAX:
         raise CapacityError(
             f"tree-graph bound on {k} sites is not finite: the stability exponent is"
             f" {exponent:.1f}, float64 ends at {LOG_FLOAT_MAX:.1f}"
         )
+    adjacency, _, pairs = _site_axes(gas, idx)
+    full = (1 << k) - 1
+
+    def full_sum(factor, extend):
+        u = _edge_factors(k, pairs, factor)
+        return _rooted_sum(u, adjacency, extend, np.ones(()), full).get(full, 0.0)
+
+    def on_grid(table):
+        return np.broadcast_to(table, (gas.q,) * k).ravel()
+
+    lhs = np.abs(on_grid(full_sum(lambda _, x: np.expm1(x), _connected_extend)))
     prefactor = math.exp(exponent)
-    coupling = _by_pair(k, pairs, np.abs([j for _, _, j in pairs]))
-    rhs_trees = prefactor * spanning_tree_sum(_by_pair(k, pairs, 1.0 - np.exp(-np.abs(terms))))
-    rhs_j = prefactor * gas.sigma ** (2 * k - 2) * spanning_tree_sum(coupling)
+    rhs_trees = prefactor * on_grid(full_sum(lambda _, x: 1.0 - np.exp(-np.abs(x)), _tree_extend))
+    rhs_j = prefactor * gas.sigma ** (2 * k - 2) * float(full_sum(lambda v, _: np.abs(v), _tree_extend))
 
     worst = int(np.argmax(lhs))
-    stab_lhs, stab_floor, _ = _stability(gas, k, terms, step_norm)
     return TreeGraphBounds(
         lhs=float(lhs[worst]),
         rhs_trees=float(rhs_trees[worst]),
@@ -1034,6 +1016,6 @@ def tree_graph_bound_check(
         margin_trees=float((rhs_trees - lhs).min()),
         margin_chain=float(rhs_j - rhs_trees.max()),
         margin_j=float((rhs_j - lhs).min()),
-        stability_lhs=stab_lhs,
-        stability_floor=stab_floor,
+        stability_lhs=float(_energy(pairs).min()),
+        stability_floor=-exponent,
     )

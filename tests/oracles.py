@@ -4,9 +4,10 @@ Most recompute a quantity from its definition, by brute force over every
 connected graph or every labeled tree, and never through the rooted
 recursion or the Mayer tables the library runs. Costs grow with the
 graph and tree counts, so keep k small (the enumerations refuse k > 7
-and k > 8). mayer_table_by_polymer and gas_sum_by_masks are the library's
-earlier routes, one polymer or one mask at a time, which its batched
-passes must match bit for bit.
+and k > 8). mayer_table_by_polymer, tree_bounds_by_dense_tables and
+gas_sum_by_masks are the library's earlier routes, one polymer or one mask
+at a time, every configuration of a polymer on one dense trailing axis,
+which its passes on spin axes must match bit for bit.
 """
 
 import heapq
@@ -158,6 +159,30 @@ def ursell_hardcore_by_enumeration(polymers) -> float:
     return float(connected_sum_by_enumeration(_overlap_factors(*_overlap_bits(polymers))))
 
 
+def _dense_pair_tables(gas, idx: tuple[int, ...]):
+    """(values, probs, pairs, terms) of a polymer on its own spin grid: spin
+    values (k, M) and joint law (M,) in _spin_grid order, (a, b, J) of each
+    coupled pair of the region inside it, a < b its positions in idx, in
+    System order, and J s_a s_b of each pair (rows) and configuration
+    (columns)."""
+    values, probs = pg._config_tables(gas, idx)
+    local = {i: a for a, i in enumerate(idx)}
+    pairs = [(local[i], local[j], v) for i, j, v in gas.system.pairs if i in local and j in local]
+    terms = np.empty((len(pairs), values.shape[1]))
+    for row, (a, b, j) in enumerate(pairs):
+        terms[row] = j * values[a] * values[b]
+    return values, probs, pairs, terms
+
+
+def _by_pair(k: int, pairs, entries) -> np.ndarray:
+    """(k, k, ...) symmetric table holding entries[p] at both positions of
+    pair p and 0 off the pairs."""
+    out = np.zeros((k, k) + entries.shape[1:])
+    for (a, b, _), entry in zip(pairs, entries):
+        out[a, b] = out[b, a] = entry
+    return out
+
+
 def activity_by_graph_enumeration(model, params, polymer, region="decimated", omega=None, order: int = 0) -> complex:
     """polymer.activity (order 0) or its t-derivatives (orders 1 and 2) with
     the Mayer sum expanded over connected graphs, recomputed per call
@@ -166,9 +191,8 @@ def activity_by_graph_enumeration(model, params, polymer, region="decimated", om
     one site at order 0."""
     gas = pg._gas(model, region, omega)
     idx = pg._indices(gas, polymer)
-    values, probs = pg._config_tables(gas, idx)
-    pairs, terms = pg._pair_terms(gas, idx, values)
-    csum = connected_sum_by_enumeration(pg._by_pair(len(idx), pairs, np.expm1(terms)))
+    values, probs, pairs, terms = _dense_pair_tables(gas, idx)
+    csum = connected_sum_by_enumeration(_by_pair(len(idx), pairs, np.expm1(terms)))
     spin = values.sum(axis=0)
     phases = (1j * spin) ** order * np.exp(1j * params.t * spin)
     total = math.exp(params.c * len(idx)) * complex(np.dot(probs * csum, phases))
@@ -179,15 +203,40 @@ def mayer_table_by_polymer(gas, idx: tuple[int, ...]):
     """A polymer's Mayer table (lowest, amps, abs_mass), uncached, from its
     own spin grid: its own laws, total spins and pair factors, every
     configuration on one dense trailing axis of connected_sum."""
-    values, probs = pg._polymer_tables(gas, idx)
-    pairs, terms = pg._pair_terms(gas, idx, values)
+    values, probs, pairs, terms = _dense_pair_tables(gas, idx)
     with np.errstate(over="ignore", invalid="ignore"):
-        csum = cb.connected_sum(pg._by_pair(len(idx), pairs, np.expm1(terms)))
+        csum = cb.connected_sum(_by_pair(len(idx), pairs, np.expm1(terms)))
         weighted = probs * csum
         abs_mass = float(np.dot(probs, np.abs(csum)))
     totals = values.sum(axis=0)
     amps = np.bincount(np.rint(totals - totals.min()).astype(np.intp), weights=weighted)
     return int(totals.min()), amps, abs_mass
+
+
+def tree_bounds_by_dense_tables(gas, idx: tuple[int, ...], step_norm: float):
+    """polymer.tree_graph_bound_check of the polymer idx (two or more sites)
+    from its own spin grid: the Mayer sum and both tree majorants from
+    connected_sum and spanning_tree_sum on dense (k, k, configuration)
+    tables, the pair energy summed row by row."""
+    k = len(idx)
+    _, _, pairs, terms = _dense_pair_tables(gas, idx)
+    lhs = np.abs(cb.connected_sum(_by_pair(k, pairs, np.expm1(terms))))
+    prefactor = math.exp(k * step_norm * gas.sigma**2 / 2.0)
+    coupling = _by_pair(k, pairs, np.abs([j for _, _, j in pairs]))
+    rhs_trees = prefactor * cb.spanning_tree_sum(_by_pair(k, pairs, 1.0 - np.exp(-np.abs(terms))))
+    rhs_j = prefactor * gas.sigma ** (2 * k - 2) * cb.spanning_tree_sum(coupling)
+    energy = sum(terms, np.zeros(terms.shape[1]))
+    worst = int(np.argmax(lhs))
+    return pg.TreeGraphBounds(
+        lhs=float(lhs[worst]),
+        rhs_trees=float(rhs_trees[worst]),
+        rhs_j=float(rhs_j),
+        margin_trees=float((rhs_trees - lhs).min()),
+        margin_chain=float(rhs_j - rhs_trees.max()),
+        margin_j=float((rhs_j - lhs).min()),
+        stability_lhs=float(energy.min()),
+        stability_floor=-k * step_norm * gas.sigma**2 / 2.0,
+    )
 
 
 def gas_sum_by_masks(n: int, groups: list[list], K: int | None = None):

@@ -437,7 +437,6 @@ _HUGE_ENTRIES = {
     "lclt_gap": ee.lclt_gap,
     "polymer_partition": lambda model: pg.polymer_partition(model, pg.ActivityParams(t=0.3)),
     "single_spin_distribution": lambda model: lm.single_spin_distribution(model, (0,)),
-    "boundary_field_coefficient": lambda model: lm.boundary_field_coefficient(model, (3,)),
     "boundary_field_coefficients": lm.boundary_field_coefficients,
     "hamiltonian": lambda model: lm.hamiltonian(model, lm.SpinConfig(model.box.sites, (1,) * len(model.box.sites))),
 }
@@ -445,7 +444,6 @@ _HUGE_ENTRIES = {
 # field-only entry points have an exact finite answer there.
 _ZERO_FIELD = {
     "single_spin_distribution": {0: 0.5, 1: 0.5},
-    "boundary_field_coefficient": 0.0,
     "boundary_field_coefficients": (0.0,) * 7,
 }
 

@@ -153,10 +153,14 @@ def test_interaction_norm_power_law():
 def test_boundary_field_coefficient_edge_site():
     # constant boundary 1: the edge site of the box has one exterior neighbor
     model = nn_chain(radius=1, strength=0.1, spin=(-1, 1), boundary=1)
-    assert lm.boundary_field_coefficient(model, (1,), "box") == pytest.approx(0.1)
-    assert lm.boundary_field_coefficient(model, (0,), "box") == 0.0
+    _, middle, right = lm.boundary_field_coefficients(model, "box")
+    assert right == pytest.approx(0.1)
+    assert middle == 0.0
     # sub-region: the interior site becomes exterior and its spin counts
-    assert lm.boundary_field_coefficient(model, (1,), ((-1,), (1,))) == pytest.approx(0.2)
+    assert lm.boundary_field_coefficients(model, ((-1,), (1,)))[1] == pytest.approx(0.2)
+    # a site outside the region has no field of its own
+    with pytest.raises(DomainError, match="not in the region"):
+        lm.single_spin_distribution(model, (0,), ((-1,), (1,)))
 
 
 def test_repeated_boundary_site_is_a_domain_error():
@@ -297,9 +301,10 @@ def test_coefficient_matches_direct_exterior_sum():
         if model.boundary.kind != "constant":
             continue
         ext = windowed_exterior(model, "box")
-        for x in lm.resolve_region(model, "box")[:3]:
+        slopes = lm.boundary_field_coefficients(model, "box")
+        for x, slope in zip(lm.resolve_region(model, "box")[:3], slopes):
             direct = model.boundary.value * sum(model.coupling.value(x, y) for y in ext)
-            assert lm.boundary_field_coefficient(model, x, "box") == pytest.approx(direct, abs=1e-12)
+            assert slope == pytest.approx(direct, abs=1e-12)
 
 
 def test_free_chain_is_uniform():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 from collections import Counter
@@ -867,12 +868,13 @@ def test_stability_floor():
         # box-region polymers live on the step-1 lattice, so the floor
         # must use the step-1 norm, not the decimated default
         norm = lm.interaction_norm(model)
-        min_energy, floor, ok = pg.stability_check(model, poly, step_norm=norm, region="box")
-        assert ok
-        assert min_energy >= floor - 1e-12
+        bounds = pg.tree_graph_bound_check(model, poly, step_norm=norm, region="box")
+        assert bounds.stability_lhs >= bounds.stability_floor - 1e-12
 
 
-def test_tree_graph_bound_chain():
+def _tree_chain_cases():
+    """(model, polymer) of 15 seeded random models, each with a polymer of 2
+    to 5 of its box sites, connected or not."""
     rng = np.random.default_rng(18)
     checked = 0
     while checked < 15:
@@ -882,7 +884,12 @@ def test_tree_graph_bound_chain():
             continue
         k = int(rng.integers(2, min(5, len(sites)) + 1))
         picks = rng.choice(len(sites), size=k, replace=False)
-        poly = pg.Polymer(tuple(sites[int(i)] for i in picks))
+        yield model, pg.Polymer(tuple(sites[int(i)] for i in picks))
+        checked += 1
+
+
+def test_tree_graph_bound_chain():
+    for model, poly in _tree_chain_cases():
         bounds = pg.tree_graph_bound_check(
             model, poly, step_norm=lm.interaction_norm(model), region="box"
         )
@@ -890,7 +897,32 @@ def test_tree_graph_bound_chain():
         assert bounds.margin_chain >= -1e-12
         assert bounds.margin_j >= -1e-12
         assert bounds.stability_lhs >= bounds.stability_floor - 1e-12
-        checked += 1
+
+
+def test_tree_graph_bounds_match_dense_tables_bit_for_bit():
+    """Every field of the tree-graph check, whose sums run on the polymer's
+    spin axes, against the same check on dense (k, k, configuration)
+    tables, bit for bit: the whole region and a few other polymers,
+    connected or not, of every _mayer_cases model, and the polymers of
+    test_tree_graph_bound_chain."""
+    rng = np.random.default_rng(33)
+    cases = []
+    for model, region, omega in _mayer_cases():
+        sites = lm.resolve_region(model, region)
+        polymers = [sites]
+        for _ in range(3):
+            k = int(rng.integers(2, min(5, len(sites)) + 1))
+            polymers.append(tuple(sites[int(i)] for i in rng.choice(len(sites), size=k, replace=False)))
+        cases += [(model, pg.Polymer(poly), region, omega) for poly in polymers]
+    cases += [(model, poly, "box", None) for model, poly in _tree_chain_cases()]
+    for model, poly, region, omega in cases:
+        norm = lm.interaction_norm(model)
+        got = pg.tree_graph_bound_check(model, poly, step_norm=norm, region=region, omega=omega)
+        gas = pg._gas(model, region, omega)
+        want = oracles.tree_bounds_by_dense_tables(gas, pg._indices(gas, poly), norm)
+        for field in dataclasses.fields(want):
+            assert getattr(got, field.name).hex() == getattr(want, field.name).hex(), (field.name, poly)
+    assert len(cases) > 100
 
 
 def test_component_cap_raises_not_truncates():
