@@ -40,13 +40,9 @@ class System:
     fields: tuple[float, ...]
 
     def __post_init__(self):
-        # Every log weight, local field and energy shift is at most the bound
-        # sum |J| sigma^2 + sum |h_x| sigma in absolute value, sigma the
-        # largest |spin|; while float64 holds it, no engine's sum overflows.
-        sigma = max(-min(self.values), max(self.values))
-        bound = sum(abs(v) for _, _, v in self.pairs) * sigma * sigma + sum(map(abs, self.fields)) * sigma
-        if math.isfinite(bound):
+        if math.isfinite(_energy_bound(self.pairs, self.values, self.fields)):
             return
+        sigma = max(-min(self.values), max(self.values))
         terms = [abs(v) * sigma * sigma for _, _, v in self.pairs] + [abs(b) * sigma for b in self.fields]
         # name an infinite term, else a NaN one (inf - inf), else the largest
         bad = [k for k, t in enumerate(terms) if not math.isfinite(t)]
@@ -93,13 +89,14 @@ class System:
         weights = np.exp(logits)
         return weights / weights.sum(axis=1, keepdims=True)
 
-    def energy_shift(self) -> float:
-        """Upper bound on the log weight, used to keep exponentials bounded:
-        every pair and field term at its largest corner of the spin interval."""
-        lo, hi = min(self.values), max(self.values)
-        return sum(max(v * lo * lo, v * lo * hi, v * hi * hi) for _, _, v in self.pairs) + sum(
-            max(b * lo, b * hi) for b in self.fields
-        )
+
+def _energy_bound(pairs, values, fields) -> float:
+    """sum |J| sigma^2 + sum |h_x| sigma, sigma the largest |spin|, of one
+    row of field slopes; inf or NaN where float64 cannot hold it. Every log
+    weight, local field and energy shift is at most it in absolute value,
+    so while float64 holds it no engine's sum overflows."""
+    sigma = max(-min(values), max(values))
+    return sum(abs(v) for _, _, v in pairs) * sigma * sigma + sum(map(abs, fields)) * sigma
 
 
 def _region_pairs(model: m.GibbsModel, region: tuple[m.Site, ...]):

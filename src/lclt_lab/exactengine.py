@@ -38,16 +38,24 @@ takes and that route's work, N |I|^(R+1) (N(|I|-1)+1) transfer steps or
 |I|^N states. The budget (default 2^24) is checked on that work twice:
 before the System is built at R = 0, which bounds every route's work from
 below, and after it on the System's own R. Breaching it raises
-CapacityError naming the route and its work. A decay scan gives each
-conditioning of the decimated region the one System with fields summed
-from a row of window spins and a region x window coupling block, and
-charges the realized conditionings times the work of one. All functions
-are pure and thread-safe.
+CapacityError naming the route and its work.
+
+Both routes take the System's couplings and a (rows, N) array of field
+slopes, one conditioning per row, and sum every row in one pass. Each step
+that reads a field runs elementwise or row by row in the order a single
+row takes it: the field terms site by site, the shift, exp, one bincount
+over row-offset bins, one 1-D dot and one fsum per row and chunk, the
+second pass and each transfer step's rescale. So every row keeps the bits
+of a one-row call, and _moments is the one-row call on the System's own
+fields. A decay scan fills the rows from rows of window spins summed
+against a region x window coupling block, runs the route once per group
+of rows (rows with equal fields summed once), and charges the realized
+conditionings times the work of one.
+All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -55,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import model as m
-from ._system import System, _build, _spin_grid, build_system, windowed_exterior
+from ._system import System, _build, _energy_bound, _spin_grid, build_system, windowed_exterior
 from .errors import CapacityError, DegenerateDistributionError, require_normal_exp
 
 DEFAULT_BUDGET = 1 << 24
@@ -157,21 +165,34 @@ def _checked_system(model: m.GibbsModel, region, budget: int, omega_items=None) 
     return system
 
 
-def _scan(system: System):
-    """One pass over all configurations; the caller has checked the budget.
+def _energy_shifts(system: System, fields: np.ndarray) -> list[float]:
+    """Upper bound on the log weight of each row of field slopes, used to
+    keep exponentials bounded: every pair and field term at its largest
+    corner of the spin interval, the pairs' sum plus the row's fields' sum."""
+    lo, hi = min(system.values), max(system.values)
+    pair_part = sum(max(v * lo * lo, v * lo * hi, v * hi * hi) for _, _, v in system.pairs)
+    return [pair_part + sum(max(b * lo, b * hi) for b in row) for row in fields.tolist()]
 
-    Returns (shift, Z_shifted, sum_wS, sum_wS2, bins, s_min), where w is the
-    shifted weight exp(-H - shift) and bins[p - s_min] is the sum of w over
-    configurations with S = p. The shift is System.energy_shift(); when the
-    largest log weight lies so far below it that the largest weight is under
-    tiny/eps, the sum is taken a second time shifted by that largest log
-    weight, so every weight within a factor eps of the largest stays normal.
+
+def _scan(system: System, fields: np.ndarray):
+    """One pass over all configurations for each row of a (rows, n) array
+    of field slopes; the caller has checked the budget.
+
+    Returns (shift, Z_shifted, sum_wS, sum_wS2, bins, s_min), where the
+    first four hold one value per row, w is a row's shifted weight
+    exp(-H - shift) and bins[r, p - s_min] is row r's sum of w over
+    configurations with S = p. A row's shift is its _energy_shifts entry;
+    when its largest log weight lies so far below it that the largest
+    weight is under tiny/eps, the sum is taken a second time shifted by
+    that largest log weight, so every weight within a factor eps of the
+    largest stays normal. Every step that reads a field runs elementwise or
+    row by row, so each row's sums are bit for bit those of a one-row call.
     """
     n = system.site_count
     q = len(system.values)
     vals = system.value_array
-    fields = system.field_array
-    shift = system.energy_shift()
+    rows = len(fields)
+    shift = _energy_shifts(system, fields)
 
     m_low = 1
     while m_low < n and q ** (m_low + 1) <= _CHUNK_TARGET:
@@ -191,21 +212,25 @@ def _scan(system: System):
     e_low = np.zeros(lows.shape[1])
     for i, j, v in pairs_ll:
         e_low += v * lows[i] * lows[j]
-    for i in range(m_low):
-        e_low += fields[i] * lows[i]
+    e_low = e_low + fields[:, 0, None] * lows[0]
+    for i in range(1, m_low):
+        e_low += fields[:, i, None] * lows[i]
     s_low = lows.sum(axis=0)
 
     s_min = n * int(min(system.values))
     s_max = n * int(max(system.values))
+    width = s_max - s_min + 1
+    # row r's bins sit at offset r * width of one bincount
+    offsets = np.arange(rows)[:, None] * width - s_min
 
     def chunks():
-        """(log weight, total spin) of each chunk of configurations."""
+        """(log weight per row, total spin) of each chunk of configurations."""
         for v_high in highs.T:
             e_high = 0.0
             for i, j, v in pairs_hh:
                 e_high += v * v_high[i - m_low] * v_high[j - m_low]
             for k, s in enumerate(v_high):
-                e_high += fields[m_low + k] * s
+                e_high = e_high + fields[:, m_low + k, None] * s
             energy = e_low + e_high
             if pairs_lh:
                 coef = np.zeros(m_low)
@@ -215,23 +240,28 @@ def _scan(system: System):
             yield energy, s_low + float(v_high.sum())
 
     def sums(shift):
-        z_parts, s1_parts, s2_parts = [], [], []
-        bins = np.zeros(s_max - s_min + 1)
-        top = -math.inf
+        parts = [[] for _ in range(rows)]
+        bins = np.zeros((rows, width))
+        top = [-math.inf] * rows
+        shift_col = np.array(shift)[:, None]
         for energy, s_tot in chunks():
-            top = max(top, float(energy.max()))
-            w = np.exp(energy - shift)
-            z_parts.append(float(w.sum()))
-            s1_parts.append(float(np.dot(w, s_tot)))
-            s2_parts.append(float(np.dot(w, s_tot * s_tot)))
-            idx = np.rint(s_tot).astype(np.int64) - s_min
-            bins += np.bincount(idx, weights=w, minlength=len(bins))
-        totals = (math.fsum(z_parts), math.fsum(s1_parts), math.fsum(s2_parts))
-        return (shift, *totals, bins, s_min), top
+            top = list(map(max, top, energy.max(axis=1).tolist()))
+            w = np.exp(energy - shift_col)
+            s_sq = s_tot * s_tot
+            # a 1-D sum and dots per row: a matrix-vector product sums in
+            # another order
+            for row_parts, row in zip(parts, w):
+                row_parts.append((row.sum(), np.dot(row, s_tot), np.dot(row, s_sq)))
+            idx = offsets + np.rint(s_tot).astype(np.int64)
+            bins += np.bincount(idx.ravel(), weights=w.ravel(), minlength=rows * width).reshape(rows, width)
+        z, s1, s2 = zip(*(map(math.fsum, zip(*row_parts)) for row_parts in parts))
+        return (shift, z, s1, s2, bins, s_min), top
 
     out, top = sums(shift)
-    if top - shift < _LOG_TINY_OVER_EPS:
-        out, _ = sums(top)
+    again = [t if t - s < _LOG_TINY_OVER_EPS else s for t, s in zip(top, shift)]
+    if again != shift:
+        # a row shifted as before sums as before
+        out, _ = sums(again)
     return out
 
 
@@ -240,16 +270,17 @@ def _bandwidth(system: System) -> int:
     return max((j - i for i, j, _ in system.pairs), default=0)
 
 
-def _transfer(system: System):
+def _transfer(system: System, fields: np.ndarray):
     """The same sums as _scan, carried site by site in System order.
 
-    The table has one axis per spin of the last R sites (R the bandwidth) and
-    one column per running total; adding a site multiplies in its field and
-    its couplings to those R spins, shifts each column by its spin and sums
-    out the spin that leaves the band. Every entry is a sum of products of
-    positive weights, so each step divides by its largest entry and adds the
-    log of that scale (and of the step's largest factor) to the shift.
-    Returns the tuple of _scan.
+    The table has a row axis, one axis per spin of the last R sites (R the
+    bandwidth) and one column per running total; adding a site multiplies
+    in its field and its couplings to those R spins, shifts each column by
+    its spin and sums out the spin that leaves the band. Every entry is a
+    sum of products of positive weights, so each step divides each row by
+    its largest entry and adds the log of that scale (and of the step's
+    largest factor in the row) to the row's shift. Returns the tuple of
+    _scan, each row bit for bit that of a one-row call.
     """
     n = system.site_count
     q = len(system.values)
@@ -258,47 +289,54 @@ def _transfer(system: System):
     by_site = [[] for _ in range(n)]
     for i, j, v in system.pairs:
         by_site[j].append((i, v))
+    rows = len(fields)
 
-    shift = 0.0
-    # axes: the spins of the last r sites, oldest first, then the running
-    # total of spin offsets above the lowest value (the spin values are
-    # consecutive integers, so adding offset d shifts a column by d)
-    table = np.ones(1)
+    def per_row(a, ndim):
+        """a, one value per row, shaped to broadcast against ndim axes."""
+        return a.reshape((rows,) + (1,) * (ndim - 1))
+
+    shift = [0.0] * rows
+    # axes: the row, the spins of the last r sites, oldest first, then the
+    # running total of spin offsets above the lowest value (the spin values
+    # are consecutive integers, so adding offset d shifts a column by d)
+    table = np.ones((rows, 1))
     for k in range(n):
-        r = table.ndim - 1
+        r = table.ndim - 2
         # log weight of site k's spin (last axis) against the r spins before it
-        log_w = system.fields[k] * vals.reshape((1,) * r + (q,))
+        log_w = per_row(fields[:, k], r + 2) * vals.reshape((1,) * r + (q,))
         for i, v in by_site[k]:
             axis = i - (k - r)
             log_w = log_w + v * vals.reshape((1,) * axis + (q,) + (1,) * (r - axis)) * vals
-        log_w = np.broadcast_to(log_w, (q,) * (r + 1))
-        top = float(log_w.max())
-        w = np.exp(log_w - top)
+        # log_w broadcasts against the table: axes it lacks hold one value
+        top = log_w.reshape(rows, -1).max(axis=1)
+        w = np.exp(log_w - per_row(top, r + 2))
         width = table.shape[-1]
-        grown = np.zeros((q,) * (r + 1) + (width + q - 1,))
+        grown = np.zeros((rows,) + (q,) * (r + 1) + (width + q - 1,))
         for d in range(q):
             grown[..., d, d : d + width] = table * w[..., d, None]
         if r == band:
-            grown = grown.sum(axis=0)
-        scale = float(grown.max())
-        table = grown / scale
-        shift += top + math.log(scale)
+            grown = grown.sum(axis=1)
+        scale = grown.reshape(rows, -1).max(axis=1)
+        table = grown / per_row(scale, grown.ndim)
+        shift = [a + (t + math.log(s)) for a, t, s in zip(shift, top.tolist(), scale.tolist())]
 
-    bins = table.reshape(-1, table.shape[-1]).sum(axis=0)
+    bins = table.reshape(rows, -1, table.shape[-1]).sum(axis=1)
     s_min = n * int(min(system.values))
-    spins = s_min + np.arange(len(bins), dtype=float)
-    return shift, float(bins.sum()), float(bins @ spins), float(bins @ (spins * spins)), bins, s_min
+    spins = s_min + np.arange(bins.shape[1], dtype=float)
+    s_sq = spins * spins
+    z = [row.sum() for row in bins]
+    s1 = [row @ spins for row in bins]
+    s2 = [row @ s_sq for row in bins]
+    return shift, z, s1, s2, bins, s_min
 
 
-@lru_cache(maxsize=64)
-def _moments(system: System):
-    route, _, name, _ = _cost(system.site_count, len(system.values), _bandwidth(system))
-    shift, z, s1, s2, bins, s_min = route(system)
+def _law(name: str, n: int, shift, z, s1, s2, bins, s_min: int):
+    """(shift, Z_shifted, mean, variance, pmf) from one row of a route's sums."""
+    shift, z, s1, s2 = float(shift), float(z), float(s1), float(s2)
     # |S| <= n max|s|, so finite sums with Z_shifted > 0 give finite moments
     if not (z > 0 and all(map(math.isfinite, (shift, z, s1, s2))) and np.isfinite(bins).all()):
         raise CapacityError(
-            f"{name} on {system.site_count} sites is not finite in float64: the shift is {shift!r}"
-            f" and Z_shifted {z!r}"
+            f"{name} on {n} sites is not finite in float64: the shift is {shift!r} and Z_shifted {z!r}"
         )
     mean = s1 / z
     var = s2 / z - mean * mean
@@ -307,6 +345,14 @@ def _moments(system: System):
     probs = np.where(np.abs(probs) < 1e-300, 0.0, probs)
     table = PmfTable(p_min=s_min, probabilities=tuple(float(p) for p in probs / probs.sum()))
     return shift, z, mean, var, table
+
+
+@lru_cache(maxsize=64)
+def _moments(system: System):
+    """_law of the System's own fields: the one-row call of its route."""
+    route, _, name, _ = _cost(system.site_count, len(system.values), _bandwidth(system))
+    *sums, s_min = route(system, system.field_array[None])
+    return _law(name, system.site_count, *(col[0] for col in sums), s_min)
 
 
 def partition_function(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) -> float:
@@ -382,16 +428,22 @@ def decimated_char_fn_sup(
     dominates |E(e^{itS})| up to the certified window tail. The budget
     bounds the work of one exact sum over the region before the block is
     built, and q^(coupled interior sites) realized conditionings times that
-    work before the first conditioning. A row's fields
-    are its spins summed against the region x W coupling block in window
-    order, as model._field_slopes sums an explicit boundary, so each System
-    equals build_system(model, "decimated", omega) bit for bit. The set does
-    not depend on t, and every conditioning's pmf has the same support, so
-    one Fourier matrix exp(i t p) over t_grid x support serves the scan.
-    Each |cf| row is that matrix times one pmf, the product char_from_pmf
-    takes, so the rows match it bit for bit; one matrix-matrix product over
-    all pmfs would sum in another order, move last bits and, since tied
-    maxima are common, move worst labels.
+    work before the first conditioning. A row's fields are its spins summed
+    against the region x W coupling block in window order (one cumsum over
+    a (rows, region, W) array), as model._field_slopes sums an explicit
+    boundary, so each row's fields are those of build_system(model,
+    "decimated", omega) bit for bit, and a row whose energy bound float64
+    cannot hold gets that System's CapacityError. The rows go to the route
+    _cost picks in groups: a group's rows times the larger of one row's work
+    and its region x W block stay within one enumeration chunk
+    (_CHUNK_TARGET), rows of a group with equal fields share one sum, and
+    every row keeps the bits of its own _moments call. The set does not
+    depend on t, and every conditioning's pmf has the same support, so one
+    Fourier matrix exp(i t p) over t_grid x support serves the scan. Each
+    |cf| row is that matrix times one pmf, the product char_from_pmf takes,
+    so the rows match it bit for bit; one matrix-matrix product over all
+    pmfs would sum in another order, move last bits and, since tied maxima
+    are common, move worst labels.
     """
     ts = tuple(float(t) for t in t_grid)
     q = model.spin.card
@@ -402,38 +454,52 @@ def decimated_char_fn_sup(
     values = np.asarray(model.spin.values, dtype=float)
     interior = np.array([y in model.box for y in window], dtype=bool)
     coupled = np.flatnonzero(interior & block.any(axis=0))
-    _, work, name, count = _cost(n, q, _bandwidth(system))
+    route, work, name, count = _cost(n, q, _bandwidth(system))
     if q ** len(coupled) * work > budget:
         raise CapacityError(
             f"{name} over {q}^{len(coupled)} conditionings needs {q}^{len(coupled)}*{count}, budget is {budget}"
         )
     rng = np.random.default_rng(seed)
+    head = [np.full(len(window), float(model.spin.lo)), np.full(len(window), float(model.spin.hi))]
+    head += [values[rng.integers(0, q, size=len(window))] for _ in range(OMEGA_SAMPLES)]
+    labels = ["all_lo", "all_hi", *(f"random_{k}" for k in range(OMEGA_SAMPLES))]
+    labels += [f"conditional_{idx}" for idx in range(q ** len(coupled))]
+    base = np.where(interior, 0.0, [model.boundary.omega(y) for y in window])
+    powers = q ** np.arange(len(coupled))
 
-    def rows():
-        yield "all_lo", np.full(len(window), float(model.spin.lo))
-        yield "all_hi", np.full(len(window), float(model.spin.hi))
-        for k in range(OMEGA_SAMPLES):
-            yield f"random_{k}", values[rng.integers(0, q, size=len(window))]
-        row = np.where(interior, 0.0, [model.boundary.omega(y) for y in window])
-        # the first coupled site varies fastest, as in _spin_grid
-        for idx, combo in enumerate(itertools.product(values, repeat=len(coupled))):
-            row[coupled] = combo[::-1]
-            yield f"conditional_{idx}", row
+    def window_spins(start, stop):
+        """Window spins of rows start to stop - 1: the head rows, then
+        conditional_idx with coupled site j at digit j of idx in base q, so
+        the first coupled site varies fastest, as in _spin_grid."""
+        idx = np.arange(max(start, len(head)), stop) - len(head)
+        realized = np.repeat(base[None], len(idx), axis=0)
+        realized[:, coupled] = values[idx[:, None] // powers % q]
+        return np.concatenate([np.reshape(head[start:stop], (-1, len(window))), realized])
 
     # every conditioning has the support of the decimated total spin
     support = np.arange(n * model.spin.lo, n * model.spin.hi + 1)
     fourier = np.exp(1j * np.multiply.outer(np.asarray(ts), support))
-    labels, abs_cfs = [], []
-    for label, row in rows():
+    abs_cfs = np.empty((len(labels), len(ts)))
+    # a group's rows times one row's work, or its region x window block,
+    # stay within one chunk of enumeration
+    group = max(1, _CHUNK_TARGET // max(work, n * len(window)))
+    for start in range(0, len(labels), group):
+        rows = window_spins(start, min(start + group, len(labels)))
         # cumsum adds each row in window order; + 0.0 turns a -0.0 sum into
         # the 0.0 that a sum started at 0.0 gives
-        fields = np.cumsum(block * row, axis=1)[:, -1] + 0.0
-        table = _moments(replace(system, fields=tuple(fields.tolist())))[4]
-        labels.append(label)
-        # one matrix-vector product per conditioning, as char_from_pmf takes
-        # it: a matrix-matrix product over all of them sums in another order
-        abs_cfs.append(np.abs(fourier @ np.asarray(table.probabilities)))
-    abs_cfs = np.stack(abs_cfs)
+        fields = np.cumsum(block * rows[:, None, :], axis=2)[:, :, -1] + 0.0
+        # rows with equal fields share one sum
+        fields, first, inverse = np.unique(fields, axis=0, return_index=True, return_inverse=True)
+        # the first row in scan order whose energy bound float64 cannot hold
+        # gets the refusal of its own System
+        for u in np.argsort(first):
+            if not math.isfinite(_energy_bound(system.pairs, system.values, fields[u].tolist())):
+                replace(system, fields=tuple(fields[u].tolist()))
+        *sums, s_min = route(system, fields)
+        # one matrix-vector product per pmf, as char_from_pmf takes it: a
+        # matrix-matrix product over all of them sums in another order
+        cfs = [np.abs(fourier @ np.asarray(_law(name, n, *row, s_min)[4].probabilities)) for row in zip(*sums)]
+        abs_cfs[start : start + len(rows)] = np.array(cfs)[inverse.ravel()]
     return DecimatedCharFnSup(
         t=ts,
         sup=tuple(abs_cfs.max(axis=0).tolist()),

@@ -30,7 +30,7 @@ window is certified at construction so the neglected tail of
 sum |J(x,y)| * sigma stays below 1e-12. Finite-range kinds are exact. Every
 J(x, y) the engines use comes from one kernel (Coupling.between, paired by
 _couplings_within), bit for bit the scalar Coupling.value on every CPU,
-which hamiltonian and the tests keep as the reference.
+which the tests keep as the reference.
 
 All model objects are immutable and hashable; every function here is pure,
 so concurrent use needs no locks.
@@ -43,7 +43,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import jsonschema
 import numpy as np
@@ -437,20 +437,6 @@ class GibbsModel:
         return self.box.decimated_sites
 
 
-@dataclass(frozen=True)
-class SpinConfig:
-    """An assignment of spin values to an ordered tuple of region sites."""
-
-    sites: tuple[Site, ...]
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.sites) != len(self.values):
-            raise DomainError("one spin value per site required")
-        if len(set(self.sites)) != len(self.sites):
-            raise DomainError("config sites must be distinct")
-
-
 def resolve_region(model: GibbsModel, region) -> tuple[Site, ...]:
     """Canonical sorted site tuple for a region argument.
 
@@ -535,13 +521,6 @@ def interaction_norm(model: GibbsModel, step: int = 1) -> float:
     return max(totals.values(), default=0.0)
 
 
-def boundary_field_coefficients(model: GibbsModel, region="box") -> tuple[float, ...]:
-    """Field slope b_x = sum_{y outside region} J(x, y) * omega_y of every
-    region site, in region order, so h_x(s) = b_x * s."""
-    region_sites = resolve_region(model, region)
-    return _field_slopes(model, region_sites, region_sites)
-
-
 def _field_slopes(model: GibbsModel, region_sites: tuple[Site, ...], xs) -> tuple[float, ...]:
     """b_x for each site x of xs, all of them in the resolved region_sites.
     A slope that float64 cannot hold is a CapacityError naming its site."""
@@ -579,53 +558,6 @@ def _field_slopes(model: GibbsModel, region_sites: tuple[Site, ...], xs) -> tupl
     k = next((k for k in bad if math.isinf(slopes[k])), bad[0])
     what = f"is {slopes[k]}, not finite in" if math.isinf(slopes[k]) else "overflows"
     raise CapacityError(f"boundary field slope of site {xs[k]} {what} float64")
-
-
-def hamiltonian(model: GibbsModel, config: SpinConfig) -> float:
-    """Log Boltzmann weight -H of a configuration on its own region.
-
-    -H = sum_{{x,y} in region} J(x,y) s_x s_y + sum_x h_x(s_x). The region is
-    the site set of the config; all other sites are exterior. Couplings come
-    from the scalar Coupling.value, and a region whose energy bound float64
-    cannot hold is System's CapacityError.
-    """
-    from ._system import System  # _system imports this module
-
-    for v in config.values:
-        if v not in model.spin:
-            raise DomainError(f"config value {v} outside the spin interval")
-    region = resolve_region(model, config.sites)
-    lookup = dict(zip(config.sites, config.values))
-    values = [lookup[s] for s in region]
-    slopes = _field_slopes(model, region, region)
-    pairs = tuple(
-        (i, k, j)
-        for i, x in enumerate(region)
-        for k in range(i + 1, len(region))
-        if (j := model.coupling.value(x, region[k])) != 0.0
-    )
-    System(region, model.spin.values, pairs, slopes)
-    total = 0.0
-    for i, k, j in pairs:
-        total += j * values[i] * values[k]
-    for h, s in zip(slopes, values):
-        total += h * s
-    return total
-
-
-def single_spin_distribution(model: GibbsModel, x: Site, region="box") -> dict[int, float]:
-    """p_x(s) = e^{h_x(s)} / sum_s' e^{h_x(s')} over the spin interval."""
-    region_sites = resolve_region(model, region)
-    x = _as_site(x, model.box.dimension)
-    if x not in region_sites:
-        raise DomainError(f"site {x} is not in the region")
-    b = _field_slopes(model, region_sites, (x,))[0]
-    spins = np.array(model.spin.values, dtype=float)
-    logw = b * spins
-    logw -= logw.max()
-    w = np.exp(logw)
-    w /= w.sum()
-    return {int(s): float(p) for s, p in zip(model.spin.values, w)}
 
 
 def _kappa_exponent(interaction: float, sigma: int, card: int) -> float:

@@ -7,18 +7,24 @@ graph and tree counts, so keep k small (the enumerations refuse k > 7
 and k > 8). mayer_table_by_polymer, tree_bounds_by_dense_tables and
 gas_sum_by_masks are the library's earlier routes, one polymer or one mask
 at a time, every configuration of a polymer on one dense trailing axis,
-which its passes on spin axes must match bit for bit.
+which its passes on spin axes must match bit for bit. hamiltonian and
+single_spin_distribution compute a log weight and a single-site law from
+the model's definitions, with every coupling from the scalar
+Coupling.value.
 """
 
 import heapq
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
 import lclt_lab.combinatorics as cb
+import lclt_lab.model as lm
 import lclt_lab.polymer as pg
+from lclt_lab._system import System
 from lclt_lab.errors import CapacityError, DomainError
 
 # Connected-graph enumeration materializes all 2^(k(k-1)/2) edge sets; the
@@ -258,3 +264,62 @@ def gas_sum_by_masks(n: int, groups: list[list], K: int | None = None):
                     acc[1:] += z * dp[mask ^ poly][:-1]
         dp[mask] = acc
     return dp[-1]
+
+
+@dataclass(frozen=True)
+class SpinConfig:
+    """An assignment of spin values to an ordered tuple of region sites."""
+
+    sites: tuple[lm.Site, ...]
+    values: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.sites) != len(self.values):
+            raise DomainError("one spin value per site required")
+        if len(set(self.sites)) != len(self.sites):
+            raise DomainError("config sites must be distinct")
+
+
+def hamiltonian(model, config: SpinConfig) -> float:
+    """Log Boltzmann weight -H of a configuration on its own region.
+
+    -H = sum_{{x,y} in region} J(x,y) s_x s_y + sum_x h_x(s_x). The region is
+    the site set of the config; all other sites are exterior. Couplings come
+    from the scalar Coupling.value, and a region whose energy bound float64
+    cannot hold is System's CapacityError.
+    """
+    for v in config.values:
+        if v not in model.spin:
+            raise DomainError(f"config value {v} outside the spin interval")
+    region = lm.resolve_region(model, config.sites)
+    lookup = dict(zip(config.sites, config.values))
+    values = [lookup[s] for s in region]
+    slopes = lm._field_slopes(model, region, region)
+    pairs = tuple(
+        (i, k, j)
+        for i, x in enumerate(region)
+        for k in range(i + 1, len(region))
+        if (j := model.coupling.value(x, region[k])) != 0.0
+    )
+    System(region, model.spin.values, pairs, slopes)
+    total = 0.0
+    for i, k, j in pairs:
+        total += j * values[i] * values[k]
+    for h, s in zip(slopes, values):
+        total += h * s
+    return total
+
+
+def single_spin_distribution(model, x, region="box") -> dict[int, float]:
+    """p_x(s) = e^{h_x(s)} / sum_s' e^{h_x(s')} over the spin interval."""
+    region_sites = lm.resolve_region(model, region)
+    x = lm._as_site(x, model.box.dimension)
+    if x not in region_sites:
+        raise DomainError(f"site {x} is not in the region")
+    b = lm._field_slopes(model, region_sites, (x,))[0]
+    spins = np.array(model.spin.values, dtype=float)
+    logw = b * spins
+    logw -= logw.max()
+    w = np.exp(logw)
+    w /= w.sum()
+    return {int(s): float(p) for s, p in zip(model.spin.values, w)}

@@ -141,7 +141,7 @@ def test_kernel_matches_scalar_loops(d, model, region):
         lm.BoundaryCondition.explicit(omega),
     ):
         conditioned = lm.GibbsModel(spin=model.spin, box=model.box, coupling=model.coupling, boundary=boundary)
-        got = lm.boundary_field_coefficients(conditioned, region)
+        got = build_system(conditioned, region).fields
         assert _bits(got) == _bits(_loop_fields(conditioned, region)), boundary.kind
 
 
@@ -207,7 +207,7 @@ def test_power_law_kernel_is_value_bit_for_bit():
 
 
 def test_engines_never_call_the_scalar_value(monkeypatch):
-    """build_system, boundary_field_coefficients and the decay scan take
+    """build_system (its pairs and fields) and the decay scan take
     every J from the kernel, on each coupling kind and boundary kind."""
 
     def scalar(*args):
@@ -228,7 +228,6 @@ def test_engines_never_call_the_scalar_value(monkeypatch):
         for region in ("box", "decimated", [(-2,), (1,), (3,)]):
             build_system(model, region)
             build_system(model, region, omega={(-4,): 1, (0,): 1})
-            lm.boundary_field_coefficients(model, region)
         ee.decimated_char_fn_sup(model, (0.3, 2.0))
     _build.cache_clear()
     lm._window_coupling_total.cache_clear()

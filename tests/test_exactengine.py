@@ -11,6 +11,7 @@ import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
 import lclt_lab.montecarlo as mc
 import lclt_lab.polymer as pg
+import oracles
 from conftest import free_chain, frustrated_complete_graph, nn_chain, random_model, random_omega
 from lclt_lab._system import build_system, windowed_exterior
 from lclt_lab.errors import CapacityError, DegenerateDistributionError
@@ -26,7 +27,7 @@ def brute_char_fn(model, region, ts, omega=None):
     weights, spins = [], []
     for values in itertools.product(model.spin.values, repeat=len(sites)):
         if omega is None:
-            log_w = lm.hamiltonian(model, lm.SpinConfig(sites=sites, values=values))
+            log_w = oracles.hamiltonian(model, oracles.SpinConfig(sites=sites, values=values))
         else:
             log_w = sum(
                 model.coupling.value(sites[i], sites[k]) * values[i] * values[k]
@@ -143,6 +144,13 @@ def transfer_matrix_pmf(values, strength, fields):
     return lo, probs / probs.sum()
 
 
+def _one_row(route, system):
+    """route's sums on the System's own fields: the one-row call _moments
+    makes, as (shift, Z_shifted, sum_wS, sum_wS2, bins, s_min)."""
+    *sums, s_min = route(system, system.field_array[None])
+    return (*(col[0] for col in sums), s_min)
+
+
 @pytest.mark.parametrize("n, spin", [(20, (0, 1)), (12, (-1, 1))])
 def test_multi_chunk_scan_matches_transfer_matrix(n, spin):
     """Past the 2^18-state chunk the scan splits into several chunks; its pmf
@@ -160,7 +168,7 @@ def test_multi_chunk_scan_matches_transfer_matrix(n, spin):
     mean = float(ps @ want)
     var = float((ps - mean) ** 2 @ want)
 
-    _, z, s1, s2, bins, s_min = ee._scan(build_system(model, region))
+    _, z, s1, s2, bins, s_min = _one_row(ee._scan, build_system(model, region))
     assert s_min == lo
     assert np.allclose(bins / z, want, rtol=1e-11, atol=1e-15)
     assert s1 / z == pytest.approx(mean, rel=1e-11)
@@ -240,7 +248,7 @@ def test_transfer_route_matches_enumeration():
     assert {band for _, band in systems} == {0, 1, 2, 3, 4}
     for system, band in systems:
         assert ee._bandwidth(system) == band
-        scan, transfer = ee._scan(system), ee._transfer(system)
+        scan, transfer = _one_row(ee._scan, system), _one_row(ee._transfer, system)
         assert transfer[5] == scan[5]
         log_z, probs, mean, var = _law(transfer)
         want_log_z, want_probs, want_mean, want_var = _law(scan)
@@ -258,7 +266,9 @@ def test_route_dispatch(monkeypatch):
     calls = []
     for name in ("_scan", "_transfer"):
         route = getattr(ee, name)
-        monkeypatch.setattr(ee, name, lambda system, route=route, name=name: calls.append(name) or route(system))
+        monkeypatch.setattr(
+            ee, name, lambda system, fields, route=route, name=name: calls.append(name) or route(system, fields)
+        )
     readme = nn_chain(radius=3, strength=0.1, spin=(0, 1), boundary=1, r0=2)
     chain = nn_chain(radius=12, strength=0.1, spin=(0, 1), boundary=1)
     for model, region, route in (
@@ -334,7 +344,8 @@ def test_frustrated_couplings_match_brute_force(n, strength, bound):
     the largest log weight gives log Z, moments and pmf of the brute-force
     sum over all 3^n configurations."""
     model, region = frustrated_complete_graph(n, strength)
-    assert build_system(model, region).energy_shift() == bound
+    system = build_system(model, region)
+    assert ee._energy_shifts(system, system.field_array[None]) == [bound]
     configs = np.array(list(itertools.product((-1, 0, 1), repeat=n)), dtype=float).T
     log_w = sum(strength * configs[a] * configs[b] for a, b in itertools.combinations(range(n), 2))
     top = float(log_w.max())
@@ -436,9 +447,12 @@ _HUGE_ENTRIES = {
     "statistics": ee.statistics,
     "lclt_gap": ee.lclt_gap,
     "polymer_partition": lambda model: pg.polymer_partition(model, pg.ActivityParams(t=0.3)),
-    "single_spin_distribution": lambda model: lm.single_spin_distribution(model, (0,)),
-    "boundary_field_coefficients": lm.boundary_field_coefficients,
-    "hamiltonian": lambda model: lm.hamiltonian(model, lm.SpinConfig(model.box.sites, (1,) * len(model.box.sites))),
+    "single_spin_distribution": lambda model: oracles.single_spin_distribution(model, (0,)),
+    # the fields alone: a System would refuse the pair first
+    "boundary_field_coefficients": lambda model: lm._field_slopes(model, model.box.sites, model.box.sites),
+    "hamiltonian": lambda model: oracles.hamiltonian(
+        model, oracles.SpinConfig(model.box.sites, (1,) * len(model.box.sites))
+    ),
 }
 # A zero boundary gives every site the field 0 whatever the coupling, so the
 # field-only entry points have an exact finite answer there.
@@ -599,6 +613,99 @@ def test_decimated_scan_worst_and_rows(model):
         conditioned = replace(model, boundary=lm.BoundaryCondition.explicit(omega))
         want = np.abs(ee.char_from_pmf(ee.pmf(conditioned, "decimated"), ts))
         assert entries[label] == tuple(want.tolist()), label
+
+
+def _hex(*values):
+    return [float(v).hex() for v in values]
+
+
+def _route_calls(monkeypatch):
+    """Record (route, System, fields, sums) of every route call, the route
+    the unwrapped one."""
+    calls = []
+    for name in ("_scan", "_transfer"):
+
+        def traced(system, fields, route=getattr(ee, name)):
+            out = route(system, fields)
+            calls.append((route, system, fields, out))
+            return out
+
+        monkeypatch.setattr(ee, name, traced)
+    return calls
+
+
+def _assert_rows_match_one_row_calls(calls):
+    """Each row's sums and law equal, by float.hex, those of the one-row
+    call on its own System, and _moments of that System."""
+    for route, system, fields, (*sums, s_min) in calls:
+        for r, row in enumerate(fields):
+            own = replace(system, fields=tuple(row.tolist()))
+            got = [col[r] for col in sums]
+            want = _one_row(route, own)
+            assert want[5] == s_min
+            assert _hex(*got[:4], *got[4]) == _hex(*want[:4], *want[4]), (system.sites, r)
+            got_law = ee._law("route", system.site_count, *got, s_min)
+            want_law = ee._moments.__wrapped__(own)
+            assert _hex(*got_law[:4], *got_law[4].probabilities) == _hex(
+                *want_law[:4], *want_law[4].probabilities
+            ), (system.sites, r)
+
+
+def _conditioning_fields(model, seed):
+    """(rows, n) fields of the decimated region under the all_lo, all_hi,
+    OMEGA_SAMPLES random and every realized conditioning, each row the
+    fields of build_system under that omega."""
+    region = lm.resolve_region(model, "decimated")
+    window = windowed_exterior(model, "decimated")
+    coupled = [y for y in window if y in model.box and any(model.coupling.value(x, y) != 0.0 for x in region)]
+    exterior = {y: model.boundary.omega(y) for y in window if y not in model.box}
+    rng = np.random.default_rng(seed)
+    omegas = [dict.fromkeys(window, model.spin.lo), dict.fromkeys(window, model.spin.hi)]
+    omegas += [random_omega(rng, model) for _ in range(ee.OMEGA_SAMPLES)]
+    omegas += [{**exterior, **dict(zip(coupled, c))} for c in itertools.product(model.spin.values, repeat=len(coupled))]
+    return np.array([build_system(model, "decimated", omega=omega).fields for omega in omegas])
+
+
+def test_scan_rows_match_per_row_moments_bit_for_bit(monkeypatch):
+    """A route called on many rows of fields gives each row the bits of a
+    one-row call on that row's System: on the conditionings of the README
+    decimated region and of the 2-D q = 3 box (91 rows, enumeration), of a
+    25-site weak chain (transfer route), and on a frustrated complete graph
+    where some rows take the second pass and some do not. A decay scan run
+    in groups of a few rows gives the entries of the one-group scan."""
+    scans = [
+        (nn_chain(radius=3, strength=0.1, spin=(0, 1), boundary=1, r0=2), ee._scan, 10 + 2**4),
+        (nn_chain(radius=1, strength=0.05, spin=(-1, 1), boundary=1, r0=2, dimension=2), ee._scan, 10 + 3**4),
+        (nn_chain(radius=12, strength=1e-11, spin=(0, 1), boundary=1, r0=1), ee._transfer, 10 + 1),
+    ]
+    ts = np.linspace(0.05, math.pi, 16)
+    for model, route, rows in scans:
+        system = build_system(model, "decimated")
+        assert ee._cost(system.site_count, model.spin.card, ee._bandwidth(system))[0] is route
+        fields = _conditioning_fields(model, seed=7)
+        assert fields.shape == (rows, system.site_count)
+        _assert_rows_match_one_row_calls([(route, system, fields, route(system, fields))])
+
+        whole = ee.decimated_char_fn_sup(model, ts)
+        window = windowed_exterior(model, "decimated")
+        work = ee._cost(system.site_count, model.spin.card, ee._bandwidth(system))[1]
+        monkeypatch.setattr(ee, "_CHUNK_TARGET", 3 * max(work, system.site_count * len(window)))
+        calls = _route_calls(monkeypatch)
+        grouped = ee.decimated_char_fn_sup(model, ts)
+        monkeypatch.undo()
+        assert len(calls) == -(-rows // 3)
+        assert [(label, _hex(*v)) for label, v in grouped.entries] == [(label, _hex(*v)) for label, v in whole.entries]
+        assert (grouped.sup, grouped.worst) == (whole.sup, whole.worst)
+
+    model, region = frustrated_complete_graph(7, -19.0)
+    system = build_system(model, region)
+    fields = np.random.default_rng(23).normal(scale=60.0, size=(8, 7))
+    # rows 1 to 3 take the second pass, row 3 at a top far below row 1's
+    fields[:4] = np.array([0.0, 400.0, -400.0, 200.0])[:, None]
+    out = ee._scan(system, fields)
+    second = np.array(out[0]) != ee._energy_shifts(system, fields)
+    assert second[1:4].all() and not second[0] and not second.all()
+    _assert_rows_match_one_row_calls([(ee._scan, system, fields, out)])
 
 
 def _window_walk(model, region):

@@ -7,7 +7,8 @@ import pytest
 
 import lclt_lab.model as lm
 import lclt_lab.verifier as vf
-from lclt_lab._system import _region_pairs
+import oracles
+from lclt_lab._system import _region_pairs, build_system
 from conftest import free_chain, model_to_dict, nn_chain, random_model
 from lclt_lab.errors import CapacityError, DomainError
 
@@ -96,7 +97,7 @@ def test_kappa_floors_single_spin_probabilities():
         model = random_model(rng)
         kap = lm.kappa(lm.interaction_norm(model), model.spin.sigma, model.spin.card)
         for x in lm.resolve_region(model, "box")[:4]:
-            dist = lm.single_spin_distribution(model, x)
+            dist = oracles.single_spin_distribution(model, x)
             assert min(dist.values()) >= kap - 1e-15
 
 
@@ -153,14 +154,14 @@ def test_interaction_norm_power_law():
 def test_boundary_field_coefficient_edge_site():
     # constant boundary 1: the edge site of the box has one exterior neighbor
     model = nn_chain(radius=1, strength=0.1, spin=(-1, 1), boundary=1)
-    _, middle, right = lm.boundary_field_coefficients(model, "box")
+    _, middle, right = build_system(model, "box").fields
     assert right == pytest.approx(0.1)
     assert middle == 0.0
     # sub-region: the interior site becomes exterior and its spin counts
-    assert lm.boundary_field_coefficients(model, ((-1,), (1,)))[1] == pytest.approx(0.2)
+    assert build_system(model, ((-1,), (1,))).fields[1] == pytest.approx(0.2)
     # a site outside the region has no field of its own
     with pytest.raises(DomainError, match="not in the region"):
-        lm.single_spin_distribution(model, (0,), ((-1,), (1,)))
+        oracles.single_spin_distribution(model, (0,), ((-1,), (1,)))
 
 
 def test_repeated_boundary_site_is_a_domain_error():
@@ -198,7 +199,7 @@ def test_single_spin_distribution_logistic():
         coupling=lm.Coupling.nearest_neighbor(0.1),
         boundary=lm.BoundaryCondition.explicit([((1,), 1)]),
     )
-    dist = lm.single_spin_distribution(model, (0,))
+    dist = oracles.single_spin_distribution(model, (0,))
     assert dist[1] == pytest.approx(0.52497918747894, abs=1e-14)
     assert dist[0] == pytest.approx(0.47502081252106, abs=1e-14)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-15)
@@ -213,10 +214,10 @@ def test_hamiltonian_two_site():
     )
     region = ((-1,), (1,))
     # minus-H = J s1 s2 with no field terms under zero boundary
-    cfg = lambda a, b: lm.SpinConfig(sites=region, values=(a, b))
-    assert lm.hamiltonian(model, cfg(1, 1)) == pytest.approx(0.1)
-    assert lm.hamiltonian(model, cfg(1, -1)) == pytest.approx(-0.1)
-    assert lm.hamiltonian(model, cfg(0, 1)) == 0.0
+    cfg = lambda a, b: oracles.SpinConfig(sites=region, values=(a, b))
+    assert oracles.hamiltonian(model, cfg(1, 1)) == pytest.approx(0.1)
+    assert oracles.hamiltonian(model, cfg(1, -1)) == pytest.approx(-0.1)
+    assert oracles.hamiltonian(model, cfg(0, 1)) == 0.0
 
 
 def test_schema_roundtrip():
@@ -301,7 +302,7 @@ def test_coefficient_matches_direct_exterior_sum():
         if model.boundary.kind != "constant":
             continue
         ext = windowed_exterior(model, "box")
-        slopes = lm.boundary_field_coefficients(model, "box")
+        slopes = build_system(model, "box").fields
         for x, slope in zip(lm.resolve_region(model, "box")[:3], slopes):
             direct = model.boundary.value * sum(model.coupling.value(x, y) for y in ext)
             assert slope == pytest.approx(direct, abs=1e-12)
@@ -310,5 +311,5 @@ def test_coefficient_matches_direct_exterior_sum():
 def test_free_chain_is_uniform():
     model = free_chain(radius=2)
     for x in lm.resolve_region(model, "box"):
-        dist = lm.single_spin_distribution(model, x)
+        dist = oracles.single_spin_distribution(model, x)
         assert all(p == pytest.approx(0.5) for p in dist.values())

@@ -57,7 +57,7 @@ def test_singleton_weight_is_delta_sigma():
 def test_singleton_activity_is_char_fn_minus_one():
     model = nn_chain(radius=2, strength=0.2, spin=(0, 1), boundary=1)
     x = (1,)
-    law = lm.single_spin_distribution(model, x, region="box")
+    law = oracles.single_spin_distribution(model, x, region="box")
     for t in (0.0, 0.4, 1.3):
         z = pg.activity(model, pg.ActivityParams(t=t), pg.Polymer((x,)), region="box")
         cf = sum(p * cmath.exp(1j * t * s) for s, p in law.items())
