@@ -177,7 +177,10 @@ def windowed_exterior(model: m.GibbsModel, region="box"):
     shape = tuple((coords.max(axis=0) + radius + 1 - lo).tolist())
     strides = np.cumprod((1,) + shape[:0:-1])[::-1]
     site_keys = (coords - lo) @ strides
-    keys = np.unique((site_keys[:, None] + offsets @ strides).ravel())
+    # distinct keys by a sort and its adjacent differences: a 1-D np.unique
+    # would import numpy.ma
+    keys = np.sort((site_keys[:, None] + offsets @ strides).ravel())
+    keys = keys[np.diff(keys, prepend=keys[0] - 1) != 0]
     keys = keys[~np.isin(keys, site_keys, kind="sort")]
     out = np.stack(np.unravel_index(keys, shape), axis=1) + lo
     if len(out) > m.SITE_CAP:

@@ -29,7 +29,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from . import exactengine as ee
@@ -318,9 +317,6 @@ def main(argv=None) -> int:
     except PreconditionError as err:
         print(f"precondition failed: {err}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except jsonschema.ValidationError as err:
-        print(f"error: invalid model config: {err.message}", file=sys.stderr)
-        return EXIT_CONFIG
     except (DomainError, CapacityError, json.JSONDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
-import jsonschema
 import numpy as np
 
 from .errors import CapacityError, DomainError
@@ -581,6 +580,9 @@ def log_kappa(interaction: float, sigma: int, card: int) -> float:
 # ---------------------------------------------------------------------------
 # JSON ingestion
 
+# The one statement of a config's rules, a JSON Schema (Draft 2020-12).
+# model_from_dict reads it through _conform, which needs no jsonschema at
+# run time; the tests check that jsonschema accepts the same configs.
 MODEL_SCHEMA = {
     "type": "object",
     "required": ["dimension", "radius", "spin", "coupling", "boundary", "r0"],
@@ -644,15 +646,54 @@ MODEL_SCHEMA = {
 }
 
 
-# Built once: jsonschema.validate would re-check MODEL_SCHEMA on every call.
-_MODEL_VALIDATOR = jsonschema.Draft202012Validator(MODEL_SCHEMA)
+# JSON types as Draft 2020-12 reads them in Python, bool apart: bool is an
+# int subclass but neither integer nor number.
+_JSON_TYPES = {"object": dict, "array": list, "integer": int, "number": (int, float)}
+
+
+def _conform(value, schema: dict, path: str = ""):
+    """value checked against schema with the Draft 2020-12 meaning of the
+    keywords MODEL_SCHEMA uses, and returned with every integral float that
+    "integer" matches made an int (NaN and inf are numbers, refused later by
+    the dataclasses). The first failure is a DomainError naming its path."""
+
+    def fail(where: str, reason: str):
+        raise DomainError(f"invalid model config: {where or 'the top level'}: {reason}")
+
+    def member(key) -> str:
+        return f"{path}.{key}" if path else str(key)
+
+    kind = schema.get("type")
+    if kind and (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind])):
+        if not (kind == "integer" and isinstance(value, float) and value.is_integer()):
+            fail(path, f"{value!r} is not of type {kind!r}")
+        value = int(value)
+    if "enum" in schema and value not in schema["enum"]:
+        fail(path, f"{value!r} is not one of {schema['enum']}")
+    if "minimum" in schema and value < schema["minimum"]:
+        fail(path, f"{value!r} is less than the minimum of {schema['minimum']}")
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(member(key), "is a required property")
+        for key in value:
+            if key not in props and schema.get("additionalProperties") is False:
+                fail(member(key), "is not an allowed property")
+        value = {key: _conform(item, props.get(key, {}), member(key)) for key, item in value.items()}
+    if isinstance(value, list):
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if not lo <= len(value) <= hi:
+            fail(path, f"has {len(value)} items, needs {lo} to {hi}")
+        prefix, rest = schema.get("prefixItems", []), schema.get("items", {})
+        value = [_conform(v, prefix[i] if i < len(prefix) else rest, f"{path}[{i}]") for i, v in enumerate(value)]
+    return value
 
 
 def model_from_dict(raw: Mapping) -> GibbsModel:
-    """Build a model from the JSON object layout, validating against the schema."""
-    error = jsonschema.exceptions.best_match(_MODEL_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        raise error
+    """Build a model from the JSON object layout, checked against MODEL_SCHEMA;
+    a config the schema refuses is a DomainError naming the offending path."""
+    raw = _conform(raw, MODEL_SCHEMA)
     d = raw["dimension"]
     spin = SpinInterval(lo=raw["spin"]["lo"], hi=raw["spin"]["hi"])
     box = Box(dimension=d, radius=raw["radius"], r0=raw["r0"])

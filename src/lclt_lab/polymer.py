@@ -815,15 +815,13 @@ def _weight_norm(gas: _Gas, k: int, dress: float, delta: float) -> float:
     return best
 
 
-def weight_norm_bound(
-    k: int, delta: float, sigma: int, step_norm: float, c: float = 1.0, majorized: bool = False
-) -> float:
+def weight_norm_bound(k: int, delta: float, sigma: int, step_norm: float, c: float = 1.0) -> float:
     """Closed-form majorant of the size-k weight norm for e^{ck}-dressed weights.
 
-    [(1+delta*sigma) e^{1+c} e^{step_norm*sigma^2/2} sigma^2 sqrt(step_norm)]^k,
-    with 1+delta*sigma coarsened to 2 when majorized. Needs step_norm <= 1:
-    the tree-edge bound spends sqrt(step_norm) per polymer site against
-    step_norm per tree edge, which only closes for a subunit norm.
+    [(1+delta*sigma) e^{1+c} e^{step_norm*sigma^2/2} sigma^2 sqrt(step_norm)]^k.
+    Needs step_norm <= 1: the tree-edge bound spends sqrt(step_norm) per
+    polymer site against step_norm per tree edge, which only closes for a
+    subunit norm.
     """
     if k < 2:
         raise DomainError(f"the closed-form norm bound needs k >= 2, got {k}")
@@ -833,7 +831,7 @@ def weight_norm_bound(
         raise PreconditionError(f"step norm {step_norm} exceeds 1; the per-edge split fails")
     if c < 0:
         raise DomainError(f"dressing exponent must be nonnegative, got {c}")
-    lead = 2.0 if majorized else 1.0 + delta * sigma
+    lead = 1.0 + delta * sigma
     base = lead * math.exp(1.0 + c) * math.exp(step_norm * sigma**2 / 2.0) * sigma**2 * math.sqrt(step_norm)
     return base**k
 

@@ -73,12 +73,63 @@ def test_failing_condition_exit_one(tmp_path, capsys):
 
 
 def test_invalid_config_exit_two(tmp_path, capsys):
+    """A config the schema refuses exits 2 naming the JSON path of the
+    field at fault; so does a file that is not JSON."""
     bad = tmp_path / "broken.json"
-    bad.write_text('{"dimension": 1}')
-    assert cli.main(["constants", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    assert "invalid model config" in capsys.readouterr().err
+    boundary = {"kind": "explicit", "assignments": [[[4], 1], [[-4], 0], [4, 1]]}
+    for config, where in (
+        ({"dimension": 1}, "radius: is a required property"),
+        ({**MODEL_OK, "radius": 3.5}, "radius: 3.5 is not of type 'integer'"),
+        ({**MODEL_OK, "r0": True}, "r0: True is not of type 'integer'"),
+        ({**MODEL_OK, "extra": 1}, "extra: is not an allowed property"),
+        ({**MODEL_OK, "coupling": {"kind": "cubic"}}, "coupling.kind: 'cubic' is not one of"),
+        ({**MODEL_OK, "boundary": boundary}, "boundary.assignments[2][0]: 4 is not of type 'array'"),
+        ([MODEL_OK], "the top level: "),
+    ):
+        bad.write_text(json.dumps(config))
+        assert cli.main(["constants", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert f"error: invalid model config: {where}" in capsys.readouterr().err
     bad.write_text("{not json")
     assert cli.main(["constants", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+EXPLICIT_BOUNDARY = {**MODEL_OK, "boundary": {"kind": "explicit", "assignments": [[[4], 1], [[-4], 0]]}}
+EXPLICIT_PAIRS = {**MODEL_OK, "coupling": {"kind": "explicit", "pairs": [[[-1], [0], 0.1], [[0], [1], 0.1]]}}
+
+
+@pytest.mark.parametrize(
+    "base, path",
+    [
+        (MODEL_OK, ("dimension",)),
+        (MODEL_OK, ("radius",)),
+        (MODEL_OK, ("r0",)),
+        ({**MODEL_OK, "truncation_radius": 1}, ("truncation_radius",)),
+        (MODEL_OK, ("spin", "lo")),
+        (MODEL_OK, ("spin", "hi")),
+        (MODEL_OK, ("boundary", "value")),
+        (EXPLICIT_BOUNDARY, ("boundary", "assignments", 0, 1)),
+        (EXPLICIT_PAIRS, ("coupling", "pairs", 0, 1, 0)),
+    ],
+    ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+def test_integral_float_runs_as_its_integer(tmp_path, base, path):
+    """An integer written as a float, such as 2.0, is an integer to the
+    schema and to the model: each command exits as on the integer config
+    and writes the same reports.jsonl bytes."""
+    twin = json.loads(json.dumps(base))
+    *head, last = path
+    node = twin
+    for key in head:
+        node = node[key]
+    node[last] = float(node[last])
+    for command in ("constants", "site-cf", "decay-large-t"):
+        results = []
+        for name, config in (("int", base), ("float", twin)):
+            config_path, out = tmp_path / f"{name}.json", tmp_path / f"{command}-{name}"
+            config_path.write_text(json.dumps(config))
+            code = cli.main([command, "--config", str(config_path), "--out", str(out)])
+            results.append((code, (out / "reports.jsonl").read_bytes()))
+        assert results[0] == results[1], command
 
 
 def test_repeated_boundary_site_exit_two(tmp_path, capsys):

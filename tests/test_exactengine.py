@@ -259,6 +259,37 @@ def test_transfer_route_matches_enumeration():
         assert var == pytest.approx(want_var, rel=1e-12, abs=0), system.sites
 
 
+def test_transfer_keeps_band_configurations_far_below_the_top():
+    """On an antiferromagnetic chain at strength -400 under a boundary of 1,
+    the field -400 on its first site puts every configuration that starts
+    with spin +1 e^800 below the others, and the field on its last site
+    brings some of them back to the top: the transfer sum keeps them, as
+    enumeration does, on 6, 8 and 12 sites (spins {-1, 0, 1}). On 24
+    sites, past enumeration, its mean is that of the 49 ground states,
+    -48/49, to within e^-400. A row of zero fields in the same call loses
+    nothing and keeps the bits of its one-row call, as the retaken row
+    does."""
+    model = nn_chain(radius=12, strength=-400.0, spin=(-1, 1), boundary=1)
+    box = lm.resolve_region(model, "box")
+    for n in (6, 8, 12):
+        system = build_system(model, box[:n])
+        assert ee._cost(n, model.spin.card, ee._bandwidth(system))[0] is ee._transfer
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            transfer = _one_row(ee._transfer, system)
+        log_z, probs, mean, var = _law(transfer)
+        want_log_z, want_probs, want_mean, want_var = _law(_one_row(ee._scan, system))
+        assert np.abs(probs - want_probs).max() <= 1e-12
+        assert log_z == pytest.approx(want_log_z, rel=1e-12, abs=0)
+        assert mean == pytest.approx(want_mean, rel=1e-12, abs=0)
+        assert var == pytest.approx(want_var, rel=1e-12, abs=0)
+        fields = np.stack([system.field_array, np.zeros(n)])
+        _assert_rows_match_one_row_calls([(ee._transfer, system, fields, ee._transfer(system, fields))])
+    stats = ee.statistics(model, region=box[:24])
+    assert math.isfinite(stats.mean_S) and math.isfinite(stats.variance_S)
+    assert stats.mean_S == pytest.approx(-48 / 49, rel=1e-12)
+
+
 def test_route_dispatch(monkeypatch):
     """_moments takes the transfer route only when its work undercuts q^n:
     the README model's box and decimated systems stay on enumeration, a

@@ -4,6 +4,8 @@ import math
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lclt_lab.model as lm
 import lclt_lab.verifier as vf
@@ -240,10 +242,124 @@ def test_schema_rejects_malformed():
     ):
         data = json.loads(json.dumps(good))
         breakage(data)
-        with pytest.raises(Exception):
+        with pytest.raises(DomainError, match="^invalid model config: "):
             lm.model_from_dict(data)
-    # model_from_dict trusts one validator built at import; check the schema here
+    # model_from_dict reads MODEL_SCHEMA as a JSON Schema; check that it is one
     jsonschema.Draft202012Validator.check_schema(lm.MODEL_SCHEMA)
+
+
+# what a mutation may put in place of a value: every JSON type, a negative
+# int, an integral and a fractional float, and NaN
+_REPLACEMENTS = [None, True, False, "x", [], [1], {}, {"kind": "zero"}, -2, 2.0, -1.0, 0.5, math.nan]
+
+
+def _nodes(node, path=()):
+    """(path, value) of every value in a JSON tree, the root first."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _ints(node):
+    """node with every integral float made an int."""
+    if isinstance(node, float) and node.is_integer():
+        return int(node)
+    if isinstance(node, dict):
+        return {key: _ints(v) for key, v in node.items()}
+    return [_ints(v) for v in node] if isinstance(node, list) else node
+
+
+def _parts(d):
+    """Strategies for the coupling and the boundary of a config in dimension
+    d, of every kind, each optional key present or not."""
+    site = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    strength = st.floats(-1.0, 1.0)
+    coupling = st.one_of(
+        st.fixed_dictionaries({"kind": st.just("nearest_neighbor")}, optional={"strength": strength}),
+        st.fixed_dictionaries(
+            {"kind": st.just("power_law")}, optional={"strength": strength, "exponent": st.floats(d + 1.0, 8.0)}
+        ),
+        st.fixed_dictionaries(
+            {"kind": st.just("explicit")},
+            optional={"pairs": st.lists(st.tuples(site, site, strength).map(list), max_size=3)},
+        ),
+    )
+    boundary = st.one_of(
+        st.fixed_dictionaries({"kind": st.just("zero")}),
+        st.fixed_dictionaries({"kind": st.just("constant")}, optional={"value": st.integers(-1, 1)}),
+        st.fixed_dictionaries(
+            {"kind": st.just("explicit")},
+            optional={"assignments": st.lists(st.tuples(site, st.integers(-1, 1)).map(list), max_size=3)},
+        ),
+    )
+    return coupling, boundary
+
+
+_PARTS = {d: _parts(d) for d in (1, 2)}
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A valid config of any coupling and boundary kind with one mutation:
+    an int written as a float, a value replaced, a key added or dropped, or
+    an array made longer or shorter."""
+    d = draw(st.integers(1, 2))
+    coupling, boundary = (draw(part) for part in _PARTS[d])
+    lo = draw(st.integers(-2, 1))
+    config = {
+        "dimension": d,
+        "radius": draw(st.integers(0, 3)),
+        "r0": draw(st.integers(1, 2)),
+        "spin": {"lo": lo, "hi": lo + draw(st.integers(1, 2))},
+        "coupling": coupling,
+        "boundary": boundary,
+    }
+    if draw(st.booleans()):
+        config["truncation_radius"] = draw(st.integers(1, 40))
+    how = draw(st.sampled_from(["float", "replace", "add", "drop"]))
+    # deepest values first: the draw leans to the front of the list
+    nodes = [(path, node) for path, node in _nodes(config) if how != "float" or type(node) is int][::-1]
+    path, node = nodes[draw(st.integers(0, len(nodes) - 1))]
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    pick = st.sampled_from(_REPLACEMENTS)
+    if how == "float":
+        parent[path[-1]] = float(node)
+    elif how == "drop" and isinstance(node, (dict, list)) and node:
+        node.pop(draw(st.sampled_from(list(node))) if isinstance(node, dict) else len(node) - 1)
+    elif how == "add" and isinstance(node, dict):
+        node[draw(st.sampled_from(["extra", "kind", "value", "lo", "pairs"]))] = draw(pick)
+    elif how == "add" and isinstance(node, list):
+        node.append(draw(st.sampled_from(node + _REPLACEMENTS)))
+    elif path:
+        parent[path[-1]] = draw(pick)
+    else:
+        config = draw(pick)
+    return config
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_mutated_configs())
+def test_config_check_matches_jsonschema(config):
+    """model_from_dict refuses a config with "invalid model config" exactly
+    when jsonschema finds it against MODEL_SCHEMA. Otherwise it builds the
+    model of the config with its integral floats made ints, or raises the
+    same DomainError or CapacityError of the model's own checks."""
+    refused = next(jsonschema.Draft202012Validator(lm.MODEL_SCHEMA).iter_errors(config), None)
+    if refused is not None:
+        with pytest.raises(DomainError, match="^invalid model config: "):
+            lm.model_from_dict(config)
+        return
+    outcomes = []
+    for raw in (config, _ints(config)):
+        try:
+            outcomes.append(lm.model_from_dict(raw))
+        except (DomainError, CapacityError) as err:
+            assert "invalid model config" not in str(err)
+            outcomes.append((type(err), str(err)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_model_json_loading(tmp_path):
