@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -147,8 +148,15 @@ def build_system(model: m.GibbsModel, region="box", omega=None) -> System:
 
 
 def _omega_items(omega):
-    """An omega override as the hashable key _build takes: sorted items."""
-    return None if omega is None else tuple(sorted((tuple(s), int(v)) for s, v in dict(omega).items()))
+    """An omega override as the hashable key _build takes: sorted items,
+    each site coordinate and value made an int by model._as_int's rule."""
+    if omega is None:
+        return None
+    omega = dict(omega)
+    # plain ints, the common case, are checked in one pass
+    if {*map(type, chain.from_iterable(omega)), *map(type, omega.values())} != {int}:
+        omega = {m._as_site(s): m._as_int(v, "the omega value at {!r}", s) for s, v in omega.items()}
+    return tuple(sorted((tuple(s), v) for s, v in omega.items()))
 
 
 def windowed_exterior(model: m.GibbsModel, region="box"):

@@ -27,8 +27,8 @@ when the largest shifted weight falls under tiny/eps (log weight more than
 672.3 below the bound), the sum is taken again shifted by the largest log
 weight itself. Either way every weight within a factor eps of the largest
 is a normal float, so Z_shifted is positive on every system (the transfer
-sum rescales its table to a largest entry of 1 at each step, or each band
-configuration's to 1 where their weights part by more than float64 spans). A System
+sum keeps one log scale per band configuration and rescales each
+configuration's table to a largest entry of 1 at each step). A System
 refuses an energy bound past float64 (finite couplings near 1e308 give
 one), so the shift and every log weight are finite; a Z, moment or bin
 that float64 still cannot hold is a CapacityError naming the route, never
@@ -279,16 +279,15 @@ def _transfer(system: System, fields: np.ndarray):
     bandwidth) and one column per running total; adding a site multiplies
     in its field and its couplings to those R spins, shifts each column by
     its spin and sums out the spin that leaves the band. Every entry is a
-    sum of products of positive weights, so each step divides each row by
-    its largest entry and adds the log of that scale (and of the step's
-    largest factor in the row) to the row's shift. A configuration of the
-    band spins whose entries fall e^708 below the row's largest leaves the
-    normal floats and then underflows, although later sites can make it the
-    largest (a strong field at the end of an antiferromagnetic chain does),
-    so from the step where a band configuration's largest entry is no longer
-    a positive normal float its row carries one log scale per band
-    configuration instead. Returns the tuple of _scan, each row bit for bit
-    that of a one-row call.
+    sum of products of positive weights, and each band configuration keeps
+    its own log scale: the step adds it to the log weights, exponentiates
+    them below one top per new band configuration, and divides each new
+    configuration by its largest entry. Configurations whose weights part
+    by more than float64 spans stay normal floats, so one that later sites
+    bring back to the top (a strong field at the end of an
+    antiferromagnetic chain does) is not lost. Returns the tuple of _scan,
+    shifted by each row's largest log scale, each row bit for bit that of
+    a one-row call.
     """
     n = system.site_count
     q = len(system.values)
@@ -299,77 +298,43 @@ def _transfer(system: System, fields: np.ndarray):
         by_site[j].append((i, v))
     rows = len(fields)
 
-    def per_row(a, ndim):
-        """a, one value per row, shaped to broadcast against ndim axes."""
-        return a.reshape((rows,) + (1,) * (ndim - 1))
-
-    def grow(table, w, leaves):
-        """table after a site with factors w: each (spins, new spin) column
-        shifted by the new spin's offset and weighted, the spin that leaves
-        the band summed out when one leaves."""
+    # axes: the row, the spins of the last R sites, oldest first (a site
+    # before the first holds one placeholder value), then the running total
+    # of spin offsets above the lowest value (the spin values are
+    # consecutive integers, so adding offset d shifts a column by d)
+    table = np.ones((rows,) + (1,) * band + (1,))
+    # each band configuration's entries times e^logs are its sums
+    logs = np.zeros(table.shape[:-1])
+    for k in range(n):
+        # log weight of site k's spin (last axis) against the R spins
+        # before it, then each band configuration's log scale
+        log_w = fields[:, k].reshape((rows,) + (1,) * band + (1,)) * vals
+        for i, v in by_site[k]:
+            axis = i - (k - band)
+            log_w = log_w + v * vals.reshape((1,) * axis + (q,) + (1,) * (band - axis)) * vals
+        log_w = log_w + logs[..., None]
+        # one top per new band configuration, over the spin that leaves
+        tops = log_w.max(axis=1, keepdims=True)
+        w = np.exp(log_w - tops)
         width = table.shape[-1]
-        grown = np.zeros(table.shape[:-1] + (q, width + q - 1))
+        grown = np.zeros(w.shape + (width + q - 1,))
         for d in range(q):
             grown[..., d, d : d + width] = table * w[..., d, None]
-        return grown.sum(axis=1) if leaves else grown
+        table = grown.sum(axis=1)
+        peaks = table.max(axis=-1, keepdims=True)
+        table = table / peaks
+        logs = tops[:, 0] + np.log(peaks[..., 0])
 
-    shift = [0.0] * rows
-    # axes: the row, the spins of the last r sites, oldest first, then the
-    # running total of spin offsets above the lowest value (the spin values
-    # are consecutive integers, so adding offset d shifts a column by d)
-    table = np.ones((rows, 1))
-    # rows that carry a log scale per band configuration in logs (zero on
-    # the other rows), from the first step that lost one's weight on
-    banded = np.zeros(rows, dtype=bool)
-    logs = 0.0
-    for k in range(n):
-        r = table.ndim - 2
-        leaves = r == band
-        # log weight of site k's spin (last axis) against the r spins before it
-        log_w = per_row(fields[:, k], r + 2) * vals.reshape((1,) * r + (q,))
-        for i, v in by_site[k]:
-            axis = i - (k - r)
-            log_w = log_w + v * vals.reshape((1,) * axis + (q,) + (1,) * (r - axis)) * vals
-        # log_w broadcasts against the table: axes it lacks hold one value
-        top = log_w.reshape(rows, -1).max(axis=1)
-        grown = grow(table, np.exp(log_w - per_row(top, r + 2)), leaves)
-        band_max = grown.max(axis=-1).reshape(rows, -1)
-        scale = band_max.max(axis=1)
-        redo = banded | ~(band_max.min(axis=1) >= _TINY)
-        if redo.any():
-            # a band configuration's largest entry is no longer a positive
-            # normal float, though later sites may make it the largest:
-            # retake the row's step with its log scale and largest entry
-            # per band configuration folded into the factors, and one top
-            # per band configuration after the step
-            peak = table[redo].max(axis=-1, keepdims=True)
-            old = logs[redo][..., None] if banded.any() else 0.0
-            log_w = old + np.log(peak) + log_w[redo]
-            tops = log_w.max(axis=1, keepdims=True) if leaves else log_w
-            part = grow(table[redo] / peak, np.exp(log_w - tops), leaves)
-            peaks = part.max(axis=-1, keepdims=True)
-            grown[redo] = part / peaks
-            logs = np.zeros(grown.shape[:-1])
-            logs[redo] = (tops[:, 0] if leaves else tops) + np.log(peaks[..., 0])
-            top[redo], scale[redo], banded = 0.0, 1.0, redo
-        table = grown / per_row(scale, grown.ndim)
-        shift = [a + (t + math.log(s)) for a, t, s in zip(shift, top.tolist(), scale.tolist())]
-
-    bins = table.reshape(rows, -1, table.shape[-1]).sum(axis=1)
-    if banded.any():
-        logs = logs.reshape(rows, -1)[banded]
-        lead = logs.max(axis=1)
-        parts = table[banded].reshape(len(logs), -1, table.shape[-1]) * np.exp(logs - lead[:, None])[..., None]
-        bins[banded] = parts.sum(axis=1)
-        for i, extra in zip(np.flatnonzero(banded).tolist(), lead.tolist()):
-            shift[i] += extra
+    logs = logs.reshape(rows, -1)
+    shift = logs.max(axis=1)
+    bins = (table.reshape(rows, -1, table.shape[-1]) * np.exp(logs - shift[:, None])[..., None]).sum(axis=1)
     s_min = n * int(min(system.values))
     spins = s_min + np.arange(bins.shape[1], dtype=float)
     s_sq = spins * spins
     z = [row.sum() for row in bins]
     s1 = [row @ spins for row in bins]
     s2 = [row @ s_sq for row in bins]
-    return shift, z, s1, s2, bins, s_min
+    return shift.tolist(), z, s1, s2, bins, s_min
 
 
 def _law(name: str, n: int, shift, z, s1, s2, bins, s_min: int):
@@ -383,8 +348,9 @@ def _law(name: str, n: int, shift, z, s1, s2, bins, s_min: int):
     mean = s1 / z
     var = s2 / z - mean * mean
     probs = bins / z
-    # Clip the tiny negative rounding dust so the table invariant holds.
-    probs = np.where(np.abs(probs) < 1e-300, 0.0, probs)
+    # Both routes' bins are sums of nonnegative terms, so the clip only
+    # zeroes the masses under 1e-300.
+    probs = np.where(probs < 1e-300, 0.0, probs)
     table = PmfTable(p_min=s_min, probabilities=tuple(float(p) for p in probs / probs.sum()))
     return shift, z, mean, var, table
 

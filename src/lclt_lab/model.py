@@ -61,9 +61,21 @@ WINDOW_BUDGET = 1 << 24
 SITE_CAP = 1 << 20
 
 
-def _as_site(raw, dimension: int) -> Site:
-    site = tuple(int(c) for c in raw)
-    if len(site) != dimension:
+def _as_int(value, what: str, *at) -> int:
+    """value as an int when it is an int, a numpy integer or an integral
+    float; anything else (a bool, a fraction, NaN, a string) is a
+    DomainError naming it and what.format(*at), never a truncation."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise DomainError(f"{what.format(*at)} is {value!r}, not an integer")
+
+
+def _as_site(raw, dimension: int | None = None) -> Site:
+    """raw as a tuple of int coordinates, of the given dimension if one is given."""
+    site = tuple(_as_int(c, "a coordinate of site {!r}", raw) for c in raw)
+    if dimension is not None and len(site) != dimension:
         raise DomainError(f"site {raw!r} does not have dimension {dimension}")
     return site
 
@@ -202,7 +214,7 @@ class Coupling:
                 (x, y), j = entry
             else:
                 x, y, j = entry
-            x, y = tuple(x), tuple(y)
+            x, y = _as_site(x), _as_site(y)
             lo, hi = (x, y) if x <= y else (y, x)
             norm.append((lo, hi, float(j)))
         return Coupling(kind="explicit", pairs=tuple(sorted(norm)))
@@ -333,12 +345,12 @@ class BoundaryCondition:
 
     @staticmethod
     def constant(value: int) -> "BoundaryCondition":
-        return BoundaryCondition(kind="constant", value=int(value))
+        return BoundaryCondition(kind="constant", value=_as_int(value, "the constant boundary value"))
 
     @staticmethod
     def explicit(assignments: Mapping[Site, int] | Iterable) -> "BoundaryCondition":
         items = assignments.items() if isinstance(assignments, Mapping) else assignments
-        norm = tuple(sorted((tuple(site), int(v)) for site, v in items))
+        norm = tuple(sorted((_as_site(site), _as_int(v, "the boundary value at {!r}", site)) for site, v in items))
         return BoundaryCondition(kind="explicit", assignments=norm)
 
     @cached_property

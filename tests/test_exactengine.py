@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
@@ -13,7 +15,7 @@ import lclt_lab.montecarlo as mc
 import lclt_lab.polymer as pg
 import oracles
 from conftest import free_chain, frustrated_complete_graph, nn_chain, random_model, random_omega
-from lclt_lab._system import build_system, windowed_exterior
+from lclt_lab._system import System, build_system, windowed_exterior
 from lclt_lab.errors import CapacityError, DegenerateDistributionError
 
 
@@ -266,9 +268,8 @@ def test_transfer_keeps_band_configurations_far_below_the_top():
     brings some of them back to the top: the transfer sum keeps them, as
     enumeration does, on 6, 8 and 12 sites (spins {-1, 0, 1}). On 24
     sites, past enumeration, its mean is that of the 49 ground states,
-    -48/49, to within e^-400. A row of zero fields in the same call loses
-    nothing and keeps the bits of its one-row call, as the retaken row
-    does."""
+    -48/49, to within e^-400. In a call with a second row of zero fields,
+    each row keeps the bits of its one-row call."""
     model = nn_chain(radius=12, strength=-400.0, spin=(-1, 1), boundary=1)
     box = lm.resolve_region(model, "box")
     for n in (6, 8, 12):
@@ -288,6 +289,61 @@ def test_transfer_keeps_band_configurations_far_below_the_top():
     stats = ee.statistics(model, region=box[:24])
     assert math.isfinite(stats.mean_S) and math.isfinite(stats.variance_S)
     assert stats.mean_S == pytest.approx(-48 / 49, rel=1e-12)
+
+
+# the most sites per spin count that keep enumeration to 2^14 states
+_SITES_UP_TO = {2: 10, 3: 8, 4: 7}
+
+
+@st.composite
+def _banded_cases(draw):
+    """(System, bandwidth, a second row of fields): 2 to 10 sites in a path,
+    2 to 4 consecutive spin values, couplings of both signs up to 400 in
+    magnitude between sites at most the bandwidth (1 to 3) apart, one of
+    them at that distance, and fields of both signs up to 400."""
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(2, _SITES_UP_TO[q]))
+    band = draw(st.integers(1, min(3, n - 1)))
+    lo = draw(st.integers(-3, 1))
+    strength = st.floats(-400.0, 400.0).filter(bool)
+    near = [(i, j) for j in range(n) for i in range(max(0, j - band), j)]
+    kept = draw(st.lists(st.booleans(), min_size=len(near), max_size=len(near)))
+    widest = draw(st.integers(0, n - 1 - band))
+    pairs = tuple(
+        (i, j, draw(strength)) for (i, j), keep in zip(near, kept) if keep or (i, j) == (widest, widest + band)
+    )
+    rows = [draw(st.lists(st.floats(-400.0, 400.0), min_size=n, max_size=n)) for _ in range(2)]
+    system = System(
+        sites=tuple((x,) for x in range(n)), values=tuple(range(lo, lo + q)), pairs=pairs, fields=tuple(rows[0])
+    )
+    return system, band, np.array(rows[1])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_banded_cases())
+def test_transfer_matches_enumeration_at_any_coupling(case):
+    """At any coupling strength the transfer sum gives enumeration's law of
+    S, with no numpy warning: the pmf to 1e-12, log Z and the mean to 1e-12
+    relative to max(1, |value|). A two-row call gives each row the bits of
+    its one-row call."""
+    system, band, other = case
+    assert ee._bandwidth(system) == band
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        transfer = _one_row(ee._transfer, system)
+        scan = _one_row(ee._scan, system)
+        *both, s_min = ee._transfer(system, np.stack([system.field_array, other]))
+        second = _one_row(ee._transfer, replace(system, fields=tuple(other.tolist())))
+    log_z, probs, mean, _ = _law(transfer)
+    want_log_z, want_probs, want_mean, _ = _law(scan)
+    assert transfer[5] == scan[5] == s_min
+    assert probs.shape == want_probs.shape
+    assert np.abs(probs - want_probs).max() <= 1e-12
+    assert abs(log_z - want_log_z) <= 1e-12 * max(1.0, abs(want_log_z))
+    assert abs(mean - want_mean) <= 1e-12 * max(1.0, abs(want_mean))
+    for r, one in enumerate((transfer, second)):
+        row = [col[r] for col in both]
+        assert _hex(*row[:4], *row[4]) == _hex(*one[:4], *one[4]), r
 
 
 def test_route_dispatch(monkeypatch):

@@ -178,6 +178,53 @@ def test_repeated_boundary_site_is_a_domain_error():
 @pytest.mark.parametrize(
     "make, message",
     [
+        (lambda: lm.resolve_region(nn_chain(radius=3), [(0.5,), (1.7,)]), r"site \(0\.5,\) is 0\.5, not an integer"),
+        (lambda: lm.Coupling.explicit([((0,), (1.5,), 0.1)]), r"site \(1\.5,\) is 1\.5, not an integer"),
+        (lambda: lm.BoundaryCondition.explicit([((4.5,), 1)]), r"site \(4\.5,\) is 4\.5, not an integer"),
+        (lambda: lm.BoundaryCondition.explicit([((4,), 1.6)]), r"boundary value at \(4,\) is 1\.6, not an integer"),
+        (lambda: lm.BoundaryCondition.constant(1.6), r"constant boundary value is 1\.6, not an integer"),
+        (lambda: lm.BoundaryCondition.constant(True), r"constant boundary value is True, not an integer"),
+        (lambda: build_system(nn_chain(radius=3), [(0,)], omega={(1,): 0.6}), r"omega value at \(1,\) is 0\.6"),
+        (lambda: build_system(nn_chain(radius=3), [(0,)], omega={(1.5,): 1}), r"site \(1\.5,\) is 1\.5"),
+    ],
+    ids=[
+        "resolve_region",
+        "coupling_site",
+        "boundary_site",
+        "boundary_value",
+        "constant_value",
+        "constant_bool",
+        "omega_value",
+        "omega_site",
+    ],
+)
+def test_non_integral_site_or_spin_is_a_domain_error(make, message):
+    """A fractional site coordinate or spin value is refused by name on
+    every library entry point, never truncated to an int."""
+    with pytest.raises(DomainError, match=message):
+        make()
+
+
+def test_integral_sites_and_spins_are_ints():
+    """An integral float or a numpy integer stands for its int: the same
+    sites, values and fields as the int spelling."""
+    model = nn_chain(radius=3, spin=(-1, 1))
+    assert lm.resolve_region(model, [(np.int64(1),), (2.0,)]) == ((1,), (2,))
+    coupling = lm.Coupling.explicit([((np.int32(0),), (1.0,), 0.1)])
+    assert coupling.pairs == (((0,), (1,), 0.1),)
+    assert all(type(c) is int for x, y, _ in coupling.pairs for c in x + y)
+    constant = lm.BoundaryCondition.constant(np.float64(-1.0))
+    assert constant.value == -1 and type(constant.value) is int
+    explicit = lm.BoundaryCondition.explicit({(np.int64(4),): np.int8(1), (-4.0,): 0.0})
+    assert explicit.assignments == (((-4,), 0), ((4,), 1))
+    assert all(type(v) is int for _, v in explicit.assignments)
+    want = build_system(model, [(0,)], omega={(1,): 1, (-1,): -1})
+    assert build_system(model, [(0,)], omega={(1.0,): 1.0, (np.int64(-1),): np.int64(-1)}) == want
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
         (lambda: lm.Coupling.nearest_neighbor(math.inf), "coupling strength must be finite, got inf"),
         (lambda: lm.Coupling.power_law(math.nan, 3.0), "coupling strength must be finite, got nan"),
         (lambda: lm.Coupling.power_law(0.1, math.nan), "positive finite exponent, got nan"),
