@@ -146,9 +146,13 @@ def _emit(out_dir: str, lines: list[dict], meta: dict) -> None:
         fh.write("\n")
 
 
-def _grid(lo: float, hi: float, count: int, include_lo: bool = False) -> list[float]:
+def _check_t_points(count: int) -> None:
     if count < 1:
         raise DomainError(f"need at least one t point, got {count}")
+
+
+def _grid(lo: float, hi: float, count: int, include_lo: bool = False) -> list[float]:
+    _check_t_points(count)
     if include_lo:
         return [lo + (hi - lo) * i / max(count - 1, 1) for i in range(count)]
     return [lo + (hi - lo) * (i + 1) / count for i in range(count)]
@@ -171,9 +175,11 @@ def _cmd_min_r0(args) -> tuple[list[dict], bool]:
 
 
 def _cmd_identity_check(args) -> tuple[list[dict], bool]:
+    _check_t_points(args.t_points)
     model = _load_model(args.config)
     rng = np.random.default_rng(args.seed)
-    ts = [0.0] + sorted(rng.uniform(0.0, math.pi, size=max(args.t_points - 1, 1)).tolist())
+    # t = 0 and t_points - 1 sorted draws
+    ts = [0.0] + sorted(rng.uniform(0.0, math.pi, size=args.t_points - 1).tolist())
     variants = [0.0]
     if args.dressed:
         variants.append(vf.constants(model, args.c_variant).c_selected)

@@ -39,13 +39,15 @@ support the per-configuration sum of prod_e (e^{J_e s s'} - 1) over the
 graphs with that support, and GRAPH_SUM_BUDGET bounds the supports times
 the configurations it holds. Both direct routes take a scalar t or a 1-D
 grid of t. The other route is the gas sum over Mayer tables, a subset
-recursion; the exact engine never reads a Mayer table. Each region gets
-one plan, built on first use and free of t: its connected polymers, their
-weight rows (single-site laws and Mayer tables) on every total spin a
-polymer can take, and, for each lowest site l, index arrays of the recursion's
-(mask, mask - P, P) steps. At each t every activity then comes from one
-matrix product with the phase columns, and the recursion runs level by
-level over l, each level one gather, one product and one scatter-add. Run
+recursion; the exact engine never reads a Mayer table. Each coupling
+graph gets one schedule, shared by every region of that graph: its
+connected polymers and, for each lowest site l, index arrays of the
+recursion's (mask, mask - P, P) steps. Each region adds one plan, built on
+first use and free of t: the schedule with the polymers' weight rows
+(single-site laws and Mayer tables) on every total spin a polymer can
+take. At each t every activity then comes from one matrix product with
+the phase columns, and the recursion runs level by level over l, each
+level one gather, one product and one scatter-add. Run
 with one power of a formal lambda per polymer, the recursion gives
 Xi(lambda) through lambda^K, whose truncated log is the cluster series.
 Mayer tables are built for polymers of up to MAX_POLYMER_SIZE sites, from
@@ -159,12 +161,11 @@ class TreeGraphBounds:
 
 class _Gas:
     """Per-region tables: single-site measures, and t-free caches filled on
-    first use: each site's couplings, adjacency masks, connected site sets
-    (the rooted recursion's schedule, shared by regions of one coupling
-    graph), the gas-sum plan, Mayer tables by polymer index tuple (the
-    plan's pass fills every connected polymer's, a lookup before it one
-    polymer's), weight norms by (size, dressing, delta) and series
-    dampings by (c, delta, a, step norm)."""
+    first use: each site's couplings, adjacency masks (the key of the
+    coupling graph's _schedule), the gas-sum plan, Mayer tables by polymer
+    index tuple (the plan's pass fills every connected polymer's, a lookup
+    before it one polymer's), weight norms by (size, dressing, delta) and
+    series dampings by (c, delta, a, step norm)."""
 
     def __init__(self, system: System):
         self.system = system
@@ -192,12 +193,6 @@ class _Gas:
         """Bit mask of the coupled sites of each site."""
         return [sum(1 << j for j in c) for c in self.couplings]
 
-    @cached_property
-    def connected(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(mask, indices) of every connected site set, masks ascending, as
-        the rooted recursion's schedule on the coupling graph lists them."""
-        return tuple((mask, _members(mask)) for mask in _rooted_plan(tuple(self.adjacency))[0])
-
     def largest_component(self) -> int:
         """Site count of the largest coupling component."""
         seen, largest = set(), 0
@@ -222,18 +217,13 @@ class _Gas:
 
 @dataclass(frozen=True)
 class _Plan:
-    """The gas sum's t-free schedule over one region of n sites.
+    """The gas sum's t-free tables over one region of n sites.
 
-    Rows are the connected polymers, masks descending (so grouped by lowest
-    site, the order the recursion adds them in): masks and sizes per row,
-    and weights, each row's single-site law or Mayer table on `spins`,
-    every total spin a polymer of the region can take. The int32 columns
-    steps[:, bounds[l]:bounds[l + 1]] are level l: (target, source, row)
-    of every polymer P with lowest site l and every mask M whose lowest
-    site is l and that holds P, namely M, M - P and P's row, polymer by
-    polymer, so the one-site polymer {l}, the last row with lowest site l,
-    comes last; its steps are the level's final 2^(n-l-1), which the
-    dressed gas leaves out.
+    Rows are the connected polymers of the region's coupling graph, in its
+    _schedule's order; masks, sizes, steps and bounds are that schedule's
+    arrays, shared with every region of the graph and read-only. weights
+    is the region's own: each row's single-site law or Mayer table on
+    `spins`, every total spin a polymer of the region can take.
     """
 
     n: int
@@ -364,6 +354,43 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+@lru_cache(maxsize=256)
+def _schedule(adjacency: tuple[int, ...]):
+    """(polymers, masks, sizes, steps, bounds): the gas sum's schedule on
+    one coupling graph of n sites, adjacency its sites' neighbour masks.
+
+    polymers lists the connected site sets as index tuples, masks
+    descending (so grouped by lowest site, the order the recursion adds
+    them in), with their masks and sizes. The int32 columns
+    steps[:, bounds[l]:bounds[l + 1]] are level l: (target, source, row)
+    of every polymer P with lowest site l and every mask M whose lowest
+    site is l and that holds P, namely M, M - P and P's row, polymer by
+    polymer, so the one-site polymer {l}, the last row with lowest site l,
+    comes last; its steps are the level's final 2^(n-l-1), which the
+    dressed gas leaves out. Every region of the graph shares the arrays,
+    so they are read-only.
+    """
+    n = len(adjacency)
+    # the key of _rooted_sum's pass over every set, so the two share one plan
+    descending = _rooted_plan(adjacency, None)[0][::-1]
+    polymers = tuple(map(_members, descending))
+    masks = np.array(descending, dtype=np.int32)
+    sizes = np.array([len(idx) for idx in polymers])
+    lowest = np.array([idx[0] for idx in polymers])
+    levels = []
+    for low in range(n):
+        targets = np.arange(1 << low, 1 << n, 2 << low, dtype=np.int32)
+        rows = np.flatnonzero(lowest == low).astype(np.int32)
+        held = (targets[None, :] & masks[rows, None]) == masks[rows, None]
+        which, at = np.nonzero(held)
+        levels.append(np.stack((targets[at], targets[at] ^ masks[rows[which]], rows[which])))
+    steps = np.concatenate(levels, axis=1)
+    bounds = tuple(accumulate((level.shape[1] for level in levels), initial=0))
+    for array in (masks, sizes, steps):
+        array.flags.writeable = False
+    return polymers, masks, sizes, steps, bounds
+
+
 def _joint_law(memo: dict, laws: list, mask: int) -> np.ndarray:
     """Product of laws[a] over the positions a of mask, ascending, left to
     right, each prefix kept in memo."""
@@ -386,9 +413,9 @@ def _total_bins(values: tuple[float, ...], k: int) -> tuple[int, np.ndarray]:
 def _mayer_pass(gas: _Gas, idx: tuple[int, ...], every: bool) -> None:
     """Mayer tables (see _mayer) from one rooted recursion over the sites idx,
     ascending: of each connected set of two or more of them (every), or of
-    idx itself, the recursion then over the sets its sum reaches. Tables
-    already cached are kept, and with none to make the recursion does not
-    run.
+    idx itself, the recursion then over the sets its sum reaches; every
+    lists the sets from the coupling graph's _schedule. Tables already
+    cached are kept, and with none to make the recursion does not run.
 
     The sites sit on their _site_axes, each pair's factor e^{J s s'} - 1 on
     its two sites' axes, so every set's Mayer sum fills just its own q^|V|
@@ -403,10 +430,14 @@ def _mayer_pass(gas: _Gas, idx: tuple[int, ...], every: bool) -> None:
     k = len(idx)
     adjacency, laws, pairs = _site_axes(gas, idx)
     target = None if every else (1 << k) - 1
-    masks = _rooted_plan(tuple(adjacency))[0] if every else [target]
+    if every:
+        polymers, masks = _schedule(tuple(adjacency))[:2]
+        sets = zip(masks.tolist(), polymers)
+    else:
+        sets = [(target, tuple(range(k)))]
     todo = []
-    for mask in sorted(masks, reverse=True):
-        key = tuple(idx[a] for a in _members(mask))
+    for mask, members in sets:
+        key = tuple(idx[a] for a in members)
         if len(key) > 1 and key not in gas.mayer:
             _check_polymer(len(key))
             _check_grid(gas.q, len(key))
@@ -561,11 +592,12 @@ def _partition_direct(gas: _Gas, t, c: float):
 
 
 def _build_plan(gas: _Gas) -> _Plan:
-    """The region's _Plan, its Mayer tables from one _mayer_pass. The
-    recursion (its site count checked by _gas_for_mode) needs every
-    connected subset of a coupling component; dropping the large ones would
-    silently break the identity the gas sum certifies, so a component past
-    MAX_POLYMER_SIZE is refused here."""
+    """The region's _Plan: its coupling graph's _schedule, and the weight
+    rows of the region's own laws and Mayer tables, the tables from one
+    _mayer_pass. The recursion (its site count checked by _gas_for_mode)
+    needs every connected subset of a coupling component; dropping the
+    large ones would silently break the identity the gas sum certifies, so
+    a component past MAX_POLYMER_SIZE is refused here."""
     n = len(gas.sites)
     largest = gas.largest_component()
     if largest > MAX_POLYMER_SIZE:
@@ -574,30 +606,19 @@ def _build_plan(gas: _Gas) -> _Plan:
             f" needs polymers up to that size; cap is {MAX_POLYMER_SIZE}"
         )
     _mayer_pass(gas, tuple(range(n)), every=True)
-    polymers = list(reversed(gas.connected))
-    masks = np.array([mask for mask, _ in polymers], dtype=np.int32)
-    sizes = np.array([len(idx) for _, idx in polymers])
+    polymers, masks, sizes, steps, bounds = _schedule(tuple(gas.adjacency))
     # every total spin of k = 1..n sites
     lo, hi = int(gas.values[0]), int(gas.values[-1])
     base = min(lo, n * lo)
     spins = base + np.arange(max(hi, n * hi) - base + 1.0)
     weights = np.zeros((len(polymers), len(spins)))
-    for row, (_, idx) in enumerate(polymers):
+    for row, idx in enumerate(polymers):
         if len(idx) == 1:
             start, table = lo, gas.probs[idx[0]]
         else:
             start, table, _ = gas.mayer[idx]
         weights[row, start - base : start - base + len(table)] = table
-    lowest = np.array([idx[0] for _, idx in polymers])
-    levels = []
-    for low in range(n):
-        targets = np.arange(1 << low, 1 << n, 2 << low, dtype=np.int32)
-        rows = np.flatnonzero(lowest == low).astype(np.int32)
-        held = (targets[None, :] & masks[rows, None]) == masks[rows, None]
-        which, at = np.nonzero(held)
-        levels.append(np.stack((targets[at], targets[at] ^ masks[rows[which]], rows[which])))
-    bounds = tuple(accumulate((level.shape[1] for level in levels), initial=0))
-    return _Plan(n, masks, sizes, spins, weights, np.concatenate(levels, axis=1), bounds)
+    return _Plan(n, masks, sizes, spins, weights, steps, bounds)
 
 
 def _cpython_product(z, x):

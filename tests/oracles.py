@@ -7,7 +7,8 @@ graph and tree counts, so keep k small (the enumerations refuse k > 7
 and k > 8). mayer_table_by_polymer, tree_bounds_by_dense_tables and
 gas_sum_by_masks are the library's earlier routes, one polymer or one mask
 at a time, every configuration of a polymer on one dense trailing axis,
-which its passes on spin axes must match bit for bit. hamiltonian and
+which its passes on spin axes must match bit for bit; plan_by_masks builds
+the gas-sum plan from its definition the same way. hamiltonian and
 single_spin_distribution compute a log weight and a single-site law from
 the model's definitions, with every coupling from the scalar
 Coupling.value.
@@ -264,6 +265,51 @@ def gas_sum_by_masks(n: int, groups: list[list], K: int | None = None):
                     acc[1:] += z * dp[mask ^ poly][:-1]
         dp[mask] = acc
     return dp[-1]
+
+
+def plan_by_masks(gas):
+    """(masks, sizes, spins, weights, steps, bounds) of the region's gas-sum
+    plan from their definitions, one mask at a time: the connected polymers
+    found by a search of each nonzero mask along the couplings, masks
+    descending; each row's single-site law or mayer_table_by_polymer on
+    every total spin of 1 to n sites; and level by level, polymer by
+    polymer, the steps (M, M - P, row of P) of every mask M holding P whose
+    lowest site is P's, M ascending."""
+    n = len(gas.sites)
+
+    def connected(mask):
+        seen, todo = mask & -mask, [(mask & -mask).bit_length() - 1]
+        while todo:
+            for j in gas.couplings[todo.pop()]:
+                if mask >> j & 1 and not seen >> j & 1:
+                    seen |= 1 << j
+                    todo.append(j)
+        return seen == mask
+
+    masks = [mask for mask in range((1 << n) - 1, 0, -1) if connected(mask)]
+    lo, hi = int(gas.values[0]), int(gas.values[-1])
+    base = min(lo, n * lo)
+    spins = base + np.arange(max(hi, n * hi) - base + 1.0)
+    weights = np.zeros((len(masks), len(spins)))
+    steps, bounds = [], [0]
+    for low in range(n):
+        for row, poly in enumerate(masks):
+            if poly & -poly != 1 << low:
+                continue
+            idx = tuple(i for i in range(n) if poly >> i & 1)
+            start, table = (lo, gas.probs[low]) if len(idx) == 1 else mayer_table_by_polymer(gas, idx)[:2]
+            weights[row, start - base : start - base + len(table)] = table
+            # the subsets of the sites above low outside P, ascending
+            free, sub = ((1 << n) - (2 << low)) & ~poly, 0
+            while True:
+                steps.append((poly | sub, sub, row))
+                sub = (sub - free) & free
+                if not sub:
+                    break
+        bounds.append(len(steps))
+    sizes = np.array([bin(mask).count("1") for mask in masks])
+    table = np.array(steps, dtype=np.int32).T.reshape(3, -1)
+    return np.array(masks, dtype=np.int32), sizes, spins, weights, table, tuple(bounds)
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,28 @@ def test_flag_a_subcommand_ignores_exits_two(command, flag, config, tmp_path, ca
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["identity-check", "site-cf", "decay-small-t", "decay-large-t"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_t_points_below_one_exits_two(command, count, config, tmp_path, capsys):
+    """Every subcommand with a t grid refuses a t count below 1 with the same
+    message, and writes nothing."""
+    argv = [command, "--config", config, "--out", str(tmp_path / "o"), "--t-points", count]
+    assert cli.main(argv) == 2
+    assert f"error: need at least one t point, got {count}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_identity_check_takes_as_many_t_points_as_asked(config, tmp_path):
+    """N t points are t = 0 and N - 1 sorted draws, one line each per
+    dressing; from 2 on the draws are the ones every earlier run took."""
+    for count in (1, 2, 5):
+        out = tmp_path / str(count)
+        assert cli.main(["identity-check", "--config", config, "--out", str(out), "--t-points", str(count)]) == 0
+        ts = [line["parameters"]["t"] for line in _reports(out)]
+        draws = np.random.default_rng(0).uniform(0.0, math.pi, size=count - 1)
+        assert ts == [0.0, *sorted(draws.tolist())]
+
+
 def test_long_chain_scan_runs_at_default_budget(tmp_path):
     """lclt-scan past enumeration: 2000 sites of a radius-1000 chain take
     2000*2^2*2001 transfer steps, within the default budget."""

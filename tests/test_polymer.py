@@ -7,6 +7,8 @@ from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
@@ -325,7 +327,8 @@ def mask_groups(gas, z, dressed: bool) -> list[list]:
     masks descending, each with its activity in the plan's row."""
     by_mask = dict(zip(gas.plan.masks.tolist(), z.tolist()))
     groups = [[] for _ in gas.sites]
-    for mask, idx in reversed(gas.connected):
+    for idx in pg._schedule(tuple(gas.adjacency))[0]:
+        mask = sum(1 << i for i in idx)
         if len(idx) > 1 or not dressed:
             groups[idx[0]].append((mask, by_mask[mask]))
     return groups
@@ -380,7 +383,7 @@ def test_plan_activities_match_graph_enumeration():
             params = pg.ActivityParams(t=float(rng.uniform(0.1, 3.0)), c=c)
             for order in (0, 1, 2):
                 rows = plan.activities(params.t, c, order)
-                for (_, idx), row in zip(reversed(gas.connected), rows.tolist()):
+                for idx, row in zip(pg._schedule(tuple(gas.adjacency))[0], rows.tolist()):
                     if c and len(idx) == 1:
                         continue
                     poly = [gas.sites[i] for i in idx]
@@ -488,7 +491,7 @@ def test_region_pass_matches_per_polymer_tables_bit_for_bit():
         system = build_system(model, region, omega)
         gas = pg._Gas(system)
         pg._mayer_pass(gas, tuple(range(len(gas.sites))), every=True)
-        connected = [idx for _, idx in gas.connected if len(idx) > 1]
+        connected = [idx for idx in reversed(pg._schedule(tuple(gas.adjacency))[0]) if len(idx) > 1]
         assert sorted(gas.mayer) == sorted(connected)
         alone = pg._Gas(system)
         picks = [connected[int(i)] for i in rng.choice(len(connected), size=3)]
@@ -504,6 +507,81 @@ def test_region_pass_matches_per_polymer_tables_bit_for_bit():
                 assert math.isfinite(abs_mass) and got[2].hex() == abs_mass.hex()
                 checked += 1
     assert checked > 1000
+
+
+def test_regions_of_one_coupling_graph_share_a_read_only_schedule():
+    """Two 7-site chains that differ in strength, spin interval and omega
+    have one coupling graph: their plans hold the same step, mask and size
+    arrays, which refuse writes, and weight rows of their own."""
+    rng = np.random.default_rng(34)
+    plans = []
+    for strength, spin in ((0.1, (0, 1)), (-0.2, (-1, 1))):
+        model = nn_chain(radius=3, strength=strength, spin=spin, boundary=spin[1])
+        plans.append(pg._gas(model, "box", random_omega(rng, model, "box")).plan)
+    first, second = plans
+    for name in ("steps", "masks", "sizes"):
+        shared = getattr(first, name)
+        assert getattr(second, name) is shared
+        with pytest.raises(ValueError, match="read-only"):
+            shared[..., 0] = 0
+    assert first.bounds == second.bounds
+    assert not np.shares_memory(first.weights, second.weights)
+
+
+def test_plan_matches_mask_by_mask_build_bit_for_bit():
+    """Every field of the plan of each GAS_SUM_REGIONS region and each
+    _mayer_cases region, from a fresh gas, against the plan built from its
+    definition one mask at a time: masks, sizes, spins, weights and steps
+    by bytes, bounds and n equal."""
+    cases = [(model, region, None) for model, region in GAS_SUM_REGIONS.values()]
+    for model, region, omega in cases + list(_mayer_cases()):
+        gas = pg._Gas(build_system(model, region, omega))
+        plan = gas.plan
+        assert plan.n == len(gas.sites)
+        *arrays, bounds = oracles.plan_by_masks(gas)
+        for name, want in zip(("masks", "sizes", "spins", "weights", "steps"), arrays):
+            got = getattr(plan, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+        assert plan.bounds == bounds
+
+
+@st.composite
+def _coupling_graphs(draw):
+    """(model, sites): 1 to 10 sites on a 1-D box, spins {0, 1} or
+    {-1, 0, 1}, up to n + 2 coupled pairs of strength 0.05 to 0.4 and
+    either sign, so isolated sites and disconnected graphs come up too."""
+    n = draw(st.integers(1, 10))
+    sites = tuple((x,) for x in range(-(n // 2), n - n // 2))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+    edges = draw(st.sets(ends, max_size=n + 2)) if n > 1 else set()
+    strength = st.tuples(st.floats(0.05, 0.4), st.sampled_from((-1.0, 1.0))).map(lambda vs: vs[0] * vs[1])
+    pairs = [(sites[a], sites[b], draw(strength)) for a, b in sorted(edges)]
+    model = lm.GibbsModel(
+        box=lm.Box(dimension=1, radius=n // 2, r0=1),
+        spin=lm.SpinInterval(*draw(st.sampled_from(((0, 1), (-1, 1))))),
+        coupling=lm.Coupling.explicit(pairs),
+        boundary=lm.BoundaryCondition.zero(),
+    )
+    return model, sites
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_coupling_graphs(), st.floats(0.2, 3.0))
+def test_gas_sum_on_random_coupling_graphs_matches_mask_loop(case, t):
+    """On random coupling graphs of 1 to 10 sites the plan's recursion
+    against the loop over masks and polymers, given the same activities:
+    Xi and Xi(lambda) through lambda^3, undressed and dressed, bit for
+    bit."""
+    model, sites = case
+    gas = pg._gas(model, sites, None)
+    n = len(sites)
+    for K, c in product((None, 3), (0.0, 0.3)):
+        z = gas.plan.activities(t, c)
+        K_n = None if K is None else min(K, n)
+        got = pg._gas_sum(gas.plan, z, K_n, dressed=c != 0.0)
+        want = oracles.gas_sum_by_masks(n, mask_groups(gas, z, c != 0.0), K_n)
+        assert bits(got) == bits(want), (K, c)
 
 
 def test_activity_derivatives_match_finite_differences():
