@@ -100,6 +100,21 @@ def _energy_bound(pairs, values, fields) -> float:
     return sum(abs(v) for _, _, v in pairs) * sigma * sigma + sum(map(abs, fields)) * sigma
 
 
+def _energy_bounds(pairs, values, fields: np.ndarray) -> np.ndarray:
+    """_energy_bound of each row of a (rows, n) array of field slopes, bit
+    for bit."""
+    sigma = max(-min(values), max(values))
+    # a bound past float64 is the answer here, not a fault to warn of
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sum(abs(v) for _, _, v in pairs) * sigma * sigma + _row_sums(np.abs(fields)) * sigma
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row of a (rows, n) array summed left to right from 0.0, the
+    additions of Python's sum over the row, so bit for bit its value."""
+    return np.cumsum(np.concatenate([np.zeros((len(terms), 1)), terms], axis=1), axis=1)[:, -1]
+
+
 def _region_pairs(model: m.GibbsModel, region: tuple[m.Site, ...]):
     """(i, k, J) of each coupled pair i < k, by i and then k."""
     i, k, j = m._couplings_within(model, region, region, model.coupling.range_bound or 2 * model.box.radius)

@@ -22,6 +22,7 @@ import argparse
 import csv
 import datetime
 import functools
+import io
 import json
 import math
 import sys
@@ -118,32 +119,59 @@ def _sanitize(obj):
         return dict(zip(obj, _sanitize(list(obj.values()))))
     if isinstance(obj, (list, tuple)):
         return [v if type(v) in (str, bool, int) or type(v) is float and math.isfinite(v) else _sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, (np.floating, np.integer, complex)):
+        return _plain(obj)
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
 
 
+def _plain(obj):
+    """What _sanitize makes of a numpy scalar or a complex number, for the
+    encoder's default hook."""
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# One encoder for every report line. It refuses a non-finite float, so only
+# a line holding one takes the _sanitize walk.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, default=_plain)
+
+
+def _line_json(line: dict) -> str:
+    try:
+        return _LINE_ENCODER.encode(line)
+    except ValueError:
+        return json.dumps(_sanitize(line), sort_keys=True)
+
+
 def _emit(out_dir: str, lines: list[dict], meta: dict) -> None:
+    """Write reports.jsonl, summary.csv and run_meta.json into out_dir, each
+    with one write.
+
+    A report line is encoded by one shared encoder with sorted keys that
+    writes numpy scalars as Python numbers and a complex number as
+    {"re", "im"}; a line holding a non-finite float is encoded from
+    _sanitize's copy of it instead, which writes a plain float inf or NaN
+    as the string "inf" or "nan". Either way the line's bytes are those of
+    json.dumps(_sanitize(line), sort_keys=True).
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "reports.jsonl", "w") as fh:
-        for line in lines:
-            fh.write(json.dumps(_sanitize(line), sort_keys=True) + "\n")
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "lhs", "rhs", "margin", "pass"])
-        for line in lines:
-            if "check" in line:
-                writer.writerow(
-                    [line["check"], repr(line["lhs"]), repr(line["rhs"]), repr(line["margin"]), line["pass"]]
-                )
-    with open(out / "run_meta.json", "w") as fh:
-        json.dump(_sanitize(meta), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    (out / "reports.jsonl").write_text("".join(f"{_line_json(line)}\n" for line in lines))
+    summary = io.StringIO()
+    writer = csv.writer(summary)
+    writer.writerow(["check", "lhs", "rhs", "margin", "pass"])
+    writer.writerows(
+        [line["check"], repr(line["lhs"]), repr(line["rhs"]), repr(line["margin"]), line["pass"]]
+        for line in lines
+        if "check" in line
+    )
+    (out / "summary.csv").write_text(summary.getvalue(), newline="")
+    (out / "run_meta.json").write_text(json.dumps(_sanitize(meta), sort_keys=True, indent=2) + "\n")
 
 
 def _check_t_points(count: int) -> None:
@@ -336,13 +364,14 @@ def main(argv=None) -> int:
     _emit(args.out, lines, meta)
     checks = [ln for ln in lines if "check" in ln]
     n_fail = sum(1 for ln in checks if not ln["pass"])
-    for ln in checks:
-        tag = "PASS" if ln["pass"] else "FAIL"
-        print(f"{tag} {ln['check']} lhs={ln['lhs']:.6g} rhs={ln['rhs']:.6g}")
+    text = [
+        f"{'PASS' if ln['pass'] else 'FAIL'} {ln['check']} lhs={ln['lhs']:.6g} rhs={ln['rhs']:.6g}" for ln in checks
+    ]
     if checks:
-        print(f"{len(checks) - n_fail}/{len(checks)} checks passed; reports in {args.out}/")
+        text.append(f"{len(checks) - n_fail}/{len(checks)} checks passed; reports in {args.out}/")
     else:
-        print(f"reports in {args.out}/")
+        text.append(f"reports in {args.out}/")
+    print("\n".join(text))
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

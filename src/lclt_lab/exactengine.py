@@ -59,12 +59,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import model as m
-from ._system import System, _build, _energy_bound, _spin_grid, build_system, windowed_exterior
+from ._system import System, _build, _energy_bounds, _row_sums, _spin_grid, build_system, windowed_exterior
 from .errors import CapacityError, DegenerateDistributionError, require_normal_exp
 
 DEFAULT_BUDGET = 1 << 24
@@ -76,7 +76,11 @@ _CHUNK_TARGET = 1 << 18
 # log(tiny/eps): a largest shifted weight above it keeps every weight within
 # a factor eps of it a normal float
 _LOG_TINY_OVER_EPS = math.log(np.finfo(float).tiny / np.finfo(float).eps)
-_TINY = np.finfo(float).tiny
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -96,20 +100,39 @@ class Statistics:
         return self.variance_S / self.site_count
 
 
+def _check_pmfs(probs: np.ndarray) -> None:
+    """A pmf's two checks on each row of a (rows, width) array, row by row:
+    a negative or NaN mass, then a normalization that drifted from 1 by more
+    than 1e-12 (an exact fsum)."""
+    # written so that a NaN fails each check
+    for nonnegative, row in zip((probs >= 0).all(axis=1).tolist(), probs.tolist()):
+        if not nonnegative:
+            raise RuntimeError("pmf holds a negative or NaN mass")
+        total = math.fsum(row)
+        if not abs(total - 1.0) <= 1e-12:
+            raise RuntimeError(f"pmf normalization drifted to {total!r}")
+
+
 @dataclass(frozen=True)
 class PmfTable:
-    """Exact distribution of S over the full integer support interval."""
+    """Exact distribution of S over the full integer support interval.
+
+    probability_array and support_array are the same table as read-only
+    arrays, built once per table."""
 
     p_min: int
     probabilities: tuple[float, ...]
 
     def __post_init__(self):
-        # written so that a NaN fails each check
-        if not all(p >= 0 for p in self.probabilities):
-            raise RuntimeError("pmf holds a negative or NaN mass")
-        total = math.fsum(self.probabilities)
-        if not abs(total - 1.0) <= 1e-12:
-            raise RuntimeError(f"pmf normalization drifted to {total!r}")
+        _check_pmfs(self.probability_array[None])
+
+    @cached_property
+    def probability_array(self) -> np.ndarray:
+        return _read_only(np.asarray(self.probabilities, dtype=float))
+
+    @cached_property
+    def support_array(self) -> np.ndarray:
+        return _read_only(np.arange(self.p_min, self.p_min + len(self.probabilities)))
 
     @property
     def support(self) -> range:
@@ -170,10 +193,11 @@ def _checked_system(model: m.GibbsModel, region, budget: int, omega_items=None) 
 def _energy_shifts(system: System, fields: np.ndarray) -> list[float]:
     """Upper bound on the log weight of each row of field slopes, used to
     keep exponentials bounded: every pair and field term at its largest
-    corner of the spin interval, the pairs' sum plus the row's fields' sum."""
+    corner of the spin interval, the pairs' sum plus the row's fields' sum,
+    each sum left to right from 0.0 (_row_sums)."""
     lo, hi = min(system.values), max(system.values)
     pair_part = sum(max(v * lo * lo, v * lo * hi, v * hi * hi) for _, _, v in system.pairs)
-    return [pair_part + sum(max(b * lo, b * hi) for b in row) for row in fields.tolist()]
+    return (pair_part + _row_sums(np.maximum(fields * lo, fields * hi))).tolist()
 
 
 def _scan(system: System, fields: np.ndarray):
@@ -337,22 +361,48 @@ def _transfer(system: System, fields: np.ndarray):
     return shift.tolist(), z, s1, s2, bins, s_min
 
 
+def _not_finite(name: str, n: int, shift: float, z: float) -> CapacityError:
+    return CapacityError(f"{name} on {n} sites is not finite in float64: the shift is {shift!r} and Z_shifted {z!r}")
+
+
 def _law(name: str, n: int, shift, z, s1, s2, bins, s_min: int):
     """(shift, Z_shifted, mean, variance, pmf) from one row of a route's sums."""
     shift, z, s1, s2 = float(shift), float(z), float(s1), float(s2)
     # |S| <= n max|s|, so finite sums with Z_shifted > 0 give finite moments
     if not (z > 0 and all(map(math.isfinite, (shift, z, s1, s2))) and np.isfinite(bins).all()):
-        raise CapacityError(
-            f"{name} on {n} sites is not finite in float64: the shift is {shift!r} and Z_shifted {z!r}"
-        )
+        raise _not_finite(name, n, shift, z)
     mean = s1 / z
     var = s2 / z - mean * mean
     probs = bins / z
     # Both routes' bins are sums of nonnegative terms, so the clip only
     # zeroes the masses under 1e-300.
     probs = np.where(probs < 1e-300, 0.0, probs)
-    table = PmfTable(p_min=s_min, probabilities=tuple(float(p) for p in probs / probs.sum()))
+    table = PmfTable(p_min=s_min, probabilities=tuple((probs / probs.sum()).tolist()))
     return shift, z, mean, var, table
+
+
+def _pmfs(name: str, n: int, shift, z, s1, s2, bins) -> np.ndarray:
+    """The (rows, width) pmfs of _law on each row of a route's sums, in one
+    array pass, for the many rows of a decay scan (_law's scalar checks
+    cost less on the one row of _moments).
+
+    The row that _law refuses first gets _law's error: rows before it are
+    normalized and pass _check_pmfs, then it raises _law's CapacityError.
+    Every step is elementwise or a row sum along axis 1 of a contiguous
+    array, which takes the 1-D sum's additions, so each row keeps the bits
+    of its _law pmf.
+    """
+    sums = np.array([shift, z, s1, s2], dtype=float)
+    z = sums[1, :, None]
+    good = np.isfinite(sums).all(axis=0) & (sums[1] > 0) & np.isfinite(bins).all(axis=1)
+    stop = len(good) if good.all() else int(good.argmin())
+    probs = bins[:stop] / z[:stop]
+    probs = np.where(probs < 1e-300, 0.0, probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    _check_pmfs(probs)
+    if stop < len(good):
+        raise _not_finite(name, n, *sums[:2, stop].tolist())
+    return probs
 
 
 @lru_cache(maxsize=64)
@@ -399,10 +449,8 @@ def char_from_pmf(table: PmfTable, t) -> complex | np.ndarray:
     Accepts a scalar or an array of t values; integer-valued S makes this
     exact.
     """
-    ps = np.arange(table.p_min, table.p_min + len(table.probabilities))
-    probs = np.asarray(table.probabilities)
     t_arr = np.asarray(t, dtype=float)
-    out = np.exp(1j * np.multiply.outer(t_arr, ps)) @ probs
+    out = np.exp(1j * np.multiply.outer(t_arr, table.support_array)) @ table.probability_array
     return complex(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
@@ -414,10 +462,9 @@ def lclt_gap(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) ->
             f"total-spin variance {var!r} is too small for a local-CLT gap"
         )
     root_d = math.sqrt(var)
-    ps = np.arange(table.p_min, table.p_min + len(table.probabilities))
-    z = (ps - mean) / root_d
+    z = (table.support_array - mean) / root_d
     gauss = np.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
-    return float(np.abs(root_d * np.asarray(table.probabilities) - gauss).max())
+    return float(np.abs(root_d * table.probability_array - gauss).max())
 
 
 def decimated_char_fn_sup(
@@ -445,13 +492,17 @@ def decimated_char_fn_sup(
     _cost picks in groups: a group's rows times the larger of one row's work
     and its region x W block stay within one enumeration chunk
     (_CHUNK_TARGET), rows of a group with equal fields share one sum, and
-    every row keeps the bits of its own _moments call. The set does not
-    depend on t, and every conditioning's pmf has the same support, so one
-    Fourier matrix exp(i t p) over t_grid x support serves the scan. Each
-    |cf| row is that matrix times one pmf, the product char_from_pmf takes,
-    so the rows match it bit for bit; one matrix-matrix product over all
-    pmfs would sum in another order, move last bits and, since tied maxima
-    are common, move worst labels.
+    every row keeps the bits of its own _moments call. A group's energy
+    bounds and shifts are row-wise cumulative sums (_row_sums), and its
+    pmfs come from one array pass over the route's sums (_pmfs), which
+    refuses the row that _law would refuse first, with _law's error, and
+    keeps each row's bits; no PmfTable is built. The set does not depend on
+    t, and every conditioning's pmf has the same support, so one Fourier
+    matrix exp(i t p) over t_grid x support serves the scan. Each |cf| row
+    is that matrix times one pmf row, the product char_from_pmf takes, so
+    the rows match it bit for bit; one matrix-matrix product over all pmfs
+    would sum in another order, move last bits and, since tied maxima are
+    common, move worst labels.
     """
     ts = tuple(float(t) for t in t_grid)
     q = model.spin.card
@@ -500,14 +551,14 @@ def decimated_char_fn_sup(
         fields, first, inverse = np.unique(fields, axis=0, return_index=True, return_inverse=True)
         # the first row in scan order whose energy bound float64 cannot hold
         # gets the refusal of its own System
-        for u in np.argsort(first):
-            if not math.isfinite(_energy_bound(system.pairs, system.values, fields[u].tolist())):
-                replace(system, fields=tuple(fields[u].tolist()))
-        *sums, s_min = route(system, fields)
+        unbounded = np.flatnonzero(~np.isfinite(_energy_bounds(system.pairs, system.values, fields)))
+        if len(unbounded):
+            replace(system, fields=tuple(fields[unbounded[np.argmin(first[unbounded])]].tolist()))
+        *sums, _ = route(system, fields)
         # one matrix-vector product per pmf, as char_from_pmf takes it: a
         # matrix-matrix product over all of them sums in another order
-        cfs = [np.abs(fourier @ np.asarray(_law(name, n, *row, s_min)[4].probabilities)) for row in zip(*sums)]
-        abs_cfs[start : start + len(rows)] = np.array(cfs)[inverse.ravel()]
+        cfs = np.array([np.abs(fourier @ probs) for probs in _pmfs(name, n, *sums)])
+        abs_cfs[start : start + len(rows)] = cfs[inverse.ravel()]
     return DecimatedCharFnSup(
         t=ts,
         sup=tuple(abs_cfs.max(axis=0).tolist()),

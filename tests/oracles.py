@@ -11,10 +11,15 @@ which its passes on spin axes must match bit for bit; plan_by_masks builds
 the gas-sum plan from its definition the same way. hamiltonian and
 single_spin_distribution compute a log weight and a single-site law from
 the model's definitions, with every coupling from the scalar
-Coupling.value.
+Coupling.value. energy_shifts_by_rows is the exact engine's earlier
+per-row Python sum of energy shifts, which its row-wise pass must match
+bit for bit; report_line_by_sanitize is the CLI's earlier line writer,
+a recursive walk before json.dumps, whose bytes the shared encoder must
+keep.
 """
 
 import heapq
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -369,3 +374,31 @@ def single_spin_distribution(model, x, region="box") -> dict[int, float]:
     w = np.exp(logw)
     w /= w.sum()
     return {int(s): float(p) for s, p in zip(model.spin.values, w)}
+
+
+def energy_shifts_by_rows(system: System, fields: np.ndarray) -> list[float]:
+    """Each row's energy shift by Python sums: the pairs' largest corners
+    plus the row's fields' largest corners, summed left to right."""
+    lo, hi = min(system.values), max(system.values)
+    pair_part = sum(max(v * lo * lo, v * lo * hi, v * hi * hi) for _, _, v in system.pairs)
+    return [pair_part + sum(max(b * lo, b * hi) for b in row) for row in fields.tolist()]
+
+
+def _sanitize(obj):
+    """obj for json.dumps; str, bool, int and finite float members pass as they are."""
+    if isinstance(obj, dict):
+        return dict(zip(obj, _sanitize(list(obj.values()))))
+    if isinstance(obj, (list, tuple)):
+        return [v if type(v) in (str, bool, int) or type(v) is float and math.isfinite(v) else _sanitize(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def report_line_by_sanitize(line: dict) -> str:
+    """One reports.jsonl line, newline included, by a walk of the line."""
+    return json.dumps(_sanitize(line), sort_keys=True) + "\n"

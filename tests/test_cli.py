@@ -12,6 +12,7 @@ import lclt_lab.cli as cli
 import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
 import lclt_lab.polymer as pg
+import oracles
 from lclt_lab.errors import CapacityError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -469,3 +470,71 @@ def test_parser_is_reused_across_calls(config, tmp_path, capsys):
     assert exc.value.code == 0
     assert cli.main(["constants", "--config", config, "--out", str(tmp_path / "e")]) == 0
     assert "lclt-lab" in capsys.readouterr().out
+
+
+# decay-large-t on the README model: every lhs as main prints it, against
+# the rate's rhs e^{-(c/2) n} = 0.999967
+LARGE_T_LHS = (
+    "0.997824", "0.994191", "0.988824", "0.981746", "0.972986", "0.96258", "0.950572", "0.937009", "0.921947",
+    "0.905447", "0.887576", "0.868407", "0.848016", "0.826484", "0.803897", "0.780344", "0.755917", "0.730712",
+    "0.704826", "0.678358", "0.651407", "0.624075", "0.596463", "0.568672", "0.540802", "0.512951", "0.485216",
+    "0.457693", "0.430472", "0.403642", "0.377288", "0.351491", "0.326328", "0.301869", "0.278181", "0.255325",
+    "0.233355", "0.212321", "0.192265", "0.173224", "0.155227", "0.138297", "0.12245", "0.107695", "0.0940355",
+    "0.081466", "0.0699759", "0.0595473", "0.0501561", "0.0417718", "0.0343578", "0.0278719", "0.022266",
+    "0.0174873", "0.0134778", "0.0101755", "0.00751427", "0.00542514", "0.00383671", "0.00267661", "0.00187343",
+    "0.00136002", "0.00107892", "0.000990073",
+)
+
+
+def test_decay_large_t_stdout(config, tmp_path, capsys):
+    """main prints one PASS/FAIL line per check and a count, nothing else."""
+    out = tmp_path / "out"
+    assert cli.main(["decay-large-t", "--config", config, "--out", str(out)]) == 0
+    want = [f"PASS large_t_volume_decay lhs={lhs} rhs=0.999967" for lhs in LARGE_T_LHS]
+    want.append(f"64/64 checks passed; reports in {out}/")
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+
+def _value_kinds():
+    """Report lines holding every kind of value a line may carry."""
+    inf, nan = math.inf, math.nan
+    check = {"check": "kinds", "lhs": 0.5, "rhs": 1.0, "margin": 0.5, "pass": True, "parameters": {"t": 0.25}}
+    return [
+        check,
+        {**check, "lhs": inf, "margin": -inf},
+        {**check, "rhs": nan, "pass": False},
+        {**check, "parameters": {"t": inf, "tolerance": -inf, "c": nan}},
+        {**check, "parameters": {"t": np.float64(0.1), "k": np.int64(3), "w": np.float32(0.1)}},
+        {**check, "parameters": {"t": np.float64(inf), "w": np.float32(-inf), "v": np.float64(nan)}},
+        {"record": "numpy", "values": {"a": np.float64(1e-310), "b": np.float32(2.5), "c": np.int64(-7)}},
+        {"record": "complex", "values": {"z": 1.5 - 2j, "w": complex(0.0, -0.0), "u": np.complex128(0.5 + 0.25j)}},
+        {"record": "complex", "values": {"z": complex(inf, 1.0), "w": complex(0.0, nan), "u": np.complex128(-inf)}},
+        {"record": "nested", "values": {"rows": [{"b": (1, 2.5), "a": [np.float64(3.0), "x"]}], "t": (0.5, -0.0)}},
+        {"record": "nested", "values": {"rows": [{"b": (1, 2.5), "a": [np.float32(3.0), "x"]}], "t": (0.5, inf)}},
+        {"record": "nested", "values": {"rows": ({"z": {"y": {"x": nan}}}, [True, None, -0.0, 10**20])}},
+        {"record": "nested", "values": {"rows": ({"z": {"y": {"x": 1j}}}, [True, None, np.int64(-1), 10**20])}},
+        {"record": "empty", "values": {}},
+    ]
+
+
+def test_emit_writes_every_value_kind_as_the_walk_did(tmp_path):
+    """reports.jsonl holds, byte for byte, each line as the recursive
+    walk before json.dumps wrote it: numpy scalars as Python numbers,
+    complex numbers as {"re", "im"}, tuples as lists, and a plain inf or NaN
+    as a string, at top level and inside parameters."""
+    lines = _value_kinds()
+    cli._emit(str(tmp_path), lines, {"runtime_ms": 1.0})
+    want = "".join(map(oracles.report_line_by_sanitize, lines))
+    assert '"inf"' in want and '"-inf"' in want and '"nan"' in want
+    assert (tmp_path / "reports.jsonl").read_text() == want
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    assert summary[0] == "check,lhs,rhs,margin,pass"
+    assert summary[1:4] == ["kinds,0.5,1.0,0.5,True", "kinds,inf,1.0,-inf,True", "kinds,0.5,nan,0.5,False"]
+    assert len(summary) == 7
+
+
+def test_emit_refuses_what_json_cannot_write(tmp_path):
+    """A value that is neither JSON nor a numpy scalar or complex number
+    stops the writer, as json.dumps stops."""
+    with pytest.raises(TypeError, match="set"):
+        cli._emit(str(tmp_path), [{"record": "bad", "values": {"s": {1}}}], {})

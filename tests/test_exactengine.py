@@ -15,7 +15,7 @@ import lclt_lab.montecarlo as mc
 import lclt_lab.polymer as pg
 import oracles
 from conftest import free_chain, frustrated_complete_graph, nn_chain, random_model, random_omega
-from lclt_lab._system import System, build_system, windowed_exterior
+from lclt_lab._system import System, _energy_bound, _energy_bounds, build_system, windowed_exterior
 from lclt_lab.errors import CapacityError, DegenerateDistributionError
 
 
@@ -576,6 +576,122 @@ def test_huge_chain_stops_without_warning(chain, entry):
 def test_pmf_table_refuses_nan_and_negative_mass(probabilities):
     with pytest.raises(RuntimeError, match="pmf"):
         ee.PmfTable(p_min=0, probabilities=probabilities)
+
+
+def test_pmf_table_arrays_are_read_only_and_built_once():
+    """A table's arrays are built on first use, shared by later reads and
+    read-only; char_from_pmf and lclt_gap read them and keep the bits of
+    arrays made from the tuple on every call."""
+    model = nn_chain(radius=3, strength=0.1, spin=(-1, 2), boundary=1)
+    table = ee.pmf(model)
+    probs, support = table.probability_array, table.support_array
+    assert probs is table.probability_array and support is table.support_array
+    assert probs.tolist() == list(table.probabilities) and support.tolist() == list(table.support)
+    for array in (probs, support):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    ts = np.linspace(-math.pi, math.pi, 9)
+    ps = np.arange(table.p_min, table.p_min + len(table.probabilities))
+    want = np.exp(1j * np.multiply.outer(ts, ps)) @ np.asarray(table.probabilities)
+    assert ee.char_from_pmf(table, ts).tobytes() == want.tobytes()
+    assert ee.char_from_pmf(table, 0.3) == complex(np.exp(1j * 0.3 * ps) @ np.asarray(table.probabilities))
+    stats = ee.statistics(model)
+    root_d = math.sqrt(stats.variance_S)
+    z = (ps - stats.mean_S) / root_d
+    gauss = np.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
+    assert ee.lclt_gap(model) == float(np.abs(root_d * np.asarray(table.probabilities) - gauss).max())
+
+
+def _shift_cases():
+    """Systems with and without pairs (and one without sites), each with
+    rows of field slopes holding signed zeros, mixed signs, 1e300-scale
+    slopes that cancel, and random ones; and 40 sites of random slopes
+    over six decades, where a pairwise sum adds in another order."""
+    rng = np.random.default_rng(31)
+    pairs = ((0, 1, 0.3), (1, 2, -0.7), (0, 3, 1e-3), (2, 3, -0.0))
+    rows = [
+        [0.0, -0.0, 0.0, -0.0],
+        [-0.0, -0.0, -0.0, -0.0],
+        [1.5, -2.25, 0.1, -0.1],
+        [1e300, -1e300, 3e299, -0.0],
+        [-1e300, 1e300, 1e300, -1e300],
+        [0.1, 1e300, -1e300, 0.1],
+        *rng.normal(scale=3.0, size=(6, 4)).tolist(),
+    ]
+    sites = tuple((x,) for x in range(4))
+    for values in ((0, 1), (-1, 1), (-1, 0, 1, 2), (-2, -1, 0)):
+        for with_pairs in (pairs, ()):
+            fields = np.array(rows)
+            yield System(sites, values, with_pairs, tuple(fields[-1].tolist())), fields
+    yield System((), (0, 1), (), ()), np.zeros((3, 0))
+    wide = rng.normal(size=(8, 40)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(8, 40))
+    yield System(tuple((x,) for x in range(40)), (-1, 0, 1), pairs, tuple(wide[0].tolist())), wide
+
+
+def test_energy_shifts_and_bounds_match_python_sums_bit_for_bit():
+    """The row-wise cumulative sums give each row's energy shift and energy
+    bound with the bits of the per-row Python sums."""
+    for system, fields in _shift_cases():
+        got = ee._energy_shifts(system, fields)
+        assert isinstance(got, list) and len(got) == len(fields)
+        assert _hex(*got) == _hex(*oracles.energy_shifts_by_rows(system, fields)), (system.values, system.pairs)
+        bounds = _energy_bounds(system.pairs, system.values, fields)
+        assert _hex(*bounds) == _hex(*(_energy_bound(system.pairs, system.values, row) for row in fields.tolist()))
+
+
+# (column of the sums, offset from the middle row, value) of each corruption
+_BAD_ROWS = {
+    "shift_inf": [(0, 0, math.inf), (1, 1, 0.0)],
+    "z_zero": [(1, 0, 0.0), (0, 1, math.nan)],
+    "z_negative": [(1, 0, -1.0), (1, 1, -2.0)],
+    "z_nan": [(1, 0, math.nan)],
+    "s1_inf": [(2, 0, -math.inf), (3, 1, math.inf)],
+    "s2_nan": [(3, 0, math.nan)],
+    "bins_inf": [(4, 0, math.inf), (1, 1, 0.0)],
+    "bins_nan": [(4, 0, math.nan)],
+    # past the clip and the normalization: masses that overflow the row sum
+    # drift to 0, masses that overflow alone turn NaN
+    "drifted": [(4, 0, 1e308), (1, 0, 1.0)],
+    "nan_mass": [(4, 0, 1e308), (1, 0, 0.5)],
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_ROWS.values(), ids=_BAD_ROWS.keys())
+def test_scan_refuses_the_row_a_per_row_law_refuses_first(monkeypatch, bad):
+    """A route whose sums turn bad from the middle row of a group on: the
+    scan's array pass raises the error, with its message, that _law row by
+    row raises first, a CapacityError for sums float64 cannot hold and the
+    PmfTable RuntimeError for a pmf that drifts or holds NaN. The route's
+    shifts are replaced by the row indices, which no row's pmf reads, so a
+    CapacityError's message names its row."""
+    model = nn_chain(radius=1, strength=0.05, spin=(-1, 1), boundary=1, r0=2, dimension=2)
+    seen = []
+
+    def route(system, fields, real=ee._scan):
+        _, z, s1, s2, bins, s_min = real(system, fields)
+        # each row's shift is its index, so an error's message names its row
+        sums = [list(map(float, range(len(z)))), list(z), list(s1), list(s2), bins.copy()]
+        middle = len(z) // 2
+        for col, offset, value in bad:
+            sums[col][middle + offset] = value
+        seen.append((middle, *sums, s_min))
+        return (*sums, s_min)
+
+    monkeypatch.setattr(ee, "_scan", route)
+    with np.errstate(all="ignore"), pytest.raises((CapacityError, RuntimeError)) as got:
+        ee.decimated_char_fn_sup(model, [0.3, 2.0])
+    [(middle, *sums, s_min)] = seen
+    assert len(sums[1]) >= 5
+    with np.errstate(all="ignore"), pytest.raises((CapacityError, RuntimeError)) as want:
+        for r, row in enumerate(zip(*sums)):
+            ee._law("enumeration", 1, *row, s_min)
+    assert r == middle
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    if isinstance(got.value, CapacityError) and bad[0][0] != 0:
+        assert f"the shift is {float(middle)!r} and" in str(got.value)
+    if bad == _BAD_ROWS["drifted"]:
+        assert str(got.value) == "pmf normalization drifted to 0.0"
 
 
 def test_degenerate_distribution_raises():
