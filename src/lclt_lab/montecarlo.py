@@ -7,35 +7,47 @@ Within a class the neighbor sums are constant, so the block update is
 exactly a sequence of single-site updates and the chain keeps the Gibbs
 measure invariant.
 
-The state is laid out by color class, each class in site order, so a class
-is one contiguous slice of the columns and is updated in place. A last
-column of ones carries the fields: a class's links are its coupling columns
-over the state's order with its fields as a last row, so one matrix product
-gives each local field h_x + sum_y J(x, y) s_y. A move that changes the log
-weight by delta is accepted when u < exp(delta), which decides as
-u < exp(min(delta, 0)) does: for delta >= 0 both sides exceed u, since
-u <= 1 - 2**-53 and exp(delta) >= 1 (inf when it overflows), and below 0
-the two are one value. The System's energy bound is finite, so no local
-field is NaN. A site's couplings all come from other classes, and its field
-is the last term of its sum. With two classes its neighbors keep their site
-order in the sum; with more the terms may be grouped differently, and a
-sample could move only if a last-bit change flipped a verdict. The tests
-hold the samples to the update over the spins in site order, bit for bit.
+The state is a (sites + 1, chains) array laid out by color class, each
+class in site order, so a class is one contiguous block of rows and is
+updated in place. A last row of ones carries the fields: a class's links
+hold, per site, its coupling row over the state's order and then its field,
+so one np.dot of the links with the state writes each local field
+h_x + sum_y J(x, y) s_y into a buffer kept for the class. On these float64
+operands np.dot and @ make the same cblas call (dgemm, or dgemv for a
+one-site class), so np.dot gives the bits @ would without the gufunc
+dispatch. A move that changes the log weight by delta is accepted when
+u < exp(delta), which decides as u < exp(min(delta, 0)) does: for
+delta >= 0 both sides exceed u, since u <= 1 - 2**-53 and exp(delta) >= 1
+(inf when it overflows), and below 0 the two are one value. The System's
+energy bound is finite, so no local field is NaN. A site's couplings all
+come from other classes, and its field is the last term of its sum; how
+BLAS groups those terms is its own, so a sample could move only if a
+last-bit change flipped a verdict. The tests hold the samples to the update
+over the spins in site order, bit for bit.
+
+A retained sweep's sites are copied, chain by chain, into a buffer of one
+chunk, which is summed once per chunk. That sum adds each chain's sites in
+the order a per-sweep sum over the chain's row does, and integer spins keep
+every total exact below 2**53 in any order, so summing per chunk cannot
+change a sample.
 
 Randomness is counter-based: every (sweep, color block) pair reads its own
 Philox4x64-10 stream, keyed by the seed and the pair, so results depend
 only on the spec, never on execution order (Salmon et al., SC'11). The
 random numbers of CHUNK_SWEEPS sweeps are drawn before those sweeps run:
 one generator per call is re-keyed in place for each pair (counter 0, empty
-buffer) and its raw 64-bit words fill one row of a tape per block. A row
-holds, in stream order, the words of the block's Generator.integers(0, q)
-draws (Lemire's bounded integers on uint32 halves, low half first; Lemire,
-ACM TOMACS 2019) and then those of its Generator.random draws, so the tape
-gives each pair exactly what Generator would. A row in which Lemire would
-reject a draw is drawn again through Generator. Errors are estimated by
-batch means across chains, which also yields the effective sample size
-reported alongside every estimate. Condition on an exterior assignment
-omega with replace(model, boundary=BoundaryCondition.explicit(omega)).
+buffer) and its raw 64-bit words fill one row of the block's tape, one
+uint64 array per chunk. A row holds, in stream order, the words of the
+block's Generator.integers(0, q) draws (Lemire's bounded integers on uint32
+halves, low half first; Lemire, ACM TOMACS 2019) and then those of its
+Generator.random draws, so the tape gives each pair exactly what Generator
+would. A row in which Lemire would reject a draw is drawn again through
+Generator. The draws come in the (chain, site) order of Generator's shape
+and are laid out as (sweep, site, chain) to match the state. Errors are
+estimated by batch means across chains, which also yields the effective
+sample size reported alongside every estimate. Condition on an exterior
+assignment omega with
+replace(model, boundary=BoundaryCondition.explicit(omega)).
 """
 
 from __future__ import annotations
@@ -158,11 +170,11 @@ def _block_draws(rng: np.random.Generator, mixed: int, sweeps: range, block: int
     bitgen = rng.bit_generator
     draws = shape[0] * shape[1]
     width = (draws + 1) // 2 + draws
-    rows = []
-    for sweep in sweeps:
+    raw = np.empty((len(sweeps), width), dtype=np.uint64)
+    for row, sweep in enumerate(sweeps):
         _rekey(bitgen, mixed, sweep + 1, block)
-        rows.append(bitgen.random_raw(width))
-    index, uniform, rejected = _split_raw(np.stack(rows), draws, q)
+        raw[row] = bitgen.random_raw(width)
+    index, uniform, rejected = _split_raw(raw, draws, q)
     for row in np.flatnonzero(rejected):
         _rekey(bitgen, mixed, sweeps[row] + 1, block)
         index[row] = rng.integers(0, q, size=draws)
@@ -181,49 +193,66 @@ def total_spin_samples(model: m.GibbsModel, spec: ChainSpec, region="box") -> np
     coupling = system.pair_matrix()
     blocks = _greedy_coloring(coupling)
     perm = np.concatenate(blocks)
+    chains = spec.chains
 
     mixed = (int(spec.seed) & 0xFFFFFFFFFFFFFFFF) ^ 0x9E3779B97F4A7C15
     rng = np.random.Generator(np.random.Philox())
     # The starting spins read the stream of (sweep 0, block len(blocks)),
     # which no update uses; they are drawn in site order, then permuted.
     _rekey(rng.bit_generator, mixed, 0, len(blocks))
-    spins = np.ones((spec.chains, n + 1))
-    sites = spins[:, :n]
-    sites[...] = values[rng.integers(0, q, size=(spec.chains, n))][:, perm]
-    # Block b is the slice cur of the state; its links are the coupling rows
-    # in state order over its sites, then its fields against the last column.
-    ordered = coupling[perm]
+    spins = np.ones((n + 1, chains))
+    sites = spins[:n]
+    sites[...] = values[rng.integers(0, q, size=(chains, n))][:, perm].T
+    # Block b is the rows cur of the state; its links are, per site, the
+    # coupling row in state order, then its field against the last row.
+    # delta, h and accept are the block's buffers for one sweep.
+    ordered = coupling[:, perm]
     steps, lo = [], 0
     for block in blocks:
         hi = lo + len(block)
-        steps.append((spins[:, lo:hi], np.vstack((ordered[:, block], system.field_array[block]))))
+        links = np.column_stack((ordered[block], system.field_array[block]))
+        delta, h = np.empty((2, len(block), chains))
+        steps.append((spins[lo:hi], links, delta, h, np.empty((len(block), chains), bool)))
         lo = hi
 
-    out = np.empty((spec.chains, spec.samples))
+    out = np.empty((chains, spec.samples))
     total_sweeps = spec.burn_in + spec.samples * spec.thinning
+    # A chunk's retained sites, chain by chain, summed once per chunk
+    retained = np.empty((CHUNK_SWEEPS, chains, n))
     kept = 0
+    # Bound once and given their outputs by position: each call below works
+    # on a few dozen numbers, so lookups and keyword parsing are a sizeable
+    # share of its cost.
+    subtract, dot, multiply, exp, less, putmask = np.subtract, np.dot, np.multiply, np.exp, np.less, np.putmask
+    burn_in, thinning = spec.burn_in, spec.thinning
     # exp(delta) may overflow to inf on an uphill move, which accepts it
     with np.errstate(over="ignore"):
         for first in range(0, total_sweeps, CHUNK_SWEEPS):
             sweeps = range(first, min(first + CHUNK_SWEEPS, total_sweeps))
             tapes = []
-            for b, (cur, links) in enumerate(steps):
-                index, uniform = _block_draws(rng, mixed, sweeps, b, cur.shape, q)
+            for b, step in enumerate(steps):
+                draws = _block_draws(rng, mixed, sweeps, b, (chains, len(step[0])), q)
+                index, uniform = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in draws)
                 # Uniform over all q values, current included: the 1/q
                 # self-loop keeps the chain aperiodic even when every move is
                 # accepted (a field-free two-state site would otherwise
                 # alternate forever).
-                tapes.append((cur, links, values[index], uniform))
+                tapes.append((*step, values[index], uniform))
+            slot = 0
             for row, sweep in enumerate(sweeps):
-                for cur, links, props, uniforms in tapes:
+                for cur, links, delta, h, accept, props, uniforms in tapes:
                     prop = props[row]
-                    delta = prop - cur
-                    delta *= spins @ links
-                    np.exp(delta, out=delta)
-                    np.copyto(cur, prop, where=uniforms[row] < delta)
-                if sweep >= spec.burn_in and (sweep - spec.burn_in) % spec.thinning == 0:
-                    np.add.reduce(sites, axis=1, out=out[:, kept])
-                    kept += 1
+                    subtract(prop, cur, delta)
+                    dot(links, spins, h)
+                    multiply(delta, h, delta)
+                    exp(delta, delta)
+                    less(uniforms[row], delta, accept)
+                    putmask(cur, accept, prop)
+                if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
+                    np.copyto(retained[slot], sites.T)
+                    slot += 1
+            np.add.reduce(retained[:slot], axis=2, out=out[:, kept : kept + slot].T)
+            kept += slot
     assert kept == spec.samples
     return out
 

@@ -295,11 +295,15 @@ def test_10_lclt_trend():
     diff = g16.value - g32.value
     combined = 2.0 * math.hypot(g16.std_error, g32.std_error)
     mc_ok = diff > combined
+    # (MC gap - exact gap) / SE against the transfer sum's exact gap:
+    # reported beside the gate, not part of it
+    z16, z32 = ((g.value - ee.lclt_gap(big, chain_region(n))) / g.std_error for n, g in ((16, g16), (32, g32)))
 
     ok = free_ok and exact_ok and density_ok and mc_ok
     _verdict(10, "lclt trend", ok,
              f"free gaps decreasing {free_ok}; exact 8..20 decreasing {exact_ok}, density {vd[-2]:.4f}->{vd[-1]:.4f}; "
-             f"mc 16 vs 32 diff {diff:.5f} > 2se {combined:.5f} {mc_ok}",
+             f"mc 16 vs 32 diff {diff:.5f} > 2se {combined:.5f} {mc_ok}, "
+             f"(mc - exact)/se {z16:+.2f} at 16, {z32:+.2f} at 32",
              started, 300.0)
 
 

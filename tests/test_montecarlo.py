@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,71 @@ def test_chunked_tape_matches_per_block_draws(model, region, spec):
         assert len(mc._greedy_coloring(system.pair_matrix())) == 3
     got = mc.total_spin_samples(model, spec, region)
     assert np.array_equal(got, _per_block_samples(model, spec, region))
+
+
+# A star whose centre, coupled to every other site and to site 4 outside
+# the region, is a colour class by itself; no coupling is dyadic.
+STAR = _explicit_model(
+    3,
+    1,
+    [(0, x, j) for x, j in ((-3, 0.3), (-2, -0.17), (-1, 0.23), (1, 0.11), (2, -0.29), (3, 0.07), (4, 0.21))]
+    + [(3, 4, 0.13)],
+)
+# Three sites in a row: the middle one is a class by itself.
+THREE_SITES = nn_chain(radius=1, strength=0.3, spin=(-1, 1), boundary=1)
+# Burn-in past the first chunk; with thinning 3 the retained sweeps 128 and
+# 191 open and close the third chunk.
+CHUNK_EDGE = dict(burn_in=68, samples=100, thinning=3)
+
+
+@pytest.mark.parametrize(
+    "model, spec, sizes",
+    [
+        (STAR, mc.ChainSpec(seed=31, burn_in=20, samples=150, chains=2), [1, 6]),
+        (STAR, mc.ChainSpec(seed=32, chains=5, **CHUNK_EDGE), [1, 6]),
+        (THREE_SITES, mc.ChainSpec(seed=33, burn_in=10, samples=200, chains=3), [1, 2]),
+        (THREE_SITES, mc.ChainSpec(seed=34, chains=5, **CHUNK_EDGE), [1, 2]),
+    ],
+    ids=["star-2-chains", "star-5-chains-chunk-edge", "three-sites-3-chains", "three-sites-5-chains-chunk-edge"],
+)
+def test_one_site_blocks_match_per_block_draws(model, spec, sizes):
+    """A one-site colour class takes its local fields from a matrix-vector
+    product, not a matrix product; with odd chain counts and retained sweeps
+    on a chunk's first and last sweep the samples still match the per-block
+    oracle bit for bit."""
+    blocks = mc._greedy_coloring(build_system(model).pair_matrix())
+    assert [len(b) for b in blocks] == sizes
+    got = mc.total_spin_samples(model, spec)
+    assert np.array_equal(got, _per_block_samples(model, spec))
+
+
+def test_retained_totals_sum_as_site_order_does():
+    """Free spins near 2**52 on 32 sites, redrawn at every sweep, make the
+    totals (near 2**57) inexact, so the order of their sums shows: each
+    chunk's totals are summed per chain over its sites, as the oracle sums
+    each retained sweep."""
+    model = free_chain(radius=16, spin=(1 << 52, (1 << 52) + 2))
+    region = tuple((x,) for x in range(-16, 16))
+    spec = mc.ChainSpec(seed=35, burn_in=0, samples=100, chains=2)
+    got = mc.total_spin_samples(model, spec, region)
+    assert np.array_equal(got, _per_block_samples(model, spec, region))
+
+
+def test_retained_totals_take_a_chunk_sized_buffer():
+    """Peak allocation stays near the (chains, samples) output: the sites of
+    retained sweeps are held one chunk at a time. A buffer for the whole run
+    would hold 32 times the output, at any sample count; 20000 samples keep
+    the traced run short (tracemalloc slows the sweeps about fourfold)."""
+    model = nn_chain(radius=16, strength=0.1, spin=(0, 1), boundary=1)
+    spec = mc.ChainSpec(seed=36, burn_in=0, samples=20000, chains=4)
+    tracemalloc.start()
+    try:
+        out = mc.total_spin_samples(model, spec, region=tuple((x,) for x in range(-16, 16)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (4, 20000)
+    assert peak < 3 * out.nbytes
 
 
 def _full_scan_coloring(n, coupling):
