@@ -60,6 +60,10 @@ WINDOW_BUDGET = 1 << 24
 # Largest site list a box or an exterior window will materialize.
 SITE_CAP = 1 << 20
 
+# Largest |spin value|: the System carries spins as float64, which holds
+# every integer up to 2**53 exactly and merges distinct ones past it.
+MAX_EXACT_SPIN = 1 << 53
+
 
 def _as_int(value, what: str, *at) -> int:
     """value as an int when it is an int, a numpy integer or an integral
@@ -92,6 +96,11 @@ class SpinInterval:
             raise DomainError("spin bounds must be integers")
         if self.lo >= self.hi:
             raise DomainError(f"spin interval needs lo < hi, got [{self.lo}, {self.hi}]")
+        if self.sigma > MAX_EXACT_SPIN:
+            raise DomainError(
+                f"spin values must lie within +-2**53 = {MAX_EXACT_SPIN}, where float64 holds every "
+                f"integer exactly, got [{self.lo}, {self.hi}]"
+            )
 
     @property
     def sigma(self) -> int:

@@ -38,8 +38,12 @@ DEFAULT_R0_MAX = 8
 # integrals, and each decay integral against its closed form.
 GAP_SLACK = 1e-8
 DECAY_INTEGRAL_SLACK = 1e-12
-# Absolute tolerance of each of the integral decomposition's quadratures.
+# Absolute and relative tolerances and subinterval limit of each of the
+# integral decomposition's quadratures (the relative one is QUADPACK's
+# customary 1.49e-8, scipy.integrate.quad's default).
 QUAD_TOL = 1e-9
+QUAD_EPSREL = 1.49e-8
+QUAD_LIMIT = 200
 # Last order summed of the curvature split's k >= 3 series.
 CURVATURE_SERIES_ORDER = 60
 
@@ -472,9 +476,10 @@ def integral_decomposition(
     Gaussian) + I2 (mid t, raw |E e^{itS}|) + I3 (large t, same) + I4
     (Gaussian tail). When the decimation-step condition holds, I2 and I3
     are further bounded by the closed forms from the two decay estimates.
-    Needs 0 < a_cut < delta sqrt(D).
+    Needs 0 < a_cut < delta sqrt(D). I1, I2 and I3 each come from QUADPACK's
+    dqagse (lclt_lab._quadpack) to absolute tolerance QUAD_TOL.
     """
-    from scipy.integrate import quad
+    from ._quadpack import qagse
 
     consts = constants(model, c_variant)
     delta = consts.delta
@@ -486,17 +491,36 @@ def integral_decomposition(
         raise DomainError(
             f"a_cut must lie in (0, delta*sqrt(D)) = (0, {delta * root_d:.6g}), got {a_cut}"
         )
+    support, probs = table.support_array, table.probability_array
 
-    def cf_abs(t: float) -> float:
-        return float(abs(ee.char_from_pmf(table, np.array([t]))[0]))
+    # The integrands take a rule's nodes as one array and keep the bits of
+    # one char_from_pmf call and one Python abs per node: a (1, m) @ (m,)
+    # product per t, and np.hypot, which rounds as abs(complex) does.
+    def char(t: np.ndarray) -> np.ndarray:
+        return np.matmul(np.exp(1j * np.multiply.outer(t, support))[:, None, :], probs)[:, 0]
 
-    def central(t: float) -> float:
-        val = ee.char_from_pmf(table, np.array([t / root_d]))[0]
-        return float(abs(np.exp(-1j * t * mu / root_d) * val - math.exp(-t * t / 2.0)))
+    def cf_abs(t: np.ndarray) -> np.ndarray:
+        val = char(t)
+        return np.hypot(val.real, val.imag)
 
-    i1 = 2.0 * quad(central, 0.0, a_cut, epsabs=QUAD_TOL, limit=200)[0]
-    i2 = 2.0 * root_d * quad(cf_abs, a_cut / root_d, delta, epsabs=QUAD_TOL, limit=200)[0]
-    i3 = 2.0 * root_d * quad(cf_abs, delta, math.pi, epsabs=QUAD_TOL, limit=200)[0]
+    def central(t: np.ndarray) -> np.ndarray:
+        # |e^{-it mu / sqrt(D)} phi(t / sqrt(D)) - e^{-t^2 / 2}|, with the
+        # product and e^{-t^2 / 2} rounded as scalar complex arithmetic and
+        # math.exp round them: numpy's complex multiply and float exp loops
+        # round differently.
+        phase = np.exp(1j * (-t * mu / root_d))
+        val = char(t / root_d)
+        gauss = np.array([math.exp(-x * x / 2.0) for x in t.tolist()])
+        re = phase.real * val.real - phase.imag * val.imag - gauss
+        im = phase.real * val.imag + phase.imag * val.real
+        return np.hypot(re, im)
+
+    def integral(f, lo: float, hi: float) -> float:
+        return qagse(f, lo, hi, QUAD_TOL, QUAD_EPSREL, QUAD_LIMIT)[0]
+
+    i1 = 2.0 * integral(central, 0.0, a_cut)
+    i2 = 2.0 * root_d * integral(cf_abs, a_cut / root_d, delta)
+    i3 = 2.0 * root_d * integral(cf_abs, delta, math.pi)
     i4 = math.sqrt(2.0 * math.pi) * math.erfc(a_cut / math.sqrt(2.0))
     total = i1 + i2 + i3 + i4
     g_n = 2.0 * math.pi * ee.lclt_gap(model, "box", budget=budget)

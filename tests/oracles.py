@@ -15,7 +15,8 @@ Coupling.value. energy_shifts_by_rows is the exact engine's earlier
 per-row Python sum of energy shifts, which its row-wise pass must match
 bit for bit; report_line_by_sanitize is the CLI's earlier line writer,
 a recursive walk before json.dumps, whose bytes the shared encoder must
-keep.
+keep. integral_parts_by_quad is the integral decomposition's earlier
+route, scipy.integrate.quad on scalar integrands.
 """
 
 import heapq
@@ -28,8 +29,10 @@ from itertools import combinations, product
 import numpy as np
 
 import lclt_lab.combinatorics as cb
+import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
 import lclt_lab.polymer as pg
+import lclt_lab.verifier as vf
 from lclt_lab._system import System
 from lclt_lab.errors import CapacityError, DomainError
 
@@ -402,3 +405,38 @@ def _sanitize(obj):
 def report_line_by_sanitize(line: dict) -> str:
     """One reports.jsonl line, newline included, by a walk of the line."""
     return json.dumps(_sanitize(line), sort_keys=True) + "\n"
+
+
+def integrands_by_point(model, c_variant: str = "proved"):
+    """vf.integral_decomposition's integrands at one float t each, by one
+    char_from_pmf call and one Python abs: (central, cf_abs, root_d, delta)."""
+    delta = vf.constants(model, c_variant).delta
+    stats = ee.statistics(model, "box")
+    table = ee.pmf(model, "box")
+    mu, root_d = stats.mean_S, math.sqrt(stats.variance_S)
+
+    def cf_abs(t: float) -> float:
+        return float(abs(ee.char_from_pmf(table, np.array([t]))[0]))
+
+    def central(t: float) -> float:
+        val = ee.char_from_pmf(table, np.array([t / root_d]))[0]
+        return float(abs(np.exp(-1j * t * mu / root_d) * val - math.exp(-t * t / 2.0)))
+
+    return central, cf_abs, root_d, delta
+
+
+def integral_parts_by_quad(model, a_cut: float, c_variant: str = "proved") -> tuple[float, float, float]:
+    """I1, I2 and I3 of vf.integral_decomposition by scipy.integrate.quad on
+    integrands_by_point."""
+    from scipy.integrate import quad
+
+    central, cf_abs, root_d, delta = integrands_by_point(model, c_variant)
+
+    def integral(f, lo: float, hi: float) -> float:
+        return quad(f, lo, hi, epsabs=vf.QUAD_TOL, limit=vf.QUAD_LIMIT)[0]
+
+    return (
+        2.0 * integral(central, 0.0, a_cut),
+        2.0 * root_d * integral(cf_abs, a_cut / root_d, delta),
+        2.0 * root_d * integral(cf_abs, delta, math.pi),
+    )

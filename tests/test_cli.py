@@ -141,6 +141,13 @@ def test_repeated_boundary_site_exit_two(tmp_path, capsys):
     assert "duplicate explicit boundary site (4,)" in capsys.readouterr().err
 
 
+def test_spin_past_two_to_the_53_exit_two(tmp_path, capsys):
+    path = tmp_path / "wide_spin.json"
+    path.write_text(json.dumps({**MODEL_OK, "spin": {"lo": 2**60, "hi": 2**60 + 1}, "boundary": {"kind": "zero"}}))
+    assert cli.main(["constants", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "spin values must lie within +-2**53 = 9007199254740992" in capsys.readouterr().err
+
+
 def test_box_past_site_cap_exit_two(tmp_path, capsys):
     """mc lists the whole box and stops at the site cap; the decay scan lists
     only the 513^2 decimated sites and stops at the budget on their exact

@@ -26,6 +26,17 @@ def test_spin_interval_validation():
     assert s.values == (-2, -1, 0, 1)
 
 
+def test_spin_values_past_float64s_integers_are_refused():
+    """float64 holds every integer up to 2**53 and merges distinct spins
+    past it: at 2**60 and 2**60 + 1 both routes read variance 0."""
+    for lo, hi in ((2**60, 2**60 + 1), (2**53, 2**53 + 1), (-(2**53) - 1, 0)):
+        with pytest.raises(DomainError, match=r"within \+-2\*\*53 = 9007199254740992"):
+            lm.SpinInterval(lo, hi)
+    with pytest.raises(DomainError, match=r"within \+-2\*\*53"):
+        nn_chain(radius=1, strength=0.1, spin=(2**60, 2**60 + 1), boundary=None)
+    assert lm.SpinInterval(-(2**53), 2**53).sigma == 2**53
+
+
 def test_box_regions():
     model = nn_chain(radius=3, r0=2)
     box = lm.resolve_region(model, "box")

@@ -7,6 +7,7 @@ import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
 import lclt_lab.polymer as pg
 import lclt_lab.verifier as vf
+import oracles
 from conftest import free_chain, nn_chain, regime_finite_range, regime_weak_coupling
 from lclt_lab._system import build_system
 from lclt_lab.errors import CapacityError, DomainError, PreconditionError
@@ -278,6 +279,44 @@ def test_integral_decomposition():
         assert dec.i3_within and dec.i3 <= dec.b_j3 + 1e-12
     with pytest.raises(DomainError):
         vf.integral_decomposition(model, c.delta * math.sqrt(d) * 1.5)
+
+
+README_MODEL = nn_chain(radius=3, strength=0.1, spin=(0, 1), boundary=1, r0=2)
+BOX_Q3 = nn_chain(radius=1, strength=0.05, spin=(-1, 1), boundary=1, r0=2, dimension=2)
+
+
+@pytest.mark.parametrize(
+    "model, a_cut",
+    [
+        (nn_chain(radius=2, strength=0.1, spin=(0, 1), boundary=1, r0=2), None),
+        (nn_chain(radius=3, strength=0.1, spin=(0, 1), boundary=1, r0=2), None),
+        (nn_chain(radius=2, strength=0.05, spin=(-1, 1), boundary=None, r0=1), None),
+        (regime_weak_coupling(), None),
+        (README_MODEL, 0.02),
+        (BOX_Q3, None),
+    ],
+    ids=["c09-chain5", "c09-chain7", "c09-free-q2", "c09-weak", "readme", "box-q3"],
+)
+def test_integral_decomposition_matches_quad_route(model, a_cut):
+    """Criterion 09's models (a_cut at half its range), the README model at
+    --a-cut 0.02 and the 3x3 q = 3 box: every field of the decomposition
+    keeps the bits of scipy's quad on scalar integrands."""
+    if a_cut is None:
+        a_cut = 0.5 * vf.constants(model).delta * math.sqrt(ee.statistics(model, region="decimated").variance_S)
+    dec = vf.integral_decomposition(model, a_cut)
+    i1, i2, i3 = oracles.integral_parts_by_quad(model, a_cut)
+    assert abs(dec.i1 - i1) <= 1e-18
+    total = i1 + i2 + i3 + dec.i4
+    expected = {
+        "i1": i1, "i2": i2, "i3": i3, "total": total, "bound_margin": total - dec.g_n,
+        "bound_holds": dec.g_n <= total + vf.GAP_SLACK,
+        "i2_within": i2 <= dec.b_j2 + vf.DECAY_INTEGRAL_SLACK,
+        "i3_within": i3 <= dec.b_j3 + vf.DECAY_INTEGRAL_SLACK,
+    }
+    got = {key: getattr(dec, key) for key in expected}
+    assert {k: v.hex() if isinstance(v, float) else v for k, v in got.items()} == {
+        k: v.hex() if isinstance(v, float) else v for k, v in expected.items()
+    }
 
 
 def test_lclt_trend_free_models():
