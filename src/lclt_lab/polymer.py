@@ -41,15 +41,17 @@ the configurations it holds. Both direct routes take a scalar t or a 1-D
 grid of t. The other route is the gas sum over Mayer tables, a subset
 recursion; the exact engine never reads a Mayer table. Each coupling
 graph gets one schedule, shared by every region of that graph: its
-connected polymers and, for each lowest site l, index arrays of the
-recursion's (mask, mask - P, P) steps. Each region adds one plan, built on
-first use and free of t: the schedule with the polymers' weight rows
-(single-site laws and Mayer tables) on every total spin a polymer can
-take. At each t every activity then comes from one matrix product with
-the phase columns, and the recursion runs level by level over l, each
-level one gather, one product and one scatter-add. Run
-with one power of a formal lambda per polymer, the recursion gives
-Xi(lambda) through lambda^K, whose truncated log is the cluster series.
+connected polymers and, for each lowest site l, the recursion's
+(mask, mask - P, P) steps on the masks that Xi, the value on the full
+mask, reads (the n suffixes of an n-site chain). Each region adds one
+plan, built on first use and free of t: the schedule with the polymers'
+weight rows (single-site laws and Mayer tables) on every total spin a
+polymer can take. At each t every activity then comes from one matrix
+product with the phase columns, and the recursion runs level by level
+over l: Xi as a Python loop over the steps in CPython complex numbers.
+Run with one power of a formal lambda per polymer, the recursion gives
+Xi(lambda) through lambda^K, whose truncated log is the cluster series;
+each of its levels is one gather, one product and one scatter-add.
 Mayer tables are built for polymers of up to MAX_POLYMER_SIZE sites, from
 the couplings of the region's pair list; the tree-graph check takes
 polymers under the same cap. A value past float64's range is a
@@ -220,10 +222,11 @@ class _Plan:
     """The gas sum's t-free tables over one region of n sites.
 
     Rows are the connected polymers of the region's coupling graph, in its
-    _schedule's order; masks, sizes, steps and bounds are that schedule's
-    arrays, shared with every region of the graph and read-only. weights
-    is the region's own: each row's single-site law or Mayer table on
-    `spins`, every total spin a polymer of the region can take.
+    _schedule's order; masks, sizes, steps, bounds, singles and loop are
+    that schedule's, the steps over the masks that Xi reads, shared with
+    every region of the graph and read-only. weights is the region's own:
+    each row's single-site law or Mayer table on `spins`, every total spin
+    a polymer of the region can take.
     """
 
     n: int
@@ -233,6 +236,8 @@ class _Plan:
     weights: np.ndarray
     steps: np.ndarray
     bounds: tuple[int, ...]
+    singles: tuple[int, ...]
+    loop: tuple
 
     def activities(self, t: float, c: float, order: int = 0) -> np.ndarray:
         """_activities of every row."""
@@ -356,39 +361,59 @@ def _members(mask: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=256)
 def _schedule(adjacency: tuple[int, ...]):
-    """(polymers, masks, sizes, steps, bounds): the gas sum's schedule on
-    one coupling graph of n sites, adjacency its sites' neighbour masks.
+    """(polymers, masks, sizes, steps, bounds, singles, loop): the gas sum's
+    schedule on one coupling graph of n sites, adjacency its sites'
+    neighbour masks.
 
     polymers lists the connected site sets as index tuples, masks
     descending (so grouped by lowest site, the order the recursion adds
-    them in), with their masks and sizes. The int32 columns
-    steps[:, bounds[l]:bounds[l + 1]] are level l: (target, source, row)
-    of every polymer P with lowest site l and every mask M whose lowest
-    site is l and that holds P, namely M, M - P and P's row, polymer by
-    polymer, so the one-site polymer {l}, the last row with lowest site l,
-    comes last; its steps are the level's final 2^(n-l-1), which the
-    dressed gas leaves out. Every region of the graph shares the arrays,
-    so they are read-only.
+    them in), with their masks and sizes. Xi is the recursion's value on
+    the full mask, which reads only some masks: the full mask is read, and
+    for a read mask M with lowest site l, so is M - P for every polymer P
+    with lowest site l inside M ({l} included). The int32 columns
+    steps[:, bounds[l]:bounds[l + 1]] are level l: (target, source, row) of
+    every polymer P with lowest site l and every read mask M with lowest
+    site l that holds P, namely M, M - P and P's row, polymer by polymer
+    and M ascending. The one-site polymer {l}, the last row with lowest site
+    l, comes last: its steps, from singles[l] on, are (M, M - l) for every
+    read mask M of the level, which the dressed gas leaves out. The levels
+    are built from l = 0 up, each marking the sources it reads. loop holds
+    the levels again as Python tuples, l = n-1 down to 0, for the scalar
+    sum: the (M, M - l) pairs of the level's read masks, its steps, and its
+    steps short of the one-site polymer's. Every region of the graph shares
+    the schedule, so its arrays are read-only.
     """
     n = len(adjacency)
     # the key of _rooted_sum's pass over every set, so the two share one plan
     descending = _rooted_plan(adjacency, None)[0][::-1]
     polymers = tuple(map(_members, descending))
     masks = np.array(descending, dtype=np.int32)
-    sizes = np.array([len(idx) for idx in polymers])
+    sizes = np.array([len(idx) for idx in polymers], dtype=int)
     lowest = np.array([idx[0] for idx in polymers])
-    levels = []
+    read = np.zeros(1 << n, dtype=bool)
+    read[-1] = True
+    levels, counts = [], []
     for low in range(n):
         targets = np.arange(1 << low, 1 << n, 2 << low, dtype=np.int32)
+        targets = targets[read[targets]]
         rows = np.flatnonzero(lowest == low).astype(np.int32)
         held = (targets[None, :] & masks[rows, None]) == masks[rows, None]
         which, at = np.nonzero(held)
-        levels.append(np.stack((targets[at], targets[at] ^ masks[rows[which]], rows[which])))
-    steps = np.concatenate(levels, axis=1)
+        level = np.stack((targets[at], targets[at] ^ masks[rows[which]], rows[which]))
+        read[level[1]] = True
+        levels.append(level)
+        counts.append(len(targets))
+    steps = np.concatenate(levels, axis=1) if n else np.zeros((3, 0), dtype=np.int32)
     bounds = tuple(accumulate((level.shape[1] for level in levels), initial=0))
+    singles = tuple(end - count for end, count in zip(bounds[1:], counts))
+    columns = tuple(map(tuple, steps.T.tolist()))
+    loop = tuple(
+        (tuple((t, s) for t, s, _ in columns[single:end]), columns[start:end], columns[start:single])
+        for start, single, end in reversed(list(zip(bounds, singles, bounds[1:])))
+    )
     for array in (masks, sizes, steps):
         array.flags.writeable = False
-    return polymers, masks, sizes, steps, bounds
+    return polymers, masks, sizes, steps, bounds, singles, loop
 
 
 def _joint_law(memo: dict, laws: list, mask: int) -> np.ndarray:
@@ -497,7 +522,7 @@ def _activities(spins: np.ndarray, weights: np.ndarray, sizes: np.ndarray, t: fl
     if order == 0:
         real = np.where(sizes == 1, parts[:, 2], real)
     if c != 0.0:
-        scale = np.array([math.exp(c * k) for k in range(int(sizes.max()) + 1)])[sizes]
+        scale = np.array([math.exp(c * k) for k in range(int(sizes.max(initial=0)) + 1)])[sizes]
         real, imag = real * scale, imag * scale
     out = np.empty(len(sizes), dtype=complex)
     out.real, out.imag = real, imag
@@ -606,7 +631,7 @@ def _build_plan(gas: _Gas) -> _Plan:
             f" needs polymers up to that size; cap is {MAX_POLYMER_SIZE}"
         )
     _mayer_pass(gas, tuple(range(n)), every=True)
-    polymers, masks, sizes, steps, bounds = _schedule(tuple(gas.adjacency))
+    polymers, masks, sizes, steps, bounds, singles, loop = _schedule(tuple(gas.adjacency))
     # every total spin of k = 1..n sites
     lo, hi = int(gas.values[0]), int(gas.values[-1])
     base = min(lo, n * lo)
@@ -618,55 +643,55 @@ def _build_plan(gas: _Gas) -> _Plan:
         else:
             start, table, _ = gas.mayer[idx]
         weights[row, start - base : start - base + len(table)] = table
-    return _Plan(n, masks, sizes, spins, weights, steps, bounds)
-
-
-def _cpython_product(z, x):
-    """z * x elementwise, each part rounded as CPython's complex product
-    (two real products and a sum, never fused), which numpy's complex
-    multiply does not promise."""
-    out = np.empty(z.shape, dtype=complex)
-    np.subtract(z.real * x.real, z.imag * x.imag, out=out.real)
-    np.add(z.real * x.imag, z.imag * x.real, out=out.imag)
-    return out
+    return _Plan(n, masks, sizes, spins, weights, steps, bounds, singles, loop)
 
 
 def _gas_sum(plan: _Plan, z: np.ndarray, K: int | None = None, dressed: bool = False):
     """Xi over the plan's n sites from the activities z of its rows, by
     X[M] = X[M - l] + sum_P z_P X[M - P], l the lowest site of M and P over
     the polymers with lowest site l inside M, masks descending, so the
-    one-site polymer {l} last (left out when dressed).
+    one-site polymer {l} last (left out when dressed), on the masks that
+    X[full] reads.
 
     A mask with lowest site l reads only masks above l, so the masks go by
-    level, l = n-1 down to 0: one copy of X[M - l] over the level, then one
-    gather of the level's X[M - P], one product and one np.add.at, which
-    adds to each M in polymer order. Each mask gets the same additions in
-    the same order as a loop over masks and polymers, rounded as that loop
-    rounds: the scalar Xi by CPython's complex product. With K, every z_P
-    carries one power of lambda, X holds coefficients through lambda^K
-    (numpy's complex product, as on a coefficient array, every degree in
-    the same pass) and the result is that array.
+    level, l = n-1 down to 0: each read mask of the level copies X[M - l],
+    then the level's steps add to it in polymer order. Each read mask gets
+    the same additions in the same order as a loop over masks and polymers,
+    rounded as that loop rounds. The scalar Xi is that loop, run over
+    plan.loop in CPython complex numbers. With K, every z_P carries one
+    power of lambda, X holds coefficients through lambda^K and the result is
+    that array: each level is one strided copy, then one gather of its
+    X[M - P], one product (numpy's complex product, as on a coefficient
+    array, every degree in the same pass) and one np.add.at.
     """
     n = plan.n
     # a real z enters as z + 0i, as both products promote it
     z = np.asarray(z, dtype=complex)
-    xs = np.zeros((1 if K is None else K + 1, 1 << n), dtype=complex)
+    if K is None:
+        zs = z.tolist()
+        x = [0j] * (1 << n)
+        x[0] = 1 + 0j
+        for copies, steps, dressed_steps in plan.loop:
+            for target, source in copies:
+                x[target] = x[source]
+            for target, source, row in dressed_steps if dressed else steps:
+                x[target] += zs[row] * x[source]
+        return x[-1]
+    xs = np.zeros((K + 1, 1 << n), dtype=complex)
     xs[0, 0] = 1.0
-    # with K, degree j + 1 of mask M sits at flat position j * 2^n + M of xs[1:]
+    # degree j + 1 of mask M sits at flat position j * 2^n + M of xs[1:]
     graded = xs[1:].reshape(-1)
-    degrees = (np.arange(len(xs) - 1) << n)[:, None]
+    degrees = (np.arange(K) << n)[:, None]
     for low in reversed(range(n)):
+        # every mask of the level copies, read or not: no step reads the rest
         step = 2 << low
         xs[:, 1 << low :: step] = xs[:, ::step]
         # the dressed gas stops short of the one-site polymer's steps
-        end = plan.bounds[low + 1] - (dressed << (n - low - 1))
+        end = plan.singles[low] if dressed else plan.bounds[low + 1]
         targets, sources, rows = plan.steps[:, plan.bounds[low] : end]
-        if K is None:
-            np.add.at(xs[0], targets, _cpython_product(z[rows], xs[0, sources]))
-        else:
-            terms = z[rows] * xs[:-1, sources]
-            np.add.at(graded, (degrees + targets).reshape(-1), terms.reshape(-1))
-    return xs[0, -1] if K is None else xs[:, -1]
+        terms = z[rows] * xs[:-1, sources]
+        np.add.at(graded, (degrees + targets).reshape(-1), terms.reshape(-1))
+    return xs[:, -1]
 
 
 def _partition_polymer_sum(gas: _Gas, t, c: float):

@@ -276,13 +276,15 @@ def gas_sum_by_masks(n: int, groups: list[list], K: int | None = None):
 
 
 def plan_by_masks(gas):
-    """(masks, sizes, spins, weights, steps, bounds) of the region's gas-sum
-    plan from their definitions, one mask at a time: the connected polymers
-    found by a search of each nonzero mask along the couplings, masks
-    descending; each row's single-site law or mayer_table_by_polymer on
-    every total spin of 1 to n sites; and level by level, polymer by
-    polymer, the steps (M, M - P, row of P) of every mask M holding P whose
-    lowest site is P's, M ascending."""
+    """(masks, sizes, spins, weights, steps, bounds, singles) of the region's
+    gas-sum plan from their definitions, one mask at a time: the connected
+    polymers found by a search of each nonzero mask along the couplings,
+    masks descending; each row's single-site law or mayer_table_by_polymer
+    on every total spin of 1 to n sites; the masks X[full] reads, found by a
+    search from the full mask that takes M - P for every polymer P inside M
+    with M's lowest site; and level by level, polymer by polymer, the steps
+    (M, M - P, row of P) of every read mask M holding P whose lowest site is
+    P's, M ascending, singles marking where the one-site polymer's begin."""
     n = len(gas.sites)
 
     def connected(mask):
@@ -295,11 +297,18 @@ def plan_by_masks(gas):
         return seen == mask
 
     masks = [mask for mask in range((1 << n) - 1, 0, -1) if connected(mask)]
+    read, todo = set(), [(1 << n) - 1]
+    while todo:
+        mask = todo.pop()
+        if mask not in read:
+            read.add(mask)
+            low = mask & -mask
+            todo += [mask ^ poly for poly in masks if poly & -poly == low and poly & mask == poly]
     lo, hi = int(gas.values[0]), int(gas.values[-1])
     base = min(lo, n * lo)
     spins = base + np.arange(max(hi, n * hi) - base + 1.0)
     weights = np.zeros((len(masks), len(spins)))
-    steps, bounds = [], [0]
+    steps, bounds, singles = [], [0], []
     for low in range(n):
         for row, poly in enumerate(masks):
             if poly & -poly != 1 << low:
@@ -307,17 +316,13 @@ def plan_by_masks(gas):
             idx = tuple(i for i in range(n) if poly >> i & 1)
             start, table = (lo, gas.probs[low]) if len(idx) == 1 else mayer_table_by_polymer(gas, idx)[:2]
             weights[row, start - base : start - base + len(table)] = table
-            # the subsets of the sites above low outside P, ascending
-            free, sub = ((1 << n) - (2 << low)) & ~poly, 0
-            while True:
-                steps.append((poly | sub, sub, row))
-                sub = (sub - free) & free
-                if not sub:
-                    break
+            if len(idx) == 1:
+                singles.append(len(steps))
+            steps += [(mask, mask ^ poly, row) for mask in sorted(read) if mask & -mask == 1 << low and mask & poly == poly]
         bounds.append(len(steps))
     sizes = np.array([bin(mask).count("1") for mask in masks])
     table = np.array(steps, dtype=np.int32).T.reshape(3, -1)
-    return np.array(masks, dtype=np.int32), sizes, spins, weights, table, tuple(bounds)
+    return np.array(masks, dtype=np.int32), sizes, spins, weights, table, tuple(bounds), tuple(singles)
 
 
 @dataclass(frozen=True)

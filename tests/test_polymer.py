@@ -340,6 +340,9 @@ GAS_SUM_REGIONS = {
     "chain9": (nn_chain(radius=4, strength=0.2, spin=(0, 1), boundary=1), "box"),
     "uncoupled7": (nn_chain(radius=6, strength=0.1, spin=(-1, 1), boundary=1, r0=2), "decimated"),
     "cliques14": two_cliques(),
+    # the densest graph MAX_POLYMER_SIZE admits, whose sum reads most masks
+    "complete10": complete_graph(10, 0.05, spin=(0, 1)),
+    "box3x3": (nn_chain(radius=1, strength=0.2, spin=(0, 1), boundary=1, dimension=2), "box"),
 }
 
 
@@ -353,10 +356,10 @@ def test_gas_sum_matches_mask_loop_bit_for_bit(name):
     plan = gas.plan
     n = len(gas.sites)
     rng = np.random.default_rng(len(name))
-    # the 14-site loop takes about a second per call, so it checks each
-    # setting once rather than every combination
+    # the 14-site loop takes about a second per call, so it and the other
+    # large schedules check each setting once rather than every combination
     settings = list(product((None, 3, 4), (False, True), (0.0, 0.3)))
-    if n > 9:
+    if n > 9 or name == "box3x3":
         settings = [(None, False, 0.0), (3, True, 0.3), (4, False, 0.0), (None, True, 0.3)]
     for K, absolute, c in settings:
         z = plan.activities(float(rng.uniform(0.2, 3.0)), c)
@@ -366,6 +369,22 @@ def test_gas_sum_matches_mask_loop_bit_for_bit(name):
         got = pg._gas_sum(plan, z, K_n, dressed=c != 0.0)
         want = oracles.gas_sum_by_masks(n, mask_groups(gas, z, c != 0.0), K_n)
         assert bits(got) == bits(want), (K, absolute, c)
+
+
+def test_gas_sum_on_an_empty_region_matches_the_direct_route():
+    """On the region () the gas sum, like the direct route, gives Xi = 1 and
+    log Xi = 0, undressed and dressed, and the cluster series is zero at
+    every order, signed and absolute."""
+    model = GAS_SUM_REGIONS["chain5"][0]
+    for c in (0.0, 0.3):
+        params = pg.ActivityParams(t=0.7, c=c)
+        for call in (pg.polymer_partition, pg.continuous_log_partition):
+            direct = call(model, params, (), mode="direct")
+            assert bits(call(model, params, (), mode="polymer_sum")) == bits(direct)
+            assert direct == (1 if call is pg.polymer_partition else 0)
+        for absolute in (False, True):
+            series = pg.truncated_log_partition(model, params, (), K=3, absolute=absolute)
+            assert series.by_order == series.partial_sums == (0.0,) * 3
 
 
 def test_plan_activities_match_graph_enumeration():
@@ -524,7 +543,8 @@ def test_regions_of_one_coupling_graph_share_a_read_only_schedule():
         assert getattr(second, name) is shared
         with pytest.raises(ValueError, match="read-only"):
             shared[..., 0] = 0
-    assert first.bounds == second.bounds
+    assert (first.bounds, first.singles) == (second.bounds, second.singles)
+    assert second.loop is first.loop
     assert not np.shares_memory(first.weights, second.weights)
 
 
@@ -532,18 +552,23 @@ def test_plan_matches_mask_by_mask_build_bit_for_bit():
     """Every field of the plan of each GAS_SUM_REGIONS region and each
     _mayer_cases region, from a fresh gas, against the plan built from its
     definition one mask at a time: masks, sizes, spins, weights and steps
-    by bytes, bounds and n equal."""
+    by bytes, bounds, singles and n equal, and the scalar loop's tuples
+    holding the same steps level by level."""
     cases = [(model, region, None) for model, region in GAS_SUM_REGIONS.values()]
     for model, region, omega in cases + list(_mayer_cases()):
         gas = pg._Gas(build_system(model, region, omega))
         plan = gas.plan
         assert plan.n == len(gas.sites)
-        *arrays, bounds = oracles.plan_by_masks(gas)
+        *arrays, bounds, singles = oracles.plan_by_masks(gas)
         for name, want in zip(("masks", "sizes", "spins", "weights", "steps"), arrays):
             got = getattr(plan, name)
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
             assert got.tobytes() == want.tobytes(), name
-        assert plan.bounds == bounds
+        assert (plan.bounds, plan.singles) == (bounds, singles)
+        columns = tuple(map(tuple, arrays[-1].T.tolist()))
+        levels = reversed(list(zip(bounds, singles, bounds[1:])))
+        loop = tuple((tuple(c[:2] for c in columns[b:e]), columns[a:e], columns[a:b]) for a, b, e in levels)
+        assert plan.loop == loop
 
 
 @st.composite
