@@ -141,11 +141,38 @@ def _plain(obj):
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, default=_plain)
 
 
-def _line_json(line: dict) -> str:
+def _line_json(line) -> str:
     try:
         return _LINE_ENCODER.encode(line)
     except ValueError:
         return json.dumps(_sanitize(line), sort_keys=True)
+
+
+_CHECK_KEYS = {"check", "parameters", "lhs", "rhs", "margin", "pass"}
+
+
+def _check_line(line: dict) -> tuple[str, list[str]]:
+    """(JSON text, [lhs, rhs, margin] as summary.csv writes them) of a check
+    line. When lhs, rhs and margin are finite Python floats, each is
+    formatted once by float.__repr__, the formatter the encoder itself
+    uses, and the sorted-key object is assembled around those strings with
+    the name and parameters encoded as _line_json encodes them; any other
+    line takes _line_json whole. The text is _line_json's either way."""
+    floats = (line["lhs"], line["rhs"], line["margin"])
+    if (
+        line.keys() == _CHECK_KEYS
+        and type(line["check"]) is str
+        and type(line["pass"]) is bool
+        and all(type(v) is float and math.isfinite(v) for v in floats)
+    ):
+        lhs, rhs, margin = texts = list(map(float.__repr__, floats))
+        name, parameters = _LINE_ENCODER.encode(line["check"]), _line_json(line["parameters"])
+        verdict = "true" if line["pass"] else "false"
+        return (
+            f'{{"check": {name}, "lhs": {lhs}, "margin": {margin}, "parameters": {parameters},'
+            f' "pass": {verdict}, "rhs": {rhs}}}'
+        ), texts
+    return _line_json(line), list(map(repr, floats))
 
 
 def _emit(out_dir: str, lines: list[dict], meta: dict) -> None:
@@ -157,19 +184,22 @@ def _emit(out_dir: str, lines: list[dict], meta: dict) -> None:
     {"re", "im"}; a line holding a non-finite float is encoded from
     _sanitize's copy of it instead, which writes a plain float inf or NaN
     as the string "inf" or "nan". Either way the line's bytes are those of
-    json.dumps(_sanitize(line), sort_keys=True).
+    json.dumps(_sanitize(line), sort_keys=True). A check line's lhs, rhs
+    and margin are formatted once for both files (_check_line).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "reports.jsonl").write_text("".join(f"{_line_json(line)}\n" for line in lines))
+    texts, rows = [], [["check", "lhs", "rhs", "margin", "pass"]]
+    for line in lines:
+        if "check" in line:
+            text, floats = _check_line(line)
+            rows.append([line["check"], *floats, line["pass"]])
+        else:
+            text = _line_json(line)
+        texts.append(f"{text}\n")
+    (out / "reports.jsonl").write_text("".join(texts))
     summary = io.StringIO()
-    writer = csv.writer(summary)
-    writer.writerow(["check", "lhs", "rhs", "margin", "pass"])
-    writer.writerows(
-        [line["check"], repr(line["lhs"]), repr(line["rhs"]), repr(line["margin"]), line["pass"]]
-        for line in lines
-        if "check" in line
-    )
+    csv.writer(summary).writerows(rows)
     (out / "summary.csv").write_text(summary.getvalue(), newline="")
     (out / "run_meta.json").write_text(json.dumps(_sanitize(meta), sort_keys=True, indent=2) + "\n")
 

@@ -1,25 +1,32 @@
 """Exact observables for enumerable regions.
 
 Every quantity here comes from one finite sum over all |I|^N
-configurations of a region: the partition function, the first two moments
-of the total spin S and its exact pmf. The sum is taken by enumeration or,
-for banded systems, by a transfer sum (Kramers & Wannier, Phys. Rev. 60
-(1941) 252). With R the largest index distance of a coupled pair in System
-order, the transfer sum carries a table over the last R spins and the
-running total site by site, in N |I|^(R+1) (N(|I|-1)+1) steps; _moments
-takes it whenever that undercuts the |I|^N states of enumeration. S is
-integer-valued, so the characteristic function is the pmf's Fourier sum
-E(e^{itS}) = sum_p P(S = p) e^{itp}, exact at every t; the local-CLT gap
+configurations of a region: the partition function and the exact pmf of
+the total spin S. The sum is taken by enumeration or, for banded systems,
+by a transfer sum (Kramers & Wannier, Phys. Rev. 60 (1941) 252). With R
+the largest index distance of a coupled pair in System order, the
+transfer sum carries a table over the last R spins and the running total
+site by site, in N |I|^(R+1) (N(|I|-1)+1) steps; _moments takes it
+whenever that undercuts the |I|^N states of enumeration. Both routes count
+totals as offsets k = S - N min(I), and the mean and variance of S come
+from the normalized pmf by two passes over those offsets (Chan, Golub &
+LeVeque, Am. Stat. 37 (1983) 242), so neither cancels wherever the spin
+interval sits. S is integer-valued, so the characteristic function is the
+pmf's Fourier sum E(e^{itS}) = sum_p P(S = p) e^{itp}, exact at every t;
+the local-CLT gap
 
     sup_p | sqrt(D) P(S = p) - exp(-z_p^2/2) / sqrt(2 pi) |,
-    z_p = (p - E S) / sqrt(D),  D = Var S.
+    z_p = (p - E S) / sqrt(D),  D = Var S,
+
+takes p - E S in offsets too.
 
 Enumeration walks configurations in the order of _system._spin_grid, split
 into a low block evaluated as one vectorized slab per chunk (the low-site
 energies are a fixed vector reused across chunks, cross terms enter through
-one matrix-vector product) and a high block that changes per chunk. Chunk
-contributions are combined by math.fsum, correctly rounded, so results do
-not depend on the order the chunks are added in. Weights are
+one matrix-vector product) and a high block that changes per chunk. Each
+chunk adds its weights into bins of the total's offset and one Z term per
+row; a row's Z terms are combined by math.fsum, correctly rounded, so Z
+does not depend on the order the chunks are added in. Weights are
 computed relative to an a-priori upper bound on the log weight, which keeps
 every exponential bounded by 1. On frustrated couplings that bound can sit
 hundreds above the largest log weight, so the scan records the largest one;
@@ -30,9 +37,10 @@ is a normal float, so Z_shifted is positive on every system (the transfer
 sum keeps one log scale per band configuration and rescales each
 configuration's table to a largest entry of 1 at each step). A System
 refuses an energy bound past float64 (finite couplings near 1e308 give
-one), so the shift and every log weight are finite; a Z, moment or bin
-that float64 still cannot hold is a CapacityError naming the route, never
-NaN.
+one), so the shift and every log weight are finite; a Z or bin that
+float64 still cannot hold, or totals whose magnitude can pass 2^53 (where
+float64 stops holding every integer, so the mean would round), is a
+CapacityError naming the route, never NaN.
 
 One function, _cost, decides what an exact sum costs: the route _moments
 takes and that route's work, N |I|^(R+1) (N(|I|-1)+1) transfer steps or
@@ -45,10 +53,10 @@ Both routes take the System's couplings and a (rows, N) array of field
 slopes, one conditioning per row, and sum every row in one pass. Each step
 that reads a field runs elementwise or row by row in the order a single
 row takes it: the field terms site by site, the shift, exp, one bincount
-over row-offset bins, one 1-D dot and one fsum per row and chunk, the
-second pass and each transfer step's rescale. So every row keeps the bits
-of a one-row call, and _moments is the one-row call on the System's own
-fields. A decay scan fills the rows from rows of window spins summed
+over row-offset bins, one sum along each row per chunk, one fsum per row,
+the second pass and each transfer step's rescale. So every row keeps the
+bits of a one-row call, and _moments is the one-row call on the System's
+own fields. A decay scan fills the rows from rows of window spins summed
 against a region x window coupling block, runs the route once per group
 of rows (rows with equal fields summed once), and charges the realized
 conditionings times the work of one.
@@ -142,21 +150,36 @@ class PmfTable:
         return {p: self.probabilities[p - self.p_min] for p in self.support}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecimatedCharFnSup:
     """Max of |char fn of the decimated total spin| over scanned conditionings.
 
-    Every field but entries is a tuple with one value per t of the grid.
-    entries holds one (label, |cf| per t) pair per scanned conditioning, in
-    scan order: all_lo, all_hi, random_k, conditional_idx (see
-    decimated_char_fn_sup). worst[k] is the label of the first entry that
-    attains sup[k]; ties are common, so the first one is the rule.
+    t, sup and worst are tuples with one value per t of the grid. labels
+    names the scanned conditionings in scan order: all_lo, all_hi,
+    random_k, conditional_idx (see decimated_char_fn_sup), and abs_cf is the
+    read-only (conditionings, t) array of their |cf|. worst[k] is the label
+    of the first conditioning that attains sup[k]; ties are common, so the
+    first one is the rule. entries, one (label, |cf| per t) pair of tuples
+    per conditioning, is built from the array when first read. Two scans
+    are equal when their grids, sups, worst labels, labels and |cf| arrays
+    are.
     """
 
     t: tuple[float, ...]
     sup: tuple[float, ...]
     worst: tuple[str, ...]
-    entries: tuple[tuple[str, tuple[float, ...]], ...]
+    labels: tuple[str, ...]
+    abs_cf: np.ndarray
+
+    @cached_property
+    def entries(self) -> tuple[tuple[str, tuple[float, ...]], ...]:
+        return tuple(zip(self.labels, map(tuple, self.abs_cf.tolist())))
+
+    def __eq__(self, other):
+        if not isinstance(other, DecimatedCharFnSup):
+            return NotImplemented
+        same = (self.t, self.sup, self.worst, self.labels) == (other.t, other.sup, other.worst, other.labels)
+        return same and np.array_equal(self.abs_cf, other.abs_cf)
 
 
 def _cost(n: int, q: int, band: int):
@@ -204,19 +227,22 @@ def _scan(system: System, fields: np.ndarray):
     """One pass over all configurations for each row of a (rows, n) array
     of field slopes; the caller has checked the budget.
 
-    Returns (shift, Z_shifted, sum_wS, sum_wS2, bins, s_min), where the
-    first four hold one value per row, w is a row's shifted weight
-    exp(-H - shift) and bins[r, p - s_min] is row r's sum of w over
-    configurations with S = p. A row's shift is its _energy_shifts entry;
-    when its largest log weight lies so far below it that the largest
-    weight is under tiny/eps, the sum is taken a second time shifted by
-    that largest log weight, so every weight within a factor eps of the
-    largest stays normal. Every step that reads a field runs elementwise or
-    row by row, so each row's sums are bit for bit those of a one-row call.
+    Returns (shift, Z_shifted, bins, s_min), where the first two hold one
+    value per row, w is a row's shifted weight exp(-H - shift) and
+    bins[r, k] is row r's sum of w over configurations with S = s_min + k.
+    Totals are counted as offsets k = S - s_min, sums of spin offsets above
+    the lowest value, so a bin index stays under n(q-1)+1 whatever the
+    spins. A row's shift is its _energy_shifts entry; when its largest log
+    weight lies so far below it that the largest weight is under tiny/eps,
+    the sum is taken a second time shifted by that largest log weight, so
+    every weight within a factor eps of the largest stays normal. Every
+    step that reads a field runs elementwise or row by row, so each row's
+    sums are bit for bit those of a one-row call.
     """
     n = system.site_count
     q = len(system.values)
     vals = system.value_array
+    lo = int(min(system.values))
     rows = len(fields)
     shift = _energy_shifts(system, fields)
 
@@ -241,16 +267,17 @@ def _scan(system: System, fields: np.ndarray):
     e_low = e_low + fields[:, 0, None] * lows[0]
     for i in range(1, m_low):
         e_low += fields[:, i, None] * lows[i]
-    s_low = lows.sum(axis=0)
+    # the spin values are consecutive integers, so each offset is exact
+    k_low = (lows - lo).sum(axis=0).astype(np.int64)
 
-    s_min = n * int(min(system.values))
-    s_max = n * int(max(system.values))
-    width = s_max - s_min + 1
+    s_min = n * lo
+    width = n * (q - 1) + 1
     # row r's bins sit at offset r * width of one bincount
-    offsets = np.arange(rows)[:, None] * width - s_min
+    offsets = np.arange(rows)[:, None] * width
 
     def chunks():
-        """(log weight per row, total spin) of each chunk of configurations."""
+        """(log weight per row, total spin offset) of each chunk of
+        configurations."""
         for v_high in highs.T:
             e_high = 0.0
             for i, j, v in pairs_hh:
@@ -263,25 +290,22 @@ def _scan(system: System, fields: np.ndarray):
                 for i, j, v in pairs_lh:
                     coef[i] += v * v_high[j - m_low]
                 energy = energy + coef @ lows
-            yield energy, s_low + float(v_high.sum())
+            yield energy, k_low + int((v_high - lo).sum())
 
     def sums(shift):
-        parts = [[] for _ in range(rows)]
+        parts = []
         bins = np.zeros((rows, width))
         top = [-math.inf] * rows
         shift_col = np.array(shift)[:, None]
-        for energy, s_tot in chunks():
+        for energy, k_tot in chunks():
             top = list(map(max, top, energy.max(axis=1).tolist()))
             w = np.exp(energy - shift_col)
-            s_sq = s_tot * s_tot
-            # a 1-D sum and dots per row: a matrix-vector product sums in
-            # another order
-            for row_parts, row in zip(parts, w):
-                row_parts.append((row.sum(), np.dot(row, s_tot), np.dot(row, s_sq)))
-            idx = offsets + np.rint(s_tot).astype(np.int64)
+            # a sum along axis 1 of the C-contiguous w takes each row's 1-D
+            # sum's additions
+            parts.append(w.sum(axis=1).tolist())
+            idx = offsets + k_tot
             bins += np.bincount(idx.ravel(), weights=w.ravel(), minlength=rows * width).reshape(rows, width)
-        z, s1, s2 = zip(*(map(math.fsum, zip(*row_parts)) for row_parts in parts))
-        return (shift, z, s1, s2, bins, s_min), top
+        return (shift, list(map(math.fsum, zip(*parts))), bins, s_min), top
 
     out, top = sums(shift)
     again = [t if t - s < _LOG_TINY_OVER_EPS else s for t, s in zip(top, shift)]
@@ -309,9 +333,10 @@ def _transfer(system: System, fields: np.ndarray):
     configuration by its largest entry. Configurations whose weights part
     by more than float64 spans stay normal floats, so one that later sites
     bring back to the top (a strong field at the end of an
-    antiferromagnetic chain does) is not lost. Returns the tuple of _scan,
-    shifted by each row's largest log scale, each row bit for bit that of
-    a one-row call.
+    antiferromagnetic chain does) is not lost. The running total is an
+    offset above n times the lowest value from the start. Returns the
+    tuple of _scan, (shift, Z_shifted, bins, s_min), shifted by each row's
+    largest log scale, each row bit for bit that of a one-row call.
     """
     n = system.site_count
     q = len(system.values)
@@ -352,47 +377,66 @@ def _transfer(system: System, fields: np.ndarray):
     logs = logs.reshape(rows, -1)
     shift = logs.max(axis=1)
     bins = (table.reshape(rows, -1, table.shape[-1]) * np.exp(logs - shift[:, None])[..., None]).sum(axis=1)
-    s_min = n * int(min(system.values))
-    spins = s_min + np.arange(bins.shape[1], dtype=float)
-    s_sq = spins * spins
-    z = [row.sum() for row in bins]
-    s1 = [row @ spins for row in bins]
-    s2 = [row @ s_sq for row in bins]
-    return shift.tolist(), z, s1, s2, bins, s_min
+    # bins is C-contiguous, so each row's Z takes the 1-D sum's additions
+    return shift.tolist(), bins.sum(axis=1).tolist(), bins, n * int(min(system.values))
 
 
 def _not_finite(name: str, n: int, shift: float, z: float) -> CapacityError:
     return CapacityError(f"{name} on {n} sites is not finite in float64: the shift is {shift!r} and Z_shifted {z!r}")
 
 
-def _law(name: str, n: int, shift, z, s1, s2, bins, s_min: int):
-    """(shift, Z_shifted, mean, variance, pmf) from one row of a route's sums."""
-    shift, z, s1, s2 = float(shift), float(z), float(s1), float(s2)
-    # |S| <= n max|s|, so finite sums with Z_shifted > 0 give finite moments
-    if not (z > 0 and all(map(math.isfinite, (shift, z, s1, s2))) and np.isfinite(bins).all()):
+def _check_reach(name: str, n: int, s_min: int, width: int) -> None:
+    """Refuse totals S = s_min .. s_min + width - 1 whose magnitude can pass
+    2^53: past it float64 no longer holds every integer, so a mean of S
+    would round. The bound is n max|s|, the same for every row."""
+    reach = max(abs(s_min), abs(s_min + width - 1))
+    if reach > 2**53:
+        raise CapacityError(
+            f"{name} on {n} sites: |S| reaches n*max|s| = {reach}, past 2^53,"
+            " so float64 cannot hold the mean of S"
+        )
+
+
+def _pmf_moments(probs: np.ndarray, s_min: int) -> tuple[float, float]:
+    """(mean, variance) of S = s_min + k under a normalized pmf over the
+    offsets k, by two passes (Chan, Golub & LeVeque, Am. Stat. 37 (1983)
+    242): the mean offset mu, then the sum of p_k (k - mu)^2. Offsets stay
+    within n(q-1), so neither pass cancels."""
+    k = np.arange(len(probs), dtype=float)
+    mu = float(probs @ k)
+    d = k - mu
+    return s_min + mu, float(probs @ (d * d))
+
+
+def _law(name: str, n: int, shift, z, bins, s_min: int):
+    """(shift, Z_shifted, mean, variance, pmf) from one row of a route's
+    sums, the moments taken from the normalized pmf (_pmf_moments)."""
+    _check_reach(name, n, s_min, len(bins))
+    shift, z = float(shift), float(z)
+    if not (z > 0 and math.isfinite(shift) and math.isfinite(z) and np.isfinite(bins).all()):
         raise _not_finite(name, n, shift, z)
-    mean = s1 / z
-    var = s2 / z - mean * mean
     probs = bins / z
     # Both routes' bins are sums of nonnegative terms, so the clip only
     # zeroes the masses under 1e-300.
     probs = np.where(probs < 1e-300, 0.0, probs)
     table = PmfTable(p_min=s_min, probabilities=tuple((probs / probs.sum()).tolist()))
-    return shift, z, mean, var, table
+    return shift, z, *_pmf_moments(table.probability_array, s_min), table
 
 
-def _pmfs(name: str, n: int, shift, z, s1, s2, bins) -> np.ndarray:
+def _pmfs(name: str, n: int, shift, z, bins, s_min: int) -> np.ndarray:
     """The (rows, width) pmfs of _law on each row of a route's sums, in one
-    array pass, for the many rows of a decay scan (_law's scalar checks
-    cost less on the one row of _moments).
+    array pass, for the many rows of a decay scan, which reads no moment
+    (_law's scalar checks cost less on the one row of _moments).
 
-    The row that _law refuses first gets _law's error: rows before it are
-    normalized and pass _check_pmfs, then it raises _law's CapacityError.
-    Every step is elementwise or a row sum along axis 1 of a contiguous
-    array, which takes the 1-D sum's additions, so each row keeps the bits
-    of its _law pmf.
+    The row that _law refuses first gets _law's error: a reach past 2^53
+    refuses every row alike, rows before the first bad one are normalized
+    and pass _check_pmfs, then it raises _law's CapacityError. Every step is
+    elementwise or a row sum along axis 1 of a contiguous array, which
+    takes the 1-D sum's additions, so each row keeps the bits of its _law
+    pmf.
     """
-    sums = np.array([shift, z, s1, s2], dtype=float)
+    _check_reach(name, n, s_min, bins.shape[1])
+    sums = np.array([shift, z], dtype=float)
     z = sums[1, :, None]
     good = np.isfinite(sums).all(axis=0) & (sums[1] > 0) & np.isfinite(bins).all(axis=1)
     stop = len(good) if good.all() else int(good.argmin())
@@ -401,7 +445,7 @@ def _pmfs(name: str, n: int, shift, z, s1, s2, bins) -> np.ndarray:
     probs /= probs.sum(axis=1, keepdims=True)
     _check_pmfs(probs)
     if stop < len(good):
-        raise _not_finite(name, n, *sums[:2, stop].tolist())
+        raise _not_finite(name, n, *sums[:, stop].tolist())
     return probs
 
 
@@ -456,13 +500,17 @@ def char_from_pmf(table: PmfTable, t) -> complex | np.ndarray:
 
 def lclt_gap(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) -> float:
     """sup_p |sqrt(D) P(S=p) - gaussian density at z_p| over the support."""
-    _, _, mean, var, table = _moments(_checked_system(model, region, budget))
+    table = pmf(model, region, budget)
+    # z_p in offsets p - p_min, whose mean float64 holds to its last bits
+    # wherever the spin interval sits; the same two passes gave _moments'
+    # variance, bit for bit
+    mu, var = _pmf_moments(table.probability_array, 0)
     if var <= 1e-12:
         raise DegenerateDistributionError(
             f"total-spin variance {var!r} is too small for a local-CLT gap"
         )
     root_d = math.sqrt(var)
-    z = (table.support_array - mean) / root_d
+    z = (np.arange(len(table.probabilities)) - mu) / root_d
     gauss = np.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
     return float(np.abs(root_d * table.probability_array - gauss).max())
 
@@ -496,13 +544,15 @@ def decimated_char_fn_sup(
     bounds and shifts are row-wise cumulative sums (_row_sums), and its
     pmfs come from one array pass over the route's sums (_pmfs), which
     refuses the row that _law would refuse first, with _law's error, and
-    keeps each row's bits; no PmfTable is built. The set does not depend on
-    t, and every conditioning's pmf has the same support, so one Fourier
-    matrix exp(i t p) over t_grid x support serves the scan. Each |cf| row
-    is that matrix times one pmf row, the product char_from_pmf takes, so
-    the rows match it bit for bit; one matrix-matrix product over all pmfs
-    would sum in another order, move last bits and, since tied maxima are
-    common, move worst labels.
+    keeps each row's bits; no PmfTable and no moment is built. The set does
+    not depend on t, and every conditioning's pmf has the same support, so
+    one Fourier matrix exp(i t p) over t_grid x support serves the scan.
+    Each |cf| row is that matrix times one pmf row, the product
+    char_from_pmf takes, so the rows match it bit for bit; one
+    matrix-matrix product over all pmfs would sum in another order, move
+    last bits and, since tied maxima are common, move worst labels. The
+    (conditionings, t) table of |cf| stays one read-only array, and the
+    result builds its entries from it only when they are read.
     """
     ts = tuple(float(t) for t in t_grid)
     q = model.spin.card
@@ -554,14 +604,14 @@ def decimated_char_fn_sup(
         unbounded = np.flatnonzero(~np.isfinite(_energy_bounds(system.pairs, system.values, fields)))
         if len(unbounded):
             replace(system, fields=tuple(fields[unbounded[np.argmin(first[unbounded])]].tolist()))
-        *sums, _ = route(system, fields)
         # one matrix-vector product per pmf, as char_from_pmf takes it: a
         # matrix-matrix product over all of them sums in another order
-        cfs = np.array([np.abs(fourier @ probs) for probs in _pmfs(name, n, *sums)])
+        cfs = np.array([np.abs(fourier @ probs) for probs in _pmfs(name, n, *route(system, fields))])
         abs_cfs[start : start + len(rows)] = cfs[inverse.ravel()]
     return DecimatedCharFnSup(
         t=ts,
         sup=tuple(abs_cfs.max(axis=0).tolist()),
         worst=tuple(labels[k] for k in abs_cfs.argmax(axis=0).tolist()),
-        entries=tuple(zip(labels, map(tuple, abs_cfs.tolist()))),
+        labels=tuple(labels),
+        abs_cf=_read_only(abs_cfs),
     )

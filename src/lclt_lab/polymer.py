@@ -164,10 +164,11 @@ class TreeGraphBounds:
 class _Gas:
     """Per-region tables: single-site measures, and t-free caches filled on
     first use: each site's couplings, adjacency masks (the key of the
-    coupling graph's _schedule), the gas-sum plan, Mayer tables by polymer
-    index tuple (the plan's pass fills every connected polymer's, a lookup
-    before it one polymer's), weight norms by (size, dressing, delta) and
-    series dampings by (c, delta, a, step norm)."""
+    coupling graph's _schedule), the gas-sum plan, log Xi(0) and the pmf of
+    S (which every undressed direct-route call reads), Mayer tables by
+    polymer index tuple (the plan's pass fills every connected polymer's, a
+    lookup before it one polymer's), weight norms by (size, dressing,
+    delta) and series dampings by (c, delta, a, step norm)."""
 
     def __init__(self, system: System):
         self.system = system
@@ -215,6 +216,14 @@ class _Gas:
     @cached_property
     def plan(self) -> _Plan:
         return _build_plan(self)
+
+    @cached_property
+    def xi0(self) -> tuple[float, ee.PmfTable]:
+        """(log Xi(0), pmf of S) from the exact engine's sum over the
+        region's System: Xi(0) = Z / prod_x z_x with Z = e^shift Z_shifted."""
+        shift, z, _, _, table = ee._moments(self.system)
+        log_norms = np.logaddexp.reduce(np.outer(self.system.field_array, self.values), axis=1)
+        return shift + math.log(z) - float(log_norms.sum()), table
 
 
 @dataclass(frozen=True)
@@ -570,20 +579,12 @@ def activity_derivative(
     return _activity_from_indices(gas, _indices(gas, polymer), params.t, params.c, order)
 
 
-def _exact_xi0(gas: _Gas):
-    """(log Xi(0), pmf of S) from the exact engine's sum over the region's
-    System: Xi(0) = Z / prod_x z_x with Z = e^shift Z_shifted."""
-    shift, z, _, _, table = ee._moments(gas.system)
-    log_norms = np.logaddexp.reduce(np.outer(gas.system.field_array, gas.values), axis=1)
-    return shift + math.log(z) - float(log_norms.sum()), table
-
-
 def _partition_direct(gas: _Gas, t, c: float):
     n = len(gas.sites)
     if c == 0.0:
         # Every site carries its phase factor: Xi(t) = Xi(0) times the exact
         # characteristic function.
-        log_xi0, table = _exact_xi0(gas)
+        log_xi0, table = gas.xi0
         require_normal_exp(f"direct route on {n} sites", "Xi(0)", log_xi0)
         return math.exp(log_xi0) * ee.char_from_pmf(table, t)
 
@@ -734,7 +735,7 @@ def _partition_at_zero(gas: _Gas, c: float, mode: str) -> complex:
     if c == 0.0 and not abs(xi0) >= sys.float_info.min:
         raise CapacityError(
             f"{mode} route on {len(gas.sites)} sites is not a positive normal float64:"
-            f" log Xi(0) is {_exact_xi0(gas)[0]:.1f}, float64 normals end at {LOG_FLOAT_MIN:.1f}"
+            f" log Xi(0) is {gas.xi0[0]:.1f}, float64 normals end at {LOG_FLOAT_MIN:.1f}"
         )
     return xi0
 

@@ -17,6 +17,8 @@ bit for bit; report_line_by_sanitize is the CLI's earlier line writer,
 a recursive walk before json.dumps, whose bytes the shared encoder must
 keep. integral_parts_by_quad is the integral decomposition's earlier
 route, scipy.integrate.quad on scalar integrands.
+chain_moments_by_long_double_transfer takes the moments of S on a chain
+in numpy's long double, by a transfer sum and two passes over its pmf.
 """
 
 import heapq
@@ -390,6 +392,41 @@ def energy_shifts_by_rows(system: System, fields: np.ndarray) -> list[float]:
     lo, hi = min(system.values), max(system.values)
     pair_part = sum(max(v * lo * lo, v * lo * hi, v * hi * hi) for _, _, v in system.pairs)
     return [pair_part + sum(max(b * lo, b * hi) for b in row) for row in fields.tolist()]
+
+
+def chain_moments_by_long_double_transfer(system: System) -> tuple[float, float]:
+    """(mean, variance) of S on a System whose pairs join consecutive sites
+    only, in numpy's long double: a transfer sum over (last spin, running
+    offset k = S - n lo) rescaled at each site, then two passes over the
+    pmf (the mean offset, then the sum of p_k (k - mu)^2) and the mean
+    n lo + mu, each rounded to float64 once."""
+    ld = np.longdouble
+    lo, q, n = min(system.values), len(system.values), system.site_count
+    values = np.array(system.values, dtype=ld)
+    link = [ld(0)] * n
+    for i, j, v in system.pairs:
+        assert j == i + 1, "pairs must join consecutive sites"
+        link[j] = ld(v)
+    fields = [ld(h) for h in system.fields]
+    width = n * (q - 1) + 1
+    # weight[v, k]: the chain so far ends in spin values[v] with offset k
+    log_first = fields[0] * values
+    weight = np.zeros((q, width), dtype=ld)
+    weight[np.arange(q), np.arange(q)] = np.exp(log_first - log_first.max())
+    for j in range(1, n):
+        log_step = link[j] * np.multiply.outer(values, values) + fields[j] * values
+        step = np.exp(log_step - log_step.max())
+        # offsets up to j(q-1) are reached before site j
+        held = j * (q - 1) + 1
+        new = np.zeros_like(weight)
+        for v in range(q):
+            new[v, v : v + held] = step[:, v] @ weight[:, :held]
+        weight = new / new.max()
+    probs = weight.sum(axis=0)
+    probs /= probs.sum()
+    k = np.arange(width, dtype=ld)
+    mu = probs @ k
+    return float(ld(n * lo) + mu), float(probs @ (k - mu) ** 2)
 
 
 def _sanitize(obj):

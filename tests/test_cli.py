@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import re
@@ -7,6 +9,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lclt_lab.cli as cli
 import lclt_lab.exactengine as ee
@@ -538,6 +542,68 @@ def test_emit_writes_every_value_kind_as_the_walk_did(tmp_path):
     assert summary[0] == "check,lhs,rhs,margin,pass"
     assert summary[1:4] == ["kinds,0.5,1.0,0.5,True", "kinds,inf,1.0,-inf,True", "kinds,0.5,nan,0.5,False"]
     assert len(summary) == 7
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_SCALARS = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**62), 2**62).map(np.int64),
+    st.integers(),
+)
+# names with non-ASCII letters, which the encoder escapes and the CSV keeps
+_NAMES = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _SCALARS, _NAMES, st.complex_numbers(allow_nan=False, allow_infinity=False)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.tuples(inner), st.dictionaries(_NAMES, inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def _check_lines(scalars):
+    """Check lines whose lhs, rhs and margin are drawn from scalars, some
+    with a key that a check line does not hold."""
+    return st.fixed_dictionaries(
+        {
+            "check": _NAMES,
+            "parameters": st.one_of(st.dictionaries(_NAMES, _VALUES, max_size=4), st.lists(_VALUES, max_size=3)),
+            "lhs": scalars,
+            "rhs": scalars,
+            "margin": scalars,
+            "pass": st.booleans(),
+        },
+        optional={"note": _VALUES},
+    )
+
+
+_RECORD_LINES = st.fixed_dictionaries({"record": _NAMES, "values": st.dictionaries(_NAMES, _VALUES, max_size=3)})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    st.lists(
+        st.one_of(_check_lines(_SCALARS), _check_lines(_FLOATS), _RECORD_LINES),
+        max_size=6,
+    )
+)
+def test_emit_writes_the_bytes_of_the_walk_and_of_repr(tmp_path_factory, lines):
+    """On drawn lines, finite and non-finite floats, numpy scalars, nested
+    and list-valued parameters, non-ASCII check names and an extra key,
+    reports.jsonl holds each line as the recursive walk before json.dumps
+    wrote it, and summary.csv the rows a csv.writer writes over repr of lhs,
+    rhs and margin."""
+    out = tmp_path_factory.mktemp("emit")
+    cli._emit(str(out), lines, {})
+    assert (out / "reports.jsonl").read_text() == "".join(map(oracles.report_line_by_sanitize, lines))
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["check", "lhs", "rhs", "margin", "pass"])
+    for line in lines:
+        if "check" in line:
+            writer.writerow([line["check"], repr(line["lhs"]), repr(line["rhs"]), repr(line["margin"]), line["pass"]])
+    with open(out / "summary.csv", newline="") as summary:
+        assert summary.read() == want.getvalue()
 
 
 def test_emit_refuses_what_json_cannot_write(tmp_path):

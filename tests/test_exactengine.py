@@ -148,7 +148,7 @@ def transfer_matrix_pmf(values, strength, fields):
 
 def _one_row(route, system):
     """route's sums on the System's own fields: the one-row call _moments
-    makes, as (shift, Z_shifted, sum_wS, sum_wS2, bins, s_min)."""
+    makes, as (shift, Z_shifted, bins, s_min)."""
     *sums, s_min = route(system, system.field_array[None])
     return (*(col[0] for col in sums), s_min)
 
@@ -170,11 +170,13 @@ def test_multi_chunk_scan_matches_transfer_matrix(n, spin):
     mean = float(ps @ want)
     var = float((ps - mean) ** 2 @ want)
 
-    _, z, s1, s2, bins, s_min = _one_row(ee._scan, build_system(model, region))
+    sums = _one_row(ee._scan, build_system(model, region))
+    _, z, bins, s_min = sums
     assert s_min == lo
     assert np.allclose(bins / z, want, rtol=1e-11, atol=1e-15)
-    assert s1 / z == pytest.approx(mean, rel=1e-11)
-    assert s2 / z - (s1 / z) ** 2 == pytest.approx(var, rel=1e-10)
+    _, _, scan_mean, scan_var = _law(sums)
+    assert scan_mean == pytest.approx(mean, rel=1e-11)
+    assert scan_var == pytest.approx(var, rel=1e-10)
 
     table = ee.pmf(model, region)
     assert table.p_min == lo
@@ -185,11 +187,13 @@ def test_multi_chunk_scan_matches_transfer_matrix(n, spin):
 
 
 def _law(sums):
-    """(log Z, pmf, mean, variance) from a (shift, Z, sum wS, sum wS^2, bins,
-    s_min) tuple of either route."""
-    shift, z, s1, s2, bins, _ = sums
-    mean = s1 / z
-    return shift + math.log(z), bins / z, mean, s2 / z - mean * mean
+    """(log Z, pmf, mean, variance) from a (shift, Z, bins, s_min) tuple of
+    either route, the moments by two passes over bins normalized to sum 1."""
+    shift, z, bins, s_min = sums
+    probs = bins / bins.sum()
+    k = np.arange(len(probs))
+    mu = float(probs @ k)
+    return shift + math.log(z), bins / z, s_min + mu, float(probs @ (k - mu) ** 2)
 
 
 def _banded_systems():
@@ -251,7 +255,7 @@ def test_transfer_route_matches_enumeration():
     for system, band in systems:
         assert ee._bandwidth(system) == band
         scan, transfer = _one_row(ee._scan, system), _one_row(ee._transfer, system)
-        assert transfer[5] == scan[5]
+        assert transfer[3] == scan[3]
         log_z, probs, mean, var = _law(transfer)
         want_log_z, want_probs, want_mean, want_var = _law(scan)
         assert probs.shape == want_probs.shape
@@ -336,14 +340,14 @@ def test_transfer_matches_enumeration_at_any_coupling(case):
         second = _one_row(ee._transfer, replace(system, fields=tuple(other.tolist())))
     log_z, probs, mean, _ = _law(transfer)
     want_log_z, want_probs, want_mean, _ = _law(scan)
-    assert transfer[5] == scan[5] == s_min
+    assert transfer[3] == scan[3] == s_min
     assert probs.shape == want_probs.shape
     assert np.abs(probs - want_probs).max() <= 1e-12
     assert abs(log_z - want_log_z) <= 1e-12 * max(1.0, abs(want_log_z))
     assert abs(mean - want_mean) <= 1e-12 * max(1.0, abs(want_mean))
     for r, one in enumerate((transfer, second)):
         row = [col[r] for col in both]
-        assert _hex(*row[:4], *row[4]) == _hex(*one[:4], *one[4]), r
+        assert _hex(*row[:2], *row[2]) == _hex(*one[:2], *one[2]), r
 
 
 def test_route_dispatch(monkeypatch):
@@ -413,6 +417,107 @@ def test_long_chain_runs_at_default_budget():
     assert stats.mean_S == pytest.approx(mean, rel=1e-10)
     assert stats.variance_S == pytest.approx(var, rel=1e-9)
     assert ee.lclt_gap(model, region) == pytest.approx(gap, rel=1e-8)
+
+
+def test_variance_matches_long_double_transfer_at_low_temperature():
+    """Criterion 12's J = 3 chain at n = 2048 and 4096: the mean and the
+    variance, taken by two passes over the pmf in spin offsets, match a
+    long-double transfer sum with a two-pass variance within 1e-13
+    relative."""
+    model = nn_chain(radius=4096, strength=3.0, spin=(0, 1), boundary=1)
+    sites = lm.resolve_region(model, "box")
+    for n in (2048, 4096):
+        mean, var = oracles.chain_moments_by_long_double_transfer(build_system(model, sites[:n]))
+        stats = ee.statistics(model, sites[:n], budget=1 << 29)
+        assert stats.variance_S == pytest.approx(var, rel=1e-13, abs=0), n
+        assert stats.mean_S == pytest.approx(mean, rel=1e-13, abs=0), n
+
+
+@pytest.mark.parametrize("k", [0, 10, 26, 40, 51])
+def test_spins_far_from_zero_keep_the_variance(k):
+    """Three free sites with spins {2^k, 2^k + 1}: the variance is 3/4 at
+    every k and the mean 3 2^k + 3/2 rounded once, as the long-double
+    transfer gives, and the pmf, the variance and the local-CLT gap are
+    those of spins {0, 1} bit for bit, since the moments and the gap's
+    Gaussian are taken in offsets S - n lo."""
+    far = nn_chain(radius=1, strength=0.0, spin=(2**k, 2**k + 1), boundary=None)
+    near = nn_chain(radius=1, strength=0.0, spin=(0, 1), boundary=None)
+    stats = ee.statistics(far)
+    assert (stats.mean_S, stats.variance_S) == (3 * 2**k + 1.5, 0.75)
+    assert (stats.mean_S, stats.variance_S) == oracles.chain_moments_by_long_double_transfer(build_system(far))
+    assert stats.variance_S == ee.statistics(near).variance_S
+    assert ee.pmf(far).probabilities == ee.pmf(near).probabilities
+    assert ee.lclt_gap(far) == ee.lclt_gap(near)
+
+
+def test_metropolis_agrees_with_the_exact_law_far_from_zero():
+    """At spins {2^26, 2^26 + 1} Metropolis and the exact law agree on the
+    mean and the variance within 5 standard errors."""
+    model = nn_chain(radius=1, strength=0.0, spin=(2**26, 2**26 + 1), boundary=None)
+    exact = ee.statistics(model)
+    est = mc.sample_statistics(model, mc.ChainSpec(seed=5, burn_in=200, samples=2000, thinning=1, chains=4))
+    for name, truth in (("mean", exact.mean_S), ("variance", exact.variance_S)):
+        assert abs(est[name].value - truth) <= 5 * est[name].std_error, name
+
+
+def test_totals_past_two_to_the_53_raise_a_typed_error():
+    """Spins {2^53 - 1, 2^53}: on 5 sites |S| reaches 5 2^53, where float64
+    cannot hold the mean, so the exact laws and the decay scan (3 decimated
+    sites) raise a CapacityError naming n max|s|, not a bare ValueError
+    from a bin index. One site fits: its mean 2^53 - 1/2 rounds once."""
+    model = nn_chain(radius=2, strength=0.0, spin=(2**53 - 1, 2**53), boundary=None, r0=2)
+    for call, sites, reach in (
+        (ee.statistics, 5, 5 * 2**53),
+        (ee.pmf, 5, 5 * 2**53),
+        (ee.lclt_gap, 5, 5 * 2**53),
+        (lambda model: ee.decimated_char_fn_sup(model, [0.5]), 3, 3 * 2**53),
+    ):
+        message = rf"^enumeration on {sites} sites: \|S\| reaches n\*max\|s\| = {reach}, past 2\^53"
+        with pytest.raises(CapacityError, match=message):
+            call(model)
+    one = ee.statistics(model, region=((0,),))
+    assert (one.mean_S, one.variance_S) == (2**53 - 0.5, 0.25)
+
+
+@st.composite
+def _shifted_cases(draw):
+    """(near System, far System, L): 1 to 10 sites in a path, 2 to 4 spin
+    values from 0, couplings in eighths up to 2 in magnitude between sites
+    at most 3 apart and fields in eighths up to 8. The far System moves the
+    spin interval by L = +-2^k, k up to 20, and takes the fields
+    h_i - L sum_j J_ij, so its log weight is the near one's plus a
+    constant, and every product and sum of either stays an exact float."""
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(1, _SITES_UP_TO[q]))
+    within = [(i, j) for j in range(n) for i in range(max(0, j - 3), j)]
+    couplings = draw(st.lists(st.integers(-16, 16), min_size=len(within), max_size=len(within)))
+    pairs = tuple((i, j, m / 8) for (i, j), m in zip(within, couplings) if m)
+    fields = [m / 8 for m in draw(st.lists(st.integers(-64, 64), min_size=n, max_size=n))]
+    shift = draw(st.sampled_from((-1, 1))) * 2 ** draw(st.integers(0, 20))
+    far_fields = [h - shift * sum(v for i, j, v in pairs if x in (i, j)) for x, h in enumerate(fields)]
+    sites = tuple((x,) for x in range(n))
+    return (
+        System(sites=sites, values=tuple(range(q)), pairs=pairs, fields=tuple(fields)),
+        System(sites=sites, values=tuple(range(shift, shift + q)), pairs=pairs, fields=tuple(far_fields)),
+        shift,
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_shifted_cases())
+def test_law_in_offsets_does_not_depend_on_where_the_interval_sits(case):
+    """Moving the spin interval by L (with the fields that keep the log
+    weight's shape) moves the enumerated law of S by n L and nothing else:
+    the pmf within 1e-12, the variance within 1e-12 relative, and the mean
+    within 1e-12 of n L plus the near mean, relative to max(1, |mean|)."""
+    near, far, shift = case
+    n = near.site_count
+    *_, near_mean, near_var, near_table = ee._law("enumeration", n, *_one_row(ee._scan, near))
+    *_, far_mean, far_var, far_table = ee._law("enumeration", n, *_one_row(ee._scan, far))
+    assert far_table.p_min == near_table.p_min + n * shift
+    assert np.abs(far_table.probability_array - near_table.probability_array).max() <= 1e-12
+    assert far_var == pytest.approx(near_var, rel=1e-12, abs=1e-300)
+    assert abs(far_mean - (n * shift + near_mean)) <= 1e-12 * max(1.0, abs(far_mean))
 
 
 def test_energy_shift_bound_keeps_weights_finite():
@@ -645,14 +750,12 @@ _BAD_ROWS = {
     "z_zero": [(1, 0, 0.0), (0, 1, math.nan)],
     "z_negative": [(1, 0, -1.0), (1, 1, -2.0)],
     "z_nan": [(1, 0, math.nan)],
-    "s1_inf": [(2, 0, -math.inf), (3, 1, math.inf)],
-    "s2_nan": [(3, 0, math.nan)],
-    "bins_inf": [(4, 0, math.inf), (1, 1, 0.0)],
-    "bins_nan": [(4, 0, math.nan)],
+    "bins_inf": [(2, 0, math.inf), (1, 1, 0.0)],
+    "bins_nan": [(2, 0, math.nan)],
     # past the clip and the normalization: masses that overflow the row sum
     # drift to 0, masses that overflow alone turn NaN
-    "drifted": [(4, 0, 1e308), (1, 0, 1.0)],
-    "nan_mass": [(4, 0, 1e308), (1, 0, 0.5)],
+    "drifted": [(2, 0, 1e308), (1, 0, 1.0)],
+    "nan_mass": [(2, 0, 1e308), (1, 0, 0.5)],
 }
 
 
@@ -668,9 +771,9 @@ def test_scan_refuses_the_row_a_per_row_law_refuses_first(monkeypatch, bad):
     seen = []
 
     def route(system, fields, real=ee._scan):
-        _, z, s1, s2, bins, s_min = real(system, fields)
+        _, z, bins, s_min = real(system, fields)
         # each row's shift is its index, so an error's message names its row
-        sums = [list(map(float, range(len(z)))), list(z), list(s1), list(s2), bins.copy()]
+        sums = [list(map(float, range(len(z)))), list(z), bins.copy()]
         middle = len(z) // 2
         for col, offset, value in bad:
             sums[col][middle + offset] = value
@@ -722,6 +825,24 @@ def test_decimated_sup_dominates_full_box():
         assert scan.sup[k] >= full_box_abs[k] - 1e-15
         assert scan.sup[k] == max(values[k] for _, values in scan.entries)
     assert ee.decimated_char_fn_sup(model, ts, seed=1) == scan
+
+
+def test_decay_scan_keeps_its_table_as_one_read_only_array():
+    """The scan's |cf| table is one read-only (conditionings, t) array;
+    entries, one (label, tuple of floats) pair per conditioning, is built
+    from it on first read. Two scans whose random rows differ, with the
+    same labels, compare unequal through the table alone."""
+    model = nn_chain(radius=2, strength=0.1, spin=(0, 1), boundary=1, r0=2)
+    ts = (0.05, 0.4, 2.0)
+    scan = ee.decimated_char_fn_sup(model, ts, seed=1)
+    assert "entries" not in vars(scan)
+    assert scan.abs_cf.shape == (len(scan.labels), len(ts)) and not scan.abs_cf.flags.writeable
+    assert scan.entries == tuple((label, tuple(row)) for label, row in zip(scan.labels, scan.abs_cf.tolist()))
+    assert {type(v) for _, row in scan.entries for v in row} == {float}
+    assert scan.entries is scan.entries
+    other = ee.decimated_char_fn_sup(model, ts, seed=2)
+    assert other.labels == scan.labels and not np.array_equal(other.abs_cf, scan.abs_cf)
+    assert other != scan
 
 
 def test_decimated_scan_budget_charges_every_realized_conditioning():
@@ -845,8 +966,8 @@ def _assert_rows_match_one_row_calls(calls):
             own = replace(system, fields=tuple(row.tolist()))
             got = [col[r] for col in sums]
             want = _one_row(route, own)
-            assert want[5] == s_min
-            assert _hex(*got[:4], *got[4]) == _hex(*want[:4], *want[4]), (system.sites, r)
+            assert want[3] == s_min
+            assert _hex(*got[:2], *got[2]) == _hex(*want[:2], *want[2]), (system.sites, r)
             got_law = ee._law("route", system.site_count, *got, s_min)
             want_law = ee._moments.__wrapped__(own)
             assert _hex(*got_law[:4], *got_law[4].probabilities) == _hex(
