@@ -12,8 +12,8 @@ totals as offsets k = S - N min(I), and the mean and variance of S come
 from the normalized pmf by two passes over those offsets (Chan, Golub &
 LeVeque, Am. Stat. 37 (1983) 242), so neither cancels wherever the spin
 interval sits. S is integer-valued, so the characteristic function is the
-pmf's Fourier sum E(e^{itS}) = sum_p P(S = p) e^{itp}, exact at every t;
-the local-CLT gap
+pmf's Fourier sum; every phase comes from one kernel, _fourier, over the
+offsets centred in the support (|E(e^{itS})| is its modulus); the gap
 
     sup_p | sqrt(D) P(S = p) - exp(-z_p^2/2) / sqrt(2 pi) |,
     z_p = (p - E S) / sqrt(D),  D = Var S,
@@ -125,8 +125,8 @@ def _check_pmfs(probs: np.ndarray) -> None:
 class PmfTable:
     """Exact distribution of S over the full integer support interval.
 
-    probability_array and support_array are the same table as read-only
-    arrays, built once per table."""
+    probability_array is the same table as a read-only array, built once
+    per table."""
 
     p_min: int
     probabilities: tuple[float, ...]
@@ -137,10 +137,6 @@ class PmfTable:
     @cached_property
     def probability_array(self) -> np.ndarray:
         return _read_only(np.asarray(self.probabilities, dtype=float))
-
-    @cached_property
-    def support_array(self) -> np.ndarray:
-        return _read_only(np.arange(self.p_min, self.p_min + len(self.probabilities)))
 
     @property
     def support(self) -> range:
@@ -402,10 +398,13 @@ def _pmf_moments(probs: np.ndarray, s_min: int) -> tuple[float, float]:
     offsets k, by two passes (Chan, Golub & LeVeque, Am. Stat. 37 (1983)
     242): the mean offset mu, then the sum of p_k (k - mu)^2. Offsets stay
     within n(q-1), so neither pass cancels."""
-    k = np.arange(len(probs), dtype=float)
-    mu = float(probs @ k)
-    d = k - mu
+    mu = _mean_offset(probs)
+    d = np.arange(len(probs), dtype=float) - mu
     return s_min + mu, float(probs @ (d * d))
+
+
+def _mean_offset(probs: np.ndarray) -> float:  # sum_k p_k k, k = 0..m-1
+    return float(probs @ np.arange(len(probs), dtype=float))
 
 
 def _law(name: str, n: int, shift, z, bins, s_min: int):
@@ -487,15 +486,43 @@ def char_fn(model: m.GibbsModel, region="box", t=0.0, budget: int = DEFAULT_BUDG
     return char_from_pmf(pmf(model, region, budget), t)
 
 
-def char_from_pmf(table: PmfTable, t) -> complex | np.ndarray:
-    """E(e^{itS}) evaluated from an exact pmf (Fourier identity).
+@lru_cache(maxsize=256)
+def _half_offsets(m: int) -> np.ndarray:  # j = k - (m - 1)/2 >= 0, read-only
+    return _read_only(np.arange(m - (m + 1) // 2, m) - (m - 1) / 2)
 
-    Accepts a scalar or an array of t values; integer-valued S makes this
-    exact.
-    """
+
+def _fourier(probs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(..., T) array of sum_k p_k e^{it(k - c)} over each row of a (..., m)
+    pmf array and a 1-D t grid, the offsets k = 0..m-1 centred at
+    c = (m - 1)/2, so its modulus is |E(e^{itS})| wherever S's support sits.
+    Each j = k - c >= 0 is folded with its mirror image into two real
+    vecdots, sum_j (p_{c+j} + p_{c-j}) cos(tj) (the centre once) and
+    sum_j (p_{c+j} - p_{c-j}) sin(tj): mirror-image laws tie bit for bit,
+    and each entry keeps its bits whatever rows and t one call takes."""
+    m = probs.shape[-1]
+    h = (m + 1) // 2
+    upper, lower = probs[..., m - h :], probs[..., h - 1 :: -1]
+    even = upper + lower
+    even[..., : m % 2] = upper[..., : m % 2]  # an odd width's centre, once
+    arg = np.multiply.outer(t, _half_offsets(m))
+    out = np.empty(probs.shape[:-1] + t.shape, complex)
+    np.vecdot(even[..., None, :], np.cos(arg), out=out.real)
+    np.vecdot((upper - lower)[..., None, :], np.sin(arg), out=out.imag)
+    return out
+
+
+def _fourier_at(probs: np.ndarray, t: np.ndarray, origin: float) -> np.ndarray:
+    """sum_k p_k e^{it(k - origin)} for a (m,) pmf and a 1-D t grid:
+    _fourier times e^{it(c - origin)}, each value with its own bits."""
+    return _fourier(probs, t) * np.exp(1j * (t * ((len(probs) - 1) / 2 - origin)))
+
+
+def char_from_pmf(table: PmfTable, t) -> complex | np.ndarray:
+    """E(e^{itS}) from an exact pmf for a scalar or an array of t: the
+    offsets' sum about origin -p_min (_fourier_at)."""
     t_arr = np.asarray(t, dtype=float)
-    out = np.exp(1j * np.multiply.outer(t_arr, table.support_array)) @ table.probability_array
-    return complex(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    out = _fourier_at(table.probability_array, t_arr.reshape(-1), -table.p_min).reshape(t_arr.shape)
+    return complex(out) if t_arr.ndim == 0 else out
 
 
 def lclt_gap(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) -> float:
@@ -544,15 +571,10 @@ def decimated_char_fn_sup(
     bounds and shifts are row-wise cumulative sums (_row_sums), and its
     pmfs come from one array pass over the route's sums (_pmfs), which
     refuses the row that _law would refuse first, with _law's error, and
-    keeps each row's bits; no PmfTable and no moment is built. The set does
-    not depend on t, and every conditioning's pmf has the same support, so
-    one Fourier matrix exp(i t p) over t_grid x support serves the scan.
-    Each |cf| row is that matrix times one pmf row, the product
-    char_from_pmf takes, so the rows match it bit for bit; one
-    matrix-matrix product over all pmfs would sum in another order, move
-    last bits and, since tied maxima are common, move worst labels. The
-    (conditionings, t) table of |cf| stays one read-only array, and the
-    result builds its entries from it only when they are read.
+    keeps each row's bits; no PmfTable and no moment is built. |cf| is
+    |_fourier| of each group, every entry with its one-row, one-t bits, so
+    tied maxima do not depend on the grouping; the (conditionings, t) table
+    is one read-only array, whose entries are built only when read.
     """
     ts = tuple(float(t) for t in t_grid)
     q = model.spin.card
@@ -585,9 +607,6 @@ def decimated_char_fn_sup(
         realized[:, coupled] = values[idx[:, None] // powers % q]
         return np.concatenate([np.reshape(head[start:stop], (-1, len(window))), realized])
 
-    # every conditioning has the support of the decimated total spin
-    support = np.arange(n * model.spin.lo, n * model.spin.hi + 1)
-    fourier = np.exp(1j * np.multiply.outer(np.asarray(ts), support))
     abs_cfs = np.empty((len(labels), len(ts)))
     # a group's rows times one row's work, or its region x window block,
     # stay within one chunk of enumeration
@@ -604,9 +623,7 @@ def decimated_char_fn_sup(
         unbounded = np.flatnonzero(~np.isfinite(_energy_bounds(system.pairs, system.values, fields)))
         if len(unbounded):
             replace(system, fields=tuple(fields[unbounded[np.argmin(first[unbounded])]].tolist()))
-        # one matrix-vector product per pmf, as char_from_pmf takes it: a
-        # matrix-matrix product over all of them sums in another order
-        cfs = np.array([np.abs(fourier @ probs) for probs in _pmfs(name, n, *route(system, fields))])
+        cfs = np.abs(_fourier(_pmfs(name, n, *route(system, fields)), np.asarray(ts)))
         abs_cfs[start : start + len(rows)] = cfs[inverse.ravel()]
     return DecimatedCharFnSup(
         t=ts,

@@ -11,12 +11,12 @@ density through four explicit integrals.
 
 All constants flow from kappa (the conditional single-spin floor), the
 Fourier split point delta = kappa/(12 sigma), the Gaussian curvature
-budget sigma^2 kappa / 4, and the large-t rate. Two variants of the
-large-t rate are carried side by side: the stated one with a single
-power of kappa and the proved one with kappa squared, which is what the
-consecutive-pair argument actually delivers. Anything that must hold
-defaults to the proved variant. To condition on an exterior assignment
-omega, pass replace(model, boundary=BoundaryCondition.explicit(omega)).
+budget min(sigma, hi - lo)^2 kappa / 4, and the large-t rate. Two
+variants of the large-t rate are carried side by side: the stated one
+with a single power of kappa and the proved one with kappa squared, which
+the consecutive-pair argument delivers. Anything that must hold defaults
+to the proved variant. To condition on an exterior assignment omega, pass
+replace(model, boundary=BoundaryCondition.explicit(omega)).
 """
 
 from __future__ import annotations
@@ -152,7 +152,8 @@ def _constants_cached(model: m.GibbsModel, c_variant: str) -> ConstantsBundle:
     # every constant scales with a power of kappa: one that underflows would
     # turn its checks into 0 <= 0 (delta) or e^0 <= 1 (c)
     require_normal_exp("delta = kappa/(12 sigma)", "delta", log_kap - math.log(12.0 * sigma))
-    gauss = sigma**2 * kap / 4.0
+    # sigma = max|s| overstates the spread of an interval that excludes 0
+    gauss = min(sigma, model.spin.hi - model.spin.lo) ** 2 * kap / 4.0
     half = math.sin(delta / 2.0) ** 2
     c_stated = kap * half
     c_proved = kap**2 * half
@@ -239,15 +240,9 @@ def check_single_spin_cf(
         if not (lo - 1e-12 <= t <= hi + 1e-12):
             raise DomainError(f"t={t} is outside [{lo:.6g}, {hi:.6g}], no contraction is claimed there")
     system, probs, first, _ = _site_laws(model, region)
-    # the first row attaining the max at a t holds the first site attaining it
-    if len(first) == 1 < len(probs):
-        # numpy takes a one-row product down its vector path, which rounds
-        # otherwise than the matrix product that rows of many sites get
-        first = np.arange(2)
-    # |E_x(e^{its})| of every law and t at once; hypot is Python's abs of a
-    # complex, bit for bit
-    cf = probs[first] @ np.exp(1j * np.multiply.outer(system.value_array, ts))
-    abs_cf = np.hypot(cf.real, cf.imag)
+    # |E_x(e^{its})| of every distinct law and t at once, each with the bits
+    # of a one-law, one-t call; the first row at a t's max has the first site
+    abs_cf = np.abs(ee._fourier(probs[first], np.array(ts)))
     worst = abs_cf.argmax(axis=0)
     return [
         report(
@@ -484,36 +479,23 @@ def integral_decomposition(
     consts = constants(model, c_variant)
     delta = consts.delta
     stats = ee.statistics(model, "box", budget=budget)
-    table = ee.pmf(model, "box", budget=budget)
-    mu, var = stats.mean_S, stats.variance_S
+    probs = ee.pmf(model, "box", budget=budget).probability_array
+    var = stats.variance_S
     root_d = math.sqrt(var)
     if not (0.0 < a_cut < delta * root_d):
         raise DomainError(
             f"a_cut must lie in (0, delta*sqrt(D)) = (0, {delta * root_d:.6g}), got {a_cut}"
         )
-    support, probs = table.support_array, table.probability_array
-
-    # The integrands take a rule's nodes as one array and keep the bits of
-    # one char_from_pmf call and one Python abs per node: a (1, m) @ (m,)
-    # product per t, and np.hypot, which rounds as abs(complex) does.
-    def char(t: np.ndarray) -> np.ndarray:
-        return np.matmul(np.exp(1j * np.multiply.outer(t, support))[:, None, :], probs)[:, 0]
+    # e^{-is mu} phi(s) is the offsets' sum about the mean offset, never the
+    # absolute mean; a rule's nodes come as one array, each with its own bits
+    mean_offset = ee._mean_offset(probs)
 
     def cf_abs(t: np.ndarray) -> np.ndarray:
-        val = char(t)
-        return np.hypot(val.real, val.imag)
+        return np.abs(ee._fourier(probs, t))
 
     def central(t: np.ndarray) -> np.ndarray:
-        # |e^{-it mu / sqrt(D)} phi(t / sqrt(D)) - e^{-t^2 / 2}|, with the
-        # product and e^{-t^2 / 2} rounded as scalar complex arithmetic and
-        # math.exp round them: numpy's complex multiply and float exp loops
-        # round differently.
-        phase = np.exp(1j * (-t * mu / root_d))
-        val = char(t / root_d)
-        gauss = np.array([math.exp(-x * x / 2.0) for x in t.tolist()])
-        re = phase.real * val.real - phase.imag * val.imag - gauss
-        im = phase.real * val.imag + phase.imag * val.real
-        return np.hypot(re, im)
+        # |e^{-it mu / sqrt(D)} phi(t / sqrt(D)) - e^{-t^2 / 2}|
+        return np.abs(ee._fourier_at(probs, t / root_d, mean_offset) - np.exp(-t * t / 2.0))
 
     def integral(f, lo: float, hi: float) -> float:
         return qagse(f, lo, hi, QUAD_TOL, QUAD_EPSREL, QUAD_LIMIT)[0]
@@ -540,7 +522,7 @@ def integral_decomposition(
     return IntegralDecomposition(
         a_cut=a_cut,
         delta=delta,
-        mean=mu,
+        mean=stats.mean_S,
         variance=var,
         site_count=stats.site_count,
         decimated_count=n_dec,

@@ -450,19 +450,21 @@ def report_line_by_sanitize(line: dict) -> str:
 
 
 def integrands_by_point(model, c_variant: str = "proved"):
-    """vf.integral_decomposition's integrands at one float t each, by one
-    char_from_pmf call and one Python abs: (central, cf_abs, root_d, delta)."""
+    """vf.integral_decomposition's integrands at one float t each, from
+    one-node _fourier and _fourier_at calls on the box's pmf: (central,
+    cf_abs, root_d, delta). The central phase is taken about the mean
+    offset."""
     delta = vf.constants(model, c_variant).delta
-    stats = ee.statistics(model, "box")
-    table = ee.pmf(model, "box")
-    mu, root_d = stats.mean_S, math.sqrt(stats.variance_S)
+    probs = ee.pmf(model, "box").probability_array
+    root_d = math.sqrt(ee.statistics(model, "box").variance_S)
+    mean_offset = ee._mean_offset(probs)
 
     def cf_abs(t: float) -> float:
-        return float(abs(ee.char_from_pmf(table, np.array([t]))[0]))
+        return float(np.abs(ee._fourier(probs, np.array([t])))[0])
 
     def central(t: float) -> float:
-        val = ee.char_from_pmf(table, np.array([t / root_d]))[0]
-        return float(abs(np.exp(-1j * t * mu / root_d) * val - math.exp(-t * t / 2.0)))
+        val = ee._fourier_at(probs, np.array([t]) / root_d, mean_offset)
+        return float(np.abs(val - np.exp(np.array([-t * t / 2.0])))[0])
 
     return central, cf_abs, root_d, delta
 

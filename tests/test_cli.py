@@ -425,6 +425,23 @@ def test_rerun_is_byte_identical(config, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+@pytest.mark.parametrize("lo, hi", [(1, 2), (2, 3), (1, 3), (-2, -1)])
+def test_small_t_rate_holds_on_spin_intervals_without_zero(tmp_path, lo, hi):
+    """Three free decimated sites with spins {lo, ..., hi}: |phi(t)| is a
+    power of the one-site |phi|, which does not depend on where the interval
+    sits, and the Gaussian rate takes min(sigma, hi - lo)^2 kappa / 4, so
+    every small-t line passes (with sigma = max|s| none did)."""
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({
+        "dimension": 1, "radius": 3, "r0": 2, "spin": {"lo": lo, "hi": hi},
+        "coupling": {"kind": "nearest_neighbor", "strength": 0.0}, "boundary": {"kind": "zero"},
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["decay-small-t", "--config", str(config), "--out", str(out)]) == 0
+    lines = _reports(out)
+    assert len(lines) == 64 and all(line["pass"] for line in lines)
+
+
 def test_min_r0_message(config, tmp_path, capsys):
     """The step-1 window still contains the bond, so the answer is 2."""
     assert cli.main(["min-r0", "--config", config, "--out", str(tmp_path / "o")]) == 0

@@ -13,6 +13,7 @@ import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
 import lclt_lab.montecarlo as mc
 import lclt_lab.polymer as pg
+import lclt_lab.verifier as vf
 import oracles
 from conftest import free_chain, frustrated_complete_graph, nn_chain, random_model, random_omega
 from lclt_lab._system import System, _energy_bound, _energy_bounds, build_system, windowed_exterior
@@ -439,7 +440,12 @@ def test_spins_far_from_zero_keep_the_variance(k):
     every k and the mean 3 2^k + 3/2 rounded once, as the long-double
     transfer gives, and the pmf, the variance and the local-CLT gap are
     those of spins {0, 1} bit for bit, since the moments and the gap's
-    Gaussian are taken in offsets S - n lo."""
+    Gaussian are taken in offsets S - n lo. So are every |phi| that no
+    shift factor enters: the decay scan's table and the single-site lines'
+    lhs on one grid. |char_fn| takes the shift factor e^{it(p_min + c)}
+    once per t; that product and the modulus round once each, so it
+    agrees within 2 eps relative, and within eps = one ulp of 1, the
+    largest |phi|."""
     far = nn_chain(radius=1, strength=0.0, spin=(2**k, 2**k + 1), boundary=None)
     near = nn_chain(radius=1, strength=0.0, spin=(0, 1), boundary=None)
     stats = ee.statistics(far)
@@ -448,6 +454,16 @@ def test_spins_far_from_zero_keep_the_variance(k):
     assert stats.variance_S == ee.statistics(near).variance_S
     assert ee.pmf(far).probabilities == ee.pmf(near).probabilities
     assert ee.lclt_gap(far) == ee.lclt_gap(near)
+    ts = np.linspace(0.0, math.pi, 65)[1:]
+    scans = [ee.decimated_char_fn_sup(model, ts).abs_cf for model in (far, near)]
+    assert scans[0].tobytes() == scans[1].tobytes()
+    # the near model's delta is the larger, so its grid lies in both ranges
+    delta = vf.constants(near).delta
+    grid = np.linspace(delta, 2 * math.pi - delta, 16)
+    assert [r.lhs for r in vf.check_single_spin_cf(far, grid)] == [r.lhs for r in vf.check_single_spin_cf(near, grid)]
+    far_abs, near_abs = (np.abs(ee.char_fn(model, "box", ts)) for model in (far, near))
+    eps = np.finfo(float).eps
+    assert (np.abs(far_abs - near_abs) <= np.minimum(2 * eps * near_abs, eps)).all()
 
 
 def test_metropolis_agrees_with_the_exact_law_far_from_zero():
@@ -508,8 +524,10 @@ def _shifted_cases(draw):
 def test_law_in_offsets_does_not_depend_on_where_the_interval_sits(case):
     """Moving the spin interval by L (with the fields that keep the log
     weight's shape) moves the enumerated law of S by n L and nothing else:
-    the pmf within 1e-12, the variance within 1e-12 relative, and the mean
-    within 1e-12 of n L plus the near mean, relative to max(1, |mean|)."""
+    the pmf within 1e-12, the variance within 1e-12 relative, the mean
+    within 1e-12 of n L plus the near mean, relative to max(1, |mean|), and
+    |phi| on a t grid within the pmfs' l1 distance (|phi| is 1-Lipschitz in
+    it) plus 4 eps for the shift factor's product and the modulus."""
     near, far, shift = case
     n = near.site_count
     *_, near_mean, near_var, near_table = ee._law("enumeration", n, *_one_row(ee._scan, near))
@@ -518,6 +536,35 @@ def test_law_in_offsets_does_not_depend_on_where_the_interval_sits(case):
     assert np.abs(far_table.probability_array - near_table.probability_array).max() <= 1e-12
     assert far_var == pytest.approx(near_var, rel=1e-12, abs=1e-300)
     assert abs(far_mean - (n * shift + near_mean)) <= 1e-12 * max(1.0, abs(far_mean))
+    ts = np.linspace(-math.pi, math.pi, 33)
+    far_abs, near_abs = (np.abs(ee.char_from_pmf(table, ts)) for table in (far_table, near_table))
+    gap = np.abs(far_table.probability_array - near_table.probability_array).sum()
+    assert np.abs(far_abs - near_abs).max() <= gap + 4 * np.finfo(float).eps
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_fourier_is_batch_invariant_and_ties_mirror_images(rows, m, count, seed):
+    """One _fourier call over a (rows, m) pmf array and a grid of count t
+    values: each entry keeps the bits of its one-row, one-t call; a pmf's
+    mirror image gets the same real part and the opposite imaginary part
+    bit for bit, so the moduli tie; and each value is the plain Fourier sum
+    over the centred offsets within m eps (the masses sum to 1, and each
+    term rounds within a few eps of its mass)."""
+    rng = np.random.default_rng(seed)
+    probs = rng.random((rows, m)) ** 4
+    probs /= probs.sum(axis=1, keepdims=True)
+    ts = rng.uniform(-2 * math.pi, 2 * math.pi, count)
+    out = ee._fourier(probs, ts)
+    assert out.shape == (rows, count)
+    for r, j in itertools.product(range(rows), range(count)):
+        assert ee._fourier(probs[r], ts[j : j + 1])[0] == out[r, j]
+    mirror = ee._fourier(probs[:, ::-1], ts)
+    assert mirror.real.tobytes() == out.real.tobytes()
+    assert np.array_equal(-mirror.imag, out.imag)
+    assert np.abs(mirror).tobytes() == np.abs(out).tobytes()
+    plain = probs @ np.exp(1j * np.multiply.outer(np.arange(m) - (m - 1) / 2, ts))
+    assert np.abs(plain - out).max() <= m * np.finfo(float).eps
 
 
 def test_energy_shift_bound_keeps_weights_finite():
@@ -684,22 +731,35 @@ def test_pmf_table_refuses_nan_and_negative_mass(probabilities):
 
 
 def test_pmf_table_arrays_are_read_only_and_built_once():
-    """A table's arrays are built on first use, shared by later reads and
-    read-only; char_from_pmf and lclt_gap read them and keep the bits of
-    arrays made from the tuple on every call."""
+    """A table's probability array is built on first use, shared by later
+    reads and read-only. char_from_pmf is the kernel over the offsets
+    j = k - c >= 0 centred at c = (m - 1)/2, its two mirror-folded real
+    sums written out here, times the shift factor e^{it(p_min + c)} per t,
+    bit for bit and for each t alone as on the grid; its value is the
+    pmf's plain Fourier sum within 4 eps. lclt_gap reads the same array."""
     model = nn_chain(radius=3, strength=0.1, spin=(-1, 2), boundary=1)
     table = ee.pmf(model)
-    probs, support = table.probability_array, table.support_array
-    assert probs is table.probability_array and support is table.support_array
-    assert probs.tolist() == list(table.probabilities) and support.tolist() == list(table.support)
-    for array in (probs, support):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
+    probs = table.probability_array
+    assert probs is table.probability_array and probs.tolist() == list(table.probabilities)
+    with pytest.raises(ValueError, match="read-only"):
+        probs[0] = 0
     ts = np.linspace(-math.pi, math.pi, 9)
-    ps = np.arange(table.p_min, table.p_min + len(table.probabilities))
-    want = np.exp(1j * np.multiply.outer(ts, ps)) @ np.asarray(table.probabilities)
-    assert ee.char_from_pmf(table, ts).tobytes() == want.tobytes()
-    assert ee.char_from_pmf(table, 0.3) == complex(np.exp(1j * 0.3 * ps) @ np.asarray(table.probabilities))
+    # an even width and an odd one, whose centre is its own mirror image
+    for law in (table, ee.pmf(replace(model, spin=lm.SpinInterval(-1, 1)))):
+        p = np.asarray(law.probabilities)
+        m = len(p)
+        h = (m + 1) // 2
+        upper, lower, j = p[m - h :], p[h - 1 :: -1], np.arange(m - h, m) - (m - 1) / 2
+        arg = np.multiply.outer(ts, j)
+        kernel = np.vecdot(np.where(j == 0, upper, upper + lower), np.cos(arg))
+        kernel = kernel + 1j * np.vecdot(upper - lower, np.sin(arg))
+        assert ee._fourier(law.probability_array, ts).tobytes() == kernel.tobytes()
+        want = kernel * np.exp(1j * (ts * (law.p_min + (m - 1) / 2)))
+        assert ee.char_from_pmf(law, ts).tobytes() == want.tobytes()
+        assert [ee.char_from_pmf(law, t) for t in ts] == want.tolist()
+        ps = np.arange(law.p_min, law.p_min + m)
+        assert np.abs(want - np.exp(1j * np.multiply.outer(ts, ps)) @ p).max() <= 4 * np.finfo(float).eps
+    ps = np.arange(table.p_min, table.p_min + len(probs))
     stats = ee.statistics(model)
     root_d = math.sqrt(stats.variance_S)
     z = (ps - stats.mean_S) / root_d
@@ -912,7 +972,7 @@ def test_decimated_entries_match_brute_force():
 def test_decimated_scan_worst_and_rows(model):
     """worst names the first entry attaining each sup (every t point of the
     README model has a tie), and the all_lo, all_hi and conditional_0 rows
-    equal char_from_pmf on the pmf under that explicit omega bit for bit."""
+    equal |_fourier| of the pmf under that explicit omega bit for bit."""
     ts = np.linspace(0.05, math.pi, 64)
     scan = ee.decimated_char_fn_sup(model, ts)
     for k in range(len(ts)):
@@ -935,7 +995,7 @@ def test_decimated_scan_worst_and_rows(model):
     entries = dict(scan.entries)
     for label, omega in omegas.items():
         conditioned = replace(model, boundary=lm.BoundaryCondition.explicit(omega))
-        want = np.abs(ee.char_from_pmf(ee.pmf(conditioned, "decimated"), ts))
+        want = np.abs(ee._fourier(ee.pmf(conditioned, "decimated").probability_array, ts))
         assert entries[label] == tuple(want.tolist()), label
 
 

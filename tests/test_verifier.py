@@ -225,9 +225,10 @@ def _opposite_end_fields():
 
 
 def test_single_spin_cf_matches_per_site_dot():
-    """The product over distinct single-site laws against each site's own
-    dot with its phases; the worst site is the first to attain the max,
-    also where two distinct laws tie."""
+    """Each line's lhs against the largest of each site's own dot with its
+    phases, within 1e-15 relative; the lhs is the largest one-site,
+    one-t kernel value bit for bit, and the worst site is the first site
+    attaining it, also where two mirror-image laws tie."""
     for model in (nn_chain(radius=4, strength=0.15, spin=(-1, 1), boundary=1, r0=1), _opposite_end_fields()):
         c = vf.constants(model)
         grid = np.linspace(c.delta, 2 * math.pi - c.delta, 9)
@@ -237,8 +238,10 @@ def test_single_spin_cf_matches_per_site_dot():
         for rep, t in zip(vf.check_single_spin_cf(model, grid), grid):
             vals = [abs(complex(np.dot(p, np.exp(1j * t * system.value_array)))) for p in probs]
             assert rep.lhs == pytest.approx(max(vals), rel=1e-15)
-            assert tuple(rep.parameters["worst_site"]) == system.sites[vals.index(max(vals))]
-            ties += vals[0] == vals[-1] == max(vals)
+            kernel = [float(np.abs(ee._fourier(p, np.array([t])))[0]) for p in probs]
+            assert rep.lhs == max(kernel)
+            assert tuple(rep.parameters["worst_site"]) == system.sites[kernel.index(max(kernel))]
+            ties += kernel[0] == kernel[-1] == max(kernel)
         if model.boundary.kind == "explicit":
             assert ties >= 4
 
