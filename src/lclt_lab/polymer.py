@@ -33,25 +33,27 @@ sum over the same System: with z_x = sum_s e^{h_x s} the normalizer of p_x,
 Xi(t) = Z / prod_x z_x * E(e^{itS}), and E(e^{itS}) is the Fourier sum of
 the exact pmf, so the region is enumerated (or transfer-summed) once,
 under the exact engine's default budget on that sum's work. The dressed
-direct route (c > 0) sums the graphs of the region's couplings support by
-support instead: taking the coupled pairs one at a time, it keeps for each
-support the per-configuration sum of prod_e (e^{J_e s s'} - 1) over the
-graphs with that support, and GRAPH_SUM_BUDGET bounds the supports times
-the configurations it holds. Both direct routes take a scalar t or a 1-D
-grid of t. The other route is the gas sum over Mayer tables, a subset
-recursion; the exact engine never reads a Mayer table. Each coupling
-graph gets one schedule, shared by every region of that graph: its
-connected polymers and, for each lowest site l, the recursion's
+direct route (c > 0) reads a t-free table of the graphs of the region's
+couplings instead: taking the coupled pairs one at a time, it keeps for
+each support the per-configuration sum of prod_e (e^{J_e s s'} - 1) over
+the graphs with that support, on the support's own sites, and bins it by
+support size and by total spin above the size's least total;
+GRAPH_SUM_BUDGET bounds the supports times the region's configurations.
+Xi_c(t) then sums the Fourier sums of the table's rows, each weighted by
+e^{c|support|} and shifted to its least total. Both direct routes take a
+scalar t or a 1-D grid of t. The other route is the gas sum over Mayer
+tables, a subset recursion; the exact engine never reads a Mayer table. Each
+coupling graph gets one schedule, shared by every region of that graph:
+its connected polymers and, for each lowest site l, the recursion's
 (mask, mask - P, P) steps on the masks that Xi, the value on the full
 mask, reads (the n suffixes of an n-site chain). Each region adds one
 plan, built on first use and free of t: the schedule with the polymers'
 weight rows (single-site laws and Mayer tables) on every total spin a
 polymer can take. At each t every activity then comes from one matrix
-product with the phase columns, and the recursion runs level by level
-over l: Xi as a Python loop over the steps in CPython complex numbers.
-Run with one power of a formal lambda per polymer, the recursion gives
-Xi(lambda) through lambda^K, whose truncated log is the cluster series;
-each of its levels is one gather, one product and one scatter-add.
+product with the phase columns, and the recursion runs as a Python loop
+over the steps in CPython complex numbers, level by level over l. Run
+with one power of a formal lambda per polymer, the same loop gives
+Xi(lambda) through lambda^K, whose truncated log is the cluster series.
 Mayer tables are built for polymers of up to MAX_POLYMER_SIZE sites, from
 the couplings of the region's pair list; the tree-graph check takes
 polymers under the same cap. A value past float64's range is a
@@ -165,7 +167,8 @@ class _Gas:
     """Per-region tables: single-site measures, and t-free caches filled on
     first use: each site's couplings, adjacency masks (the key of the
     coupling graph's _schedule), the gas-sum plan, log Xi(0) and the pmf of
-    S (which every undressed direct-route call reads), Mayer tables by
+    S (which every undressed direct-route call reads), the graph table
+    (which every dressed direct-route call reads), Mayer tables by
     polymer index tuple (the plan's pass fills every connected polymer's, a
     lookup before it one polymer's), weight norms by (size, dressing,
     delta) and series dampings by (c, delta, a, step norm)."""
@@ -225,15 +228,55 @@ class _Gas:
         log_norms = np.logaddexp.reduce(np.outer(self.system.field_array, self.values), axis=1)
         return shift + math.log(z) - float(log_norms.sum()), table
 
+    @cached_property
+    def graph_table(self) -> np.ndarray:
+        """(n + 1, n(q - 1) + 1) table, free of t and c: table[m, k] sums,
+        over the graphs of the region's couplings whose support has m sites,
+        the support's law times prod_e (e^{J_e s s'} - 1) at total spin
+        m*lo + k, lo the least spin, so a row's width does not depend on
+        where the spin interval sits; the empty support is 1 at total 0. The
+        supports grow one coupled pair at a time, in System order, on the
+        sites' _site_axes, each sum on its own q^|support| configurations;
+        before each pair the budget counts twice the supports held times the
+        region's q^n configurations."""
+        n = len(self.sites)
+        _check_grid(self.q, n)
+        _, laws, pairs = _site_axes(self, tuple(range(n)))
+        cols = self.q**n
+        sums = {0: np.ones(())}
+        for a, b, _, x in pairs:
+            # the pair can at most double the supports held
+            if 2 * len(sums) * cols > GRAPH_SUM_BUDGET:
+                raise CapacityError(
+                    f"graph sum needs 2*{len(sums)} supports over {cols} configs, budget is {GRAPH_SUM_BUDGET}"
+                )
+            u = np.expm1(x)
+            pair = (1 << a) | (1 << b)
+            for support, prod in list(sums.items()):
+                grown = prod * u
+                got = sums.get(support | pair)
+                sums[support | pair] = grown if got is None else got + grown
+        table = np.zeros((n + 1, n * (self.q - 1) + 1))
+        table[0, 0] = 1.0
+        joint, values = {}, tuple(self.values.tolist())
+        for support, prod in sums.items():
+            if support:
+                k = support.bit_count()
+                # the bins sit above the least total of k sites, k*lo
+                weighted = (_joint_law(joint, laws, support) * prod).ravel()
+                amps = np.bincount(_total_bins(values, k)[1], weights=weighted)
+                table[k, : len(amps)] += amps
+        return table
+
 
 @dataclass(frozen=True)
 class _Plan:
     """The gas sum's t-free tables over one region of n sites.
 
     Rows are the connected polymers of the region's coupling graph, in its
-    _schedule's order; masks, sizes, steps, bounds, singles and loop are
-    that schedule's, the steps over the masks that Xi reads, shared with
-    every region of the graph and read-only. weights is the region's own:
+    _schedule's order; masks, sizes and loop are that schedule's, the
+    loop's steps over the masks that Xi reads, shared with every region of
+    the graph and read-only. weights is the region's own:
     each row's single-site law or Mayer table on `spins`, every total spin
     a polymer of the region can take.
     """
@@ -243,9 +286,6 @@ class _Plan:
     sizes: np.ndarray
     spins: np.ndarray
     weights: np.ndarray
-    steps: np.ndarray
-    bounds: tuple[int, ...]
-    singles: tuple[int, ...]
     loop: tuple
 
     def activities(self, t: float, c: float, order: int = 0) -> np.ndarray:
@@ -290,17 +330,6 @@ def _indices(gas: _Gas, polymer) -> tuple[int, ...]:
         return tuple(sorted(gas.index[x] for x in sites))
     except KeyError as err:
         raise DomainError(f"site {err.args[0]} is not in the region") from None
-
-
-def _config_tables(gas: _Gas, idx: tuple[int, ...]):
-    """Spin values (k, M) and joint product measure (M,)."""
-    k = len(idx)
-    digits = _spin_grid(np.arange(gas.q), k)
-    values = gas.values[digits]
-    probs = np.ones(digits.shape[1])
-    for row, i in enumerate(idx):
-        probs *= gas.probs[i][digits[row]]
-    return values, probs
 
 
 def _check_polymer(k: int) -> None:
@@ -370,27 +399,24 @@ def _members(mask: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=256)
 def _schedule(adjacency: tuple[int, ...]):
-    """(polymers, masks, sizes, steps, bounds, singles, loop): the gas sum's
-    schedule on one coupling graph of n sites, adjacency its sites'
-    neighbour masks.
+    """(polymers, masks, sizes, loop): the gas sum's schedule on one coupling
+    graph of n sites, adjacency its sites' neighbour masks.
 
     polymers lists the connected site sets as index tuples, masks
     descending (so grouped by lowest site, the order the recursion adds
     them in), with their masks and sizes. Xi is the recursion's value on
     the full mask, which reads only some masks: the full mask is read, and
     for a read mask M with lowest site l, so is M - P for every polymer P
-    with lowest site l inside M ({l} included). The int32 columns
-    steps[:, bounds[l]:bounds[l + 1]] are level l: (target, source, row) of
-    every polymer P with lowest site l and every read mask M with lowest
-    site l that holds P, namely M, M - P and P's row, polymer by polymer
-    and M ascending. The one-site polymer {l}, the last row with lowest site
-    l, comes last: its steps, from singles[l] on, are (M, M - l) for every
-    read mask M of the level, which the dressed gas leaves out. The levels
-    are built from l = 0 up, each marking the sources it reads. loop holds
-    the levels again as Python tuples, l = n-1 down to 0, for the scalar
-    sum: the (M, M - l) pairs of the level's read masks, its steps, and its
-    steps short of the one-site polymer's. Every region of the graph shares
-    the schedule, so its arrays are read-only.
+    with lowest site l inside M ({l} included). Level l holds the read
+    masks M with lowest site l, and its steps are (M, M - P, row of P) for
+    every polymer P with lowest site l that M holds, polymer by polymer and
+    M ascending. The one-site polymer {l}, the last row with lowest site l,
+    comes last: its steps are (M, M - l) for every read mask M of the
+    level, which the dressed gas leaves out. The levels are built from
+    l = 0 up, each marking the sources it reads. loop holds them as Python
+    tuples, l = n-1 down to 0: the (M, M - l) pairs of the level's read
+    masks, its steps, and its steps short of the one-site polymer's. Every
+    region of the graph shares the schedule, so its arrays are read-only.
     """
     n = len(adjacency)
     # the key of _rooted_sum's pass over every set, so the two share one plan
@@ -401,28 +427,21 @@ def _schedule(adjacency: tuple[int, ...]):
     lowest = np.array([idx[0] for idx in polymers])
     read = np.zeros(1 << n, dtype=bool)
     read[-1] = True
-    levels, counts = [], []
+    levels = []
     for low in range(n):
         targets = np.arange(1 << low, 1 << n, 2 << low, dtype=np.int32)
         targets = targets[read[targets]]
-        rows = np.flatnonzero(lowest == low).astype(np.int32)
+        rows = np.flatnonzero(lowest == low)
         held = (targets[None, :] & masks[rows, None]) == masks[rows, None]
         which, at = np.nonzero(held)
-        level = np.stack((targets[at], targets[at] ^ masks[rows[which]], rows[which]))
-        read[level[1]] = True
-        levels.append(level)
-        counts.append(len(targets))
-    steps = np.concatenate(levels, axis=1) if n else np.zeros((3, 0), dtype=np.int32)
-    bounds = tuple(accumulate((level.shape[1] for level in levels), initial=0))
-    singles = tuple(end - count for end, count in zip(bounds[1:], counts))
-    columns = tuple(map(tuple, steps.T.tolist()))
-    loop = tuple(
-        (tuple((t, s) for t, s, _ in columns[single:end]), columns[start:end], columns[start:single])
-        for start, single, end in reversed(list(zip(bounds, singles, bounds[1:])))
-    )
-    for array in (masks, sizes, steps):
+        sources = targets[at] ^ masks[rows[which]]
+        read[sources] = True
+        steps = tuple(zip(targets[at].tolist(), sources.tolist(), rows[which].tolist()))
+        copies = tuple(zip(targets.tolist(), (targets ^ (1 << low)).tolist()))
+        levels.append((copies, steps, steps[: len(steps) - len(copies)]))
+    for array in (masks, sizes):
         array.flags.writeable = False
-    return polymers, masks, sizes, steps, bounds, singles, loop
+    return polymers, masks, sizes, tuple(reversed(levels))
 
 
 def _joint_law(memo: dict, laws: list, mask: int) -> np.ndarray:
@@ -589,32 +608,17 @@ def _partition_direct(gas: _Gas, t, c: float):
         return math.exp(log_xi0) * ee.char_from_pmf(table, t)
 
     # Dressed variant: every graph of the region's couplings is weighted by
-    # e^{c|support|} and carries phase factors on its support only. Grown one
-    # coupled pair at a time, sums[support] is, per configuration, the sum of
-    # prod u_e over the graphs with that support so far.
-    values, probs = _config_tables(gas, tuple(range(n)))
-    cols = values.shape[1]
-    sums = {0: np.ones(cols)}
-    for a, b, j in gas.system.pairs:
-        # the pair can at most double the supports held
-        if 2 * len(sums) * cols > GRAPH_SUM_BUDGET:
-            raise CapacityError(
-                f"graph sum needs 2*{len(sums)} supports over {cols} configs, budget is {GRAPH_SUM_BUDGET}"
-            )
-        u = np.expm1(j * values[a] * values[b])
-        pair = (1 << a) | (1 << b)
-        for support, prod in list(sums.items()):
-            grown = prod * u
-            got = sums.get(support | pair)
-            sums[support | pair] = grown if got is None else got + grown
+    # e^{c|support|} and carries phase factors on its support only. Row m of
+    # the graph table sits at totals m*lo + k, so its Fourier sum about the
+    # row's centre takes the shift factor e^{it(m*lo + centre)}.
+    table = gas.graph_table
     ts = np.asarray(t, dtype=float)
-    total = np.zeros(ts.shape + (cols,), dtype=complex)
-    for support, prod in sums.items():
-        on = [i for i in range(n) if support >> i & 1]
-        phase = np.exp(1j * np.multiply.outer(ts, values[on].sum(axis=0)))
-        total += prod * (math.exp(c * len(on)) * phase)
-    xi = total @ probs
-    return complex(xi) if ts.ndim == 0 else xi
+    flat = ts.reshape(-1)
+    lo, centre = int(gas.values[0]), (table.shape[1] - 1) / 2
+    xi = np.zeros(flat.shape, dtype=complex)
+    for size, row in enumerate(ee._fourier(table, flat)):
+        xi += math.exp(c * size) * np.exp(1j * (flat * (size * lo + centre))) * row
+    return complex(xi[0]) if ts.ndim == 0 else xi.reshape(ts.shape)
 
 
 def _build_plan(gas: _Gas) -> _Plan:
@@ -632,7 +636,7 @@ def _build_plan(gas: _Gas) -> _Plan:
             f" needs polymers up to that size; cap is {MAX_POLYMER_SIZE}"
         )
     _mayer_pass(gas, tuple(range(n)), every=True)
-    polymers, masks, sizes, steps, bounds, singles, loop = _schedule(tuple(gas.adjacency))
+    polymers, masks, sizes, loop = _schedule(tuple(gas.adjacency))
     # every total spin of k = 1..n sites
     lo, hi = int(gas.values[0]), int(gas.values[-1])
     base = min(lo, n * lo)
@@ -644,7 +648,7 @@ def _build_plan(gas: _Gas) -> _Plan:
         else:
             start, table, _ = gas.mayer[idx]
         weights[row, start - base : start - base + len(table)] = table
-    return _Plan(n, masks, sizes, spins, weights, steps, bounds, singles, loop)
+    return _Plan(n, masks, sizes, spins, weights, loop)
 
 
 def _gas_sum(plan: _Plan, z: np.ndarray, K: int | None = None, dressed: bool = False):
@@ -658,18 +662,16 @@ def _gas_sum(plan: _Plan, z: np.ndarray, K: int | None = None, dressed: bool = F
     level, l = n-1 down to 0: each read mask of the level copies X[M - l],
     then the level's steps add to it in polymer order. Each read mask gets
     the same additions in the same order as a loop over masks and polymers,
-    rounded as that loop rounds. The scalar Xi is that loop, run over
-    plan.loop in CPython complex numbers. With K, every z_P carries one
-    power of lambda, X holds coefficients through lambda^K and the result is
-    that array: each level is one strided copy, then one gather of its
-    X[M - P], one product (numpy's complex product, as on a coefficient
-    array, every degree in the same pass) and one np.add.at.
+    rounded as that loop rounds. Xi is that loop, run over plan.loop in
+    CPython complex numbers. With K, every z_P carries one power of lambda:
+    each X[M] is then a list of its coefficients through lambda^K, each
+    step adds z_P times X[M - P]'s coefficient j to X[M]'s coefficient
+    j + 1, and the result is X[full]'s list.
     """
     n = plan.n
-    # a real z enters as z + 0i, as both products promote it
-    z = np.asarray(z, dtype=complex)
+    # a real z enters as z + 0i
+    zs = np.asarray(z, dtype=complex).tolist()
     if K is None:
-        zs = z.tolist()
         x = [0j] * (1 << n)
         x[0] = 1 + 0j
         for copies, steps, dressed_steps in plan.loop:
@@ -678,21 +680,17 @@ def _gas_sum(plan: _Plan, z: np.ndarray, K: int | None = None, dressed: bool = F
             for target, source, row in dressed_steps if dressed else steps:
                 x[target] += zs[row] * x[source]
         return x[-1]
-    xs = np.zeros((K + 1, 1 << n), dtype=complex)
-    xs[0, 0] = 1.0
-    # degree j + 1 of mask M sits at flat position j * 2^n + M of xs[1:]
-    graded = xs[1:].reshape(-1)
-    degrees = (np.arange(K) << n)[:, None]
-    for low in reversed(range(n)):
-        # every mask of the level copies, read or not: no step reads the rest
-        step = 2 << low
-        xs[:, 1 << low :: step] = xs[:, ::step]
-        # the dressed gas stops short of the one-site polymer's steps
-        end = plan.singles[low] if dressed else plan.bounds[low + 1]
-        targets, sources, rows = plan.steps[:, plan.bounds[low] : end]
-        terms = z[rows] * xs[:-1, sources]
-        np.add.at(graded, (degrees + targets).reshape(-1), terms.reshape(-1))
-    return xs[:, -1]
+    xs = [None] * (1 << n)
+    xs[0] = [1 + 0j] + [0j] * K
+    degrees = range(K)
+    for copies, steps, dressed_steps in plan.loop:
+        for target, source in copies:
+            xs[target] = xs[source].copy()
+        for target, source, row in dressed_steps if dressed else steps:
+            z, into, got = zs[row], xs[target], xs[source]
+            for j in degrees:
+                into[j + 1] += z * got[j]
+    return xs[-1]
 
 
 def _partition_polymer_sum(gas: _Gas, t, c: float):

@@ -8,7 +8,9 @@ and k > 8). mayer_table_by_polymer, tree_bounds_by_dense_tables and
 gas_sum_by_masks are the library's earlier routes, one polymer or one mask
 at a time, every configuration of a polymer on one dense trailing axis,
 which its passes on spin axes must match bit for bit; plan_by_masks builds
-the gas-sum plan from its definition the same way. hamiltonian and
+the gas-sum plan from its definition the same way. config_tables is the
+dense spin grid of a set of sites with its joint law, which those routes
+and the tests' walk over every graph of a region read. hamiltonian and
 single_spin_distribution compute a log weight and a single-site law from
 the model's definitions, with every coupling from the scalar
 Coupling.value. energy_shifts_by_rows is the exact engine's earlier
@@ -35,7 +37,7 @@ import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
 import lclt_lab.polymer as pg
 import lclt_lab.verifier as vf
-from lclt_lab._system import System
+from lclt_lab._system import System, _spin_grid
 from lclt_lab.errors import CapacityError, DomainError
 
 # Connected-graph enumeration materializes all 2^(k(k-1)/2) edge sets; the
@@ -176,13 +178,25 @@ def ursell_hardcore_by_enumeration(polymers) -> float:
     return float(connected_sum_by_enumeration(_overlap_factors(*_overlap_bits(polymers))))
 
 
+def config_tables(gas, idx: tuple[int, ...]):
+    """(values, probs) of the sites idx on their own spin grid: spin values
+    (k, M) and joint product measure (M,), in _spin_grid order."""
+    k = len(idx)
+    digits = _spin_grid(np.arange(gas.q), k)
+    values = gas.values[digits]
+    probs = np.ones(digits.shape[1])
+    for row, i in enumerate(idx):
+        probs *= gas.probs[i][digits[row]]
+    return values, probs
+
+
 def _dense_pair_tables(gas, idx: tuple[int, ...]):
     """(values, probs, pairs, terms) of a polymer on its own spin grid: spin
     values (k, M) and joint law (M,) in _spin_grid order, (a, b, J) of each
     coupled pair of the region inside it, a < b its positions in idx, in
     System order, and J s_a s_b of each pair (rows) and configuration
     (columns)."""
-    values, probs = pg._config_tables(gas, idx)
+    values, probs = config_tables(gas, idx)
     local = {i: a for a, i in enumerate(idx)}
     pairs = [(local[i], local[j], v) for i, j, v in gas.system.pairs if i in local and j in local]
     terms = np.empty((len(pairs), values.shape[1]))
@@ -261,18 +275,20 @@ def gas_sum_by_masks(n: int, groups: list[list], K: int | None = None):
     l is the lowest site of M and P runs over groups[l], the (mask, z) of
     the polymers with lowest site l in the order they are added, testing
     each for containment in M. With K, every z_P carries one power of
-    lambda and X holds coefficients through lambda^K."""
+    lambda and X holds a list of coefficients through lambda^K. Every
+    product and sum is CPython's complex arithmetic."""
     dp = [None] * (1 << n)
-    dp[0] = 1 + 0j if K is None else np.eye(1, K + 1, dtype=complex)[0]
+    dp[0] = 1 + 0j if K is None else [1 + 0j] + [0j] * K
     for mask in range(1, 1 << n):
         low = mask & -mask
-        acc = dp[mask ^ low] if K is None else dp[mask ^ low].copy()
+        acc = dp[mask ^ low] if K is None else list(dp[mask ^ low])
         for poly, z in groups[low.bit_length() - 1]:
             if poly & mask == poly:
                 if K is None:
                     acc += z * dp[mask ^ poly]
                 else:
-                    acc[1:] += z * dp[mask ^ poly][:-1]
+                    for j, x in enumerate(dp[mask ^ poly][:-1]):
+                        acc[j + 1] += z * x
         dp[mask] = acc
     return dp[-1]
 
@@ -286,7 +302,8 @@ def plan_by_masks(gas):
     search from the full mask that takes M - P for every polymer P inside M
     with M's lowest site; and level by level, polymer by polymer, the steps
     (M, M - P, row of P) of every read mask M holding P whose lowest site is
-    P's, M ascending, singles marking where the one-site polymer's begin."""
+    P's, M ascending, bounds marking where each level begins and singles
+    where its one-site polymer's steps begin."""
     n = len(gas.sites)
 
     def connected(mask):
@@ -323,8 +340,7 @@ def plan_by_masks(gas):
             steps += [(mask, mask ^ poly, row) for mask in sorted(read) if mask & -mask == 1 << low and mask & poly == poly]
         bounds.append(len(steps))
     sizes = np.array([bin(mask).count("1") for mask in masks])
-    table = np.array(steps, dtype=np.int32).T.reshape(3, -1)
-    return np.array(masks, dtype=np.int32), sizes, spins, weights, table, tuple(bounds), tuple(singles)
+    return np.array(masks, dtype=np.int32), sizes, spins, weights, tuple(steps), tuple(bounds), tuple(singles)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 from collections import Counter
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
@@ -530,20 +531,20 @@ def test_region_pass_matches_per_polymer_tables_bit_for_bit():
 
 def test_regions_of_one_coupling_graph_share_a_read_only_schedule():
     """Two 7-site chains that differ in strength, spin interval and omega
-    have one coupling graph: their plans hold the same step, mask and size
-    arrays, which refuse writes, and weight rows of their own."""
+    have one coupling graph: their plans hold the same mask and size
+    arrays, which refuse writes, the same loop, and weight rows of their
+    own."""
     rng = np.random.default_rng(34)
     plans = []
     for strength, spin in ((0.1, (0, 1)), (-0.2, (-1, 1))):
         model = nn_chain(radius=3, strength=strength, spin=spin, boundary=spin[1])
         plans.append(pg._gas(model, "box", random_omega(rng, model, "box")).plan)
     first, second = plans
-    for name in ("steps", "masks", "sizes"):
+    for name in ("masks", "sizes"):
         shared = getattr(first, name)
         assert getattr(second, name) is shared
         with pytest.raises(ValueError, match="read-only"):
             shared[..., 0] = 0
-    assert (first.bounds, first.singles) == (second.bounds, second.singles)
     assert second.loop is first.loop
     assert not np.shares_memory(first.weights, second.weights)
 
@@ -551,32 +552,30 @@ def test_regions_of_one_coupling_graph_share_a_read_only_schedule():
 def test_plan_matches_mask_by_mask_build_bit_for_bit():
     """Every field of the plan of each GAS_SUM_REGIONS region and each
     _mayer_cases region, from a fresh gas, against the plan built from its
-    definition one mask at a time: masks, sizes, spins, weights and steps
-    by bytes, bounds, singles and n equal, and the scalar loop's tuples
-    holding the same steps level by level."""
+    definition one mask at a time: masks, sizes, spins and weights by
+    bytes, n equal, and the loop's tuples holding the definition's steps
+    level by level."""
     cases = [(model, region, None) for model, region in GAS_SUM_REGIONS.values()]
     for model, region, omega in cases + list(_mayer_cases()):
         gas = pg._Gas(build_system(model, region, omega))
         plan = gas.plan
         assert plan.n == len(gas.sites)
-        *arrays, bounds, singles = oracles.plan_by_masks(gas)
-        for name, want in zip(("masks", "sizes", "spins", "weights", "steps"), arrays):
+        *arrays, columns, bounds, singles = oracles.plan_by_masks(gas)
+        for name, want in zip(("masks", "sizes", "spins", "weights"), arrays):
             got = getattr(plan, name)
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
             assert got.tobytes() == want.tobytes(), name
-        assert (plan.bounds, plan.singles) == (bounds, singles)
-        columns = tuple(map(tuple, arrays[-1].T.tolist()))
         levels = reversed(list(zip(bounds, singles, bounds[1:])))
         loop = tuple((tuple(c[:2] for c in columns[b:e]), columns[a:e], columns[a:b]) for a, b, e in levels)
         assert plan.loop == loop
 
 
 @st.composite
-def _coupling_graphs(draw):
-    """(model, sites): 1 to 10 sites on a 1-D box, spins {0, 1} or
-    {-1, 0, 1}, up to n + 2 coupled pairs of strength 0.05 to 0.4 and
+def _coupling_graphs(draw, max_sites=10, spins=((0, 1), (-1, 1))):
+    """(model, sites): 1 to max_sites sites on a 1-D box, the spin interval
+    one of spins, up to n + 2 coupled pairs of strength 0.05 to 0.4 and
     either sign, so isolated sites and disconnected graphs come up too."""
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(1, max_sites))
     sites = tuple((x,) for x in range(-(n // 2), n - n // 2))
     ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
     edges = draw(st.sets(ends, max_size=n + 2)) if n > 1 else set()
@@ -584,7 +583,7 @@ def _coupling_graphs(draw):
     pairs = [(sites[a], sites[b], draw(strength)) for a, b in sorted(edges)]
     model = lm.GibbsModel(
         box=lm.Box(dimension=1, radius=n // 2, r0=1),
-        spin=lm.SpinInterval(*draw(st.sampled_from(((0, 1), (-1, 1))))),
+        spin=lm.SpinInterval(*draw(st.sampled_from(spins))),
         coupling=lm.Coupling.explicit(pairs),
         boundary=lm.BoundaryCondition.zero(),
     )
@@ -706,7 +705,7 @@ def graph_walk_partition(gas, ts, c):
     region's couplings, one graph at a time: each weighs prod u_e by
     e^{c|support|} and the phases of the spins on its support."""
     n = len(gas.sites)
-    values, probs = pg._config_tables(gas, tuple(range(n)))
+    values, probs = oracles.config_tables(gas, tuple(range(n)))
     edges = gas.system.pairs
     u = [np.expm1(j * values[a] * values[b]) for a, b, j in edges]
     site_phase = [np.exp(1j * np.multiply.outer(ts, values[i])) for i in range(n)]
@@ -777,14 +776,99 @@ def test_graph_sum_budget_counts_supports(monkeypatch):
     """The budget bounds supports x configurations, checked before each pair
     as twice what is held. Before its last pair K7 holds 120 supports (the
     empty one and every site set of two or more but that pair's) over 128
-    configurations."""
+    configurations. The graph table is cached on the region's gas, so the
+    gas is built afresh under the lower budget."""
     model, region = complete_graph(7, 0.05, spin=(0, 1))
     params = pg.ActivityParams(t=0.5, c=0.4)
     monkeypatch.setattr(pg, "GRAPH_SUM_BUDGET", 2 * 120 * 128)
     pg.polymer_partition(model, params, region, mode="direct")
+    pg._gas_for_system.cache_clear()
     monkeypatch.setattr(pg, "GRAPH_SUM_BUDGET", 2 * 120 * 128 - 1)
     with pytest.raises(CapacityError, match=r"^graph sum needs 2\*120 supports over 128 configs, budget is 30719$"):
         pg.polymer_partition(model, params, region, mode="direct")
+
+
+def test_dressed_direct_route_at_one_t_is_its_grid_value_bit_for_bit():
+    """Each value of the dressed direct route over a 64-point t grid has
+    the bits of the call at that t alone."""
+    model = nn_chain(radius=3, strength=0.1, spin=(-1, 1), boundary=1)
+    ts = np.linspace(0.0, math.pi, 64)
+    grid = pg._partition(pg._gas_for_mode(model, "box", None, "direct"), ts, 0.3, "direct")
+    for t, on_grid in zip(ts.tolist(), grid.tolist()):
+        alone = pg.polymer_partition(model, pg.ActivityParams(t=t, c=0.3), "box", mode="direct")
+        assert bits(alone) == bits(on_grid), t
+
+
+def test_dressed_identity_loop_builds_one_graph_table_per_region(monkeypatch):
+    """The identity check's loop, both routes at each of 64 t and two
+    dressings, builds the graph table of each region once."""
+    builds = []
+    real = pg._Gas.graph_table.func
+
+    def counting(gas):
+        builds.append(gas.system.sites)
+        return real(gas)
+
+    table = cached_property(counting)
+    table.__set_name__(pg._Gas, "graph_table")
+    monkeypatch.setattr(pg._Gas, "graph_table", table)
+    pg._gas_for_system.cache_clear()
+    model = nn_chain(radius=3, strength=0.1, spin=(-1, 1), boundary=1)
+    regions = ("box", lm.resolve_region(model, "box")[2:])
+    for region in regions:
+        for c in (0.2, 0.4):
+            for t in np.linspace(0.0, math.pi, 64).tolist():
+                params = pg.ActivityParams(t=t, c=c)
+                direct = pg.polymer_partition(model, params, region, mode="direct")
+                gas = pg.polymer_partition(model, params, region, mode="polymer_sum")
+                assert gas == pytest.approx(direct, rel=1e-10)
+    assert builds == [lm.resolve_region(model, region) for region in regions]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    _coupling_graphs(max_sites=7, spins=((0, 1), (-1, 1), (1, 2), (-2, -1), (-1, 2))),
+    st.floats(0.0, math.pi),
+    st.floats(0.05, 1.0),
+)
+def test_dressed_direct_route_matches_gas_sum_on_random_coupling_graphs(case, t, c):
+    """On random coupling graphs of 1 to 7 sites, spin intervals with and
+    without 0 among them, the dressed direct route's graph table against
+    the dressed gas sum within 1e-12 of the larger of |Xi_c(t)| and
+    |Xi_c(0)|: Xi_c is no characteristic function, so Xi_c(0) need not
+    be its largest value."""
+    model, sites = case
+    xi0 = pg.polymer_partition(model, pg.ActivityParams(t=0.0, c=c), sites, mode="polymer_sum")
+    params = pg.ActivityParams(t=t, c=c)
+    direct = pg.polymer_partition(model, params, sites, mode="direct")
+    gas = pg.polymer_partition(model, params, sites, mode="polymer_sum")
+    assert abs(direct - gas) <= 1e-12 * max(abs(direct), abs(xi0)), (direct, gas)
+
+
+def test_dressed_direct_route_far_from_zero():
+    """Spins {2^26, 2^26 + 1}: the graph table keeps n(q - 1) + 1 totals
+    per support size wherever the interval sits, and the dressed direct
+    route matches the walk over every graph on three sites (J = 2^-54, so
+    J s s' is about 1/4) and the gas sum on one. The t are dyadic, so t
+    times every total is exact and both sides round only in their cos, sin
+    and products: within 8 eps of the larger of |Xi_c(t)| and |Xi_c(0)|."""
+    lo = 2**26
+    model = nn_chain(radius=1, strength=2.0**-54, spin=(lo, lo + 1), boundary=None)
+    ts = np.array([0.0, 0.25, 0.375, 1.0, 3.0])
+    box = lm.resolve_region(model, "box")
+    for region in (box, box[:1]):
+        gas = pg._gas_for_mode(model, region, None, "direct")
+        n = len(region)
+        for c in (0.3, 0.8):
+            got = pg._partition(gas, ts, c, "direct")
+            if n == 1:
+                want = [pg._partition(pg._gas(model, region, None), t, c, "polymer_sum") for t in ts]
+            else:
+                want = graph_walk_partition(gas, ts, c)
+            eps = np.finfo(float).eps
+            for t, value, expected in zip(ts, got, want):
+                assert abs(value - expected) <= 8 * eps * max(abs(expected), abs(want[0])), (n, c, t, value)
+        assert gas.graph_table.shape == (n + 1, n + 1)
 
 
 @pytest.mark.parametrize("mode", ["direct", "polymer_sum"])
