@@ -22,7 +22,7 @@ once per region: the activity is e^{c|R|} sum_s A_R(s) e^{its}, and its
 t-derivatives and the weights w0 that majorize it read the same table.
 The tables come from combinatorics' rooted recursion, whose sum on a
 connected set is built from the sums on its connected subsets: one pass
-over the region gives every connected polymer's table, each sum carried on
+over each coupling component gives its connected polymers' tables, each on
 its own sites' spin axes only, and a polymer looked up on its own gets a
 pass over its own sites. Every pair sum of a polymer takes that one route:
 the tree-graph check runs the same recursion on the same axes for the
@@ -42,23 +42,28 @@ GRAPH_SUM_BUDGET bounds the supports times the region's configurations.
 Xi_c(t) then sums the Fourier sums of the table's rows, each weighted by
 e^{c|support|} and shifted to its least total. Both direct routes take a
 scalar t or a 1-D grid of t. The other route is the gas sum over Mayer
-tables, a subset recursion; the exact engine never reads a Mayer table. Each
-coupling graph gets one schedule, shared by every region of that graph:
-its connected polymers and, for each lowest site l, the recursion's
-(mask, mask - P, P) steps on the masks that Xi, the value on the full
-mask, reads (the n suffixes of an n-site chain). Each region adds one
-plan, built on first use and free of t: the schedule with the polymers'
-weight rows (single-site laws and Mayer tables) on every total spin a
-polymer can take. At each t every activity then comes from one matrix
-product with the phase columns, and the recursion runs as a Python loop
-over the steps in CPython complex numbers, level by level over l. Run
-with one power of a formal lambda per polymer, the same loop gives
-Xi(lambda) through lambda^K, whose truncated log is the cluster series.
-Mayer tables are built for polymers of up to MAX_POLYMER_SIZE sites, from
-the couplings of the region's pair list; the tree-graph check takes
-polymers under the same cap. A value past float64's range is a
-CapacityError, never NaN; so is an undressed Xi(0) under float64's
-smallest normal, which ratios and logs divide by.
+tables; the exact engine never reads a Mayer table. Polymers of different
+coupling components never meet, so the region's gas is the product of its
+components' gases (Kotecky and Preiss, Commun. Math. Phys. 103 (1986) 491),
+and Xi is the product of one subset recursion per component. Each coupling
+graph gets one schedule, shared by every component of that graph: its
+connected polymers and, for each lowest site l, the recursion's
+(mask, mask - P, P) steps on the masks that the value on the full mask
+reads (the n suffixes of an n-site chain). Each region adds one plan,
+built on first use and free of t: its components' schedules, with the
+polymers' weight rows (single-site laws and Mayer tables) on every total
+spin a polymer can take. At each t every activity then comes from one
+matrix product with the phase columns, each component's recursion runs as
+a Python loop over its steps in CPython complex numbers, level by level
+over l, and the components' values are multiplied in order. Run with one
+power of a formal lambda per polymer, the same loops give Xi(lambda)
+through lambda^K, whose truncated log is the cluster series. Mayer tables
+are built for polymers of up to MAX_POLYMER_SIZE sites, from the couplings
+of the region's pair list, so the gas sum refuses a component past that
+size, whatever the region's; the tree-graph check takes polymers under the
+same cap. A value past float64's range is a CapacityError, never NaN; so
+is an undressed Xi(0) under float64's smallest normal, which ratios and
+logs divide by, and any Xi under it whose log is taken.
 """
 
 from __future__ import annotations
@@ -74,12 +79,11 @@ import numpy as np
 
 from . import exactengine as ee
 from . import model as m
-from ._system import System, _build, _check_grid, _omega_items, _spin_grid, build_system
+from ._system import SPIN_GRID_BUDGET, System, _check_grid, _omega_items, _spin_grid, build_system
 from .combinatorics import _connected_extend, _connected_sets, _rooted_plan, _rooted_sum, _tree_extend
 from .errors import LOG_FLOAT_MAX, LOG_FLOAT_MIN, CapacityError, DomainError, PreconditionError, require_normal_exp
 
 GRAPH_SUM_BUDGET = 1 << 25
-POLYMER_REGION_CAP = 14
 # Largest polymer whose Mayer table is built. The gas sum needs every
 # connected subset of a coupling component, so it refuses regions with a
 # larger component rather than drop polymers.
@@ -165,13 +169,13 @@ class TreeGraphBounds:
 
 class _Gas:
     """Per-region tables: single-site measures, and t-free caches filled on
-    first use: each site's couplings, adjacency masks (the key of the
-    coupling graph's _schedule), the gas-sum plan, log Xi(0) and the pmf of
-    S (which every undressed direct-route call reads), the graph table
-    (which every dressed direct-route call reads), Mayer tables by
-    polymer index tuple (the plan's pass fills every connected polymer's, a
-    lookup before it one polymer's), weight norms by (size, dressing,
-    delta) and series dampings by (c, delta, a, step norm)."""
+    first use: each site's couplings, its coupling components, the gas-sum
+    plan, log Xi(0) and the pmf of S (which every undressed direct-route
+    call reads), the graph table (which every dressed direct-route call
+    reads), Mayer tables by polymer index tuple (the plan's passes fill
+    every connected polymer's, a lookup before them one polymer's), weight
+    norms by (size, dressing, delta) and series dampings by (c, delta, a,
+    step norm)."""
 
     def __init__(self, system: System):
         self.system = system
@@ -195,26 +199,24 @@ class _Gas:
         return couplings
 
     @cached_property
-    def adjacency(self) -> list[int]:
-        """Bit mask of the coupled sites of each site."""
-        return [sum(1 << j for j in c) for c in self.couplings]
-
-    def largest_component(self) -> int:
-        """Site count of the largest coupling component."""
-        seen, largest = set(), 0
+    def components(self) -> list[tuple[int, ...]]:
+        """Site indices of each coupling component, ascending, the components
+        in order of their lowest site."""
+        seen, components = set(), []
         for start in range(len(self.sites)):
             if start in seen:
                 continue
             seen.add(start)
-            todo, size = [start], 0
+            todo, members = [start], []
             while todo:
-                size += 1
-                for j in self.couplings[todo.pop()]:
+                i = todo.pop()
+                members.append(i)
+                for j in self.couplings[i]:
                     if j not in seen:
                         seen.add(j)
                         todo.append(j)
-            largest = max(largest, size)
-        return largest
+            components.append(tuple(sorted(members)))
+        return components
 
     @cached_property
     def plan(self) -> _Plan:
@@ -271,22 +273,21 @@ class _Gas:
 
 @dataclass(frozen=True)
 class _Plan:
-    """The gas sum's t-free tables over one region of n sites.
+    """The gas sum's t-free tables over one region.
 
-    Rows are the connected polymers of the region's coupling graph, in its
-    _schedule's order; masks, sizes and loop are that schedule's, the
-    loop's steps over the masks that Xi reads, shared with every region of
-    the graph and read-only. weights is the region's own:
-    each row's single-site law or Mayer table on `spins`, every total spin
-    a polymer of the region can take.
+    Rows are the connected polymers of each coupling component in turn, in
+    the order of the component's _schedule. parts holds, per component, its
+    slice of the rows, its site count and its schedule's loop, the steps
+    over the masks of the component's sites that its factor of Xi reads,
+    shared with every component of that coupling graph. sizes holds each
+    row's site count, and weights each row's single-site law or Mayer table
+    on `spins`, every total spin a polymer of the region can take.
     """
 
-    n: int
-    masks: np.ndarray
+    parts: tuple
     sizes: np.ndarray
     spins: np.ndarray
     weights: np.ndarray
-    loop: tuple
 
     def activities(self, t: float, c: float, order: int = 0) -> np.ndarray:
         """_activities of every row."""
@@ -303,19 +304,12 @@ def _gas(model: m.GibbsModel, region, omega) -> _Gas:
 
 
 def _gas_for_mode(model: m.GibbsModel, region, omega, mode: str) -> _Gas:
-    """_gas once the region fits the mode, checked before the System is
-    built: direct, the exact engine's sum against its default budget, as
-    every exact sum is checked; by gas sum, n sites against the cap on its
-    2^n site sets."""
-    if mode == "direct":
-        system = ee._checked_system(model, region, ee.DEFAULT_BUDGET, _omega_items(omega))
-    else:
-        sites = m.resolve_region(model, region)
-        n = len(sites)
-        if mode == "polymer_sum" and n > POLYMER_REGION_CAP:
-            raise CapacityError(f"gas sum over {n} sites walks 2^{n} site sets, cap is {POLYMER_REGION_CAP} sites")
-        system = _build(model, sites, _omega_items(omega))
-    return _gas_for_system(system)
+    """_gas for the mode: direct, once the exact engine's sum fits its
+    default budget, checked before the System is built, as every exact sum
+    is checked."""
+    if mode != "direct":
+        return _gas(model, region, omega)
+    return _gas_for_system(ee._checked_system(model, region, ee.DEFAULT_BUDGET, _omega_items(omega)))
 
 
 def _polymer_sites(polymer) -> tuple[m.Site, ...]:
@@ -400,11 +394,11 @@ def _members(mask: int) -> tuple[int, ...]:
 @lru_cache(maxsize=256)
 def _schedule(adjacency: tuple[int, ...]):
     """(polymers, masks, sizes, loop): the gas sum's schedule on one coupling
-    graph of n sites, adjacency its sites' neighbour masks.
+    component of n sites, adjacency its sites' neighbour masks.
 
     polymers lists the connected site sets as index tuples, masks
     descending (so grouped by lowest site, the order the recursion adds
-    them in), with their masks and sizes. Xi is the recursion's value on
+    them in), with their masks and sizes. Its factor of Xi is the value on
     the full mask, which reads only some masks: the full mask is read, and
     for a read mask M with lowest site l, so is M - P for every polymer P
     with lowest site l inside M ({l} included). Level l holds the read
@@ -416,7 +410,7 @@ def _schedule(adjacency: tuple[int, ...]):
     l = 0 up, each marking the sources it reads. loop holds them as Python
     tuples, l = n-1 down to 0: the (M, M - l) pairs of the level's read
     masks, its steps, and its steps short of the one-site polymer's. Every
-    region of the graph shares the schedule, so its arrays are read-only.
+    component of the graph shares the schedule, so its arrays are read-only.
     """
     n = len(adjacency)
     # the key of _rooted_sum's pass over every set, so the two share one plan
@@ -622,75 +616,88 @@ def _partition_direct(gas: _Gas, t, c: float):
 
 
 def _build_plan(gas: _Gas) -> _Plan:
-    """The region's _Plan: its coupling graph's _schedule, and the weight
-    rows of the region's own laws and Mayer tables, the tables from one
-    _mayer_pass. The recursion (its site count checked by _gas_for_mode)
-    needs every connected subset of a coupling component; dropping the
-    large ones would silently break the identity the gas sum certifies, so
-    a component past MAX_POLYMER_SIZE is refused here."""
-    n = len(gas.sites)
-    largest = gas.largest_component()
+    """The region's _Plan: per coupling component, its _schedule and the
+    weight rows of its own laws and Mayer tables, the tables from one
+    _mayer_pass over its sites. The recursion needs every connected subset
+    of a component; dropping the large ones would silently break the
+    identity the gas sum certifies, so a component past MAX_POLYMER_SIZE
+    is refused here, and so are weight rows past SPIN_GRID_BUDGET totals."""
+    largest = max(map(len, gas.components), default=0)
     if largest > MAX_POLYMER_SIZE:
         raise CapacityError(
             f"the region has a coupling component of {largest} sites, so the gas sum"
             f" needs polymers up to that size; cap is {MAX_POLYMER_SIZE}"
         )
-    _mayer_pass(gas, tuple(range(n)), every=True)
-    polymers, masks, sizes, loop = _schedule(tuple(gas.adjacency))
-    # every total spin of k = 1..n sites
+    # every total spin of k = 1..largest sites
     lo, hi = int(gas.values[0]), int(gas.values[-1])
-    base = min(lo, n * lo)
-    spins = base + np.arange(max(hi, n * hi) - base + 1.0)
-    weights = np.zeros((len(polymers), len(spins)))
+    base = min(lo, largest * lo)
+    width = max(hi, largest * hi) - base + 1
+    if width > SPIN_GRID_BUDGET:
+        raise CapacityError(f"gas-sum weight rows span {width} total spins, budget is {SPIN_GRID_BUDGET}")
+    parts, polymers = [], []
+    for comp in gas.components:
+        _mayer_pass(gas, comp, every=True)
+        local, _, _, loop = _schedule(tuple(_site_axes(gas, comp)[0]))
+        parts.append((slice(len(polymers), len(polymers) + len(local)), len(comp), loop))
+        polymers += [tuple(comp[a] for a in idx) for idx in local]
+    weights = np.zeros((len(polymers), width))
     for row, idx in enumerate(polymers):
         if len(idx) == 1:
             start, table = lo, gas.probs[idx[0]]
         else:
             start, table, _ = gas.mayer[idx]
         weights[row, start - base : start - base + len(table)] = table
-    return _Plan(n, masks, sizes, spins, weights, loop)
+    sizes = np.array([len(idx) for idx in polymers], dtype=int)
+    return _Plan(tuple(parts), sizes, base + np.arange(width, dtype=float), weights)
 
 
 def _gas_sum(plan: _Plan, z: np.ndarray, K: int | None = None, dressed: bool = False):
-    """Xi over the plan's n sites from the activities z of its rows, by
-    X[M] = X[M - l] + sum_P z_P X[M - P], l the lowest site of M and P over
-    the polymers with lowest site l inside M, masks descending, so the
-    one-site polymer {l} last (left out when dressed), on the masks that
-    X[full] reads.
+    """Xi from the activities z of the plan's rows: the product, in
+    component order, of each coupling component's X[full], by
+    X[M] = X[M - l] + sum_P z_P X[M - P] on its sites, l the lowest site of
+    M and P over the polymers with lowest site l inside M, masks
+    descending, so the one-site polymer {l} last (left out when dressed),
+    on the masks that X[full] reads.
 
     A mask with lowest site l reads only masks above l, so the masks go by
     level, l = n-1 down to 0: each read mask of the level copies X[M - l],
     then the level's steps add to it in polymer order. Each read mask gets
     the same additions in the same order as a loop over masks and polymers,
-    rounded as that loop rounds. Xi is that loop, run over plan.loop in
-    CPython complex numbers. With K, every z_P carries one power of lambda:
-    each X[M] is then a list of its coefficients through lambda^K, each
-    step adds z_P times X[M - P]'s coefficient j to X[M]'s coefficient
-    j + 1, and the result is X[full]'s list.
+    rounded as that loop rounds. Each factor is that loop, run over its
+    part's loop in CPython complex numbers; the first is taken as it is.
+    With K, every z_P carries one power of lambda: each X[M] is then a list
+    of its coefficients through lambda^K, each step adds z_P times
+    X[M - P]'s coefficient j to X[M]'s coefficient j + 1, and the factors'
+    lists are multiplied truncated at lambda^K.
     """
-    n = plan.n
     # a real z enters as z + 0i
     zs = np.asarray(z, dtype=complex).tolist()
-    if K is None:
-        x = [0j] * (1 << n)
-        x[0] = 1 + 0j
-        for copies, steps, dressed_steps in plan.loop:
+    xi = 1 + 0j if K is None else [1 + 0j] + [0j] * K
+    degrees = range(K or 0)
+    for part, (rows, n, loop) in enumerate(plan.parts):
+        zp = zs if part == 0 else zs[rows]
+        if K is None:
+            x = [0j] * (1 << n)
+            x[0] = 1 + 0j
+            for copies, steps, dressed_steps in loop:
+                for target, source in copies:
+                    x[target] = x[source]
+                for target, source, row in dressed_steps if dressed else steps:
+                    x[target] += zp[row] * x[source]
+            xi = x[-1] if part == 0 else xi * x[-1]
+            continue
+        xs = [None] * (1 << n)
+        xs[0] = [1 + 0j] + [0j] * K
+        for copies, steps, dressed_steps in loop:
             for target, source in copies:
-                x[target] = x[source]
+                xs[target] = xs[source].copy()
             for target, source, row in dressed_steps if dressed else steps:
-                x[target] += zs[row] * x[source]
-        return x[-1]
-    xs = [None] * (1 << n)
-    xs[0] = [1 + 0j] + [0j] * K
-    degrees = range(K)
-    for copies, steps, dressed_steps in plan.loop:
-        for target, source in copies:
-            xs[target] = xs[source].copy()
-        for target, source, row in dressed_steps if dressed else steps:
-            z, into, got = zs[row], xs[target], xs[source]
-            for j in degrees:
-                into[j + 1] += z * got[j]
-    return xs[-1]
+                z, into, got = zp[row], xs[target], xs[source]
+                for j in degrees:
+                    into[j + 1] += z * got[j]
+        got = xs[-1]
+        xi = got if part == 0 else [sum(xi[i] * got[j - i] for i in range(j + 1)) for j in range(K + 1)]
+    return xi
 
 
 def _partition_polymer_sum(gas: _Gas, t, c: float):
@@ -754,17 +761,24 @@ def continuous_log_partition(
     Xi(0) is real and positive; the log is accumulated over LOG_STEPS small
     t steps, all evaluated in one call, so each increment stays within the
     principal strip. Principal-branch evaluation at the endpoint would be
-    wrong once the phase winds.
+    wrong once the phase winds. An Xi under float64's smallest normal has
+    lost its digits, so its log is a CapacityError naming its t.
     """
     gas = _gas_for_mode(model, region, omega, mode)
     start = _partition_at_zero(gas, params.c, mode)
     if abs(start.imag) > 1e-9 * abs(start) or start.real <= 0:
         raise PreconditionError(f"partition function at t=0 is {start!r}, not positive")
+    ts = params.t * np.arange(1, LOG_STEPS + 1) / LOG_STEPS
+    xis = [start] + _partition(gas, ts, params.c, mode).tolist()
+    for t, xi in zip([0.0] + ts.tolist(), xis):
+        if not abs(xi) >= sys.float_info.min:
+            raise CapacityError(
+                f"{mode} route on {len(gas.sites)} sites: |Xi({t!r})| = {abs(xi):.3g} is under"
+                f" float64's smallest normal, so its log has no digits"
+            )
     log_val = complex(math.log(start.real))
-    prev = start
-    for cur in _partition(gas, params.t * np.arange(1, LOG_STEPS + 1) / LOG_STEPS, params.c, mode).tolist():
+    for prev, cur in zip(xis, xis[1:]):
         log_val += cmath.log(cur / prev)
-        prev = cur
     return log_val
 
 
@@ -836,7 +850,7 @@ def _weight_norm(gas: _Gas, k: int, dress: float, delta: float) -> float:
     if k > MAX_POLYMER_SIZE:
         # a connected k-set has no table: refuse as its lookup would, or,
         # with no such set, sum nothing
-        if gas.largest_component() >= k:
+        if max(map(len, gas.components), default=0) >= k:
             _check_polymer(k)
         return 0.0
     try:
@@ -978,7 +992,7 @@ def truncated_log_partition(
         raise DomainError(f"truncation order must be positive, got {K}")
     gas = _gas_for_mode(model, region, omega, "polymer_sum")
     plan = gas.plan
-    n = plan.n
+    n = len(gas.sites)
     z = plan.activities(params.t, params.c)
     # Xi(lambda) has degree at most n: a family of disjoint polymers has at
     # most one per site.

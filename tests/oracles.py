@@ -270,77 +270,113 @@ def tree_bounds_by_dense_tables(gas, idx: tuple[int, ...], step_norm: float):
     )
 
 
-def gas_sum_by_masks(n: int, groups: list[list], K: int | None = None):
-    """Xi over n sites by X[M] = X[M - l] + sum_P z_P X[M - P], mask by mask:
-    l is the lowest site of M and P runs over groups[l], the (mask, z) of
-    the polymers with lowest site l in the order they are added, testing
-    each for containment in M. With K, every z_P carries one power of
-    lambda and X holds a list of coefficients through lambda^K. Every
-    product and sum is CPython's complex arithmetic."""
-    dp = [None] * (1 << n)
-    dp[0] = 1 + 0j if K is None else [1 + 0j] + [0j] * K
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        acc = dp[mask ^ low] if K is None else list(dp[mask ^ low])
-        for poly, z in groups[low.bit_length() - 1]:
-            if poly & mask == poly:
-                if K is None:
-                    acc += z * dp[mask ^ poly]
-                else:
-                    for j, x in enumerate(dp[mask ^ poly][:-1]):
-                        acc[j + 1] += z * x
-        dp[mask] = acc
-    return dp[-1]
+def gas_sum_by_masks(parts: list, K: int | None = None):
+    """Xi as the product, in order, of one factor per coupling component:
+    parts lists each component's site count n and its groups. A factor is
+    X[full] over the component's n sites by X[M] = X[M - l] + sum_P z_P
+    X[M - P], mask by mask: l is the lowest site of M and P runs over
+    groups[l], the (mask, z) of the polymers with lowest site l in the
+    order they are added, testing each for containment in M. With K,
+    every z_P carries one power of lambda, X holds a list of coefficients
+    through lambda^K and the factors' lists are multiplied truncated at
+    lambda^K. The first factor is taken as it is, and no factor gives 1.
+    Every product and sum is CPython's complex arithmetic."""
+    xi = None
+    for n, groups in parts:
+        dp = [None] * (1 << n)
+        dp[0] = 1 + 0j if K is None else [1 + 0j] + [0j] * K
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            acc = dp[mask ^ low] if K is None else list(dp[mask ^ low])
+            for poly, z in groups[low.bit_length() - 1]:
+                if poly & mask == poly:
+                    if K is None:
+                        acc += z * dp[mask ^ poly]
+                    else:
+                        for j, x in enumerate(dp[mask ^ poly][:-1]):
+                            acc[j + 1] += z * x
+            dp[mask] = acc
+        if xi is None:
+            xi = dp[-1]
+        elif K is None:
+            xi = xi * dp[-1]
+        else:
+            xi = [sum(xi[i] * dp[-1][j - i] for i in range(j + 1)) for j in range(K + 1)]
+    if xi is None:
+        return 1 + 0j if K is None else [1 + 0j] + [0j] * K
+    return xi
 
 
 def plan_by_masks(gas):
-    """(masks, sizes, spins, weights, steps, bounds, singles) of the region's
-    gas-sum plan from their definitions, one mask at a time: the connected
+    """(parts, sizes, spins, weights) of the region's gas-sum plan from
+    their definitions, one mask at a time. The coupling components are
+    found by a search along the couplings from each site no earlier search
+    reached. On each component's own sites, ascending: the connected
     polymers found by a search of each nonzero mask along the couplings,
-    masks descending; each row's single-site law or mayer_table_by_polymer
-    on every total spin of 1 to n sites; the masks X[full] reads, found by a
-    search from the full mask that takes M - P for every polymer P inside M
-    with M's lowest site; and level by level, polymer by polymer, the steps
-    (M, M - P, row of P) of every read mask M holding P whose lowest site is
+    masks descending; the masks X[full] reads, found by a search from the
+    full mask that takes M - P for every polymer P inside M with M's
+    lowest site; and level by level, polymer by polymer, the steps (M,
+    M - P, row of P) of every read mask M holding P whose lowest site is
     P's, M ascending, bounds marking where each level begins and singles
-    where its one-site polymer's steps begin."""
-    n = len(gas.sites)
+    where its one-site polymer's steps begin. parts holds (sites, masks,
+    steps, bounds, singles) per component. The rows run component by
+    component, each its single-site law or mayer_table_by_polymer on every
+    total spin of 1 to L sites, L the largest component's site count."""
+    components, seen = [], set()
+    for start in range(len(gas.sites)):
+        if start not in seen:
+            comp, todo = {start}, [start]
+            while todo:
+                for j in gas.couplings[todo.pop()]:
+                    if j not in comp:
+                        comp.add(j)
+                        todo.append(j)
+            seen |= comp
+            components.append(tuple(sorted(comp)))
+    parts, rows = [], []
+    for sites in components:
+        n = len(sites)
+        local = {i: a for a, i in enumerate(sites)}
 
-    def connected(mask):
-        seen, todo = mask & -mask, [(mask & -mask).bit_length() - 1]
+        def connected(mask):
+            seen, todo = mask & -mask, [(mask & -mask).bit_length() - 1]
+            while todo:
+                for j in gas.couplings[sites[todo.pop()]]:
+                    b = local[j]
+                    if mask >> b & 1 and not seen >> b & 1:
+                        seen |= 1 << b
+                        todo.append(b)
+            return seen == mask
+
+        masks = [mask for mask in range((1 << n) - 1, 0, -1) if connected(mask)]
+        read, todo = set(), [(1 << n) - 1]
         while todo:
-            for j in gas.couplings[todo.pop()]:
-                if mask >> j & 1 and not seen >> j & 1:
-                    seen |= 1 << j
-                    todo.append(j)
-        return seen == mask
-
-    masks = [mask for mask in range((1 << n) - 1, 0, -1) if connected(mask)]
-    read, todo = set(), [(1 << n) - 1]
-    while todo:
-        mask = todo.pop()
-        if mask not in read:
-            read.add(mask)
-            low = mask & -mask
-            todo += [mask ^ poly for poly in masks if poly & -poly == low and poly & mask == poly]
+            mask = todo.pop()
+            if mask not in read:
+                read.add(mask)
+                low = mask & -mask
+                todo += [mask ^ poly for poly in masks if poly & -poly == low and poly & mask == poly]
+        steps, bounds, singles = [], [0], []
+        for low in range(n):
+            for row, poly in enumerate(masks):
+                if poly & -poly != 1 << low:
+                    continue
+                if poly == 1 << low:
+                    singles.append(len(steps))
+                steps += [(mask, mask ^ poly, row) for mask in sorted(read) if mask & -mask == 1 << low and mask & poly == poly]
+            bounds.append(len(steps))
+        parts.append((sites, np.array(masks, dtype=np.int32), tuple(steps), tuple(bounds), tuple(singles)))
+        rows += [tuple(sites[a] for a in range(n) if mask >> a & 1) for mask in masks]
+    largest = max(map(len, components), default=0)
     lo, hi = int(gas.values[0]), int(gas.values[-1])
-    base = min(lo, n * lo)
-    spins = base + np.arange(max(hi, n * hi) - base + 1.0)
-    weights = np.zeros((len(masks), len(spins)))
-    steps, bounds, singles = [], [0], []
-    for low in range(n):
-        for row, poly in enumerate(masks):
-            if poly & -poly != 1 << low:
-                continue
-            idx = tuple(i for i in range(n) if poly >> i & 1)
-            start, table = (lo, gas.probs[low]) if len(idx) == 1 else mayer_table_by_polymer(gas, idx)[:2]
-            weights[row, start - base : start - base + len(table)] = table
-            if len(idx) == 1:
-                singles.append(len(steps))
-            steps += [(mask, mask ^ poly, row) for mask in sorted(read) if mask & -mask == 1 << low and mask & poly == poly]
-        bounds.append(len(steps))
-    sizes = np.array([bin(mask).count("1") for mask in masks])
-    return np.array(masks, dtype=np.int32), sizes, spins, weights, tuple(steps), tuple(bounds), tuple(singles)
+    base = min(lo, largest * lo)
+    spins = base + np.arange(max(hi, largest * hi) - base + 1.0)
+    weights = np.zeros((len(rows), len(spins)))
+    for row, idx in enumerate(rows):
+        start, table = (lo, gas.probs[idx[0]]) if len(idx) == 1 else mayer_table_by_polymer(gas, idx)[:2]
+        weights[row, start - base : start - base + len(table)] = table
+    sizes = np.array([len(idx) for idx in rows], dtype=int)
+    return parts, sizes, spins, weights
 
 
 @dataclass(frozen=True)

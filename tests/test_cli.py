@@ -335,6 +335,19 @@ def test_identity_check_takes_as_many_t_points_as_asked(config, tmp_path):
         assert ts == [0.0, *sorted(draws.tolist())]
 
 
+def test_identity_check_on_fifteen_uncoupled_sites(tmp_path):
+    """identity-check --dressed on the 15 decimated sites of a radius-14
+    chain at r0 = 2: no two of them are coupled, so the gas sum is the
+    product of fifteen one-site factors, and every one of its 128 lines
+    passes."""
+    path = tmp_path / "fifteen.json"
+    path.write_text(json.dumps({**MODEL_OK, "radius": 14, "coupling": {"kind": "nearest_neighbor", "strength": 1.0}}))
+    out = tmp_path / "o"
+    assert cli.main(["identity-check", "--config", str(path), "--dressed", "--out", str(out)]) == 0
+    lines = _reports(out)
+    assert len(lines) == 128 and all(line["pass"] for line in lines)
+
+
 def test_long_chain_scan_runs_at_default_budget(tmp_path):
     """lclt-scan past enumeration: 2000 sites of a radius-1000 chain take
     2000*2^2*2001 transfer steps, within the default budget."""

@@ -19,6 +19,8 @@ from conftest import SPIN_CHOICES, complete_graph, frustrated_complete_graph, nn
 from lclt_lab._system import _spin_grid, build_system
 from lclt_lab.errors import CapacityError, DomainError, PreconditionError
 
+EPS = np.finfo(float).eps
+
 
 def two_site_model():
     return lm.GibbsModel(
@@ -134,9 +136,10 @@ def test_weak_coupling_activity_and_majorant_match_path_product():
 
 def test_mayer_sum_computed_once_per_polymer(monkeypatch):
     """The gas-sum plan makes every Mayer table of its region in one rooted
-    recursion, and every t-dependent polymer quantity then reads those
-    tables. A polymer looked up before any plan gets one pass over its own
-    sites, and none again once its table is cached."""
+    recursion per coupling component (one, on this chain), and every
+    t-dependent polymer quantity then reads those tables. A polymer looked
+    up before any plan gets one pass over its own sites, and none again
+    once its table is cached."""
     passes = []
     real = pg._rooted_sum
 
@@ -303,8 +306,8 @@ PATCH6 = ((-1, -1), (-1, 0), (0, -1), (0, 0), (1, -1), (1, 0))
 
 def two_cliques(sizes=(7, 7), strength=0.05):
     """Two complete graphs side by side on a 1-D box, {0, 1} spins, no
-    coupling between them: a region of sum(sizes) sites, up to
-    POLYMER_REGION_CAP, whose components stay within MAX_POLYMER_SIZE."""
+    coupling between them: a region of sum(sizes) sites whose two coupling
+    components stay within MAX_POLYMER_SIZE."""
     n = sum(sizes)
     sites = tuple((x,) for x in range(-(n // 2), n - n // 2))
     cliques = (sites[: sizes[0]], sites[sizes[0] :])
@@ -322,17 +325,41 @@ def bits(value) -> bytes:
     return np.asarray(value, dtype=complex).tobytes()
 
 
-def mask_groups(gas, z, dressed: bool) -> list[list]:
-    """The (mask, activity) groups of the mask-by-mask loop: every connected
+def plan_polymers(gas) -> list[tuple[int, ...]]:
+    """The polymer of each row of the gas-sum plan, as region site indices:
+    the connected polymers of each coupling component's _schedule in turn."""
+    return [
+        tuple(sites[a] for a in idx)
+        for sites in gas.components
+        for idx in pg._schedule(tuple(pg._site_axes(gas, sites)[0]))[0]
+    ]
+
+
+def mask_groups(gas, z, dressed: bool) -> list[tuple]:
+    """The (site count, groups) of each coupling component for the
+    mask-by-mask loop, on the component's own sites: every connected
     polymer (one-site ones left out when dressed) under its lowest site,
     masks descending, each with its activity in the plan's row."""
-    by_mask = dict(zip(gas.plan.masks.tolist(), z.tolist()))
+    polymers, parts = plan_polymers(gas), []
+    for sites, (rows, n, _) in zip(gas.components, gas.plan.parts):
+        local = {i: a for a, i in enumerate(sites)}
+        groups = [[] for _ in sites]
+        for idx, activity in zip(polymers[rows], z[rows].tolist()):
+            if len(idx) > 1 or not dressed:
+                groups[local[idx[0]]].append((sum(1 << local[i] for i in idx), activity))
+        parts.append((n, groups))
+    return parts
+
+
+def region_groups(gas, z, dressed: bool) -> list[tuple]:
+    """mask_groups of the whole region taken as one component: the loop over
+    every mask of its n sites, which the product over components must
+    match."""
     groups = [[] for _ in gas.sites]
-    for idx in pg._schedule(tuple(gas.adjacency))[0]:
-        mask = sum(1 << i for i in idx)
+    for idx, activity in zip(plan_polymers(gas), z.tolist()):
         if len(idx) > 1 or not dressed:
-            groups[idx[0]].append((mask, by_mask[mask]))
-    return groups
+            groups[idx[0]].append((sum(1 << i for i in idx), activity))
+    return [(len(gas.sites), groups)]
 
 
 GAS_SUM_REGIONS = {
@@ -341,24 +368,34 @@ GAS_SUM_REGIONS = {
     "chain9": (nn_chain(radius=4, strength=0.2, spin=(0, 1), boundary=1), "box"),
     "uncoupled7": (nn_chain(radius=6, strength=0.1, spin=(-1, 1), boundary=1, r0=2), "decimated"),
     "cliques14": two_cliques(),
+    # two components whose rows differ, so each reads its own activities
+    "cliques4-3": two_cliques((4, 3), 0.2),
     # the densest graph MAX_POLYMER_SIZE admits, whose sum reads most masks
     "complete10": complete_graph(10, 0.05, spin=(0, 1)),
     "box3x3": (nn_chain(radius=1, strength=0.2, spin=(0, 1), boundary=1, dimension=2), "box"),
 }
 
 
+# decimated regions of 15 and 25 sites, no two of them coupled
+LONE_SITE_REGIONS = {
+    "uncoupled15": nn_chain(radius=15, strength=0.1, spin=(0, 1), boundary=1, r0=2),
+    "box5x5-q3": nn_chain(radius=4, strength=0.1, spin=(-1, 1), boundary=1, r0=2, dimension=2),
+}
+
+
 @pytest.mark.parametrize("name", list(GAS_SUM_REGIONS))
 def test_gas_sum_matches_mask_loop_bit_for_bit(name):
     """The plan's level-by-level recursion against the loop over masks and
-    polymers, given the same activities: Xi and Xi(lambda) through lambda^3
-    and lambda^4, signed and -|z|, undressed and dressed, bit for bit."""
+    polymers, given the same activities, each coupling component's factor
+    and their product: Xi and Xi(lambda) through lambda^3 and lambda^4,
+    signed and -|z|, undressed and dressed, bit for bit."""
     model, region = GAS_SUM_REGIONS[name]
     gas = pg._gas(model, region, None)
     plan = gas.plan
     n = len(gas.sites)
     rng = np.random.default_rng(len(name))
-    # the 14-site loop takes about a second per call, so it and the other
-    # large schedules check each setting once rather than every combination
+    # the mask loop over the densest schedules takes most of a second per
+    # call, so they check each setting once rather than every combination
     settings = list(product((None, 3, 4), (False, True), (0.0, 0.3)))
     if n > 9 or name == "box3x3":
         settings = [(None, False, 0.0), (3, True, 0.3), (4, False, 0.0), (None, True, 0.3)]
@@ -368,7 +405,7 @@ def test_gas_sum_matches_mask_loop_bit_for_bit(name):
             z = -np.abs(z)
         K_n = None if K is None else min(K, n)
         got = pg._gas_sum(plan, z, K_n, dressed=c != 0.0)
-        want = oracles.gas_sum_by_masks(n, mask_groups(gas, z, c != 0.0), K_n)
+        want = oracles.gas_sum_by_masks(mask_groups(gas, z, c != 0.0), K_n)
         assert bits(got) == bits(want), (K, absolute, c)
 
 
@@ -394,7 +431,7 @@ def test_plan_activities_match_graph_enumeration():
     rng = np.random.default_rng(23)
     patch = nn_chain(radius=1, strength=0.3, spin=(1, 2), boundary=1, dimension=2)
     pg._gas_for_system.cache_clear()
-    for model, region in (GAS_SUM_REGIONS["chain5"], (patch, PATCH6[:5])):
+    for model, region in (GAS_SUM_REGIONS["chain5"], (patch, PATCH6[:5]), two_cliques((3, 2), 0.2)):
         gas = pg._gas(model, region, None)
         pg.activity(model, pg.ActivityParams(t=0.5), gas.sites[:2], region)
         assert "plan" not in vars(gas)
@@ -403,7 +440,7 @@ def test_plan_activities_match_graph_enumeration():
             params = pg.ActivityParams(t=float(rng.uniform(0.1, 3.0)), c=c)
             for order in (0, 1, 2):
                 rows = plan.activities(params.t, c, order)
-                for idx, row in zip(pg._schedule(tuple(gas.adjacency))[0], rows.tolist()):
+                for idx, row in zip(plan_polymers(gas), rows.tolist(), strict=True):
                     if c and len(idx) == 1:
                         continue
                     poly = [gas.sites[i] for i in idx]
@@ -501,17 +538,17 @@ def _mayer_cases():
 
 
 def test_region_pass_matches_per_polymer_tables_bit_for_bit():
-    """Every Mayer table of the plan's one pass over the region, and the
-    table of a polymer looked up on its own, against the table rebuilt from
-    the polymer's own spin grid: lowest spin, amplitudes and |sum| mass bit
-    for bit."""
+    """Every Mayer table of the plan's one pass over each coupling
+    component, and the table of a polymer looked up on its own, against
+    the table rebuilt from the polymer's own spin grid: lowest spin,
+    amplitudes and |sum| mass bit for bit."""
     rng = np.random.default_rng(32)
     checked = 0
     for model, region, omega in _mayer_cases():
         system = build_system(model, region, omega)
         gas = pg._Gas(system)
-        pg._mayer_pass(gas, tuple(range(len(gas.sites))), every=True)
-        connected = [idx for idx in reversed(pg._schedule(tuple(gas.adjacency))[0]) if len(idx) > 1]
+        gas.plan
+        connected = [idx for idx in plan_polymers(gas) if len(idx) > 1]
         assert sorted(gas.mayer) == sorted(connected)
         alone = pg._Gas(system)
         picks = [connected[int(i)] for i in rng.choice(len(connected), size=3)]
@@ -531,43 +568,58 @@ def test_region_pass_matches_per_polymer_tables_bit_for_bit():
 
 def test_regions_of_one_coupling_graph_share_a_read_only_schedule():
     """Two 7-site chains that differ in strength, spin interval and omega
-    have one coupling graph: their plans hold the same mask and size
-    arrays, which refuse writes, the same loop, and weight rows of their
-    own."""
+    have one coupling graph: their plans hold the same loop and weight rows
+    of their own, and the schedule's mask and size arrays refuse writes.
+    The coupling components of one graph share a loop too: the two
+    7-cliques of cliques14, and the seven lone sites of uncoupled7."""
     rng = np.random.default_rng(34)
     plans = []
     for strength, spin in ((0.1, (0, 1)), (-0.2, (-1, 1))):
         model = nn_chain(radius=3, strength=strength, spin=spin, boundary=spin[1])
-        plans.append(pg._gas(model, "box", random_omega(rng, model, "box")).plan)
+        gas = pg._gas(model, "box", random_omega(rng, model, "box"))
+        plans.append(gas.plan)
     first, second = plans
-    for name in ("masks", "sizes"):
-        shared = getattr(first, name)
-        assert getattr(second, name) is shared
+    (_, _, loop), = first.parts
+    assert second.parts[0][2] is loop
+    for shared in pg._schedule(tuple(pg._site_axes(gas, gas.components[0])[0]))[1:3]:
         with pytest.raises(ValueError, match="read-only"):
             shared[..., 0] = 0
-    assert second.loop is first.loop
     assert not np.shares_memory(first.weights, second.weights)
+    for name, count in (("cliques14", 2), ("uncoupled7", 7)):
+        parts = pg._gas(*GAS_SUM_REGIONS[name], None).plan.parts
+        assert len(parts) == count
+        assert all(part[2] is parts[0][2] for part in parts)
 
 
 def test_plan_matches_mask_by_mask_build_bit_for_bit():
-    """Every field of the plan of each GAS_SUM_REGIONS region and each
-    _mayer_cases region, from a fresh gas, against the plan built from its
-    definition one mask at a time: masks, sizes, spins and weights by
-    bytes, n equal, and the loop's tuples holding the definition's steps
-    level by level."""
+    """Every field of the plan of each GAS_SUM_REGIONS region, each
+    _mayer_cases region and the two many-component regions of
+    LONE_SITE_REGIONS, from a fresh gas, against the plan built from its
+    definition one mask at a time: the components, sizes, spins and
+    weights by bytes, each component's row slice and site count, its
+    schedule's masks by bytes, and its loop's tuples holding the
+    definition's steps level by level."""
     cases = [(model, region, None) for model, region in GAS_SUM_REGIONS.values()]
+    cases += [(model, "decimated", None) for model in LONE_SITE_REGIONS.values()]
     for model, region, omega in cases + list(_mayer_cases()):
         gas = pg._Gas(build_system(model, region, omega))
         plan = gas.plan
-        assert plan.n == len(gas.sites)
-        *arrays, columns, bounds, singles = oracles.plan_by_masks(gas)
-        for name, want in zip(("masks", "sizes", "spins", "weights"), arrays):
+        parts, *arrays = oracles.plan_by_masks(gas)
+        for name, want in zip(("sizes", "spins", "weights"), arrays):
             got = getattr(plan, name)
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
             assert got.tobytes() == want.tobytes(), name
-        levels = reversed(list(zip(bounds, singles, bounds[1:])))
-        loop = tuple((tuple(c[:2] for c in columns[b:e]), columns[a:e], columns[a:b]) for a, b, e in levels)
-        assert plan.loop == loop
+        assert gas.components == [part[0] for part in parts]
+        first = 0
+        for (rows, n, loop), (sites, masks, columns, bounds, singles) in zip(plan.parts, parts, strict=True):
+            assert (rows, n) == (slice(first, first + len(masks)), len(sites))
+            first = rows.stop
+            got = pg._schedule(tuple(pg._site_axes(gas, sites)[0]))[1]
+            assert (got.dtype, got.tobytes()) == (masks.dtype, masks.tobytes())
+            levels = reversed(list(zip(bounds, singles, bounds[1:])))
+            assert loop == tuple(
+                (tuple(c[:2] for c in columns[b:e]), columns[a:e], columns[a:b]) for a, b, e in levels
+            )
 
 
 @st.composite
@@ -604,8 +656,118 @@ def test_gas_sum_on_random_coupling_graphs_matches_mask_loop(case, t):
         z = gas.plan.activities(t, c)
         K_n = None if K is None else min(K, n)
         got = pg._gas_sum(gas.plan, z, K_n, dressed=c != 0.0)
-        want = oracles.gas_sum_by_masks(n, mask_groups(gas, z, c != 0.0), K_n)
+        want = oracles.gas_sum_by_masks(mask_groups(gas, z, c != 0.0), K_n)
         assert bits(got) == bits(want), (K, c)
+
+
+@st.composite
+def _disjoint_unions(draw, max_sites=12):
+    """(model, sites): 1 to 4 _coupling_graphs draws of one spin interval,
+    up to max_sites sites in all, on disjoint sites in one drawn order, so
+    that their coupling components interleave."""
+    spin = draw(st.sampled_from(((0, 1), (-1, 1))))
+    pairs, n = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        if n == max_sites:
+            break
+        model, sites = draw(_coupling_graphs(max_sites=min(6, max_sites - n), spins=(spin,)))
+        pairs += [(n + sites.index(x), n + sites.index(y), v) for x, y, v in model.coupling.pairs]
+        n += len(sites)
+    order = draw(st.permutations(range(n)))
+    sites = tuple((x,) for x in range(-(n // 2), n - n // 2))
+    model = lm.GibbsModel(
+        box=lm.Box(dimension=1, radius=n // 2, r0=1),
+        spin=lm.SpinInterval(*spin),
+        coupling=lm.Coupling.explicit([(sites[order[a]], sites[order[b]], v) for a, b, v in pairs]),
+        boundary=lm.BoundaryCondition.zero(),
+    )
+    return model, sites
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_disjoint_unions(), st.floats(0.2, 3.0))
+def test_gas_sum_over_components_matches_the_region_mask_loop(case, t):
+    """On disjoint unions of random coupling graphs the product of the
+    coupling components' factors against the loop over every mask of the
+    whole region, given the same activities: Xi and Xi(lambda) through
+    lambda^3, undressed and dressed, each within n eps times its sum of
+    |terms|, the same loop's value on |z|."""
+    model, sites = case
+    gas = pg._gas(model, sites, None)
+    n = len(sites)
+    for K, c in product((None, 3), (0.0, 0.3)):
+        z = gas.plan.activities(t, c)
+        K_n = None if K is None else min(K, n)
+        got = pg._gas_sum(gas.plan, z, K_n, dressed=c != 0.0)
+        want = oracles.gas_sum_by_masks(region_groups(gas, z, c != 0.0), K_n)
+        terms = oracles.gas_sum_by_masks(region_groups(gas, np.abs(z), c != 0.0), K_n)
+        for g, w, a in zip(*map(np.atleast_1d, (got, want, terms)), strict=True):
+            assert abs(g - w) <= n * EPS * abs(a), (K, c)
+
+
+@pytest.mark.parametrize("name", list(LONE_SITE_REGIONS))
+def test_gas_sum_on_lone_sites_is_the_product_of_site_factors(name):
+    """A LONE_SITE_REGIONS region has no coupled pair, so Xi(t) is the
+    product over its sites of E_x(e^{its}). The gas sum at 20 t in [0, pi]
+    matches that product, taken in 40-digit mpmath over the same float64
+    laws, within 4 eps times the sum over sites of the condition number
+    1/|E_x(e^{its})| of each factor, which is 4 n eps at t = 0."""
+    mpmath = pytest.importorskip("mpmath")
+    model = LONE_SITE_REGIONS[name]
+    gas = pg._gas(model, "decimated", None)
+    n = len(gas.sites)
+    assert n > 14 and len(gas.components) == n
+    with mpmath.workdps(40):
+        for t in np.linspace(0.0, math.pi, 20).tolist():
+            got = pg.polymer_partition(model, pg.ActivityParams(t=t), mode="polymer_sum")
+            spins = gas.values.tolist()
+            factors = [mpmath.fsum(p * mpmath.expj(t * s) for p, s in zip(law, spins)) for law in gas.probs.tolist()]
+            want = mpmath.fprod(factors)
+            assert abs(got - want) <= 4 * EPS * sum(1 / abs(f) for f in factors) * abs(want), t
+
+
+def test_cluster_series_on_lone_sites_within_certified_tail():
+    """The truncated series on the 25 lone sites of the decimated 5x5 box
+    sits within its certified tail of the direct route's continuous log at
+    t = delta/2."""
+    from lclt_lab.verifier import constants
+
+    model = LONE_SITE_REGIONS["box5x5-q3"]
+    delta = constants(model).delta
+    params = pg.ActivityParams(t=delta / 2, delta_cap=delta)
+    res = pg.truncated_log_partition(model, params, K=4)
+    exact = pg.continuous_log_partition(model, params, mode="direct")
+    assert res.dominating_tail is not None
+    assert abs(res.partial_sums[-1] - exact) <= res.dominating_tail
+
+
+def test_gas_sum_refuses_weight_rows_past_the_spin_grid_budget():
+    """Spins {2^26, 2^26 + 1} on a 3-site chain put the plan's weight rows
+    on 2^27 + 4 totals, past SPIN_GRID_BUDGET, which is refused before the
+    rows are allocated. Uncoupled, the largest component has one site, the
+    rows span 2 totals, and Xi is the product of three factors of modulus
+    |cos(t/2)|."""
+    params = pg.ActivityParams(t=0.3)
+    spin = (2**26, 2**26 + 1)
+    coupled = nn_chain(radius=1, strength=2**-54, spin=spin, boundary=None)
+    with pytest.raises(CapacityError, match=r"^gas-sum weight rows span 134217732 total spins, budget is 1048576$"):
+        pg.polymer_partition(coupled, params, "box", mode="polymer_sum")
+    free = nn_chain(radius=1, strength=0.0, spin=spin, boundary=None)
+    xi = pg.polymer_partition(free, params, "box", mode="polymer_sum")
+    assert abs(xi) == pytest.approx(math.cos(0.15) ** 3, rel=1e-8)
+
+
+def test_continuous_log_refuses_a_subnormal_xi():
+    """On 21 free sites with spins {0, 1}, Xi(pi) = prod (1 + e^{i pi})/2
+    is 0 up to rounding, under float64's smallest normal: the gas route's
+    continuous log to t = pi is a CapacityError naming the route, the site
+    count and the t, not the log of what rounding left."""
+    model = nn_chain(radius=10, strength=0.0, spin=(0, 1), boundary=None)
+    message = r"^polymer_sum route on 21 sites: \|Xi\(3\.141592653589793\)\| = 0 is under float64's smallest normal"
+    with pytest.raises(CapacityError, match=message):
+        pg.continuous_log_partition(model, pg.ActivityParams(t=math.pi), "box", mode="polymer_sum")
+    log_xi = pg.continuous_log_partition(model, pg.ActivityParams(t=3.0), "box", mode="polymer_sum")
+    assert log_xi.real == pytest.approx(21 * math.log(math.cos(1.5)), rel=1e-12)
 
 
 def test_activity_derivatives_match_finite_differences():
@@ -944,13 +1106,13 @@ def test_series_damping_refuses_large_t_without_dressing():
     assert res.dominating_tail is None
 
 
-def _joined(idx, adjacency) -> bool:
+def _joined(idx, couplings) -> bool:
     """Whether the sites idx are connected by couplings among them."""
     seen, todo = {idx[0]}, [idx[0]]
     while todo:
         i = todo.pop()
         for j in idx:
-            if j not in seen and adjacency[i] >> j & 1:
+            if j not in seen and j in couplings[i]:
                 seen.add(j)
                 todo.append(j)
     return len(seen) == len(idx)
@@ -975,7 +1137,7 @@ def test_weight_norm_sums_connected_sets_in_scan_order():
                 total = 0.0
                 for rest in combinations([i for i in range(n) if i != anchor], k - 1):
                     idx = tuple(sorted((anchor, *rest)))
-                    if _joined(idx, gas.adjacency):
+                    if _joined(idx, gas.couplings):
                         total += pg._weight(gas, idx, 0.02)
                 want = max(want, total * math.exp(0.7 * k))
             got = pg.weight_norm(model, k, "wc", delta=0.02, c=0.7, region=region)
@@ -1113,11 +1275,18 @@ def test_tree_graph_bounds_match_dense_tables_bit_for_bit():
 
 
 def test_component_cap_raises_not_truncates():
-    # 12 coupled sites in one chain exceed the recursion cap of 10
+    """A coupling component past MAX_POLYMER_SIZE is refused, whatever the
+    region's size: 12 of a chain's sites, and all 15 of a chain the direct
+    route sums."""
     model = nn_chain(radius=6, strength=0.1, spin=(0, 1), boundary=None)
     region = lm.resolve_region(model, "box")[:12]
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="coupling component of 12 sites"):
         pg.polymer_partition(model, pg.ActivityParams(t=0.2), region=region, mode="polymer_sum")
+    chain = nn_chain(radius=7, strength=0.1, spin=(0, 1), boundary=1)
+    params = pg.ActivityParams(t=0.5)
+    assert cmath.isfinite(pg.polymer_partition(chain, params, region="box", mode="direct"))
+    with pytest.raises(CapacityError, match="coupling component of 15 sites"):
+        pg.polymer_partition(chain, params, region="box", mode="polymer_sum")
 
 
 def test_mayer_cap_is_one_for_every_entry_point():
@@ -1150,33 +1319,20 @@ def test_polymer_normalizes_sites():
 
 
 def test_oversized_region_fails_before_building(monkeypatch):
-    """The entry points check the resolved region before a System is built:
-    the exact sum's work at band 0 against the default budget on the direct
-    route, n against POLYMER_REGION_CAP on the gas sum."""
+    """The direct route checks the resolved region before a System is
+    built: the exact sum's work at band 0 against the default budget."""
 
     def no_build(*args, **kwargs):
         raise AssertionError("a System was built")
 
     monkeypatch.setattr(pg, "build_system", no_build)
-    monkeypatch.setattr(pg, "_build", no_build)
     monkeypatch.setattr(ee, "_build", no_build)
     model = nn_chain(radius=512, strength=0.1, spin=(0, 1), boundary=1, r0=2, dimension=2)
     params = pg.ActivityParams(t=0.5)
     budget = r"^transfer sum needs at least 263169\*2\^1\*263170 steps, budget is 16777216$"
-    gas_sum = r"gas sum over 263169 sites walks 2\^263169 site sets, cap is 14 sites"
     with pytest.raises(CapacityError, match=budget):
         pg.polymer_partition(model, params, mode="direct")
-    with pytest.raises(CapacityError, match=gas_sum):
-        pg.polymer_partition(model, params, mode="polymer_sum")
     with pytest.raises(CapacityError, match=budget):
         pg.continuous_log_partition(model, params)
-    with pytest.raises(CapacityError, match=gas_sum):
-        pg.continuous_log_partition(model, params, mode="polymer_sum")
-    with pytest.raises(CapacityError, match=gas_sum):
-        pg.truncated_log_partition(model, params)
-    # 15 sites: the direct route's sum fits, the gas sum's cap does not
-    chain = nn_chain(radius=7, strength=0.1, spin=(0, 1), boundary=1)
-    with pytest.raises(CapacityError, match="gas sum over 15 sites"):
-        pg.polymer_partition(chain, params, region="box", mode="polymer_sum")
     with pytest.raises(CapacityError, match=r"spin grid needs 2\^15000 states"):
         _spin_grid([0, 1], 15000)
