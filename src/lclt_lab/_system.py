@@ -41,7 +41,7 @@ class System:
     fields: tuple[float, ...]
 
     def __post_init__(self):
-        if math.isfinite(_energy_bound(self.pairs, self.values, self.fields)):
+        if math.isfinite(_energy_bounds(self.pairs, self.values, np.array([self.fields], dtype=float))[0]):
             return
         sigma = max(-min(self.values), max(self.values))
         terms = [abs(v) * sigma * sigma for _, _, v in self.pairs] + [abs(b) * sigma for b in self.fields]
@@ -91,28 +91,16 @@ class System:
         return weights / weights.sum(axis=1, keepdims=True)
 
 
-def _energy_bound(pairs, values, fields) -> float:
-    """sum |J| sigma^2 + sum |h_x| sigma, sigma the largest |spin|, of one
-    row of field slopes; inf or NaN where float64 cannot hold it. Every log
+def _energy_bounds(pairs, values, fields: np.ndarray) -> np.ndarray:
+    """sum |J| sigma^2 + sum |h_x| sigma, sigma the largest |spin|, of each
+    row of a (rows, n) array of field slopes, the fields' sum left to right
+    (model._row_sums); inf or NaN where float64 cannot hold it. Every log
     weight, local field and energy shift is at most it in absolute value,
     so while float64 holds it no engine's sum overflows."""
     sigma = max(-min(values), max(values))
-    return sum(abs(v) for _, _, v in pairs) * sigma * sigma + sum(map(abs, fields)) * sigma
-
-
-def _energy_bounds(pairs, values, fields: np.ndarray) -> np.ndarray:
-    """_energy_bound of each row of a (rows, n) array of field slopes, bit
-    for bit."""
-    sigma = max(-min(values), max(values))
     # a bound past float64 is the answer here, not a fault to warn of
     with np.errstate(over="ignore", invalid="ignore"):
-        return sum(abs(v) for _, _, v in pairs) * sigma * sigma + _row_sums(np.abs(fields)) * sigma
-
-
-def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """Each row of a (rows, n) array summed left to right from 0.0, the
-    additions of Python's sum over the row, so bit for bit its value."""
-    return np.cumsum(np.concatenate([np.zeros((len(terms), 1)), terms], axis=1), axis=1)[:, -1]
+        return sum(abs(v) for _, _, v in pairs) * sigma * sigma + m._row_sums(np.abs(fields)) * sigma
 
 
 def _region_pairs(model: m.GibbsModel, region: tuple[m.Site, ...]):

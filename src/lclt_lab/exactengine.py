@@ -8,10 +8,12 @@ the largest index distance of a coupled pair in System order, the
 transfer sum carries a table over the last R spins and the running total
 site by site, in N |I|^(R+1) (N(|I|-1)+1) steps; _moments takes it
 whenever that undercuts the |I|^N states of enumeration. Both routes count
-totals as offsets k = S - N min(I), and the mean and variance of S come
-from the normalized pmf by two passes over those offsets (Chan, Golub &
-LeVeque, Am. Stat. 37 (1983) 242), so neither cancels wherever the spin
-interval sits. S is integer-valued, so the characteristic function is the
+totals as offsets k = S - N min(I), and the mean offset and variance of S
+come from the normalized pmf by two passes over those offsets (Chan, Golub
+& LeVeque, Am. Stat. 37 (1983) 242), so neither cancels wherever the spin
+interval sits; _moments takes them once per law, and statistics, lclt_gap
+and the integral decomposition read that one pass. S is integer-valued, so
+the characteristic function is the
 pmf's Fourier sum; every phase comes from one kernel, _fourier, over the
 offsets centred in the support (|E(e^{itS})| is its modulus); the gap
 
@@ -49,17 +51,20 @@ before the System is built at R = 0, which bounds every route's work from
 below, and after it on the System's own R. Breaching it raises
 CapacityError naming the route and its work.
 
-Both routes take the System's couplings and a (rows, N) array of field
-slopes, one conditioning per row, and sum every row in one pass. Each step
-that reads a field runs elementwise or row by row in the order a single
-row takes it: the field terms site by site, the shift, exp, one bincount
-over row-offset bins, one sum along each row per chunk, one fsum per row,
-the second pass and each transfer step's rescale. So every row keeps the
-bits of a one-row call, and _moments is the one-row call on the System's
-own fields. A decay scan fills the rows from rows of window spins summed
-against a region x window coupling block, runs the route once per group
-of rows (rows with equal fields summed once), and charges the realized
-conditionings times the work of one.
+Every exact sum takes one path, on rows: both routes take the System's
+couplings and a (rows, N) array of field slopes, one conditioning per row,
+sum every row in one pass, and _pmfs normalizes them in one array pass.
+Each step that reads a field runs elementwise or row by row in the order a
+single row takes it: the field terms site by site, the shift, exp, one
+bincount over row-offset bins, one sum along each row per chunk, one fsum
+per row, the second pass, each transfer step's rescale and the
+normalization. So a row's law does not depend on the rows beside it, and
+_moments is the one-row call on the System's own fields. A decay scan
+fills the rows by model._block_fields from rows of window spins, runs the
+route once per group of rows (rows with equal fields summed once), and
+charges the realized conditionings times the work of one. The scalar
+per-row law and energy bound that the rows path must match bit for bit
+are oracles under tests/.
 All functions are pure and thread-safe.
 """
 
@@ -72,7 +77,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import model as m
-from ._system import System, _build, _energy_bounds, _row_sums, _spin_grid, build_system, windowed_exterior
+from ._system import System, _build, _energy_bounds, _spin_grid, build_system, windowed_exterior
 from .errors import CapacityError, DegenerateDistributionError, require_normal_exp
 
 DEFAULT_BUDGET = 1 << 24
@@ -213,10 +218,10 @@ def _energy_shifts(system: System, fields: np.ndarray) -> list[float]:
     """Upper bound on the log weight of each row of field slopes, used to
     keep exponentials bounded: every pair and field term at its largest
     corner of the spin interval, the pairs' sum plus the row's fields' sum,
-    each sum left to right from 0.0 (_row_sums)."""
+    each sum left to right from 0.0 (model._row_sums)."""
     lo, hi = min(system.values), max(system.values)
     pair_part = sum(max(v * lo * lo, v * lo * hi, v * hi * hi) for _, _, v in system.pairs)
-    return (pair_part + _row_sums(np.maximum(fields * lo, fields * hi))).tolist()
+    return (pair_part + m._row_sums(np.maximum(fields * lo, fields * hi))).tolist()
 
 
 def _scan(system: System, fields: np.ndarray):
@@ -393,47 +398,27 @@ def _check_reach(name: str, n: int, s_min: int, width: int) -> None:
         )
 
 
-def _pmf_moments(probs: np.ndarray, s_min: int) -> tuple[float, float]:
-    """(mean, variance) of S = s_min + k under a normalized pmf over the
-    offsets k, by two passes (Chan, Golub & LeVeque, Am. Stat. 37 (1983)
-    242): the mean offset mu, then the sum of p_k (k - mu)^2. Offsets stay
+def _pmf_moments(probs: np.ndarray) -> tuple[float, float]:
+    """(mean offset mu, variance) of a normalized pmf over the offsets
+    k = 0..m-1, by two passes (Chan, Golub & LeVeque, Am. Stat. 37 (1983)
+    242): mu = sum_k p_k k, then the sum of p_k (k - mu)^2. Offsets stay
     within n(q-1), so neither pass cancels."""
-    mu = _mean_offset(probs)
-    d = np.arange(len(probs), dtype=float) - mu
-    return s_min + mu, float(probs @ (d * d))
-
-
-def _mean_offset(probs: np.ndarray) -> float:  # sum_k p_k k, k = 0..m-1
-    return float(probs @ np.arange(len(probs), dtype=float))
-
-
-def _law(name: str, n: int, shift, z, bins, s_min: int):
-    """(shift, Z_shifted, mean, variance, pmf) from one row of a route's
-    sums, the moments taken from the normalized pmf (_pmf_moments)."""
-    _check_reach(name, n, s_min, len(bins))
-    shift, z = float(shift), float(z)
-    if not (z > 0 and math.isfinite(shift) and math.isfinite(z) and np.isfinite(bins).all()):
-        raise _not_finite(name, n, shift, z)
-    probs = bins / z
-    # Both routes' bins are sums of nonnegative terms, so the clip only
-    # zeroes the masses under 1e-300.
-    probs = np.where(probs < 1e-300, 0.0, probs)
-    table = PmfTable(p_min=s_min, probabilities=tuple((probs / probs.sum()).tolist()))
-    return shift, z, *_pmf_moments(table.probability_array, s_min), table
+    k = np.arange(len(probs), dtype=float)
+    mu = float(probs @ k)
+    d = k - mu
+    return mu, float(probs @ (d * d))
 
 
 def _pmfs(name: str, n: int, shift, z, bins, s_min: int) -> np.ndarray:
-    """The (rows, width) pmfs of _law on each row of a route's sums, in one
-    array pass, for the many rows of a decay scan, which reads no moment
-    (_law's scalar checks cost less on the one row of _moments).
-
-    The row that _law refuses first gets _law's error: a reach past 2^53
-    refuses every row alike, rows before the first bad one are normalized
-    and pass _check_pmfs, then it raises _law's CapacityError. Every step is
-    elementwise or a row sum along axis 1 of a contiguous array, which
-    takes the 1-D sum's additions, so each row keeps the bits of its _law
-    pmf.
-    """
+    """The (rows, width) normalized pmfs of a route's sums in one array
+    pass: each row's bins over its Z_shifted, masses under 1e-300 zeroed
+    (the bins are sums of nonnegative terms), then over the row's sum.
+    Totals that can pass 2^53 refuse every row; otherwise the rows before
+    the first whose sums float64 cannot hold (or whose Z_shifted is not
+    positive) pass _check_pmfs, then that row raises a CapacityError naming
+    its shift and Z_shifted. Every step is elementwise or a row sum along
+    axis 1 of a contiguous array, so a row's pmf does not depend on the
+    rows beside it."""
     _check_reach(name, n, s_min, bins.shape[1])
     sums = np.array([shift, z], dtype=float)
     z = sums[1, :, None]
@@ -450,10 +435,14 @@ def _pmfs(name: str, n: int, shift, z, bins, s_min: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _moments(system: System):
-    """_law of the System's own fields: the one-row call of its route."""
+    """(shift, Z_shifted, mean offset, variance, pmf) of the System's own
+    fields: the one-row call of its route and _pmfs, and the one
+    _pmf_moments pass that every reader of the law shares."""
     route, _, name, _ = _cost(system.site_count, len(system.values), _bandwidth(system))
-    *sums, s_min = route(system, system.field_array[None])
-    return _law(name, system.site_count, *(col[0] for col in sums), s_min)
+    shift, z, bins, s_min = route(system, system.field_array[None])
+    probs = _pmfs(name, system.site_count, shift, z, bins, s_min)[0]
+    table = PmfTable(p_min=s_min, probabilities=tuple(probs.tolist()))
+    return shift[0], z[0], *_pmf_moments(table.probability_array), table
 
 
 def partition_function(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) -> float:
@@ -472,8 +461,8 @@ def log_partition_function(model: m.GibbsModel, region="box", budget: int = DEFA
 def statistics(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) -> Statistics:
     """Exact mean and variance of the total spin on the region."""
     system = _checked_system(model, region, budget)
-    _, _, mean, var, _ = _moments(system)
-    return Statistics(site_count=system.site_count, mean_S=mean, variance_S=var)
+    _, _, mu, var, table = _moments(system)
+    return Statistics(site_count=system.site_count, mean_S=table.p_min + mu, variance_S=var)
 
 
 def pmf(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) -> PmfTable:
@@ -527,11 +516,9 @@ def char_from_pmf(table: PmfTable, t) -> complex | np.ndarray:
 
 def lclt_gap(model: m.GibbsModel, region="box", budget: int = DEFAULT_BUDGET) -> float:
     """sup_p |sqrt(D) P(S=p) - gaussian density at z_p| over the support."""
-    table = pmf(model, region, budget)
-    # z_p in offsets p - p_min, whose mean float64 holds to its last bits
-    # wherever the spin interval sits; the same two passes gave _moments'
-    # variance, bit for bit
-    mu, var = _pmf_moments(table.probability_array, 0)
+    # z_p in offsets p - p_min about the law's mean offset, which float64
+    # holds to its last bits wherever the spin interval sits
+    _, _, mu, var, table = _moments(_checked_system(model, region, budget))
     if var <= 1e-12:
         raise DegenerateDistributionError(
             f"total-spin variance {var!r} is too small for a local-CLT gap"
@@ -559,22 +546,19 @@ def decimated_char_fn_sup(
     bounds the work of one exact sum over the region before the block is
     built, and q^(coupled interior sites) realized conditionings times that
     work before the first conditioning. A row's fields are its spins summed
-    against the region x W coupling block in window order (one cumsum over
-    a (rows, region, W) array), as model._field_slopes sums an explicit
-    boundary, so each row's fields are those of build_system(model,
-    "decimated", omega) bit for bit, and a row whose energy bound float64
-    cannot hold gets that System's CapacityError. The rows go to the route
-    _cost picks in groups: a group's rows times the larger of one row's work
-    and its region x W block stay within one enumeration chunk
-    (_CHUNK_TARGET), rows of a group with equal fields share one sum, and
-    every row keeps the bits of its own _moments call. A group's energy
-    bounds and shifts are row-wise cumulative sums (_row_sums), and its
-    pmfs come from one array pass over the route's sums (_pmfs), which
-    refuses the row that _law would refuse first, with _law's error, and
-    keeps each row's bits; no PmfTable and no moment is built. |cf| is
-    |_fourier| of each group, every entry with its one-row, one-t bits, so
-    tied maxima do not depend on the grouping; the (conditionings, t) table
-    is one read-only array, whose entries are built only when read.
+    against the region x W coupling block by model._block_fields, the
+    formula model._field_slopes takes for an explicit boundary, and a row
+    whose energy bound float64 cannot hold gets its own System's
+    CapacityError. The rows go to the route _cost picks in groups: a
+    group's rows times the larger of one row's work and its region x W
+    block stay within one enumeration chunk (_CHUNK_TARGET), and rows of a
+    group with equal fields share one sum. A group's energy bounds and
+    shifts are row-wise cumulative sums (model._row_sums), and its pmfs
+    come from one array pass over the route's sums (_pmfs); no PmfTable and
+    no moment is built. |cf| is |_fourier| of each group, every entry with
+    its one-row, one-t bits, so tied maxima do not depend on the grouping;
+    the (conditionings, t) table is one read-only array, whose entries are
+    built only when read.
     """
     ts = tuple(float(t) for t in t_grid)
     q = model.spin.card
@@ -613,9 +597,7 @@ def decimated_char_fn_sup(
     group = max(1, _CHUNK_TARGET // max(work, n * len(window)))
     for start in range(0, len(labels), group):
         rows = window_spins(start, min(start + group, len(labels)))
-        # cumsum adds each row in window order; + 0.0 turns a -0.0 sum into
-        # the 0.0 that a sum started at 0.0 gives
-        fields = np.cumsum(block * rows[:, None, :], axis=2)[:, :, -1] + 0.0
+        fields = m._block_fields(block, rows)
         # rows with equal fields share one sum
         fields, first, inverse = np.unique(fields, axis=0, return_index=True, return_inverse=True)
         # the first row in scan order whose energy bound float64 cannot hold

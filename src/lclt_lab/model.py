@@ -323,6 +323,19 @@ def _coupling_block(model: "GibbsModel", xs, ys) -> np.ndarray:
     return block
 
 
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row along the last axis of terms summed left to right from 0.0,
+    the additions of Python's sum over the row, so bit for bit its value."""
+    return np.cumsum(np.concatenate([np.zeros(terms.shape[:-1] + (1,)), terms], axis=-1), axis=-1)[..., -1]
+
+
+def _block_fields(block: np.ndarray, spins: np.ndarray) -> np.ndarray:
+    """Field slopes sum_y J(x, y) omega_y of the sites x of a (sites, W)
+    coupling block under each row of a (..., W) array of exterior spins,
+    the products added in window order (_row_sums)."""
+    return _row_sums(block * spins[..., None, :])
+
+
 @dataclass(frozen=True)
 class BoundaryCondition:
     """Spin values omega assigned to sites outside a region.
@@ -551,15 +564,14 @@ def _field_slopes(model: GibbsModel, region_sites: tuple[Site, ...], xs) -> tupl
     with np.errstate(over="ignore", invalid="ignore"):
         if model.coupling.kind == "explicit" or bc.kind == "explicit":
             # J(x, y) omega_y over exterior table partners or assignments in
-            # site order, added left to right from 0.0 (+ 0.0 turns a -0.0
-            # sum to 0.0)
+            # site order
             if model.coupling.kind == "explicit":
                 partners = sorted({s for p in model.coupling.pairs for s in p[:2]} - in_region)
                 exterior = [(y, bc.omega(y)) for y in partners]
             else:
                 exterior = [(y, v) for y, v in bc.assignments if v != 0 and y not in in_region]
-            terms = _coupling_block(model, xs, [y for y, _ in exterior]) * [v for _, v in exterior]
-            slopes = tuple((np.cumsum(terms, axis=1)[:, -1] + 0.0).tolist()) if exterior else (0.0,) * len(xs)
+            block = _coupling_block(model, xs, [y for y, _ in exterior])
+            slopes = tuple(_block_fields(block, np.array([v for _, v in exterior], dtype=float)).tolist())
         else:
             # Constant boundary over a translation-invariant coupling:
             # subtract the in-region, in-window part from the full-window

@@ -371,16 +371,20 @@ def _energy(pairs) -> np.ndarray:
     return sum((x for *_, x in pairs), np.zeros(()))
 
 
-def _overflow(route: str, gas: _Gas, idx: tuple[int, ...]) -> CapacityError:
-    """The error for a non-finite value: the route, its site count and the
-    largest log weight p e^{energy} of its configurations."""
-    _check_grid(gas.q, len(idx))
-    _, laws, pairs = _site_axes(gas, idx)
-    with np.errstate(divide="ignore"):
-        log_law = np.log(_joint_law({}, laws, (1 << len(idx)) - 1))
-    log_weight = float((log_law + _energy(pairs)).max())
+def _overflow(route: str, gas: _Gas, components) -> CapacityError:
+    """The error for a non-finite value on the sites of some coupling
+    components: the route, their site count and the largest log weight
+    p e^{energy} of their configurations. Weights factor over components,
+    so that is the sum of each component's largest, from its own grid."""
+    log_weight = 0.0
+    for comp in components:
+        _check_grid(gas.q, len(comp))
+        _, laws, pairs = _site_axes(gas, comp)
+        with np.errstate(divide="ignore"):
+            log_law = np.log(_joint_law({}, laws, (1 << len(comp)) - 1))
+        log_weight += float((log_law + _energy(pairs)).max())
     return CapacityError(
-        f"{route} on {len(idx)} sites is not finite: the largest log weight is"
+        f"{route} on {sum(map(len, components))} sites is not finite: the largest log weight is"
         f" {log_weight:.1f}, float64 ends at {LOG_FLOAT_MAX:.1f}"
     )
 
@@ -457,12 +461,13 @@ def _total_bins(values: tuple[float, ...], k: int) -> tuple[int, np.ndarray]:
     return int(totals.min()), np.rint(totals - totals.min()).astype(np.intp)
 
 
-def _mayer_pass(gas: _Gas, idx: tuple[int, ...], every: bool) -> None:
+def _mayer_pass(gas: _Gas, idx: tuple[int, ...], every: bool) -> list[int]:
     """Mayer tables (see _mayer) from one rooted recursion over the sites idx,
     ascending: of each connected set of two or more of them (every), or of
     idx itself, the recursion then over the sets its sum reaches; every
     lists the sets from the coupling graph's _schedule. Tables already
     cached are kept, and with none to make the recursion does not run.
+    Returns the sites' _site_axes adjacency, the key of their schedule.
 
     The sites sit on their _site_axes, each pair's factor e^{J s s'} - 1 on
     its two sites' axes, so every set's Mayer sum fills just its own q^|V|
@@ -490,7 +495,7 @@ def _mayer_pass(gas: _Gas, idx: tuple[int, ...], every: bool) -> None:
             _check_grid(gas.q, len(key))
             todo.append((mask, key))
     if not todo:
-        return
+        return adjacency
     with np.errstate(over="ignore", invalid="ignore"):
         factors = _edge_factors(k, pairs, lambda _, x: np.expm1(x))
         sums = _rooted_sum(factors, adjacency, _connected_extend, np.ones(()), target)
@@ -503,9 +508,10 @@ def _mayer_pass(gas: _Gas, idx: tuple[int, ...], every: bool) -> None:
             weighted = (probs * csum).ravel()
             abs_mass = float(np.dot(probs.ravel(), np.abs(csum).ravel()))
             if not (np.isfinite(weighted).all() and math.isfinite(abs_mass)):
-                raise _overflow("Mayer table", gas, key)
+                raise _overflow("Mayer table", gas, [key])
             lowest, bins = _total_bins(values, len(key))
             gas.mayer[key] = (lowest, np.bincount(bins, weights=weighted), abs_mass)
+    return adjacency
 
 
 def _mayer(gas: _Gas, idx: tuple[int, ...]) -> tuple[int, np.ndarray, float]:
@@ -636,8 +642,7 @@ def _build_plan(gas: _Gas) -> _Plan:
         raise CapacityError(f"gas-sum weight rows span {width} total spins, budget is {SPIN_GRID_BUDGET}")
     parts, polymers = [], []
     for comp in gas.components:
-        _mayer_pass(gas, comp, every=True)
-        local, _, _, loop = _schedule(tuple(_site_axes(gas, comp)[0]))
+        local, _, _, loop = _schedule(tuple(_mayer_pass(gas, comp, every=True)))
         parts.append((slice(len(polymers), len(polymers) + len(local)), len(comp), loop))
         polymers += [tuple(comp[a] for a in idx) for idx in local]
     weights = np.zeros((len(polymers), width))
@@ -716,7 +721,7 @@ def _partition(gas: _Gas, t, c: float, mode: str):
         raise DomainError(f"unknown mode {mode!r}; use 'direct' or 'polymer_sum'")
     xi = route(gas, t, c)
     if not np.isfinite(xi).all():
-        raise _overflow(f"{mode} route", gas, tuple(range(len(gas.sites))))
+        raise _overflow(f"{mode} route", gas, gas.components)
     return xi
 
 
@@ -762,7 +767,9 @@ def continuous_log_partition(
     t steps, all evaluated in one call, so each increment stays within the
     principal strip. Principal-branch evaluation at the endpoint would be
     wrong once the phase winds. An Xi under float64's smallest normal has
-    lost its digits, so its log is a CapacityError naming its t.
+    lost its digits, so its log is a CapacityError naming its t; so is an
+    undressed direct-route |Xi(t)|/Xi(0) under the rounding floor of the
+    exact pmf's Fourier sum, its width times eps, where the sum is noise.
     """
     gas = _gas_for_mode(model, region, omega, mode)
     start = _partition_at_zero(gas, params.c, mode)
@@ -770,11 +777,19 @@ def continuous_log_partition(
         raise PreconditionError(f"partition function at t=0 is {start!r}, not positive")
     ts = params.t * np.arange(1, LOG_STEPS + 1) / LOG_STEPS
     xis = [start] + _partition(gas, ts, params.c, mode).tolist()
+    width = len(gas.xi0[1].probabilities) if mode == "direct" and params.c == 0.0 else 0
+    floor = width * np.finfo(float).eps
     for t, xi in zip([0.0] + ts.tolist(), xis):
         if not abs(xi) >= sys.float_info.min:
             raise CapacityError(
                 f"{mode} route on {len(gas.sites)} sites: |Xi({t!r})| = {abs(xi):.3g} is under"
                 f" float64's smallest normal, so its log has no digits"
+            )
+        if abs(xi) < floor * start.real:
+            raise CapacityError(
+                f"{mode} route on {len(gas.sites)} sites: |Xi({t!r})|/Xi(0) = {abs(xi) / start.real:.3g} is"
+                f" under the rounding floor {floor:.3g} of the pmf's Fourier sum over {width} totals,"
+                " so its log has no digits"
             )
     log_val = complex(math.log(start.real))
     for prev, cur in zip(xis, xis[1:]):
@@ -1004,7 +1019,7 @@ def truncated_log_partition(
         logs.append(p - acc / order)
     by_order = [0.0 - float(v.real) if absolute else complex(v) for v in logs]
     if not all(map(cmath.isfinite, by_order)):
-        raise _overflow("cluster series", gas, tuple(range(n)))
+        raise _overflow("cluster series", gas, gas.components)
 
     partial = tuple(accumulate(by_order, initial=0.0 if absolute else 0j))[1:]
     a = math.log(2.0) if params.c == 0.0 else params.c / 4.0

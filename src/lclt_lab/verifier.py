@@ -479,16 +479,15 @@ def integral_decomposition(
     consts = constants(model, c_variant)
     delta = consts.delta
     stats = ee.statistics(model, "box", budget=budget)
-    probs = ee.pmf(model, "box", budget=budget).probability_array
-    var = stats.variance_S
+    # e^{-is mu} phi(s) is the offsets' sum about the mean offset, never the
+    # absolute mean; a rule's nodes come as one array, each with its own bits
+    _, _, mean_offset, var, table = ee._moments(ee._checked_system(model, "box", budget))
+    probs = table.probability_array
     root_d = math.sqrt(var)
     if not (0.0 < a_cut < delta * root_d):
         raise DomainError(
             f"a_cut must lie in (0, delta*sqrt(D)) = (0, {delta * root_d:.6g}), got {a_cut}"
         )
-    # e^{-is mu} phi(s) is the offsets' sum about the mean offset, never the
-    # absolute mean; a rule's nodes come as one array, each with its own bits
-    mean_offset = ee._mean_offset(probs)
 
     def cf_abs(t: np.ndarray) -> np.ndarray:
         return np.abs(ee._fourier(probs, t))

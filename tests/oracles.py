@@ -15,9 +15,12 @@ single_spin_distribution compute a log weight and a single-site law from
 the model's definitions, with every coupling from the scalar
 Coupling.value. energy_shifts_by_rows is the exact engine's earlier
 per-row Python sum of energy shifts, which its row-wise pass must match
-bit for bit; report_line_by_sanitize is the CLI's earlier line writer,
-a recursive walk before json.dumps, whose bytes the shared encoder must
-keep. integral_parts_by_quad is the integral decomposition's earlier
+bit for bit; law_by_row and energy_bound_by_row are its earlier scalar
+law of one row of a route's sums and scalar energy bound of one row of
+field slopes, which the rows path (_pmfs and _moments, _energy_bounds)
+must match bit for bit; report_line_by_sanitize is the CLI's earlier
+line writer, a recursive walk before json.dumps, whose bytes the shared
+encoder must keep. integral_parts_by_quad is the integral decomposition's earlier
 route, scipy.integrate.quad on scalar integrands.
 chain_moments_by_long_double_transfer takes the moments of S on a chain
 in numpy's long double, by a transfer sum and two passes over its pmf.
@@ -446,6 +449,34 @@ def energy_shifts_by_rows(system: System, fields: np.ndarray) -> list[float]:
     return [pair_part + sum(max(b * lo, b * hi) for b in row) for row in fields.tolist()]
 
 
+def law_by_row(name: str, n: int, shift, z, bins, s_min: int):
+    """(shift, Z_shifted, mean, variance, pmf) from one row of a route's
+    sums by scalar checks: the reach, then a shift, Z_shifted or bin that
+    float64 cannot hold (or a Z_shifted that is not positive), then the
+    PmfTable's own. The pmf is the bins over Z_shifted, masses under 1e-300
+    zeroed, over their sum; the moments come from it by two passes, the
+    mean offset mu and then the sum of p_k (k - mu)^2, and the mean is
+    s_min + mu."""
+    ee._check_reach(name, n, s_min, len(bins))
+    shift, z = float(shift), float(z)
+    if not (z > 0 and math.isfinite(shift) and math.isfinite(z) and np.isfinite(bins).all()):
+        raise ee._not_finite(name, n, shift, z)
+    probs = bins / z
+    probs = np.where(probs < 1e-300, 0.0, probs)
+    table = ee.PmfTable(p_min=s_min, probabilities=tuple((probs / probs.sum()).tolist()))
+    k = np.arange(len(table.probabilities), dtype=float)
+    mu = float(table.probability_array @ k)
+    d = k - mu
+    return shift, z, s_min + mu, float(table.probability_array @ (d * d)), table
+
+
+def energy_bound_by_row(pairs, values, fields) -> float:
+    """sum |J| sigma^2 + sum |h_x| sigma of one row of field slopes by
+    Python sums, sigma the largest |spin|."""
+    sigma = max(-min(values), max(values))
+    return sum(abs(v) for _, _, v in pairs) * sigma * sigma + sum(map(abs, fields)) * sigma
+
+
 def chain_moments_by_long_double_transfer(system: System) -> tuple[float, float]:
     """(mean, variance) of S on a System whose pairs join consecutive sites
     only, in numpy's long double: a transfer sum over (last spin, running
@@ -509,7 +540,7 @@ def integrands_by_point(model, c_variant: str = "proved"):
     delta = vf.constants(model, c_variant).delta
     probs = ee.pmf(model, "box").probability_array
     root_d = math.sqrt(ee.statistics(model, "box").variance_S)
-    mean_offset = ee._mean_offset(probs)
+    mean_offset = float(probs @ np.arange(len(probs), dtype=float))
 
     def cf_abs(t: float) -> float:
         return float(np.abs(ee._fourier(probs, np.array([t])))[0])

@@ -471,8 +471,12 @@ def test_min_r0_message(config, tmp_path, capsys):
         (["decay-large-t", "--config", "{config}"], "decay_large_t_reports.jsonl"),
         (["site-cf", "--config", "{power_law}"], "site_cf_power_law_reports.jsonl"),
         (["mc", "--config", "{dyadic}"], "mc_reports.jsonl"),
+        (["integrals", "--config", "{config}", "--a-cut", "0.02"], "integrals_reports.jsonl"),
     ],
-    ids=["constants", "graph-tables", "lclt-scan", "decay-small-t", "decay-large-t", "site-cf-power-law", "mc"],
+    ids=[
+        "constants", "graph-tables", "lclt-scan", "decay-small-t", "decay-large-t", "site-cf-power-law", "mc",
+        "integrals",
+    ],
 )
 def test_constants_golden_file(tmp_path, argv, golden):
     """Frozen byte-level output so report drift is a conscious decision,

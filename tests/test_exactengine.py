@@ -16,7 +16,7 @@ import lclt_lab.polymer as pg
 import lclt_lab.verifier as vf
 import oracles
 from conftest import free_chain, frustrated_complete_graph, nn_chain, random_model, random_omega
-from lclt_lab._system import System, _energy_bound, _energy_bounds, build_system, windowed_exterior
+from lclt_lab._system import System, _energy_bounds, build_system, windowed_exterior
 from lclt_lab.errors import CapacityError, DegenerateDistributionError
 
 
@@ -101,6 +101,32 @@ def test_pmf_normalization_and_moments():
         assert float(ps @ probs) == pytest.approx(stats.mean_S, abs=1e-12)
         var = float((ps - stats.mean_S) ** 2 @ probs)
         assert var == pytest.approx(stats.variance_S, abs=1e-12)
+
+
+def test_each_law_takes_its_moments_once(monkeypatch):
+    """statistics, pmf, lclt_gap and the integral decomposition on the
+    README model's box all read one law, whose mean offset and variance
+    come from one _pmf_moments pass; a second region is a second law and a
+    second pass."""
+    passes = []
+    real = ee._pmf_moments
+
+    def counted(probs):
+        passes.append(len(probs))
+        return real(probs)
+
+    monkeypatch.setattr(ee, "_pmf_moments", counted)
+    ee._moments.cache_clear()
+    model = nn_chain(radius=3, strength=0.1, spin=(0, 1), boundary=1, r0=2)
+    stats = ee.statistics(model)
+    table = ee.pmf(model)
+    ee.lclt_gap(model)
+    decomposition = vf.integral_decomposition(model, a_cut=0.02)
+    assert passes == [8]
+    assert decomposition.mean == stats.mean_S == table.p_min + real(table.probability_array)[0]
+    assert decomposition.variance == stats.variance_S
+    ee.statistics(model, "decimated")
+    assert passes == [8, 4]
 
 
 def test_char_fn_against_pmf_transform():
@@ -530,8 +556,8 @@ def test_law_in_offsets_does_not_depend_on_where_the_interval_sits(case):
     it) plus 4 eps for the shift factor's product and the modulus."""
     near, far, shift = case
     n = near.site_count
-    *_, near_mean, near_var, near_table = ee._law("enumeration", n, *_one_row(ee._scan, near))
-    *_, far_mean, far_var, far_table = ee._law("enumeration", n, *_one_row(ee._scan, far))
+    *_, near_mean, near_var, near_table = oracles.law_by_row("enumeration", n, *_one_row(ee._scan, near))
+    *_, far_mean, far_var, far_table = oracles.law_by_row("enumeration", n, *_one_row(ee._scan, far))
     assert far_table.p_min == near_table.p_min + n * shift
     assert np.abs(far_table.probability_array - near_table.probability_array).max() <= 1e-12
     assert far_var == pytest.approx(near_var, rel=1e-12, abs=1e-300)
@@ -801,7 +827,8 @@ def test_energy_shifts_and_bounds_match_python_sums_bit_for_bit():
         assert isinstance(got, list) and len(got) == len(fields)
         assert _hex(*got) == _hex(*oracles.energy_shifts_by_rows(system, fields)), (system.values, system.pairs)
         bounds = _energy_bounds(system.pairs, system.values, fields)
-        assert _hex(*bounds) == _hex(*(_energy_bound(system.pairs, system.values, row) for row in fields.tolist()))
+        want = (oracles.energy_bound_by_row(system.pairs, system.values, row) for row in fields.tolist())
+        assert _hex(*bounds) == _hex(*want)
 
 
 # (column of the sums, offset from the middle row, value) of each corruption
@@ -822,9 +849,10 @@ _BAD_ROWS = {
 @pytest.mark.parametrize("bad", _BAD_ROWS.values(), ids=_BAD_ROWS.keys())
 def test_scan_refuses_the_row_a_per_row_law_refuses_first(monkeypatch, bad):
     """A route whose sums turn bad from the middle row of a group on: the
-    scan's array pass raises the error, with its message, that _law row by
-    row raises first, a CapacityError for sums float64 cannot hold and the
-    PmfTable RuntimeError for a pmf that drifts or holds NaN. The route's
+    scan's array pass raises the error, with its message, that the scalar
+    per-row law (oracles.law_by_row) raises first row by row, a
+    CapacityError for sums float64 cannot hold and the PmfTable
+    RuntimeError for a pmf that drifts or holds NaN. The route's
     shifts are replaced by the row indices, which no row's pmf reads, so a
     CapacityError's message names its row."""
     model = nn_chain(radius=1, strength=0.05, spin=(-1, 1), boundary=1, r0=2, dimension=2)
@@ -847,7 +875,7 @@ def test_scan_refuses_the_row_a_per_row_law_refuses_first(monkeypatch, bad):
     assert len(sums[1]) >= 5
     with np.errstate(all="ignore"), pytest.raises((CapacityError, RuntimeError)) as want:
         for r, row in enumerate(zip(*sums)):
-            ee._law("enumeration", 1, *row, s_min)
+            oracles.law_by_row("enumeration", 1, *row, s_min)
     assert r == middle
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
@@ -1020,19 +1048,24 @@ def _route_calls(monkeypatch):
 
 def _assert_rows_match_one_row_calls(calls):
     """Each row's sums and law equal, by float.hex, those of the one-row
-    call on its own System, and _moments of that System."""
+    call on its own System, and _moments of that System; the scalar law of
+    oracles.law_by_row on the row's sums gives _moments' law and the row of
+    one _pmfs pass over every row."""
     for route, system, fields, (*sums, s_min) in calls:
+        pmfs = ee._pmfs("route", system.site_count, *sums, s_min)
         for r, row in enumerate(fields):
             own = replace(system, fields=tuple(row.tolist()))
             got = [col[r] for col in sums]
             want = _one_row(route, own)
             assert want[3] == s_min
             assert _hex(*got[:2], *got[2]) == _hex(*want[:2], *want[2]), (system.sites, r)
-            got_law = ee._law("route", system.site_count, *got, s_min)
-            want_law = ee._moments.__wrapped__(own)
+            got_law = oracles.law_by_row("route", system.site_count, *got, s_min)
+            shift, z, mu, var, table = ee._moments.__wrapped__(own)
+            assert table.p_min == s_min
             assert _hex(*got_law[:4], *got_law[4].probabilities) == _hex(
-                *want_law[:4], *want_law[4].probabilities
+                shift, z, s_min + mu, var, *table.probabilities
             ), (system.sites, r)
+            assert _hex(*pmfs[r]) == _hex(*got_law[4].probabilities), (system.sites, r)
 
 
 def _conditioning_fields(model, seed):

@@ -482,6 +482,29 @@ def test_coefficient_matches_direct_exterior_sum():
             assert slope == pytest.approx(direct, abs=1e-12)
 
 
+def test_block_fields_are_python_sums_bit_for_bit():
+    """model._block_fields, the one formula of an explicit boundary's field
+    slopes and of a decay scan's rows, gives each site under each row of
+    exterior spins the bits of Python's sum of J(x, y) omega_y in window
+    order: signed zeros, 1e300 terms that cancel and random couplings over
+    ten decades; an empty window gives 0.0."""
+    rng = np.random.default_rng(17)
+    special = np.array([0.0, -0.0, 1e300, -1e300, 0.25, -3.0])
+    for _ in range(200):
+        n, w, rows = (int(k) for k in rng.integers(1, 7, size=3))
+        block = np.where(
+            rng.random((n, w)) < 0.5,
+            rng.choice(special, size=(n, w)),
+            rng.normal(size=(n, w)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(n, w)),
+        )
+        spins = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0], size=(rows, w))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = lm._block_fields(block, spins)
+        want = [[sum(j * v for j, v in zip(line, row)) for line in block.tolist()] for row in spins.tolist()]
+        assert [v.hex() for v in got.ravel().tolist()] == [float(v).hex() for v in np.ravel(want)]
+    assert lm._block_fields(np.zeros((3, 0)), np.zeros(0)).tolist() == [0.0, 0.0, 0.0]
+
+
 def test_free_chain_is_uniform():
     model = free_chain(radius=2)
     for x in lm.resolve_region(model, "box"):

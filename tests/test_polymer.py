@@ -770,6 +770,52 @@ def test_continuous_log_refuses_a_subnormal_xi():
     assert log_xi.real == pytest.approx(21 * math.log(math.cos(1.5)), rel=1e-12)
 
 
+def test_continuous_log_refuses_a_ratio_under_the_fourier_floor():
+    """On the 201 decimated sites of a long chain the direct route's
+    |Xi(t)|/Xi(0) = |E(e^{itS})| comes from the exact pmf's Fourier sum,
+    which cannot resolve it under 202 totals times eps: its continuous log
+    to t = 1.5 is a CapacityError naming the route, the site count and the
+    first t past the floor, not the log of rounding noise. Below the floor's
+    t the two routes agree, and the gas route's real part at t = 1.5 is the
+    sum of the one-site log |phi_x|, the decimated sites being uncoupled."""
+    model = nn_chain(radius=200, strength=0.1, spin=(0, 1), boundary=1, r0=2)
+    message = (
+        r"^direct route on 201 sites: \|Xi\(1\.1015625\)\|/Xi\(0\) = 1\.56e-14 is under the rounding"
+        r" floor 4\.49e-14 of the pmf's Fourier sum over 202 totals, so its log has no digits$"
+    )
+    with pytest.raises(CapacityError, match=message):
+        pg.continuous_log_partition(model, pg.ActivityParams(t=1.5))
+    params = pg.ActivityParams(t=0.5)
+    direct = pg.continuous_log_partition(model, params)
+    assert pg.continuous_log_partition(model, params, mode="polymer_sum") == pytest.approx(direct, rel=1e-12)
+    gas = pg._gas(model, "decimated", None)
+    log_xi = pg.continuous_log_partition(model, pg.ActivityParams(t=1.5), mode="polymer_sum")
+    want = math.fsum(math.log(abs(p @ np.exp(1.5j * gas.values))) for p in gas.probs)
+    assert log_xi.real == pytest.approx(want, rel=1e-12)
+
+
+def test_overflow_names_the_largest_log_weight_of_many_components():
+    """30 disjoint pairs at J = 30 (spins {0, 1}, zero boundary): Xi(0) is
+    ((3 + e^30)/4)^30, past float64. The gas route names the largest log
+    weight, the sum of each pair's 30 - 2 log 2, which is the direct
+    route's log Xi(0) to the digit shown, without a spin grid over the 60
+    sites (2^60 states)."""
+    sites = [(x,) for x in range(-30, 30)]
+    model = lm.GibbsModel(
+        box=lm.Box(dimension=1, radius=30, r0=1),
+        spin=lm.SpinInterval(0, 1),
+        coupling=lm.Coupling.explicit([(sites[k], sites[k + 1], 30.0) for k in range(0, 60, 2)]),
+        boundary=lm.BoundaryCondition.zero(),
+    )
+    params = pg.ActivityParams(t=0.0)
+    direct = r"^direct route on 60 sites is not finite in float64: log Xi\(0\) is 858\.4, float64 ends at 709\.8$"
+    with pytest.raises(CapacityError, match=direct):
+        pg.polymer_partition(model, params, region=sites, mode="direct")
+    gas = r"^polymer_sum route on 60 sites is not finite: the largest log weight is 858\.4, float64 ends at 709\.8$"
+    with pytest.raises(CapacityError, match=gas):
+        pg.polymer_partition(model, params, region=sites, mode="polymer_sum")
+
+
 def test_activity_derivatives_match_finite_differences():
     rng = np.random.default_rng(13)
     model = nn_chain(radius=2, strength=0.25, spin=(-1, 1), boundary=1)
