@@ -103,23 +103,77 @@ def _energy_bounds(pairs, values, fields: np.ndarray) -> np.ndarray:
         return sum(abs(v) for _, _, v in pairs) * sigma * sigma + m._row_sums(np.abs(fields)) * sigma
 
 
-def _region_pairs(model: m.GibbsModel, region: tuple[m.Site, ...]):
-    """(i, k, J) of each coupled pair i < k, by i and then k."""
-    i, k, j = m._couplings_within(model, region, region, model.coupling.range_bound or 2 * model.box.radius)
-    keep = (i < k) & (j != 0.0)
-    return tuple(zip(i[keep].tolist(), k[keep].tolist(), j[keep].tolist()))
+def _pairs_and_fields(model: m.GibbsModel, region: tuple[m.Site, ...]):
+    """(pairs, fields) of a System on the region, from one
+    model._couplings_within search over region x (region + boundary sites).
+
+    pairs lists (i, k, J) of each coupled pair i < k of region sites, by i
+    and then k. fields are the slopes b_x: 0 under a zero boundary; over an
+    explicit coupling's exterior table partners, or over an explicit
+    boundary's nonzero exterior assignments, the region x partners block
+    (the table's reach, else the truncation radius) summed against their
+    spins by model._block_fields; under a constant boundary over a
+    translation-invariant coupling, the window total less each site's
+    in-window region part. The search runs at the larger of the pair radius
+    and the field radius. J vanishes past the pair radius (the coupling's
+    exact range, or every pair of the box), so the pairs need no filter; the
+    fields drop what lies past their radius, which leaves their terms and
+    the order they are added in. A slope that float64 cannot hold is a
+    CapacityError naming its site."""
+    coupling, bc, n = model.coupling, model.boundary, len(region)
+    pair_reach = coupling.range_bound or 2 * model.box.radius
+    field_reach = coupling.range_bound if coupling.kind == "explicit" else model.truncation_radius
+    exterior, spins = (), None
+    if bc.kind != "zero" and "explicit" in (coupling.kind, bc.kind):
+        in_region = set(region)
+        if coupling.kind == "explicit":
+            partners = sorted({s for p in coupling.pairs for s in p[:2]} - in_region)
+            items = [(y, bc.omega(y)) for y in partners]
+        else:
+            items = [(y, v) for y, v in bc.assignments if v != 0 and y not in in_region]
+        exterior = tuple(y for y, _ in items)
+        spins = np.array([v for _, v in items], dtype=float)
+    reach = pair_reach if bc.kind == "zero" else max(pair_reach, field_reach)
+    i, k, j = m._couplings_within(model, region, region + exterior, reach)
+    keep = (i < k) & (k < n) & (j != 0.0)
+    pairs = tuple(zip(i[keep].tolist(), k[keep].tolist(), j[keep].tolist()))
+    if bc.kind == "zero":
+        return pairs, (0.0,) * n
+    if reach > field_reach:
+        coords = np.asarray(region + exterior, dtype=np.int64).reshape(n + len(exterior), -1)
+        near = np.abs(coords[i] - coords[k]).max(axis=1) <= field_reach
+        i, k, j = i[near], k[near], j[near]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spins is not None:
+            outside = k >= n
+            block = np.zeros((n, len(exterior)))
+            block[i[outside], k[outside] - n] = j[outside]
+            slopes = m._block_fields(block, spins).tolist()
+        else:
+            window_total = m._window_coupling_total(
+                coupling, model.box.dimension, model.truncation_radius, 1, absolute=False
+            )
+            # each site's in-window region part is one run of j, in region order
+            ends = np.cumsum(np.bincount(i, minlength=n)).tolist()
+            slopes = [bc.value * (window_total - float(j[a:b].sum())) for a, b in zip([0, *ends[:-1]], ends)]
+    if not all(map(math.isfinite, slopes)):
+        # name an infinite slope where there is one: a NaN beside it is inf - inf
+        bad = [x for x, b in enumerate(slopes) if not math.isfinite(b)]
+        x = next((x for x in bad if math.isinf(slopes[x])), bad[0])
+        what = f"is {slopes[x]}, not finite in" if math.isinf(slopes[x]) else "overflows"
+        raise CapacityError(f"boundary field slope of site {region[x]} {what} float64")
+    return pairs, tuple(slopes)
 
 
 @lru_cache(maxsize=512)
 def _build(model: m.GibbsModel, region: tuple[m.Site, ...], omega_items) -> System:
+    """The System of the region, under the explicit boundary of omega_items
+    (_omega_items' canonical form, taken as it is) when they are given; its
+    pairs and fields come from one search (_pairs_and_fields)."""
     if omega_items is not None:
-        model = replace(model, boundary=m.BoundaryCondition.explicit(omega_items))
-    return System(
-        sites=region,
-        values=model.spin.values,
-        pairs=_region_pairs(model, region),
-        fields=m._field_slopes(model, region, region),
-    )
+        model = replace(model, boundary=m.BoundaryCondition(kind="explicit", assignments=omega_items))
+    pairs, fields = _pairs_and_fields(model, region)
+    return System(sites=region, values=model.spin.values, pairs=pairs, fields=fields)
 
 
 def _check_grid(q: int, k: int) -> None:

@@ -547,7 +547,7 @@ def decimated_char_fn_sup(
     built, and q^(coupled interior sites) realized conditionings times that
     work before the first conditioning. A row's fields are its spins summed
     against the region x W coupling block by model._block_fields, the
-    formula model._field_slopes takes for an explicit boundary, and a row
+    formula _system._build takes for an explicit boundary, and a row
     whose energy bound float64 cannot hold gets its own System's
     CapacityError. The rows go to the route _cost picks in groups: a
     group's rows times the larger of one row's work and its region x W

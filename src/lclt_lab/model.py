@@ -259,11 +259,11 @@ class Coupling:
     def between(self, xs, ys) -> np.ndarray:
         """J(x, y) over broadcast integer site arrays (..., d), with value's
         bits on every CPU: the power law takes Python's pow, not numpy's."""
-        xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64))
         if self.kind == "explicit":
+            xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64))
             rows = zip(*(map(tuple, a.reshape(-1, a.shape[-1]).tolist()) for a in (xs, ys)))
             return np.array([self._pair_lookup.get(tuple(sorted(r)), 0.0) for r in rows]).reshape(xs.shape[:-1])
-        diff = xs - ys
+        diff = np.subtract(xs, ys, dtype=np.int64)
         if self.kind == "nearest_neighbor":
             return np.where(np.abs(diff).sum(axis=-1) == 1, self.strength, 0.0)
         r2, inverse = np.unique((diff * diff).sum(axis=-1), return_inverse=True)
@@ -289,28 +289,37 @@ def _couplings_within(model: "GibbsModel", xs, ys, radius: int):
     else:
         # one key per y: its row (rank of its first coordinate) then its
         # second coordinate, so each row's run is one key interval
-        starts = np.flatnonzero(np.diff(lead, prepend=lead[0] - 1))
-        rows, row = lead[starts], np.repeat(np.arange(len(starts)), np.diff(starts, append=len(lead)))
-        base = ys[:, 1].min()
-        width = int(ys[:, 1].max() - base) + 1
-        keys = row * width + ys[order, 1] - base
+        starts = np.empty(len(lead), dtype=bool)
+        starts[0] = True
+        np.not_equal(lead[1:], lead[:-1], out=starts[1:])
+        rows, second = lead[starts], ys[order, 1]
+        base = int(second.min())
+        width = int(second.max()) - base + 1
+        keys = (np.cumsum(starts) - 1) * width + (second - base)
         first_row = np.searchsorted(rows, xs[:, 0] - radius, "left")
         row_count = np.searchsorted(rows, xs[:, 0] + radius, "right") - first_row
-        owner = np.repeat(np.arange(len(xs)), row_count)
-        run_row = np.repeat(first_row - np.cumsum(row_count) + row_count, row_count) + np.arange(row_count.sum())
+        owner, run_row = _runs(first_row, row_count)
         offset = xs[owner, 1] - base
         lo = run_row * width + np.minimum(np.maximum(offset - radius, 0), width)
         hi = run_row * width + np.minimum(np.maximum(offset + radius, -1), width - 1)
     first = np.searchsorted(keys, lo, "left")
-    count = np.maximum(np.searchsorted(keys, hi, "right") - first, 0)
-    i = np.repeat(owner, count)
-    k = order[np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())]
-    near = np.ones(len(i), dtype=bool)
-    for c in range(2, d):
-        near &= np.abs(xs[i, c] - ys[k, c]) <= radius
-    by_x = np.lexsort((k[near], i[near]))
-    i, k = i[near][by_x], k[near][by_x]
+    run, at = _runs(first, np.maximum(np.searchsorted(keys, hi, "right") - first, 0))
+    i, k = owner[run], order[at]
+    if d > 2:
+        near = (np.abs(xs[i, 2:] - ys[k, 2:]) <= radius).all(axis=1)
+        i, k = i[near], k[near]
+    # each (i, k) once, so one key sorts them by i and then k
+    by_x = np.argsort(i * len(ys) + k)
+    i, k = i[by_x], k[by_x]
     return i, k, model.coupling.between(xs[i], ys[k])
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray):
+    """(run, at) over runs of counts[r] consecutive integers from starts[r],
+    run after run: each entry's run r and its integer."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(np.arange(len(counts)), counts), np.repeat(starts - ends + counts, counts) + np.arange(total)
 
 
 def _coupling_block(model: "GibbsModel", xs, ys) -> np.ndarray:
@@ -552,44 +561,6 @@ def interaction_norm(model: GibbsModel, step: int = 1) -> float:
                 if x in model.box:
                     totals[x] = totals.get(x, 0.0) + abs(j)
     return max(totals.values(), default=0.0)
-
-
-def _field_slopes(model: GibbsModel, region_sites: tuple[Site, ...], xs) -> tuple[float, ...]:
-    """b_x for each site x of xs, all of them in the resolved region_sites.
-    A slope that float64 cannot hold is a CapacityError naming its site."""
-    bc = model.boundary
-    if bc.kind == "zero":
-        return (0.0,) * len(xs)
-    in_region = set(region_sites)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if model.coupling.kind == "explicit" or bc.kind == "explicit":
-            # J(x, y) omega_y over exterior table partners or assignments in
-            # site order
-            if model.coupling.kind == "explicit":
-                partners = sorted({s for p in model.coupling.pairs for s in p[:2]} - in_region)
-                exterior = [(y, bc.omega(y)) for y in partners]
-            else:
-                exterior = [(y, v) for y, v in bc.assignments if v != 0 and y not in in_region]
-            block = _coupling_block(model, xs, [y for y, _ in exterior])
-            slopes = tuple(_block_fields(block, np.array([v for _, v in exterior], dtype=float)).tolist())
-        else:
-            # Constant boundary over a translation-invariant coupling:
-            # subtract the in-region, in-window part from the full-window
-            # total instead of walking the window site by site; each x's
-            # part is one array in region order.
-            window_total = _window_coupling_total(
-                model.coupling, model.box.dimension, model.truncation_radius, 1, absolute=False
-            )
-            i, _, j = _couplings_within(model, xs, region_sites, model.truncation_radius)
-            ends = np.cumsum(np.bincount(i, minlength=len(xs)))
-            slopes = tuple(bc.value * (window_total - float(j[a:b].sum())) for a, b in zip([0, *ends[:-1]], ends))
-    if all(map(math.isfinite, slopes)):
-        return slopes
-    # name an infinite slope where there is one: a NaN beside it is inf - inf
-    bad = [k for k, b in enumerate(slopes) if not math.isfinite(b)]
-    k = next((k for k in bad if math.isinf(slopes[k])), bad[0])
-    what = f"is {slopes[k]}, not finite in" if math.isinf(slopes[k]) else "overflows"
-    raise CapacityError(f"boundary field slope of site {xs[k]} {what} float64")
 
 
 def _kappa_exponent(interaction: float, sigma: int, card: int) -> float:

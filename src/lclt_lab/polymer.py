@@ -461,41 +461,48 @@ def _total_bins(values: tuple[float, ...], k: int) -> tuple[int, np.ndarray]:
     return int(totals.min()), np.rint(totals - totals.min()).astype(np.intp)
 
 
-def _mayer_pass(gas: _Gas, idx: tuple[int, ...], every: bool) -> list[int]:
-    """Mayer tables (see _mayer) from one rooted recursion over the sites idx,
-    ascending: of each connected set of two or more of them (every), or of
-    idx itself, the recursion then over the sets its sum reaches; every
-    lists the sets from the coupling graph's _schedule. Tables already
-    cached are kept, and with none to make the recursion does not run.
-    Returns the sites' _site_axes adjacency, the key of their schedule.
+def _mayer_pass(gas: _Gas, idx: tuple[int, ...], every: bool):
+    """(adjacency, keys): Mayer tables (see _mayer) from one rooted
+    recursion over the sites idx, ascending: of each connected set of two or
+    more of them (every), or of idx itself, the recursion then over the sets
+    its sum reaches; every lists the sets from the coupling graph's
+    _schedule. Tables already cached are kept, and with none to make the
+    recursion does not run. adjacency is the sites' _site_axes adjacency,
+    the key of their schedule; keys holds the region site indices of each
+    set listed (every: each of the schedule's polymers, in its order, one
+    site ones included), each key built once here, so the gas-sum plan
+    reads its weight rows by them.
 
     The sites sit on their _site_axes, each pair's factor e^{J s s'} - 1 on
     its two sites' axes, so every set's Mayer sum fills just its own q^|V|
     configurations in _spin_grid's order. Joint laws, sums and the |sum|
     mass are then the products the set's own spin grid would give, in the
     same order, and the total spins come from that grid (one per set size),
-    so a table keeps every bit. Tables are made, and the first past
+    so a table keeps every bit. Each table is made in one pass over its
+    configurations: its |sum| mass sum p |C| is its one finiteness test,
+    finite just when every p C is (an infinite or NaN product, 0 * inf
+    included, makes it inf or NaN). Tables are made, and the first past
     MAX_POLYMER_SIZE sites, past the spin-grid budget or not finite
     refused, in descending mask order, the order the gas-sum plan reads
     them.
     """
     k = len(idx)
     adjacency, laws, pairs = _site_axes(gas, idx)
-    target = None if every else (1 << k) - 1
     if every:
         polymers, masks = _schedule(tuple(adjacency))[:2]
-        sets = zip(masks.tolist(), polymers)
+        masks, target = masks.tolist(), None
     else:
-        sets = [(target, tuple(range(k)))]
-    todo = []
-    for mask, members in sets:
-        key = tuple(idx[a] for a in members)
-        if len(key) > 1 and key not in gas.mayer:
-            _check_polymer(len(key))
-            _check_grid(gas.q, len(key))
-            todo.append((mask, key))
+        polymers, masks, target = (tuple(range(k)),), [(1 << k) - 1], (1 << k) - 1
+    keys = [tuple(map(idx.__getitem__, members)) for members in polymers]
+    todo = [(mask, key) for mask, key in zip(masks, keys) if len(key) > 1 and key not in gas.mayer]
     if not todo:
-        return adjacency
+        return adjacency, keys
+    # idx (a coupling component, or the one polymer looked up) is the
+    # largest set and comes first unless its table is cached, when it
+    # passed; the caps grow with the size, so idx's check is the one that
+    # can fail, on the first set
+    _check_polymer(k)
+    _check_grid(gas.q, k)
     with np.errstate(over="ignore", invalid="ignore"):
         factors = _edge_factors(k, pairs, lambda _, x: np.expm1(x))
         sums = _rooted_sum(factors, adjacency, _connected_extend, np.ones(()), target)
@@ -505,13 +512,12 @@ def _mayer_pass(gas: _Gas, idx: tuple[int, ...], every: bool) -> list[int]:
             csum = sums.get(mask)
             if csum is None:  # a disconnected polymer
                 csum = np.zeros(probs.shape)
-            weighted = (probs * csum).ravel()
             abs_mass = float(np.dot(probs.ravel(), np.abs(csum).ravel()))
-            if not (np.isfinite(weighted).all() and math.isfinite(abs_mass)):
+            if not math.isfinite(abs_mass):
                 raise _overflow("Mayer table", gas, [key])
             lowest, bins = _total_bins(values, len(key))
-            gas.mayer[key] = (lowest, np.bincount(bins, weights=weighted), abs_mass)
-    return adjacency
+            gas.mayer[key] = (lowest, np.bincount(bins, weights=(probs * csum).ravel()), abs_mass)
+    return adjacency, keys
 
 
 def _mayer(gas: _Gas, idx: tuple[int, ...]) -> tuple[int, np.ndarray, float]:
@@ -624,7 +630,8 @@ def _partition_direct(gas: _Gas, t, c: float):
 def _build_plan(gas: _Gas) -> _Plan:
     """The region's _Plan: per coupling component, its _schedule and the
     weight rows of its own laws and Mayer tables, the tables from one
-    _mayer_pass over its sites. The recursion needs every connected subset
+    _mayer_pass over its sites, each row read by the site key that pass
+    built for its polymer. The recursion needs every connected subset
     of a component; dropping the large ones would silently break the
     identity the gas sum certifies, so a component past MAX_POLYMER_SIZE
     is refused here, and so are weight rows past SPIN_GRID_BUDGET totals."""
@@ -642,9 +649,9 @@ def _build_plan(gas: _Gas) -> _Plan:
         raise CapacityError(f"gas-sum weight rows span {width} total spins, budget is {SPIN_GRID_BUDGET}")
     parts, polymers = [], []
     for comp in gas.components:
-        local, _, _, loop = _schedule(tuple(_mayer_pass(gas, comp, every=True)))
-        parts.append((slice(len(polymers), len(polymers) + len(local)), len(comp), loop))
-        polymers += [tuple(comp[a] for a in idx) for idx in local]
+        adjacency, keys = _mayer_pass(gas, comp, every=True)
+        parts.append((slice(len(polymers), len(polymers) + len(keys)), len(comp), _schedule(tuple(adjacency))[3]))
+        polymers += keys
     weights = np.zeros((len(polymers), width))
     for row, idx in enumerate(polymers):
         if len(idx) == 1:
@@ -720,7 +727,8 @@ def _partition(gas: _Gas, t, c: float, mode: str):
     if route is None:
         raise DomainError(f"unknown mode {mode!r}; use 'direct' or 'polymer_sum'")
     xi = route(gas, t, c)
-    if not np.isfinite(xi).all():
+    # a scalar t gives a complex, whose test cmath takes without numpy
+    if not (cmath.isfinite(xi) if isinstance(xi, complex) else np.isfinite(xi).all()):
         raise _overflow(f"{mode} route", gas, gas.components)
     return xi
 
@@ -960,10 +968,14 @@ def _series_damping(model, gas, params, a):
     # undressed, the one-site weight delta*sigma is dressed by e^1 like the rest
     norms = {k: _weight_norm(gas, k, dress, delta) for k in range(1 if params.c == 0.0 else 2, k_cap + 1)}
 
+    # e^{ak} and e^a - 1 do not depend on theta, so the bisection reads them
+    terms = [(k, w, math.exp(a * k)) for k, w in norms.items()]
+    rhs = math.exp(a) - 1.0
+
     def admissible(theta: float) -> bool:
-        lhs = sum(w * theta**k * math.exp(a * k) for k, w in norms.items())
+        lhs = sum(w * theta**k * grow for k, w, grow in terms)
         lhs += geometric_norm_tail(bound_base * theta, a, k_cap + 1)
-        return lhs <= math.exp(a) - 1.0
+        return lhs <= rhs
 
     theta = None
     if admissible(1.0):

@@ -24,12 +24,17 @@ encoder must keep. integral_parts_by_quad is the integral decomposition's earlie
 route, scipy.integrate.quad on scalar integrands.
 chain_moments_by_long_double_transfer takes the moments of S on a chain
 in numpy's long double, by a transfer sum and two passes over its pmf.
+system_by_two_searches is the System build's earlier path, one neighbour
+search for the region's pairs and one for its field slopes (field_slopes),
+whose pairs and fields the one-search build must match bit for bit.
+series_damping_by_bisection is the series damping's earlier bisection,
+which took e^{ak} and e^a - 1 at every step; theta must keep its bits.
 """
 
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -41,7 +46,7 @@ import lclt_lab.model as lm
 import lclt_lab.polymer as pg
 import lclt_lab.verifier as vf
 from lclt_lab._system import System, _spin_grid
-from lclt_lab.errors import CapacityError, DomainError
+from lclt_lab.errors import CapacityError, DomainError, PreconditionError
 
 # Connected-graph enumeration materializes all 2^(k(k-1)/2) edge sets; the
 # vertex caps keep that table and the k^(k-2) trees desk-sized.
@@ -382,6 +387,95 @@ def plan_by_masks(gas):
     return parts, sizes, spins, weights
 
 
+def field_slopes(model, region_sites: tuple[lm.Site, ...], xs) -> tuple[float, ...]:
+    """b_x for each site x of xs, all of them in the resolved region_sites,
+    by the System build's earlier field search: the region x exterior
+    coupling block (model._coupling_block) summed against the exterior's
+    spins, or the window total less a second search's in-window region
+    part. A slope that float64 cannot hold is a CapacityError naming its
+    site."""
+    bc = model.boundary
+    if bc.kind == "zero":
+        return (0.0,) * len(xs)
+    in_region = set(region_sites)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.coupling.kind == "explicit" or bc.kind == "explicit":
+            # J(x, y) omega_y over exterior table partners or assignments in
+            # site order
+            if model.coupling.kind == "explicit":
+                partners = sorted({s for p in model.coupling.pairs for s in p[:2]} - in_region)
+                exterior = [(y, bc.omega(y)) for y in partners]
+            else:
+                exterior = [(y, v) for y, v in bc.assignments if v != 0 and y not in in_region]
+            block = lm._coupling_block(model, xs, [y for y, _ in exterior])
+            slopes = tuple(lm._block_fields(block, np.array([v for _, v in exterior], dtype=float)).tolist())
+        else:
+            # Constant boundary over a translation-invariant coupling:
+            # subtract the in-region, in-window part from the full-window
+            # total instead of walking the window site by site; each x's
+            # part is one array in region order.
+            window_total = lm._window_coupling_total(
+                model.coupling, model.box.dimension, model.truncation_radius, 1, absolute=False
+            )
+            i, _, j = lm._couplings_within(model, xs, region_sites, model.truncation_radius)
+            ends = np.cumsum(np.bincount(i, minlength=len(xs)))
+            slopes = tuple(bc.value * (window_total - float(j[a:b].sum())) for a, b in zip([0, *ends[:-1]], ends))
+    if all(map(math.isfinite, slopes)):
+        return slopes
+    # name an infinite slope where there is one: a NaN beside it is inf - inf
+    bad = [k for k, b in enumerate(slopes) if not math.isfinite(b)]
+    k = next((k for k in bad if math.isinf(slopes[k])), bad[0])
+    what = f"is {slopes[k]}, not finite in" if math.isinf(slopes[k]) else "overflows"
+    raise CapacityError(f"boundary field slope of site {xs[k]} {what} float64")
+
+
+def system_by_two_searches(model, region: tuple[lm.Site, ...], omega_items=None) -> System:
+    """The System build's earlier path: the omega override normalized again
+    by BoundaryCondition.explicit, the region's pairs from one search at the
+    pair radius and the fields from field_slopes' own search."""
+    if omega_items is not None:
+        model = replace(model, boundary=lm.BoundaryCondition.explicit(omega_items))
+    i, k, j = lm._couplings_within(model, region, region, model.coupling.range_bound or 2 * model.box.radius)
+    keep = (i < k) & (j != 0.0)
+    pairs = tuple(zip(i[keep].tolist(), k[keep].tolist(), j[keep].tolist()))
+    return System(region, model.spin.values, pairs, field_slopes(model, region, region))
+
+
+def series_damping_by_bisection(model, gas, params, a):
+    """The series damping's earlier bisection, uncached: each step takes
+    e^{ak} and e^a - 1 afresh. theta must keep its bits."""
+    delta = params.delta_cap
+    if delta is None or (params.c == 0.0 and abs(params.t) > delta + 1e-12):
+        return None
+    dress = 1.0 if params.c == 0.0 else params.c
+    try:
+        step_norm = lm.interaction_norm(model, step=model.box.r0)
+        bound_base = pg.weight_norm_bound(2, delta, gas.sigma, step_norm, c=dress) ** 0.5
+    except (PreconditionError, DomainError):
+        return None
+    k_cap = min(4, len(gas.sites))
+    norms = {k: pg._weight_norm(gas, k, dress, delta) for k in range(1 if params.c == 0.0 else 2, k_cap + 1)}
+
+    def admissible(theta: float) -> bool:
+        lhs = sum(w * theta**k * math.exp(a * k) for k, w in norms.items())
+        lhs += pg.geometric_norm_tail(bound_base * theta, a, k_cap + 1)
+        return lhs <= math.exp(a) - 1.0
+
+    if not admissible(1.0):
+        return None
+    lo, hi = 1.0, 1.0
+    while admissible(hi * 2.0) and hi < 1e6:
+        hi *= 2.0
+    hi = hi * 2.0
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        if admissible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 @dataclass(frozen=True)
 class SpinConfig:
     """An assignment of spin values to an ordered tuple of region sites."""
@@ -410,7 +504,7 @@ def hamiltonian(model, config: SpinConfig) -> float:
     region = lm.resolve_region(model, config.sites)
     lookup = dict(zip(config.sites, config.values))
     values = [lookup[s] for s in region]
-    slopes = lm._field_slopes(model, region, region)
+    slopes = field_slopes(model, region, region)
     pairs = tuple(
         (i, k, j)
         for i, x in enumerate(region)
@@ -432,7 +526,7 @@ def single_spin_distribution(model, x, region="box") -> dict[int, float]:
     x = lm._as_site(x, model.box.dimension)
     if x not in region_sites:
         raise DomainError(f"site {x} is not in the region")
-    b = lm._field_slopes(model, region_sites, (x,))[0]
+    b = field_slopes(model, region_sites, (x,))[0]
     spins = np.array(model.spin.values, dtype=float)
     logw = b * spins
     logw -= logw.max()

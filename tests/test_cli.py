@@ -472,10 +472,11 @@ def test_min_r0_message(config, tmp_path, capsys):
         (["site-cf", "--config", "{power_law}"], "site_cf_power_law_reports.jsonl"),
         (["mc", "--config", "{dyadic}"], "mc_reports.jsonl"),
         (["integrals", "--config", "{config}", "--a-cut", "0.02"], "integrals_reports.jsonl"),
+        (["identity-check", "--config", "{config}", "--dressed"], "identity_check_reports.jsonl"),
     ],
     ids=[
         "constants", "graph-tables", "lclt-scan", "decay-small-t", "decay-large-t", "site-cf-power-law", "mc",
-        "integrals",
+        "integrals", "identity-check",
     ],
 )
 def test_constants_golden_file(tmp_path, argv, golden):

@@ -4,7 +4,9 @@ Every J(x, y) the engines use comes from Coupling.between over site arrays,
 through model._couplings_within where only sites within a sup-norm radius
 can couple. The loops below are the site-by-site forms those callers had,
 on Coupling.value; the kernel must give their pairs, blocks and fields bit
-for bit.
+for bit. The System build's one search over the region and its boundary
+sites must give the pairs and fields of its earlier two searches
+(oracles.system_by_two_searches), bit for bit.
 """
 
 import itertools
@@ -12,10 +14,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lclt_lab.exactengine as ee
 import lclt_lab.model as lm
-from lclt_lab._system import _build, _region_pairs, build_system, windowed_exterior
+import oracles
+from lclt_lab._system import _build, _omega_items, build_system, windowed_exterior
+from lclt_lab.errors import CapacityError
 
 
 def _bits(values) -> bytes:
@@ -129,7 +135,7 @@ def test_kernel_matches_scalar_loops(d, model, region):
     """Pairs, decay blocks and fields under a constant, a negative constant
     and an explicit boundary (assignments inside and outside the box, zeros
     among them), bit for bit."""
-    assert _region_pairs(model, region) == _loop_pairs(model, region)
+    assert build_system(model, region).pairs == _loop_pairs(model, region)
     window = windowed_exterior(model, region)
     assert _bits(lm._coupling_block(model, region, window)) == _bits(_loop_block(model, region, window))
     rng = np.random.default_rng(len(region))
@@ -231,3 +237,64 @@ def test_engines_never_call_the_scalar_value(monkeypatch):
         ee.decimated_char_fn_sup(model, (0.3, 2.0))
     _build.cache_clear()
     lm._window_coupling_total.cache_clear()
+
+
+@st.composite
+def _systems_to_build(draw):
+    """A 1-D or 2-D box, a region of 1 to 12 of its sites, a nearest-
+    neighbour, power-law or explicit coupling (huge ones among them), a
+    zero, constant or explicit boundary, and maybe an omega override, its
+    sites around the box and zeros among its values. The power laws' strengths
+    put the truncation radius below, at and above the region-pair radius
+    2 * box radius."""
+    d = draw(st.sampled_from((1, 2)))
+    radius = draw(st.integers(1, 6) if d == 1 else st.integers(1, 2))
+    box = lm.Box(dimension=d, radius=radius, r0=1)
+    sites = box.sites
+    picked = draw(st.lists(st.integers(0, len(sites) - 1), min_size=1, max_size=min(12, len(sites)), unique=True))
+    region = [sites[p] for p in picked]
+    lo = draw(st.integers(-2, 1))
+    spin = lm.SpinInterval(lo, lo + draw(st.integers(1, 2)))
+    around = st.tuples(*[st.integers(-radius - 2, radius + 2)] * d)
+    strength = st.one_of(st.floats(-0.5, 0.5), st.sampled_from((1e308, -1e308, 0.0)))
+    kind = draw(st.sampled_from(("nearest_neighbor", "power_law", "explicit")))
+    if kind == "nearest_neighbor":
+        coupling = lm.Coupling.nearest_neighbor(draw(strength))
+    elif kind == "power_law":
+        scale = draw(st.sampled_from((1.0, -1.0))) * 10.0 ** draw(st.integers(-14, -6))
+        coupling = lm.Coupling.power_law(scale, d + draw(st.sampled_from((2.5, 4.0, 6.0))))
+    else:
+        ends = draw(st.lists(st.tuples(around, around), max_size=8))
+        table = {(min(x, y), max(x, y)): draw(strength) for x, y in ends if x != y}
+        coupling = lm.Coupling.explicit([(x, y, j) for (x, y), j in table.items()])
+    values = st.integers(spin.lo, spin.hi)
+    boundary = draw(st.sampled_from(("zero", "constant", "explicit")))
+    if boundary == "zero":
+        bc = lm.BoundaryCondition.zero()
+    elif boundary == "constant":
+        bc = lm.BoundaryCondition.constant(draw(values))
+    else:
+        bc = lm.BoundaryCondition.explicit(draw(st.dictionaries(around, values, max_size=10)))
+    model = lm.GibbsModel(spin=spin, box=box, coupling=coupling, boundary=bc)
+    omega = draw(st.one_of(st.none(), st.dictionaries(around, values, max_size=12)))
+    return model, lm.resolve_region(model, region), omega
+
+
+def _built(build):
+    try:
+        system = build()
+    except CapacityError as err:
+        return str(err)
+    return system, np.asarray(system.fields, dtype=float).tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_systems_to_build())
+def test_one_search_matches_two_searches(case):
+    """The one search gives the System of the two searches, its pairs and
+    the bits of its fields, or the same CapacityError: an infinite slope
+    named by its site, or the energy-bound error."""
+    model, region, omega = case
+    got = _built(lambda: _build(model, region, _omega_items(omega)))
+    want = _built(lambda: oracles.system_by_two_searches(model, region, _omega_items(omega)))
+    assert got == want

@@ -714,7 +714,7 @@ _HUGE_ENTRIES = {
     "polymer_partition": lambda model: pg.polymer_partition(model, pg.ActivityParams(t=0.3)),
     "single_spin_distribution": lambda model: oracles.single_spin_distribution(model, (0,)),
     # the fields alone: a System would refuse the pair first
-    "boundary_field_coefficients": lambda model: lm._field_slopes(model, model.box.sites, model.box.sites),
+    "boundary_field_coefficients": lambda model: oracles.field_slopes(model, model.box.sites, model.box.sites),
     "hamiltonian": lambda model: oracles.hamiltonian(
         model, oracles.SpinConfig(model.box.sites, (1,) * len(model.box.sites))
     ),

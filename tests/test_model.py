@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import lclt_lab.model as lm
 import lclt_lab.verifier as vf
 import oracles
-from lclt_lab._system import _region_pairs, build_system
+from lclt_lab._system import build_system
 from conftest import free_chain, model_to_dict, nn_chain, random_model
 from lclt_lab.errors import CapacityError, DomainError
 
@@ -460,9 +460,9 @@ def test_region_pairs_keep_explicit_pairs_inside_region():
         ),
         boundary=lm.BoundaryCondition.constant(1),
     )
-    assert _region_pairs(model, lm.resolve_region(model, "box")) == ((2, 24, 0.3), (14, 18, -0.4))
-    assert _region_pairs(model, lm.resolve_region(model, "decimated")) == ((1, 8, 0.3),)
-    assert _region_pairs(nn_chain(radius=3, strength=0.0), lm.resolve_region(nn_chain(radius=3), "box")) == ()
+    assert build_system(model, "box").pairs == ((2, 24, 0.3), (14, 18, -0.4))
+    assert build_system(model, "decimated").pairs == ((1, 8, 0.3),)
+    assert build_system(nn_chain(radius=3, strength=0.0), "box").pairs == ()
 
 
 def test_coefficient_matches_direct_exterior_sum():

@@ -502,6 +502,27 @@ def test_overflowing_weights_raise_not_nan():
     assert gas == pytest.approx(direct, rel=1e-12)
     assert cmath.isfinite(log_xi) and cmath.exp(log_xi) == pytest.approx(direct, rel=1e-9)
     assert all(cmath.isfinite(v) for v in series.by_order + absolute.by_order)
+    # p = 0 against C = inf: fields of -800 give spin 1 the mass 0, and
+    # J = 800 makes e^{J s s'} - 1 infinite where both spins are 1, so
+    # p C = 0 * inf is NaN there
+    pinned = lm.GibbsModel(
+        box=lm.Box(dimension=1, radius=2, r0=1),
+        spin=lm.SpinInterval(0, 1),
+        coupling=lm.Coupling.explicit([((-1,), (0,), -800.0), ((0,), (1,), 800.0), ((1,), (2,), -800.0)]),
+        boundary=lm.BoundaryCondition.constant(1),
+    )
+    with pytest.raises(CapacityError, match=r"^Mayer table on 2 sites is not finite: the largest log weight is 0\.0,"):
+        pg.polymer_partition(pinned, params, region=((0,), (1,)), mode="polymer_sum")
+    # finite entries p C whose sum p |C| overflows: laws of mass 3 (set by
+    # hand; a law of mass 1 keeps sum p |C| within max |C|) on spins -1, 0, 1
+    # at J = 709.5, where e^J - 1 = 1.35e308 on two configurations
+    pair = pg._Gas(build_system(nn_chain(radius=1, strength=709.5, spin=(-1, 1), boundary=None), ((0,), (1,))))
+    pair.probs = np.ones((2, 3))
+    assert math.isfinite(math.expm1(709.5)) and math.isinf(2 * math.expm1(709.5))
+    message = r"^Mayer table on 2 sites is not finite: the largest log weight is 709\.5,"
+    with pytest.raises(CapacityError, match=message):
+        pg._mayer_pass(pair, (0, 1), every=True)
+    assert pair.mayer == {}
 
 
 def _frustrated_complete_graph(n: int, spin, scale: float, rng) -> tuple:
@@ -1140,6 +1161,53 @@ def test_truncated_series_within_certified_tail():
     assert abs(res.partial_sums[-1] - exact) <= res.dominating_tail + 1e-12
     absres = pg.truncated_log_partition(model, params, region="box", K=4, absolute=True)
     assert absres.partial_sums[-1].real + absres.dominating_tail <= math.log(2.0) * n
+
+
+def _damping_cases():
+    """(model, region, omega) of the chain above and of the six region
+    shapes the benchmark's series ops visit (chains of 5, 7 and 9 sites and
+    a 6-site patch of the 3x3 box, q = 2 and 3) under seeded couplings and
+    omegas on the sites around the region."""
+    yield nn_chain(radius=4, strength=1e-4, spin=(0, 1), boundary=1), "box", None
+    rng = np.random.default_rng(40)
+    patch = ((-1, -1), (-1, 0), (0, -1), (0, 0), (1, -1), (1, 0))
+    for shape, n, spin in (
+        ("chain", 5, (0, 1)), ("patch", 6, (-1, 0)), ("chain", 7, (0, 1)),
+        ("patch", 6, (-1, 1)), ("chain", 7, (-1, 1)), ("chain", 9, (-1, 0)),
+    ):
+        strength = float(rng.choice((-1.0, 1.0)) * rng.uniform(1e-5, 5e-4))
+        if shape == "chain":
+            model = nn_chain(radius=(n - 1) // 2, strength=strength, spin=spin, boundary=spin[1])
+            region, around = model.box.sites, [(-(n + 1) // 2,), ((n + 1) // 2,)]
+        else:
+            model = nn_chain(radius=1, strength=strength, spin=spin, boundary=spin[0], dimension=2)
+            region = patch
+            around = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) not in patch]
+        yield model, region, {y: int(rng.integers(spin[0], spin[1] + 1)) for y in around}
+
+
+def test_series_damping_matches_bisection_bit_for_bit():
+    """theta, with e^{ak} and e^a - 1 taken once outside the bisection,
+    equals the bisection that takes them at every step, bit for bit:
+    undressed at a = ln 2 at two delta caps, and dressed at a = c/4, at t
+    inside and outside the certified range."""
+    from lclt_lab.verifier import constants
+
+    checked = 0
+    for model, region, omega in _damping_cases():
+        delta = constants(model).delta
+        gas = pg._gas(model, region, omega)
+        for t, c, cap in ((delta / 2, 0.0, delta), (delta / 4, 0.0, delta / 2), (2.0, 0.0, delta), (0.3, 1.0, delta),
+                          (0.3, 2.5, delta)):
+            params = pg.ActivityParams(t=t, c=c, delta_cap=cap)
+            a = math.log(2.0) if c == 0.0 else c / 4.0
+            want = oracles.series_damping_by_bisection(model, gas, params, a)
+            got = pg._series_damping(model, gas, params, a)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.hex() == want.hex()
+                checked += 1
+    assert checked >= 10
 
 
 def test_series_damping_refuses_large_t_without_dressing():
